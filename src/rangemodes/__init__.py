@@ -10,7 +10,7 @@ benchmarks.
 
 from .blockindex import BlockSizeIndex
 from .charseq import CharSeq
-from .engine import PCN, SIMPLE, AuditReport, Config, RangeModeEngine, Region
+from .engine import AuditReport, Config, RangeModeEngine, Region
 from .errors import AuditError, InvariantError, StaleCursorError
 from .multiset import CountedSet, PairTable, RankedCursor
 from .oracle import NaiveSeq
@@ -29,12 +29,10 @@ __all__ = [
     "InvariantError",
     "ModesResult",
     "NaiveSeq",
-    "PCN",
     "PairTable",
     "RangeModeEngine",
     "RankedCursor",
     "Region",
-    "SIMPLE",
     "SetFamily",
     "StaleCursorError",
     "__version__",

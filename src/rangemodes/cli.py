@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from .engine import PCN, SIMPLE, Config, RangeModeEngine
+from .engine import Config, RangeModeEngine
 from .oracle import NaiveSeq
 from .setintersect import SetFamily
 
@@ -322,15 +322,11 @@ def run_intersect(
 def _config_from_args(args: argparse.Namespace) -> Config:
     return Config(
         alpha=Fraction(args.alpha),
-        strategy=args.strategy,
         audit_mode=getattr(args, "audit", False),
     )
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--strategy", choices=(SIMPLE, PCN), default=SIMPLE, help="layout strategy"
-    )
     parser.add_argument("--alpha", default="1/3", help="block-count exponent (rational)")
     parser.add_argument("--audit", action="store_true", help="enable audit mode")
 
@@ -401,7 +397,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
             print(
                 f"fuzz seed={args.seed} ops={args.ops} max_len={args.max_len} "
-                f"alphabet={args.alphabet} strategy={args.strategy}"
+                f"alphabet={args.alphabet}"
             )
             print(report.summary())
             if not report.ok:

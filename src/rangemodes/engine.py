@@ -6,18 +6,13 @@ Point edits touch O(L^2) summary cells; a modes query combines the summary of
 the largest block interval inside the range with a scan of the O(N^(1-alpha))
 margin elements, so its cost is output-sensitive.
 
-Two layout-maintenance strategies keep block sizes within capacity as the
-sequence grows and shrinks:
-
-* ``simple-rebuild`` — blocks sized for the length at the last rebuild; when
-  the length doubles or halves the whole layout is rebuilt.
-* ``pcn`` — blocks are grouped into regions sized for the halved, current,
-  and doubled length (plus two empty outer regions reserving index space for
-  the next relabeling).  Every edit shuffles a few boundary elements between
-  regions so that by the time the length doubles (halves) all elements sit in
-  the region sized for the new length, and the regions are relabeled.
-
-Both strategies give the same amortized bounds; answers are identical.
+Blocks are grouped into two regions sized for the reference length ``n0`` of
+the last rebuild: ``cur`` (sized for ``n0``) followed by ``next`` (sized for
+``2·n0``).  A rebuild packs every element into ``cur``; a block that
+overflows sheds one element along a chain of boundary moves to the emptiest
+block of its region, or of the other region once its own is saturated.  When
+the length doubles or halves, the whole layout is rebuilt for the new length,
+which keeps every block within capacity at amortized cost.
 """
 
 from __future__ import annotations
@@ -32,64 +27,31 @@ from .errors import AuditError, InvariantError
 from .multiset import MAX_SYMBOL, CountedSet, PairTable
 from .results import ModesResult
 
-SIMPLE = "simple-rebuild"
-PCN = "pcn"
-
 _MAX_ALPHA_DENOMINATOR = 64
 
-# Region names, left to right in block-index space.  prev/cur/next are sized
-# for the halved/current/doubled reference length; prev2/next2 are the empty
-# outer regions the pcn strategy keeps ready for the next relabeling.
-_OUTER_ORDER = ("prev2", "prev", "cur", "next", "next2")
-_INNER_ORDER = ("prev", "cur", "next")
-
-_REGION_BASES = {
-    "prev2": (1, 4),
-    "prev": (1, 2),
-    "cur": (1, 1),
-    "next": (2, 1),
-    "next2": (4, 1),
-}
-
-# Element shuffles per edit, in source order (the later moves see elements
-# pulled in by the earlier ones, which is what empties the inner regions by
-# the time a reset fires).  ">" moves the last element of the left region
-# into the right one; "<" moves the first element of the right region into
-# the left one.  A move is skipped when its source region is empty or its
-# destination region is completely full.
-_INSERT_SHUFFLES = {
-    "prev": ((">", "prev", "cur"), (">", "prev", "cur"), (">", "cur", "next"), (">", "cur", "next")),
-    "cur": ((">", "prev", "cur"), (">", "cur", "next"), (">", "cur", "next")),
-    "next": ((">", "prev", "cur"), (">", "cur", "next")),
-}
-_DELETE_SHUFFLES = {
-    "prev": (("<", "cur", "next"), ("<", "cur", "next"), ("<", "prev", "cur"), ("<", "prev", "cur")),
-    "cur": (("<", "cur", "next"), ("<", "cur", "next"), ("<", "prev", "cur")),
-    "next": (("<", "cur", "next"), ("<", "prev", "cur")),
-}
-
-# Donor regions to try when a block overflows and its own region is
-# saturated: nearest element region first.
-_SPILL_ORDER = {
-    "prev": ("cur", "next"),
-    "cur": ("next", "prev"),
-    "next": ("cur", "prev"),
-}
+# Region names, left to right in block-index space, with the multiple of the
+# reference length each one is sized for.
+_REGION_SCALES = (("cur", 1), ("next", 2))
 
 
-def _ceil_rational_power(num: int, den: int, exp: Fraction) -> int:
-    """Exact ``ceil((num/den) ** exp)`` for positive rationals (no float error)."""
+def _ceil_power(n: int, exp: Fraction) -> int:
+    """Exact ``ceil(n ** exp)`` for a positive integer ``n`` (no float error)."""
     p, q = exp.numerator, exp.denominator
-    lhs = num**p
-    scale = den**p
-    k = int(round((num / den) ** (p / q)))
-    if k < 0:
-        k = 0
-    while k**q * scale < lhs:
+    target = n**p
+    k = round(n ** (p / q))
+    while k**q < target:
         k += 1
-    while k > 0 and (k - 1) ** q * scale >= lhs:
+    while k > 0 and (k - 1) ** q >= target:
         k -= 1
     return k
+
+
+def _check_symbol(symbol: object) -> None:
+    """Reject anything but an ``int`` symbol id that fits in one machine word."""
+    if type(symbol) is not int:
+        raise TypeError(f"symbol id must be an int, got {type(symbol).__name__}")
+    if not 0 <= symbol <= MAX_SYMBOL:
+        raise ValueError(f"symbol id {symbol} does not fit in one machine word")
 
 
 @dataclass(frozen=True)
@@ -98,11 +60,11 @@ class Config:
 
     ``alpha`` controls the block-count exponent (L = Θ(N^alpha)); it must be
     a rational strictly between 0 and 1 with a small denominator so layout
-    arithmetic stays exact.
+    arithmetic stays exact.  ``audit_mode`` checks every block against its
+    region's capacity after each edit.
     """
 
     alpha: Fraction = Fraction(1, 3)
-    strategy: str = SIMPLE
     audit_mode: bool = False
 
     def __post_init__(self) -> None:
@@ -117,8 +79,6 @@ class Config:
                 f"alpha must be a small-denominator rational (denominator <= "
                 f"{_MAX_ALPHA_DENOMINATOR}), got {alpha}; pass e.g. Fraction(1, 3)"
             )
-        if self.strategy not in (SIMPLE, PCN):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -157,15 +117,12 @@ class AuditReport:
     message: str = "ok"
 
 
-def _build_regime(n0: int, alpha: Fraction, outer: bool) -> RegimeState:
-    names = _OUTER_ORDER if outer else _INNER_ORDER
+def _build_regime(n0: int, alpha: Fraction) -> RegimeState:
     regions = []
     start = 0
-    one_minus = 1 - alpha
-    for name in names:
-        num, den = _REGION_BASES[name]
-        slots = _ceil_rational_power(n0 * num, den, alpha)
-        capacity = _ceil_rational_power(n0 * num, den, one_minus)
+    for name, scale in _REGION_SCALES:
+        slots = _ceil_power(n0 * scale, alpha)
+        capacity = _ceil_power(n0 * scale, 1 - alpha)
         regions.append(Region(name, start, slots, capacity))
         start += slots
     return RegimeState(n0, tuple(regions))
@@ -183,8 +140,7 @@ class RangeModeEngine:
         self._config = config if config is not None else Config()
         self._seq = CharSeq(initial)
         for symbol in self._seq:
-            if not 0 <= symbol <= MAX_SYMBOL:
-                raise ValueError(f"symbol id {symbol} does not fit in one machine word")
+            _check_symbol(symbol)
         self.reset_events: list[tuple[str, int]] = []
         self._rebuild_layout()
 
@@ -196,8 +152,8 @@ class RangeModeEngine:
         """Repack all elements into the cur region sized for the current length."""
         n = len(self._seq)
         n0 = max(n, 1)
-        regime = _build_regime(n0, self._config.alpha, self._config.strategy == PCN)
-        cur = next(r for r in regime.regions if r.name == "cur")
+        regime = _build_regime(n0, self._config.alpha)
+        cur = regime.regions[0]
         sizes = [0] * regime.total_slots
         remaining = n
         slot = cur.start
@@ -223,12 +179,6 @@ class RangeModeEngine:
             if slot < region.end:
                 return region
         raise IndexError(f"slot {slot} outside the regime layout")
-
-    def _region(self, name: str) -> Region:
-        for region in self._regime.regions:
-            if region.name == name:
-                return region
-        raise KeyError(name)
 
     def _pfx(self, k: int) -> int:
         return self._sizes.prefix_sum(k) if k >= 0 else 0
@@ -262,6 +212,7 @@ class RangeModeEngine:
         return self._sizes.to_list()
 
     def regions(self) -> tuple[Region, ...]:
+        """The ``cur`` and ``next`` regions, left to right."""
         return self._regime.regions
 
     def to_list(self) -> list[int]:
@@ -273,10 +224,9 @@ class RangeModeEngine:
         n = len(self._seq)
         if not 0 <= pos <= n:
             raise IndexError(f"insert position {pos} out of range (length {n})")
-        if not 0 <= symbol <= MAX_SYMBOL:
-            raise ValueError(f"symbol id {symbol} does not fit in one machine word")
+        _check_symbol(symbol)
         if n == 0:
-            j = self._region("cur").start
+            j = 0  # first slot of the cur region
         elif pos == 0:
             j = self._sizes.select_prefix(1)
         else:
@@ -284,11 +234,8 @@ class RangeModeEngine:
         self._seq.insert_at(pos, symbol)
         self._sizes.adjust(j, 1)
         self._table.apply_point(j, symbol, 1)
-        region = self._region_of(j)
-        if self._sizes.size_of(j) > region.capacity:
+        if self._sizes.size_of(j) > self._region_of(j).capacity:
             self._rebalance(j)
-        if self._config.strategy == PCN:
-            self._run_shuffles(_INSERT_SHUFFLES, region.name)
         self._reset_check()
         if self._config.audit_mode:
             self._check_capacities()
@@ -302,8 +249,6 @@ class RangeModeEngine:
         symbol = self._seq.delete_at(pos)
         self._sizes.adjust(j, -1)
         self._table.apply_point(j, symbol, -1)
-        if self._config.strategy == PCN:
-            self._run_shuffles(_DELETE_SHUFFLES, self._region_of(j).name)
         self._reset_check()
         if self._config.audit_mode:
             self._check_capacities()
@@ -444,58 +389,11 @@ class RangeModeEngine:
         k = sizes.argmin_size_in(region.start, region.end - 1)
         if k != j and sizes.size_of(k) + 1 <= region.capacity:
             return k
-        # Region saturated: spill into the nearest element region with room.
-        for name in _SPILL_ORDER[region.name]:
-            other = self._region(name)
-            if self._region_total(other) < other.slots * other.capacity:
+        # Region saturated: spill into the other region if it has room.
+        for other in self._regime.regions:
+            if other is not region and self._region_total(other) < other.slots * other.capacity:
                 return sizes.argmin_size_in(other.start, other.end - 1)
         return None
-
-    # ------------------------------------------------------------------
-    # pcn region shuffles
-    # ------------------------------------------------------------------
-
-    def _run_shuffles(self, table: dict, region_name: str) -> None:
-        try:
-            steps = table[region_name]
-        except KeyError:
-            raise InvariantError(
-                f"edit landed in reserved region {region_name!r}"
-            ) from None
-        for direction, left, right in steps:
-            if direction == ">":
-                self._transfer_last_right(left, right)
-            else:
-                self._transfer_first_left(left, right)
-
-    def _transfer_last_right(self, src_name: str, dst_name: str) -> None:
-        """Move the last element of region ``src`` to the front of region ``dst``."""
-        src = self._region(src_name)
-        dst = self._region(dst_name)
-        if self._region_total(src) == 0:
-            return
-        if self._region_total(dst) >= dst.slots * dst.capacity:
-            return
-        block = self._sizes.select_prefix(self._pfx(src.end - 1))
-        for t in range(block, dst.start):
-            self.move_right(t)
-        if self._sizes.size_of(dst.start) > dst.capacity:
-            self._rebalance(dst.start)
-
-    def _transfer_first_left(self, dst_name: str, src_name: str) -> None:
-        """Move the first element of region ``src`` to the end of region ``dst``."""
-        src = self._region(src_name)
-        dst = self._region(dst_name)
-        if self._region_total(src) == 0:
-            return
-        if self._region_total(dst) >= dst.slots * dst.capacity:
-            return
-        block = self._sizes.select_prefix(self._pfx(src.start - 1) + 1)
-        landing = dst.end - 1
-        for t in range(block, landing, -1):
-            self.move_left(t)
-        if self._sizes.size_of(landing) > dst.capacity:
-            self._rebalance(landing)
 
     # ------------------------------------------------------------------
     # resets
@@ -510,17 +408,6 @@ class RangeModeEngine:
             self._reset("halve")
 
     def _reset(self, kind: str) -> None:
-        if self._config.strategy == PCN and self._config.audit_mode:
-            if kind == "double":
-                stale = ("prev", "cur")
-            else:
-                stale = ("cur", "next")
-            for name in stale:
-                total = self._region_total(self._region(name))
-                if total != 0:
-                    raise AuditError(
-                        f"{kind} reset with {total} elements still in region {name}"
-                    )
         self.reset_events.append((kind, len(self._seq)))
         self._rebuild_layout()
 
@@ -551,7 +438,7 @@ class RangeModeEngine:
                 False,
                 f"block sizes sum to {sum(sizes)} but the sequence holds {len(flat)}",
             )
-        expected = _build_regime(regime.n0, self._config.alpha, self._config.strategy == PCN)
+        expected = _build_regime(regime.n0, self._config.alpha)
         if expected.regions != regime.regions:
             return AuditReport(False, "region layout drifted from the formulas")
         for region in regime.regions:
@@ -563,12 +450,6 @@ class RangeModeEngine:
                         False,
                         f"block {slot} holds {sizes[slot]} > capacity "
                         f"{region.capacity} of region {region.name}",
-                    )
-            if region.name in ("prev2", "next2"):
-                held = sum(sizes[region.start : region.end])
-                if held:
-                    return AuditReport(
-                        False, f"reserved region {region.name} holds {held} elements"
                     )
         # Every summary cell must equal a fresh recount of its block range.
         slots = regime.total_slots

@@ -9,8 +9,8 @@ import random
 import statistics
 import time
 
-from rangemodes import PCN, SIMPLE, Config, ModesResult, NaiveSeq, RangeModeEngine, SetFamily
-from rangemodes.cli import fit_loglog_slope, generate_trace, run_fuzz, run_trace
+from rangemodes import Config, ModesResult, NaiveSeq, RangeModeEngine, SetFamily
+from rangemodes.cli import fit_loglog_slope, run_fuzz
 
 
 def _pass(num: int, text: str) -> None:
@@ -18,31 +18,28 @@ def _pass(num: int, text: str) -> None:
 
 
 def test_criterion_1_differential_correctness():
-    """10k-op traces, both strategies, alphabets {2, 5, 26, 1000}: exact match."""
+    """10k-op traces, alphabets {2, 5, 26, 1000}: exact match."""
     start = time.time()
-    for strategy in (SIMPLE, PCN):
-        for alphabet in (2, 5, 26, 1000):
-            report = run_fuzz(
-                seed=1000 + alphabet,
-                ops=10_000,
-                max_len=2_000,
-                alphabet=alphabet,
-                config=Config(strategy=strategy),
-            )
-            assert report.ok, f"{strategy}/alphabet={alphabet}: {report.failure}"
-            assert report.queries > 3_000
+    for alphabet in (2, 5, 26, 1000):
+        report = run_fuzz(
+            seed=1000 + alphabet,
+            ops=10_000,
+            max_len=2_000,
+            alphabet=alphabet,
+        )
+        assert report.ok, f"alphabet={alphabet}: {report.failure}"
+        assert report.queries > 3_000
     elapsed = time.time() - start
     _pass(
         1,
-        f"8 x 10k-op differential traces exact "
-        f"(both strategies, alphabets 2/5/26/1000) in {elapsed:.1f}s",
+        f"4 x 10k-op differential traces exact (alphabets 2/5/26/1000) in {elapsed:.1f}s",
     )
 
 
 def test_criterion_2_regime_stress():
-    """Grow to 5000 and shrink to 8 under pcn with the reset audits armed."""
+    """Grow to 5000 and shrink to 8 with the per-edit capacity audit armed."""
     rng = random.Random(77)
-    engine = RangeModeEngine((), Config(strategy=PCN, audit_mode=True))
+    engine = RangeModeEngine((), Config(audit_mode=True))
     oracle = NaiveSeq()
     ops = 0
 
@@ -55,7 +52,7 @@ def test_criterion_2_regime_stress():
     while len(oracle) < 5_000:
         pos = rng.randint(0, len(oracle))
         sym = rng.randrange(26)
-        engine.insert(pos, sym)  # audit_mode asserts the reset emptiness rules
+        engine.insert(pos, sym)  # audit_mode asserts every block's capacity
         oracle.insert_at(pos, sym)
         ops += 1
         maybe_query()
@@ -73,7 +70,7 @@ def test_criterion_2_regime_stress():
     _pass(
         2,
         f"grow/shrink 0->5000->8 with {doublings} doubling and {halvings} halving "
-        f"resets, every 50th-op query exact, emptiness asserted at each reset",
+        f"resets, every 50th-op query exact, capacities asserted after each edit",
     )
 
 
@@ -81,24 +78,23 @@ def test_criterion_3_structural_audit():
     """Full audit every 100 ops stays clean on instances with N <= 300."""
     start = time.time()
     audits = 0
-    for strategy in (SIMPLE, PCN):
-        for seed in (5, 6):
-            rng = random.Random(seed)
-            engine = RangeModeEngine((), Config(strategy=strategy, audit_mode=True))
-            for step in range(2_500):
-                n = len(engine)
-                roll = rng.random()
-                if n == 0 or (roll < 0.45 and n < 300):
-                    engine.insert(rng.randint(0, n), rng.randrange(12))
-                elif roll < 0.65:
-                    engine.delete(rng.randrange(n))
-                elif n:
-                    lo = rng.randrange(n)
-                    engine.modes(lo, rng.randint(lo, n - 1))
-                if (step + 1) % 100 == 0:
-                    report = engine.audit()
-                    assert report.ok, f"{strategy}/seed={seed}/op={step}: {report.message}"
-                    audits += 1
+    for seed in (5, 6):
+        rng = random.Random(seed)
+        engine = RangeModeEngine((), Config(audit_mode=True))
+        for step in range(2_500):
+            n = len(engine)
+            roll = rng.random()
+            if n == 0 or (roll < 0.45 and n < 300):
+                engine.insert(rng.randint(0, n), rng.randrange(12))
+            elif roll < 0.65:
+                engine.delete(rng.randrange(n))
+            elif n:
+                lo = rng.randrange(n)
+                engine.modes(lo, rng.randint(lo, n - 1))
+            if (step + 1) % 100 == 0:
+                report = engine.audit()
+                assert report.ok, f"seed={seed}/op={step}: {report.message}"
+                audits += 1
     elapsed = time.time() - start
     assert elapsed < 30, f"structural audit criterion took {elapsed:.1f}s"
     _pass(3, f"{audits} full audits clean (partition, capacities, all cells) in {elapsed:.1f}s")
@@ -213,14 +209,3 @@ def test_criterion_6_set_intersection_reduction():
     assert elapsed < 60, f"set-intersection criterion took {elapsed:.1f}s"
     _pass(6, f"200 families, {pairs} pair checks exact before/after updates in {elapsed:.1f}s")
 
-
-def test_criterion_7_strategy_equivalence():
-    """1000-op traces produce byte-identical outputs under both strategies."""
-    for seed in (11, 12, 13):
-        trace = generate_trace(seed=seed, ops=1_000, max_len=300, alphabet=7)
-        outputs = {}
-        for strategy in (SIMPLE, PCN):
-            text = "\n".join(run_trace(trace, Config(strategy=strategy)))
-            outputs[strategy] = text.encode("utf-8")
-        assert outputs[SIMPLE] == outputs[PCN], f"seed {seed}: outputs differ"
-    _pass(7, "run_trace outputs byte-identical across strategies for 3 seeded traces")

@@ -132,7 +132,7 @@ class TestFuzz:
             ops=400,
             max_len=60,
             alphabet=3,
-            config=Config(strategy="pcn", audit_mode=True),
+            config=Config(audit_mode=True),
             audit_every=100,
         )
         assert report.ok
@@ -216,11 +216,11 @@ class TestMain:
         assert main(["trace", str(trace)]) == 0
         assert capsys.readouterr().out == "2 5\n"
 
-    def test_trace_pcn_strategy_flag(self, tmp_path, capsys):
+    def test_trace_alpha_flag(self, tmp_path, capsys):
         trace = tmp_path / "ops.trace"
-        trace.write_text("I 0 1\nQ 0 0\n")
-        assert main(["trace", str(trace), "--strategy", "pcn", "--alpha", "1/2"]) == 0
-        assert capsys.readouterr().out == "1 1\n"
+        trace.write_text("I 0 1\nI 1 2\nI 2 1\nQ 0 2\n")
+        assert main(["trace", str(trace), "--alpha", "1/2", "--audit"]) == 0
+        assert capsys.readouterr().out == "2 1\n"
 
     def test_trace_error_exit_code(self, tmp_path, capsys):
         trace = tmp_path / "bad.trace"

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rangemodes import (
-    PCN,
-    SIMPLE,
     AuditError,
     Config,
     InvariantError,
@@ -33,7 +31,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = Config()
         assert cfg.alpha == Fraction(1, 3)
-        assert cfg.strategy == SIMPLE
         assert not cfg.audit_mode
 
     @pytest.mark.parametrize("alpha", [0, 1, Fraction(3, 2), Fraction(-1, 3)])
@@ -48,10 +45,6 @@ class TestConfig:
 
     def test_alpha_string_fraction(self):
         assert Config(alpha=Fraction("1/2")).alpha == Fraction(1, 2)
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            Config(strategy="bogus")
 
 
 class TestConstruction:
@@ -75,34 +68,45 @@ class TestConstruction:
     def test_len(self):
         assert len(RangeModeEngine([1, 2])) == 2
 
-    def test_pcn_region_formulas(self):
-        engine = RangeModeEngine(range(64), Config(strategy=PCN))
-        regions = region_map(engine)
+    def test_layout_is_cur_then_next(self):
+        engine = RangeModeEngine(range(64))
         n0 = engine.n0
-        for name, num, den in [
-            ("prev2", n0, 4),
-            ("prev", n0, 2),
-            ("cur", n0, 1),
-            ("next", 2 * n0, 1),
-            ("next2", 4 * n0, 1),
-        ]:
-            assert regions[name].slots == ceil_root(num, den, 1, 3), name
-            assert regions[name].capacity == ceil_root(num, den, 2, 3), name
-        order = [r.name for r in engine.regions()]
-        assert order == ["prev2", "prev", "cur", "next", "next2"]
-
-    def test_simple_has_three_regions(self):
-        engine = RangeModeEngine(range(10))
-        assert [r.name for r in engine.regions()] == ["prev", "cur", "next"]
+        assert n0 == 64
+        regions = engine.regions()
+        assert [r.name for r in regions] == ["cur", "next"]
+        start = 0
+        for region, k in zip(regions, (1, 2)):
+            assert region.start == start, region.name
+            assert region.slots == ceil_root(n0 * k, 1, 1, 3), region.name
+            assert region.capacity == ceil_root(n0 * k, 1, 2, 3), region.name
+            start = region.end
+        cur, nxt = regions
+        assert len(engine.block_sizes()) == cur.slots + nxt.slots
 
     def test_symbol_validation(self):
         with pytest.raises(ValueError):
             RangeModeEngine([-1])
+        with pytest.raises(TypeError):
+            RangeModeEngine([1.0])
+        with pytest.raises(TypeError):
+            RangeModeEngine([True])
         engine = RangeModeEngine()
         with pytest.raises(ValueError):
             engine.insert(0, -5)
         with pytest.raises(ValueError):
             engine.insert(0, 1 << 64)
+
+    @pytest.mark.parametrize("bad", [1.0, True, "3", None, -1, 1 << 64])
+    def test_rejected_symbol_leaves_engine_unchanged(self, bad):
+        # Validation runs before the sequence, block sizes or summary cells
+        # change, so a rejected insert leaves nothing half-updated.
+        engine = RangeModeEngine(range(8))
+        before = engine.to_list()
+        for pos in (0, 3, 8):
+            with pytest.raises((TypeError, ValueError)):
+                engine.insert(pos, bad)
+            assert engine.to_list() == before
+            assert engine.audit().ok
 
 
 class TestInsert:
@@ -133,7 +137,7 @@ class TestInsert:
             engine.insert(-1, 0)
 
     def test_doubling_reset_fires_and_answers_survive(self):
-        config = Config(strategy=PCN, audit_mode=True)
+        config = Config(audit_mode=True)
         engine = RangeModeEngine([0] * 16, config)
         oracle = NaiveSeq([0] * 16)
         rng = random.Random(2)
@@ -167,7 +171,7 @@ class TestDelete:
             engine.delete(0)
 
     def test_halving_reset_fires_and_answers_survive(self):
-        config = Config(strategy=PCN, audit_mode=True)
+        config = Config(audit_mode=True)
         engine = RangeModeEngine(range(64), config)
         oracle = NaiveSeq(range(64))
         rng = random.Random(3)
@@ -287,70 +291,9 @@ class TestMoves:
             engine.move_right(slots - 1)
 
 
-class TestRegionTransfers:
-    def make_engine(self):
-        return RangeModeEngine([0, 1, 2], Config(strategy=PCN))
-
-    def totals(self, engine):
-        return {
-            r.name: engine._region_total(r) for r in engine.regions()
-        }
-
-    def test_transfer_moves_one_element_right(self):
-        engine = self.make_engine()
-        engine._transfer_last_right("cur", "next")
-        assert self.totals(engine) == {
-            "prev2": 0,
-            "prev": 0,
-            "cur": 2,
-            "next": 1,
-            "next2": 0,
-        }
-        assert engine.to_list() == [0, 1, 2]
-        assert engine.audit().ok
-
-    def test_transfer_moves_one_element_left(self):
-        engine = self.make_engine()
-        engine._transfer_first_left("prev", "cur")
-        assert self.totals(engine)["prev"] == 1
-        assert self.totals(engine)["cur"] == 2
-        assert engine.to_list() == [0, 1, 2]
-        assert engine.audit().ok
-
-    def test_transfer_from_empty_region_is_noop(self):
-        engine = self.make_engine()
-        before = engine.block_sizes()
-        engine._transfer_last_right("prev", "cur")
-        assert engine.block_sizes() == before
-
-    def test_transfer_chain_crosses_empty_blocks(self):
-        engine = self.make_engine()
-        # prev <- cur puts an element into prev's last slot even though every
-        # intervening block is empty; flattened order must be exact.
-        engine._transfer_first_left("prev", "cur")
-        prev = region_map(engine)["prev"]
-        sizes = engine.block_sizes()
-        assert sizes[prev.end - 1] == 1
-        assert engine.to_list() == [0, 1, 2]
-
-    def test_transfer_roundtrip_restores_totals(self):
-        engine = self.make_engine()
-        engine._transfer_first_left("prev", "cur")
-        engine._transfer_last_right("prev", "cur")  # single hop back into cur
-        assert self.totals(engine) == {
-            "prev2": 0,
-            "prev": 0,
-            "cur": 3,
-            "next": 0,
-            "next2": 0,
-        }
-        assert engine.to_list() == [0, 1, 2]
-        assert engine.audit().ok
-
-
 class TestResets:
     def test_no_reset_strictly_inside_window(self):
-        engine = RangeModeEngine(range(64), Config(strategy=PCN, audit_mode=True))
+        engine = RangeModeEngine(range(64), Config(audit_mode=True))
         rng = random.Random(4)
         for _ in range(600):
             if len(engine) <= 50 or (len(engine) < 90 and rng.random() < 0.5):
@@ -361,7 +304,7 @@ class TestResets:
         assert engine.audit().ok
 
     def test_doubling_resets_walk_up(self):
-        engine = RangeModeEngine((), Config(strategy=PCN, audit_mode=True))
+        engine = RangeModeEngine((), Config(audit_mode=True))
         for k in range(70):
             engine.insert(len(engine), k % 3)
         kinds = [kind for kind, _ in engine.reset_events]
@@ -370,7 +313,7 @@ class TestResets:
         assert lengths == [2, 4, 8, 16, 32, 64]
 
     def test_halving_resets_walk_down(self):
-        engine = RangeModeEngine(range(64), Config(strategy=PCN, audit_mode=True))
+        engine = RangeModeEngine(range(64), Config(audit_mode=True))
         while len(engine):
             engine.delete(len(engine) - 1)
         halvings = [length for kind, length in engine.reset_events if kind == "halve"]
@@ -390,7 +333,7 @@ class TestAudit:
 
     def test_after_random_ops(self):
         rng = random.Random(11)
-        engine = RangeModeEngine((), Config(strategy=PCN))
+        engine = RangeModeEngine()
         for _ in range(400):
             n = len(engine)
             if n == 0 or rng.random() < 0.6:
@@ -422,31 +365,10 @@ class TestAudit:
 
 
 class TestEquivalence:
-    def run_ops(self, strategy, seed):
-        rng = random.Random(seed)
-        engine = RangeModeEngine((), Config(strategy=strategy))
-        answers = []
-        for _ in range(700):
-            n = len(engine)
-            roll = rng.random()
-            if n == 0 or (roll < 0.45 and n < 150):
-                engine.insert(rng.randint(0, n), rng.randrange(6))
-            elif roll < 0.65:
-                engine.delete(rng.randrange(n))
-            else:
-                lo = rng.randrange(n)
-                answers.append(engine.modes(lo, rng.randint(lo, n - 1)))
-        return answers
-
-    def test_strategies_agree(self):
-        for seed in (0, 1):
-            assert self.run_ops(SIMPLE, seed) == self.run_ops(PCN, seed)
-
-    @pytest.mark.parametrize("strategy", [SIMPLE, PCN])
     @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 5)])
-    def test_oracle_equivalence_mini_fuzz(self, strategy, alpha):
+    def test_oracle_equivalence_mini_fuzz(self, alpha):
         rng = random.Random(17)
-        engine = RangeModeEngine((), Config(alpha=alpha, strategy=strategy, audit_mode=True))
+        engine = RangeModeEngine((), Config(alpha=alpha, audit_mode=True))
         oracle = NaiveSeq()
         for step in range(1500):
             n = len(oracle)
@@ -465,19 +387,6 @@ class TestEquivalence:
                 assert engine.modes(lo, hi) == oracle.modes(lo, hi)
         assert engine.audit().ok
 
-    def test_reserved_regions_stay_empty(self):
-        rng = random.Random(23)
-        engine = RangeModeEngine((), Config(strategy=PCN))
-        for _ in range(500):
-            n = len(engine)
-            if n == 0 or rng.random() < 0.6:
-                engine.insert(rng.randint(0, n), rng.randrange(4))
-            else:
-                engine.delete(rng.randrange(n))
-        totals = {r.name: engine._region_total(r) for r in engine.regions()}
-        assert totals["prev2"] == 0
-        assert totals["next2"] == 0
-
     def test_sigma_prime_tracks_distinct_symbols(self):
         engine = RangeModeEngine([1, 1, 2, 5])
         assert engine.sigma_prime == 3
@@ -486,11 +395,11 @@ class TestEquivalence:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        st.sampled_from([SIMPLE, PCN]),
+        st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5)]),
         st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 4)), max_size=50),
     )
-    def test_property_any_interleaving_matches_oracle(self, strategy, ops):
-        engine = RangeModeEngine((), Config(strategy=strategy, audit_mode=True))
+    def test_property_any_interleaving_matches_oracle(self, alpha, ops):
+        engine = RangeModeEngine((), Config(alpha=alpha, audit_mode=True))
         oracle = NaiveSeq()
         for raw, sym in ops:
             n = len(oracle)

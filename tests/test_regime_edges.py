@@ -1,23 +1,21 @@
 """Regression tests for layout corner cases found during design analysis.
 
 Each of these scenarios breaks a more literal reading of the maintenance
-rules (donor search confined to one region, transfers that only check the
-source, ceil-based halving thresholds); the engine must handle all of them
-with clean audits.
+rules (donor search confined to one region, ceil-based halving thresholds);
+the engine must handle all of them with clean audits.
 """
 
 import random
 
 import pytest
 
-from rangemodes import Config, NaiveSeq, PCN, RangeModeEngine, SIMPLE
+from rangemodes import Config, NaiveSeq, RangeModeEngine
 
 
-@pytest.mark.parametrize("strategy", [SIMPLE, PCN])
-def test_insert_into_fully_packed_layout(strategy):
+def test_insert_into_fully_packed_layout():
     # n0 = 8 packs the cur region to exactly its total capacity ([4, 4]),
     # so the very first insert has no donor inside cur and must spill.
-    engine = RangeModeEngine([5] * 8, Config(strategy=strategy, audit_mode=True))
+    engine = RangeModeEngine([5] * 8, Config(audit_mode=True))
     engine.insert(3, 7)
     assert engine.to_list() == [5, 5, 5, 7, 5, 5, 5, 5, 5]
     assert engine.audit().ok
@@ -26,34 +24,18 @@ def test_insert_into_fully_packed_layout(strategy):
 @pytest.mark.parametrize("n0", [3, 5, 7, 9, 11])
 def test_pure_deletes_from_odd_reference_length(n0):
     # Odd reference lengths make the halving boundary land off the exact
-    # half; the audit must still see cur and next empty at every halving.
-    engine = RangeModeEngine(range(n0), Config(strategy=PCN, audit_mode=True))
+    # half; every block must stay within capacity down to the empty sequence.
+    engine = RangeModeEngine(range(n0), Config(audit_mode=True))
     while len(engine):
         engine.delete(0)
     assert any(kind == "halve" for kind, _ in engine.reset_events)
     assert engine.audit().ok
 
 
-def test_delete_streak_saturates_prev_region():
-    # Growing to just under the doubling boundary and then deleting from the
-    # tail pumps one element per delete toward the prev region; once prev is
-    # totally full the transfer must stand down instead of overflowing it.
-    engine = RangeModeEngine([0] * 16, Config(strategy=PCN, audit_mode=True))
-    rng = random.Random(8)
-    while len(engine) < 31:
-        engine.insert(len(engine), rng.randrange(4))
-    while len(engine) > 4:
-        engine.delete(len(engine) - 1)
-    assert engine.audit().ok
-    kinds = [kind for kind, _ in engine.reset_events]
-    assert "halve" in kinds
-
-
-@pytest.mark.parametrize("strategy", [SIMPLE, PCN])
-def test_sawtooth_across_both_boundaries(strategy):
+def test_sawtooth_across_both_boundaries():
     # Repeatedly cross the doubling and halving thresholds with queries in
     # between; answers must track the oracle through every reset.
-    engine = RangeModeEngine((), Config(strategy=strategy, audit_mode=True))
+    engine = RangeModeEngine((), Config(audit_mode=True))
     oracle = NaiveSeq()
     rng = random.Random(21)
     for _ in range(4):

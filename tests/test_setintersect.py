@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from rangemodes import Config, PCN, SetFamily
+from rangemodes import Config, SetFamily
 
 
 def direct_intersection(family, i, j):
@@ -91,8 +92,8 @@ class TestQueries:
         with pytest.raises(IndexError):
             family.enumerate_intersection(1, 3)
 
-    def test_pcn_backed_family(self):
-        family = SetFamily([[0, 1], [1, 2]], 3, Config(strategy=PCN))
+    def test_configured_family(self):
+        family = SetFamily([[0, 1], [1, 2]], 3, Config(alpha=Fraction(1, 2), audit_mode=True))
         assert family.enumerate_intersection(1, 2) == {1}
 
 

@@ -68,20 +68,24 @@ class TestConstruction:
     def test_len(self):
         assert len(RangeModeEngine([1, 2])) == 2
 
-    def test_layout_is_cur_then_next(self):
+    def test_region_formulas(self):
         engine = RangeModeEngine(range(64))
         n0 = engine.n0
         assert n0 == 64
+        regions = region_map(engine)
+        for name, k in [("cur", 1), ("next", 2)]:
+            assert regions[name].slots == ceil_root(n0 * k, 1, 1, 3), name
+            assert regions[name].capacity == ceil_root(n0 * k, 1, 2, 3), name
+
+    def test_layout_is_cur_then_next(self):
+        engine = RangeModeEngine(range(10))
         regions = engine.regions()
         assert [r.name for r in regions] == ["cur", "next"]
         start = 0
-        for region, k in zip(regions, (1, 2)):
+        for region in regions:
             assert region.start == start, region.name
-            assert region.slots == ceil_root(n0 * k, 1, 1, 3), region.name
-            assert region.capacity == ceil_root(n0 * k, 1, 2, 3), region.name
             start = region.end
-        cur, nxt = regions
-        assert len(engine.block_sizes()) == cur.slots + nxt.slots
+        assert len(engine.block_sizes()) == start
 
     def test_symbol_validation(self):
         with pytest.raises(ValueError):

@@ -1,116 +1,36 @@
-"""Dynamic array of block lengths with prefix-select and argmin queries.
+"""Array of block lengths with prefix-select and argmin queries.
 
-Backed by a positionally-indexed treap whose nodes carry subtree count, sum,
-and minimum, so every operation — point adjust, argmin (optionally range
-restricted), prefix-select, prefix sum, slot insertion and deletion — runs in
-O(log L).  Treap priorities come from a per-instance seeded RNG, keeping the
-structure fully deterministic.
+The slot count is fixed between layout resets and stays in the hundreds, so
+the sizes live in a plain list.  Prefix sums are rebuilt lazily after an edit
+(O(L)); between edits ``prefix_sum`` is O(1) and ``select_prefix`` bisects
+them in O(log L).  ``argmin_size_in`` scans its range in O(L).  An engine edit
+already touches O(L²) summary cells, so these costs stay inside its bounds.
 """
 
 from __future__ import annotations
 
-import random
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import InvariantError
 
 
-class _Node:
-    __slots__ = ("value", "prio", "left", "right", "count", "total", "minimum")
-
-    def __init__(self, value: int, prio: float) -> None:
-        self.value = value
-        self.prio = prio
-        self.left: _Node | None = None
-        self.right: _Node | None = None
-        self.count = 1
-        self.total = value
-        self.minimum = value
-
-    def pull(self) -> None:
-        count = 1
-        total = minimum = self.value
-        left = self.left
-        if left is not None:
-            count += left.count
-            total += left.total
-            if left.minimum < minimum:
-                minimum = left.minimum
-        right = self.right
-        if right is not None:
-            count += right.count
-            total += right.total
-            if right.minimum < minimum:
-                minimum = right.minimum
-        self.count = count
-        self.total = total
-        self.minimum = minimum
-
-
-def _merge(a: _Node | None, b: _Node | None) -> _Node | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a.prio >= b.prio:
-        a.right = _merge(a.right, b)
-        a.pull()
-        return a
-    b.left = _merge(a, b.left)
-    b.pull()
-    return b
-
-
-def _split(node: _Node | None, k: int) -> tuple[_Node | None, _Node | None]:
-    """Split into (first k slots, rest)."""
-    if node is None:
-        return None, None
-    left_count = node.left.count if node.left is not None else 0
-    if k <= left_count:
-        l, r = _split(node.left, k)
-        node.left = r
-        node.pull()
-        return l, node
-    l, r = _split(node.right, k - left_count - 1)
-    node.right = l
-    node.pull()
-    return node, r
-
-
 class BlockSizeIndex:
     """Ordered array of non-negative block sizes with aggregate queries."""
 
-    __slots__ = ("_root", "_rng")
+    __slots__ = ("_sizes", "_prefix")
 
-    def __init__(self, sizes: Iterable[int] = (), seed: int = 0x51D3) -> None:
-        self._rng = random.Random(seed)
-        self._root: _Node | None = None
-        items = list(sizes)
-        if items:
-            self._root = self._build(items)
+    def __init__(self, sizes: Iterable[int] = ()) -> None:
+        self._sizes = list(sizes)
+        if any(size < 0 for size in self._sizes):
+            raise InvariantError("block sizes must be non-negative")
+        self._prefix: list[int] | None = None  # inclusive prefix sums, None when stale
 
-    def _build(self, items: list[int]) -> _Node:
-        # Balanced shape; priorities assigned root-first from a descending
-        # sequence so the heap property holds by construction.
-        prios = sorted((self._rng.random() for _ in items), reverse=True)
-        it = iter(prios)
-
-        def rec(lo: int, hi: int) -> _Node | None:
-            if lo >= hi:
-                return None
-            mid = (lo + hi) // 2
-            node = _Node(items[mid], next(it))
-            node.left = rec(lo, mid)
-            node.right = rec(mid + 1, hi)
-            node.pull()
-            return node
-
-        for value in items:
-            if value < 0:
-                raise InvariantError("block sizes must be non-negative")
-        root = rec(0, len(items))
-        assert root is not None
-        return root
+    def _prefix_sums(self) -> list[int]:
+        if self._prefix is None:
+            self._prefix = list(accumulate(self._sizes))
+        return self._prefix
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -118,42 +38,24 @@ class BlockSizeIndex:
 
     def __len__(self) -> int:
         """Number of slots."""
-        return self._root.count if self._root is not None else 0
+        return len(self._sizes)
 
     def total(self) -> int:
         """Sum of all slot sizes."""
-        return self._root.total if self._root is not None else 0
+        prefix = self._prefix_sums()
+        return prefix[-1] if prefix else 0
 
     def size_of(self, i: int) -> int:
         """Size stored in slot ``i``."""
         self._check_index(i)
-        node = self._root
-        while node is not None:
-            left_count = node.left.count if node.left is not None else 0
-            if i < left_count:
-                node = node.left
-            elif i == left_count:
-                return node.value
-            else:
-                i -= left_count + 1
-                node = node.right
-        raise AssertionError("unreachable")
+        return self._sizes[i]
 
     def to_list(self) -> list[int]:
-        out: list[int] = []
-
-        def rec(node: _Node | None) -> None:
-            if node is None:
-                return
-            rec(node.left)
-            out.append(node.value)
-            rec(node.right)
-
-        rec(self._root)
-        return out
+        return list(self._sizes)
 
     def _check_index(self, i: int) -> None:
-        n = len(self)
+        # A list would silently accept negative indices.
+        n = len(self._sizes)
         if not 0 <= i < n:
             raise IndexError(f"slot {i} out of range ({n} slots)")
 
@@ -164,90 +66,36 @@ class BlockSizeIndex:
     def adjust(self, i: int, delta: int) -> None:
         """Add ``delta`` to slot ``i``; the result must stay non-negative."""
         self._check_index(i)
-
-        def rec(node: _Node, idx: int) -> None:
-            left_count = node.left.count if node.left is not None else 0
-            if idx < left_count:
-                rec(node.left, idx)  # type: ignore[arg-type]
-            elif idx == left_count:
-                if node.value + delta < 0:
-                    raise InvariantError(
-                        f"slot {i} would become negative ({node.value} + {delta})"
-                    )
-                node.value += delta
-            else:
-                rec(node.right, idx - left_count - 1)  # type: ignore[arg-type]
-            node.pull()
-
-        assert self._root is not None
-        rec(self._root, i)
+        value = self._sizes[i]
+        if value + delta < 0:
+            raise InvariantError(f"slot {i} would become negative ({value} + {delta})")
+        self._sizes[i] = value + delta
+        self._prefix = None
 
     def prefix_sum(self, k: int) -> int:
         """Inclusive prefix sum of slots ``0..k``."""
         self._check_index(k)
-        node = self._root
-        acc = 0
-        while node is not None:
-            left = node.left
-            left_count = left.count if left is not None else 0
-            if k < left_count:
-                node = left
-            elif k == left_count:
-                return acc + (left.total if left is not None else 0) + node.value
-            else:
-                acc += (left.total if left is not None else 0) + node.value
-                k -= left_count + 1
-                node = node.right
-        raise AssertionError("unreachable")
+        return self._prefix_sums()[k]
 
     def select_prefix(self, a: int) -> int:
         """Smallest ``k`` whose inclusive prefix sum reaches ``a`` (1 ≤ a ≤ total)."""
-        if a <= 0 or a > self.total():
-            raise IndexError(f"prefix target {a} out of range (total {self.total()})")
-        node = self._root
-        idx = 0
-        while node is not None:
-            left = node.left
-            left_total = left.total if left is not None else 0
-            left_count = left.count if left is not None else 0
-            if left_total >= a:
-                node = left
-            elif left_total + node.value >= a:
-                return idx + left_count
-            else:
-                a -= left_total + node.value
-                idx += left_count + 1
-                node = node.right
-        raise AssertionError("unreachable")
+        total = self.total()
+        if a <= 0 or a > total:
+            raise IndexError(f"prefix target {a} out of range (total {total})")
+        return bisect_left(self._prefix_sums(), a)
 
     def argmin_size(self) -> int:
         """Lowest-index slot holding a minimum size."""
-        if self._root is None:
+        if not self._sizes:
             raise ValueError("argmin of an empty index")
-        return self.argmin_size_in(0, len(self) - 1)
+        return self.argmin_size_in(0, len(self._sizes) - 1)
 
     def argmin_size_in(self, lo: int, hi: int) -> int:
         """Lowest-index minimum within slots ``[lo, hi]``."""
-        n = len(self)
+        n = len(self._sizes)
         if not (0 <= lo <= hi < n):
             raise IndexError(f"slot range [{lo}, {hi}] invalid ({n} slots)")
-        left, rest = _split(self._root, lo)
-        mid, right = _split(rest, hi - lo + 1)
-        assert mid is not None
-        target = mid.minimum
-        pos = lo
-        node = mid
-        while True:
-            if node.left is not None and node.left.minimum == target:
-                node = node.left
-            elif node.value == target:
-                pos += node.left.count if node.left is not None else 0
-                break
-            else:
-                pos += (node.left.count if node.left is not None else 0) + 1
-                node = node.right  # type: ignore[assignment]
-        self._root = _merge(left, _merge(mid, right))
-        return pos
+        return min(range(lo, hi + 1), key=self._sizes.__getitem__)
 
     # ------------------------------------------------------------------
     # slot edits
@@ -255,17 +103,16 @@ class BlockSizeIndex:
 
     def insert_slot(self, i: int, x: int) -> None:
         """Insert a new slot holding ``x`` at position ``i``."""
-        n = len(self)
+        n = len(self._sizes)
         if not 0 <= i <= n:
             raise IndexError(f"slot insert position {i} out of range ({n} slots)")
         if x < 0:
             raise InvariantError("block sizes must be non-negative")
-        left, right = _split(self._root, i)
-        self._root = _merge(_merge(left, _Node(x, self._rng.random())), right)
+        self._sizes.insert(i, x)
+        self._prefix = None
 
     def delete_slot(self, i: int) -> None:
         """Remove slot ``i``."""
         self._check_index(i)
-        left, rest = _split(self._root, i)
-        _, right = _split(rest, 1)
-        self._root = _merge(left, right)
+        del self._sizes[i]
+        self._prefix = None

@@ -321,13 +321,30 @@ def run_intersect(
 
 def _config_from_args(args: argparse.Namespace) -> Config:
     return Config(
-        alpha=Fraction(args.alpha),
+        alpha=args.alpha,
         audit_mode=getattr(args, "audit", False),
     )
 
 
+def _alpha(text: str) -> Fraction:
+    """Parse ``--alpha`` through ``Config``, which holds the rules it must meet."""
+    try:
+        return Config(alpha=Fraction(text)).alpha
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from exc
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", default="1/3", help="block-count exponent (rational)")
+    parser.add_argument(
+        "--alpha", type=_alpha, default="1/3", help="block-count exponent (rational)"
+    )
     parser.add_argument("--audit", action="store_true", help="enable audit mode")
 
 
@@ -346,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--ops", type=int, default=10000)
     p_fuzz.add_argument("--max-len", type=int, default=2000)
-    p_fuzz.add_argument("--alphabet", type=int, default=26)
+    p_fuzz.add_argument("--alphabet", type=_positive_int, default=26)
     p_fuzz.add_argument(
         "--audit-every", type=int, default=0, help="audit the engine every N ops"
     )
@@ -357,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="emit per-op median timings as CSV")
     p_bench.add_argument("--sizes", default="16384,131072,1048576")
-    p_bench.add_argument("--alphabet", type=int, default=26)
+    p_bench.add_argument("--alphabet", type=_positive_int, default=26)
     p_bench.add_argument("--mix", default="insert,delete,modes")
     p_bench.add_argument("--repetitions", type=int, default=33)
     p_bench.add_argument("--seed", type=int, default=0)
@@ -387,17 +404,18 @@ def main(argv: Sequence[str] | None = None) -> int:
                 if stream is not sys.stdin:
                     stream.close()
         elif args.command == "fuzz":
+            config = _config_from_args(args)
             report = run_fuzz(
                 seed=args.seed,
                 ops=args.ops,
                 max_len=args.max_len,
                 alphabet=args.alphabet,
-                config=_config_from_args(args),
+                config=config,
                 audit_every=args.audit_every,
             )
             print(
                 f"fuzz seed={args.seed} ops={args.ops} max_len={args.max_len} "
-                f"alphabet={args.alphabet}"
+                f"alphabet={args.alphabet} alpha={config.alpha} audit={config.audit_mode}"
             )
             print(report.summary())
             if not report.ok:

@@ -17,6 +17,7 @@ which keeps every block within capacity at amortized cost.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -24,7 +25,7 @@ from typing import Iterable
 from .blockindex import BlockSizeIndex
 from .charseq import CharSeq
 from .errors import AuditError, InvariantError
-from .multiset import MAX_SYMBOL, CountedSet, PairTable
+from .multiset import MAX_SYMBOL, PairTable
 from .results import ModesResult
 
 _MAX_ALPHA_DENOMINATOR = 64
@@ -274,10 +275,9 @@ class RangeModeEngine:
             if inner_end <= hi:
                 margins.append((inner_end, hi))
 
-        margin = CountedSet()
+        margin: Counter[int] = Counter()
         for a, b in margins:
-            for symbol in self._seq.access_range(a, b):
-                margin.increment(symbol)
+            margin.update(self._seq.access_range(a, b))
 
         best = 0
         if cell is not None:
@@ -302,9 +302,7 @@ class RangeModeEngine:
                 # also occur in the margin (its total would then exceed best).
                 winners.append(entry[1])
         else:
-            for _, count in margin.items():
-                if count > best:
-                    best = count
+            best = max(margin.values())
             winners = [symbol for symbol, count in margin.items() if count == best]
         winners.sort()
         return ModesResult(best, tuple(winners))

@@ -5,18 +5,23 @@ for O(1) multiplicity lookups and a ranked list ordered by ``(count, symbol)``
 for iteration from the most frequent entry downward.  The ranked view is a
 bisect-maintained sorted list of single integers encoding
 ``count << 64 | symbol`` — numerically ordered exactly like the pairs, but
-cheaper to compare and free of per-update tuple allocation (these updates run
-millions of times per trace).  Symbol ids must fit in 64 bits.
+cheaper to compare and free of per-update tuple allocation.  Symbol ids must
+fit in 64 bits.
 
 A ``PairTable`` holds one ``CountedSet`` per block-index pair (l, r) with
 l ≤ r, stored as a flat triangular array for O(1) cell addressing, plus the
 point- and boundary-update routines the engine drives on every edit.
+
+Each update has one body, a module function over an iterable of sets: a
+``PairTable`` edit passes a run of O(L) cells in one call, and
+``CountedSet.increment``/``decrement`` pass the set alone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import Counter
+from typing import Iterable
 
 from .errors import InvariantError, StaleCursorError
 
@@ -25,6 +30,38 @@ _ONE = 1 << _SYM_BITS
 _MASK = _ONE - 1
 
 MAX_SYMBOL = _MASK
+
+
+def _increment_all(sets: Iterable[CountedSet], symbol: int) -> None:
+    """Raise the multiplicity of ``symbol`` by one in each set."""
+    for cs in sets:
+        counts = cs._counts
+        ranked = cs._ranked
+        old = counts.get(symbol, 0)
+        counts[symbol] = old + 1
+        key = (old << _SYM_BITS) | symbol
+        if old:
+            del ranked[bisect_left(ranked, key)]
+        insort(ranked, key + _ONE)
+        cs._version += 1
+
+
+def _decrement_all(sets: Iterable[CountedSet], symbol: int) -> None:
+    """Lower the multiplicity of ``symbol`` by one in each set; it must be present."""
+    for cs in sets:
+        counts = cs._counts
+        old = counts.get(symbol, 0)
+        if old == 0:
+            raise InvariantError(f"decrement of absent symbol {symbol}")
+        ranked = cs._ranked
+        key = (old << _SYM_BITS) | symbol
+        del ranked[bisect_left(ranked, key)]
+        if old == 1:
+            del counts[symbol]
+        else:
+            counts[symbol] = old - 1
+            insort(ranked, key - _ONE)
+        cs._version += 1
 
 
 class RankedCursor:
@@ -70,31 +107,11 @@ class CountedSet:
 
     def increment(self, symbol: int) -> None:
         """Raise the multiplicity of ``symbol`` by one."""
-        counts = self._counts
-        ranked = self._ranked
-        old = counts.get(symbol, 0)
-        counts[symbol] = old + 1
-        key = (old << _SYM_BITS) | symbol
-        if old:
-            del ranked[bisect_left(ranked, key)]
-        insort(ranked, key + _ONE)
-        self._version += 1
+        _increment_all((self,), symbol)
 
     def decrement(self, symbol: int) -> None:
         """Lower the multiplicity of ``symbol`` by one; it must be present."""
-        counts = self._counts
-        old = counts.get(symbol, 0)
-        if old == 0:
-            raise InvariantError(f"decrement of absent symbol {symbol}")
-        ranked = self._ranked
-        key = (old << _SYM_BITS) | symbol
-        del ranked[bisect_left(ranked, key)]
-        if old == 1:
-            del counts[symbol]
-        else:
-            counts[symbol] = old - 1
-            insort(ranked, key - _ONE)
-        self._version += 1
+        _decrement_all((self,), symbol)
 
     def count_of(self, symbol: int) -> int:
         """Current multiplicity of ``symbol`` (0 if absent)."""
@@ -181,38 +198,6 @@ class PairTable:
     # update routines
     # ------------------------------------------------------------------
 
-    # The bulk loops below splice the CountedSet update bodies inline: they
-    # run O(L^2) times per engine edit and the method-call overhead dominates
-    # otherwise.  Behavior matches increment()/decrement() exactly.
-
-    def _bulk_increment(self, cell_range: list[CountedSet], symbol: int) -> None:
-        for cell in cell_range:
-            counts = cell._counts
-            ranked = cell._ranked
-            old = counts.get(symbol, 0)
-            counts[symbol] = old + 1
-            key = (old << _SYM_BITS) | symbol
-            if old:
-                del ranked[bisect_left(ranked, key)]
-            insort(ranked, key + _ONE)
-            cell._version += 1
-
-    def _bulk_decrement(self, cell_range: list[CountedSet], symbol: int) -> None:
-        for cell in cell_range:
-            counts = cell._counts
-            old = counts.get(symbol, 0)
-            if old == 0:
-                raise InvariantError(f"decrement of absent symbol {symbol}")
-            ranked = cell._ranked
-            key = (old << _SYM_BITS) | symbol
-            del ranked[bisect_left(ranked, key)]
-            if old == 1:
-                del counts[symbol]
-            else:
-                counts[symbol] = old - 1
-                insort(ranked, key - _ONE)
-            cell._version += 1
-
     def apply_point(self, j: int, symbol: int, delta: int) -> None:
         """Adjust every cell (l, r) with l ≤ j ≤ r by ``delta`` for ``symbol``."""
         if not 0 <= j < self._slots:
@@ -222,10 +207,10 @@ class PairTable:
         slots = self._slots
         cells = self._cells
         row_base = self._row_base
-        bulk = self._bulk_increment if delta == 1 else self._bulk_decrement
+        update = _increment_all if delta == 1 else _decrement_all
         for l in range(j + 1):
             base = row_base[l]
-            bulk(cells[base + j : base + slots], symbol)
+            update(cells[base + j : base + slots], symbol)
 
     def shift_left(self, i: int, symbol: int) -> None:
         """Record one ``symbol`` crossing from block ``i`` into block ``i - 1``.
@@ -237,9 +222,9 @@ class PairTable:
             raise IndexError(f"shift_left source {i} out of range ({self._slots} slots)")
         cells = self._cells
         row_base = self._row_base
-        self._bulk_increment([cells[row_base[l] + i - 1] for l in range(i)], symbol)
+        _increment_all([cells[row_base[l] + i - 1] for l in range(i)], symbol)
         base = row_base[i]
-        self._bulk_decrement(cells[base + i : base + self._slots], symbol)
+        _decrement_all(cells[base + i : base + self._slots], symbol)
 
     def shift_right(self, i: int, symbol: int) -> None:
         """Record one ``symbol`` crossing from block ``i`` into block ``i + 1``."""
@@ -247,9 +232,9 @@ class PairTable:
             raise IndexError(f"shift_right source {i} out of range ({self._slots} slots)")
         cells = self._cells
         row_base = self._row_base
-        self._bulk_decrement([cells[row_base[l] + i] for l in range(i + 1)], symbol)
+        _decrement_all([cells[row_base[l] + i] for l in range(i + 1)], symbol)
         base = row_base[i + 1]
-        self._bulk_increment(cells[base + i + 1 : base + self._slots], symbol)
+        _increment_all(cells[base + i + 1 : base + self._slots], symbol)
 
     def cell_count(self) -> int:
         return len(self._cells)

@@ -101,6 +101,19 @@ def test_prefix_sum():
         idx.prefix_sum(3)
 
 
+def test_negative_slot_index_rejected():
+    idx = BlockSizeIndex([2, 0, 3])
+    with pytest.raises(IndexError):
+        idx.size_of(-1)
+    with pytest.raises(IndexError):
+        idx.adjust(-1, 1)
+    with pytest.raises(IndexError):
+        idx.prefix_sum(-1)
+    with pytest.raises(IndexError):
+        idx.argmin_size_in(-1, 0)
+    assert idx.to_list() == [2, 0, 3]
+
+
 def test_insert_slot():
     idx = BlockSizeIndex([2, 3])
     idx.insert_slot(1, 0)

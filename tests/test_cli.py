@@ -236,6 +236,36 @@ class TestMain:
         assert code == 0
         assert "result: OK" in out
 
+    @pytest.mark.parametrize(
+        ("flags", "header_end"),
+        [([], "alpha=1/3 audit=False"), (["--alpha", "2/5", "--audit"], "alpha=2/5 audit=True")],
+        ids=["default", "alpha-audit"],
+    )
+    def test_fuzz_header_names_config(self, capsys, flags, header_end):
+        code = main(["fuzz", "--seed", "3", "--ops", "50", "--max-len", "20", *flags])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(header_end)
+
+    @pytest.mark.parametrize(
+        ("command", "flag", "value"),
+        [
+            ("trace", "--alpha", "2"),
+            ("trace", "--alpha", "abc"),
+            ("trace", "--alpha", "1/0"),
+            ("fuzz", "--alphabet", "0"),
+            ("bench", "--alphabet", "0"),
+        ],
+    )
+    def test_bad_flag_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
+        trace = tmp_path / "ops.trace"
+        trace.write_text("I 0 1\nQ 0 0\n")
+        argv = [command, flag, value] + ([str(trace)] if command == "trace" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flag}" in err
+
     def test_bench_subcommand(self, capsys):
         code = main(
             ["bench", "--sizes", "32,64", "--repetitions", "2", "--alphabet", "3"]

@@ -335,10 +335,31 @@ def _alpha(text: str) -> Fraction:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _sizes(text: str) -> list[int]:
+    """Parse ``--sizes``: a comma list of positive ints."""
+    sizes = [_positive_int(tok) for tok in text.split(",") if tok]
+    if not sizes:
+        raise argparse.ArgumentTypeError("expected at least one size")
+    return sizes
+
+
+def _mix(text: str) -> list[str]:
+    """Parse ``--mix``: a comma list of op kinds."""
+    mix = [tok for tok in text.split(",") if tok]
+    if not mix or not set(mix) <= set(_OP_KINDS):
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: expected a comma list of {', '.join(_OP_KINDS)}"
+        )
+    return mix
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -373,10 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(p_fuzz)
 
     p_bench = sub.add_parser("bench", help="emit per-op median timings as CSV")
-    p_bench.add_argument("--sizes", default="16384,131072,1048576")
+    p_bench.add_argument("--sizes", type=_sizes, default="16384,131072,1048576")
     p_bench.add_argument("--alphabet", type=_positive_int, default=26)
-    p_bench.add_argument("--mix", default="insert,delete,modes")
-    p_bench.add_argument("--repetitions", type=int, default=33)
+    p_bench.add_argument("--mix", type=_mix, default="insert,delete,modes")
+    p_bench.add_argument("--repetitions", type=_positive_int, default=33)
     p_bench.add_argument("--seed", type=int, default=0)
     _add_engine_flags(p_bench)
 
@@ -429,12 +450,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                         print(line, file=sys.stderr)
                 return 1
         elif args.command == "bench":
-            sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-            mix = [tok for tok in args.mix.split(",") if tok]
             rows = run_bench(
-                sizes,
+                args.sizes,
                 args.alphabet,
-                mix,
+                args.mix,
                 args.repetitions,
                 args.seed,
                 _config_from_args(args),

@@ -1,10 +1,12 @@
 """Block-decomposed dynamic sequence answering range mode enumeration queries.
 
 The sequence is split into L = Θ(N^alpha) blocks of bounded length, with a
-triangular table of per-block-range symbol summaries (:class:`PairTable`).
-Point edits touch O(L^2) summary cells; a modes query combines the summary of
-the largest block interval inside the range with a scan of the O(N^(1-alpha))
-margin elements, so its cost is output-sensitive.
+triangular table of per-block-range symbol counts (:class:`PairTable`), one
+packed count vector per block range.  Point edits add to O(L^2) summary
+cells; a modes query counts the O(N^(1-alpha)) margin elements, adds them to
+the one summary cell of the largest block interval inside the range and
+reads the winners off that vector, in O(N^(1-alpha) + σ' + output) time for
+σ' distinct symbols present.
 
 Blocks are grouped into two regions sized for the reference length ``n0`` of
 the last rebuild: ``cur`` (sized for ``n0``) followed by ``next`` (sized for
@@ -25,7 +27,7 @@ from typing import Iterable
 from .blockindex import BlockSizeIndex
 from .charseq import CharSeq
 from .errors import AuditError, InvariantError
-from .multiset import MAX_SYMBOL, PairTable
+from .multiset import MAX_COUNT, MAX_SYMBOL, PairTable
 from .results import ModesResult
 
 _MAX_ALPHA_DENOMINATOR = 64
@@ -153,6 +155,12 @@ class RangeModeEngine:
         """Repack all elements into the cur region sized for the current length."""
         n = len(self._seq)
         n0 = max(n, 1)
+        # The length reaches 2·n0 before the next rebuild; a symbol's count
+        # in a summary cell must fit its packed field until then.
+        if 2 * n0 > MAX_COUNT:
+            raise ValueError(
+                f"length {n} is too long: summary counts up to {2 * n0} exceed {MAX_COUNT}"
+            )
         regime = _build_regime(n0, self._config.alpha)
         cur = regime.regions[0]
         sizes = [0] * regime.total_slots
@@ -203,7 +211,7 @@ class RangeModeEngine:
     @property
     def sigma_prime(self) -> int:
         """Number of distinct symbols currently present."""
-        return len(self._table.cell(0, self._regime.total_slots - 1))
+        return self._table.sigma_prime
 
     def __len__(self) -> int:
         return len(self._seq)
@@ -263,11 +271,9 @@ class RangeModeEngine:
         interval = self._contained_blocks(lo, hi)
         margins: list[tuple[int, int]] = []
         if interval is None:
-            cell = None
             margins.append((lo, hi))
         else:
             bi, bj = interval
-            cell = self._table.cell(bi, bj)
             inner_start = self._pfx(bi - 1)
             inner_end = self._pfx(bj)  # exclusive
             if lo < inner_start:
@@ -279,31 +285,11 @@ class RangeModeEngine:
         for a, b in margins:
             margin.update(self._seq.access_range(a, b))
 
-        best = 0
-        if cell is not None:
-            top = cell.max_entry()
-            if top is not None:
-                best = top[0]
-            for symbol, count in margin.items():
-                total = count + cell.count_of(symbol)
-                if total > best:
-                    best = total
-            winners = [
-                symbol
-                for symbol, count in margin.items()
-                if count + cell.count_of(symbol) == best
-            ]
-            cursor = cell.cursor()
-            while True:
-                entry = cell.next_entry(cursor)
-                if entry is None or entry[0] != best:
-                    break
-                # A symbol at full multiplicity `best` inside the blocks cannot
-                # also occur in the margin (its total would then exceed best).
-                winners.append(entry[1])
-        else:
+        if interval is None:
             best = max(margin.values())
             winners = [symbol for symbol, count in margin.items() if count == best]
+        else:
+            best, winners = self._table.modes(bi, bj, margin)
         winners.sort()
         return ModesResult(best, tuple(winners))
 
@@ -463,4 +449,11 @@ class RangeModeEngine:
                     return AuditReport(
                         False, f"summary cell ({l}, {r}) disagrees with a recount"
                     )
+        distinct = len(set(flat))
+        if self._table.sigma_prime != distinct:
+            return AuditReport(
+                False,
+                f"summary table has {self._table.sigma_prime} symbol columns "
+                f"but the sequence holds {distinct} distinct symbols",
+            )
         return AuditReport(True)

@@ -1,27 +1,40 @@
-"""Counted symbol multisets and the triangular table of block-range summaries.
+"""Counted symbol multisets and the dense table of block-range summaries.
 
-A ``CountedSet`` keeps two mirrored views of one multiset: a symbol→count map
-for O(1) multiplicity lookups and a ranked list ordered by ``(count, symbol)``
-for iteration from the most frequent entry downward.  The ranked view is a
-bisect-maintained sorted list of single integers encoding
-``count << 64 | symbol`` — numerically ordered exactly like the pairs, but
-cheaper to compare and free of per-update tuple allocation.  Symbol ids must
-fit in 64 bits.
+A ``PairTable`` holds the symbol counts of every block range (l, r) with
+l ≤ r as one packed count vector.  Each symbol present owns a column, and
+the summary of blocks l..r is one Python ``int`` whose 32-bit field number
+``col`` is that symbol's count in those blocks.  The cells sit in a flat
+triangular list (cell (l, r) at ``_row_base[l] + r``), so a point edit in
+block j adds or subtracts ``1 << 32*col`` on j+1 contiguous row runs:
+(j+1)(L-j) int adds over σ'·4 bytes each.  A modes query reads one cell,
+unpacks it through ``int.to_bytes`` into a ``memoryview`` of 32-bit counts,
+and finds the top count and its columns at C speed, O(σ') per query.  The
+table takes L(L+1)/2 · σ' · 4 bytes.
 
-A ``PairTable`` holds one ``CountedSet`` per block-index pair (l, r) with
-l ≤ r, stored as a flat triangular array for O(1) cell addressing, plus the
-point- and boundary-update routines the engine drives on every edit.
+A column is handed out when a symbol first appears and goes back on a free
+list when the symbol's count over all blocks falls to 0, so σ' is the size
+of the column map.  Every decrement first reads the symbol's field in the
+source block's own cell and raises :class:`InvariantError` if it is 0,
+before any cell changes, so a field can never borrow from its neighbour.
+A field holds counts up to ``MAX_COUNT``; the engine rejects a layout whose
+counts could exceed it.
 
-Each update has one body, a module function over an iterable of sets: a
-``PairTable`` edit passes a run of O(L) cells in one call, and
-``CountedSet.increment``/``decrement`` pass the set alone.
+A ``CountedSet`` is a multiset with two mirrored views: a symbol→count map
+for O(1) multiplicity lookups and a ranked list ordered by
+``(count, symbol)`` for iteration from the most frequent entry downward.
+The ranked view is a bisect-maintained sorted list of single integers
+encoding ``count << 64 | symbol``, numerically ordered exactly like the
+pairs.  ``PairTable.cell`` returns one as a snapshot of a summary cell.
+Symbol ids must fit in 64 bits.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
 from bisect import bisect_left, insort
 from collections import Counter
-from typing import Iterable
+from itertools import accumulate
 
 from .errors import InvariantError, StaleCursorError
 
@@ -31,37 +44,21 @@ _MASK = _ONE - 1
 
 MAX_SYMBOL = _MASK
 
+_FIELD_BITS = 32
+_FIELD_BYTES = _FIELD_BITS // 8
+MAX_COUNT = (1 << _FIELD_BITS) - 1
 
-def _increment_all(sets: Iterable[CountedSet], symbol: int) -> None:
-    """Raise the multiplicity of ``symbol`` by one in each set."""
-    for cs in sets:
-        counts = cs._counts
-        ranked = cs._ranked
-        old = counts.get(symbol, 0)
-        counts[symbol] = old + 1
-        key = (old << _SYM_BITS) | symbol
-        if old:
-            del ranked[bisect_left(ranked, key)]
-        insort(ranked, key + _ONE)
-        cs._version += 1
+# Cells are unpacked through a memoryview cast to "I", one field per item.
+if struct.calcsize("I") != _FIELD_BYTES:
+    raise ImportError("rangemodes needs a 4-byte unsigned int ('I') memoryview format")
 
 
-def _decrement_all(sets: Iterable[CountedSet], symbol: int) -> None:
-    """Lower the multiplicity of ``symbol`` by one in each set; it must be present."""
-    for cs in sets:
-        counts = cs._counts
-        old = counts.get(symbol, 0)
-        if old == 0:
-            raise InvariantError(f"decrement of absent symbol {symbol}")
-        ranked = cs._ranked
-        key = (old << _SYM_BITS) | symbol
-        del ranked[bisect_left(ranked, key)]
-        if old == 1:
-            del counts[symbol]
-        else:
-            counts[symbol] = old - 1
-            insort(ranked, key - _ONE)
-        cs._version += 1
+def _unpack(word: int, width: int) -> list[int]:
+    """The first ``width`` 32-bit fields of ``word``, column 0 first."""
+    fields = memoryview(word.to_bytes(_FIELD_BYTES * width, sys.byteorder)).cast("I").tolist()
+    if sys.byteorder == "big":
+        fields.reverse()
+    return fields
 
 
 class RankedCursor:
@@ -107,11 +104,30 @@ class CountedSet:
 
     def increment(self, symbol: int) -> None:
         """Raise the multiplicity of ``symbol`` by one."""
-        _increment_all((self,), symbol)
+        ranked = self._ranked
+        old = self._counts.get(symbol, 0)
+        self._counts[symbol] = old + 1
+        key = (old << _SYM_BITS) | symbol
+        if old:
+            del ranked[bisect_left(ranked, key)]
+        insort(ranked, key + _ONE)
+        self._version += 1
 
     def decrement(self, symbol: int) -> None:
         """Lower the multiplicity of ``symbol`` by one; it must be present."""
-        _decrement_all((self,), symbol)
+        counts = self._counts
+        old = counts.get(symbol, 0)
+        if old == 0:
+            raise InvariantError(f"decrement of absent symbol {symbol}")
+        ranked = self._ranked
+        key = (old << _SYM_BITS) | symbol
+        del ranked[bisect_left(ranked, key)]
+        if old == 1:
+            del counts[symbol]
+        else:
+            counts[symbol] = old - 1
+            insort(ranked, key - _ONE)
+        self._version += 1
 
     def count_of(self, symbol: int) -> int:
         """Current multiplicity of ``symbol`` (0 if absent)."""
@@ -157,13 +173,13 @@ class CountedSet:
 
 
 class PairTable:
-    """Triangular table of ``CountedSet`` summaries for all block ranges.
+    """Triangular table of packed symbol counts for all block ranges.
 
-    Cell (l, r) mirrors the multiset of symbols stored in blocks l..r
-    inclusive, for every 0 ≤ l ≤ r < slots.
+    Cell (l, r) counts the symbols stored in blocks l..r inclusive, for
+    every 0 ≤ l ≤ r < slots.
     """
 
-    __slots__ = ("_slots", "_cells", "_row_base")
+    __slots__ = ("_slots", "_cells", "_row_base", "_column", "_symbol", "_free")
 
     def __init__(self, blocks: list[list[int]]) -> None:
         """Build a fresh table from explicit block contents."""
@@ -171,28 +187,89 @@ class PairTable:
         self._slots = slots
         # Flat triangular layout: cell (l, r) lives at _row_base[l] + r.
         self._row_base = [l * slots - (l * (l + 1)) // 2 for l in range(slots)]
-        # Count each block once; each cell then merges at most sigma' entries
-        # instead of rescanning raw block contents.
-        block_counts = [Counter(block) for block in blocks]
-        cells: list[CountedSet] = []
+        self._column: dict[int, int] = {}  # symbol -> column
+        self._symbol: list[int] = []  # column -> symbol; a free column keeps its last one
+        self._free: list[int] = []
+        # Pack each block once; each cell is then its left neighbour plus one
+        # block word.
+        words = []
+        for block in blocks:
+            word = 0
+            for symbol, count in Counter(block).items():
+                word += count << (_FIELD_BITS * self._claim_column(symbol))
+            words.append(word)
+        cells: list[int] = []
         for l in range(slots):
-            running: dict[int, int] = {}
-            get = running.get
-            for r in range(l, slots):
-                for symbol, count in block_counts[r].items():
-                    running[symbol] = get(symbol, 0) + count
-                cells.append(CountedSet._from_counts(dict(running)))
+            cells.extend(accumulate(words[l:]))
         self._cells = cells
 
     @property
     def slots(self) -> int:
         return self._slots
 
+    @property
+    def sigma_prime(self) -> int:
+        """Number of distinct symbols present in the blocks."""
+        return len(self._column)
+
     def cell(self, l: int, r: int) -> CountedSet:
-        """The summary multiset for blocks ``l..r`` inclusive."""
+        """Snapshot of the summary multiset for blocks ``l..r`` inclusive."""
         if not 0 <= l <= r < self._slots:
             raise IndexError(f"cell ({l}, {r}) out of range ({self._slots} slots)")
-        return self._cells[self._row_base[l] + r]
+        symbol = self._symbol
+        counts = _unpack(self._cells[self._row_base[l] + r], len(symbol))
+        return CountedSet._from_counts({symbol[k]: c for k, c in enumerate(counts) if c})
+
+    def modes(self, l: int, r: int, margin: Counter[int]) -> tuple[int, list[int]]:
+        """Top multiplicity and its symbols, unsorted, over blocks ``l..r`` plus ``margin``.
+
+        ``margin`` maps symbols present in the table to extra counts; the
+        caller checks that ``l..r`` is in range.
+        """
+        symbol = self._symbol
+        counts = _unpack(self._cells[self._row_base[l] + r], len(symbol))
+        column = self._column
+        for s, extra in margin.items():
+            counts[column[s]] += extra
+        best = max(counts)
+        winners = []
+        k = -1
+        for _ in range(counts.count(best)):
+            k = counts.index(best, k + 1)
+            winners.append(symbol[k])
+        return best, winners
+
+    def cell_count(self) -> int:
+        return len(self._cells)
+
+    # ------------------------------------------------------------------
+    # columns
+    # ------------------------------------------------------------------
+
+    def _claim_column(self, symbol: int) -> int:
+        """The column of ``symbol``, handing it a free one if it has none."""
+        col = self._column.get(symbol)
+        if col is None:
+            if self._free:
+                col = self._free.pop()
+                self._symbol[col] = symbol
+            else:
+                col = len(self._symbol)
+                self._symbol.append(symbol)
+            self._column[symbol] = col
+        return col
+
+    def _source_column(self, j: int, symbol: int) -> int:
+        """The column of ``symbol``, which must occur in block ``j``.
+
+        Every cell an edit decrements covers block ``j``, so a nonzero field
+        in cell (j, j) keeps all of them from borrowing.
+        """
+        col = self._column.get(symbol)
+        own = self._cells[self._row_base[j] + j]
+        if col is None or not (own >> (_FIELD_BITS * col)) & MAX_COUNT:
+            raise InvariantError(f"symbol {symbol} is absent from block {j}")
+        return col
 
     # ------------------------------------------------------------------
     # update routines
@@ -200,17 +277,24 @@ class PairTable:
 
     def apply_point(self, j: int, symbol: int, delta: int) -> None:
         """Adjust every cell (l, r) with l ≤ j ≤ r by ``delta`` for ``symbol``."""
-        if not 0 <= j < self._slots:
-            raise IndexError(f"block {j} out of range ({self._slots} slots)")
-        if delta not in (1, -1):
-            raise ValueError("delta must be +1 or -1")
         slots = self._slots
+        if not 0 <= j < slots:
+            raise IndexError(f"block {j} out of range ({slots} slots)")
+        if delta == 1:
+            col = self._claim_column(symbol)
+        elif delta == -1:
+            col = self._source_column(j, symbol)
+        else:
+            raise ValueError("delta must be +1 or -1")
+        step = delta << (_FIELD_BITS * col)
         cells = self._cells
-        row_base = self._row_base
-        update = _increment_all if delta == 1 else _decrement_all
-        for l in range(j + 1):
-            base = row_base[l]
-            update(cells[base + j : base + slots], symbol)
+        for base in self._row_base[: j + 1]:
+            lo, hi = base + j, base + slots
+            cells[lo:hi] = [c + step for c in cells[lo:hi]]
+        # Cell (0, slots - 1) covers every block.
+        if delta == -1 and not (cells[slots - 1] >> (_FIELD_BITS * col)) & MAX_COUNT:
+            del self._column[symbol]
+            self._free.append(col)
 
     def shift_left(self, i: int, symbol: int) -> None:
         """Record one ``symbol`` crossing from block ``i`` into block ``i - 1``.
@@ -218,23 +302,26 @@ class PairTable:
         Cells ending at i-1 gain the symbol; cells starting at i lose it.
         Cells spanning both blocks are untouched.
         """
-        if not 1 <= i < self._slots:
-            raise IndexError(f"shift_left source {i} out of range ({self._slots} slots)")
+        slots = self._slots
+        if not 1 <= i < slots:
+            raise IndexError(f"shift_left source {i} out of range ({slots} slots)")
+        step = 1 << (_FIELD_BITS * self._source_column(i, symbol))
         cells = self._cells
         row_base = self._row_base
-        _increment_all([cells[row_base[l] + i - 1] for l in range(i)], symbol)
-        base = row_base[i]
-        _decrement_all(cells[base + i : base + self._slots], symbol)
+        for base in row_base[:i]:
+            cells[base + i - 1] += step
+        lo, hi = row_base[i] + i, row_base[i] + slots
+        cells[lo:hi] = [c - step for c in cells[lo:hi]]
 
     def shift_right(self, i: int, symbol: int) -> None:
         """Record one ``symbol`` crossing from block ``i`` into block ``i + 1``."""
-        if not 0 <= i < self._slots - 1:
-            raise IndexError(f"shift_right source {i} out of range ({self._slots} slots)")
+        slots = self._slots
+        if not 0 <= i < slots - 1:
+            raise IndexError(f"shift_right source {i} out of range ({slots} slots)")
+        step = 1 << (_FIELD_BITS * self._source_column(i, symbol))
         cells = self._cells
         row_base = self._row_base
-        _decrement_all([cells[row_base[l] + i] for l in range(i + 1)], symbol)
-        base = row_base[i + 1]
-        _increment_all(cells[base + i + 1 : base + self._slots], symbol)
-
-    def cell_count(self) -> int:
-        return len(self._cells)
+        for base in row_base[: i + 1]:
+            cells[base + i] -= step
+        lo, hi = row_base[i + 1] + i + 1, row_base[i + 1] + slots
+        cells[lo:hi] = [c + step for c in cells[lo:hi]]

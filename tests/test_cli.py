@@ -254,6 +254,12 @@ class TestMain:
             ("trace", "--alpha", "1/0"),
             ("fuzz", "--alphabet", "0"),
             ("bench", "--alphabet", "0"),
+            ("bench", "--mix", "sort"),
+            ("bench", "--mix", "insert,sort"),
+            ("bench", "--sizes", "abc"),
+            ("bench", "--sizes", "0"),
+            ("bench", "--sizes", ","),
+            ("bench", "--repetitions", "0"),
         ],
     )
     def test_bad_flag_is_a_usage_error(self, tmp_path, capsys, command, flag, value):

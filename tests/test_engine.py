@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rangemodes.engine as engine_module
 from rangemodes import (
     AuditError,
     Config,
@@ -99,6 +100,13 @@ class TestConstruction:
             engine.insert(0, -5)
         with pytest.raises(ValueError):
             engine.insert(0, 1 << 64)
+
+    def test_length_must_fit_the_count_fields(self, monkeypatch):
+        # A summary count reaches 2·n0 before the next rebuild.
+        monkeypatch.setattr(engine_module, "MAX_COUNT", 7)
+        assert RangeModeEngine(range(3)).audit().ok
+        with pytest.raises(ValueError):
+            RangeModeEngine(range(4))
 
     @pytest.mark.parametrize("bad", [1.0, True, "3", None, -1, 1 << 64])
     def test_rejected_symbol_leaves_engine_unchanged(self, bad):
@@ -348,10 +356,17 @@ class TestAudit:
 
     def test_detects_corrupted_cell(self):
         engine = RangeModeEngine([1, 2, 3, 4, 5])
-        engine._table.cell(0, 0).increment(7)  # bypass the engine bookkeeping
+        engine._table.apply_point(0, 7, 1)  # bypass the engine bookkeeping
         report = engine.audit()
         assert not report.ok
         assert "cell" in report.message
+
+    def test_detects_stale_symbol_column(self):
+        engine = RangeModeEngine([1, 2, 3, 4, 5])
+        engine._table._claim_column(9)  # a column no element counts in
+        report = engine.audit()
+        assert not report.ok
+        assert "distinct symbols" in report.message
 
     def test_detects_partition_drift(self):
         engine = RangeModeEngine([1, 2, 3])
@@ -396,6 +411,16 @@ class TestEquivalence:
         assert engine.sigma_prime == 3
         engine.delete(3)
         assert engine.sigma_prime == 2
+
+    def test_freed_symbol_column_is_reused(self):
+        engine = RangeModeEngine([1, 2, 1, 3, 1, 4, 5, 6])
+        for pos in (4, 2, 0):  # every copy of 1, without a halving reset
+            assert engine.delete(pos) == 1
+        assert engine.sigma_prime == 5
+        engine.insert(1, 9)
+        assert engine.sigma_prime == 6
+        assert engine.audit().ok
+        assert engine.modes(0, 5) == ModesResult(1, (2, 3, 4, 5, 6, 9))
 
     @settings(max_examples=30, deadline=None)
     @given(

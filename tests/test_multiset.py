@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rangemodes import CountedSet, InvariantError, PairTable, StaleCursorError
+from rangemodes.multiset import MAX_SYMBOL
 
 A, B, C = 0, 1, 2
 
@@ -149,6 +150,20 @@ def cell_counts(table, l, r):
     return dict(table.cell(l, r).items())
 
 
+def all_cells(table):
+    slots = table.slots
+    return {(l, r): cell_counts(table, l, r) for l in range(slots) for r in range(l, slots)}
+
+
+def recount(blocks):
+    slots = len(blocks)
+    return {
+        (l, r): dict(Counter(s for b in blocks[l : r + 1] for s in b))
+        for l in range(slots)
+        for r in range(l, slots)
+    }
+
+
 class TestPairTable:
     def test_build_two_blocks(self):
         table = build_table([[A], [B]])
@@ -274,3 +289,75 @@ class TestPairTable:
                     for b in blocks[l : r + 1]:
                         merged.update(b)
                     assert table.cell(l, r).matches_counts(dict(merged)), (l, r)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: t.apply_point(1, A, -1),
+            lambda t: t.shift_left(1, A),
+            lambda t: t.shift_right(1, A),
+        ],
+        ids=["apply_point", "shift_left", "shift_right"],
+    )
+    def test_absent_source_symbol_changes_nothing(self, edit):
+        # A occurs in blocks 0 and 2, so every cell spanning block 1 holds it,
+        # but block 1 itself does not.
+        table = build_table([[A], [B], [A]])
+        before = all_cells(table)
+        with pytest.raises(InvariantError):
+            edit(table)
+        assert all_cells(table) == before
+        assert table.sigma_prime == 2
+
+    def test_counts_above_16_bits_in_neighbouring_columns(self):
+        blocks = [[A] * 65535 + [B] * 3, [B] * 65536 + [C], [C] * 70000 + [A]]
+        table = build_table(blocks)
+        assert all_cells(table) == recount(blocks)
+        edits = [
+            ("point", 0, A, 1),  # A in block 0 carries into bit 16 of its field
+            ("point", 1, B, -1),  # B in block 1 borrows out of bit 16
+            ("point", 2, B, 1),
+            ("left", 1, B),
+            ("right", 1, C),
+            ("left", 2, C),
+            ("point", 0, B, -1),
+        ]
+        for kind, i, symbol, *delta in edits:
+            if kind == "point":
+                table.apply_point(i, symbol, delta[0])
+                if delta[0] == 1:
+                    blocks[i].append(symbol)
+                else:
+                    blocks[i].remove(symbol)
+            else:
+                dst = i - 1 if kind == "left" else i + 1
+                (table.shift_left if kind == "left" else table.shift_right)(i, symbol)
+                blocks[i].remove(symbol)
+                blocks[dst].append(symbol)
+            assert all_cells(table) == recount(blocks), (kind, i, symbol)
+
+    def test_max_symbol(self):
+        blocks = [[MAX_SYMBOL, A], [MAX_SYMBOL]]
+        table = build_table(blocks)
+        assert cell_counts(table, 0, 1) == {MAX_SYMBOL: 2, A: 1}
+        table.apply_point(1, MAX_SYMBOL, 1)
+        table.shift_right(0, A)
+        assert cell_counts(table, 1, 1) == {MAX_SYMBOL: 2, A: 1}
+        assert table.modes(0, 1, Counter()) == (3, [MAX_SYMBOL])
+
+    def test_freed_column_is_reused(self):
+        table = build_table([[A], [B]])
+        table.apply_point(0, A, -1)
+        assert table.sigma_prime == 1
+        table.apply_point(1, C, 1)
+        assert table.sigma_prime == 2
+        assert len(table._symbol) == 2  # C took A's column
+        assert all_cells(table) == recount([[], [B, C]])
+
+    def test_modes_adds_margin_counts(self):
+        table = build_table([[A, A, B], [B, C]])
+        best, winners = table.modes(0, 1, Counter())
+        assert (best, sorted(winners)) == (2, [A, B])
+        assert table.modes(1, 1, Counter({C: 1})) == (2, [C])
+        best, winners = table.modes(0, 0, Counter({B: 1, C: 2}))
+        assert (best, sorted(winners)) == (2, [A, B, C])

@@ -2,11 +2,12 @@
 
 The sequence is split into L = Θ(N^alpha) blocks of bounded length, with a
 triangular table of per-block-range symbol counts (:class:`PairTable`), one
-packed count vector per block range.  Point edits add to O(L^2) summary
-cells; a modes query counts the O(N^(1-alpha)) margin elements, adds them to
-the one summary cell of the largest block interval inside the range and
-reads the winners off that vector, in O(N^(1-alpha) + σ' + output) time for
-σ' distinct symbols present.
+vector of 32-bit counts per block range.  A point edit adds to the O(L^2)
+summary cells that cover its block, as O(L) row runs of one int add each,
+whatever σ'; a modes query counts the O(N^(1-alpha)) margin elements, adds
+them to the one summary cell of the largest block interval inside the range
+and reads the winners off that vector, in O(N^(1-alpha) + σ' + output) time
+for σ' distinct symbols present.
 
 Blocks are grouped into two regions sized for the reference length ``n0`` of
 the last rebuild: ``cur`` (sized for ``n0``) followed by ``next`` (sized for

@@ -1,23 +1,26 @@
 """Counted symbol multisets and the dense table of block-range summaries.
 
 A ``PairTable`` holds the symbol counts of every block range (l, r) with
-l ≤ r as one packed count vector.  Each symbol present owns a column, and
-the summary of blocks l..r is one Python ``int`` whose 32-bit field number
-``col`` is that symbol's count in those blocks.  The cells sit in a flat
-triangular list (cell (l, r) at ``_row_base[l] + r``), so a point edit in
-block j adds or subtracts ``1 << 32*col`` on j+1 contiguous row runs:
-(j+1)(L-j) int adds over σ'·4 bytes each.  A modes query reads one cell,
-unpacks it through ``int.to_bytes`` into a ``memoryview`` of 32-bit counts,
-and finds the top count and its columns at C speed, O(σ') per query.  The
-table takes L(L+1)/2 · σ' · 4 bytes.
+l ≤ r in one flat vector of 32-bit counts.  Each symbol present owns a
+column, and cell (l, r) is the ``width`` counts from position
+``(_row_base[l] + r) * width`` on, count ``col`` being that symbol's
+multiplicity in blocks l..r; ``width`` ≥ σ' is the column capacity.  The
+cells of one row l are contiguous, so a point edit in block j changes column
+``col`` of j+1 row runs (l, j..L-1), and each run is one strided slice: it is
+read as one Python ``int``, gets ±1 added in every field by one int add, and
+is written back.  That is j+1 C-speed passes over (L-j)·4 bytes, whatever
+σ'.  A modes query reads one cell as a list of σ' counts and finds the top
+count and its columns at C speed, O(σ') per query.  The table takes
+L(L+1)/2 · width · 4 bytes.
 
 A column is handed out when a symbol first appears and goes back on a free
 list when the symbol's count over all blocks falls to 0, so σ' is the size
-of the column map.  Every decrement first reads the symbol's field in the
-source block's own cell and raises :class:`InvariantError` if it is 0,
-before any cell changes, so a field can never borrow from its neighbour.
-A field holds counts up to ``MAX_COUNT``; the engine rejects a layout whose
-counts could exceed it.
+of the column map.  A symbol that finds no free column widens every cell by
+half, copying the table once.  Every decrement first reads the symbol's
+count in the source block's own cell and raises :class:`InvariantError` if
+it is 0, before any cell changes, so a run add can never borrow from a
+neighbouring field.  A field holds counts up to ``MAX_COUNT``; the engine
+rejects a layout whose counts could exceed it.
 
 A ``CountedSet`` is a multiset with two mirrored views: a symbol→count map
 for O(1) multiplicity lookups and a ranked list ordered by
@@ -30,8 +33,8 @@ Symbol ids must fit in 64 bits.
 
 from __future__ import annotations
 
-import struct
 import sys
+from array import array
 from bisect import bisect_left, insort
 from collections import Counter
 from itertools import accumulate
@@ -46,19 +49,17 @@ MAX_SYMBOL = _MASK
 
 _FIELD_BITS = 32
 _FIELD_BYTES = _FIELD_BITS // 8
+_ONE_FIELD = (1).to_bytes(_FIELD_BYTES, "little")
 MAX_COUNT = (1 << _FIELD_BITS) - 1
 
-# Cells are unpacked through a memoryview cast to "I", one field per item.
-if struct.calcsize("I") != _FIELD_BYTES:
-    raise ImportError("rangemodes needs a 4-byte unsigned int ('I') memoryview format")
+# Counts live in an array("I"), one field per item.
+if array("I").itemsize != _FIELD_BYTES:
+    raise ImportError("rangemodes needs a 4-byte unsigned int ('I') array type")
 
 
-def _unpack(word: int, width: int) -> list[int]:
-    """The first ``width`` 32-bit fields of ``word``, column 0 first."""
-    fields = memoryview(word.to_bytes(_FIELD_BYTES * width, sys.byteorder)).cast("I").tolist()
-    if sys.byteorder == "big":
-        fields.reverse()
-    return fields
+def _zeros(n: int) -> memoryview:
+    """A writable view of ``n`` zero 32-bit counts."""
+    return memoryview(array("I", bytes(_FIELD_BYTES)) * n)
 
 
 class RankedCursor:
@@ -173,35 +174,46 @@ class CountedSet:
 
 
 class PairTable:
-    """Triangular table of packed symbol counts for all block ranges.
+    """Triangular table of symbol counts for all block ranges.
 
     Cell (l, r) counts the symbols stored in blocks l..r inclusive, for
     every 0 ≤ l ≤ r < slots.
     """
 
-    __slots__ = ("_slots", "_cells", "_row_base", "_column", "_symbol", "_free")
+    __slots__ = ("_slots", "_row_base", "_width", "_counts", "_ones", "_column", "_symbol", "_free")
 
     def __init__(self, blocks: list[list[int]]) -> None:
         """Build a fresh table from explicit block contents."""
         slots = len(blocks)
         self._slots = slots
-        # Flat triangular layout: cell (l, r) lives at _row_base[l] + r.
+        # Flat triangular layout: cell (l, r) is number _row_base[l] + r.
         self._row_base = [l * slots - (l * (l + 1)) // 2 for l in range(slots)]
+        # One 1 in each of the fields of a row run: ``_ones >> 32*j`` has
+        # slots - j of them.
+        self._ones = int.from_bytes(_ONE_FIELD * slots, "little")
         self._column: dict[int, int] = {}  # symbol -> column
-        self._symbol: list[int] = []  # column -> symbol; a free column keeps its last one
         self._free: list[int] = []
-        # Pack each block once; each cell is then its left neighbour plus one
-        # block word.
+        # Pack each block into one int, field ``col`` holding its count of
+        # that column's symbol; row l is then the running sums of words l..
         words = []
+        column = self._column
         for block in blocks:
             word = 0
             for symbol, count in Counter(block).items():
-                word += count << (_FIELD_BITS * self._claim_column(symbol))
+                word += count << (_FIELD_BITS * column.setdefault(symbol, len(column)))
             words.append(word)
-        cells: list[int] = []
+        self._symbol = list(column)  # column -> symbol; a free column keeps its last one
+        width = self._width = len(column)
+        counts = self._counts = _zeros(self.cell_count() * width)
+        nbytes = _FIELD_BYTES * width
+        start = 0
         for l in range(slots):
-            cells.extend(accumulate(words[l:]))
-        self._cells = cells
+            row = b"".join(w.to_bytes(nbytes, "little") for w in accumulate(words[l:]))
+            stop = start + (slots - l) * width
+            counts[start:stop] = memoryview(row).cast("I")
+            start = stop
+        if sys.byteorder == "big":
+            counts.obj.byteswap()
 
     @property
     def slots(self) -> int:
@@ -214,33 +226,43 @@ class PairTable:
 
     def cell(self, l: int, r: int) -> CountedSet:
         """Snapshot of the summary multiset for blocks ``l..r`` inclusive."""
-        if not 0 <= l <= r < self._slots:
-            raise IndexError(f"cell ({l}, {r}) out of range ({self._slots} slots)")
+        start = self._index(l, r)
         symbol = self._symbol
-        counts = _unpack(self._cells[self._row_base[l] + r], len(symbol))
+        counts = self._counts[start : start + len(symbol)].tolist()
         return CountedSet._from_counts({symbol[k]: c for k, c in enumerate(counts) if c})
 
     def modes(self, l: int, r: int, margin: Counter[int]) -> tuple[int, list[int]]:
         """Top multiplicity and its symbols, unsorted, over blocks ``l..r`` plus ``margin``.
 
-        ``margin`` maps symbols present in the table to extra counts; the
-        caller checks that ``l..r`` is in range.
+        Every symbol of ``margin`` must be present in the table.
         """
+        start = self._index(l, r)
         symbol = self._symbol
-        counts = _unpack(self._cells[self._row_base[l] + r], len(symbol))
+        counts = self._counts[start : start + len(symbol)].tolist()
         column = self._column
-        for s, extra in margin.items():
-            counts[column[s]] += extra
+        try:
+            for s, extra in margin.items():
+                counts[column[s]] += extra
+        except KeyError as exc:
+            raise InvariantError(f"margin symbol {exc.args[0]} has no column") from None
         best = max(counts)
         winners = []
-        k = -1
-        for _ in range(counts.count(best)):
-            k = counts.index(best, k + 1)
+        end = len(counts)
+        counts.append(best)  # a sentinel ends the walk in one pass
+        k = counts.index(best)
+        while k < end:
             winners.append(symbol[k])
+            k = counts.index(best, k + 1)
         return best, winners
 
     def cell_count(self) -> int:
-        return len(self._cells)
+        return self._slots * (self._slots + 1) // 2
+
+    def _index(self, l: int, r: int) -> int:
+        """Position of the first count of cell (l, r)."""
+        if not 0 <= l <= r < self._slots:
+            raise IndexError(f"cell ({l}, {r}) out of range ({self._slots} slots)")
+        return (self._row_base[l] + r) * self._width
 
     # ------------------------------------------------------------------
     # columns
@@ -255,25 +277,46 @@ class PairTable:
                 self._symbol[col] = symbol
             else:
                 col = len(self._symbol)
+                if col == self._width:
+                    self._widen()
                 self._symbol.append(symbol)
             self._column[symbol] = col
         return col
 
+    def _widen(self) -> None:
+        """Give every cell half as many columns again; the new ones count 0."""
+        old, width = self._counts, self._width
+        new_width = width + width // 2 + 1
+        counts = _zeros(self.cell_count() * new_width)
+        for col in range(width):
+            counts[col::new_width] = old[col::width]
+        self._counts, self._width = counts, new_width
+
     def _source_column(self, j: int, symbol: int) -> int:
         """The column of ``symbol``, which must occur in block ``j``.
 
-        Every cell an edit decrements covers block ``j``, so a nonzero field
+        Every cell an edit decrements covers block ``j``, so a nonzero count
         in cell (j, j) keeps all of them from borrowing.
         """
         col = self._column.get(symbol)
-        own = self._cells[self._row_base[j] + j]
-        if col is None or not (own >> (_FIELD_BITS * col)) & MAX_COUNT:
+        if col is None or not self._counts[(self._row_base[j] + j) * self._width + col]:
             raise InvariantError(f"symbol {symbol} is absent from block {j}")
         return col
 
     # ------------------------------------------------------------------
     # update routines
     # ------------------------------------------------------------------
+
+    def _add_run(self, cell: int, col: int, step: int, length: int) -> None:
+        """Add ``step`` to column ``col`` of the ``length`` cells from number ``cell``.
+
+        ``step`` is a ``length``-field int, +1 or -1 in every field.
+        """
+        width = self._width
+        start = cell * width + col
+        run = self._counts[start : start + length * width : width]
+        total = int.from_bytes(run, sys.byteorder) + step
+        run[:] = memoryview(total.to_bytes(_FIELD_BYTES * length, sys.byteorder)).cast("I")
 
     def apply_point(self, j: int, symbol: int, delta: int) -> None:
         """Adjust every cell (l, r) with l ≤ j ≤ r by ``delta`` for ``symbol``."""
@@ -286,13 +329,12 @@ class PairTable:
             col = self._source_column(j, symbol)
         else:
             raise ValueError("delta must be +1 or -1")
-        step = delta << (_FIELD_BITS * col)
-        cells = self._cells
+        # Row l holds cells (l, j..slots-1) contiguously.
+        step = delta * (self._ones >> (_FIELD_BITS * j))
         for base in self._row_base[: j + 1]:
-            lo, hi = base + j, base + slots
-            cells[lo:hi] = [c + step for c in cells[lo:hi]]
+            self._add_run(base + j, col, step, slots - j)
         # Cell (0, slots - 1) covers every block.
-        if delta == -1 and not (cells[slots - 1] >> (_FIELD_BITS * col)) & MAX_COUNT:
+        if delta == -1 and not self._counts[(slots - 1) * self._width + col]:
             del self._column[symbol]
             self._free.append(col)
 
@@ -305,23 +347,20 @@ class PairTable:
         slots = self._slots
         if not 1 <= i < slots:
             raise IndexError(f"shift_left source {i} out of range ({slots} slots)")
-        step = 1 << (_FIELD_BITS * self._source_column(i, symbol))
-        cells = self._cells
-        row_base = self._row_base
+        col = self._source_column(i, symbol)
+        counts, width, row_base = self._counts, self._width, self._row_base
         for base in row_base[:i]:
-            cells[base + i - 1] += step
-        lo, hi = row_base[i] + i, row_base[i] + slots
-        cells[lo:hi] = [c - step for c in cells[lo:hi]]
+            counts[(base + i - 1) * width + col] += 1
+        self._add_run(row_base[i] + i, col, -(self._ones >> (_FIELD_BITS * i)), slots - i)
 
     def shift_right(self, i: int, symbol: int) -> None:
         """Record one ``symbol`` crossing from block ``i`` into block ``i + 1``."""
         slots = self._slots
         if not 0 <= i < slots - 1:
             raise IndexError(f"shift_right source {i} out of range ({slots} slots)")
-        step = 1 << (_FIELD_BITS * self._source_column(i, symbol))
-        cells = self._cells
-        row_base = self._row_base
+        col = self._source_column(i, symbol)
+        counts, width, row_base = self._counts, self._width, self._row_base
         for base in row_base[: i + 1]:
-            cells[base + i] -= step
-        lo, hi = row_base[i + 1] + i + 1, row_base[i + 1] + slots
-        cells[lo:hi] = [c + step for c in cells[lo:hi]]
+            counts[(base + i) * width + col] -= 1
+        j = i + 1
+        self._add_run(row_base[j] + j, col, self._ones >> (_FIELD_BITS * j), slots - j)

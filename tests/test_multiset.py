@@ -361,3 +361,33 @@ class TestPairTable:
         assert table.modes(1, 1, Counter({C: 1})) == (2, [C])
         best, winners = table.modes(0, 0, Counter({B: 1, C: 2}))
         assert (best, sorted(winners)) == (2, [A, B, C])
+
+    @pytest.mark.parametrize("l, r", [(-1, 0), (-1, -1), (1, 0), (0, 2)])
+    def test_modes_rejects_cells_out_of_range(self, l, r):
+        table = build_table([[A, A, B], [B, C]])
+        with pytest.raises(IndexError):
+            table.modes(l, r, Counter())
+
+    def test_modes_rejects_margin_symbol_without_column(self):
+        table = build_table([[A], [B]])
+        with pytest.raises(InvariantError):
+            table.modes(0, 1, Counter({C: 1}))
+
+    def test_new_symbols_widen_every_cell(self):
+        blocks = [[A], [], [B, B]]
+        table = build_table(blocks)
+        assert table._width == 2
+        for k in range(40):
+            j, symbol = k % 3, 100 + k % 17
+            table.apply_point(j, symbol, 1)
+            blocks[j].append(symbol)
+        assert table._width >= table.sigma_prime == 19
+        table.shift_left(2, 102)
+        blocks[2].remove(102)
+        blocks[1].append(102)
+        table.shift_right(0, A)
+        blocks[0].remove(A)
+        blocks[1].append(A)
+        assert all_cells(table) == recount(blocks)
+        best, winners = table.modes(0, 2, Counter())
+        assert (best, sorted(winners)) == (3, sorted(100 + k for k in range(6)))

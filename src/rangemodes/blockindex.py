@@ -2,9 +2,10 @@
 
 The slot count is fixed between layout resets and stays in the hundreds, so
 the sizes live in a plain list.  Prefix sums are rebuilt lazily after an edit
-(O(L)); between edits ``prefix_sum`` is O(1) and ``select_prefix`` bisects
-them in O(log L).  ``argmin_size_in`` scans its range in O(L).  An engine edit
-already touches O(L²) summary cells, so these costs stay inside its bounds.
+(O(L)); between edits ``prefix_sum`` and ``prefix_sums`` are O(1) and
+``select_prefix`` bisects them in O(log L).  ``argmin_size_in`` scans its
+range in O(L).  An engine edit already touches O(L²) summary cells, so these
+costs stay inside its bounds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ class BlockSizeIndex:
             raise InvariantError("block sizes must be non-negative")
         self._prefix: list[int] | None = None  # inclusive prefix sums, None when stale
 
-    def _prefix_sums(self) -> list[int]:
+    def prefix_sums(self) -> list[int]:
+        """Inclusive prefix sums: entry ``k`` is one past the last position of slot ``k``.
+
+        The list is shared, not copied: read it, do not change it, and fetch
+        it again after any edit.
+        """
         if self._prefix is None:
             self._prefix = list(accumulate(self._sizes))
         return self._prefix
@@ -42,7 +48,7 @@ class BlockSizeIndex:
 
     def total(self) -> int:
         """Sum of all slot sizes."""
-        prefix = self._prefix_sums()
+        prefix = self.prefix_sums()
         return prefix[-1] if prefix else 0
 
     def size_of(self, i: int) -> int:
@@ -75,14 +81,14 @@ class BlockSizeIndex:
     def prefix_sum(self, k: int) -> int:
         """Inclusive prefix sum of slots ``0..k``."""
         self._check_index(k)
-        return self._prefix_sums()[k]
+        return self.prefix_sums()[k]
 
     def select_prefix(self, a: int) -> int:
         """Smallest ``k`` whose inclusive prefix sum reaches ``a`` (1 ≤ a ≤ total)."""
         total = self.total()
         if a <= 0 or a > total:
             raise IndexError(f"prefix target {a} out of range (total {total})")
-        return bisect_left(self._prefix_sums(), a)
+        return bisect_left(self.prefix_sums(), a)
 
     def argmin_size(self) -> int:
         """Lowest-index slot holding a minimum size."""

@@ -4,10 +4,17 @@ The sequence is split into L = Θ(N^alpha) blocks of bounded length, with a
 triangular table of per-block-range symbol counts (:class:`PairTable`), one
 vector of 32-bit counts per block range.  A point edit adds to the O(L^2)
 summary cells that cover its block, as O(L) row runs of one int add each,
-whatever σ'; a modes query counts the O(N^(1-alpha)) margin elements, adds
-them to the one summary cell of the largest block interval inside the range
-and reads the winners off that vector, in O(N^(1-alpha) + σ' + output) time
-for σ' distinct symbols present.
+whatever σ'.  A modes query reads the winners off one summary cell plus
+the margin at the two ends of its range, in O(N^(1-alpha) + σ' + output)
+time for σ' distinct symbols present.  Each partial end block is counted on
+its cheaper side: the part inside the range is added to a cell that
+leaves the block out ("in"), or the part outside is subtracted from a cell
+that keeps it ("out").  With counting at about one unit per element, a
+second counter's merge at about one step per distinct symbol and a cell
+read at about one unit per column, a side goes out when
+``out + min(out, 3·σ') < in``; a plan that reads a cell where the "in" plan
+reads none must also save more than σ'.  Each end then counts at most one
+block length, and at small σ' about half of one on average.
 
 Blocks are grouped into two regions sized for the reference length ``n0`` of
 the last rebuild: ``cur`` (sized for ``n0``) followed by ``next`` (sized for
@@ -20,6 +27,7 @@ which keeps every block within capacity at amortized cost.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +36,7 @@ from typing import Iterable
 from .blockindex import BlockSizeIndex
 from .charseq import CharSeq
 from .errors import AuditError, InvariantError
-from .multiset import MAX_COUNT, MAX_SYMBOL, PairTable
+from .multiset import MAX_COUNT, MAX_SYMBOL, PairTable, check_table_fits
 from .results import ModesResult
 
 _MAX_ALPHA_DENOMINATOR = 64
@@ -174,15 +182,15 @@ class RangeModeEngine:
             sizes[slot] = take
             remaining -= take
             slot += 1
-        self._regime = regime
-        self._sizes = BlockSizeIndex(sizes)
         flat = self._seq.to_list()
         blocks: list[list[int]] = []
         at = 0
         for size in sizes:
             blocks.append(flat[at : at + size])
             at += size
-        self._table = PairTable(blocks)
+        self._table = PairTable(blocks)  # first: if it raises, the old layout stands
+        self._regime = regime
+        self._sizes = BlockSizeIndex(sizes)
 
     def _region_of(self, slot: int) -> Region:
         for region in self._regime.regions:
@@ -235,15 +243,22 @@ class RangeModeEngine:
         if not 0 <= pos <= n:
             raise IndexError(f"insert position {pos} out of range (length {n})")
         _check_symbol(symbol)
+        if n + 1 == 2 * self._regime.n0:
+            # This insert rebuilds the layout: refuse it now if the new table
+            # cannot fit, one column spare for a new symbol.
+            slots = _build_regime(n + 1, self._config.alpha).total_slots
+            check_table_fits(slots, self._table.sigma_prime + 1)
         if n == 0:
             j = 0  # first slot of the cur region
         elif pos == 0:
             j = self._sizes.select_prefix(1)
         else:
             j = self._sizes.select_prefix(pos)
+        # The table first: a new symbol may widen it, which can fail for lack
+        # of memory before anything has changed.
+        self._table.apply_point(j, symbol, 1)
         self._seq.insert_at(pos, symbol)
         self._sizes.adjust(j, 1)
-        self._table.apply_point(j, symbol, 1)
         if self._sizes.size_of(j) > self._region_of(j).capacity:
             self._rebalance(j)
         self._reset_check()
@@ -269,28 +284,48 @@ class RangeModeEngine:
         n = len(self._seq)
         if not (0 <= lo <= hi < n):
             raise IndexError(f"range [{lo}, {hi}] out of bounds (length {n})")
-        interval = self._contained_blocks(lo, hi)
-        margins: list[tuple[int, int]] = []
-        if interval is None:
-            margins.append((lo, hi))
+        stop = hi + 1
+        ends = self._sizes.prefix_sums()  # ends[k]: one past the last position of block k
+        bl = bisect_right(ends, lo)  # block holding lo
+        br = bisect_left(ends, stop, bl)  # block holding hi
+        out_l = lo - (ends[bl - 1] if bl else 0)  # part of block bl before the range
+        out_r = ends[br] - stop  # part of block br after the range
+        # Plan each partial end block by the cost rule of the module docstring.
+        sigma = self._table.sigma_prime
+        merge = 3 * sigma
+        if bl == br:
+            # Inside one block: all margin, or the block's cell minus both outside parts.
+            out = out_l + out_r
+            cs = ce = bl
+            if out and out + min(out, merge) + sigma >= stop - lo:
+                cs = bl + 1
         else:
-            bi, bj = interval
-            inner_start = self._pfx(bi - 1)
-            inner_end = self._pfx(bj)  # exclusive
-            if lo < inner_start:
-                margins.append((lo, inner_start - 1))
-            if inner_end <= hi:
-                margins.append((inner_end, hi))
+            save_l = ends[bl] - lo - out_l - min(out_l, merge)
+            save_r = stop - ends[br - 1] - out_r - min(out_r, merge)
+            cs = bl + 1 if out_l and save_l <= 0 else bl
+            ce = br - 1 if out_r and save_r <= 0 else br
+            if br == bl + 1 and out_l and out_r and max(save_l, 0) + max(save_r, 0) <= sigma:
+                cs, ce = br, bl  # reading a one-block cell would cost more than it saves
 
+        read = self._seq.access_range
         margin: Counter[int] = Counter()
-        for a, b in margins:
-            margin.update(self._seq.access_range(a, b))
-
-        if interval is None:
+        if cs > ce:
+            margin.update(read(lo, hi))
             best = max(margin.values())
             winners = [symbol for symbol, count in margin.items() if count == best]
         else:
-            best, winners = self._table.modes(bi, bj, margin)
+            minus: Counter[int] = Counter()
+            first = ends[cs - 1] if cs else 0
+            last = ends[ce]
+            if lo < first:
+                margin.update(read(lo, first - 1))
+            elif first < lo:
+                minus.update(read(first, lo - 1))
+            if stop < last:
+                minus.update(read(stop, last - 1))
+            elif last < stop:
+                margin.update(read(last, hi))
+            best, winners = self._table.modes(cs, ce, margin, minus)
         winners.sort()
         return ModesResult(best, tuple(winners))
 
@@ -298,27 +333,6 @@ class RangeModeEngine:
         """One mode of ``[lo, hi]``: the multiplicity and the smallest mode id."""
         result = self.modes(lo, hi)
         return result.multiplicity, result.modes[0]
-
-    # ------------------------------------------------------------------
-    # block interval location
-    # ------------------------------------------------------------------
-
-    def _contained_blocks(self, lo: int, hi: int) -> tuple[int, int] | None:
-        """Maximal block interval lying fully inside positions [lo, hi]."""
-        sizes = self._sizes
-        b_lo = sizes.select_prefix(lo + 1)
-        if self._pfx(b_lo) - sizes.size_of(b_lo) == lo:
-            bi = b_lo
-        else:
-            bi = b_lo + 1
-        b_hi = sizes.select_prefix(hi + 1)
-        if self._pfx(b_hi) == hi + 1:
-            bj = b_hi
-        else:
-            bj = b_hi - 1
-        if bi > bj:
-            return None
-        return bi, bj
 
     # ------------------------------------------------------------------
     # boundary moves

@@ -9,9 +9,11 @@ cells of one row l are contiguous, so a point edit in block j changes column
 ``col`` of j+1 row runs (l, j..L-1), and each run is one strided slice: it is
 read as one Python ``int``, gets ±1 added in every field by one int add, and
 is written back.  That is j+1 C-speed passes over (L-j)·4 bytes, whatever
-σ'.  A modes query reads one cell as a list of σ' counts and finds the top
-count and its columns at C speed, O(σ') per query.  The table takes
-L(L+1)/2 · width · 4 bytes.
+σ'.  A modes query reads one cell as a list of σ' counts, adds one counter
+of margin symbols and subtracts another, and finds the top count and its
+columns at C speed, O(σ') per query.  The table takes
+L(L+1)/2 · width · 4 bytes; the build and every widening first compare
+that with what the process can get and raise :class:`MemoryError` instead.
 
 A column is handed out when a symbol first appears and goes back on a free
 list when the symbol's count over all blocks falls to 0, so σ' is the size
@@ -33,6 +35,7 @@ Symbol ids must fit in 64 bits.
 
 from __future__ import annotations
 
+import os
 import sys
 from array import array
 from bisect import bisect_left, insort
@@ -40,6 +43,11 @@ from collections import Counter
 from itertools import accumulate
 
 from .errors import InvariantError, StaleCursorError
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 _SYM_BITS = 64
 _ONE = 1 << _SYM_BITS
@@ -55,6 +63,34 @@ MAX_COUNT = (1 << _FIELD_BITS) - 1
 # Counts live in an array("I"), one field per item.
 if array("I").itemsize != _FIELD_BYTES:
     raise ImportError("rangemodes needs a 4-byte unsigned int ('I') array type")
+
+
+def _memory_limit() -> int | None:
+    """Bytes this process can get: physical memory or its soft address-space limit.
+
+    The smaller of the two, or None when neither can be read.
+    """
+    limits = []
+    try:
+        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        pass
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limits.append(soft)
+    return min(limits) if limits else None
+
+
+def check_table_fits(slots: int, width: int) -> None:
+    """Raise :class:`MemoryError` if a table of ``slots`` blocks and ``width``
+    columns takes more bytes than the process can get."""
+    nbytes = _FIELD_BYTES * width * (slots * (slots + 1) // 2)
+    limit = _memory_limit()
+    if limit is not None and nbytes > limit:
+        raise MemoryError(
+            f"summary table needs {nbytes} bytes, more than the {limit} bytes this process can get"
+        )
 
 
 def _zeros(n: int) -> memoryview:
@@ -193,18 +229,23 @@ class PairTable:
         self._ones = int.from_bytes(_ONE_FIELD * slots, "little")
         self._column: dict[int, int] = {}  # symbol -> column
         self._free: list[int] = []
+        block_counts = [Counter(block) for block in blocks]
+        column = self._column
+        for counted in block_counts:
+            for symbol in counted:
+                column.setdefault(symbol, len(column))
+        self._symbol = list(column)  # column -> symbol; a free column keeps its last one
+        width = self._width = len(column)
+        check_table_fits(slots, width)
+        counts = self._counts = _zeros(self.cell_count() * width)
         # Pack each block into one int, field ``col`` holding its count of
         # that column's symbol; row l is then the running sums of words l..
         words = []
-        column = self._column
-        for block in blocks:
+        for counted in block_counts:
             word = 0
-            for symbol, count in Counter(block).items():
-                word += count << (_FIELD_BITS * column.setdefault(symbol, len(column)))
+            for symbol, count in counted.items():
+                word += count << (_FIELD_BITS * column[symbol])
             words.append(word)
-        self._symbol = list(column)  # column -> symbol; a free column keeps its last one
-        width = self._width = len(column)
-        counts = self._counts = _zeros(self.cell_count() * width)
         nbytes = _FIELD_BYTES * width
         start = 0
         for l in range(slots):
@@ -231,10 +272,18 @@ class PairTable:
         counts = self._counts[start : start + len(symbol)].tolist()
         return CountedSet._from_counts({symbol[k]: c for k, c in enumerate(counts) if c})
 
-    def modes(self, l: int, r: int, margin: Counter[int]) -> tuple[int, list[int]]:
-        """Top multiplicity and its symbols, unsorted, over blocks ``l..r`` plus ``margin``.
+    def modes(
+        self, l: int, r: int, margin: Counter[int], minus: Counter[int] | None = None
+    ) -> tuple[int, list[int]]:
+        """Top multiplicity and its symbols, unsorted, over blocks ``l..r``
+        plus ``margin`` minus ``minus``.
 
-        Every symbol of ``margin`` must be present in the table.
+        The engine counts each partial end block of a query on one side,
+        chosen by its cost rule: the part inside the range goes into
+        ``margin`` and the block is left out of ``l..r`` ("in"), or the part
+        outside goes into ``minus`` and the block stays in ("out").  Every
+        symbol of ``margin`` and ``minus`` must be present in the table, and
+        ``minus`` must be part of the cell.
         """
         start = self._index(l, r)
         symbol = self._symbol
@@ -243,6 +292,9 @@ class PairTable:
         try:
             for s, extra in margin.items():
                 counts[column[s]] += extra
+            if minus:
+                for s, extra in minus.items():
+                    counts[column[s]] -= extra
         except KeyError as exc:
             raise InvariantError(f"margin symbol {exc.args[0]} has no column") from None
         best = max(counts)
@@ -287,6 +339,7 @@ class PairTable:
         """Give every cell half as many columns again; the new ones count 0."""
         old, width = self._counts, self._width
         new_width = width + width // 2 + 1
+        check_table_fits(self._slots, new_width)
         counts = _zeros(self.cell_count() * new_width)
         for col in range(width):
             counts[col::new_width] = old[col::width]

@@ -1,11 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rangemodes.engine as engine_module
+from rangemodes import multiset
 from rangemodes import (
     AuditError,
     Config,
@@ -381,6 +387,66 @@ class TestAudit:
         engine._sizes.adjust(cur.end - 1, cur.capacity + 1)
         with pytest.raises(AuditError):
             engine._check_capacities()
+
+
+class TestMemoryGuard:
+    def test_oversized_table_is_refused_before_allocating(self):
+        # RangeModeEngine(range(1 << 17)) would need about 3.5 GB of counts.
+        pytest.importorskip("resource")
+        code = textwrap.dedent(
+            """
+            import resource, time
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            limit = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+            from rangemodes import RangeModeEngine
+            start = time.perf_counter()
+            try:
+                RangeModeEngine(range(1 << 17))
+            except MemoryError as exc:
+                print(time.perf_counter() - start, exc)
+            """
+        )
+        src = str(Path(engine_module.__file__).resolve().parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert child.returncode == 0, child.stderr
+        seconds, message = child.stdout.split(" ", 1)
+        assert float(seconds) < 1.0
+        assert "needs 3497000960 bytes" in message
+
+    def test_widening_past_the_limit_leaves_the_engine_unchanged(self, monkeypatch):
+        engine = RangeModeEngine([1, 2, 3, 4, 1, 2])
+        before = (engine.to_list(), engine.block_sizes(), engine.sigma_prime)
+        table = engine._table
+        monkeypatch.setattr(multiset, "_memory_limit", lambda: 4 * table.cell_count() * table._width)
+        with pytest.raises(MemoryError):
+            engine.insert(3, 9)  # a fifth symbol needs a wider table
+        assert (engine.to_list(), engine.block_sizes(), engine.sigma_prime) == before
+        assert engine.audit().ok
+        assert engine.modes(0, 5) == ModesResult(2, (1, 2))
+        monkeypatch.undo()
+        engine.insert(3, 9)
+        assert engine.to_list() == [1, 2, 3, 9, 4, 1, 2]
+        assert engine.audit().ok
+
+    def test_insert_whose_reset_would_not_fit_is_refused(self, monkeypatch):
+        engine = RangeModeEngine([5] * 8)
+        monkeypatch.setattr(multiset, "_memory_limit", lambda: 4 * engine._table.cell_count())
+        for pos in range(7):
+            engine.insert(pos, 5)
+        before = (engine.to_list(), engine.block_sizes())
+        with pytest.raises(MemoryError):
+            engine.insert(0, 5)  # the length would double to 16: a rebuild for n0 = 16
+        assert (engine.to_list(), engine.block_sizes()) == before
+        assert engine.n0 == 8 and engine.reset_events == []
+        assert engine.audit().ok
+        monkeypatch.undo()
+        engine.insert(0, 5)
+        assert engine.n0 == 16 and engine.reset_events == [("double", 16)]
+        assert engine.modes(0, 15) == ModesResult(16, (5,))
 
 
 class TestEquivalence:

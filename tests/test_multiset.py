@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rangemodes import CountedSet, InvariantError, PairTable, StaleCursorError
+from rangemodes import multiset
 from rangemodes.multiset import MAX_SYMBOL
 
 A, B, C = 0, 1, 2
@@ -372,6 +373,33 @@ class TestPairTable:
         table = build_table([[A], [B]])
         with pytest.raises(InvariantError):
             table.modes(0, 1, Counter({C: 1}))
+
+    def test_modes_subtracts_minus_counts(self):
+        table = build_table([[A, A, B], [B, C]])
+        assert table.modes(0, 1, Counter(), Counter({A: 1})) == (2, [B])
+        assert table.modes(0, 1, Counter({C: 2}), Counter({B: 2})) == (3, [C])
+        best, winners = table.modes(1, 1, Counter({A: 1}), Counter({C: 1}))
+        assert (best, sorted(winners)) == (1, [A, B])
+
+    def test_modes_rejects_minus_symbol_without_column(self):
+        table = build_table([[A], [B]])
+        with pytest.raises(InvariantError):
+            table.modes(0, 1, Counter(), Counter({C: 1}))
+
+    def test_modes_with_minus_keeps_the_range_check(self):
+        table = build_table([[A], [B]])
+        with pytest.raises(IndexError):
+            table.modes(1, 0, Counter(), Counter({A: 1}))
+
+    def test_widening_past_the_memory_limit_changes_nothing(self, monkeypatch):
+        blocks = [[A], [B, B]]
+        table = build_table(blocks)
+        width = table._width
+        monkeypatch.setattr(multiset, "_memory_limit", lambda: 4 * table.cell_count() * width)
+        with pytest.raises(MemoryError, match=str(4 * table.cell_count() * (width + width // 2 + 1))):
+            table.apply_point(0, C, 1)
+        assert table._width == width and table.sigma_prime == 2
+        assert all_cells(table) == recount(blocks)
 
     def test_new_symbols_widen_every_cell(self):
         blocks = [[A], [], [B, B]]

@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .engine import Config, RangeModeEngine
 from .oracle import NaiveSeq
@@ -362,6 +362,10 @@ def _mix(text: str) -> list[str]:
     return mix
 
 
+# An unreadable input file is a usage error (exit 2), like any bad argument.
+_input_file = argparse.FileType("r", encoding="utf-8")
+
+
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--alpha", type=_alpha, default="1/3", help="block-count exponent (rational)"
@@ -377,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_trace = sub.add_parser("trace", help="run a trace file (default stdin)")
-    p_trace.add_argument("file", nargs="?", default="-", help="trace file or - for stdin")
+    p_trace.add_argument(
+        "file", nargs="?", default="-", type=_input_file, help="trace file or - for stdin"
+    )
     _add_engine_flags(p_trace)
 
     p_fuzz = sub.add_parser("fuzz", help="differential fuzz against the naive oracle")
@@ -402,28 +408,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(p_bench)
 
     p_inter = sub.add_parser("intersect", help="answer set-intersection queries")
-    p_inter.add_argument("--family", required=True, help="family definition file")
-    p_inter.add_argument("file", nargs="?", default="-", help="query file or - for stdin")
+    p_inter.add_argument(
+        "--family", required=True, type=_input_file, help="family definition file"
+    )
+    p_inter.add_argument(
+        "file", nargs="?", default="-", type=_input_file, help="query file or - for stdin"
+    )
     _add_engine_flags(p_inter)
 
     return parser
-
-
-def _open_input(path: str) -> TextIO:
-    return sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "trace":
-            stream = _open_input(args.file)
-            try:
-                for line in run_trace(stream, _config_from_args(args)):
+            with args.file:
+                for line in run_trace(args.file, _config_from_args(args)):
                     print(line)
-            finally:
-                if stream is not sys.stdin:
-                    stream.close()
         elif args.command == "fuzz":
             config = _config_from_args(args)
             report = run_fuzz(
@@ -461,15 +463,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             for row in rows:
                 print(row)
         elif args.command == "intersect":
-            with open(args.family, "r", encoding="utf-8") as fh:
-                family = load_family(fh, _config_from_args(args))
-            stream = _open_input(args.file)
-            try:
-                for line in run_intersect(family, stream):
+            with args.family, args.file:
+                family = load_family(args.family, _config_from_args(args))
+                for line in run_intersect(family, args.file):
                     print(line)
-            finally:
-                if stream is not sys.stdin:
-                    stream.close()
     except TraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
 from .blockindex import BlockSizeIndex
@@ -40,10 +41,6 @@ from .multiset import MAX_COUNT, MAX_SYMBOL, PairTable, check_table_fits
 from .results import ModesResult
 
 _MAX_ALPHA_DENOMINATOR = 64
-
-# Region names, left to right in block-index space, with the multiple of the
-# reference length each one is sized for.
-_REGION_SCALES = (("cur", 1), ("next", 2))
 
 
 def _ceil_power(n: int, exp: Fraction) -> int:
@@ -64,6 +61,12 @@ def _check_symbol(symbol: object) -> None:
         raise TypeError(f"symbol id must be an int, got {type(symbol).__name__}")
     if not 0 <= symbol <= MAX_SYMBOL:
         raise ValueError(f"symbol id {symbol} does not fit in one machine word")
+
+
+def _check_position(pos: object) -> None:
+    """Reject a sequence position that is not an ``int`` (``bool`` included)."""
+    if type(pos) is not int:
+        raise TypeError(f"position must be an int, got {type(pos).__name__}")
 
 
 @dataclass(frozen=True)
@@ -108,19 +111,6 @@ class Region:
         return self.start + self.slots
 
 
-@dataclass
-class RegimeState:
-    """Region layout in force since the last reset."""
-
-    n0: int  # sequence length at the last reset (floored at 1)
-    regions: tuple[Region, ...]
-
-    @property
-    def total_slots(self) -> int:
-        last = self.regions[-1]
-        return last.start + last.slots
-
-
 @dataclass(frozen=True)
 class AuditReport:
     """Outcome of a full structural audit."""
@@ -129,15 +119,12 @@ class AuditReport:
     message: str = "ok"
 
 
-def _build_regime(n0: int, alpha: Fraction) -> RegimeState:
-    regions = []
-    start = 0
-    for name, scale in _REGION_SCALES:
-        slots = _ceil_power(n0 * scale, alpha)
-        capacity = _ceil_power(n0 * scale, 1 - alpha)
-        regions.append(Region(name, start, slots, capacity))
-        start += slots
-    return RegimeState(n0, tuple(regions))
+def _build_regions(n0: int, alpha: Fraction) -> tuple[Region, Region]:
+    """The ``cur`` region sized for ``n0``, then ``next`` sized for ``2·n0``."""
+    cur = Region("cur", 0, _ceil_power(n0, alpha), _ceil_power(n0, 1 - alpha))
+    n1 = 2 * n0
+    nxt = Region("next", cur.end, _ceil_power(n1, alpha), _ceil_power(n1, 1 - alpha))
+    return cur, nxt
 
 
 class RangeModeEngine:
@@ -170,39 +157,17 @@ class RangeModeEngine:
             raise ValueError(
                 f"length {n} is too long: summary counts up to {2 * n0} exceed {MAX_COUNT}"
             )
-        regime = _build_regime(n0, self._config.alpha)
-        cur = regime.regions[0]
-        sizes = [0] * regime.total_slots
-        remaining = n
-        slot = cur.start
-        while remaining > 0:
-            if slot >= cur.end:
-                raise InvariantError("cur region cannot hold the sequence at reset")
-            take = min(remaining, cur.capacity)
-            sizes[slot] = take
-            remaining -= take
-            slot += 1
+        regions = _build_regions(n0, self._config.alpha)
+        cur, nxt = regions
+        cap = cur.capacity
+        if n > cur.slots * cap:
+            raise InvariantError("cur region cannot hold the sequence at reset")
         flat = self._seq.to_list()
-        blocks: list[list[int]] = []
-        at = 0
-        for size in sizes:
-            blocks.append(flat[at : at + size])
-            at += size
+        blocks = [flat[k * cap : (k + 1) * cap] for k in range(nxt.end)]
         self._table = PairTable(blocks)  # first: if it raises, the old layout stands
-        self._regime = regime
-        self._sizes = BlockSizeIndex(sizes)
-
-    def _region_of(self, slot: int) -> Region:
-        for region in self._regime.regions:
-            if slot < region.end:
-                return region
-        raise IndexError(f"slot {slot} outside the regime layout")
-
-    def _pfx(self, k: int) -> int:
-        return self._sizes.prefix_sum(k) if k >= 0 else 0
-
-    def _region_total(self, region: Region) -> int:
-        return self._pfx(region.end - 1) - self._pfx(region.start - 1)
+        self._n0 = n0
+        self._regions = regions
+        self._sizes = BlockSizeIndex(map(len, blocks))
 
     # ------------------------------------------------------------------
     # public API
@@ -215,7 +180,7 @@ class RangeModeEngine:
     @property
     def n0(self) -> int:
         """Reference length of the last layout reset."""
-        return self._regime.n0
+        return self._n0
 
     @property
     def sigma_prime(self) -> int:
@@ -231,7 +196,7 @@ class RangeModeEngine:
 
     def regions(self) -> tuple[Region, ...]:
         """The ``cur`` and ``next`` regions, left to right."""
-        return self._regime.regions
+        return self._regions
 
     def to_list(self) -> list[int]:
         """Flattened sequence contents."""
@@ -239,27 +204,25 @@ class RangeModeEngine:
 
     def insert(self, pos: int, symbol: int) -> None:
         """Insert ``symbol`` so that it becomes the element at ``pos``."""
+        _check_position(pos)
         n = len(self._seq)
         if not 0 <= pos <= n:
             raise IndexError(f"insert position {pos} out of range (length {n})")
         _check_symbol(symbol)
-        if n + 1 == 2 * self._regime.n0:
+        if n + 1 == 2 * self._n0:
             # This insert rebuilds the layout: refuse it now if the new table
             # cannot fit, one column spare for a new symbol.
-            slots = _build_regime(n + 1, self._config.alpha).total_slots
+            slots = _build_regions(n + 1, self._config.alpha)[1].end
             check_table_fits(slots, self._table.sigma_prime + 1)
-        if n == 0:
-            j = 0  # first slot of the cur region
-        elif pos == 0:
-            j = self._sizes.select_prefix(1)
-        else:
-            j = self._sizes.select_prefix(pos)
+        # The block holding position pos - 1 (pos at the front; slot 0 when empty).
+        j = self._sizes.select_prefix(max(pos, 1)) if n else 0
         # The table first: a new symbol may widen it, which can fail for lack
         # of memory before anything has changed.
         self._table.apply_point(j, symbol, 1)
         self._seq.insert_at(pos, symbol)
         self._sizes.adjust(j, 1)
-        if self._sizes.size_of(j) > self._region_of(j).capacity:
+        cur, nxt = self._regions
+        if self._sizes.size_of(j) > (cur if j < cur.end else nxt).capacity:
             self._rebalance(j)
         self._reset_check()
         if self._config.audit_mode:
@@ -267,6 +230,7 @@ class RangeModeEngine:
 
     def delete(self, pos: int) -> int:
         """Remove and return the element at ``pos``."""
+        _check_position(pos)
         n = len(self._seq)
         if not 0 <= pos < n:
             raise IndexError(f"delete position {pos} out of range (length {n})")
@@ -281,6 +245,8 @@ class RangeModeEngine:
 
     def modes(self, lo: int, hi: int) -> ModesResult:
         """Enumerate all modes of the inclusive range ``[lo, hi]``."""
+        _check_position(lo)
+        _check_position(hi)
         n = len(self._seq)
         if not (0 <= lo <= hi < n):
             raise IndexError(f"range [{lo}, {hi}] out of bounds (length {n})")
@@ -344,84 +310,76 @@ class RangeModeEngine:
         The flattened sequence is unchanged; only the block boundary and the
         summary cells move.
         """
-        slots = self._regime.total_slots
+        slots = len(self._sizes)
         if not 1 <= i < slots:
             raise IndexError(f"move_left source {i} out of range ({slots} slots)")
         if self._sizes.size_of(i) == 0:
             raise InvariantError(f"move_left from empty block {i}")
-        symbol = self._seq[self._pfx(i - 1)]
+        symbol = self._seq[self._sizes.prefix_sum(i - 1)]
         self._sizes.adjust(i, -1)
         self._sizes.adjust(i - 1, 1)
         self._table.shift_left(i, symbol)
 
     def move_right(self, i: int) -> None:
         """Move the last element of block ``i`` to the front of block ``i + 1``."""
-        slots = self._regime.total_slots
+        slots = len(self._sizes)
         if not 0 <= i < slots - 1:
             raise IndexError(f"move_right source {i} out of range ({slots} slots)")
         if self._sizes.size_of(i) == 0:
             raise InvariantError(f"move_right from empty block {i}")
-        symbol = self._seq[self._pfx(i) - 1]
+        symbol = self._seq[self._sizes.prefix_sum(i) - 1]
         self._sizes.adjust(i, -1)
         self._sizes.adjust(i + 1, 1)
         self._table.shift_right(i, symbol)
 
-    def _chain_move(self, src: int, dst: int) -> None:
-        """Shift one unit of size from block ``src`` to ``dst`` via boundary hops."""
-        if dst > src:
-            for t in range(src, dst):
+    def _rebalance(self, j: int) -> None:
+        """Shed the overflow of block ``j`` along boundary moves to a block with room.
+
+        The donor is the emptiest block of ``j``'s own region, else that of
+        the other region.  Every block but ``j`` is within capacity, so a
+        region has room exactly when its emptiest block is below capacity,
+        and that block is never ``j``.
+        """
+        cur, nxt = self._regions
+        sizes = self._sizes
+        for region in (cur, nxt) if j < cur.end else (nxt, cur):
+            k = sizes.argmin_size_in(region.start, region.end - 1)
+            if sizes.size_of(k) < region.capacity:
+                break
+        else:
+            raise InvariantError(f"no donor block available for overflowing block {j}")
+        if k > j:
+            for t in range(j, k):
                 self.move_right(t)
         else:
-            for t in range(src, dst, -1):
+            for t in range(j, k, -1):
                 self.move_left(t)
-
-    def _rebalance(self, j: int) -> None:
-        """Shed the overflow of block ``j`` into a block with spare capacity."""
-        donor = self._find_donor(j)
-        if donor is None:
-            raise InvariantError(f"no donor block available for overflowing block {j}")
-        self._chain_move(j, donor)
-
-    def _find_donor(self, j: int) -> int | None:
-        sizes = self._sizes
-        region = self._region_of(j)
-        k = sizes.argmin_size_in(region.start, region.end - 1)
-        if k != j and sizes.size_of(k) + 1 <= region.capacity:
-            return k
-        # Region saturated: spill into the other region if it has room.
-        for other in self._regime.regions:
-            if other is not region and self._region_total(other) < other.slots * other.capacity:
-                return sizes.argmin_size_in(other.start, other.end - 1)
-        return None
 
     # ------------------------------------------------------------------
     # resets
     # ------------------------------------------------------------------
 
     def _reset_check(self) -> None:
+        """Rebuild the layout once the length has doubled or halved since the last rebuild."""
         n = len(self._seq)
-        n0 = self._regime.n0
-        if n == 2 * n0:
-            self._reset("double")
-        elif n == n0 // 2:
-            self._reset("halve")
-
-    def _reset(self, kind: str) -> None:
-        self.reset_events.append((kind, len(self._seq)))
-        self._rebuild_layout()
+        kind = "double" if n == 2 * self._n0 else "halve" if n == self._n0 // 2 else ""
+        if kind:
+            self.reset_events.append((kind, n))
+            self._rebuild_layout()
 
     # ------------------------------------------------------------------
     # audits
     # ------------------------------------------------------------------
 
     def _check_capacities(self) -> None:
+        """Raise :class:`AuditError` for a block outside ``[0, capacity]`` of its region."""
         sizes = self._sizes.to_list()
-        for region in self._regime.regions:
+        for region in self._regions:
             cap = region.capacity
             for slot in range(region.start, region.end):
-                if sizes[slot] > cap:
+                if not 0 <= sizes[slot] <= cap:
                     raise AuditError(
-                        f"block {slot} holds {sizes[slot]} > capacity {cap} "
+                        f"block {slot} holds {sizes[slot]}, outside [0, {cap}] "
                         f"of region {region.name}"
                     )
 
@@ -429,32 +387,22 @@ class RangeModeEngine:
         """Recompute every invariant from scratch; report the first violation."""
         flat = self._seq.to_list()
         sizes = self._sizes.to_list()
-        regime = self._regime
-        if len(sizes) != regime.total_slots:
-            return AuditReport(False, "slot count does not match the regime layout")
+        slots = self._regions[1].end
+        if len(sizes) != slots:
+            return AuditReport(False, "slot count does not match the region layout")
         if sum(sizes) != len(flat):
             return AuditReport(
                 False,
                 f"block sizes sum to {sum(sizes)} but the sequence holds {len(flat)}",
             )
-        expected = _build_regime(regime.n0, self._config.alpha)
-        if expected.regions != regime.regions:
+        if _build_regions(self._n0, self._config.alpha) != self._regions:
             return AuditReport(False, "region layout drifted from the formulas")
-        for region in regime.regions:
-            for slot in range(region.start, region.end):
-                if sizes[slot] < 0:
-                    return AuditReport(False, f"block {slot} has negative size")
-                if sizes[slot] > region.capacity:
-                    return AuditReport(
-                        False,
-                        f"block {slot} holds {sizes[slot]} > capacity "
-                        f"{region.capacity} of region {region.name}",
-                    )
+        try:
+            self._check_capacities()
+        except AuditError as exc:
+            return AuditReport(False, str(exc))
         # Every summary cell must equal a fresh recount of its block range.
-        slots = regime.total_slots
-        starts = [0] * (slots + 1)
-        for i, size in enumerate(sizes):
-            starts[i + 1] = starts[i] + size
+        starts = [0, *accumulate(sizes)]
         for l in range(slots):
             running: dict[int, int] = {}
             for r in range(l, slots):

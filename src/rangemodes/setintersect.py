@@ -85,14 +85,7 @@ class SetFamily:
 
     def intersect(self, i: int, j: int) -> bool:
         """Whether sets ``i`` and ``j`` share a member (requires ``i < j``)."""
-        self._check_set(i)
-        self._check_set(j)
-        if not i < j:
-            raise ValueError(f"intersect requires i < j, got ({i}, {j})")
-        lo, hi = self._query_range(i, j)
-        if lo > hi:
-            return False
-        return self.engine.modes(lo, hi).multiplicity == 2 * (j - i)
+        return bool(self.enumerate_intersection(i, j))
 
     def enumerate_intersection(self, i: int, j: int) -> set[int]:
         """The members of ``S_i ∩ S_j`` (empty when the sets are disjoint)."""
@@ -112,14 +105,24 @@ class SetFamily:
     # updates
     # ------------------------------------------------------------------
 
-    def add_member(self, k: int, x: int) -> None:
-        """Add ``x`` to set ``k`` (four point updates inside gadget ``k``)."""
+    def _rank(self, k: int, x: int) -> tuple[list[int], int, bool]:
+        """Set ``k``'s members, the rank of ``x`` among them, and whether ``x`` is one.
+
+        Validates ``k`` and ``x`` before a caller changes anything.
+        """
         self._check_set(k)
+        if type(x) is not int:
+            raise TypeError(f"member id must be an int, got {type(x).__name__}")
         if not 0 <= x < self._universe:
             raise IndexError(f"member {x} outside the universe")
         members = self._members[k - 1]
-        rank_m = bisect_left(members, x)
-        if rank_m < len(members) and members[rank_m] == x:
+        rank = bisect_left(members, x)
+        return members, rank, rank < len(members) and members[rank] == x
+
+    def add_member(self, k: int, x: int) -> None:
+        """Add ``x`` to set ``k`` (four point updates inside gadget ``k``)."""
+        members, rank_m, present = self._rank(k, x)
+        if present:
             raise ValueError(f"member {x} already in set {k}")
         base = 2 * (k - 1) * self._universe
         size = len(members)
@@ -136,12 +139,8 @@ class SetFamily:
 
     def remove_member(self, k: int, x: int) -> None:
         """Remove ``x`` from set ``k`` (mirror of :meth:`add_member`)."""
-        self._check_set(k)
-        if not 0 <= x < self._universe:
-            raise IndexError(f"member {x} outside the universe")
-        members = self._members[k - 1]
-        rank_m = bisect_left(members, x)
-        if rank_m >= len(members) or members[rank_m] != x:
+        members, rank_m, present = self._rank(k, x)
+        if not present:
             raise ValueError(f"member {x} not in set {k}")
         base = 2 * (k - 1) * self._universe
         size = len(members)

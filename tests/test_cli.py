@@ -272,6 +272,28 @@ class TestMain:
         err = capsys.readouterr().err
         assert "usage:" in err and f"argument {flag}" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "{missing}"],
+            ["intersect", "--family", "{missing}", "{queries}"],
+            ["intersect", "--family", "{family}", "{missing}"],
+        ],
+    )
+    def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys, argv):
+        paths = {
+            "missing": tmp_path / "absent" / "x.trace",
+            "family": tmp_path / "family.txt",
+            "queries": tmp_path / "queries.txt",
+        }
+        paths["family"].write_text(FAMILY_TEXT)
+        paths["queries"].write_text("? 1 2\n")
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**paths) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "x.trace" in err
+
     def test_bench_subcommand(self, capsys):
         code = main(
             ["bench", "--sizes", "32,64", "--repetitions", "2", "--alphabet", "3"]

@@ -126,6 +126,24 @@ class TestConstruction:
             assert engine.to_list() == before
             assert engine.audit().ok
 
+    @pytest.mark.parametrize("bad", [2.0, "3", None, True])
+    def test_rejected_position_leaves_engine_unchanged(self, bad):
+        # A float position passes the range check; it must be refused before
+        # the summary cells change, not by the sequence halfway through.
+        engine = RangeModeEngine(range(20))
+        before = engine.to_list()
+        calls = [
+            lambda: engine.insert(bad, 7),
+            lambda: engine.delete(bad),
+            lambda: engine.modes(bad, 5),
+            lambda: engine.modes(0, bad),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+            assert engine.to_list() == before
+            assert engine.audit().ok
+
 
 class TestInsert:
     def test_insert_middle(self):
@@ -307,6 +325,37 @@ class TestMoves:
             engine.move_left(0)
         with pytest.raises(IndexError):
             engine.move_right(slots - 1)
+
+
+class TestDonors:
+    """Which block takes the overflow of a full block (alpha = 1/2).
+
+    At n0 = 46 or 49, ``cur`` is slots 0..6 with capacity 7 and ``next`` is
+    slots 7..16 with capacity 10.
+    """
+
+    HALF = Config(alpha=Fraction(1, 2), audit_mode=True)
+
+    def test_donor_is_the_emptiest_block_of_its_region(self):
+        engine = RangeModeEngine(range(46), self.HALF)
+        engine.delete(10)  # block 1 has room, but block 6 is emptier
+        assert engine.block_sizes() == [7, 6, 7, 7, 7, 7, 4] + [0] * 10
+        engine.insert(0, 99)
+        assert engine.block_sizes() == [7, 6, 7, 7, 7, 7, 5] + [0] * 10
+        assert engine.to_list() == [99, *range(10), *range(11, 46)]
+        assert engine.audit().ok
+
+    def test_saturated_region_spills_to_the_lowest_emptiest_block(self):
+        engine = RangeModeEngine(range(49), self.HALF)
+        assert engine.block_sizes() == [7] * 7 + [0] * 10
+        engine.insert(0, 97)
+        engine.insert(0, 98)
+        assert engine.block_sizes() == [7] * 7 + [1, 1] + [0] * 8
+        engine.move_right(8)  # next reads [1, 0, 1, 0, ...]
+        engine.insert(0, 99)
+        assert engine.block_sizes() == [7] * 7 + [1, 1, 1] + [0] * 7
+        assert engine.to_list() == [99, 98, 97, *range(49)]
+        assert engine.audit().ok
 
 
 class TestResets:

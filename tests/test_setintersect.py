@@ -148,3 +148,26 @@ class TestUpdates:
             family.add_member(1, 9)
         with pytest.raises(IndexError):
             family.add_member(4, 1)
+
+    @pytest.mark.parametrize(
+        "method, k, bad",
+        [
+            ("add_member", 1, True),
+            ("add_member", 1, 1.0),
+            ("add_member", 1, "1"),
+            ("remove_member", 2, True),
+            ("remove_member", 1, 2.0),
+            ("remove_member", 1, None),
+        ],
+    )
+    def test_rejected_member_leaves_family_unchanged(self, method, k, bad):
+        # True == 1 and 2.0 == 2 pass the range and rank checks, so the type
+        # is checked before the first point update of the gadget.
+        family = SetFamily([[0, 2], [1, 2]], universe_size=4)
+        members = [family.members(s) for s in (1, 2)]
+        gadgets = [family.gadget_symbols(s) for s in (1, 2)]
+        with pytest.raises(TypeError):
+            getattr(family, method)(k, bad)
+        assert [family.members(s) for s in (1, 2)] == members
+        assert [family.gadget_symbols(s) for s in (1, 2)] == gadgets
+        assert family.engine.audit().ok

@@ -1,5 +1,8 @@
 """Array of block lengths with prefix-select and argmin queries.
 
+:class:`CharSeq` keeps one of these over the lengths of its block lists, and
+the engine reads every block boundary from it.
+
 The slot count is fixed between layout resets and stays in the hundreds, so
 the sizes live in a plain list.  Prefix sums are rebuilt lazily after an edit
 (O(L)); between edits ``prefix_sum`` and ``prefix_sums`` are O(1) and

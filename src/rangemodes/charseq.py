@@ -1,170 +1,119 @@
-"""Dynamic symbol sequence with logarithmic positional updates.
+"""Dynamic symbol sequence stored as the engine's blocks.
 
-Symbols are opaque non-negative integers.  The sequence is stored as a list
-of bounded chunks; a Fenwick tree over chunk lengths locates any position in
-O(log n).  The Fenwick tree is invalidated whenever the chunk list itself
-changes shape (split/merge/drop) and rebuilt lazily, which amortizes to O(1)
-per update because shape changes happen at most once per ~``_TARGET`` edits.
+Symbols are opaque non-negative integers.  The sequence is one Python list
+per block slot, in order; empty blocks are allowed anywhere.  A
+:class:`BlockSizeIndex` of the list lengths locates a position by bisecting
+its prefix sums in O(log L), so the engine reads block boundaries from the
+same index that stores them.  An edit inside a block is a list insert or
+pop; a boundary move pops an end element of one block and adds it to the
+near end of its neighbour.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from bisect import bisect_right
 
-_TARGET = 512
-_MAX = 2 * _TARGET
-_MIN = _TARGET // 4
+from .blockindex import BlockSizeIndex
+from .errors import InvariantError
 
 
 class CharSeq:
-    """Mutable sequence of symbol ids supporting insert/delete/range reads."""
+    """Mutable sequence of symbol ids split into a fixed row of blocks."""
 
-    __slots__ = ("_chunks", "_len", "_fenwick")
+    __slots__ = ("blocks", "sizes")
 
-    def __init__(self, symbols: Iterable[int] = ()) -> None:
-        items = list(symbols)
-        self._chunks: list[list[int]] = [
-            items[i : i + _TARGET] for i in range(0, len(items), _TARGET)
-        ]
-        self._len: int = len(items)
-        self._fenwick: list[int] | None = None
+    def __init__(self, blocks: list[list[int]]) -> None:
+        """Take ``blocks`` as the block lists, without copying them."""
+        self.blocks = blocks
+        self.sizes = BlockSizeIndex(map(len, blocks))
 
     def __len__(self) -> int:
-        return self._len
+        return self.sizes.total()
 
-    def __iter__(self) -> Iterator[int]:
-        for chunk in self._chunks:
-            yield from chunk
+    def locate(self, pos: int) -> tuple[int, int]:
+        """Block slot and offset of position ``pos``."""
+        n = len(self)
+        if not 0 <= pos < n:
+            raise IndexError(f"position {pos} out of range (length {n})")
+        ends = self.sizes.prefix_sums()
+        k = bisect_right(ends, pos)
+        return k, pos - (ends[k - 1] if k else 0)
 
-    # ------------------------------------------------------------------
-    # chunk location
-    # ------------------------------------------------------------------
+    def insert_block(self, pos: int) -> int:
+        """Block an insert at ``pos`` joins: the one holding ``pos - 1``.
 
-    def _build_fenwick(self) -> list[int]:
-        n = len(self._chunks)
-        tree = [0] * (n + 1)
-        for i, chunk in enumerate(self._chunks, start=1):
-            tree[i] += len(chunk)
-            j = i + (i & -i)
-            if j <= n:
-                tree[j] += tree[i]
-        self._fenwick = tree
-        return tree
-
-    def _fenwick_add(self, chunk_idx: int, delta: int) -> None:
-        tree = self._fenwick
-        if tree is None:
-            return
-        j = chunk_idx + 1
-        n = len(tree) - 1
-        while j <= n:
-            tree[j] += delta
-            j += j & -j
-
-    def _locate(self, pos: int) -> tuple[int, int]:
-        """Return (chunk index, offset) of sequence position ``pos``.
-
-        Chunks are never empty, so the Fenwick descent is unambiguous.
+        At the front it is the block holding position 0; in an empty
+        sequence, slot 0.
         """
-        tree = self._fenwick
-        if tree is None:
-            tree = self._build_fenwick()
-        n = len(tree) - 1
-        idx = 0
-        rem = pos
-        bit = 1 << n.bit_length()
-        while bit:
-            nxt = idx + bit
-            if nxt <= n and tree[nxt] <= rem:
-                rem -= tree[nxt]
-                idx = nxt
-            bit >>= 1
-        return idx, rem
+        n = len(self)
+        if not 0 <= pos <= n:
+            raise IndexError(f"insert position {pos} out of range (length {n})")
+        return self.locate(max(pos - 1, 0))[0] if n else 0
 
     # ------------------------------------------------------------------
     # public operations
     # ------------------------------------------------------------------
 
     def __getitem__(self, pos: int) -> int:
-        if not 0 <= pos < self._len:
-            raise IndexError(f"position {pos} out of range (length {self._len})")
-        ci, off = self._locate(pos)
-        return self._chunks[ci][off]
+        k, off = self.locate(pos)
+        return self.blocks[k][off]
 
     def insert_at(self, pos: int, symbol: int) -> None:
-        """Insert ``symbol`` so that it becomes the element at index ``pos``."""
-        if not 0 <= pos <= self._len:
-            raise IndexError(f"insert position {pos} out of range (length {self._len})")
-        chunks = self._chunks
-        if not chunks:
-            chunks.append([symbol])
-            self._fenwick = None
-        elif pos == self._len:
-            ci = len(chunks) - 1
-            chunks[ci].append(symbol)
-            self._after_grow(ci)
-        else:
-            ci, off = self._locate(pos)
-            chunks[ci].insert(off, symbol)
-            self._after_grow(ci)
-        self._len += 1
-
-    def _after_grow(self, ci: int) -> None:
-        chunk = self._chunks[ci]
-        if len(chunk) > _MAX:
-            half = len(chunk) // 2
-            self._chunks[ci : ci + 1] = [chunk[:half], chunk[half:]]
-            self._fenwick = None
-        else:
-            self._fenwick_add(ci, 1)
+        """Insert ``symbol`` so that it becomes the element at ``pos``, in :meth:`insert_block`."""
+        j = self.insert_block(pos)
+        ends = self.sizes.prefix_sums()
+        self.blocks[j].insert(pos - (ends[j - 1] if j else 0), symbol)
+        self.sizes.adjust(j, 1)
 
     def delete_at(self, pos: int) -> int:
         """Remove and return the element at index ``pos``."""
-        if not 0 <= pos < self._len:
-            raise IndexError(f"delete position {pos} out of range (length {self._len})")
-        chunks = self._chunks
-        ci, off = self._locate(pos)
-        chunk = chunks[ci]
-        symbol = chunk.pop(off)
-        self._len -= 1
-        if not chunk:
-            del chunks[ci]
-            self._fenwick = None
-        elif len(chunk) < _MIN and len(chunks) > 1:
-            # Merge with the smaller neighbour when the result stays bounded.
-            if ci + 1 < len(chunks) and len(chunk) + len(chunks[ci + 1]) <= _MAX:
-                chunk.extend(chunks.pop(ci + 1))
-                self._fenwick = None
-            elif ci > 0 and len(chunks[ci - 1]) + len(chunk) <= _MAX:
-                chunks[ci - 1].extend(chunk)
-                del chunks[ci]
-                self._fenwick = None
-            else:
-                self._fenwick_add(ci, -1)
-        else:
-            self._fenwick_add(ci, -1)
+        k, off = self.locate(pos)
+        self.sizes.adjust(k, -1)
+        return self.blocks[k].pop(off)
+
+    def move_left(self, i: int) -> int:
+        """Move the first element of block ``i`` to the end of block ``i - 1``; return it."""
+        slots = len(self.blocks)
+        if not 1 <= i < slots:
+            raise IndexError(f"move_left source {i} out of range ({slots} slots)")
+        if not self.blocks[i]:
+            raise InvariantError(f"move_left from empty block {i}")
+        symbol = self.blocks[i].pop(0)
+        self.blocks[i - 1].append(symbol)
+        self.sizes.adjust(i, -1)
+        self.sizes.adjust(i - 1, 1)
+        return symbol
+
+    def move_right(self, i: int) -> int:
+        """Move the last element of block ``i`` to the front of block ``i + 1``; return it."""
+        slots = len(self.blocks)
+        if not 0 <= i < slots - 1:
+            raise IndexError(f"move_right source {i} out of range ({slots} slots)")
+        if not self.blocks[i]:
+            raise InvariantError(f"move_right from empty block {i}")
+        symbol = self.blocks[i].pop()
+        self.blocks[i + 1].insert(0, symbol)
+        self.sizes.adjust(i, -1)
+        self.sizes.adjust(i + 1, 1)
         return symbol
 
     def access_range(self, lo: int, hi: int) -> list[int]:
         """Return the elements at positions ``lo..hi`` inclusive, in order."""
-        if not (0 <= lo <= hi < self._len):
-            raise IndexError(f"range [{lo}, {hi}] out of bounds (length {self._len})")
+        n = len(self)
+        if not (0 <= lo <= hi < n):
+            raise IndexError(f"range [{lo}, {hi}] out of bounds (length {n})")
         want = hi - lo + 1
-        ci, off = self._locate(lo)
-        out: list[int] = []
-        chunks = self._chunks
-        while want > 0:
-            chunk = chunks[ci]
-            take = chunk[off : off + want]
-            out.extend(take)
-            want -= len(take)
-            ci += 1
-            off = 0
+        k, off = self.locate(lo)
+        blocks = self.blocks
+        out = blocks[k][off : off + want]
+        while len(out) < want:
+            k += 1
+            out += blocks[k][: want - len(out)]
         return out
 
     def to_list(self) -> list[int]:
         """Flatten the whole sequence into a plain list."""
         out: list[int] = []
-        for chunk in self._chunks:
-            out.extend(chunk)
+        for block in self.blocks:
+            out.extend(block)
         return out

@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .engine import Config, RangeModeEngine
 from .oracle import NaiveSeq
@@ -362,8 +362,17 @@ def _mix(text: str) -> list[str]:
     return mix
 
 
-# An unreadable input file is a usage error (exit 2), like any bad argument.
-_input_file = argparse.FileType("r", encoding="utf-8")
+def _open_input(parser: argparse.ArgumentParser, flag: str, path: str) -> TextIO:
+    """Open an input path for reading, ``-`` being stdin.
+
+    An unreadable file is a usage error (exit 2), like any bad argument.
+    """
+    if path == "-":
+        return sys.stdin
+    try:
+        return open(path, encoding="utf-8")
+    except OSError as exc:
+        parser.error(f"argument {flag}: can't open '{path}': {exc}")
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -381,9 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_trace = sub.add_parser("trace", help="run a trace file (default stdin)")
-    p_trace.add_argument(
-        "file", nargs="?", default="-", type=_input_file, help="trace file or - for stdin"
-    )
+    p_trace.add_argument("file", nargs="?", default="-", help="trace file or - for stdin")
     _add_engine_flags(p_trace)
 
     p_fuzz = sub.add_parser("fuzz", help="differential fuzz against the naive oracle")
@@ -408,23 +415,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(p_bench)
 
     p_inter = sub.add_parser("intersect", help="answer set-intersection queries")
-    p_inter.add_argument(
-        "--family", required=True, type=_input_file, help="family definition file"
-    )
-    p_inter.add_argument(
-        "file", nargs="?", default="-", type=_input_file, help="query file or - for stdin"
-    )
+    p_inter.add_argument("--family", required=True, help="family definition file")
+    p_inter.add_argument("file", nargs="?", default="-", help="query file or - for stdin")
     _add_engine_flags(p_inter)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.command == "trace":
-            with args.file:
-                for line in run_trace(args.file, _config_from_args(args)):
+            with _open_input(parser, "file", args.file) as trace:
+                for line in run_trace(trace, _config_from_args(args)):
                     print(line)
         elif args.command == "fuzz":
             config = _config_from_args(args)
@@ -463,9 +467,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             for row in rows:
                 print(row)
         elif args.command == "intersect":
-            with args.family, args.file:
-                family = load_family(args.family, _config_from_args(args))
-                for line in run_intersect(family, args.file):
+            with _open_input(parser, "--family", args.family) as family_file, _open_input(
+                parser, "file", args.file
+            ) as queries:
+                family = load_family(family_file, _config_from_args(args))
+                for line in run_intersect(family, queries):
                     print(line)
     except TraceError as exc:
         print(f"error: {exc}", file=sys.stderr)

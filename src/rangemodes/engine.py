@@ -16,6 +16,11 @@ read at about one unit per column, a side goes out when
 reads none must also save more than σ'.  Each end then counts at most one
 block length, and at small σ' about half of one on average.
 
+The blocks are the symbol lists of :class:`CharSeq`, and the engine reads
+their boundaries from its :class:`BlockSizeIndex`; an insert joins the block
+that ``CharSeq`` names for it, so the sequence and the summary cells always
+agree on where an element lives.
+
 Blocks are grouped into two regions sized for the reference length ``n0`` of
 the last rebuild: ``cur`` (sized for ``n0``) followed by ``next`` (sized for
 ``2·n0``).  A rebuild packs every element into ``cur``; a block that
@@ -31,10 +36,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable
 
-from .blockindex import BlockSizeIndex
 from .charseq import CharSeq
 from .errors import AuditError, InvariantError
 from .multiset import MAX_COUNT, MAX_SYMBOL, PairTable, check_table_fits
@@ -137,19 +140,19 @@ class RangeModeEngine:
 
     def __init__(self, initial: Iterable[int] = (), config: Config | None = None) -> None:
         self._config = config if config is not None else Config()
-        self._seq = CharSeq(initial)
-        for symbol in self._seq:
+        flat = list(initial)
+        for symbol in flat:
             _check_symbol(symbol)
         self.reset_events: list[tuple[str, int]] = []
-        self._rebuild_layout()
+        self._rebuild_layout(flat)
 
     # ------------------------------------------------------------------
     # layout
     # ------------------------------------------------------------------
 
-    def _rebuild_layout(self) -> None:
-        """Repack all elements into the cur region sized for the current length."""
-        n = len(self._seq)
+    def _rebuild_layout(self, flat: list[int]) -> None:
+        """Pack the sequence ``flat`` into the cur region sized for its length."""
+        n = len(flat)
         n0 = max(n, 1)
         # The length reaches 2·n0 before the next rebuild; a symbol's count
         # in a summary cell must fit its packed field until then.
@@ -162,12 +165,12 @@ class RangeModeEngine:
         cap = cur.capacity
         if n > cur.slots * cap:
             raise InvariantError("cur region cannot hold the sequence at reset")
-        flat = self._seq.to_list()
         blocks = [flat[k * cap : (k + 1) * cap] for k in range(nxt.end)]
         self._table = PairTable(blocks)  # first: if it raises, the old layout stands
         self._n0 = n0
         self._regions = regions
-        self._sizes = BlockSizeIndex(map(len, blocks))
+        self._seq = CharSeq(blocks)
+        self._sizes = self._seq.sizes  # the block boundaries, read by the engine
 
     # ------------------------------------------------------------------
     # public API
@@ -205,22 +208,18 @@ class RangeModeEngine:
     def insert(self, pos: int, symbol: int) -> None:
         """Insert ``symbol`` so that it becomes the element at ``pos``."""
         _check_position(pos)
-        n = len(self._seq)
-        if not 0 <= pos <= n:
-            raise IndexError(f"insert position {pos} out of range (length {n})")
         _check_symbol(symbol)
+        j = self._seq.insert_block(pos)
+        n = len(self._seq)
         if n + 1 == 2 * self._n0:
             # This insert rebuilds the layout: refuse it now if the new table
             # cannot fit, one column spare for a new symbol.
             slots = _build_regions(n + 1, self._config.alpha)[1].end
             check_table_fits(slots, self._table.sigma_prime + 1)
-        # The block holding position pos - 1 (pos at the front; slot 0 when empty).
-        j = self._sizes.select_prefix(max(pos, 1)) if n else 0
         # The table first: a new symbol may widen it, which can fail for lack
         # of memory before anything has changed.
         self._table.apply_point(j, symbol, 1)
         self._seq.insert_at(pos, symbol)
-        self._sizes.adjust(j, 1)
         cur, nxt = self._regions
         if self._sizes.size_of(j) > (cur if j < cur.end else nxt).capacity:
             self._rebalance(j)
@@ -231,12 +230,8 @@ class RangeModeEngine:
     def delete(self, pos: int) -> int:
         """Remove and return the element at ``pos``."""
         _check_position(pos)
-        n = len(self._seq)
-        if not 0 <= pos < n:
-            raise IndexError(f"delete position {pos} out of range (length {n})")
-        j = self._sizes.select_prefix(pos + 1)
+        j = self._seq.locate(pos)[0]
         symbol = self._seq.delete_at(pos)
-        self._sizes.adjust(j, -1)
         self._table.apply_point(j, symbol, -1)
         self._reset_check()
         if self._config.audit_mode:
@@ -310,27 +305,11 @@ class RangeModeEngine:
         The flattened sequence is unchanged; only the block boundary and the
         summary cells move.
         """
-        slots = len(self._sizes)
-        if not 1 <= i < slots:
-            raise IndexError(f"move_left source {i} out of range ({slots} slots)")
-        if self._sizes.size_of(i) == 0:
-            raise InvariantError(f"move_left from empty block {i}")
-        symbol = self._seq[self._sizes.prefix_sum(i - 1)]
-        self._sizes.adjust(i, -1)
-        self._sizes.adjust(i - 1, 1)
-        self._table.shift_left(i, symbol)
+        self._table.shift_left(i, self._seq.move_left(i))
 
     def move_right(self, i: int) -> None:
         """Move the last element of block ``i`` to the front of block ``i + 1``."""
-        slots = len(self._sizes)
-        if not 0 <= i < slots - 1:
-            raise IndexError(f"move_right source {i} out of range ({slots} slots)")
-        if self._sizes.size_of(i) == 0:
-            raise InvariantError(f"move_right from empty block {i}")
-        symbol = self._seq[self._sizes.prefix_sum(i) - 1]
-        self._sizes.adjust(i, -1)
-        self._sizes.adjust(i + 1, 1)
-        self._table.shift_right(i, symbol)
+        self._table.shift_right(i, self._seq.move_right(i))
 
     def _rebalance(self, j: int) -> None:
         """Shed the overflow of block ``j`` along boundary moves to a block with room.
@@ -365,7 +344,7 @@ class RangeModeEngine:
         kind = "double" if n == 2 * self._n0 else "halve" if n == self._n0 // 2 else ""
         if kind:
             self.reset_events.append((kind, n))
-            self._rebuild_layout()
+            self._rebuild_layout(self._seq.to_list())
 
     # ------------------------------------------------------------------
     # audits
@@ -385,16 +364,22 @@ class RangeModeEngine:
 
     def audit(self) -> AuditReport:
         """Recompute every invariant from scratch; report the first violation."""
+        blocks = self._seq.blocks
         flat = self._seq.to_list()
         sizes = self._sizes.to_list()
         slots = self._regions[1].end
-        if len(sizes) != slots:
+        if len(sizes) != slots or len(blocks) != slots:
             return AuditReport(False, "slot count does not match the region layout")
         if sum(sizes) != len(flat):
             return AuditReport(
                 False,
                 f"block sizes sum to {sum(sizes)} but the sequence holds {len(flat)}",
             )
+        for slot, block in enumerate(blocks):
+            if len(block) != sizes[slot]:
+                return AuditReport(
+                    False, f"block {slot} holds {len(block)} symbols but its size is {sizes[slot]}"
+                )
         if _build_regions(self._n0, self._config.alpha) != self._regions:
             return AuditReport(False, "region layout drifted from the formulas")
         try:
@@ -402,11 +387,10 @@ class RangeModeEngine:
         except AuditError as exc:
             return AuditReport(False, str(exc))
         # Every summary cell must equal a fresh recount of its block range.
-        starts = [0, *accumulate(sizes)]
         for l in range(slots):
             running: dict[int, int] = {}
             for r in range(l, slots):
-                for symbol in flat[starts[r] : starts[r + 1]]:
+                for symbol in blocks[r]:
                     running[symbol] = running.get(symbol, 0) + 1
                 if not self._table.cell(l, r).matches_counts(running):
                     return AuditReport(

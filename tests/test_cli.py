@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import pytest
 
 from rangemodes import Config, NaiveSeq, RangeModeEngine
@@ -293,6 +296,17 @@ class TestMain:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and "x.trace" in err
+
+    def test_missing_query_file_closes_the_family_file(self, tmp_path, capsys):
+        family = tmp_path / "family.txt"
+        family.write_text(FAMILY_TEXT)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(SystemExit):
+                main(["intersect", "--family", str(family), str(tmp_path / "absent.txt")])
+            gc.collect()
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert "absent.txt" in capsys.readouterr().err
 
     def test_bench_subcommand(self, capsys):
         code = main(

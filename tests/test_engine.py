@@ -430,6 +430,19 @@ class TestAudit:
         assert not report.ok
         assert "sum" in report.message
 
+    def test_detects_symbol_added_to_a_block_list(self):
+        engine = RangeModeEngine([1, 2, 3])
+        engine._seq.blocks[0].append(2)  # bypass the block sizes and the table
+        assert not engine.audit().ok
+
+    def test_detects_block_list_disagreeing_with_its_size(self):
+        engine = RangeModeEngine([1, 2, 3])
+        blocks = engine._seq.blocks
+        blocks[1].append(blocks[0].pop())  # same total, sizes no longer match
+        report = engine.audit()
+        assert not report.ok
+        assert report.message == "block 0 holds 2 symbols but its size is 3"
+
     def test_capacity_checked_in_audit_mode(self):
         engine = RangeModeEngine([1, 2, 3], Config(audit_mode=True))
         cur = region_map(engine)["cur"]

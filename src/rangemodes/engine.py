@@ -23,11 +23,13 @@ agree on where an element lives.
 
 Blocks are grouped into two regions sized for the reference length ``n0`` of
 the last rebuild: ``cur`` (sized for ``n0``) followed by ``next`` (sized for
-``2·n0``).  A rebuild packs every element into ``cur``; a block that
-overflows sheds one element along a chain of boundary moves to the emptiest
-block of its region, or of the other region once its own is saturated.  When
-the length doubles or halves, the whole layout is rebuilt for the new length,
-which keeps every block within capacity at amortized cost.
+``2·n0``).  When the length doubles or halves, the whole layout is rebuilt
+for the new length, which keeps every block within capacity at amortized
+cost.  A rebuild spreads the elements evenly, sizes differing by at most one:
+after a doubling over every slot, so the slack absorbs the next ``n0``
+inserts, and otherwise over ``cur`` alone, which keeps edits in the low slots
+where a row of summary cells is shortest.  A block that overflows sheds one
+element along a chain of boundary moves to the nearest block with room.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
 from .charseq import CharSeq
@@ -150,8 +153,11 @@ class RangeModeEngine:
     # layout
     # ------------------------------------------------------------------
 
-    def _rebuild_layout(self, flat: list[int]) -> None:
-        """Pack the sequence ``flat`` into the cur region sized for its length."""
+    def _rebuild_layout(self, flat: list[int], spread: bool = False) -> None:
+        """Lay out ``flat`` evenly over the cur region sized for its length.
+
+        With ``spread`` the elements go evenly over every slot instead.
+        """
         n = len(flat)
         n0 = max(n, 1)
         # The length reaches 2·n0 before the next rebuild; a symbol's count
@@ -162,10 +168,13 @@ class RangeModeEngine:
             )
         regions = _build_regions(n0, self._config.alpha)
         cur, nxt = regions
-        cap = cur.capacity
-        if n > cur.slots * cap:
+        if n > cur.slots * cur.capacity:
             raise InvariantError("cur region cannot hold the sequence at reset")
-        blocks = [flat[k * cap : (k + 1) * cap] for k in range(nxt.end)]
+        used = nxt.end if spread else cur.slots
+        q, extra = divmod(n, used)
+        sizes = [q + (k < extra) for k in range(used)] + [0] * (nxt.end - used)
+        ends = list(accumulate(sizes, initial=0))
+        blocks = [flat[a:b] for a, b in zip(ends, ends[1:])]  # slices carry no spare capacity
         self._table = PairTable(blocks)  # first: if it raises, the old layout stands
         self._n0 = n0
         self._regions = regions
@@ -314,19 +323,20 @@ class RangeModeEngine:
     def _rebalance(self, j: int) -> None:
         """Shed the overflow of block ``j`` along boundary moves to a block with room.
 
-        The donor is the emptiest block of ``j``'s own region, else that of
-        the other region.  Every block but ``j`` is within capacity, so a
-        region has room exactly when its emptiest block is below capacity,
-        and that block is never ``j``.
+        The donor is the block nearest to ``j``, in either region, that is
+        below its region's capacity; of two at the same distance, the lower
+        slot.  The blocks in between each pass one element on, so their
+        sizes do not change.
         """
         cur, nxt = self._regions
-        sizes = self._sizes
-        for region in (cur, nxt) if j < cur.end else (nxt, cur):
-            k = sizes.argmin_size_in(region.start, region.end - 1)
-            if sizes.size_of(k) < region.capacity:
-                break
-        else:
+        sizes = self._sizes.to_list()
+        room = [
+            k for k, size in enumerate(sizes)
+            if size < (cur.capacity if k < cur.end else nxt.capacity)
+        ]
+        if not room:
             raise InvariantError(f"no donor block available for overflowing block {j}")
+        k = min(room, key=lambda slot: (abs(slot - j), slot))
         if k > j:
             for t in range(j, k):
                 self.move_right(t)
@@ -344,7 +354,7 @@ class RangeModeEngine:
         kind = "double" if n == 2 * self._n0 else "halve" if n == self._n0 // 2 else ""
         if kind:
             self.reset_events.append((kind, n))
-            self._rebuild_layout(self._seq.to_list())
+            self._rebuild_layout(self._seq.to_list(), kind == "double")
 
     # ------------------------------------------------------------------
     # audits

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from layout import lay_out
 
 import rangemodes.engine as engine_module
 from rangemodes import multiset
@@ -32,6 +33,18 @@ def ceil_root(num: int, den: int, p: int, q: int) -> int:
 
 def region_map(engine):
     return {r.name: r for r in engine.regions()}
+
+
+def packed_first(symbols):
+    """An engine holding ``symbols`` all in its first block."""
+    engine = RangeModeEngine(symbols)
+    slots = len(engine.block_sizes())
+    lay_out(engine, [len(engine)] + [0] * (slots - 1))
+    return engine
+
+
+def assert_even(sizes):
+    assert max(sizes) - min(sizes) <= 1, sizes
 
 
 class TestConfig:
@@ -70,7 +83,7 @@ class TestConstruction:
         assert cur.slots == ceil_root(9, 1, 1, 3) == 3
         assert cur.capacity == ceil_root(9, 1, 2, 3) == 5
         sizes = engine.block_sizes()
-        assert sizes[cur.start : cur.end] == [5, 4, 0]
+        assert sizes[cur.start : cur.end] == [3, 3, 3]
 
     def test_len(self):
         assert len(RangeModeEngine([1, 2])) == 2
@@ -280,8 +293,8 @@ class TestModes:
 
 class TestMoves:
     def make_engine(self):
-        # n0=3 layout: cur region holds [10,11,12] in its first block.
-        engine = RangeModeEngine([10, 11, 12])
+        # n0=3: the cur region has two blocks, and [10,11,12] fills the first.
+        engine = packed_first([10, 11, 12])
         cur = region_map(engine)["cur"]
         assert engine.block_sizes()[cur.start : cur.end] == [3, 0]
         return engine, cur
@@ -330,31 +343,104 @@ class TestMoves:
 class TestDonors:
     """Which block takes the overflow of a full block (alpha = 1/2).
 
-    At n0 = 46 or 49, ``cur`` is slots 0..6 with capacity 7 and ``next`` is
-    slots 7..16 with capacity 10.
+    At n0 = 46, 48 or 49, ``cur`` is slots 0..6 with capacity 7 and ``next``
+    is slots 7..16 with capacity 10.
     """
 
     HALF = Config(alpha=Fraction(1, 2), audit_mode=True)
 
-    def test_donor_is_the_emptiest_block_of_its_region(self):
-        engine = RangeModeEngine(range(46), self.HALF)
-        engine.delete(10)  # block 1 has room, but block 6 is emptier
-        assert engine.block_sizes() == [7, 6, 7, 7, 7, 7, 4] + [0] * 10
-        engine.insert(0, 99)
-        assert engine.block_sizes() == [7, 6, 7, 7, 7, 7, 5] + [0] * 10
-        assert engine.to_list() == [99, *range(10), *range(11, 46)]
+    def laid_out(self, sizes):
+        engine = RangeModeEngine(range(sum(sizes)), self.HALF)
+        lay_out(engine, sizes)
+        return engine
+
+    def test_donor_is_the_nearest_block_with_room(self):
+        engine = self.laid_out([7, 6, 7, 7, 7, 7, 4] + [0] * 10)
+        engine.insert(0, 99)  # block 1 is nearer than the emptier block 6
+        assert engine.block_sizes() == [7, 7, 7, 7, 7, 7, 4] + [0] * 10
+        assert engine.to_list() == [99, *range(45)]
         assert engine.audit().ok
 
-    def test_saturated_region_spills_to_the_lowest_emptiest_block(self):
-        engine = RangeModeEngine(range(49), self.HALF)
-        assert engine.block_sizes() == [7] * 7 + [0] * 10
+    def test_tie_goes_to_the_lower_slot(self):
+        engine = self.laid_out([7, 7, 6, 7, 5, 7, 7] + [0] * 10)
+        engine.insert(21, 99)  # block 3 overflows; blocks 2 and 4 are one slot away
+        assert engine.block_sizes() == [7, 7, 7, 7, 5, 7, 7] + [0] * 10
+        assert engine.to_list() == [*range(21), 99, *range(21, 46)]
+        assert engine.audit().ok
+
+    def test_nearer_next_block_beats_room_in_cur(self):
+        engine = self.laid_out([6] + [7] * 6 + [0] * 10)
+        engine.insert(48, 99)  # block 6 overflows; block 7 is nearer than block 0
+        assert engine.block_sizes() == [6] + [7] * 6 + [1] + [0] * 9
+        assert engine.to_list() == [*range(48), 99]
+        assert engine.audit().ok
+
+    def test_saturated_cur_spills_to_the_nearest_next_block(self):
+        engine = self.laid_out([7] * 7 + [0] * 10)
         engine.insert(0, 97)
         engine.insert(0, 98)
-        assert engine.block_sizes() == [7] * 7 + [1, 1] + [0] * 8
-        engine.move_right(8)  # next reads [1, 0, 1, 0, ...]
+        assert engine.block_sizes() == [7] * 7 + [2] + [0] * 9
+        engine.move_right(7)  # next reads [1, 1, 0, ...]
         engine.insert(0, 99)
-        assert engine.block_sizes() == [7] * 7 + [1, 1, 1] + [0] * 7
+        assert engine.block_sizes() == [7] * 7 + [2, 1] + [0] * 8
         assert engine.to_list() == [99, 98, 97, *range(49)]
+        assert engine.audit().ok
+
+    def test_no_room_anywhere_is_an_invariant_error(self):
+        engine = self.laid_out([7] * 7 + [0] * 10)
+        for slot in range(7, 17):
+            engine._sizes.adjust(slot, 10)  # mark next full, bypassing the blocks
+        with pytest.raises(InvariantError):
+            engine._rebalance(0)
+
+
+class TestFill:
+    """How a rebuild spreads the elements over the blocks."""
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)])
+    @pytest.mark.parametrize("n", [1, 9, 46, 100, 1000])
+    def test_construction_fills_cur_evenly(self, alpha, n):
+        engine = RangeModeEngine(range(n), Config(alpha=alpha))
+        cur, nxt = engine.regions()
+        sizes = engine.block_sizes()
+        assert_even(sizes[cur.start : cur.end])
+        assert sizes[nxt.start : nxt.end] == [0] * nxt.slots
+        assert engine.to_list() == list(range(n))
+
+    def test_halving_reset_fills_cur_evenly(self):
+        engine = RangeModeEngine(range(200), Config(audit_mode=True))
+        rng = random.Random(5)
+        while not engine.reset_events:
+            engine.delete(rng.randrange(len(engine)))
+        assert engine.reset_events == [("halve", 100)]
+        cur, nxt = engine.regions()
+        sizes = engine.block_sizes()
+        assert_even(sizes[cur.start : cur.end])
+        assert sizes[nxt.start : nxt.end] == [0] * nxt.slots
+
+    def test_doubling_reset_fills_every_slot_evenly(self):
+        engine = RangeModeEngine(range(100), Config(audit_mode=True))
+        rng = random.Random(6)
+        while not engine.reset_events:
+            engine.insert(rng.randint(0, len(engine)), 100 + len(engine))
+        assert engine.reset_events == [("double", 200)]
+        assert_even(engine.block_sizes())
+
+    def test_inserts_after_a_doubling_make_no_boundary_move(self, monkeypatch):
+        engine = RangeModeEngine(range(512), Config(audit_mode=True))
+        rng = random.Random(7)
+        while not engine.reset_events:
+            engine.insert(rng.randint(0, len(engine)), rng.randrange(26))
+        assert engine.n0 == 1024
+        moves = []
+        for name in ("move_left", "move_right"):
+            move = getattr(RangeModeEngine, name)
+            monkeypatch.setattr(
+                RangeModeEngine, name, lambda self, i, move=move: moves.append(i) or move(self, i)
+            )
+        for _ in range(engine.n0 // 2):
+            engine.insert(rng.randint(0, len(engine)), rng.randrange(26))
+        assert moves == []
         assert engine.audit().ok
 
 
@@ -436,7 +522,7 @@ class TestAudit:
         assert not engine.audit().ok
 
     def test_detects_block_list_disagreeing_with_its_size(self):
-        engine = RangeModeEngine([1, 2, 3])
+        engine = packed_first([1, 2, 3])
         blocks = engine._seq.blocks
         blocks[1].append(blocks[0].pop())  # same total, sizes no longer match
         report = engine.audit()

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from layout import lay_out
 from rangemodes import CharSeq, Config, NaiveSeq, PairTable, RangeModeEngine
 
 HALF = Config(alpha=Fraction(1, 2))
@@ -22,22 +23,6 @@ HALF = Config(alpha=Fraction(1, 2))
 # block 7 = [0, 10), 8 = [10, 20), 9 empty, 10 = [20, 30), 11 = [30, 40),
 # 12 = [40, 48).
 SIZES = [0] * 7 + [10, 10, 0, 10, 10, 8] + [0] * 4
-
-
-def lay_out(engine, sizes):
-    """Move block boundaries until the block sizes equal ``sizes``."""
-    assert sum(sizes) == len(engine) and len(sizes) == len(engine.block_sizes())
-    want = 0
-    for k in range(len(sizes) - 1):
-        want += sizes[k]
-        while sum(engine.block_sizes()[: k + 1]) > want:
-            engine.move_right(k)
-        while sum(engine.block_sizes()[: k + 1]) < want:
-            # Walk the first element of the next nonempty block left to block k.
-            m = next(i for i, size in enumerate(engine.block_sizes()) if i > k and size)
-            for i in range(m, k, -1):
-                engine.move_left(i)
-    assert engine.block_sizes() == sizes
 
 
 def laid_out(symbols, sizes=SIZES):

@@ -2,8 +2,8 @@
 
 The package provides the block-decomposed engine (:class:`RangeModeEngine`),
 its building blocks (:class:`CharSeq`, the symbols as one list per block,
-located through their :class:`BlockSizeIndex`; :class:`CountedSet`;
-:class:`PairTable`), a naive oracle for differential
+located through their :class:`BlockSizeIndex`; :class:`PairTable` and
+its cell snapshots, :class:`CountedSet`), a naive oracle for differential
 testing (:class:`NaiveSeq`), and a set-intersection application
 (:class:`SetFamily`).  See the ``rangemodes`` CLI for traces, fuzzing, and
 benchmarks.
@@ -11,9 +11,9 @@ benchmarks.
 
 from .blockindex import BlockSizeIndex
 from .charseq import CharSeq
-from .engine import AuditReport, Config, RangeModeEngine, Region
-from .errors import AuditError, InvariantError, StaleCursorError
-from .multiset import CountedSet, PairTable, RankedCursor
+from .engine import AuditReport, Config, RangeModeEngine
+from .errors import AuditError, InvariantError
+from .multiset import CountedSet, PairTable
 from .oracle import NaiveSeq
 from .results import ModesResult
 from .setintersect import SetFamily
@@ -32,9 +32,6 @@ __all__ = [
     "NaiveSeq",
     "PairTable",
     "RangeModeEngine",
-    "RankedCursor",
-    "Region",
     "SetFamily",
-    "StaleCursorError",
     "__version__",
 ]

@@ -21,15 +21,17 @@ their boundaries from its :class:`BlockSizeIndex`; an insert joins the block
 that ``CharSeq`` names for it, so the sequence and the summary cells always
 agree on where an element lives.
 
-Blocks are grouped into two regions sized for the reference length ``n0`` of
-the last rebuild: ``cur`` (sized for ``n0``) followed by ``next`` (sized for
-``2·n0``).  When the length doubles or halves, the whole layout is rebuilt
-for the new length, which keeps every block within capacity at amortized
-cost.  A rebuild spreads the elements evenly, sizes differing by at most one:
-after a doubling over every slot, so the slack absorbs the next ``n0``
-inserts, and otherwise over ``cur`` alone, which keeps edits in the low slots
-where a row of summary cells is shortest.  A block that overflows sheds one
-element along a chain of boundary moves to the nearest block with room.
+The layout is sized for the reference length ``n0`` of the last rebuild:
+``ceil(n0^alpha) + ceil((2·n0)^alpha)`` block slots, each holding at most
+``ceil((2·n0)^(1-alpha))`` elements.  When the length doubles or halves,
+the whole layout is rebuilt for the new length, so the length N stays
+between n0/2 and 2·n0, L = Θ(N^alpha) and the capacity is Θ(N^(1-alpha)),
+at amortized cost.  A rebuild spreads the elements evenly,
+sizes differing by at most one: after a doubling over every slot, so the
+slack absorbs the next ``n0`` inserts, and otherwise over the first
+``ceil(n0^alpha)`` slots, which keeps edits in the low slots where a row of
+summary cells is shortest.  A block that overflows sheds one element along
+a chain of boundary moves to the nearest block with room.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ class Config:
 
     ``alpha`` controls the block-count exponent (L = Θ(N^alpha)); it must be
     a rational strictly between 0 and 1 with a small denominator so layout
-    arithmetic stays exact.  ``audit_mode`` checks every block against its
-    region's capacity after each edit.
+    arithmetic stays exact.  ``audit_mode`` checks every block against the
+    block capacity after each edit.
     """
 
     alpha: Fraction = Fraction(1, 3)
@@ -103,21 +105,6 @@ class Config:
 
 
 @dataclass(frozen=True)
-class Region:
-    """A contiguous run of block slots sharing one capacity."""
-
-    name: str
-    start: int
-    slots: int
-    capacity: int
-
-    @property
-    def end(self) -> int:
-        """One past the last slot."""
-        return self.start + self.slots
-
-
-@dataclass(frozen=True)
 class AuditReport:
     """Outcome of a full structural audit."""
 
@@ -125,12 +112,10 @@ class AuditReport:
     message: str = "ok"
 
 
-def _build_regions(n0: int, alpha: Fraction) -> tuple[Region, Region]:
-    """The ``cur`` region sized for ``n0``, then ``next`` sized for ``2·n0``."""
-    cur = Region("cur", 0, _ceil_power(n0, alpha), _ceil_power(n0, 1 - alpha))
-    n1 = 2 * n0
-    nxt = Region("next", cur.end, _ceil_power(n1, alpha), _ceil_power(n1, 1 - alpha))
-    return cur, nxt
+def _layout(n0: int, alpha: Fraction) -> tuple[int, int, int]:
+    """Slot count, slots a rebuild fills, and block capacity for length ``n0``."""
+    filled = _ceil_power(n0, alpha)
+    return filled + _ceil_power(2 * n0, alpha), filled, _ceil_power(2 * n0, 1 - alpha)
 
 
 class RangeModeEngine:
@@ -154,9 +139,9 @@ class RangeModeEngine:
     # ------------------------------------------------------------------
 
     def _rebuild_layout(self, flat: list[int], spread: bool = False) -> None:
-        """Lay out ``flat`` evenly over the cur region sized for its length.
+        """Lay out ``flat`` evenly over the first slots of a layout sized for its length.
 
-        With ``spread`` the elements go evenly over every slot instead.
+        Those are ``ceil(n0^alpha)`` slots, or with ``spread`` every slot.
         """
         n = len(flat)
         n0 = max(n, 1)
@@ -166,18 +151,17 @@ class RangeModeEngine:
             raise ValueError(
                 f"length {n} is too long: summary counts up to {2 * n0} exceed {MAX_COUNT}"
             )
-        regions = _build_regions(n0, self._config.alpha)
-        cur, nxt = regions
-        if n > cur.slots * cur.capacity:
-            raise InvariantError("cur region cannot hold the sequence at reset")
-        used = nxt.end if spread else cur.slots
+        slots, filled, capacity = _layout(n0, self._config.alpha)
+        used = slots if spread else filled
+        if n > used * capacity:
+            raise InvariantError("the layout cannot hold the sequence at reset")
         q, extra = divmod(n, used)
-        sizes = [q + (k < extra) for k in range(used)] + [0] * (nxt.end - used)
+        sizes = [q + (k < extra) for k in range(used)] + [0] * (slots - used)
         ends = list(accumulate(sizes, initial=0))
         blocks = [flat[a:b] for a, b in zip(ends, ends[1:])]  # slices carry no spare capacity
         self._table = PairTable(blocks)  # first: if it raises, the old layout stands
         self._n0 = n0
-        self._regions = regions
+        self._capacity = capacity
         self._seq = CharSeq(blocks)
         self._sizes = self._seq.sizes  # the block boundaries, read by the engine
 
@@ -195,6 +179,11 @@ class RangeModeEngine:
         return self._n0
 
     @property
+    def capacity(self) -> int:
+        """Most elements a block may hold until the next rebuild."""
+        return self._capacity
+
+    @property
     def sigma_prime(self) -> int:
         """Number of distinct symbols currently present."""
         return self._table.sigma_prime
@@ -203,12 +192,8 @@ class RangeModeEngine:
         return len(self._seq)
 
     def block_sizes(self) -> list[int]:
-        """Snapshot of the block-length array (all regions)."""
+        """Snapshot of the block-length array, one entry per slot."""
         return self._sizes.to_list()
-
-    def regions(self) -> tuple[Region, ...]:
-        """The ``cur`` and ``next`` regions, left to right."""
-        return self._regions
 
     def to_list(self) -> list[int]:
         """Flattened sequence contents."""
@@ -223,14 +208,13 @@ class RangeModeEngine:
         if n + 1 == 2 * self._n0:
             # This insert rebuilds the layout: refuse it now if the new table
             # cannot fit, one column spare for a new symbol.
-            slots = _build_regions(n + 1, self._config.alpha)[1].end
+            slots = _layout(n + 1, self._config.alpha)[0]
             check_table_fits(slots, self._table.sigma_prime + 1)
         # The table first: a new symbol may widen it, which can fail for lack
         # of memory before anything has changed.
         self._table.apply_point(j, symbol, 1)
         self._seq.insert_at(pos, symbol)
-        cur, nxt = self._regions
-        if self._sizes.size_of(j) > (cur if j < cur.end else nxt).capacity:
+        if self._sizes.size_of(j) > self._capacity:
             self._rebalance(j)
         self._reset_check()
         if self._config.audit_mode:
@@ -323,17 +307,12 @@ class RangeModeEngine:
     def _rebalance(self, j: int) -> None:
         """Shed the overflow of block ``j`` along boundary moves to a block with room.
 
-        The donor is the block nearest to ``j``, in either region, that is
-        below its region's capacity; of two at the same distance, the lower
-        slot.  The blocks in between each pass one element on, so their
-        sizes do not change.
+        The donor is the block nearest to ``j`` that is below capacity; of
+        two at the same distance, the lower slot.  The blocks in between each
+        pass one element on, so their sizes do not change.
         """
-        cur, nxt = self._regions
-        sizes = self._sizes.to_list()
-        room = [
-            k for k, size in enumerate(sizes)
-            if size < (cur.capacity if k < cur.end else nxt.capacity)
-        ]
+        cap = self._capacity
+        room = [k for k, size in enumerate(self._sizes.to_list()) if size < cap]
         if not room:
             raise InvariantError(f"no donor block available for overflowing block {j}")
         k = min(room, key=lambda slot: (abs(slot - j), slot))
@@ -361,25 +340,20 @@ class RangeModeEngine:
     # ------------------------------------------------------------------
 
     def _check_capacities(self) -> None:
-        """Raise :class:`AuditError` for a block outside ``[0, capacity]`` of its region."""
-        sizes = self._sizes.to_list()
-        for region in self._regions:
-            cap = region.capacity
-            for slot in range(region.start, region.end):
-                if not 0 <= sizes[slot] <= cap:
-                    raise AuditError(
-                        f"block {slot} holds {sizes[slot]}, outside [0, {cap}] "
-                        f"of region {region.name}"
-                    )
+        """Raise :class:`AuditError` for a block outside ``[0, capacity]``."""
+        cap = self._capacity
+        for slot, size in enumerate(self._sizes.to_list()):
+            if not 0 <= size <= cap:
+                raise AuditError(f"block {slot} holds {size}, outside [0, {cap}]")
 
     def audit(self) -> AuditReport:
         """Recompute every invariant from scratch; report the first violation."""
         blocks = self._seq.blocks
         flat = self._seq.to_list()
         sizes = self._sizes.to_list()
-        slots = self._regions[1].end
+        slots, _, capacity = _layout(self._n0, self._config.alpha)
         if len(sizes) != slots or len(blocks) != slots:
-            return AuditReport(False, "slot count does not match the region layout")
+            return AuditReport(False, "slot count does not match the layout")
         if sum(sizes) != len(flat):
             return AuditReport(
                 False,
@@ -390,8 +364,8 @@ class RangeModeEngine:
                 return AuditReport(
                     False, f"block {slot} holds {len(block)} symbols but its size is {sizes[slot]}"
                 )
-        if _build_regions(self._n0, self._config.alpha) != self._regions:
-            return AuditReport(False, "region layout drifted from the formulas")
+        if self._capacity != capacity:
+            return AuditReport(False, "block capacity drifted from the formula")
         try:
             self._check_capacities()
         except AuditError as exc:
@@ -402,7 +376,7 @@ class RangeModeEngine:
             for r in range(l, slots):
                 for symbol in blocks[r]:
                     running[symbol] = running.get(symbol, 0) + 1
-                if not self._table.cell(l, r).matches_counts(running):
+                if self._table.cell(l, r) != running:
                     return AuditReport(
                         False, f"summary cell ({l}, {r}) disagrees with a recount"
                     )

@@ -13,6 +13,3 @@ class InvariantError(Exception):
 class AuditError(Exception):
     """A structural audit found a discrepancy between components."""
 
-
-class StaleCursorError(Exception):
-    """A ranked-view cursor was used after the underlying set mutated."""

@@ -1,4 +1,4 @@
-"""Counted symbol multisets and the dense table of block-range summaries.
+"""The dense table of block-range summaries and its cell snapshots.
 
 A ``PairTable`` holds the symbol counts of every block range (l, r) with
 l ≤ r in one flat vector of 32-bit counts.  Each symbol present owns a
@@ -24,12 +24,8 @@ it is 0, before any cell changes, so a run add can never borrow from a
 neighbouring field.  A field holds counts up to ``MAX_COUNT``; the engine
 rejects a layout whose counts could exceed it.
 
-A ``CountedSet`` is a multiset with two mirrored views: a symbol→count map
-for O(1) multiplicity lookups and a ranked list ordered by
-``(count, symbol)`` for iteration from the most frequent entry downward.
-The ranked view is a bisect-maintained sorted list of single integers
-encoding ``count << 64 | symbol``, numerically ordered exactly like the
-pairs.  ``PairTable.cell`` returns one as a snapshot of a summary cell.
+``PairTable.cell`` returns a summary cell as a :class:`CountedSet`, a
+symbol→count snapshot that ``audit()`` compares with a recount.
 Symbol ids must fit in 64 bits.
 """
 
@@ -38,22 +34,18 @@ from __future__ import annotations
 import os
 import sys
 from array import array
-from bisect import bisect_left, insort
 from collections import Counter
 from itertools import accumulate
+from typing import Iterator
 
-from .errors import InvariantError, StaleCursorError
+from .errors import InvariantError
 
 try:
     import resource
 except ImportError:  # not on every platform
     resource = None
 
-_SYM_BITS = 64
-_ONE = 1 << _SYM_BITS
-_MASK = _ONE - 1
-
-MAX_SYMBOL = _MASK
+MAX_SYMBOL = (1 << 64) - 1
 
 _FIELD_BITS = 32
 _FIELD_BYTES = _FIELD_BITS // 8
@@ -98,115 +90,30 @@ def _zeros(n: int) -> memoryview:
     return memoryview(array("I", bytes(_FIELD_BYTES)) * n)
 
 
-class RankedCursor:
-    """Iteration state over a ``CountedSet``'s ranked view.
-
-    Valid only while the owning set is unmodified; any mutation invalidates
-    the cursor and the next use raises :class:`StaleCursorError`.
-    """
-
-    __slots__ = ("_version", "_idx")
-
-    def __init__(self, version: int, idx: int) -> None:
-        self._version = version
-        self._idx = idx
-
-
-class CountedSet:
-    """Multiset of symbols with a frequency-ordered view.
+class CountedSet(dict):
+    """Snapshot of a summary cell: each symbol present mapped to its count.
 
     Ranked order is decreasing ``(count, symbol)`` lexicographic: higher
     counts first, ties broken toward the higher symbol id.
     """
 
-    __slots__ = ("_counts", "_ranked", "_version")
-
-    def __init__(self) -> None:
-        self._counts: dict[int, int] = {}
-        self._ranked: list[int] = []
-        self._version = 0
-
-    @classmethod
-    def _from_counts(cls, counts: dict[int, int]) -> "CountedSet":
-        # Internal fast path for bulk construction; counts must be positive.
-        self = cls.__new__(cls)
-        self._counts = counts
-        self._ranked = sorted((c << _SYM_BITS) | s for s, c in counts.items())
-        self._version = 0
-        return self
-
-    def __len__(self) -> int:
-        """Number of distinct symbols present."""
-        return len(self._counts)
-
-    def increment(self, symbol: int) -> None:
-        """Raise the multiplicity of ``symbol`` by one."""
-        ranked = self._ranked
-        old = self._counts.get(symbol, 0)
-        self._counts[symbol] = old + 1
-        key = (old << _SYM_BITS) | symbol
-        if old:
-            del ranked[bisect_left(ranked, key)]
-        insort(ranked, key + _ONE)
-        self._version += 1
-
-    def decrement(self, symbol: int) -> None:
-        """Lower the multiplicity of ``symbol`` by one; it must be present."""
-        counts = self._counts
-        old = counts.get(symbol, 0)
-        if old == 0:
-            raise InvariantError(f"decrement of absent symbol {symbol}")
-        ranked = self._ranked
-        key = (old << _SYM_BITS) | symbol
-        del ranked[bisect_left(ranked, key)]
-        if old == 1:
-            del counts[symbol]
-        else:
-            counts[symbol] = old - 1
-            insort(ranked, key - _ONE)
-        self._version += 1
+    __slots__ = ()
 
     def count_of(self, symbol: int) -> int:
-        """Current multiplicity of ``symbol`` (0 if absent)."""
-        return self._counts.get(symbol, 0)
+        """Multiplicity of ``symbol`` (0 if absent)."""
+        return self.get(symbol, 0)
 
     def max_entry(self) -> tuple[int, int] | None:
         """The ranked-first ``(count, symbol)`` pair, or None when empty."""
-        ranked = self._ranked
-        if not ranked:
-            return None
-        key = ranked[-1]
-        return key >> _SYM_BITS, key & _MASK
+        return max(((c, s) for s, c in self.items()), default=None)
 
-    def cursor(self) -> RankedCursor:
-        """Cursor positioned before the ranked-first entry."""
-        return RankedCursor(self._version, len(self._ranked))
+    def cursor(self) -> Iterator[tuple[int, int]]:
+        """Iterator over the ``(count, symbol)`` pairs in ranked order."""
+        return iter(sorted(((c, s) for s, c in self.items()), reverse=True))
 
-    def next_entry(self, cursor: RankedCursor) -> tuple[int, int] | None:
-        """Advance ``cursor`` and return the next ranked pair, or None at the end."""
-        if cursor._version != self._version:
-            raise StaleCursorError("set mutated since this cursor was issued")
-        cursor._idx -= 1
-        idx = cursor._idx
-        if idx < 0:
-            return None
-        key = self._ranked[idx]
-        return key >> _SYM_BITS, key & _MASK
-
-    def items(self) -> list[tuple[int, int]]:
-        """Snapshot of (symbol, count) pairs in unspecified order."""
-        return list(self._counts.items())
-
-    def ranked_pairs(self) -> list[tuple[int, int]]:
-        """Snapshot of the ranked view as (count, symbol), most frequent first."""
-        return [(key >> _SYM_BITS, key & _MASK) for key in reversed(self._ranked)]
-
-    def matches_counts(self, counts: dict[int, int]) -> bool:
-        """Whether both views exactly mirror the given positive-count map."""
-        if self._counts != counts:
-            return False
-        expected = sorted((c << _SYM_BITS) | s for s, c in counts.items())
-        return self._ranked == expected
+    def next_entry(self, cursor: Iterator[tuple[int, int]]) -> tuple[int, int] | None:
+        """The next ranked pair of ``cursor``, or None at the end."""
+        return next(cursor, None)
 
 
 class PairTable:
@@ -270,7 +177,7 @@ class PairTable:
         start = self._index(l, r)
         symbol = self._symbol
         counts = self._counts[start : start + len(symbol)].tolist()
-        return CountedSet._from_counts({symbol[k]: c for k, c in enumerate(counts) if c})
+        return CountedSet({symbol[k]: c for k, c in enumerate(counts) if c})
 
     def modes(
         self, l: int, r: int, margin: Counter[int], minus: Counter[int] | None = None

@@ -31,8 +31,21 @@ def ceil_root(num: int, den: int, p: int, q: int) -> int:
     return k
 
 
-def region_map(engine):
-    return {r.name: r for r in engine.regions()}
+def filled_slots(engine):
+    """How many slots a rebuild fills at construction and after a halving."""
+    alpha = engine.config.alpha
+    return ceil_root(engine.n0, 1, alpha.numerator, alpha.denominator)
+
+
+def count_moves(monkeypatch):
+    """Record the source block of every boundary move from now on."""
+    moves = []
+    for name in ("move_left", "move_right"):
+        move = getattr(RangeModeEngine, name)
+        monkeypatch.setattr(
+            RangeModeEngine, name, lambda self, i, move=move: moves.append(i) or move(self, i)
+        )
+    return moves
 
 
 def packed_first(symbols):
@@ -79,33 +92,23 @@ class TestConstruction:
 
     def test_nine_elements_layout(self):
         engine = RangeModeEngine([4] * 9)
-        cur = region_map(engine)["cur"]
-        assert cur.slots == ceil_root(9, 1, 1, 3) == 3
-        assert cur.capacity == ceil_root(9, 1, 2, 3) == 5
-        sizes = engine.block_sizes()
-        assert sizes[cur.start : cur.end] == [3, 3, 3]
+        assert filled_slots(engine) == ceil_root(9, 1, 1, 3) == 3
+        assert engine.capacity == ceil_root(18, 1, 2, 3) == 7
+        assert engine.block_sizes() == [3, 3, 3] + [0] * ceil_root(18, 1, 1, 3)
 
     def test_len(self):
         assert len(RangeModeEngine([1, 2])) == 2
 
-    def test_region_formulas(self):
-        engine = RangeModeEngine(range(64))
-        n0 = engine.n0
-        assert n0 == 64
-        regions = region_map(engine)
-        for name, k in [("cur", 1), ("next", 2)]:
-            assert regions[name].slots == ceil_root(n0 * k, 1, 1, 3), name
-            assert regions[name].capacity == ceil_root(n0 * k, 1, 2, 3), name
-
-    def test_layout_is_cur_then_next(self):
-        engine = RangeModeEngine(range(10))
-        regions = engine.regions()
-        assert [r.name for r in regions] == ["cur", "next"]
-        start = 0
-        for region in regions:
-            assert region.start == start, region.name
-            start = region.end
-        assert len(engine.block_sizes()) == start
+    @pytest.mark.parametrize("n0", [9, 64, 1000])
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)], ids=str)
+    def test_layout_formulas(self, alpha, n0):
+        engine = RangeModeEngine(range(n0), Config(alpha=alpha))
+        assert engine.n0 == n0
+        p, q = alpha.numerator, alpha.denominator
+        assert engine.capacity == ceil_root(2 * n0, 1, q - p, q)
+        slots = ceil_root(n0, 1, p, q) + ceil_root(2 * n0, 1, p, q)
+        assert len(engine.block_sizes()) == slots
+        assert engine.audit().ok
 
     def test_symbol_validation(self):
         with pytest.raises(ValueError):
@@ -245,14 +248,12 @@ class TestModes:
         assert engine.modes(0, 0) == ModesResult(1, (9,))
 
     def test_mode_inside_blocks_margin_empty(self):
-        # Layout at n0=5 packs the cur region as [b,a,a | a,b]; the full-range
+        # Layout at n0=5 fills two slots as [b,a,a | a,b]; the full-range
         # query has no margin, so the answer must come from the summary's top
         # entry (the step the uncorrected scan-only computation would miss).
         b, a = 1, 0
         engine = RangeModeEngine([b, a, a, a, b])
-        cur = region_map(engine)["cur"]
-        sizes = engine.block_sizes()
-        assert sizes[cur.start : cur.end] == [3, 2]
+        assert engine.block_sizes()[:2] == [3, 2]
         assert engine.modes(0, 4) == ModesResult(3, (a,))
 
     def test_mode_inside_blocks_with_margin(self):
@@ -293,46 +294,44 @@ class TestModes:
 
 class TestMoves:
     def make_engine(self):
-        # n0=3: the cur region has two blocks, and [10,11,12] fills the first.
+        # n0=3: [10,11,12] all in the first block, the rest empty.
         engine = packed_first([10, 11, 12])
-        cur = region_map(engine)["cur"]
-        assert engine.block_sizes()[cur.start : cur.end] == [3, 0]
-        return engine, cur
+        assert engine.block_sizes()[:2] == [3, 0]
+        return engine
 
     def test_move_right_then_left_is_identity(self):
-        engine, cur = self.make_engine()
+        engine = self.make_engine()
         before = engine.block_sizes()
-        engine.move_right(cur.start)
-        sizes = engine.block_sizes()
-        assert sizes[cur.start : cur.end] == [2, 1]
+        engine.move_right(0)
+        assert engine.block_sizes()[:2] == [2, 1]
         assert engine.to_list() == [10, 11, 12]
-        engine.move_left(cur.start + 1)
+        engine.move_left(1)
         assert engine.block_sizes() == before
         assert engine.audit().ok
 
     def test_move_updates_summary_cells(self):
-        engine, cur = self.make_engine()
-        engine.move_right(cur.start)
+        engine = self.make_engine()
+        engine.move_right(0)
         table = engine._table
-        assert dict(table.cell(cur.start, cur.start).items()) == {10: 1, 11: 1}
-        assert dict(table.cell(cur.start + 1, cur.start + 1).items()) == {12: 1}
+        assert table.cell(0, 0) == {10: 1, 11: 1}
+        assert table.cell(1, 1) == {12: 1}
 
     def test_move_left_appends_to_previous(self):
-        engine, cur = self.make_engine()
-        engine.move_right(cur.start)  # blocks [10,11] [12]
-        engine.move_left(cur.start + 1)  # first of right block joins the left
-        assert engine.block_sizes()[cur.start : cur.end] == [3, 0]
+        engine = self.make_engine()
+        engine.move_right(0)  # blocks [10,11] [12]
+        engine.move_left(1)  # first of right block joins the left
+        assert engine.block_sizes()[:2] == [3, 0]
         assert engine.to_list() == [10, 11, 12]
 
     def test_move_from_empty_block(self):
-        engine, cur = self.make_engine()
+        engine = self.make_engine()
         with pytest.raises(InvariantError):
-            engine.move_right(cur.start + 1)
+            engine.move_right(1)
         with pytest.raises(InvariantError):
-            engine.move_left(cur.end)
+            engine.move_left(2)
 
     def test_move_bounds(self):
-        engine, _ = self.make_engine()
+        engine = self.make_engine()
         slots = len(engine.block_sizes())
         with pytest.raises(IndexError):
             engine.move_left(0)
@@ -343,68 +342,100 @@ class TestMoves:
 class TestDonors:
     """Which block takes the overflow of a full block (alpha = 1/2).
 
-    At n0 = 46, 48 or 49, ``cur`` is slots 0..6 with capacity 7 and ``next``
-    is slots 7..16 with capacity 10.
+    At n0 = 46 there are 17 slots, each of capacity 10; a rebuild fills
+    slots 0..6.  The sequence grows past n0 before the blocks are laid out,
+    so that slots 0..6 can all be full.
     """
 
     HALF = Config(alpha=Fraction(1, 2), audit_mode=True)
 
     def laid_out(self, sizes):
-        engine = RangeModeEngine(range(sum(sizes)), self.HALF)
+        engine = RangeModeEngine(range(46), self.HALF)
+        for k in range(46, sum(sizes)):
+            engine.insert(k, k)
+        assert engine.n0 == 46 and engine.capacity == 10
         lay_out(engine, sizes)
         return engine
 
     def test_donor_is_the_nearest_block_with_room(self):
-        engine = self.laid_out([7, 6, 7, 7, 7, 7, 4] + [0] * 10)
+        engine = self.laid_out([10, 9, 10, 10, 10, 10, 4] + [0] * 10)
         engine.insert(0, 99)  # block 1 is nearer than the emptier block 6
-        assert engine.block_sizes() == [7, 7, 7, 7, 7, 7, 4] + [0] * 10
-        assert engine.to_list() == [99, *range(45)]
+        assert engine.block_sizes() == [10] * 6 + [4] + [0] * 10
+        assert engine.to_list() == [99, *range(63)]
         assert engine.audit().ok
 
     def test_tie_goes_to_the_lower_slot(self):
-        engine = self.laid_out([7, 7, 6, 7, 5, 7, 7] + [0] * 10)
-        engine.insert(21, 99)  # block 3 overflows; blocks 2 and 4 are one slot away
-        assert engine.block_sizes() == [7, 7, 7, 7, 5, 7, 7] + [0] * 10
-        assert engine.to_list() == [*range(21), 99, *range(21, 46)]
+        engine = self.laid_out([10, 10, 9, 10, 8, 10, 10] + [0] * 10)
+        engine.insert(30, 99)  # block 3 overflows; blocks 2 and 4 are one slot away
+        assert engine.block_sizes() == [10, 10, 10, 10, 8, 10, 10] + [0] * 10
+        assert engine.to_list() == [*range(30), 99, *range(30, 67)]
         assert engine.audit().ok
 
     def test_nearer_next_block_beats_room_in_cur(self):
-        engine = self.laid_out([6] + [7] * 6 + [0] * 10)
-        engine.insert(48, 99)  # block 6 overflows; block 7 is nearer than block 0
-        assert engine.block_sizes() == [6] + [7] * 6 + [1] + [0] * 9
-        assert engine.to_list() == [*range(48), 99]
+        engine = self.laid_out([9] + [10] * 6 + [0] * 10)
+        engine.insert(69, 99)  # block 6 overflows; block 7 is nearer than block 0
+        assert engine.block_sizes() == [9] + [10] * 6 + [1] + [0] * 9
+        assert engine.to_list() == [*range(69), 99]
         assert engine.audit().ok
 
     def test_saturated_cur_spills_to_the_nearest_next_block(self):
-        engine = self.laid_out([7] * 7 + [0] * 10)
+        engine = self.laid_out([10] * 7 + [0] * 10)
         engine.insert(0, 97)
         engine.insert(0, 98)
-        assert engine.block_sizes() == [7] * 7 + [2] + [0] * 9
-        engine.move_right(7)  # next reads [1, 1, 0, ...]
+        assert engine.block_sizes() == [10] * 7 + [2] + [0] * 9
+        engine.move_right(7)  # slots 7.. read [1, 1, 0, ...]
         engine.insert(0, 99)
-        assert engine.block_sizes() == [7] * 7 + [2, 1] + [0] * 8
-        assert engine.to_list() == [99, 98, 97, *range(49)]
+        assert engine.block_sizes() == [10] * 7 + [2, 1] + [0] * 8
+        assert engine.to_list() == [99, 98, 97, *range(70)]
         assert engine.audit().ok
 
     def test_no_room_anywhere_is_an_invariant_error(self):
-        engine = self.laid_out([7] * 7 + [0] * 10)
+        engine = self.laid_out([10] * 7 + [0] * 10)
         for slot in range(7, 17):
-            engine._sizes.adjust(slot, 10)  # mark next full, bypassing the blocks
+            engine._sizes.adjust(slot, 10)  # mark every slot full, bypassing the blocks
         with pytest.raises(InvariantError):
             engine._rebalance(0)
 
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)], ids=str)
+    def test_filled_blocks_take_inserts_up_to_capacity(self, alpha, monkeypatch):
+        engine = RangeModeEngine([0] * 1000, Config(alpha=alpha))
+        filled, cap = filled_slots(engine), engine.capacity
+        assert filled * cap < 2 * engine.n0 - 1  # no doubling on the way
+        moves = count_moves(monkeypatch)
+        rng = random.Random(8)
+        for k in range(filled):
+            while (size := engine.block_sizes()[k]) < cap:
+                # Position 0 joins block 0; just past the first element of a
+                # nonempty block k joins block k.
+                pos = 0 if k == 0 else sum(engine.block_sizes()[:k]) + 1
+                engine.insert(pos, rng.randrange(26))
+                assert engine.block_sizes()[k] == size + 1
+        assert moves == []
+        sizes = engine.block_sizes()
+        assert sizes[:filled] == [cap] * filled and not any(sizes[filled:])
+        # Every filled block is full: the next insert sheds to the first
+        # empty slot, one move per block in between.
+        engine.insert(1, 99)
+        assert moves == list(range(filled))
+        assert engine.block_sizes() == [cap] * filled + [1] + [0] * (len(sizes) - filled - 1)
+        assert engine.audit().ok
+
 
 class TestFill:
-    """How a rebuild spreads the elements over the blocks."""
+    """How a rebuild spreads the elements over the blocks.
+
+    ``cur`` in a test name means the slots a rebuild fills at construction
+    and after a halving.
+    """
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)])
     @pytest.mark.parametrize("n", [1, 9, 46, 100, 1000])
     def test_construction_fills_cur_evenly(self, alpha, n):
         engine = RangeModeEngine(range(n), Config(alpha=alpha))
-        cur, nxt = engine.regions()
+        filled = filled_slots(engine)
         sizes = engine.block_sizes()
-        assert_even(sizes[cur.start : cur.end])
-        assert sizes[nxt.start : nxt.end] == [0] * nxt.slots
+        assert_even(sizes[:filled])
+        assert not any(sizes[filled:])
         assert engine.to_list() == list(range(n))
 
     def test_halving_reset_fills_cur_evenly(self):
@@ -413,10 +444,10 @@ class TestFill:
         while not engine.reset_events:
             engine.delete(rng.randrange(len(engine)))
         assert engine.reset_events == [("halve", 100)]
-        cur, nxt = engine.regions()
+        filled = filled_slots(engine)
         sizes = engine.block_sizes()
-        assert_even(sizes[cur.start : cur.end])
-        assert sizes[nxt.start : nxt.end] == [0] * nxt.slots
+        assert_even(sizes[:filled])
+        assert not any(sizes[filled:])
 
     def test_doubling_reset_fills_every_slot_evenly(self):
         engine = RangeModeEngine(range(100), Config(audit_mode=True))
@@ -432,12 +463,7 @@ class TestFill:
         while not engine.reset_events:
             engine.insert(rng.randint(0, len(engine)), rng.randrange(26))
         assert engine.n0 == 1024
-        moves = []
-        for name in ("move_left", "move_right"):
-            move = getattr(RangeModeEngine, name)
-            monkeypatch.setattr(
-                RangeModeEngine, name, lambda self, i, move=move: moves.append(i) or move(self, i)
-            )
+        moves = count_moves(monkeypatch)
         for _ in range(engine.n0 // 2):
             engine.insert(rng.randint(0, len(engine)), rng.randrange(26))
         assert moves == []
@@ -531,8 +557,7 @@ class TestAudit:
 
     def test_capacity_checked_in_audit_mode(self):
         engine = RangeModeEngine([1, 2, 3], Config(audit_mode=True))
-        cur = region_map(engine)["cur"]
-        engine._sizes.adjust(cur.end - 1, cur.capacity + 1)
+        engine._sizes.adjust(len(engine.block_sizes()) - 1, engine.capacity + 1)
         with pytest.raises(AuditError):
             engine._check_capacities()
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangemodes import CountedSet, InvariantError, PairTable, StaleCursorError
+from rangemodes import CountedSet, InvariantError, PairTable
 from rangemodes import multiset
 from rangemodes.multiset import MAX_SYMBOL
 
@@ -21,126 +21,62 @@ def drain(cs):
     return out
 
 
+def snapshot(symbols):
+    """The cell snapshot of a hand count of ``symbols``."""
+    return CountedSet(Counter(symbols))
+
+
 class TestCountedSet:
     def test_increment_hand_count(self):
-        cs = CountedSet()
-        for sym in (A, A, B):
-            cs.increment(sym)
+        cs = snapshot((A, A, B))
         assert cs.count_of(A) == 2
         assert cs.count_of(B) == 1
 
     def test_single_increment_max(self):
-        cs = CountedSet()
-        cs.increment(A)
-        assert cs.max_entry() == (1, A)
+        assert snapshot((A,)).max_entry() == (1, A)
 
     def test_increment_merges_ranked_entry(self):
-        cs = CountedSet()
-        cs.increment(A)
-        cs.increment(A)
-        assert cs.ranked_pairs() == [(2, A)]
-
-    def test_decrement_to_empty(self):
-        cs = CountedSet()
-        cs.increment(A)
-        cs.decrement(A)
-        assert cs.max_entry() is None
-        assert cs.count_of(A) == 0
-        assert len(cs) == 0
+        assert drain(snapshot((A, A))) == [(2, A)]
 
     def test_decrement_hand_count_with_tie(self):
-        cs = CountedSet()
-        for sym in (A, A, B):
-            cs.increment(sym)
-        cs.decrement(A)
+        counts = Counter((A, A, B))
+        counts[A] -= 1
+        cs = CountedSet(counts)
         # Both at count 1; ties rank the higher id first.
         assert cs.max_entry() == (1, B)
-        assert cs.ranked_pairs() == [(1, B), (1, A)]
-
-    def test_decrement_absent_symbol(self):
-        with pytest.raises(InvariantError):
-            CountedSet().decrement(A)
+        assert drain(cs) == [(1, B), (1, A)]
 
     def test_count_of_absent(self):
-        cs = CountedSet()
-        cs.increment(A)
-        cs.increment(A)
-        assert cs.count_of(25) == 0
-
-    def test_count_zero_after_inc_dec(self):
-        cs = CountedSet()
-        cs.increment(A)
-        cs.decrement(A)
-        assert cs.count_of(A) == 0
+        assert snapshot((A, A)).count_of(25) == 0
 
     def test_max_entry_hand_count(self):
-        cs = CountedSet()
-        for sym in (A, A, B):
-            cs.increment(sym)
-        assert cs.max_entry() == (2, A)
+        assert snapshot((A, A, B)).max_entry() == (2, A)
 
     def test_max_entry_empty(self):
         assert CountedSet().max_entry() is None
 
     def test_max_entry_tie_prefers_higher_id(self):
-        cs = CountedSet()
-        cs.increment(A)
-        cs.increment(B)
-        assert cs.max_entry() == (1, B)
+        assert snapshot((A, B)).max_entry() == (1, B)
 
     def test_cursor_iteration(self):
-        cs = CountedSet()
-        for sym in (A, A, B):
-            cs.increment(sym)
-        assert drain(cs) == [(2, A), (1, B)]
+        assert drain(snapshot((A, A, B))) == [(2, A), (1, B)]
 
     def test_cursor_singleton(self):
-        cs = CountedSet()
-        cs.increment(A)
-        assert drain(cs) == [(1, A)]
+        assert drain(snapshot((A,))) == [(1, A)]
 
     def test_cursor_counts_with_ties(self):
-        cs = CountedSet()
-        for sym in (A, A, A, B, B, B, C):
-            cs.increment(sym)
+        cs = snapshot((A, A, A, B, B, B, C))
         assert [count for count, _ in drain(cs)] == [3, 3, 1]
-
-    def test_cursor_invalidated_by_mutation(self):
-        cs = CountedSet()
-        cs.increment(A)
-        cur = cs.cursor()
-        cs.increment(B)
-        with pytest.raises(StaleCursorError):
-            cs.next_entry(cur)
-
-    def test_inc_then_dec_is_identity(self):
-        cs = CountedSet()
-        for sym in (A, B, B, C):
-            cs.increment(sym)
-        before = (dict(cs.items()), cs.ranked_pairs())
-        cs.increment(B)
-        cs.decrement(B)
-        assert (dict(cs.items()), cs.ranked_pairs()) == before
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 8), max_size=80))
     def test_views_stay_mirrored(self, symbols):
-        cs = CountedSet()
-        reference = Counter()
-        rng = random.Random(0)
-        for sym in symbols:
-            if reference[sym] and rng.random() < 0.4:
-                cs.decrement(sym)
-                reference[sym] -= 1
-                if not reference[sym]:
-                    del reference[sym]
-            else:
-                cs.increment(sym)
-                reference[sym] += 1
-        assert cs.matches_counts(dict(reference))
-        assert cs.ranked_pairs() == sorted(
-            ((c, s) for s, c in reference.items()), reverse=True
-        )
+        reference = Counter(symbols)
+        cs = CountedSet(reference)
+        assert cs == dict(reference)
+        assert [cs.count_of(s) for s in range(9)] == [reference[s] for s in range(9)]
+        assert drain(cs) == sorted(((c, s) for s, c in reference.items()), reverse=True)
+        assert cs.max_entry() == (drain(cs) or [None])[0]
 
 
 def build_table(blocks):
@@ -289,7 +225,7 @@ class TestPairTable:
                     merged = Counter()
                     for b in blocks[l : r + 1]:
                         merged.update(b)
-                    assert table.cell(l, r).matches_counts(dict(merged)), (l, r)
+                    assert table.cell(l, r) == dict(merged), (l, r)
 
     @pytest.mark.parametrize(
         "edit",

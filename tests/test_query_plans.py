@@ -18,8 +18,8 @@ from rangemodes import CharSeq, Config, NaiveSeq, PairTable, RangeModeEngine
 
 HALF = Config(alpha=Fraction(1, 2))
 
-# 48 elements at alpha = 1/2: slots 0..6 form ``cur`` (capacity 7), slots
-# 7..16 ``next`` (capacity 10).  Everything goes into ``next``:
+# 48 elements at alpha = 1/2: 17 slots of capacity 10, of which a rebuild
+# fills slots 0..6.  Everything goes into the slots past those:
 # block 7 = [0, 10), 8 = [10, 20), 9 empty, 10 = [20, 30), 11 = [30, 40),
 # 12 = [40, 48).
 SIZES = [0] * 7 + [10, 10, 0, 10, 10, 8] + [0] * 4

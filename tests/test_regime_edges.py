@@ -1,23 +1,31 @@
 """Regression tests for layout corner cases found during design analysis.
 
 Each of these scenarios breaks a more literal reading of the maintenance
-rules (donor search confined to one region, ceil-based halving thresholds);
-the engine must handle all of them with clean audits.
+rules (a donor next to the overflowing block, ceil-based halving
+thresholds); the engine must handle all of them with clean audits.
 """
 
 import random
 
 import pytest
 
+from layout import lay_out
 from rangemodes import Config, NaiveSeq, RangeModeEngine
 
 
 def test_insert_into_fully_packed_layout():
-    # n0 = 8 packs the cur region to exactly its total capacity ([4, 4]),
-    # so the very first insert has no donor inside cur and must spill.
+    # n0 = 8 gives 5 slots of capacity 7, and a rebuild fills the first two.
+    # Grown to 14 and packed to [7, 7, 0, 0, 0], those two slots hold exactly
+    # their total capacity, so an insert into block 0 has no donor next to
+    # it and must spill past block 1.
     engine = RangeModeEngine([5] * 8, Config(audit_mode=True))
+    for _ in range(6):
+        engine.insert(0, 5)
+    assert engine.n0 == 8 and engine.capacity == 7
+    lay_out(engine, [7, 7, 0, 0, 0])
     engine.insert(3, 7)
-    assert engine.to_list() == [5, 5, 5, 7, 5, 5, 5, 5, 5]
+    assert engine.block_sizes() == [7, 7, 1, 0, 0]
+    assert engine.to_list() == [5, 5, 5, 7] + [5] * 11
     assert engine.audit().ok
 
 

@@ -6,7 +6,7 @@ located through their :class:`BlockSizeIndex`; :class:`PairTable` and
 its cell snapshots, :class:`CountedSet`), a naive oracle for differential
 testing (:class:`NaiveSeq`), and a set-intersection application
 (:class:`SetFamily`).  See the ``rangemodes`` CLI for traces, fuzzing, and
-benchmarks.
+set intersections.
 """
 
 from .blockindex import BlockSizeIndex

@@ -1,4 +1,4 @@
-"""Command-line surface: trace runner, differential fuzzer, benchmarks, sets.
+"""Command-line surface: trace runner, differential fuzzer, set intersections.
 
 Trace grammar (UTF-8 text, one operation per line, decimal 0-based fields):
 
@@ -14,11 +14,8 @@ separated.
 from __future__ import annotations
 
 import argparse
-import math
 import random
-import statistics
 import sys
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
@@ -26,9 +23,6 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 from .engine import Config, RangeModeEngine
 from .oracle import NaiveSeq
 from .setintersect import SetFamily
-
-_OP_KINDS = ("insert", "delete", "modes")
-
 
 class TraceError(Exception):
     """A malformed or inapplicable trace line, with its 1-based line number."""
@@ -181,76 +175,6 @@ def run_fuzz(
 
 
 # ----------------------------------------------------------------------
-# benchmark harness
-# ----------------------------------------------------------------------
-
-
-def fit_loglog_slope(points: Sequence[tuple[int, float]]) -> float:
-    """Least-squares slope of log(t) against log(n)."""
-    xs = [math.log(n) for n, _ in points]
-    ys = [math.log(max(t, 1.0)) for _, t in points]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    denom = sum((x - mean_x) ** 2 for x in xs)
-    if denom == 0:
-        return 0.0
-    return sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / denom
-
-
-def run_bench(
-    sizes: Sequence[int],
-    alphabet: int,
-    mix: Sequence[str] = _OP_KINDS,
-    repetitions: int = 33,
-    seed: int = 0,
-    config: Config | None = None,
-) -> Iterator[str]:
-    """Yield CSV rows of per-operation medians, then slope summary comments."""
-    yield "n,sigma_prime,op,median_ns,output_size"
-    for op in mix:
-        if op not in _OP_KINDS:
-            raise ValueError(f"unknown op kind {op!r}")
-    if repetitions <= 0:
-        return
-    medians: dict[str, list[tuple[int, float]]] = {op: [] for op in mix}
-    clock = time.perf_counter_ns
-    for n in sizes:
-        rng = random.Random(seed ^ n)
-        engine = RangeModeEngine((rng.randrange(alphabet) for _ in range(n)), config)
-        for op in mix:
-            times: list[int] = []
-            out_size = 0
-            for _ in range(repetitions):
-                if op == "insert":
-                    pos = rng.randint(0, len(engine))
-                    sym = rng.randrange(alphabet)
-                    t0 = clock()
-                    engine.insert(pos, sym)
-                    times.append(clock() - t0)
-                    engine.delete(pos)  # untimed restore
-                elif op == "delete":
-                    pos = rng.randrange(len(engine))
-                    t0 = clock()
-                    sym = engine.delete(pos)
-                    times.append(clock() - t0)
-                    engine.insert(pos, sym)  # untimed restore
-                else:
-                    lo = rng.randrange(len(engine))
-                    hi = rng.randint(lo, len(engine) - 1)
-                    t0 = clock()
-                    result = engine.modes(lo, hi)
-                    times.append(clock() - t0)
-                    out_size = len(result.modes)
-            median = int(statistics.median(times))
-            medians[op].append((n, float(median)))
-            yield f"{n},{engine.sigma_prime},{op},{median},{out_size}"
-    if len(sizes) >= 2:
-        for op in mix:
-            slope = fit_loglog_slope(medians[op])
-            yield f"# slope,{op},{slope:.3f}"
-
-
-# ----------------------------------------------------------------------
 # set-intersection command
 # ----------------------------------------------------------------------
 
@@ -334,32 +258,22 @@ def _alpha(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from exc
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
 
 
-def _sizes(text: str) -> list[int]:
-    """Parse ``--sizes``: a comma list of positive ints."""
-    sizes = [_positive_int(tok) for tok in text.split(",") if tok]
-    if not sizes:
-        raise argparse.ArgumentTypeError("expected at least one size")
-    return sizes
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
 
 
-def _mix(text: str) -> list[str]:
-    """Parse ``--mix``: a comma list of op kinds."""
-    mix = [tok for tok in text.split(",") if tok]
-    if not mix or not set(mix) <= set(_OP_KINDS):
-        raise argparse.ArgumentTypeError(
-            f"invalid value {text!r}: expected a comma list of {', '.join(_OP_KINDS)}"
-        )
-    return mix
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _open_input(parser: argparse.ArgumentParser, flag: str, path: str) -> TextIO:
@@ -385,7 +299,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rangemodes",
-        description="Dynamic range mode enumeration: traces, fuzzing, benchmarks, sets.",
+        description="Dynamic range mode enumeration: traces, fuzzing, set intersections.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -395,24 +309,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fuzz = sub.add_parser("fuzz", help="differential fuzz against the naive oracle")
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--ops", type=int, default=10000)
-    p_fuzz.add_argument("--max-len", type=int, default=2000)
+    p_fuzz.add_argument("--ops", type=_positive_int, default=10000)
+    p_fuzz.add_argument("--max-len", type=_positive_int, default=2000)
     p_fuzz.add_argument("--alphabet", type=_positive_int, default=26)
     p_fuzz.add_argument(
-        "--audit-every", type=int, default=0, help="audit the engine every N ops"
+        "--audit-every",
+        type=_non_negative_int,
+        default=0,
+        help="audit the engine every N ops (0: never)",
     )
     p_fuzz.add_argument(
         "--dump", default="", help="write the reproducer trace here on divergence"
     )
     _add_engine_flags(p_fuzz)
-
-    p_bench = sub.add_parser("bench", help="emit per-op median timings as CSV")
-    p_bench.add_argument("--sizes", type=_sizes, default="16384,131072,1048576")
-    p_bench.add_argument("--alphabet", type=_positive_int, default=26)
-    p_bench.add_argument("--mix", type=_mix, default="insert,delete,modes")
-    p_bench.add_argument("--repetitions", type=_positive_int, default=33)
-    p_bench.add_argument("--seed", type=int, default=0)
-    _add_engine_flags(p_bench)
 
     p_inter = sub.add_parser("intersect", help="answer set-intersection queries")
     p_inter.add_argument("--family", required=True, help="family definition file")
@@ -455,17 +364,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     for line in report.reproducer:
                         print(line, file=sys.stderr)
                 return 1
-        elif args.command == "bench":
-            rows = run_bench(
-                args.sizes,
-                args.alphabet,
-                args.mix,
-                args.repetitions,
-                args.seed,
-                _config_from_args(args),
-            )
-            for row in rows:
-                print(row)
         elif args.command == "intersect":
             with _open_input(parser, "--family", args.family) as family_file, _open_input(
                 parser, "file", args.file

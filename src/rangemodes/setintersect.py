@@ -70,6 +70,8 @@ class SetFamily:
         return list(self._members[k - 1])
 
     def _check_set(self, k: int) -> None:
+        if type(k) is not int:
+            raise TypeError(f"set index must be an int, got {type(k).__name__}")
         if not 1 <= k <= len(self._members):
             raise IndexError(f"set index {k} out of range (1..{len(self._members)})")
 

@@ -5,12 +5,14 @@ lines and timings.  Timing-based checks use deliberately wide windows; the
 correctness checks are exact.
 """
 
+import math
 import random
 import statistics
 import time
+from typing import Sequence
 
 from rangemodes import Config, ModesResult, NaiveSeq, RangeModeEngine, SetFamily
-from rangemodes.cli import fit_loglog_slope, run_fuzz
+from rangemodes.cli import run_fuzz
 
 
 def _pass(num: int, text: str) -> None:
@@ -98,6 +100,24 @@ def test_criterion_3_structural_audit():
     elapsed = time.time() - start
     assert elapsed < 30, f"structural audit criterion took {elapsed:.1f}s"
     _pass(3, f"{audits} full audits clean (partition, capacities, all cells) in {elapsed:.1f}s")
+
+
+def fit_loglog_slope(points: Sequence[tuple[int, float]]) -> float:
+    """Least-squares slope of log(t) against log(n)."""
+    xs = [math.log(n) for n, _ in points]
+    ys = [math.log(max(t, 1.0)) for _, t in points]
+    mean_x = sum(xs) / len(xs)
+    mean_y = sum(ys) / len(ys)
+    denom = sum((x - mean_x) ** 2 for x in xs)
+    if denom == 0:
+        return 0.0
+    return sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / denom
+
+
+def test_slope_fit():
+    # t = n^2 exactly -> slope 2.
+    points = [(10, 100.0), (100, 10000.0), (1000, 1000000.0)]
+    assert abs(fit_loglog_slope(points) - 2.0) < 1e-9
 
 
 def test_criterion_4_update_scaling():

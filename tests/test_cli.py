@@ -7,11 +7,9 @@ from rangemodes import Config, NaiveSeq, RangeModeEngine
 from rangemodes.cli import (
     TraceError,
     build_parser,
-    fit_loglog_slope,
     generate_trace,
     load_family,
     main,
-    run_bench,
     run_fuzz,
     run_intersect,
     run_trace,
@@ -141,37 +139,6 @@ class TestFuzz:
         assert report.ok
 
 
-class TestBench:
-    def test_zero_repetitions_header_only(self):
-        rows = list(run_bench([64, 128], alphabet=4, repetitions=0))
-        assert rows == ["n,sigma_prime,op,median_ns,output_size"]
-
-    def test_rows_and_slope_summary(self):
-        rows = list(run_bench([64, 256], alphabet=4, mix=("insert", "modes"), repetitions=5))
-        header, *rest = rows
-        assert header == "n,sigma_prime,op,median_ns,output_size"
-        data = [row for row in rest if not row.startswith("#")]
-        slopes = [row for row in rest if row.startswith("# slope")]
-        assert len(data) == 4  # two sizes x two ops
-        for row in data:
-            n, sigma, op, median, out = row.split(",")
-            assert int(n) in (64, 256)
-            assert int(sigma) <= 4
-            assert op in ("insert", "modes")
-            assert int(median) >= 0
-            assert int(out) >= 0
-        assert len(slopes) == 2
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError):
-            list(run_bench([16], alphabet=2, mix=("sort",), repetitions=1))
-
-    def test_slope_fit(self):
-        # t = n^2 exactly -> slope 2.
-        points = [(10, 100.0), (100, 10000.0), (1000, 1000000.0)]
-        assert abs(fit_loglog_slope(points) - 2.0) < 1e-9
-
-
 FAMILY_TEXT = """\
 # two sets over {0,1}
 2 2
@@ -256,13 +223,10 @@ class TestMain:
             ("trace", "--alpha", "abc"),
             ("trace", "--alpha", "1/0"),
             ("fuzz", "--alphabet", "0"),
-            ("bench", "--alphabet", "0"),
-            ("bench", "--mix", "sort"),
-            ("bench", "--mix", "insert,sort"),
-            ("bench", "--sizes", "abc"),
-            ("bench", "--sizes", "0"),
-            ("bench", "--sizes", ","),
-            ("bench", "--repetitions", "0"),
+            ("fuzz", "--ops", "0"),
+            ("fuzz", "--ops", "-5"),
+            ("fuzz", "--max-len", "0"),
+            ("fuzz", "--audit-every", "-1"),
         ],
     )
     def test_bad_flag_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
@@ -308,13 +272,11 @@ class TestMain:
         assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
         assert "absent.txt" in capsys.readouterr().err
 
-    def test_bench_subcommand(self, capsys):
-        code = main(
-            ["bench", "--sizes", "32,64", "--repetitions", "2", "--alphabet", "3"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == "n,sigma_prime,op,median_ns,output_size"
+    def test_bench_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_intersect_subcommand(self, tmp_path, capsys):
         fam = tmp_path / "family.txt"

@@ -91,6 +91,8 @@ class TestQueries:
             family.intersect(0, 1)
         with pytest.raises(IndexError):
             family.enumerate_intersection(1, 3)
+        with pytest.raises(TypeError):
+            family.enumerate_intersection(True, 2)
 
     def test_configured_family(self):
         family = SetFamily([[0, 1], [1, 2]], 3, Config(alpha=Fraction(1, 2), audit_mode=True))
@@ -158,11 +160,14 @@ class TestUpdates:
             ("remove_member", 2, True),
             ("remove_member", 1, 2.0),
             ("remove_member", 1, None),
+            ("add_member", True, 3),
+            ("remove_member", True, 0),
         ],
     )
     def test_rejected_member_leaves_family_unchanged(self, method, k, bad):
-        # True == 1 and 2.0 == 2 pass the range and rank checks, so the type
-        # is checked before the first point update of the gadget.
+        # True == 1 and 2.0 == 2 pass the range and rank checks, so the types
+        # of the set index and the member are checked before the first point
+        # update of the gadget.
         family = SetFamily([[0, 2], [1, 2]], universe_size=4)
         members = [family.members(s) for s in (1, 2)]
         gadgets = [family.gadget_symbols(s) for s in (1, 2)]

@@ -9,6 +9,10 @@ Trace grammar (UTF-8 text, one operation per line, decimal 0-based fields):
 Lines starting with ``#`` and blank lines are skipped.  Each query emits one
 output line: the multiplicity followed by the sorted mode ids, space
 separated.
+
+A line that cannot be applied, for want of memory too, is a :class:`TraceError`
+with its line number.  The fuzzer compares every op's result with the naive
+oracle's, a delete's removed symbol included; an engine exception is a divergence.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .engine import Config, RangeModeEngine
 from .oracle import NaiveSeq
@@ -33,6 +37,40 @@ class TraceError(Exception):
 
 
 # ----------------------------------------------------------------------
+# line reader and op applier
+# ----------------------------------------------------------------------
+
+Ops = dict[str, tuple[int, Callable[..., Any]]]
+
+
+def _fields(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line_no, fields)`` for each line that is neither blank nor a ``#`` comment."""
+    for line_no, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if fields and not fields[0].startswith("#"):
+            yield line_no, fields
+
+
+def _apply(lines: Iterable[str], ops: Ops, kind: str = "operation") -> Iterator[tuple[str, Any]]:
+    """Call ``ops[name] = (field count, function)`` on each line's int fields, yielding
+    ``(name, result)``; ``kind`` names the line in an unknown-op or field-count error."""
+    for line_no, (name, *args) in _fields(lines):
+        arity, op = ops.get(name, (-1, None))
+        if len(args) != arity:
+            raise TraceError(line_no, f"unrecognized {kind} {' '.join([name, *args])!r}")
+        try:
+            result = op(*map(int, args))
+        except (IndexError, ValueError, MemoryError) as exc:
+            raise TraceError(line_no, str(exc)) from exc
+        yield name, result
+
+
+def _trace_ops(insert: Callable, delete: Callable, modes: Callable) -> Ops:
+    """The trace grammar over one sequence's insert, delete and modes."""
+    return {"I": (2, insert), "D": (1, delete), "Q": (2, modes)}
+
+
+# ----------------------------------------------------------------------
 # trace runner
 # ----------------------------------------------------------------------
 
@@ -40,25 +78,9 @@ class TraceError(Exception):
 def run_trace(lines: Iterable[str], config: Config | None = None) -> Iterator[str]:
     """Execute a trace against a fresh engine, yielding one line per query."""
     engine = RangeModeEngine((), config)
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "I" and len(parts) == 3:
-                engine.insert(int(parts[1]), int(parts[2]))
-            elif parts[0] == "D" and len(parts) == 2:
-                engine.delete(int(parts[1]))
-            elif parts[0] == "Q" and len(parts) == 3:
-                result = engine.modes(int(parts[1]), int(parts[2]))
-                yield " ".join([str(result.multiplicity), *map(str, result.modes)])
-            else:
-                raise TraceError(line_no, f"unrecognized operation {line!r}")
-        except TraceError:
-            raise
-        except (IndexError, ValueError) as exc:
-            raise TraceError(line_no, str(exc)) from exc
+    for name, result in _apply(lines, _trace_ops(engine.insert, engine.delete, engine.modes)):
+        if name == "Q":
+            yield " ".join([str(result.multiplicity), *map(str, result.modes)])
 
 
 # ----------------------------------------------------------------------
@@ -68,8 +90,9 @@ def run_trace(lines: Iterable[str], config: Config | None = None) -> Iterator[st
 
 def generate_trace(seed: int, ops: int, max_len: int, alphabet: int) -> list[str]:
     """Seeded random trace: ~40% inserts, ~20% deletes, ~40% queries."""
-    if alphabet < 1:
-        raise ValueError("alphabet must be at least 1")
+    for name, value in (("ops", ops), ("max_len", max_len), ("alphabet", alphabet)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     rng = random.Random(seed)
     lines: list[str] = []
     length = 0
@@ -123,54 +146,30 @@ def run_fuzz(
     alphabet: int,
     config: Config | None = None,
     audit_every: int = 0,
-    engine_factory: Callable[[], RangeModeEngine] | None = None,
 ) -> FuzzReport:
-    """Run a seeded trace against the engine and the naive oracle in lockstep."""
-    config = config if config is not None else Config()
-    if engine_factory is None:
-        engine = RangeModeEngine((), config)
-    else:
-        engine = engine_factory()
-    oracle = NaiveSeq()
+    """Run a seeded trace on the engine and the naive oracle in lockstep, comparing every op."""
+    if audit_every < 0:
+        raise ValueError(f"audit_every must be at least 0, got {audit_every}")
     trace = generate_trace(seed, ops, max_len, alphabet)
-    executed: list[str] = []
+    engine = RangeModeEngine((), config)
+    oracle = NaiveSeq()
+    got_results = _apply(trace, _trace_ops(engine.insert, engine.delete, engine.modes))
+    want_results = _apply(trace, _trace_ops(oracle.insert_at, oracle.delete_at, oracle.modes))
     queries = 0
-    for step, line in enumerate(trace):
-        executed.append(line)
-        parts = line.split()
-        if parts[0] == "I":
-            pos, sym = int(parts[1]), int(parts[2])
-            engine.insert(pos, sym)
-            oracle.insert_at(pos, sym)
-        elif parts[0] == "D":
-            pos = int(parts[1])
-            engine.delete(pos)
-            oracle.delete_at(pos)
+    for step, (line, (name, want)) in enumerate(zip(trace, want_results)):
+        queries += name == "Q"
+        try:
+            got = next(got_results)[1]
+        except Exception as exc:
+            failure = f"{line} -> engine raised {exc!r}"
         else:
-            lo, hi = int(parts[1]), int(parts[2])
-            got = engine.modes(lo, hi)
-            want = oracle.modes(lo, hi)
-            queries += 1
-            if got != want:
-                return FuzzReport(
-                    False,
-                    step + 1,
-                    queries,
-                    len(engine.reset_events),
-                    failure=f"op {step}: {line} -> engine={got} oracle={want}",
-                    reproducer=executed,
-                )
-        if audit_every and (step + 1) % audit_every == 0:
+            failure = "" if got == want else f"{line} -> engine={got} oracle={want}"
+        if not failure and audit_every and (step + 1) % audit_every == 0:
             report = engine.audit()
-            if not report.ok:
-                return FuzzReport(
-                    False,
-                    step + 1,
-                    queries,
-                    len(engine.reset_events),
-                    failure=f"op {step}: audit failed: {report.message}",
-                    reproducer=executed,
-                )
+            failure = "" if report.ok else f"audit failed: {report.message}"
+        if failure:
+            resets, reproducer = len(engine.reset_events), trace[: step + 1]
+            return FuzzReport(False, step + 1, queries, resets, f"op {step}: {failure}", reproducer)
     return FuzzReport(True, len(trace), queries, len(engine.reset_events))
 
 
@@ -185,15 +184,11 @@ def load_family(lines: Iterable[str], config: Config | None = None) -> SetFamily
     Each set line is ``<m> <x1> ... <xm>``; ``#`` and blank lines are skipped.
     """
     rows: list[tuple[int, list[int]]] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, fields in _fields(lines):
         try:
-            fields = [int(tok) for tok in line.split()]
+            rows.append((line_no, [int(tok) for tok in fields]))
         except ValueError as exc:
             raise TraceError(line_no, f"non-numeric field: {exc}") from exc
-        rows.append((line_no, fields))
     if not rows:
         raise TraceError(1, "family file is empty")
     line_no, header = rows[0]
@@ -209,33 +204,20 @@ def load_family(lines: Iterable[str], config: Config | None = None) -> SetFamily
         sets.append(fields[1:])
     try:
         return SetFamily(sets, universe, config)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, MemoryError) as exc:
         raise TraceError(rows[0][0], str(exc)) from exc
 
 
-def run_intersect(
-    family: SetFamily, queries: Iterable[str]
-) -> Iterator[str]:
+def run_intersect(family: SetFamily, queries: Iterable[str]) -> Iterator[str]:
     """Process ``? i j`` / ``+ k x`` / ``- k x`` lines against a family."""
-    for line_no, raw in enumerate(queries, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "?" and len(parts) == 3:
-                members = family.enumerate_intersection(int(parts[1]), int(parts[2]))
-                yield " ".join(map(str, sorted(members))) if members else "-"
-            elif parts[0] == "+" and len(parts) == 3:
-                family.add_member(int(parts[1]), int(parts[2]))
-            elif parts[0] == "-" and len(parts) == 3:
-                family.remove_member(int(parts[1]), int(parts[2]))
-            else:
-                raise TraceError(line_no, f"unrecognized query {line!r}")
-        except TraceError:
-            raise
-        except (IndexError, ValueError) as exc:
-            raise TraceError(line_no, str(exc)) from exc
+    ops: Ops = {
+        "?": (2, family.enumerate_intersection),
+        "+": (2, family.add_member),
+        "-": (2, family.remove_member),
+    }
+    for name, members in _apply(queries, ops, "query"):
+        if name == "?":
+            yield " ".join(map(str, sorted(members))) if members else "-"
 
 
 # ----------------------------------------------------------------------
@@ -244,10 +226,7 @@ def run_intersect(
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
-    return Config(
-        alpha=args.alpha,
-        audit_mode=getattr(args, "audit", False),
-    )
+    return Config(alpha=args.alpha, audit_mode=args.audit)
 
 
 def _alpha(text: str) -> Fraction:

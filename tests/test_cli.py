@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from rangemodes import Config, NaiveSeq, RangeModeEngine
+from rangemodes import Config, InvariantError, NaiveSeq, RangeModeEngine, multiset
 from rangemodes.cli import (
     TraceError,
     build_parser,
@@ -34,9 +34,10 @@ class TestTrace:
         assert list(run_trace(lines)) == ["1 3"]
 
     def test_malformed_line_reports_number(self):
-        with pytest.raises(TraceError) as err:
-            list(run_trace(["I 0 1", "X 1 2 3"]))
-        assert err.value.line_no == 2
+        for bad in ("X 1 2 3", "I 0 1 2"):  # unknown op, wrong field count
+            with pytest.raises(TraceError) as err:
+                list(run_trace(["I 0 1", bad]))
+            assert err.value.line_no == 2
 
     def test_non_numeric_field(self):
         with pytest.raises(TraceError) as err:
@@ -94,21 +95,18 @@ class TestFuzz:
         assert a == b
         assert a.summary() == b.summary()
 
-    def test_fault_injection_produces_reproducer(self):
-        class BrokenEngine(RangeModeEngine):
-            def modes(self, lo, hi):
-                result = super().modes(lo, hi)
-                if len(self) > 40:  # inject a wrong answer late in the run
-                    return type(result)(result.multiplicity + 1, result.modes)
-                return result
+    def test_fault_injection_produces_reproducer(self, monkeypatch):
+        honest_modes = RangeModeEngine.modes
 
-        report = run_fuzz(
-            seed=2,
-            ops=600,
-            max_len=100,
-            alphabet=4,
-            engine_factory=lambda: BrokenEngine((), Config()),
-        )
+        def broken_modes(self, lo, hi):
+            result = honest_modes(self, lo, hi)
+            if len(self) > 40:  # inject a wrong answer late in the run
+                return type(result)(result.multiplicity + 1, result.modes)
+            return result
+
+        monkeypatch.setattr(RangeModeEngine, "modes", broken_modes)
+        report = run_fuzz(seed=2, ops=600, max_len=100, alphabet=4)
+        monkeypatch.undo()
         assert not report.ok
         assert report.reproducer
         assert "DIVERGENCE" in report.summary()
@@ -126,6 +124,44 @@ class TestFuzz:
                 res = oracle.modes(int(parts[1]), int(parts[2]))
                 answers.append(" ".join([str(res.multiplicity), *map(str, res.modes)]))
         assert replayed == answers  # honest engine agrees with the oracle
+
+    @pytest.mark.parametrize(
+        ("fault", "failure"),
+        [("raise", "-> engine raised InvariantError("), ("wrong-symbol", "-> engine=")],
+        ids=["raise", "wrong-symbol"],
+    )
+    def test_delete_fault_is_a_divergence(self, tmp_path, capsys, monkeypatch, fault, failure):
+        honest_delete = RangeModeEngine.delete
+
+        def broken_delete(self, pos):
+            late = len(self) > 40  # inject the fault late in the run
+            if late and fault == "raise":
+                raise InvariantError("injected")
+            symbol = honest_delete(self, pos)
+            return symbol + 1 if late else symbol
+
+        monkeypatch.setattr(RangeModeEngine, "delete", broken_delete)
+        report = run_fuzz(seed=2, ops=600, max_len=100, alphabet=4)
+        dump = tmp_path / "repro.trace"
+        argv = ["fuzz", "--seed", "2", "--ops", "600", "--max-len", "100", "--alphabet", "4"]
+        assert main([*argv, "--dump", str(dump)]) == 1
+        monkeypatch.undo()
+        assert not report.ok
+        assert failure in report.failure
+        assert report.ops == len(report.reproducer)
+        assert report.reproducer[-1].startswith("D ")
+        assert dump.read_text().splitlines() == report.reproducer
+        assert failure in capsys.readouterr().out
+        list(run_trace(report.reproducer))  # the honest engine replays it cleanly
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"ops": 0}, {"ops": -5}, {"max_len": 0}, {"alphabet": 0}, {"audit_every": -1}],
+        ids=["ops-0", "ops-neg", "max_len-0", "alphabet-0", "audit_every-neg"],
+    )
+    def test_vacuous_counts_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            run_fuzz(**{"seed": 0, "ops": 10, "max_len": 10, "alphabet": 2, **bad})
 
     def test_audit_hook_runs(self):
         report = run_fuzz(
@@ -164,9 +200,10 @@ class TestIntersectCommand:
 
     def test_bad_query_line_number(self):
         family = self.family()
-        with pytest.raises(TraceError) as err:
-            list(run_intersect(family, ["? 1 2", "? 9 9"]))
-        assert err.value.line_no == 2
+        for bad in ("? 9 9", "? 1"):  # no such set, wrong field count
+            with pytest.raises(TraceError) as err:
+                list(run_intersect(family, ["? 1 2", bad]))
+            assert err.value.line_no == 2
 
     def test_family_header_errors(self):
         with pytest.raises(TraceError):
@@ -197,6 +234,17 @@ class TestMain:
         trace.write_text("Q 0 0\n")
         assert main(["trace", str(trace)]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["trace", "intersect"])
+    def test_memory_guard_is_a_line_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(multiset, "_memory_limit", lambda: 10)
+        family = tmp_path / "family.txt"
+        family.write_text("2 2\n2 0 1\n1 0\n")
+        ops = tmp_path / "ops.txt"
+        ops.write_text("I 0 1\n" if command == "trace" else "? 1 2\n")
+        flags = ["--family", str(family)] if command == "intersect" else []
+        assert main([command, *flags, str(ops)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1: summary table needs ")
 
     def test_fuzz_subcommand(self, capsys):
         code = main(

@@ -1,4 +1,4 @@
-"""Dynamic symbol sequence stored as the engine's blocks.
+"""Dynamic symbol sequence stored as the engine's blocks, with chunk counts.
 
 Symbols are opaque non-negative integers.  The sequence is one Python list
 per block slot, in order; empty blocks are allowed anywhere.  A
@@ -7,25 +7,81 @@ its prefix sums in O(log L), so the engine reads block boundaries from the
 same index that stores them.  An edit inside a block is a list insert or
 pop; a boundary move pops an end element of one block and adds it to the
 near end of its neighbour.
+
+Beside each block list sits its chunk index.  A chunk is a run of 1..2S
+consecutive elements of the block, S = :data:`CHUNK`, and two neighbouring
+chunks hold more than S together, so a block of c elements has at most
+2c/S + 1 chunks.  The index keeps each chunk's size and its count word: a
+Python ``int`` whose 32-bit field ``col`` is the chunk's count of the
+symbol in column ``col`` of :attr:`CharSeq.column`, the column map the
+summary table shares.  The build numbers the symbols of the blocks; after
+it, the table hands a new symbol its column before the sequence takes it.
+An edit adds ``±1 << 32·col`` to one word, a copy of up to σ'·4 bytes; a chunk
+past 2S splits in two and both halves are recounted, an empty chunk is
+dropped, and a chunk that shrinks to S or less together with a neighbour
+merges into it.  A query then counts the whole chunks of a margin as one
+sum of words and only the elements at its ends, at most one chunk each,
+one by one (:meth:`CharSeq.count`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from itertools import accumulate
 
 from .blockindex import BlockSizeIndex
 from .errors import InvariantError
+from .multiset import _FIELD_BITS, _FIELD_BYTES, check_table_fits, pack
+
+CHUNK = 128
+"""S: a chunk holds 1..2S elements; a rebuild cuts chunks of S..2S-1."""
+
+
+def chunk_words(length: int, slots: int) -> int:
+    """Most chunk words ``length`` elements in ``slots`` blocks can take."""
+    return 2 * length // CHUNK + slots
 
 
 class CharSeq:
     """Mutable sequence of symbol ids split into a fixed row of blocks."""
 
-    __slots__ = ("blocks", "sizes")
+    __slots__ = ("blocks", "sizes", "column", "chunk_sizes", "chunk_counts", "_bounds")
 
     def __init__(self, blocks: list[list[int]]) -> None:
-        """Take ``blocks`` as the block lists, without copying them."""
+        """Take ``blocks`` as the block lists, without copying them, and count their chunks.
+
+        Symbols get columns in increasing order, and the table and the
+        chunk words at that width must pass :func:`check_table_fits` before
+        any chunk is counted.  Each block is cut into chunks of S..2S-1
+        elements, sizes differing by at most one (a block shorter than S
+        into one chunk), and each chunk is counted once.
+        """
         self.blocks = blocks
         self.sizes = BlockSizeIndex(map(len, blocks))
+        alphabet = sorted(set().union(*blocks))
+        self.column: dict[int, int] = dict(zip(alphabet, range(len(alphabet))))  # symbol -> column
+        self.chunk_sizes: list[list[int]] = []  # per block, the size of each chunk
+        self.chunk_counts: list[list[int]] = []  # per block, the count word of each chunk
+        self._bounds: list[list[int] | None] = [None] * len(blocks)  # chunk offsets, lazily
+        check_table_fits(len(blocks), len(alphabet), self.word_bound())
+        column = self.column
+        zero = array("I", bytes(_FIELD_BYTES * len(alphabet)))
+        for block in blocks:
+            k = len(block) // CHUNK or min(len(block), 1)
+            q, extra = divmod(len(block), k) if k else (0, 0)
+            sizes = [q + (i < extra) for i in range(k)]
+            words = []
+            start = 0
+            for size in sizes:
+                fields = zero[:]
+                for symbol, count in Counter(block[start : start + size]).items():
+                    fields[column[symbol]] = count
+                start += size
+                words.append(pack(fields))
+            self.chunk_sizes.append(sizes)
+            self.chunk_counts.append(words)
 
     def __len__(self) -> int:
         return self.sizes.total()
@@ -59,17 +115,26 @@ class CharSeq:
         return self.blocks[k][off]
 
     def insert_at(self, pos: int, symbol: int) -> None:
-        """Insert ``symbol`` so that it becomes the element at ``pos``, in :meth:`insert_block`."""
+        """Insert ``symbol`` so that it becomes the element at ``pos``, in :meth:`insert_block`.
+
+        Like the block, the chunk it joins is the one holding ``pos - 1``.
+        """
         j = self.insert_block(pos)
         ends = self.sizes.prefix_sums()
-        self.blocks[j].insert(pos - (ends[j - 1] if j else 0), symbol)
+        off = pos - (ends[j - 1] if j else 0)
+        self.blocks[j].insert(off, symbol)
         self.sizes.adjust(j, 1)
+        c = bisect_left(self._chunk_bounds(j), off, 1) - 1 if len(self.chunk_sizes[j]) > 1 else 0
+        self._gain(j, c, symbol)
 
     def delete_at(self, pos: int) -> int:
         """Remove and return the element at index ``pos``."""
         k, off = self.locate(pos)
         self.sizes.adjust(k, -1)
-        return self.blocks[k].pop(off)
+        symbol = self.blocks[k].pop(off)
+        c = bisect_right(self._chunk_bounds(k), off) - 1 if len(self.chunk_sizes[k]) > 1 else 0
+        self._lose(k, c, symbol)
+        return symbol
 
     def move_left(self, i: int) -> int:
         """Move the first element of block ``i`` to the end of block ``i - 1``; return it."""
@@ -82,6 +147,8 @@ class CharSeq:
         self.blocks[i - 1].append(symbol)
         self.sizes.adjust(i, -1)
         self.sizes.adjust(i - 1, 1)
+        self._lose(i, 0, symbol)
+        self._gain(i - 1, len(self.chunk_sizes[i - 1]) - 1, symbol)
         return symbol
 
     def move_right(self, i: int) -> int:
@@ -95,6 +162,8 @@ class CharSeq:
         self.blocks[i + 1].insert(0, symbol)
         self.sizes.adjust(i, -1)
         self.sizes.adjust(i + 1, 1)
+        self._lose(i, len(self.chunk_sizes[i]) - 1, symbol)
+        self._gain(i + 1, 0, symbol)
         return symbol
 
     def access_range(self, lo: int, hi: int) -> list[int]:
@@ -117,3 +186,125 @@ class CharSeq:
         for block in self.blocks:
             out.extend(block)
         return out
+
+    # ------------------------------------------------------------------
+    # chunk counts
+    # ------------------------------------------------------------------
+
+    def count(self, k: int, lo: int, stop: int, loose: Counter[int]) -> int:
+        """Count positions ``lo..stop - 1``, which lie in block ``k``.
+
+        Returns the summed count word of the whole chunks among them and
+        adds the other elements, read by :meth:`access_range`, to ``loose``.
+        Only part of a block is ever asked for, so a one-chunk block has no
+        whole chunk.
+        """
+        if len(self.chunk_sizes[k]) > 1:
+            base = self.sizes.prefix_sums()[k - 1] if k else 0
+            bounds = self._chunk_bounds(k)
+            i = bisect_left(bounds, lo - base)
+            j = bisect_right(bounds, stop - base) - 1
+            if i < j:
+                first, end = base + bounds[i], base + bounds[j]
+                if lo < first:
+                    loose.update(self.access_range(lo, first - 1))
+                if end < stop:
+                    loose.update(self.access_range(end, stop - 1))
+                return sum(self.chunk_counts[k][i:j])
+        loose.update(self.access_range(lo, stop - 1))
+        return 0
+
+    def block_words(self) -> list[int]:
+        """The count word of each block: the sum of its chunk words."""
+        return [sum(words) for words in self.chunk_counts]
+
+    def word_bound(self) -> int:
+        """Most chunk words the sequence can take at its length, as :func:`chunk_words`."""
+        return chunk_words(len(self), len(self.blocks))
+
+    def recount(self, symbols: list[int]) -> int:
+        """The count word of ``symbols``, counted afresh."""
+        counted = Counter(symbols)
+        cols = [self.column[symbol] for symbol in counted]
+        fields = array("I", bytes(_FIELD_BYTES * (max(cols, default=-1) + 1)))
+        for col, count in zip(cols, counted.values()):
+            fields[col] = count
+        return pack(fields)
+
+    def chunk_fault(self) -> str | None:
+        """The first chunk that breaks a rule of the module docstring, or None.
+
+        Sizes must sum to the block length, lie in 1..2S, and two
+        neighbours must hold more than S; every word must equal a recount.
+        """
+        top = 2 * CHUNK
+        for k, block in enumerate(self.blocks):
+            sizes, words = self.chunk_sizes[k], self.chunk_counts[k]
+            if len(words) != len(sizes) or sum(sizes) != len(block):
+                return f"the chunks of block {k} do not cover its {len(block)} elements"
+            start = 0
+            for i, size in enumerate(sizes):
+                if not 1 <= size <= top:
+                    return f"chunk {i} of block {k} holds {size}, outside [1, {top}]"
+                if i and sizes[i - 1] + size <= CHUNK:
+                    return f"chunks {i - 1} and {i} of block {k} hold {CHUNK} or fewer together"
+                try:
+                    recounted = self.recount(block[start : start + size])
+                except KeyError as exc:
+                    return f"symbol {exc.args[0]} in block {k} has no column"
+                if words[i] != recounted:
+                    return f"count word of chunk {i} of block {k} disagrees with a recount"
+                start += size
+        return None
+
+    def _chunk_bounds(self, k: int) -> list[int]:
+        """Offsets in block ``k`` where its chunks start, and its length last."""
+        bounds = self._bounds[k]
+        if bounds is None:
+            bounds = self._bounds[k] = list(accumulate(self.chunk_sizes[k], initial=0))
+        return bounds
+
+    def _field(self, symbol: int) -> int:
+        """A count word holding one ``symbol``, whose column the summary table handed out."""
+        return 1 << (_FIELD_BITS * self.column[symbol])
+
+    def _gain(self, k: int, c: int, symbol: int) -> None:
+        """Count ``symbol``, just added to block ``k``, into its chunk ``c``.
+
+        An empty block gets a new chunk; a chunk past 2S splits in two.
+        """
+        sizes, words = self.chunk_sizes[k], self.chunk_counts[k]
+        self._bounds[k] = None
+        if not sizes:
+            sizes.append(1)
+            words.append(self._field(symbol))
+            return
+        size = sizes[c] = sizes[c] + 1
+        words[c] += self._field(symbol)
+        if size > 2 * CHUNK:
+            start = sum(sizes[:c])
+            half = start + size // 2
+            block = self.blocks[k]
+            sizes[c : c + 1] = [size // 2, size - size // 2]
+            words[c : c + 1] = [self.recount(block[start:half]), self.recount(block[half : start + size])]
+
+    def _lose(self, k: int, c: int, symbol: int) -> None:
+        """Take ``symbol``, just removed from block ``k``, out of its chunk ``c``.
+
+        An empty chunk is dropped; a chunk that holds S or fewer together
+        with a neighbour merges into it.
+        """
+        sizes, words = self.chunk_sizes[k], self.chunk_counts[k]
+        self._bounds[k] = None
+        words[c] -= self._field(symbol)
+        size = sizes[c] - 1
+        if not size:
+            del sizes[c], words[c]
+            return
+        sizes[c] = size
+        if c and sizes[c - 1] + size <= CHUNK:
+            c -= 1
+        elif not (c + 1 < len(sizes) and size + sizes[c + 1] <= CHUNK):
+            return
+        sizes[c] += sizes.pop(c + 1)
+        words[c] += words.pop(c + 1)

@@ -4,17 +4,23 @@ The sequence is split into L = Θ(N^alpha) blocks of bounded length, with a
 triangular table of per-block-range symbol counts (:class:`PairTable`), one
 vector of 32-bit counts per block range.  A point edit adds to the O(L^2)
 summary cells that cover its block, as O(L) row runs of one int add each,
-whatever σ'.  A modes query reads the winners off one summary cell plus
+whatever σ', and to one packed chunk count word of :class:`CharSeq`, an
+O(σ')-byte int add.  A modes query reads the winners off one summary cell plus
 the margin at the two ends of its range, in O(N^(1-alpha) + σ' + output)
 time for σ' distinct symbols present.  Each partial end block is counted on
 its cheaper side: the part inside the range is added to a cell that
 leaves the block out ("in"), or the part outside is subtracted from a cell
-that keeps it ("out").  With counting at about one unit per element, a
-second counter's merge at about one step per distinct symbol and a cell
-read at about one unit per column, a side goes out when
+that keeps it ("out").  The plan is priced as if every element were counted
+one by one: with counting at about one unit per element, a second
+counter's merge at about one step per distinct symbol and a cell read at
+about one unit per column, a side goes out when
 ``out + min(out, 3·σ') < in``; a plan that reads a cell where the "in" plan
-reads none must also save more than σ'.  Each end then counts at most one
-block length, and at small σ' about half of one on average.
+reads none must also save more than σ'.  Each end then covers at most one
+block length, and at small σ' about half of one on average.  Of that part,
+the whole chunks of :class:`CharSeq` come as one sum of packed count words,
+and only the loose elements at its ends, at most one chunk each, are
+counted one by one; the cell, the added words and the subtracted words are
+then one packed int sum, unpacked once.
 
 The blocks are the symbol lists of :class:`CharSeq`, and the engine reads
 their boundaries from its :class:`BlockSizeIndex`; an insert joins the block
@@ -36,6 +42,7 @@ a chain of boundary moves to the nearest block with room.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -43,7 +50,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable
 
-from .charseq import CharSeq
+from .charseq import CharSeq, chunk_words
 from .errors import AuditError, InvariantError
 from .multiset import MAX_COUNT, MAX_SYMBOL, PairTable, check_table_fits
 from .results import ModesResult
@@ -69,6 +76,19 @@ def _check_symbol(symbol: object) -> None:
         raise TypeError(f"symbol id must be an int, got {type(symbol).__name__}")
     if not 0 <= symbol <= MAX_SYMBOL:
         raise ValueError(f"symbol id {symbol} does not fit in one machine word")
+
+
+def _check_symbols(flat: list[object]) -> None:
+    """:func:`_check_symbol` on every item, at C speed while all pass."""
+    try:
+        ok = list(map(type, flat)).count(int) == len(flat)
+        if ok:
+            array("Q", flat)  # an int outside 0..MAX_SYMBOL raises OverflowError
+    except (OverflowError, TypeError):
+        ok = False
+    if not ok:
+        for symbol in flat:
+            _check_symbol(symbol)
 
 
 def _check_position(pos: object) -> None:
@@ -129,8 +149,7 @@ class RangeModeEngine:
     def __init__(self, initial: Iterable[int] = (), config: Config | None = None) -> None:
         self._config = config if config is not None else Config()
         flat = list(initial)
-        for symbol in flat:
-            _check_symbol(symbol)
+        _check_symbols(flat)
         self.reset_events: list[tuple[str, int]] = []
         self._rebuild_layout(flat)
 
@@ -159,10 +178,11 @@ class RangeModeEngine:
         sizes = [q + (k < extra) for k in range(used)] + [0] * (slots - used)
         ends = list(accumulate(sizes, initial=0))
         blocks = [flat[a:b] for a, b in zip(ends, ends[1:])]  # slices carry no spare capacity
-        self._table = PairTable(blocks)  # first: if it raises, the old layout stands
+        seq = CharSeq(blocks)
+        self._table = PairTable(seq)  # if either raises, the old layout stands
         self._n0 = n0
         self._capacity = capacity
-        self._seq = CharSeq(blocks)
+        self._seq = seq
         self._sizes = self._seq.sizes  # the block boundaries, read by the engine
 
     # ------------------------------------------------------------------
@@ -209,7 +229,7 @@ class RangeModeEngine:
             # This insert rebuilds the layout: refuse it now if the new table
             # cannot fit, one column spare for a new symbol.
             slots = _layout(n + 1, self._config.alpha)[0]
-            check_table_fits(slots, self._table.sigma_prime + 1)
+            check_table_fits(slots, self._table.sigma_prime + 1, chunk_words(n + 1, slots))
         # The table first: a new symbol may widen it, which can fail for lack
         # of memory before anything has changed.
         self._table.apply_point(j, symbol, 1)
@@ -261,25 +281,33 @@ class RangeModeEngine:
             if br == bl + 1 and out_l and out_r and max(save_l, 0) + max(save_r, 0) <= sigma:
                 cs, ce = br, bl  # reading a one-block cell would cost more than it saves
 
-        read = self._seq.access_range
+        seq = self._seq
         margin: Counter[int] = Counter()
         if cs > ce:
-            margin.update(read(lo, hi))
-            best = max(margin.values())
-            winners = [symbol for symbol, count in margin.items() if count == best]
+            if bl == br:
+                plus = seq.count(bl, lo, stop, margin)
+            else:
+                mid = ends[bl]
+                plus = seq.count(bl, lo, mid, margin) + seq.count(br, mid, stop, margin)
+            if plus:
+                best, winners = self._table.word_modes(plus, margin)
+            else:
+                best = max(margin.values())
+                winners = [symbol for symbol, count in margin.items() if count == best]
         else:
             minus: Counter[int] = Counter()
+            plus = less = 0
             first = ends[cs - 1] if cs else 0
             last = ends[ce]
             if lo < first:
-                margin.update(read(lo, first - 1))
+                plus += seq.count(bl, lo, first, margin)
             elif first < lo:
-                minus.update(read(first, lo - 1))
+                less += seq.count(bl, first, lo, minus)
             if stop < last:
-                minus.update(read(stop, last - 1))
+                less += seq.count(br, stop, last, minus)
             elif last < stop:
-                margin.update(read(last, hi))
-            best, winners = self._table.modes(cs, ce, margin, minus)
+                plus += seq.count(br, last, stop, margin)
+            best, winners = self._table.modes(cs, ce, margin, minus, plus, less)
         winners.sort()
         return ModesResult(best, tuple(winners))
 
@@ -364,6 +392,9 @@ class RangeModeEngine:
                 return AuditReport(
                     False, f"block {slot} holds {len(block)} symbols but its size is {sizes[slot]}"
                 )
+        fault = self._seq.chunk_fault()
+        if fault:
+            return AuditReport(False, fault)
         if self._capacity != capacity:
             return AuditReport(False, "block capacity drifted from the formula")
         try:

@@ -9,19 +9,27 @@ cells of one row l are contiguous, so a point edit in block j changes column
 ``col`` of j+1 row runs (l, j..L-1), and each run is one strided slice: it is
 read as one Python ``int``, gets ±1 added in every field by one int add, and
 is written back.  That is j+1 C-speed passes over (L-j)·4 bytes, whatever
-σ'.  A modes query reads one cell as a list of σ' counts, adds one counter
-of margin symbols and subtracts another, and finds the top count and its
-columns at C speed, O(σ') per query.  The table takes
-L(L+1)/2 · width · 4 bytes; the build and every widening first compare
-that with what the process can get and raise :class:`MemoryError` instead.
+σ'.  A modes query reads one cell, adds the packed count words of the
+whole chunks in its margin and subtracts those of the chunks outside (a
+count word packs count ``col`` into bits 32·col up, the layout of a cell
+read as one ``int``), as one int sum unpacked to a list of σ' counts.  It
+then adds one counter of loose margin symbols and subtracts another, and
+finds the top count and its columns at C speed, O(σ') per query.  The table
+takes L(L+1)/2 · width · 4 bytes, and the chunk words beside it up to
+(2N/S + L) · width · 4 more; the :class:`CharSeq` build, before it counts
+a chunk, and every widening first compare the two with what the process
+can get and raise :class:`MemoryError` instead.
 
-A column is handed out when a symbol first appears and goes back on a free
-list when the symbol's count over all blocks falls to 0, so σ' is the size
-of the column map.  A symbol that finds no free column widens every cell by
-half, copying the table once.  Every decrement first reads the symbol's
-count in the source block's own cell and raises :class:`InvariantError` if
-it is 0, before any cell changes, so a run add can never borrow from a
-neighbouring field.  A field holds counts up to ``MAX_COUNT``; the engine
+The column map is the one :class:`CharSeq` builds, one column per symbol
+of its blocks in increasing order, shared by both.  After the build the
+table alone hands out columns: a new symbol gets one when it is inserted,
+and it goes back on a free list when the symbol's count over all blocks
+falls to 0, so σ' is the size of the column map.  A symbol that finds no free column
+widens every cell by half, copying the table once; the chunk words, Python
+ints, need no widening, and hold 0 in a freed column.  Every decrement
+first reads the symbol's count in the source block's own cell and raises
+:class:`InvariantError` if it is 0, before any cell changes, so a run add
+can never borrow from a neighbouring field.  A field holds counts up to ``MAX_COUNT``; the engine
 rejects a layout whose counts could exceed it.
 
 ``PairTable.cell`` returns a summary cell as a :class:`CountedSet`, a
@@ -36,9 +44,12 @@ import sys
 from array import array
 from collections import Counter
 from itertools import accumulate
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import InvariantError
+
+if TYPE_CHECKING:
+    from .charseq import CharSeq
 
 try:
     import resource
@@ -51,6 +62,7 @@ _FIELD_BITS = 32
 _FIELD_BYTES = _FIELD_BITS // 8
 _ONE_FIELD = (1).to_bytes(_FIELD_BYTES, "little")
 MAX_COUNT = (1 << _FIELD_BITS) - 1
+_BIG_ENDIAN = sys.byteorder == "big"
 
 # Counts live in an array("I"), one field per item.
 if array("I").itemsize != _FIELD_BYTES:
@@ -74,15 +86,32 @@ def _memory_limit() -> int | None:
     return min(limits) if limits else None
 
 
-def check_table_fits(slots: int, width: int) -> None:
+def check_table_fits(slots: int, width: int, words: int = 0) -> None:
     """Raise :class:`MemoryError` if a table of ``slots`` blocks and ``width``
-    columns takes more bytes than the process can get."""
-    nbytes = _FIELD_BYTES * width * (slots * (slots + 1) // 2)
+    columns, with ``words`` packed count words of that width beside it, takes
+    more bytes than the process can get."""
+    nbytes = _FIELD_BYTES * width * (slots * (slots + 1) // 2 + words)
     limit = _memory_limit()
     if limit is not None and nbytes > limit:
         raise MemoryError(
             f"summary table needs {nbytes} bytes, more than the {limit} bytes this process can get"
         )
+
+
+def pack(fields: array) -> int:
+    """The count word of ``fields``: count ``col`` in bits ``32·col`` up."""
+    if _BIG_ENDIAN:
+        fields = array("I", fields)
+        fields.byteswap()
+    return int.from_bytes(fields, "little")
+
+
+def unpack(word: int, width: int) -> list[int]:
+    """The first ``width`` counts of a count word."""
+    fields = array("I", word.to_bytes(_FIELD_BYTES * width, "little"))
+    if _BIG_ENDIAN:
+        fields.byteswap()
+    return fields.tolist()
 
 
 def _zeros(n: int) -> memoryview:
@@ -123,36 +152,28 @@ class PairTable:
     every 0 ≤ l ≤ r < slots.
     """
 
-    __slots__ = ("_slots", "_row_base", "_width", "_counts", "_ones", "_column", "_symbol", "_free")
+    __slots__ = (
+        "_slots", "_row_base", "_width", "_counts", "_ones", "_column", "_symbol", "_free", "_seq",
+    )
 
-    def __init__(self, blocks: list[list[int]]) -> None:
-        """Build a fresh table from explicit block contents."""
-        slots = len(blocks)
+    def __init__(self, seq: CharSeq) -> None:
+        """Build a fresh table over the blocks of ``seq``, sharing its column map."""
+        slots = len(seq.blocks)
         self._slots = slots
+        self._seq = seq
         # Flat triangular layout: cell (l, r) is number _row_base[l] + r.
         self._row_base = [l * slots - (l * (l + 1)) // 2 for l in range(slots)]
         # One 1 in each of the fields of a row run: ``_ones >> 32*j`` has
         # slots - j of them.
         self._ones = int.from_bytes(_ONE_FIELD * slots, "little")
-        self._column: dict[int, int] = {}  # symbol -> column
+        column = self._column = seq.column  # symbol -> column, shared with ``seq``
         self._free: list[int] = []
-        block_counts = [Counter(block) for block in blocks]
-        column = self._column
-        for counted in block_counts:
-            for symbol in counted:
-                column.setdefault(symbol, len(column))
         self._symbol = list(column)  # column -> symbol; a free column keeps its last one
-        width = self._width = len(column)
-        check_table_fits(slots, width)
+        width = self._width = len(column)  # ``seq`` checked that the table fits at this width
         counts = self._counts = _zeros(self.cell_count() * width)
-        # Pack each block into one int, field ``col`` holding its count of
-        # that column's symbol; row l is then the running sums of words l..
-        words = []
-        for counted in block_counts:
-            word = 0
-            for symbol, count in counted.items():
-                word += count << (_FIELD_BITS * column[symbol])
-            words.append(word)
+        # Each block's count word is the sum of its chunk words; row l is
+        # then the running sums of words l..
+        words = seq.block_words()
         nbytes = _FIELD_BYTES * width
         start = 0
         for l in range(slots):
@@ -180,21 +201,48 @@ class PairTable:
         return CountedSet({symbol[k]: c for k, c in enumerate(counts) if c})
 
     def modes(
-        self, l: int, r: int, margin: Counter[int], minus: Counter[int] | None = None
+        self,
+        l: int,
+        r: int,
+        margin: Counter[int],
+        minus: Counter[int] | None = None,
+        plus: int = 0,
+        less: int = 0,
     ) -> tuple[int, list[int]]:
         """Top multiplicity and its symbols, unsorted, over blocks ``l..r``
-        plus ``margin`` minus ``minus``.
+        plus ``margin`` and the count word ``plus``, minus ``minus`` and the
+        count word ``less``.
 
         The engine counts each partial end block of a query on one side,
-        chosen by its cost rule: the part inside the range goes into
-        ``margin`` and the block is left out of ``l..r`` ("in"), or the part
-        outside goes into ``minus`` and the block stays in ("out").  Every
-        symbol of ``margin`` and ``minus`` must be present in the table, and
-        ``minus`` must be part of the cell.
+        chosen by its cost rule: the part inside the range is added and the
+        block is left out of ``l..r`` ("in"), or the part outside is
+        subtracted and the block stays in ("out").  Whole chunks of a part
+        come as count words, the other elements as counters.  Every symbol
+        counted must be present in the table, and what is subtracted must be
+        part of the cell.
         """
         start = self._index(l, r)
+        width = len(self._symbol)
+        cell = self._counts[start : start + width]
+        if plus or less:
+            # No field borrows, as ``less`` is part of the cell, and none
+            # overflows, as no count exceeds MAX_COUNT.
+            counts = unpack(pack(cell) + plus - less, width)
+        else:
+            counts = cell.tolist()
+        return self._top(counts, margin, minus)
+
+    def word_modes(self, word: int, margin: Counter[int]) -> tuple[int, list[int]]:
+        """Top multiplicity and its symbols, unsorted, of the count word
+        ``word`` plus ``margin``: a query that reads no cell."""
+        return self._top(unpack(word, len(self._symbol)), margin, None)
+
+    def _top(
+        self, counts: list[int], margin: Counter[int], minus: Counter[int] | None
+    ) -> tuple[int, list[int]]:
+        """Top count and its symbols once ``margin`` is added to the column
+        counts ``counts`` and ``minus`` subtracted."""
         symbol = self._symbol
-        counts = self._counts[start : start + len(symbol)].tolist()
         column = self._column
         try:
             for s, extra in margin.items():
@@ -246,7 +294,7 @@ class PairTable:
         """Give every cell half as many columns again; the new ones count 0."""
         old, width = self._counts, self._width
         new_width = width + width // 2 + 1
-        check_table_fits(self._slots, new_width)
+        check_table_fits(self._slots, new_width, self._seq.word_bound())
         counts = _zeros(self.cell_count() * new_width)
         for col in range(width):
             counts[col::new_width] = old[col::width]

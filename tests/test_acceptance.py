@@ -124,24 +124,28 @@ def test_criterion_4_update_scaling():
     """Median update time scales sublinearly: log-log slope in [0.4, 0.9]."""
     sizes = [2**14, 2**17, 2**20]
     reps = 33
-    medians: dict[str, list[tuple[int, float]]] = {"insert": [], "delete": []}
-    for n in sizes:
-        rng = random.Random(4000 + n)
-        engine = RangeModeEngine((rng.randrange(26) for _ in range(n)))
-        assert engine.sigma_prime == 26
-        samples: dict[str, list[int]] = {"insert": [], "delete": []}
-        clock = time.perf_counter_ns
-        for _ in range(reps):
+    # Build every engine first, then take the reps round-robin over the
+    # sizes, so a slow stretch of a shared host hits each size alike.
+    rngs = {n: random.Random(4000 + n) for n in sizes}
+    engines = {n: RangeModeEngine((rngs[n].randrange(26) for _ in range(n))) for n in sizes}
+    assert all(engine.sigma_prime == 26 for engine in engines.values())
+    samples = {n: {"insert": [], "delete": []} for n in sizes}
+    clock = time.perf_counter_ns
+    for _ in range(reps):
+        for n in sizes:
+            engine, rng, times = engines[n], rngs[n], samples[n]
             pos = rng.randint(0, len(engine))
             sym = rng.randrange(26)
             t0 = clock()
             engine.insert(pos, sym)
-            samples["insert"].append(clock() - t0)
+            times["insert"].append(clock() - t0)
             t0 = clock()
             engine.delete(pos)
-            samples["delete"].append(clock() - t0)
-        for op, times in samples.items():
-            medians[op].append((n, float(statistics.median(times))))
+            times["delete"].append(clock() - t0)
+    medians = {
+        op: [(n, float(statistics.median(samples[n][op]))) for n in sizes]
+        for op in ("insert", "delete")
+    }
     lines = []
     for op, points in medians.items():
         slope = fit_loglog_slope(points)

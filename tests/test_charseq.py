@@ -1,14 +1,28 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangemodes import CharSeq, InvariantError
+from rangemodes import CharSeq, InvariantError, charseq
+from rangemodes.multiset import unpack
 
 
 def flatten(blocks):
     return [symbol for block in blocks for symbol in block]
+
+
+def seq_over(blocks, alphabet=range(1000)):
+    """A CharSeq over ``blocks`` whose column map also holds ``alphabet``.
+
+    In the engine the summary table hands a new symbol its column before
+    the sequence takes it; a sequence without a table needs them up front.
+    """
+    seq = CharSeq(blocks)
+    for symbol in alphabet:
+        seq.column.setdefault(symbol, len(seq.column))
+    return seq
 
 
 def check_mirror(seq, mirror):
@@ -17,6 +31,7 @@ def check_mirror(seq, mirror):
     assert seq.sizes.to_list() == [len(block) for block in mirror]
     assert seq.to_list() == flatten(mirror)
     assert len(seq) == len(flatten(mirror))
+    assert seq.chunk_fault() is None
 
 
 def mirror_insert(mirror, pos, symbol):
@@ -81,35 +96,35 @@ def test_takes_the_block_lists_without_copying():
 
 
 def test_insert_middle():
-    seq = CharSeq([[1], [2]])
+    seq = seq_over([[1], [2]])
     assert seq.insert_block(1) == 0  # the block holding position 0
     seq.insert_at(1, 9)
     check_mirror(seq, [[1, 9], [2]])
 
 
 def test_insert_into_empty():
-    seq = CharSeq([[], [], []])
+    seq = seq_over([[], [], []])
     assert seq.insert_block(0) == 0
     seq.insert_at(0, 4)
     check_mirror(seq, [[4], [], []])
 
 
 def test_insert_append():
-    seq = CharSeq([[1], []])
+    seq = seq_over([[1], []])
     assert seq.insert_block(1) == 0
     seq.insert_at(1, 2)
     check_mirror(seq, [[1, 2], []])
 
 
 def test_insert_at_front_joins_first_nonempty_block():
-    seq = CharSeq([[], [], [5, 6], [7]])
+    seq = seq_over([[], [], [5, 6], [7]])
     assert seq.insert_block(0) == 2
     seq.insert_at(0, 4)
     check_mirror(seq, [[], [], [4, 5, 6], [7]])
 
 
 def test_insert_after_a_block_end_stays_in_that_block():
-    seq = CharSeq([[1, 2], [], [3]])
+    seq = seq_over([[1, 2], [], [3]])
     assert seq.insert_block(2) == 0
     seq.insert_at(2, 9)
     check_mirror(seq, [[1, 2, 9], [], [3]])
@@ -198,7 +213,7 @@ def test_move_bounds_and_empty_source():
 
 
 def test_distinct_inserts_read_back_in_order():
-    seq = CharSeq([[] for _ in range(4)])
+    seq = seq_over([[] for _ in range(4)])
     for k in range(50):
         seq.insert_at(len(seq), k)
     assert seq.access_range(0, 49) == list(range(50))
@@ -210,7 +225,7 @@ def test_differential_against_list_mirror():
     # keep spreading the elements over the row.
     rng = random.Random(1234)
     mirror = [[], [], [3, 1], [], [4], [], []]
-    seq = CharSeq([list(block) for block in mirror])
+    seq = seq_over([list(block) for block in mirror])
     for step in range(20000):
         n = len(flatten(mirror))
         roll = rng.random()
@@ -250,7 +265,7 @@ def test_differential_against_list_mirror():
 )
 def test_property_matches_list(blocks, ops):
     mirror = [list(block) for block in blocks]
-    seq = CharSeq(blocks)
+    seq = seq_over(blocks)
     for kind, raw, sym in ops:
         n = len(flatten(mirror))
         if kind == "i" or (kind == "d" and not n):
@@ -277,3 +292,48 @@ def test_property_matches_list(blocks, ops):
                 mirror[i + 1].insert(0, mirror[i].pop())
                 seq.move_right(i)
         check_mirror(seq, mirror)
+
+
+def word_counts(seq, word):
+    """The symbol counts a chunk count word holds."""
+    symbol = {col: s for s, col in seq.column.items()}
+    fields = unpack(word, len(seq.column))
+    return Counter({symbol[col]: count for col, count in enumerate(fields) if count})
+
+
+def test_chunks_follow_edits_and_count_margins(monkeypatch):
+    # S = 3: chunks of 1..6 elements, so a few hundred edits split, merge
+    # and drop them many times over.
+    monkeypatch.setattr(charseq, "CHUNK", 3)
+    rng = random.Random(99)
+    mirror = [[rng.randrange(5) for _ in range(size)] for size in (0, 13, 30, 1, 9)]
+    seq = seq_over([list(block) for block in mirror])
+    assert [len(sizes) for sizes in seq.chunk_sizes] == [0, 4, 10, 1, 3]
+    counted = 0
+    for _ in range(600):
+        n = len(flatten(mirror))
+        roll = rng.random()
+        if n == 0 or roll < 0.45:
+            pos, sym = rng.randint(0, n), rng.randrange(7)
+            mirror_insert(mirror, pos, sym)
+            seq.insert_at(pos, sym)
+        elif roll < 0.8:
+            pos = rng.randrange(n)
+            assert seq.delete_at(pos) == mirror_delete(mirror, pos)
+        else:
+            i = rng.randrange(1, len(mirror))
+            if mirror[i]:
+                mirror[i - 1].append(mirror[i].pop(0))
+                seq.move_left(i)
+        check_mirror(seq, mirror)
+        k = rng.randrange(len(mirror))
+        base = len(flatten(mirror[:k]))
+        if len(mirror[k]) > 1:
+            lo = base + rng.randrange(len(mirror[k]) - 1)
+            stop = rng.randint(lo + 1, base + len(mirror[k]) - (lo == base))
+            loose = Counter()
+            word = seq.count(k, lo, stop, loose)
+            counted += bool(word)
+            assert sum(loose.values()) <= 4 * charseq.CHUNK
+            assert loose + word_counts(seq, word) == Counter(flatten(mirror)[lo:stop])
+    assert counted > 100

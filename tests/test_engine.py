@@ -123,6 +123,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             engine.insert(0, 1 << 64)
 
+    @pytest.mark.parametrize(
+        "initial, error, message",
+        [
+            ([1, True], TypeError, "symbol id must be an int, got bool"),
+            ([1, 1.0], TypeError, "symbol id must be an int, got float"),
+            ([3, -1], ValueError, "symbol id -1 does not fit in one machine word"),
+            ([2**64], ValueError, f"symbol id {2**64} does not fit in one machine word"),
+        ],
+    )
+    def test_bulk_symbol_check_raises_the_first_error(self, initial, error, message):
+        # The build checks all symbols at once; the error is the one the
+        # check of a single symbol raises for the first bad one.
+        with pytest.raises(error) as bulk:
+            RangeModeEngine(initial)
+        assert str(bulk.value) == message
+        with pytest.raises(error) as single:
+            RangeModeEngine().insert(0, initial[-1])
+        assert str(single.value) == message
+
     def test_length_must_fit_the_count_fields(self, monkeypatch):
         # A summary count reaches 2·n0 before the next rebuild.
         monkeypatch.setattr(engine_module, "MAX_COUNT", 7)
@@ -528,6 +547,48 @@ class TestAudit:
         assert not report.ok
         assert "cell" in report.message
 
+    # 4000 elements fill 16 blocks of 250: each one chunk of 250; 8000
+    # fill 20 blocks of 400: each three chunks of 133 or 134.
+
+    def test_detects_corrupted_chunk_word(self):
+        engine = RangeModeEngine([k % 5 for k in range(8000)])
+        assert engine._seq.chunk_sizes[4] == [134, 133, 133]
+        assert engine.audit().ok
+        engine._seq.chunk_counts[4][1] += 1  # one more of the symbol in column 0
+        report = engine.audit()
+        assert not report.ok
+        assert report.message == "count word of chunk 1 of block 4 disagrees with a recount"
+
+    def test_detects_chunks_left_unmerged(self):
+        engine = RangeModeEngine([k % 5 for k in range(8000)])
+        seq = engine._seq
+        block = seq.blocks[0]
+        seq.chunk_sizes[0] = [10, 60, 197, 133]
+        seq.chunk_counts[0] = [
+            seq.recount(block[a:b]) for a, b in ((0, 10), (10, 70), (70, 267), (267, 400))
+        ]
+        report = engine.audit()
+        assert not report.ok
+        assert report.message == "chunks 0 and 1 of block 0 hold 128 or fewer together"
+
+    def test_detects_oversized_chunk(self):
+        engine = RangeModeEngine([k % 5 for k in range(8000)])
+        seq = engine._seq
+        seq.chunk_sizes[0] = [400]
+        seq.chunk_counts[0] = [sum(seq.chunk_counts[0])]
+        report = engine.audit()
+        assert not report.ok
+        assert report.message == "chunk 0 of block 0 holds 400, outside [1, 256]"
+
+    def test_detects_empty_chunk(self):
+        engine = RangeModeEngine([k % 5 for k in range(4000)])
+        assert engine._seq.chunk_sizes[2] == [250]
+        engine._seq.chunk_sizes[2].insert(0, 0)
+        engine._seq.chunk_counts[2].insert(0, 0)
+        report = engine.audit()
+        assert not report.ok
+        assert report.message == "chunk 0 of block 2 holds 0, outside [1, 256]"
+
     def test_detects_stale_symbol_column(self):
         engine = RangeModeEngine([1, 2, 3, 4, 5])
         engine._table._claim_column(9)  # a column no element counts in
@@ -564,7 +625,10 @@ class TestAudit:
 
 class TestMemoryGuard:
     def test_oversized_table_is_refused_before_allocating(self):
-        # RangeModeEngine(range(1 << 17)) would need about 3.5 GB of counts.
+        # RangeModeEngine(range(1 << 17)) would need about 3.5 GB of counts
+        # for its table alone, 115 slots of 2^17 columns, and 2·2^17/128 + 115
+        # chunk words of that width beside it.  The build prices both before
+        # it counts a chunk.
         pytest.importorskip("resource")
         code = textwrap.dedent(
             """
@@ -588,7 +652,20 @@ class TestMemoryGuard:
         assert child.returncode == 0, child.stderr
         seconds, message = child.stdout.split(" ", 1)
         assert float(seconds) < 1.0
-        assert "needs 3497000960 bytes" in message
+        assert f"needs {4 * (1 << 17) * (115 * 116 // 2 + 2 * (1 << 17) // 128 + 115)} bytes" in message
+
+    def test_chunk_words_count_against_the_limit(self, monkeypatch):
+        # The words of S = 128 chunks take up to (2N/S + L)·σ'·4 bytes.
+        symbols = [k % 40 for k in range(3000)]
+        slots = len(RangeModeEngine(symbols).block_sizes())
+        table_bytes = 4 * 40 * slots * (slots + 1) // 2
+        words = 2 * len(symbols) // 128 + slots
+        monkeypatch.setattr(multiset, "_memory_limit", lambda: table_bytes)
+        with pytest.raises(MemoryError, match=f"needs {table_bytes + 4 * 40 * words} bytes"):
+            RangeModeEngine(symbols)
+        monkeypatch.setattr(multiset, "_memory_limit", lambda: table_bytes + 4 * 40 * words)
+        engine = RangeModeEngine(symbols)
+        assert engine.sigma_prime == 40 and engine.audit().ok
 
     def test_widening_past_the_limit_leaves_the_engine_unchanged(self, monkeypatch):
         engine = RangeModeEngine([1, 2, 3, 4, 1, 2])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangemodes import CountedSet, InvariantError, PairTable
+from rangemodes import CharSeq, CountedSet, InvariantError, PairTable
 from rangemodes import multiset
 from rangemodes.multiset import MAX_SYMBOL
 
@@ -80,7 +80,7 @@ class TestCountedSet:
 
 
 def build_table(blocks):
-    return PairTable([list(b) for b in blocks])
+    return PairTable(CharSeq([list(b) for b in blocks]))
 
 
 def cell_counts(table, l, r):
@@ -331,8 +331,10 @@ class TestPairTable:
         blocks = [[A], [B, B]]
         table = build_table(blocks)
         width = table._width
-        monkeypatch.setattr(multiset, "_memory_limit", lambda: 4 * table.cell_count() * width)
-        with pytest.raises(MemoryError, match=str(4 * table.cell_count() * (width + width // 2 + 1))):
+        # Beside the cells, 2·3/128 + 2 = 2 chunk words of the new width.
+        words = table.cell_count() + 2
+        monkeypatch.setattr(multiset, "_memory_limit", lambda: 4 * words * width)
+        with pytest.raises(MemoryError, match=str(4 * words * (width + width // 2 + 1))):
             table.apply_point(0, C, 1)
         assert table._width == width and table.sigma_prime == 2
         assert all_cells(table) == recount(blocks)

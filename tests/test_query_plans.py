@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from layout import lay_out
-from rangemodes import CharSeq, Config, NaiveSeq, PairTable, RangeModeEngine
+from rangemodes import CharSeq, Config, NaiveSeq, PairTable, RangeModeEngine, charseq
 
 HALF = Config(alpha=Fraction(1, 2))
 
@@ -35,12 +35,13 @@ def laid_out(symbols, sizes=SIZES):
 @pytest.fixture
 def plan(monkeypatch):
     """Record the cell read and the ranges counted by each query."""
-    log = {"cells": [], "reads": []}
+    log = {"cells": [], "reads": [], "words": []}
     table_modes, access_range = PairTable.modes, CharSeq.access_range
 
-    def modes(self, l, r, margin, minus=None):
+    def modes(self, l, r, margin, minus=None, *words):
         log["cells"].append((l, r, Counter(margin), Counter(minus or {})))
-        return table_modes(self, l, r, margin, minus)
+        log["words"].append(words)
+        return table_modes(self, l, r, margin, minus, *words)
 
     def read(self, lo, hi):
         log["reads"].append((lo, hi))
@@ -50,13 +51,14 @@ def plan(monkeypatch):
     monkeypatch.setattr(CharSeq, "access_range", read)
 
     def query(engine, lo, hi):
-        log["cells"].clear()
-        log["reads"].clear()
+        for entries in log.values():
+            entries.clear()
         assert engine.modes(lo, hi) == NaiveSeq(engine.to_list()).modes(lo, hi)
         cells = log["cells"]
         assert len(cells) <= 1
         return (cells[0] if cells else None), sorted(log["reads"])
 
+    query.log = log
     return query
 
 
@@ -71,7 +73,13 @@ def counted(symbols, *ranges):
 
 class TestPlans:
     # With two symbols, "out" is taken when out + min(out, 6) < in: on a
-    # block of 10, when at most 3 elements lie outside the range.
+    # block of 10, when at most 3 elements lie outside the range.  Every
+    # block is one chunk, so no part of one holds a whole chunk.
+
+    @pytest.fixture(autouse=True)
+    def no_chunk_words(self, plan):
+        yield
+        assert not any(any(words) for words in plan.log["words"])
 
     def test_left_out(self, plan):
         symbols = two_symbols()
@@ -111,7 +119,7 @@ class TestPlans:
         # Blocks 10 and 11 each have 5 elements on either side: both "in",
         # which leaves no cell between them.
         engine = laid_out(two_symbols())
-        assert plan(engine, 25, 34) == (None, [(25, 34)])
+        assert plan(engine, 25, 34) == (None, [(25, 29), (30, 34)])
 
     def test_adjacent_blocks_one_side_out(self, plan):
         symbols = two_symbols()
@@ -133,7 +141,7 @@ class TestPlans:
         symbols = list(range(48))
         engine = laid_out(symbols)
         assert plan(engine, 31, 38) == (None, [(31, 38)])
-        assert plan(engine, 21, 34) == (None, [(21, 34)])
+        assert plan(engine, 21, 34) == (None, [(21, 29), (30, 34)])
         # ...while a side whose cell is read anyway still goes out.
         cell, reads = plan(engine, 12, 39)
         assert cell == (8, 11, Counter(), counted(symbols, (10, 12)))
@@ -147,15 +155,45 @@ class TestPlans:
 
 
 @pytest.mark.parametrize(
+    "lo, hi, cell",
+    [
+        (12, 39, (8, 11)),
+        (20, 37, (10, 11)),
+        (16, 37, (9, 11)),
+        (31, 38, (11, 11)),
+        (21, 34, (10, 10)),
+        (0, 47, (7, 12)),
+        (32, 35, None),
+        (25, 34, None),
+    ],
+)
+def test_chunk_words_leave_the_plans_unchanged(plan, monkeypatch, lo, hi, cell):
+    # S = 2: chunks of 1..4 elements, so most margins hold whole chunks.
+    # The cost rule still sees elements, so each query reads the same cell
+    # as in TestPlans, and only the loose ends are read one by one.
+    monkeypatch.setattr(charseq, "CHUNK", 2)
+    symbols = two_symbols()
+    engine = laid_out(symbols)
+    got, reads = plan(engine, lo, hi)
+    assert (got and got[:2]) == cell
+    counted = sum(b - a + 1 for a, b in reads)
+    assert counted <= 4 * 2 * 2
+    if cell is None:
+        assert counted < hi - lo + 1  # the rest came as one word
+    else:
+        assert any(plan.log["words"][0]) == ((lo, hi) != (0, 47))  # (0, 47) has no margin
+
+
+@pytest.mark.parametrize(
     "alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5)], ids=str
 )
 def test_every_range_after_random_edits(alpha, monkeypatch):
     minus_sizes = Counter()
     table_modes = PairTable.modes
 
-    def modes(self, l, r, margin, minus=None):
+    def modes(self, l, r, margin, minus=None, *words):
         minus_sizes[bool(minus)] += 1
-        return table_modes(self, l, r, margin, minus)
+        return table_modes(self, l, r, margin, minus, *words)
 
     monkeypatch.setattr(PairTable, "modes", modes)
     rng = random.Random(alpha.denominator * 7 + alpha.numerator)

@@ -3,8 +3,10 @@
 Each rule edits or queries both and compares them; ``audit()`` runs after
 every rule, so a failure shrinks to a minimal op trace.  The machine also
 records which rare paths it reached (layout resets, boundary moves, a freed
-summary column reused, a table widened for a new symbol); the test requires
-every one of them, so the fuzzing cannot silently stop exercising them.
+summary column reused, a table widened for a new symbol, a chunk split,
+merged or dropped); the test requires every one of them, so the fuzzing
+cannot silently stop exercising them.  Its blocks hold a few dozen elements
+at most, so the test shrinks the chunk size S from 128 to 2.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from rangemodes import Config, NaiveSeq, RangeModeEngine
+from rangemodes import Config, NaiveSeq, RangeModeEngine, charseq
 
 ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5))
 SYMBOLS = st.integers(0, 11)
@@ -51,13 +53,17 @@ class EngineMachine(RuleBasedStateMachine):
         new = symbol not in table._column
         j = engine._seq.insert_block(pos)
         size, resets = engine.block_sizes()[j], len(engine.reset_events)
+        chunks = len(engine._seq.chunk_sizes[j])
         engine.insert(pos, symbol)
         self.naive.insert_at(pos, symbol)
         if engine._table is table and new:
             widened = table._width > width
             self.reach("column reused" if free else "table widened" if widened else "spare column")
-        if len(engine.reset_events) == resets and engine.block_sizes()[j] == size:
-            self.reach("boundary moves")  # block j overflowed and shed an element
+        if len(engine.reset_events) == resets:
+            if engine.block_sizes()[j] == size:
+                self.reach("boundary moves")  # block j overflowed and shed an element
+            elif chunks and len(engine._seq.chunk_sizes[j]) > chunks:
+                self.reach("chunk split")
 
     @rule(pos=POSITIONS, symbol=SYMBOLS)
     def insert(self, pos, symbol):
@@ -69,18 +75,26 @@ class EngineMachine(RuleBasedStateMachine):
         for symbol in symbols:
             self._insert(len(self.naive) // 2, symbol)
 
+    def _delete(self, pos):
+        seq, resets = self.engine._seq, len(self.engine.reset_events)
+        k, off = seq.locate(pos)
+        sizes = list(seq.chunk_sizes[k])
+        c = next(c for c in range(len(sizes)) if off < sum(sizes[: c + 1]))
+        assert self.engine.delete(pos) == self.naive.delete_at(pos)
+        if len(self.engine.reset_events) == resets and len(seq.chunk_sizes[k]) < len(sizes):
+            self.reach("chunk dropped" if sizes[c] == 1 else "chunks merged")
+
     @precondition(lambda self: len(self.naive) > 0)
     @rule(pos=POSITIONS)
     def delete(self, pos):
-        pos %= len(self.naive)
-        assert self.engine.delete(pos) == self.naive.delete_at(pos)
+        self._delete(pos % len(self.naive))
 
     @precondition(lambda self: len(self.naive) > 0)
     @rule(count=st.integers(1, 8))
     def delete_run(self, count):
         # Shrinks the sequence fast enough to reach halving resets.
         for _ in range(min(count, len(self.naive))):
-            assert self.engine.delete(0) == self.naive.delete_at(0)
+            self._delete(0)
 
     @precondition(lambda self: len(self.naive) > 0)
     @rule(a=POSITIONS, b=POSITIONS)
@@ -100,7 +114,8 @@ class EngineMachine(RuleBasedStateMachine):
             self.reach(f"{kind} reset")
 
 
-def test_engine_matches_oracle_in_lockstep():
+def test_engine_matches_oracle_in_lockstep(monkeypatch):
+    monkeypatch.setattr(charseq, "CHUNK", 2)
     reached: Counter = Counter()
     run_state_machine_as_test(
         lambda: EngineMachine(reached),
@@ -114,5 +129,6 @@ def test_engine_matches_oracle_in_lockstep():
     )
     wanted = {f"alpha={alpha}" for alpha in ALPHAS} | {
         "double reset", "halve reset", "boundary moves", "column reused", "table widened",
+        "chunk split", "chunks merged", "chunk dropped",
     }
     assert wanted <= reached.keys(), wanted - reached.keys()

@@ -1,19 +1,21 @@
 """Block-decomposed dynamic sequence answering range mode enumeration queries.
 
 The sequence is split into L = Θ(N^alpha) blocks of bounded length, with a
-triangular table of per-block-range symbol counts (:class:`PairTable`), one
-vector of 32-bit counts per block range.  A point edit adds to the O(L^2)
-summary cells that cover its block, as O(L) row runs of one int add each,
-whatever σ', and to one packed chunk count word of :class:`CharSeq`, an
-O(σ')-byte int add.  A modes query reads the winners off one summary cell plus
-the margin at the two ends of its range, in O(N^(1-alpha) + σ' + output)
-time for σ' distinct symbols present.  Each partial end block is counted on
-its cheaper side: the part inside the range is added to a cell that
-leaves the block out ("in"), or the part outside is subtracted from a cell
-that keeps it ("out").  The plan is priced as if every element were counted
-one by one: with counting at about one unit per element, a second
-counter's merge at about one step per distinct symbol and a cell read at
-about one unit per column, a side goes out when
+triangular table of per-block-range symbol counts (:class:`PairTable`),
+stored symbol-major: one plane of L(L+1)/2 32-bit counts per symbol.  A
+point edit in block j adds to the O(L^2) summary cells that cover it, which
+lie in one slice of the symbol's plane: one int add of a mask built from
+j+1 row pieces, O(L^2) bytes at C speed whatever σ'.  It also adds to one
+packed chunk count word of :class:`CharSeq`, an O(σ')-byte int add.  A
+modes query reads one summary cell, a strided gather of one field from each
+of σ' planes, plus the margin at the two ends of its range, in
+O(N^(1-alpha) + σ' + output) time for σ' distinct symbols present.  Each
+partial end block is counted on its cheaper side: the part inside the range
+is added to a cell that leaves the block out ("in"), or the part outside is
+subtracted from a cell that keeps it ("out").  The plan is priced as if
+every element were counted one by one: with counting at about one unit per
+element, a second counter's merge at about one step per distinct symbol and
+a cell read at about one unit per column, a side goes out when
 ``out + min(out, 3·σ') < in``; a plan that reads a cell where the "in" plan
 reads none must also save more than σ'.  Each end then covers at most one
 block length, and at small σ' about half of one on average.  Of that part,
@@ -35,9 +37,10 @@ between n0/2 and 2·n0, L = Θ(N^alpha) and the capacity is Θ(N^(1-alpha)),
 at amortized cost.  A rebuild spreads the elements evenly,
 sizes differing by at most one: after a doubling over every slot, so the
 slack absorbs the next ``n0`` inserts, and otherwise over the first
-``ceil(n0^alpha)`` slots, which keeps edits in the low slots where a row of
-summary cells is shortest.  A block that overflows sheds one element along
-a chain of boundary moves to the nearest block with room.
+``ceil(n0^alpha)`` slots, which keeps edits in the low slots, where the
+slice of summary cells an edit adds to is shortest.  A block that overflows
+sheds one element along a chain of boundary moves to the nearest block with
+room.
 """
 
 from __future__ import annotations
@@ -164,12 +167,6 @@ class RangeModeEngine:
         """
         n = len(flat)
         n0 = max(n, 1)
-        # The length reaches 2·n0 before the next rebuild; a symbol's count
-        # in a summary cell must fit its packed field until then.
-        if 2 * n0 > MAX_COUNT:
-            raise ValueError(
-                f"length {n} is too long: summary counts up to {2 * n0} exceed {MAX_COUNT}"
-            )
         slots, filled, capacity = _layout(n0, self._config.alpha)
         used = slots if spread else filled
         if n > used * capacity:
@@ -179,7 +176,15 @@ class RangeModeEngine:
         ends = list(accumulate(sizes, initial=0))
         blocks = [flat[a:b] for a, b in zip(ends, ends[1:])]  # slices carry no spare capacity
         seq = CharSeq(blocks)
-        self._table = PairTable(seq)  # if either raises, the old layout stands
+        table = PairTable(seq)  # if either raises, the old layout stands
+        # A stored field is a count, which reaches 2·n0 before the next
+        # rebuild, plus its row's offset; it must fit its field until then.
+        reach = 2 * n0 + table.top_offset()
+        if reach > MAX_COUNT:
+            raise ValueError(
+                f"length {n} is too long: summary fields up to {reach} exceed {MAX_COUNT}"
+            )
+        self._table = table
         self._n0 = n0
         self._capacity = capacity
         self._seq = seq
@@ -290,7 +295,7 @@ class RangeModeEngine:
                 mid = ends[bl]
                 plus = seq.count(bl, lo, mid, margin) + seq.count(br, mid, stop, margin)
             if plus:
-                best, winners = self._table.word_modes(plus, margin)
+                best, winners = self._table.modes(None, None, margin, None, plus)
             else:
                 best = max(margin.values())
                 winners = [symbol for symbol, count in margin.items() if count == best]
@@ -392,7 +397,7 @@ class RangeModeEngine:
                 return AuditReport(
                     False, f"block {slot} holds {len(block)} symbols but its size is {sizes[slot]}"
                 )
-        fault = self._seq.chunk_fault()
+        fault = self._seq.chunk_fault() or self._table.offset_fault()
         if fault:
             return AuditReport(False, fault)
         if self._capacity != capacity:

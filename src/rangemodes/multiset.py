@@ -1,36 +1,53 @@
 """The dense table of block-range summaries and its cell snapshots.
 
 A ``PairTable`` holds the symbol counts of every block range (l, r) with
-l ≤ r in one flat vector of 32-bit counts.  Each symbol present owns a
-column, and cell (l, r) is the ``width`` counts from position
-``(_row_base[l] + r) * width`` on, count ``col`` being that symbol's
-multiplicity in blocks l..r; ``width`` ≥ σ' is the column capacity.  The
-cells of one row l are contiguous, so a point edit in block j changes column
-``col`` of j+1 row runs (l, j..L-1), and each run is one strided slice: it is
-read as one Python ``int``, gets ±1 added in every field by one int add, and
-is written back.  That is j+1 C-speed passes over (L-j)·4 bytes, whatever
-σ'.  A modes query reads one cell, adds the packed count words of the
-whole chunks in its margin and subtracts those of the chunks outside (a
-count word packs count ``col`` into bits 32·col up, the layout of a cell
-read as one ``int``), as one int sum unpacked to a list of σ' counts.  It
-then adds one counter of loose margin symbols and subtracts another, and
-finds the top count and its columns at C speed, O(σ') per query.  The table
-takes L(L+1)/2 · width · 4 bytes, and the chunk words beside it up to
-(2N/S + L) · width · 4 more; the :class:`CharSeq` build, before it counts
-a chunk, and every widening first compare the two with what the process
-can get and raise :class:`MemoryError` instead.
+l ≤ r as 32-bit fields of one flat ``array("I")``, symbol-major.  Each
+symbol present owns a column, and column ``col`` owns one contiguous plane
+of L(L+1)/2 fields from ``col · cells`` on, in row order: field
+``_row_base[l] + r`` of a plane stands for cell (l, r), so row l is the
+cells (l, l..L-1).  ``width`` ≥ σ' is the column capacity, the number of
+planes.  A row is stored with an offset: field (l, r) of a plane holds the
+symbol's count in blocks l..r plus its count in blocks 0..l-1 when the table
+was built, and that offset is field ``col`` of ``_base[l]``, a count word
+(count ``col`` in bits 32·col up, the layout of :class:`CharSeq`'s chunk
+words).  So the build writes each plane as the L suffixes of the column's
+prefix counts, with no add per cell, and a cell reads as its stored fields
+minus its row's offset word.  Edits, shifts and reused columns never touch
+the offsets.
+
+The cells a point edit in block j changes, (l, r) with l ≤ j ≤ r, all lie in
+one slice of the symbol's plane, from cell (0, j) to cell (j, L-1); the
+slice also holds the j(j-1)/2 cells (l, l..j-1) of rows 1..j between them.
+The edit reads the slice as one Python ``int``, adds or subtracts a mask
+with a 1 in every field of the row tails and 0 in those head cells, and
+writes it back: one C-speed pass over (j+1)(L-j) + j(j-1)/2 fields,
+whatever σ'.  A boundary shift adds to one cell per row above the boundary
+and to one row tail, a contiguous run.  A modes query reads one field from
+each plane, a strided gather of σ' fields, packs them into one ``int``,
+subtracts the row's offset word, adds the packed count words of the whole
+chunks in its margin and subtracts those of the chunks outside, and unpacks
+the sum once to a list of σ' counts.  It then adds one counter of loose
+margin symbols and subtracts another, and finds the top count and its
+columns at C speed, O(σ') per query.  The table takes L(L+1)/2 · width · 4
+bytes, its offset words up to L · width · 4, and the chunk words beside it
+up to (2N/S + L) · width · 4 more; the :class:`CharSeq` build, before it
+counts a chunk, and every widening first compare the sum with what the
+process can get and raise :class:`MemoryError` instead.
 
 The column map is the one :class:`CharSeq` builds, one column per symbol
 of its blocks in increasing order, shared by both.  After the build the
 table alone hands out columns: a new symbol gets one when it is inserted,
 and it goes back on a free list when the symbol's count over all blocks
-falls to 0, so σ' is the size of the column map.  A symbol that finds no free column
-widens every cell by half, copying the table once; the chunk words, Python
-ints, need no widening, and hold 0 in a freed column.  Every decrement
-first reads the symbol's count in the source block's own cell and raises
-:class:`InvariantError` if it is 0, before any cell changes, so a run add
-can never borrow from a neighbouring field.  A field holds counts up to ``MAX_COUNT``; the engine
-rejects a layout whose counts could exceed it.
+falls to 0, so σ' is the size of the column map.  A reused column keeps the
+offsets of its last symbol, and its cells read 0 as its fields still equal
+them.  A symbol that finds no free column widens the table by half,
+appending zero planes in one copy; the offset words and the chunk words,
+Python ints, need no widening.  Every decrement first reads the symbol's
+count in the source block's own cell and raises :class:`InvariantError` if
+it is 0, before any cell changes, so no field of a slice add can borrow from
+its neighbour.  A stored field holds a count plus its offset and must stay
+at most ``MAX_COUNT``; :meth:`PairTable.top_offset` bounds the offsets, and
+the engine rejects a layout whose fields could exceed it.
 
 ``PairTable.cell`` returns a summary cell as a :class:`CountedSet`, a
 symbol→count snapshot that ``audit()`` compares with a recount.
@@ -60,7 +77,8 @@ MAX_SYMBOL = (1 << 64) - 1
 
 _FIELD_BITS = 32
 _FIELD_BYTES = _FIELD_BITS // 8
-_ONE_FIELD = (1).to_bytes(_FIELD_BYTES, "little")
+_ONE_FIELD = (1).to_bytes(_FIELD_BYTES, sys.byteorder)  # native order, as the fields are stored
+_ZERO_FIELD = bytes(_FIELD_BYTES)
 MAX_COUNT = (1 << _FIELD_BITS) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -88,9 +106,9 @@ def _memory_limit() -> int | None:
 
 def check_table_fits(slots: int, width: int, words: int = 0) -> None:
     """Raise :class:`MemoryError` if a table of ``slots`` blocks and ``width``
-    columns, with ``words`` packed count words of that width beside it, takes
-    more bytes than the process can get."""
-    nbytes = _FIELD_BYTES * width * (slots * (slots + 1) // 2 + words)
+    columns, with its ``slots`` offset words and ``words`` packed count words
+    of that width beside it, takes more bytes than the process can get."""
+    nbytes = _FIELD_BYTES * width * (slots * (slots + 1) // 2 + slots + words)
     limit = _memory_limit()
     if limit is not None and nbytes > limit:
         raise MemoryError(
@@ -153,35 +171,34 @@ class PairTable:
     """
 
     __slots__ = (
-        "_slots", "_row_base", "_width", "_counts", "_ones", "_column", "_symbol", "_free", "_seq",
+        "_slots", "_cells", "_row_base", "_width", "_counts", "_base",
+        "_column", "_symbol", "_free", "_seq",
     )
 
     def __init__(self, seq: CharSeq) -> None:
         """Build a fresh table over the blocks of ``seq``, sharing its column map."""
-        slots = len(seq.blocks)
-        self._slots = slots
+        slots = self._slots = len(seq.blocks)
+        cells = self._cells = slots * (slots + 1) // 2
         self._seq = seq
-        # Flat triangular layout: cell (l, r) is number _row_base[l] + r.
+        # Cell (l, r) is field _row_base[l] + r of every plane.
         self._row_base = [l * slots - (l * (l + 1)) // 2 for l in range(slots)]
-        # One 1 in each of the fields of a row run: ``_ones >> 32*j`` has
-        # slots - j of them.
-        self._ones = int.from_bytes(_ONE_FIELD * slots, "little")
         column = self._column = seq.column  # symbol -> column, shared with ``seq``
         self._free: list[int] = []
         self._symbol = list(column)  # column -> symbol; a free column keeps its last one
         width = self._width = len(column)  # ``seq`` checked that the table fits at this width
-        counts = self._counts = _zeros(self.cell_count() * width)
-        # Each block's count word is the sum of its chunk words; row l is
-        # then the running sums of words l..
-        words = seq.block_words()
+        # prefix[k]: the count word of blocks 0..k-1.  Row l stores the
+        # counts of blocks 0..r for r = l..slots-1, the suffix from l of the
+        # column's prefix counts, so its offset is prefix[l].
+        prefix = list(accumulate(seq.block_words(), initial=0))
+        self._base = prefix[:slots]
         nbytes = _FIELD_BYTES * width
-        start = 0
-        for l in range(slots):
-            row = b"".join(w.to_bytes(nbytes, "little") for w in accumulate(words[l:]))
-            stop = start + (slots - l) * width
-            counts[start:stop] = memoryview(row).cast("I")
-            start = stop
-        if sys.byteorder == "big":
+        sums = memoryview(b"".join(w.to_bytes(nbytes, "little") for w in prefix[1:])).cast("I")
+        counts = self._counts = _zeros(cells * width)
+        for col in range(width):
+            run = memoryview(sums[col::width].tobytes())
+            plane = b"".join([run[_FIELD_BYTES * l :] for l in range(slots)])
+            counts[col * cells : (col + 1) * cells] = memoryview(plane).cast("I")
+        if _BIG_ENDIAN:
             counts.obj.byteswap()
 
     @property
@@ -196,14 +213,17 @@ class PairTable:
     def cell(self, l: int, r: int) -> CountedSet:
         """Snapshot of the summary multiset for blocks ``l..r`` inclusive."""
         start = self._index(l, r)
-        symbol = self._symbol
-        counts = self._counts[start : start + len(symbol)].tolist()
-        return CountedSet({symbol[k]: c for k, c in enumerate(counts) if c})
+        symbol, cells = self._symbol, self._cells
+        stored = self._counts[start : start + len(symbol) * cells : cells].tolist()
+        offsets = unpack(self._base[l], len(symbol))
+        return CountedSet(
+            {symbol[k]: c - b for k, (c, b) in enumerate(zip(stored, offsets)) if c != b}
+        )
 
     def modes(
         self,
-        l: int,
-        r: int,
+        l: int | None,
+        r: int | None,
         margin: Counter[int],
         minus: Counter[int] | None = None,
         plus: int = 0,
@@ -211,7 +231,7 @@ class PairTable:
     ) -> tuple[int, list[int]]:
         """Top multiplicity and its symbols, unsorted, over blocks ``l..r``
         plus ``margin`` and the count word ``plus``, minus ``minus`` and the
-        count word ``less``.
+        count word ``less``; with ``l`` None, of ``margin`` and ``plus`` alone.
 
         The engine counts each partial end block of a query on one side,
         chosen by its cost rule: the part inside the range is added and the
@@ -221,28 +241,19 @@ class PairTable:
         counted must be present in the table, and what is subtracted must be
         part of the cell.
         """
-        start = self._index(l, r)
-        width = len(self._symbol)
-        cell = self._counts[start : start + width]
-        if plus or less:
-            # No field borrows, as ``less`` is part of the cell, and none
-            # overflows, as no count exceeds MAX_COUNT.
-            counts = unpack(pack(cell) + plus - less, width)
-        else:
-            counts = cell.tolist()
-        return self._top(counts, margin, minus)
-
-    def word_modes(self, word: int, margin: Counter[int]) -> tuple[int, list[int]]:
-        """Top multiplicity and its symbols, unsorted, of the count word
-        ``word`` plus ``margin``: a query that reads no cell."""
-        return self._top(unpack(word, len(self._symbol)), margin, None)
-
-    def _top(
-        self, counts: list[int], margin: Counter[int], minus: Counter[int] | None
-    ) -> tuple[int, list[int]]:
-        """Top count and its symbols once ``margin`` is added to the column
-        counts ``counts`` and ``minus`` subtracted."""
         symbol = self._symbol
+        width = len(symbol)
+        if l is None:
+            word = plus
+        else:
+            start = self._index(l, r)
+            cells = self._cells
+            # A strided slice of the array copies faster than one of the view.
+            fields = self._counts.obj[start : start + width * cells : cells]
+            # No field borrows, as the offset and ``less`` are part of the
+            # stored fields, and none overflows, as no count exceeds MAX_COUNT.
+            word = pack(fields) - self._base[l] + plus - less
+        counts = unpack(word, width)
         column = self._column
         try:
             for s, extra in margin.items():
@@ -254,22 +265,34 @@ class PairTable:
             raise InvariantError(f"margin symbol {exc.args[0]} has no column") from None
         best = max(counts)
         winners = []
-        end = len(counts)
         counts.append(best)  # a sentinel ends the walk in one pass
         k = counts.index(best)
-        while k < end:
+        while k < width:
             winners.append(symbol[k])
             k = counts.index(best, k + 1)
         return best, winners
 
     def cell_count(self) -> int:
-        return self._slots * (self._slots + 1) // 2
+        return self._cells
+
+    def top_offset(self) -> int:
+        """The largest offset a stored field carries: the top count of blocks
+        0..L-2 at the build."""
+        return max(unpack(self._base[-1], len(self._symbol)), default=0)
+
+    def offset_fault(self) -> str | None:
+        """The first offset word with a field past the table's columns, or None."""
+        limit = 1 << (_FIELD_BITS * len(self._symbol))
+        for l, word in enumerate(self._base):
+            if not 0 <= word < limit:
+                return f"offset word of row {l} has a field outside the summary table"
+        return None
 
     def _index(self, l: int, r: int) -> int:
-        """Position of the first count of cell (l, r)."""
+        """Field of cell (l, r) in every plane."""
         if not 0 <= l <= r < self._slots:
             raise IndexError(f"cell ({l}, {r}) out of range ({self._slots} slots)")
-        return (self._row_base[l] + r) * self._width
+        return self._row_base[l] + r
 
     # ------------------------------------------------------------------
     # columns
@@ -291,13 +314,12 @@ class PairTable:
         return col
 
     def _widen(self) -> None:
-        """Give every cell half as many columns again; the new ones count 0."""
+        """Give the table half as many columns again; the new planes count 0."""
         old, width = self._counts, self._width
         new_width = width + width // 2 + 1
         check_table_fits(self._slots, new_width, self._seq.word_bound())
-        counts = _zeros(self.cell_count() * new_width)
-        for col in range(width):
-            counts[col::new_width] = old[col::width]
+        counts = _zeros(self._cells * new_width)
+        counts[: len(old)] = old
         self._counts, self._width = counts, new_width
 
     def _source_column(self, j: int, symbol: int) -> int:
@@ -307,7 +329,11 @@ class PairTable:
         in cell (j, j) keeps all of them from borrowing.
         """
         col = self._column.get(symbol)
-        if col is None or not self._counts[(self._row_base[j] + j) * self._width + col]:
+        if (
+            col is None
+            or self._counts[col * self._cells + self._row_base[j] + j]
+            == self._base[j] >> (_FIELD_BITS * col) & MAX_COUNT
+        ):
             raise InvariantError(f"symbol {symbol} is absent from block {j}")
         return col
 
@@ -315,16 +341,14 @@ class PairTable:
     # update routines
     # ------------------------------------------------------------------
 
-    def _add_run(self, cell: int, col: int, step: int, length: int) -> None:
-        """Add ``step`` to column ``col`` of the ``length`` cells from number ``cell``.
-
-        ``step`` is a ``length``-field int, +1 or -1 in every field.
-        """
-        width = self._width
-        start = cell * width + col
-        run = self._counts[start : start + length * width : width]
-        total = int.from_bytes(run, sys.byteorder) + step
-        run[:] = memoryview(total.to_bytes(_FIELD_BYTES * length, sys.byteorder)).cast("I")
+    def _add(self, start: int, mask: bytes, delta: int) -> None:
+        """Add ``delta`` (±1) times ``mask``, native-order fields of 0 and 1,
+        to the fields from ``start`` on."""
+        run = self._counts[start : start + len(mask) // _FIELD_BYTES]
+        value = int.from_bytes(run, sys.byteorder)
+        step = int.from_bytes(mask, sys.byteorder)
+        total = value + step if delta == 1 else value - step
+        run[:] = memoryview(total.to_bytes(len(mask), sys.byteorder)).cast("I")
 
     def apply_point(self, j: int, symbol: int, delta: int) -> None:
         """Adjust every cell (l, r) with l ≤ j ≤ r by ``delta`` for ``symbol``."""
@@ -337,12 +361,14 @@ class PairTable:
             col = self._source_column(j, symbol)
         else:
             raise ValueError("delta must be +1 or -1")
-        # Row l holds cells (l, j..slots-1) contiguously.
-        step = delta * (self._ones >> (_FIELD_BITS * j))
-        for base in self._row_base[: j + 1]:
-            self._add_run(base + j, col, step, slots - j)
-        # Cell (0, slots - 1) covers every block.
-        if delta == -1 and not self._counts[(slots - 1) * self._width + col]:
+        # The cells from (0, j) to (j, slots-1) are the j+1 row tails
+        # (l, j..slots-1), and between the tails of rows l-1 and l the j-l
+        # head cells (l, l..j-1), which the mask leaves alone.
+        gaps = [_ZERO_FIELD * (j - l) for l in range(1, j + 1)]
+        plane = col * self._cells
+        self._add(plane + j, (_ONE_FIELD * (slots - j)).join([b"", *gaps, b""]), delta)
+        # Cell (0, slots - 1) covers every block, and row 0 has no offset.
+        if delta == -1 and not self._counts[plane + slots - 1]:
             del self._column[symbol]
             self._free.append(col)
 
@@ -356,10 +382,11 @@ class PairTable:
         if not 1 <= i < slots:
             raise IndexError(f"shift_left source {i} out of range ({slots} slots)")
         col = self._source_column(i, symbol)
-        counts, width, row_base = self._counts, self._width, self._row_base
-        for base in row_base[:i]:
-            counts[(base + i - 1) * width + col] += 1
-        self._add_run(row_base[i] + i, col, -(self._ones >> (_FIELD_BITS * i)), slots - i)
+        counts, row_base = self._counts, self._row_base
+        plane = col * self._cells
+        for row in row_base[:i]:
+            counts[plane + row + i - 1] += 1
+        self._add(plane + row_base[i] + i, _ONE_FIELD * (slots - i), -1)
 
     def shift_right(self, i: int, symbol: int) -> None:
         """Record one ``symbol`` crossing from block ``i`` into block ``i + 1``."""
@@ -367,8 +394,9 @@ class PairTable:
         if not 0 <= i < slots - 1:
             raise IndexError(f"shift_right source {i} out of range ({slots} slots)")
         col = self._source_column(i, symbol)
-        counts, width, row_base = self._counts, self._width, self._row_base
-        for base in row_base[: i + 1]:
-            counts[(base + i) * width + col] -= 1
+        counts, row_base = self._counts, self._row_base
+        plane = col * self._cells
+        for row in row_base[: i + 1]:
+            counts[plane + row + i] -= 1
         j = i + 1
-        self._add_run(row_base[j] + j, col, self._ones >> (_FIELD_BITS * j), slots - j)
+        self._add(plane + row_base[j] + j, _ONE_FIELD * (slots - j), 1)

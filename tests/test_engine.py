@@ -149,6 +149,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RangeModeEngine(range(4))
 
+    def test_row_offsets_count_against_the_count_fields(self, monkeypatch):
+        # A stored field also carries its row's offset, at most the top count
+        # of the build: 2·3 + 1 fits in 7, 2·3 + 3 does not.
+        monkeypatch.setattr(engine_module, "MAX_COUNT", 7)
+        assert RangeModeEngine([5, 6, 7]).audit().ok
+        with pytest.raises(ValueError, match="summary fields up to 9 exceed 7"):
+            RangeModeEngine([5, 5, 5])
+
     @pytest.mark.parametrize("bad", [1.0, True, "3", None, -1, 1 << 64])
     def test_rejected_symbol_leaves_engine_unchanged(self, bad):
         # Validation runs before the sequence, block sizes or summary cells
@@ -255,6 +263,32 @@ class TestDelete:
             hi = rng.randint(lo, len(oracle) - 1)
             assert engine.modes(lo, hi) == oracle.modes(lo, hi)
         assert engine.audit().ok
+
+    def test_deleting_across_two_chunks_merges_them(self):
+        # 2^15 symbols fill 32 blocks of 1024 elements, each eight chunks of
+        # the default S = 128.  Block 0's chunks 2 and 3 hold 256..383 and
+        # 384..511; the run 320..447 is the back half of one and the front
+        # half of the other.
+        rng = random.Random(14)
+        symbols = [rng.randrange(26) for _ in range(1 << 15)]
+        engine = RangeModeEngine(symbols)
+        oracle = NaiveSeq(symbols)
+        chunks = engine._seq.chunk_sizes
+        assert engine.block_sizes()[:33] == [1024] * 32 + [0] and chunks[0] == [128] * 8
+        for _ in range(127):
+            assert engine.delete(320) == oracle.delete_at(320)
+        assert chunks[0] == [128, 128, 64, 65] + [128] * 4  # neither chunk emptied
+        assert engine.delete(320) == oracle.delete_at(320)
+        assert chunks[0] == [128] * 7  # 64 + 64 merged: a chunk lost, none dropped
+        assert engine.reset_events == [] and engine.audit().ok
+        n = len(oracle)
+        ends = (0, 255, 256, 319, 320, 383, 384, 1023, n - 1)
+        ranges = [(lo, hi) for lo in ends for hi in ends if lo <= hi]
+        for _ in range(100):
+            lo = rng.randrange(n)
+            ranges.append((lo, rng.randint(lo, n - 1)))
+        for lo, hi in ranges:
+            assert engine.modes(lo, hi) == oracle.modes(lo, hi), (lo, hi)
 
 
 class TestModes:
@@ -652,13 +686,17 @@ class TestMemoryGuard:
         assert child.returncode == 0, child.stderr
         seconds, message = child.stdout.split(" ", 1)
         assert float(seconds) < 1.0
-        assert f"needs {4 * (1 << 17) * (115 * 116 // 2 + 2 * (1 << 17) // 128 + 115)} bytes" in message
+        # The 115·116/2 cells, the 115 offset words and the 2·2^17/128 + 115
+        # chunk words, each of 2^17 fields.
+        cells, offsets, words = 115 * 116 // 2, 115, 2 * (1 << 17) // 128 + 115
+        assert f"needs {4 * (1 << 17) * (cells + offsets + words)} bytes" in message
 
     def test_chunk_words_count_against_the_limit(self, monkeypatch):
-        # The words of S = 128 chunks take up to (2N/S + L)·σ'·4 bytes.
+        # The words of S = 128 chunks take up to (2N/S + L)·σ'·4 bytes, beside
+        # the cells and the L offset words.
         symbols = [k % 40 for k in range(3000)]
         slots = len(RangeModeEngine(symbols).block_sizes())
-        table_bytes = 4 * 40 * slots * (slots + 1) // 2
+        table_bytes = 4 * 40 * (slots * (slots + 1) // 2 + slots)
         words = 2 * len(symbols) // 128 + slots
         monkeypatch.setattr(multiset, "_memory_limit", lambda: table_bytes)
         with pytest.raises(MemoryError, match=f"needs {table_bytes + 4 * 40 * words} bytes"):

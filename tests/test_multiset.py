@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangemodes import CharSeq, CountedSet, InvariantError, PairTable
+from rangemodes import CharSeq, CountedSet, InvariantError, PairTable, RangeModeEngine
 from rangemodes import multiset
-from rangemodes.multiset import MAX_SYMBOL
+from rangemodes.multiset import MAX_COUNT, MAX_SYMBOL
 
 A, B, C = 0, 1, 2
 
@@ -331,8 +331,9 @@ class TestPairTable:
         blocks = [[A], [B, B]]
         table = build_table(blocks)
         width = table._width
-        # Beside the cells, 2·3/128 + 2 = 2 chunk words of the new width.
-        words = table.cell_count() + 2
+        # Beside the cells, 2 offset words and 2·3/128 + 2 = 2 chunk words of
+        # the new width.
+        words = table.cell_count() + 2 + 2
         monkeypatch.setattr(multiset, "_memory_limit", lambda: 4 * words * width)
         with pytest.raises(MemoryError, match=str(4 * words * (width + width // 2 + 1))):
             table.apply_point(0, C, 1)
@@ -357,3 +358,121 @@ class TestPairTable:
         assert all_cells(table) == recount(blocks)
         best, winners = table.modes(0, 2, Counter())
         assert (best, sorted(winners)) == (3, sorted(100 + k for k in range(6)))
+
+
+def moved(before, after):
+    """Each cell whose counts changed, mapped to each symbol's change."""
+    out = {}
+    for cell, counts in before.items():
+        change = Counter(after[cell])
+        change.subtract(counts)
+        change = {symbol: c for symbol, c in change.items() if c}
+        if change:
+            out[cell] = change
+    return out
+
+
+def offset(table, l, symbol):
+    """The offset row ``l`` of ``symbol``'s plane carries."""
+    return table._base[l] >> (32 * table._column[symbol]) & MAX_COUNT
+
+
+def stored(table, l, r, col):
+    """The stored field of cell (l, r) in plane ``col``: its count plus its offset."""
+    return table._counts[col * table.cell_count() + table._row_base[l] + r]
+
+
+class TestSymbolMajorLayout:
+    """Each symbol owns one plane of cells in row order, each row offset by
+    the symbol's count in the blocks before it at the build."""
+
+    @pytest.mark.parametrize("slots", [1, 2, 3, 6, 7])
+    def test_each_edit_moves_exactly_its_cells(self, slots):
+        # Block k holds k+1 of A and slots-k of B, so every row past 0
+        # carries an offset in both planes, and the offsets differ per row.
+        table = build_table([[A] * (k + 1) + [B] * (slots - k) for k in range(slots)])
+        assert all(offset(table, l, A) == l * (l + 1) // 2 for l in range(slots))
+        cells = [(l, r) for l in range(slots) for r in range(l, slots)]
+        for j in range(slots):
+            for delta in (1, -1):
+                before = all_cells(table)
+                table.apply_point(j, A, delta)
+                # Rows 0..j from column j on; the head cells (l, l..j-1) of
+                # rows 1..j lie inside the edit's slice and must not move.
+                expected = {(l, r): {A: delta} for l, r in cells if l <= j <= r}
+                assert moved(before, all_cells(table)) == expected, (j, delta)
+        for i in range(1, slots):
+            before = all_cells(table)
+            table.shift_left(i, A)
+            gained = {(l, i - 1): {A: 1} for l in range(i)}
+            lost = {(i, r): {A: -1} for r in range(i, slots)}
+            assert moved(before, all_cells(table)) == {**gained, **lost}, i
+            before = all_cells(table)
+            table.shift_right(i - 1, A)
+            lost = {(l, i - 1): {A: -1} for l in range(i)}
+            gained = {(i, r): {A: 1} for r in range(i, slots)}
+            assert moved(before, all_cells(table)) == {**lost, **gained}, i
+        assert all(offset(table, l, A) == l * (l + 1) // 2 for l in range(slots))
+
+    def test_reclaimed_column_reads_zero_over_old_offsets(self):
+        table = build_table([[A, B], [A, A], [A, B]])
+        col = table._column[A]
+        for j, copies in ((0, 1), (1, 2), (2, 1)):
+            for _ in range(copies):
+                table.apply_point(j, A, -1)
+        assert table.sigma_prime == 1 and table._free == [col]
+        assert table._claim_column(C) == col
+        # The fields still hold A's offsets, 1 in row 1 and 3 in row 2...
+        assert [stored(table, l, 2, col) for l in range(3)] == [0, 1, 3]
+        # ...and every cell of C reads 0.
+        assert all_cells(table) == recount([[B], [], [B]])
+        table.apply_point(1, C, 1)
+        assert all_cells(table) == recount([[B], [C], [B]])
+        table.apply_point(1, C, -1)
+        assert table._free == [col]
+
+    def test_widening_keeps_cells_over_offsets(self):
+        blocks = [[A, A, B], [B, C], [A, C, C]]
+        table = build_table(blocks)
+        assert table._width == 3 and offset(table, 2, A) == 2 and offset(table, 2, C) == 1
+        for symbol in (10, 11, 12):
+            table.apply_point(1, symbol, 1)
+            blocks[1].append(symbol)
+        assert table._width == 8  # widened twice: 3 -> 5 -> 8 columns
+        assert all_cells(table) == recount(blocks)
+        table.shift_right(1, C)
+        blocks[1].remove(C)
+        blocks[2].append(C)
+        assert all_cells(table) == recount(blocks)
+
+    def _engine(self):
+        # 30 elements fill blocks 0..3 of 8 slots with 7 or 8 each.
+        engine = RangeModeEngine([k % 3 for k in range(30)])
+        assert engine.block_sizes()[:5] == [8, 8, 7, 7, 0] and engine.audit().ok
+        return engine
+
+    def test_audit_reports_a_corrupted_head_cell(self):
+        # Cell (1, 2) lies between the row tails an edit in block 3 changes.
+        engine = self._engine()
+        table = engine._table
+        col = table._column[0]
+        table._counts[col * table.cell_count() + table._row_base[1] + 2] += 1
+        table.apply_point(3, 0, 1)
+        table.apply_point(3, 0, -1)
+        report = engine.audit()
+        assert not report.ok
+        assert report.message == "summary cell (1, 2) disagrees with a recount"
+
+    def test_audit_reports_a_corrupted_offset_word(self):
+        engine = self._engine()
+        engine._table._base[2] += 1 << (32 * engine._table._column[1])
+        report = engine.audit()
+        assert not report.ok
+        assert report.message == "summary cell (2, 2) disagrees with a recount"
+
+    def test_audit_reports_an_offset_past_the_columns(self):
+        engine = self._engine()
+        engine._table._base[1] += 1 << (32 * engine.sigma_prime)
+        report = engine.audit()
+        assert not report.ok
+        assert report.message == "offset word of row 1 has a field outside the summary table"

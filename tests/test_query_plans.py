@@ -39,7 +39,8 @@ def plan(monkeypatch):
     table_modes, access_range = PairTable.modes, CharSeq.access_range
 
     def modes(self, l, r, margin, minus=None, *words):
-        log["cells"].append((l, r, Counter(margin), Counter(minus or {})))
+        if l is not None:  # a query that reads no cell passes its words alone
+            log["cells"].append((l, r, Counter(margin), Counter(minus or {})))
         log["words"].append(words)
         return table_modes(self, l, r, margin, minus, *words)
 

@@ -89,23 +89,31 @@ def run_trace(lines: Iterable[str], config: Config | None = None) -> Iterator[st
 
 
 def generate_trace(seed: int, ops: int, max_len: int, alphabet: int) -> list[str]:
-    """Seeded random trace: ~40% inserts, ~20% deletes, ~40% queries."""
+    """Seeded random trace: ~40% inserts, ~20% deletes, ~40% queries.
+
+    Once the length reaches ``max_len`` the mix turns delete-heavy (~40%
+    deletes, ~20% inserts) until it falls to ``max_len // 4``, so a long run
+    cycles through halvings and chunk merges as well as doublings.
+    """
     for name, value in (("ops", ops), ("max_len", max_len), ("alphabet", alphabet)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     rng = random.Random(seed)
     lines: list[str] = []
     length = 0
+    shrinking = False
     for _ in range(ops):
         roll = rng.random()
+        if length >= max_len:
+            shrinking = True
+        elif length <= max_len // 4:
+            shrinking = False
         if length == 0:
             kind = "I"
-        elif length >= max_len:
-            kind = "D" if roll < 1 / 3 else "Q"
         elif roll < 0.4:
-            kind = "I"
+            kind = "D" if shrinking else "I"
         elif roll < 0.6:
-            kind = "D"
+            kind = "I" if shrinking and length < max_len else "D"
         else:
             kind = "Q"
         if kind == "I":

@@ -21,16 +21,24 @@ slice also holds the j(j-1)/2 cells (l, l..j-1) of rows 1..j between them.
 The edit reads the slice as one Python ``int``, adds or subtracts a mask
 with a 1 in every field of the row tails and 0 in those head cells, and
 writes it back: one C-speed pass over (j+1)(L-j) + j(j-1)/2 fields,
-whatever σ'.  A boundary shift adds to one cell per row above the boundary
-and to one row tail, a contiguous run.  A modes query reads one field from
-each plane, a strided gather of σ' fields, packs them into one ``int``,
+whatever σ'.  The mask depends on j and L alone, so the first edit in block
+j builds it and the table keeps it, in a list indexed by j.  The masks of
+all L slots take L(L²+2)/3 fields, more than the table when σ' is under
+about 2L/3, so a mask is kept only while the kept masks stay within the
+table's own L(L+1)/2 · width fields; past that cap it is built on every
+edit.  A widening keeps them, as it moves no field of a plane; a rebuild
+makes a new table, which starts with none.  A boundary shift adds to one
+cell per row above the boundary and a run of ones to one row tail.  A modes
+query reads one field from each plane, a strided gather of σ' fields, packs
+them into one ``int``,
 subtracts the row's offset word, adds the packed count words of the whole
 chunks in its margin and subtracts those of the chunks outside, and unpacks
 the sum once to a list of σ' counts.  It then adds one counter of loose
 margin symbols and subtracts another, and finds the top count and its
 columns at C speed, O(σ') per query.  The table takes L(L+1)/2 · width · 4
-bytes, its offset words up to L · width · 4, and the chunk words beside it
-up to (2N/S + L) · width · 4 more; the :class:`CharSeq` build, before it
+bytes, its offset words up to L · width · 4, its kept masks up to
+min(L(L²+2)/3, L(L+1)/2 · width) · 4, and the chunk words beside it up to
+(2N/S + L) · width · 4 more; the :class:`CharSeq` build, before it
 counts a chunk, and every widening first compare the sum with what the
 process can get and raise :class:`MemoryError` instead.
 
@@ -104,11 +112,25 @@ def _memory_limit() -> int | None:
     return min(limits) if limits else None
 
 
+def mask_fields(slots: int, j: int) -> int:
+    """Fields of the slice an edit in block ``j`` of ``slots`` adds its mask
+    to: the j+1 row tails from column j on and the j(j-1)/2 head cells
+    between them."""
+    return (j + 1) * (slots - j) + j * (j - 1) // 2
+
+
 def check_table_fits(slots: int, width: int, words: int = 0) -> None:
     """Raise :class:`MemoryError` if a table of ``slots`` blocks and ``width``
-    columns, with its ``slots`` offset words and ``words`` packed count words
-    of that width beside it, takes more bytes than the process can get."""
-    nbytes = _FIELD_BYTES * width * (slots * (slots + 1) // 2 + slots + words)
+    columns, with its ``slots`` offset words, ``words`` packed count words of
+    that width and its stored edit masks beside it, takes more bytes than the
+    process can get.
+
+    The masks of all slots take L(L²+2)/3 fields, but the table stores them
+    only up to its own field count.
+    """
+    cells = slots * (slots + 1) // 2
+    masks = min(slots * (slots * slots + 2) // 3, cells * width)
+    nbytes = _FIELD_BYTES * (width * (cells + slots + words) + masks)
     limit = _memory_limit()
     if limit is not None and nbytes > limit:
         raise MemoryError(
@@ -130,6 +152,11 @@ def unpack(word: int, width: int) -> list[int]:
     if _BIG_ENDIAN:
         fields.byteswap()
     return fields.tolist()
+
+
+def _ones(n: int) -> int:
+    """``n`` fields of 1, as an int in the fields' native order."""
+    return int.from_bytes(_ONE_FIELD * n, sys.byteorder)
 
 
 def _zeros(n: int) -> memoryview:
@@ -172,7 +199,7 @@ class PairTable:
 
     __slots__ = (
         "_slots", "_cells", "_row_base", "_width", "_counts", "_base",
-        "_column", "_symbol", "_free", "_seq",
+        "_column", "_symbol", "_free", "_seq", "_masks", "_mask_fields",
     )
 
     def __init__(self, seq: CharSeq) -> None:
@@ -182,6 +209,10 @@ class PairTable:
         self._seq = seq
         # Cell (l, r) is field _row_base[l] + r of every plane.
         self._row_base = [l * slots - (l * (l + 1)) // 2 for l in range(slots)]
+        # The step of an edit in block j, once stored; widening keeps them,
+        # as it moves no field of a plane.
+        self._masks: list[int | None] = [None] * slots
+        self._mask_fields = 0  # fields of the stored masks, at most cells · width
         column = self._column = seq.column  # symbol -> column, shared with ``seq``
         self._free: list[int] = []
         self._symbol = list(column)  # column -> symbol; a free column keeps its last one
@@ -341,14 +372,28 @@ class PairTable:
     # update routines
     # ------------------------------------------------------------------
 
-    def _add(self, start: int, mask: bytes, delta: int) -> None:
-        """Add ``delta`` (±1) times ``mask``, native-order fields of 0 and 1,
-        to the fields from ``start`` on."""
-        run = self._counts[start : start + len(mask) // _FIELD_BYTES]
+    def _add(self, start: int, fields: int, step: int, delta: int) -> None:
+        """Add ``delta`` (±1) times ``step``, a native-order int of ``fields``
+        fields of 0 and 1, to the fields from ``start`` on."""
+        run = self._counts[start : start + fields]
         value = int.from_bytes(run, sys.byteorder)
-        step = int.from_bytes(mask, sys.byteorder)
         total = value + step if delta == 1 else value - step
-        run[:] = memoryview(total.to_bytes(len(mask), sys.byteorder)).cast("I")
+        run[:] = memoryview(total.to_bytes(_FIELD_BYTES * fields, sys.byteorder)).cast("I")
+
+    def _mask(self, j: int) -> int:
+        """The step of an edit in block ``j``, stored while the stored masks
+        keep within the table's own field count."""
+        slots = self._slots
+        # The cells from (0, j) to (j, slots-1) are the j+1 row tails
+        # (l, j..slots-1), and between the tails of rows l-1 and l the j-l
+        # head cells (l, l..j-1), which the mask leaves alone.
+        gaps = [_ZERO_FIELD * (j - l) for l in range(1, j + 1)]
+        step = int.from_bytes((_ONE_FIELD * (slots - j)).join([b"", *gaps, b""]), sys.byteorder)
+        fields = mask_fields(slots, j)
+        if self._mask_fields + fields <= self._cells * self._width:
+            self._masks[j] = step
+            self._mask_fields += fields
+        return step
 
     def apply_point(self, j: int, symbol: int, delta: int) -> None:
         """Adjust every cell (l, r) with l ≤ j ≤ r by ``delta`` for ``symbol``."""
@@ -361,12 +406,9 @@ class PairTable:
             col = self._source_column(j, symbol)
         else:
             raise ValueError("delta must be +1 or -1")
-        # The cells from (0, j) to (j, slots-1) are the j+1 row tails
-        # (l, j..slots-1), and between the tails of rows l-1 and l the j-l
-        # head cells (l, l..j-1), which the mask leaves alone.
-        gaps = [_ZERO_FIELD * (j - l) for l in range(1, j + 1)]
         plane = col * self._cells
-        self._add(plane + j, (_ONE_FIELD * (slots - j)).join([b"", *gaps, b""]), delta)
+        # A mask is never 0: every slot has a row tail.
+        self._add(plane + j, mask_fields(slots, j), self._masks[j] or self._mask(j), delta)
         # Cell (0, slots - 1) covers every block, and row 0 has no offset.
         if delta == -1 and not self._counts[plane + slots - 1]:
             del self._column[symbol]
@@ -386,7 +428,7 @@ class PairTable:
         plane = col * self._cells
         for row in row_base[:i]:
             counts[plane + row + i - 1] += 1
-        self._add(plane + row_base[i] + i, _ONE_FIELD * (slots - i), -1)
+        self._add(plane + row_base[i] + i, slots - i, _ones(slots - i), -1)
 
     def shift_right(self, i: int, symbol: int) -> None:
         """Record one ``symbol`` crossing from block ``i`` into block ``i + 1``."""
@@ -399,4 +441,4 @@ class PairTable:
         for row in row_base[: i + 1]:
             counts[plane + row + i] -= 1
         j = i + 1
-        self._add(plane + row_base[j] + j, _ONE_FIELD * (slots - j), 1)
+        self._add(plane + row_base[j] + j, slots - j, _ones(slots - j), 1)

@@ -83,11 +83,41 @@ class TestGenerateTrace:
         assert 0.30 < kinds.count("Q") / len(kinds) < 0.50
 
 
+    def test_shrinks_to_a_quarter_after_max_len(self):
+        lengths = []
+        length = 0
+        for line in generate_trace(4, 3000, 80, 4):
+            length += {"I": 1, "D": -1}.get(line[0], 0)
+            lengths.append(length)
+        top = lengths.index(80)
+        bottom = top + lengths[top:].index(20)
+        # Growth resumes only at a quarter, then reaches max_len again.
+        assert max(lengths[top + 1 : bottom]) < 80
+        assert 80 in lengths[bottom:]
+
+
 class TestFuzz:
     def test_small_run_succeeds(self):
         report = run_fuzz(seed=1, ops=800, max_len=120, alphabet=5)
         assert report.ok
         assert report.queries > 0
+
+    def test_small_max_len_run_halves_and_ends_ok(self, monkeypatch):
+        engines = []
+        honest_init = RangeModeEngine.__init__
+
+        def tracked_init(self, *args, **kwargs):
+            honest_init(self, *args, **kwargs)
+            engines.append(self)
+
+        monkeypatch.setattr(RangeModeEngine, "__init__", tracked_init)
+        report = run_fuzz(seed=4, ops=3000, max_len=80, alphabet=4, audit_every=100)
+        assert report.ok and report.ops == 3000
+        (engine,) = engines
+        # Short early lengths halve tiny layouts in any run; this one also
+        # halves the largest layout, length 64, on the way down from 80.
+        events = engine.reset_events
+        assert ("halve", 32) in events[events.index(("double", 64)) :]
 
     def test_reports_are_reproducible(self):
         a = run_fuzz(seed=9, ops=500, max_len=80, alphabet=4)

@@ -687,16 +687,21 @@ class TestMemoryGuard:
         seconds, message = child.stdout.split(" ", 1)
         assert float(seconds) < 1.0
         # The 115·116/2 cells, the 115 offset words and the 2·2^17/128 + 115
-        # chunk words, each of 2^17 fields.
+        # chunk words, each of 2^17 fields, and the edit masks of all 115
+        # slots, 115·(115² + 2)/3 fields, far under the table's own count.
         cells, offsets, words = 115 * 116 // 2, 115, 2 * (1 << 17) // 128 + 115
-        assert f"needs {4 * (1 << 17) * (cells + offsets + words)} bytes" in message
+        masks = 115 * (115 * 115 + 2) // 3
+        assert f"needs {4 * ((1 << 17) * (cells + offsets + words) + masks)} bytes" in message
 
     def test_chunk_words_count_against_the_limit(self, monkeypatch):
         # The words of S = 128 chunks take up to (2N/S + L)·σ'·4 bytes, beside
-        # the cells and the L offset words.
+        # the cells, the L offset words and the edit masks, L(L² + 2)/3
+        # fields at most cells·σ'.
         symbols = [k % 40 for k in range(3000)]
         slots = len(RangeModeEngine(symbols).block_sizes())
-        table_bytes = 4 * 40 * (slots * (slots + 1) // 2 + slots)
+        cells = slots * (slots + 1) // 2
+        masks = min(slots * (slots * slots + 2) // 3, cells * 40)
+        table_bytes = 4 * (40 * (cells + slots) + masks)
         words = 2 * len(symbols) // 128 + slots
         monkeypatch.setattr(multiset, "_memory_limit", lambda: table_bytes)
         with pytest.raises(MemoryError, match=f"needs {table_bytes + 4 * 40 * words} bytes"):

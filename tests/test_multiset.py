@@ -1,13 +1,16 @@
 import random
+import sys
+from array import array
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangemodes import CharSeq, CountedSet, InvariantError, PairTable, RangeModeEngine
+from rangemodes import CharSeq, Config, CountedSet, InvariantError, PairTable, RangeModeEngine
 from rangemodes import multiset
-from rangemodes.multiset import MAX_COUNT, MAX_SYMBOL
+from rangemodes.multiset import MAX_COUNT, MAX_SYMBOL, mask_fields
 
 A, B, C = 0, 1, 2
 
@@ -332,10 +335,10 @@ class TestPairTable:
         table = build_table(blocks)
         width = table._width
         # Beside the cells, 2 offset words and 2·3/128 + 2 = 2 chunk words of
-        # the new width.
+        # the new width, and the 2 edit masks of 2 fields each.
         words = table.cell_count() + 2 + 2
-        monkeypatch.setattr(multiset, "_memory_limit", lambda: 4 * words * width)
-        with pytest.raises(MemoryError, match=str(4 * words * (width + width // 2 + 1))):
+        monkeypatch.setattr(multiset, "_memory_limit", lambda: 4 * (words * width + 4))
+        with pytest.raises(MemoryError, match=str(4 * (words * (width + width // 2 + 1) + 4))):
             table.apply_point(0, C, 1)
         assert table._width == width and table.sigma_prime == 2
         assert all_cells(table) == recount(blocks)
@@ -382,6 +385,21 @@ def stored(table, l, r, col):
     return table._counts[col * table.cell_count() + table._row_base[l] + r]
 
 
+def check_masks(table):
+    """Each stored mask is its slot's step, built afresh here, and the stored
+    masks take at most the table's own field count."""
+    slots = table.slots
+    stored = {j: mask for j, mask in enumerate(table._masks) if mask is not None}
+    for j, mask in stored.items():
+        fields = array("I", [0] * mask_fields(slots, j))
+        for l in range(j + 1):
+            for r in range(j, slots):
+                fields[table._row_base[l] + r - j] = 1
+        assert mask == int.from_bytes(fields.tobytes(), sys.byteorder), j
+    total = sum(mask_fields(slots, j) for j in stored)
+    assert table._mask_fields == total <= table.cell_count() * table._width
+
+
 class TestSymbolMajorLayout:
     """Each symbol owns one plane of cells in row order, each row offset by
     the symbol's count in the blocks before it at the build."""
@@ -393,26 +411,81 @@ class TestSymbolMajorLayout:
         table = build_table([[A] * (k + 1) + [B] * (slots - k) for k in range(slots)])
         assert all(offset(table, l, A) == l * (l + 1) // 2 for l in range(slots))
         cells = [(l, r) for l in range(slots) for r in range(l, slots)]
-        for j in range(slots):
-            for delta in (1, -1):
+        # The first run builds each mask; the second adds the stored ones,
+        # and at 6 or 7 slots builds those past the cap again.
+        for run in range(2):
+            for j in range(slots):
+                for delta in (1, -1):
+                    before = all_cells(table)
+                    table.apply_point(j, A, delta)
+                    # Rows 0..j from column j on; the head cells (l, l..j-1) of
+                    # rows 1..j lie inside the edit's slice and must not move.
+                    expected = {(l, r): {A: delta} for l, r in cells if l <= j <= r}
+                    assert moved(before, all_cells(table)) == expected, (run, j, delta)
+            for i in range(1, slots):
                 before = all_cells(table)
-                table.apply_point(j, A, delta)
-                # Rows 0..j from column j on; the head cells (l, l..j-1) of
-                # rows 1..j lie inside the edit's slice and must not move.
-                expected = {(l, r): {A: delta} for l, r in cells if l <= j <= r}
-                assert moved(before, all_cells(table)) == expected, (j, delta)
-        for i in range(1, slots):
-            before = all_cells(table)
-            table.shift_left(i, A)
-            gained = {(l, i - 1): {A: 1} for l in range(i)}
-            lost = {(i, r): {A: -1} for r in range(i, slots)}
-            assert moved(before, all_cells(table)) == {**gained, **lost}, i
-            before = all_cells(table)
-            table.shift_right(i - 1, A)
-            lost = {(l, i - 1): {A: -1} for l in range(i)}
-            gained = {(i, r): {A: 1} for r in range(i, slots)}
-            assert moved(before, all_cells(table)) == {**lost, **gained}, i
+                table.shift_left(i, A)
+                gained = {(l, i - 1): {A: 1} for l in range(i)}
+                lost = {(i, r): {A: -1} for r in range(i, slots)}
+                assert moved(before, all_cells(table)) == {**gained, **lost}, (run, i)
+                before = all_cells(table)
+                table.shift_right(i - 1, A)
+                lost = {(l, i - 1): {A: -1} for l in range(i)}
+                gained = {(i, r): {A: 1} for r in range(i, slots)}
+                assert moved(before, all_cells(table)) == {**lost, **gained}, (run, i)
+            check_masks(table)
         assert all(offset(table, l, A) == l * (l + 1) // 2 for l in range(slots))
+        stored_masks = [mask is not None for mask in table._masks]
+        # Two planes of slots(slots+1)/2 fields hold every mask up to 3 slots,
+        # the first four of 7 slots (7 + 12 + 16 + 19 = 54 of 56 fields).
+        if slots <= 3:
+            assert all(stored_masks)
+        elif slots == 7:
+            assert stored_masks == [True] * 4 + [False] * 3
+
+    def test_masks_past_the_cap_are_built_per_edit(self, monkeypatch):
+        # One symbol at alpha 1/2: 200 elements fill 15 of 35 slots, whose
+        # masks take far more fields than the table's 630.
+        built = Counter()
+        honest_mask = PairTable._mask
+
+        def counted_mask(table, j):
+            built[j] += 1
+            return honest_mask(table, j)
+
+        monkeypatch.setattr(PairTable, "_mask", counted_mask)
+        engine = RangeModeEngine([0] * 200, Config(alpha=Fraction(1, 2)))
+        table = engine._table
+        assert (table.slots, table.cell_count(), table._width) == (35, 630, 1)
+        rng = random.Random(3)
+        for _ in range(400):
+            engine.insert(rng.randint(0, 200), 0)
+            engine.delete(rng.randrange(201))
+        assert engine._table is table and engine.reset_events == []
+        check_masks(table)
+        assert engine.audit().ok
+        # Every edited slot builds its mask once if it is stored, else per edit.
+        again = {j for j, times in built.items() if times > 1}
+        assert again and all(table._masks[j] is None for j in again)
+        assert all(built[j] == 1 for j, mask in enumerate(table._masks) if mask is not None)
+        assert any(mask is not None for mask in table._masks)
+
+    def test_widening_between_two_edits_keeps_the_mask(self):
+        blocks = [[A], [A, A], [A]]
+        table = build_table(blocks)
+        table.apply_point(1, A, 1)
+        blocks[1].append(A)
+        mask = table._masks[1]
+        assert mask is not None and table._width == 1
+        table.apply_point(0, B, 1)  # a second symbol widens the table
+        blocks[0].append(B)
+        assert table._width == 2 and table._masks[1] is mask
+        table.apply_point(1, B, 1)
+        table.apply_point(1, A, -1)
+        blocks[1].remove(A)
+        blocks[1].append(B)
+        assert all_cells(table) == recount(blocks)
+        check_masks(table)
 
     def test_reclaimed_column_reads_zero_over_old_offsets(self):
         table = build_table([[A, B], [A, A], [A, B]])

@@ -7,22 +7,15 @@ point edit in block j adds to the O(L^2) summary cells that cover it, which
 lie in one slice of the symbol's plane: one int add of a mask built from
 j+1 row pieces, O(L^2) bytes at C speed whatever σ'.  It also adds to one
 packed chunk count word of :class:`CharSeq`, an O(σ')-byte int add.  A
-modes query reads one summary cell, a strided gather of one field from each
-of σ' planes, plus the margin at the two ends of its range, in
-O(N^(1-alpha) + σ' + output) time for σ' distinct symbols present.  Each
-partial end block is counted on its cheaper side: the part inside the range
-is added to a cell that leaves the block out ("in"), or the part outside is
-subtracted from a cell that keeps it ("out").  The plan is priced as if
-every element were counted one by one: with counting at about one unit per
-element, a second counter's merge at about one step per distinct symbol and
-a cell read at about one unit per column, a side goes out when
-``out + min(out, 3·σ') < in``; a plan that reads a cell where the "in" plan
-reads none must also save more than σ'.  Each end then covers at most one
-block length, and at small σ' about half of one on average.  Of that part,
-the whole chunks of :class:`CharSeq` come as one sum of packed count words,
-and only the loose elements at its ends, at most one chunk each, are
-counted one by one; the cell, the added words and the subtracted words are
-then one packed int sum, unpacked once.
+modes query reads the summary cell of the blocks that lie wholly inside its
+range, a strided gather of one field from each of σ' planes, and counts the
+part inside the range of each partial end block, in
+O(N^(1-alpha) + σ' + output) time for σ' distinct symbols present; a range
+inside one block reads a cell only when it covers that whole block.  Of a
+counted part, the whole chunks of :class:`CharSeq` come as one sum of packed
+count words, and only the loose elements at its ends, fewer than one chunk
+each, are counted one by one; the cell and the words are then one packed
+int sum, unpacked once.
 
 The blocks are the symbol lists of :class:`CharSeq`, and the engine reads
 their boundaries from its :class:`BlockSizeIndex`; an insert joins the block
@@ -230,7 +223,7 @@ class RangeModeEngine:
         _check_symbol(symbol)
         j = self._seq.insert_block(pos)
         n = len(self._seq)
-        if n + 1 == 2 * self._n0:
+        if n + 1 >= 2 * self._n0:
             # This insert rebuilds the layout: refuse it now if the new table
             # cannot fit, one column spare for a new symbol.
             slots = _layout(n + 1, self._config.alpha)[0]
@@ -267,52 +260,26 @@ class RangeModeEngine:
         ends = self._sizes.prefix_sums()  # ends[k]: one past the last position of block k
         bl = bisect_right(ends, lo)  # block holding lo
         br = bisect_left(ends, stop, bl)  # block holding hi
-        out_l = lo - (ends[bl - 1] if bl else 0)  # part of block bl before the range
-        out_r = ends[br] - stop  # part of block br after the range
-        # Plan each partial end block by the cost rule of the module docstring.
-        sigma = self._table.sigma_prime
-        merge = 3 * sigma
-        if bl == br:
-            # Inside one block: all margin, or the block's cell minus both outside parts.
-            out = out_l + out_r
-            cs = ce = bl
-            if out and out + min(out, merge) + sigma >= stop - lo:
-                cs = bl + 1
-        else:
-            save_l = ends[bl] - lo - out_l - min(out_l, merge)
-            save_r = stop - ends[br - 1] - out_r - min(out_r, merge)
-            cs = bl + 1 if out_l and save_l <= 0 else bl
-            ce = br - 1 if out_r and save_r <= 0 else br
-            if br == bl + 1 and out_l and out_r and max(save_l, 0) + max(save_r, 0) <= sigma:
-                cs, ce = br, bl  # reading a one-block cell would cost more than it saves
-
+        out_l = lo > (ends[bl - 1] if bl else 0)  # block bl starts before the range
+        out_r = ends[br] > stop  # block br ends after it
+        # The cell leaves out each partial end block, whose part inside the
+        # range is counted instead.
+        cs, ce = bl + out_l, br - out_r
         seq = self._seq
         margin: Counter[int] = Counter()
-        if cs > ce:
-            if bl == br:
-                plus = seq.count(bl, lo, stop, margin)
-            else:
-                mid = ends[bl]
-                plus = seq.count(bl, lo, mid, margin) + seq.count(br, mid, stop, margin)
-            if plus:
-                best, winners = self._table.modes(None, None, margin, None, plus)
-            else:
-                best = max(margin.values())
-                winners = [symbol for symbol, count in margin.items() if count == best]
+        if bl == br:
+            plus = seq.count(bl, lo, stop, margin) if out_l or out_r else 0
         else:
-            minus: Counter[int] = Counter()
-            plus = less = 0
-            first = ends[cs - 1] if cs else 0
-            last = ends[ce]
-            if lo < first:
-                plus += seq.count(bl, lo, first, margin)
-            elif first < lo:
-                less += seq.count(bl, first, lo, minus)
-            if stop < last:
-                less += seq.count(br, stop, last, minus)
-            elif last < stop:
-                plus += seq.count(br, last, stop, margin)
-            best, winners = self._table.modes(cs, ce, margin, minus, plus, less)
+            plus = seq.count(bl, lo, ends[bl], margin) if out_l else 0
+            if out_r:
+                plus += seq.count(br, ends[br - 1], stop, margin)
+        if cs <= ce:
+            best, winners = self._table.modes(cs, ce, margin, plus)
+        elif plus:
+            best, winners = self._table.modes(None, None, margin, plus)
+        else:
+            best = max(margin.values())
+            winners = [symbol for symbol, count in margin.items() if count == best]
         winners.sort()
         return ModesResult(best, tuple(winners))
 
@@ -363,10 +330,11 @@ class RangeModeEngine:
     def _reset_check(self) -> None:
         """Rebuild the layout once the length has doubled or halved since the last rebuild."""
         n = len(self._seq)
-        kind = "double" if n == 2 * self._n0 else "halve" if n == self._n0 // 2 else ""
+        # A rebuild that failed is retried by the next op.
+        kind = "double" if n >= 2 * self._n0 else "halve" if n <= self._n0 // 2 else ""
         if kind:
-            self.reset_events.append((kind, n))
             self._rebuild_layout(self._seq.to_list(), kind == "double")
+            self.reset_events.append((kind, n))
 
     # ------------------------------------------------------------------
     # audits
@@ -384,7 +352,12 @@ class RangeModeEngine:
         blocks = self._seq.blocks
         flat = self._seq.to_list()
         sizes = self._sizes.to_list()
-        slots, _, capacity = _layout(self._n0, self._config.alpha)
+        n0 = self._n0
+        slots, _, capacity = _layout(n0, self._config.alpha)
+        if not (n0 // 2 < len(flat) < 2 * n0 or n0 == 1 and not flat):
+            return AuditReport(
+                False, f"length {len(flat)} lies outside the reset range of n0 = {n0}"
+            )
         if len(sizes) != slots or len(blocks) != slots:
             return AuditReport(False, "slot count does not match the layout")
         if sum(sizes) != len(flat):

@@ -30,16 +30,15 @@ edit.  A widening keeps them, as it moves no field of a plane; a rebuild
 makes a new table, which starts with none.  A boundary shift adds to one
 cell per row above the boundary and a run of ones to one row tail.  A modes
 query reads one field from each plane, a strided gather of σ' fields, packs
-them into one ``int``,
-subtracts the row's offset word, adds the packed count words of the whole
-chunks in its margin and subtracts those of the chunks outside, and unpacks
-the sum once to a list of σ' counts.  It then adds one counter of loose
-margin symbols and subtracts another, and finds the top count and its
-columns at C speed, O(σ') per query.  The table takes L(L+1)/2 · width · 4
-bytes, its offset words up to L · width · 4, its kept masks up to
-min(L(L²+2)/3, L(L+1)/2 · width) · 4, and the chunk words beside it up to
-(2N/S + L) · width · 4 more; the :class:`CharSeq` build, before it
-counts a chunk, and every widening first compare the sum with what the
+them into one ``int``, subtracts the row's offset word, adds the packed
+count words of the whole chunks in its margin, and unpacks the sum once to a
+list of σ' counts.  It then adds one counter of loose margin symbols and
+finds the top count and its columns at C speed, O(σ') per query.  The table
+takes L(L+1)/2 · width · 4 bytes.  Beside it are ints: L offset words of
+width fields, its kept masks of up to min(L(L²+2)/3, L(L+1)/2 · width)
+fields, and up to 2N/S + L chunk words of width fields, each priced at 4
+bytes per 30 bits by :func:`int_bytes`.  The :class:`CharSeq` build, before
+it counts a chunk, and every widening first compare the sum with what the
 process can get and raise :class:`MemoryError` instead.
 
 The column map is the one :class:`CharSeq` builds, one column per symbol
@@ -119,6 +118,15 @@ def mask_fields(slots: int, j: int) -> int:
     return (j + 1) * (slots - j) + j * (j - 1) // 2
 
 
+def int_bytes(fields: int) -> int:
+    """Bytes of the digits of a Python ``int`` of ``fields`` 32-bit fields.
+
+    CPython stores 30 bits in each 4-byte digit (15 in 2 on some builds).
+    """
+    digits = -(-_FIELD_BITS * fields // sys.int_info.bits_per_digit)
+    return digits * sys.int_info.sizeof_digit
+
+
 def check_table_fits(slots: int, width: int, words: int = 0) -> None:
     """Raise :class:`MemoryError` if a table of ``slots`` blocks and ``width``
     columns, with its ``slots`` offset words, ``words`` packed count words of
@@ -126,11 +134,12 @@ def check_table_fits(slots: int, width: int, words: int = 0) -> None:
     process can get.
 
     The masks of all slots take L(L²+2)/3 fields, but the table stores them
-    only up to its own field count.
+    only up to its own field count.  The words and the masks are ints,
+    priced by :func:`int_bytes`.
     """
     cells = slots * (slots + 1) // 2
     masks = min(slots * (slots * slots + 2) // 3, cells * width)
-    nbytes = _FIELD_BYTES * (width * (cells + slots + words) + masks)
+    nbytes = _FIELD_BYTES * width * cells + (slots + words) * int_bytes(width) + int_bytes(masks)
     limit = _memory_limit()
     if limit is not None and nbytes > limit:
         raise MemoryError(
@@ -252,25 +261,16 @@ class PairTable:
         )
 
     def modes(
-        self,
-        l: int | None,
-        r: int | None,
-        margin: Counter[int],
-        minus: Counter[int] | None = None,
-        plus: int = 0,
-        less: int = 0,
+        self, l: int | None, r: int | None, margin: Counter[int], plus: int = 0
     ) -> tuple[int, list[int]]:
         """Top multiplicity and its symbols, unsorted, over blocks ``l..r``
-        plus ``margin`` and the count word ``plus``, minus ``minus`` and the
-        count word ``less``; with ``l`` None, of ``margin`` and ``plus`` alone.
+        plus ``margin`` and the count word ``plus``; with ``l`` None, of
+        ``margin`` and ``plus`` alone.
 
-        The engine counts each partial end block of a query on one side,
-        chosen by its cost rule: the part inside the range is added and the
-        block is left out of ``l..r`` ("in"), or the part outside is
-        subtracted and the block stays in ("out").  Whole chunks of a part
-        come as count words, the other elements as counters.  Every symbol
-        counted must be present in the table, and what is subtracted must be
-        part of the cell.
+        The engine leaves each partial end block of a query out of ``l..r``
+        and passes the part inside the range: its whole chunks as the sum of
+        their count words, its other elements as ``margin``.  Every symbol
+        counted must be present in the table.
         """
         symbol = self._symbol
         width = len(symbol)
@@ -281,17 +281,14 @@ class PairTable:
             cells = self._cells
             # A strided slice of the array copies faster than one of the view.
             fields = self._counts.obj[start : start + width * cells : cells]
-            # No field borrows, as the offset and ``less`` are part of the
-            # stored fields, and none overflows, as no count exceeds MAX_COUNT.
-            word = pack(fields) - self._base[l] + plus - less
+            # No field borrows, as the offset is part of the stored fields,
+            # and none overflows, as no count exceeds MAX_COUNT.
+            word = pack(fields) - self._base[l] + plus
         counts = unpack(word, width)
         column = self._column
         try:
             for s, extra in margin.items():
                 counts[column[s]] += extra
-            if minus:
-                for s, extra in minus.items():
-                    counts[column[s]] -= extra
         except KeyError as exc:
             raise InvariantError(f"margin symbol {exc.args[0]} has no column") from None
         best = max(counts)

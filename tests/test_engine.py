@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from layout import lay_out
 
 import rangemodes.engine as engine_module
-from rangemodes import multiset
+from rangemodes import charseq, multiset
+from rangemodes.multiset import int_bytes
 from rangemodes import (
     AuditError,
     Config,
@@ -551,6 +552,25 @@ class TestResets:
         halvings = [length for kind, length in engine.reset_events if kind == "halve"]
         assert halvings[:4] == [32, 16, 8, 4]
 
+    def test_failed_rebuild_is_not_logged_and_is_retried(self, monkeypatch):
+        engine = RangeModeEngine(range(64))
+        while len(engine) > 33:
+            engine.delete(0)
+
+        def refuse(*args):
+            raise MemoryError("refused")
+
+        monkeypatch.setattr(charseq, "check_table_fits", refuse)
+        with pytest.raises(MemoryError):
+            engine.delete(0)  # the length halves to 32, but the new layout does not fit
+        assert engine.reset_events == [] and engine.n0 == 64
+        report = engine.audit()
+        assert not report.ok and "outside the reset range" in report.message
+        monkeypatch.undo()
+        engine.delete(0)  # still at most n0 / 2: this delete rebuilds
+        assert engine.reset_events == [("halve", 31)] and engine.n0 == 31
+        assert engine.to_list() == list(range(33, 64)) and engine.audit().ok
+
     def test_simple_strategy_resets_too(self):
         engine = RangeModeEngine((), Config(audit_mode=True))
         for k in range(40):
@@ -686,27 +706,29 @@ class TestMemoryGuard:
         assert child.returncode == 0, child.stderr
         seconds, message = child.stdout.split(" ", 1)
         assert float(seconds) < 1.0
-        # The 115·116/2 cells, the 115 offset words and the 2·2^17/128 + 115
-        # chunk words, each of 2^17 fields, and the edit masks of all 115
-        # slots, 115·(115² + 2)/3 fields, far under the table's own count.
+        # The 115·116/2 cells of 2^17 fields, the 115 offset words and the
+        # 2·2^17/128 + 115 chunk words, ints of 2^17 fields, and the edit
+        # masks of all 115 slots, 115·(115² + 2)/3 fields, far under the
+        # table's own count.
         cells, offsets, words = 115 * 116 // 2, 115, 2 * (1 << 17) // 128 + 115
         masks = 115 * (115 * 115 + 2) // 3
-        assert f"needs {4 * ((1 << 17) * (cells + offsets + words) + masks)} bytes" in message
+        nbytes = 4 * (1 << 17) * cells + (offsets + words) * int_bytes(1 << 17) + int_bytes(masks)
+        assert f"needs {nbytes} bytes" in message
 
     def test_chunk_words_count_against_the_limit(self, monkeypatch):
-        # The words of S = 128 chunks take up to (2N/S + L)·σ'·4 bytes, beside
-        # the cells, the L offset words and the edit masks, L(L² + 2)/3
+        # The words of S = 128 chunks are up to 2N/S + L ints of σ' fields,
+        # beside the cells, the L offset words and the edit masks, L(L² + 2)/3
         # fields at most cells·σ'.
         symbols = [k % 40 for k in range(3000)]
         slots = len(RangeModeEngine(symbols).block_sizes())
         cells = slots * (slots + 1) // 2
         masks = min(slots * (slots * slots + 2) // 3, cells * 40)
-        table_bytes = 4 * (40 * (cells + slots) + masks)
-        words = 2 * len(symbols) // 128 + slots
+        table_bytes = 4 * 40 * cells + slots * int_bytes(40) + int_bytes(masks)
+        word_bytes = (2 * len(symbols) // 128 + slots) * int_bytes(40)
         monkeypatch.setattr(multiset, "_memory_limit", lambda: table_bytes)
-        with pytest.raises(MemoryError, match=f"needs {table_bytes + 4 * 40 * words} bytes"):
+        with pytest.raises(MemoryError, match=f"needs {table_bytes + word_bytes} bytes"):
             RangeModeEngine(symbols)
-        monkeypatch.setattr(multiset, "_memory_limit", lambda: table_bytes + 4 * 40 * words)
+        monkeypatch.setattr(multiset, "_memory_limit", lambda: table_bytes + word_bytes)
         engine = RangeModeEngine(symbols)
         assert engine.sigma_prime == 40 and engine.audit().ok
 

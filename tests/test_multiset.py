@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rangemodes import CharSeq, Config, CountedSet, InvariantError, PairTable, RangeModeEngine
 from rangemodes import multiset
-from rangemodes.multiset import MAX_COUNT, MAX_SYMBOL, mask_fields
+from rangemodes.multiset import MAX_COUNT, MAX_SYMBOL, int_bytes, mask_fields
 
 A, B, C = 0, 1, 2
 
@@ -313,35 +313,40 @@ class TestPairTable:
         with pytest.raises(InvariantError):
             table.modes(0, 1, Counter({C: 1}))
 
-    def test_modes_subtracts_minus_counts(self):
-        table = build_table([[A, A, B], [B, C]])
-        assert table.modes(0, 1, Counter(), Counter({A: 1})) == (2, [B])
-        assert table.modes(0, 1, Counter({C: 2}), Counter({B: 2})) == (3, [C])
-        best, winners = table.modes(1, 1, Counter({A: 1}), Counter({C: 1}))
-        assert (best, sorted(winners)) == (1, [A, B])
-
-    def test_modes_rejects_minus_symbol_without_column(self):
-        table = build_table([[A], [B]])
-        with pytest.raises(InvariantError):
-            table.modes(0, 1, Counter(), Counter({C: 1}))
-
-    def test_modes_with_minus_keeps_the_range_check(self):
-        table = build_table([[A], [B]])
-        with pytest.raises(IndexError):
-            table.modes(1, 0, Counter(), Counter({A: 1}))
-
     def test_widening_past_the_memory_limit_changes_nothing(self, monkeypatch):
         blocks = [[A], [B, B]]
         table = build_table(blocks)
         width = table._width
         # Beside the cells, 2 offset words and 2·3/128 + 2 = 2 chunk words of
-        # the new width, and the 2 edit masks of 2 fields each.
-        words = table.cell_count() + 2 + 2
-        monkeypatch.setattr(multiset, "_memory_limit", lambda: 4 * (words * width + 4))
-        with pytest.raises(MemoryError, match=str(4 * (words * (width + width // 2 + 1) + 4))):
+        # the new width, and the 2 edit masks of 2 fields each, as ints.
+        cells = table.cell_count()
+
+        def priced(width):
+            return 4 * cells * width + 4 * int_bytes(width) + int_bytes(4)
+
+        monkeypatch.setattr(multiset, "_memory_limit", lambda: priced(width))
+        with pytest.raises(MemoryError, match=str(priced(width + width // 2 + 1))):
             table.apply_point(0, C, 1)
         assert table._width == width and table.sigma_prime == 2
         assert all_cells(table) == recount(blocks)
+
+    def test_int_held_fields_are_priced_at_their_digits(self):
+        digit = sys.int_info.sizeof_digit
+        header = sys.getsizeof(1) - digit  # an int's bytes besides its digits
+        for fields in range(1, 200):
+            assert sys.getsizeof((1 << 32 * fields) - 1) - header == int_bytes(fields)
+        # Real words and masks: a top field under 2^32 saves at most 2 digits.
+        engine = RangeModeEngine([k % 26 for k in range(4096)])
+        engine.insert(engine.block_sizes()[0] * 10 + 1, 3)  # an edit in block 10
+        table, seq = engine._table, engine._seq
+        assert table._masks[10] is not None
+        for value, fields in [
+            (table._masks[10], mask_fields(table.slots, 10)),
+            (table._base[-1], table._width),
+            (seq.chunk_counts[0][0], table._width),
+        ]:
+            held = sys.getsizeof(value) - header
+            assert 4 * fields < held <= int_bytes(fields) <= held + 2 * digit
 
     def test_new_symbols_widen_every_cell(self):
         blocks = [[A], [], [B, B]]

@@ -1,10 +1,12 @@
 """Which blocks a modes query reads from its summary cell, and which it counts.
 
-Each partial end block of a query is counted on one side: "in" counts the
-part inside the range and leaves the block out of the cell, "out" keeps the
-block in the cell and subtracts the part outside.  These tests fix the block
-layout by hand, record the cell and the counted ranges of each query, and
-check the answer against :class:`NaiveSeq`.
+A query reads the cell of the blocks that lie wholly inside its range and
+counts the part inside the range of each partial end block: the cell is
+(bl + 1, br) when block bl starts before the range and (bl, br - 1) when
+block br ends after it.  A range inside one block reads a cell only when
+it covers that whole block.  These tests fix the block layout by hand,
+record the cell and the counted ranges of each query, and check the answer
+against :class:`NaiveSeq`.
 """
 
 import random
@@ -15,6 +17,7 @@ import pytest
 
 from layout import lay_out
 from rangemodes import CharSeq, Config, NaiveSeq, PairTable, RangeModeEngine, charseq
+from rangemodes.multiset import unpack
 
 HALF = Config(alpha=Fraction(1, 2))
 
@@ -23,7 +26,6 @@ HALF = Config(alpha=Fraction(1, 2))
 # block 7 = [0, 10), 8 = [10, 20), 9 empty, 10 = [20, 30), 11 = [30, 40),
 # 12 = [40, 48).
 SIZES = [0] * 7 + [10, 10, 0, 10, 10, 8] + [0] * 4
-
 
 def laid_out(symbols, sizes=SIZES):
     engine = RangeModeEngine(symbols, HALF)
@@ -34,21 +36,26 @@ def laid_out(symbols, sizes=SIZES):
 
 @pytest.fixture
 def plan(monkeypatch):
-    """Record the cell read and the ranges counted by each query."""
-    log = {"cells": [], "reads": [], "words": []}
-    table_modes, access_range = PairTable.modes, CharSeq.access_range
+    """Record the cell read, the ranges counted and their loose reads by each query."""
+    log = {"cells": [], "counts": [], "reads": []}
+    table_modes, count, access_range = PairTable.modes, CharSeq.count, CharSeq.access_range
 
-    def modes(self, l, r, margin, minus=None, *words):
-        if l is not None:  # a query that reads no cell passes its words alone
-            log["cells"].append((l, r, Counter(margin), Counter(minus or {})))
-        log["words"].append(words)
-        return table_modes(self, l, r, margin, minus, *words)
+    def modes(self, l, r, margin, plus=0):
+        if l is not None:  # a query that reads no cell passes its margin alone
+            log["cells"].append((l, r))
+        return table_modes(self, l, r, margin, plus)
+
+    def counted(self, k, lo, stop, loose):
+        word = count(self, k, lo, stop, loose)
+        log["counts"].append((lo, stop, word))
+        return word
 
     def read(self, lo, hi):
         log["reads"].append((lo, hi))
         return access_range(self, lo, hi)
 
     monkeypatch.setattr(PairTable, "modes", modes)
+    monkeypatch.setattr(CharSeq, "count", counted)
     monkeypatch.setattr(CharSeq, "access_range", read)
 
     def query(engine, lo, hi):
@@ -57,7 +64,8 @@ def plan(monkeypatch):
         assert engine.modes(lo, hi) == NaiveSeq(engine.to_list()).modes(lo, hi)
         cells = log["cells"]
         assert len(cells) <= 1
-        return (cells[0] if cells else None), sorted(log["reads"])
+        ranges = sorted((a, b) for a, b, _ in log["counts"])
+        return (cells[0] if cells else None), ranges
 
     query.log = log
     return query
@@ -68,133 +76,130 @@ def two_symbols():
     return [rng.randrange(2) for _ in range(48)]
 
 
-def counted(symbols, *ranges):
-    return Counter(x for a, b in ranges for x in symbols[a:b])
+def word_counts(engine, word):
+    """The symbol counts of a count word of ``engine``'s column map."""
+    table = engine._table
+    return Counter(dict(zip(table._symbol, unpack(word, len(table._symbol)))))
 
 
 class TestPlans:
-    # With two symbols, "out" is taken when out + min(out, 6) < in: on a
-    # block of 10, when at most 3 elements lie outside the range.  Every
-    # block is one chunk, so no part of one holds a whole chunk.
+    # Every block is one chunk, so each counted range is read element by
+    # element and no count word comes with it.
 
     @pytest.fixture(autouse=True)
     def no_chunk_words(self, plan):
         yield
-        assert not any(any(words) for words in plan.log["words"])
+        assert not any(word for _, _, word in plan.log["counts"])
+        assert sorted(plan.log["reads"]) == [(a, b - 1) for a, b, _ in sorted(plan.log["counts"])]
 
     def test_left_out(self, plan):
-        symbols = two_symbols()
-        engine = laid_out(symbols)
-        cell, reads = plan(engine, 12, 39)
-        assert cell == (8, 11, Counter(), counted(symbols, (10, 12)))
-        assert reads == [(10, 11)]
+        # Block 8 starts before the range: the cell leaves it out, and its
+        # part inside the range is counted.
+        engine = laid_out(two_symbols())
+        assert plan(engine, 12, 39) == ((9, 11), [(12, 20)])
 
     def test_right_out(self, plan):
-        symbols = two_symbols()
-        engine = laid_out(symbols)
-        cell, reads = plan(engine, 20, 37)
-        assert cell == (10, 11, Counter(), counted(symbols, (38, 40)))
-        assert reads == [(38, 39)]
+        engine = laid_out(two_symbols())
+        assert plan(engine, 20, 37) == ((10, 10), [(30, 38)])
 
     def test_left_in_over_an_empty_block_right_out(self, plan):
-        # Block 8 has 6 elements outside the range and 4 inside: "in", so the
-        # cell starts at the empty block 9.
-        symbols = two_symbols()
-        engine = laid_out(symbols)
-        cell, reads = plan(engine, 16, 37)
-        assert cell == (9, 11, counted(symbols, (16, 20)), counted(symbols, (38, 40)))
-        assert reads == [(16, 19), (38, 39)]
+        # Block 8 starts the range, so the cell keeps it and spans the empty
+        # block 9; block 11 ends after the range and is left out.
+        engine = laid_out(two_symbols())
+        assert plan(engine, 10, 37) == ((8, 10), [(30, 38)])
+
+    def test_both_ends_out_over_an_empty_block(self, plan):
+        engine = laid_out(two_symbols())
+        assert plan(engine, 16, 37) == ((9, 10), [(16, 20), (30, 38)])
+
+    def test_an_empty_block_between_two_ends_is_the_cell(self, plan):
+        engine = laid_out(two_symbols())
+        assert plan(engine, 15, 24) == ((9, 9), [(15, 20), (20, 25)])
 
     def test_both_out_inside_one_block(self, plan):
-        symbols = two_symbols()
-        engine = laid_out(symbols)
-        cell, reads = plan(engine, 31, 38)
-        assert cell == (11, 11, Counter(), counted(symbols, (30, 31), (39, 40)))
-        assert reads == [(30, 30), (39, 39)]
+        engine = laid_out(two_symbols())
+        assert plan(engine, 31, 38) == (None, [(31, 39)])
 
     def test_short_range_inside_one_block_is_margin_only(self, plan):
         engine = laid_out(two_symbols())
-        assert plan(engine, 32, 35) == (None, [(32, 35)])
+        assert plan(engine, 32, 35) == (None, [(32, 36)])
+
+    @pytest.mark.parametrize("lo, hi", [(20, 28), (21, 29), (20, 29)])
+    def test_one_block_reads_its_cell_only_when_covered(self, plan, lo, hi):
+        engine = laid_out(two_symbols())
+        whole = (lo, hi) == (20, 29)
+        assert plan(engine, lo, hi) == (((10, 10), []) if whole else (None, [(lo, hi + 1)]))
 
     def test_adjacent_blocks_fall_back_to_margin_only(self, plan):
-        # Blocks 10 and 11 each have 5 elements on either side: both "in",
-        # which leaves no cell between them.
+        # Blocks 10 and 11 both lie partly outside the range: both are left
+        # out, which leaves no cell between them.
         engine = laid_out(two_symbols())
-        assert plan(engine, 25, 34) == (None, [(25, 29), (30, 34)])
+        assert plan(engine, 25, 34) == (None, [(25, 30), (30, 35)])
+        assert plan(engine, 21, 34) == (None, [(21, 30), (30, 35)])
 
     def test_adjacent_blocks_one_side_out(self, plan):
-        symbols = two_symbols()
-        engine = laid_out(symbols)
-        cell, reads = plan(engine, 21, 34)
-        assert cell == (10, 10, counted(symbols, (30, 35)), counted(symbols, (20, 21)))
-        assert reads == [(20, 20), (30, 34)]
+        engine = laid_out(two_symbols())
+        assert plan(engine, 20, 34) == ((10, 10), [(30, 35)])
+        assert plan(engine, 21, 39) == ((11, 11), [(21, 30)])
 
     @pytest.mark.parametrize("lo, hi, l, r", [(10, 29, 8, 10), (0, 47, 7, 12), (20, 29, 10, 10)])
     def test_edges_on_block_boundaries_count_nothing(self, plan, lo, hi, l, r):
         engine = laid_out(two_symbols())
-        cell, reads = plan(engine, lo, hi)
-        assert cell == (l, r, Counter(), Counter())
-        assert reads == []
+        assert plan(engine, lo, hi) == ((l, r), [])
+
+    def every_plan(self, plan, symbols):
+        engine = laid_out(symbols)
+        return [plan(engine, lo, hi) for lo in range(48) for hi in range(lo, 48)]
 
     def test_large_alphabet_keeps_the_in_plan(self, plan):
-        # 48 distinct symbols: reading a one-block cell costs more than the
-        # counting it saves, so these ranges stay margin-only...
-        symbols = list(range(48))
-        engine = laid_out(symbols)
-        assert plan(engine, 31, 38) == (None, [(31, 38)])
-        assert plan(engine, 21, 34) == (None, [(21, 29), (30, 34)])
-        # ...while a side whose cell is read anyway still goes out.
-        cell, reads = plan(engine, 12, 39)
-        assert cell == (8, 11, Counter(), counted(symbols, (10, 12)))
-        assert reads == [(10, 11)]
+        # The plan does not depend on the symbols: 48 distinct ones take the
+        # same plan as two on every range.
+        assert self.every_plan(plan, list(range(48))) == self.every_plan(plan, two_symbols())
 
-    def test_small_alphabet_takes_the_out_plan_on_the_same_layout(self, plan):
-        symbols = [7] * 48
-        engine = laid_out(symbols)
-        cell, _ = plan(engine, 31, 38)
-        assert cell == (11, 11, Counter(), Counter({7: 2}))
+    def test_small_alphabet_takes_the_same_plan(self, plan):
+        assert self.every_plan(plan, [7] * 48) == self.every_plan(plan, two_symbols())
 
 
 @pytest.mark.parametrize(
     "lo, hi, cell",
     [
-        (12, 39, (8, 11)),
-        (20, 37, (10, 11)),
-        (16, 37, (9, 11)),
-        (31, 38, (11, 11)),
-        (21, 34, (10, 10)),
+        (12, 39, (9, 11)),
+        (20, 37, (10, 10)),
+        (16, 37, (9, 10)),
+        (31, 38, None),
+        (21, 34, None),
         (0, 47, (7, 12)),
         (32, 35, None),
         (25, 34, None),
     ],
 )
 def test_chunk_words_leave_the_plans_unchanged(plan, monkeypatch, lo, hi, cell):
-    # S = 2: chunks of 1..4 elements, so most margins hold whole chunks.
-    # The cost rule still sees elements, so each query reads the same cell
-    # as in TestPlans, and only the loose ends are read one by one.
-    monkeypatch.setattr(charseq, "CHUNK", 2)
+    # S = 2: chunks of 1..4 elements, so each margin here holds a whole
+    # chunk.  The query reads the same cell and counts the same ranges as
+    # with one chunk per block, but only the at most 2S - 1 elements of a
+    # cut chunk at each inner end of a range are read one by one.
     symbols = two_symbols()
+    _, ranges = plan(laid_out(symbols), lo, hi)
+    monkeypatch.setattr(charseq, "CHUNK", 2)
     engine = laid_out(symbols)
-    got, reads = plan(engine, lo, hi)
-    assert (got and got[:2]) == cell
-    counted = sum(b - a + 1 for a, b in reads)
-    assert counted <= 4 * 2 * 2
-    if cell is None:
-        assert counted < hi - lo + 1  # the rest came as one word
-    else:
-        assert any(plan.log["words"][0]) == ((lo, hi) != (0, 47))  # (0, 47) has no margin
+    assert plan(engine, lo, hi) == (cell, ranges)
+    reads = plan.log["reads"]
+    assert sum(b - a + 1 for a, b in reads) <= 2 * (2 * 2 - 1)
+    for a, b, word in plan.log["counts"]:
+        loose = Counter(x for r0, r1 in reads if a <= r0 < b for x in symbols[r0 : r1 + 1])
+        assert word and word_counts(engine, word) + loose == Counter(symbols[a:b]), (a, b)
 
 
 @pytest.mark.parametrize(
     "alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5)], ids=str
 )
 def test_every_range_after_random_edits(alpha, monkeypatch):
-    minus_sizes = Counter()
+    cell_reads = Counter()
     table_modes = PairTable.modes
 
-    def modes(self, l, r, margin, minus=None, *words):
-        minus_sizes[bool(minus)] += 1
-        return table_modes(self, l, r, margin, minus, *words)
+    def modes(self, l, r, margin, plus=0):
+        cell_reads[l is not None] += 1
+        return table_modes(self, l, r, margin, plus)
 
     monkeypatch.setattr(PairTable, "modes", modes)
     rng = random.Random(alpha.denominator * 7 + alpha.numerator)
@@ -213,5 +218,6 @@ def test_every_range_after_random_edits(alpha, monkeypatch):
     for lo in range(n):
         for hi in range(lo, n):
             assert engine.modes(lo, hi) == oracle.modes(lo, hi), (lo, hi)
-    assert minus_sizes[True] and minus_sizes[False]  # both kinds of plan ran
+    # Both queries that read a cell and queries that read none ran.
+    assert 0 < cell_reads[True] < n * (n + 1) // 2
     assert engine.audit().ok

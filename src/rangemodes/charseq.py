@@ -39,11 +39,6 @@ CHUNK = 128
 """S: a chunk holds 1..2S elements; a rebuild cuts chunks of S..2S-1."""
 
 
-def chunk_words(length: int, slots: int) -> int:
-    """Most chunk words ``length`` elements in ``slots`` blocks can take."""
-    return 2 * length // CHUNK + slots
-
-
 class CharSeq:
     """Mutable sequence of symbol ids split into a fixed row of blocks."""
 
@@ -219,8 +214,8 @@ class CharSeq:
         return [sum(words) for words in self.chunk_counts]
 
     def word_bound(self) -> int:
-        """Most chunk words the sequence can take at its length, as :func:`chunk_words`."""
-        return chunk_words(len(self), len(self.blocks))
+        """Most chunk words the sequence can take at its length: 2N/S + L."""
+        return 2 * len(self) // CHUNK + len(self.blocks)
 
     def recount(self, symbols: list[int]) -> int:
         """The count word of ``symbols``, counted afresh."""
@@ -285,8 +280,10 @@ class CharSeq:
             start = sum(sizes[:c])
             half = start + size // 2
             block = self.blocks[k]
+            # Both words first: a recount that raises leaves one whole chunk.
+            halves = [self.recount(block[start:half]), self.recount(block[half : start + size])]
             sizes[c : c + 1] = [size // 2, size - size // 2]
-            words[c : c + 1] = [self.recount(block[start:half]), self.recount(block[half : start + size])]
+            words[c : c + 1] = halves
 
     def _lose(self, k: int, c: int, symbol: int) -> None:
         """Take ``symbol``, just removed from block ``k``, out of its chunk ``c``.

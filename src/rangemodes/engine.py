@@ -24,10 +24,11 @@ agree on where an element lives.
 
 The layout is sized for the reference length ``n0`` of the last rebuild:
 ``ceil(n0^alpha) + ceil((2·n0)^alpha)`` block slots, each holding at most
-``ceil((2·n0)^(1-alpha))`` elements.  When the length doubles or halves,
-the whole layout is rebuilt for the new length, so the length N stays
-between n0/2 and 2·n0, L = Θ(N^alpha) and the capacity is Θ(N^(1-alpha)),
-at amortized cost.  A rebuild spreads the elements evenly,
+``ceil((2·n0)^(1-alpha))`` elements.  An op that doubles or halves the
+length rebuilds the whole layout from the edited list, not by an edit, and
+installs it only once the build succeeds, so it raises with nothing
+changed.  N stays between n0/2 and 2·n0, L = Θ(N^alpha) and the capacity
+Θ(N^(1-alpha)), at amortized cost.  A rebuild spreads the elements evenly,
 sizes differing by at most one: after a doubling over every slot, so the
 slack absorbs the next ``n0`` inserts, and otherwise over the first
 ``ceil(n0^alpha)`` slots, which keeps edits in the low slots, where the
@@ -46,9 +47,9 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable
 
-from .charseq import CharSeq, chunk_words
+from .charseq import CharSeq
 from .errors import AuditError, InvariantError
-from .multiset import MAX_COUNT, MAX_SYMBOL, PairTable, check_table_fits
+from .multiset import MAX_COUNT, MAX_SYMBOL, PairTable
 from .results import ModesResult
 
 _MAX_ALPHA_DENOMINATOR = 64
@@ -153,15 +154,17 @@ class RangeModeEngine:
     # layout
     # ------------------------------------------------------------------
 
-    def _rebuild_layout(self, flat: list[int], spread: bool = False) -> None:
+    def _rebuild_layout(self, flat: list[int], kind: str = "") -> None:
         """Lay out ``flat`` evenly over the first slots of a layout sized for its length.
 
-        Those are ``ceil(n0^alpha)`` slots, or with ``spread`` every slot.
+        Those are ``ceil(n0^alpha)`` slots, or after a doubling every slot.
+        An op that resets the layout passes its ``kind``, ``"double"`` or
+        ``"halve"``, which is logged once the new layout is installed.
         """
         n = len(flat)
         n0 = max(n, 1)
         slots, filled, capacity = _layout(n0, self._config.alpha)
-        used = slots if spread else filled
+        used = slots if kind == "double" else filled
         if n > used * capacity:
             raise InvariantError("the layout cannot hold the sequence at reset")
         q, extra = divmod(n, used)
@@ -182,6 +185,8 @@ class RangeModeEngine:
         self._capacity = capacity
         self._seq = seq
         self._sizes = self._seq.sizes  # the block boundaries, read by the engine
+        if kind:
+            self.reset_events.append((kind, n))
 
     # ------------------------------------------------------------------
     # public API
@@ -222,19 +227,18 @@ class RangeModeEngine:
         _check_position(pos)
         _check_symbol(symbol)
         j = self._seq.insert_block(pos)
-        n = len(self._seq)
-        if n + 1 >= 2 * self._n0:
-            # This insert rebuilds the layout: refuse it now if the new table
-            # cannot fit, one column spare for a new symbol.
-            slots = _layout(n + 1, self._config.alpha)[0]
-            check_table_fits(slots, self._table.sigma_prime + 1, chunk_words(n + 1, slots))
-        # The table first: a new symbol may widen it, which can fail for lack
-        # of memory before anything has changed.
-        self._table.apply_point(j, symbol, 1)
-        self._seq.insert_at(pos, symbol)
-        if self._sizes.size_of(j) > self._capacity:
-            self._rebalance(j)
-        self._reset_check()
+        if len(self._seq) + 1 >= 2 * self._n0:
+            flat = self._seq.to_list()
+            flat.insert(pos, symbol)
+            self._rebuild_layout(flat, "double")
+        else:
+            # The table first: a new symbol may widen it, which can fail for
+            # lack of memory before anything has changed.
+            self._table.apply_point(j, symbol, 1)
+            self._seq.insert_at(pos, symbol)
+            if self._sizes.size_of(j) > self._capacity:
+                self._rebalance(j)
+            self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
         if self._config.audit_mode:
             self._check_capacities()
 
@@ -242,9 +246,14 @@ class RangeModeEngine:
         """Remove and return the element at ``pos``."""
         _check_position(pos)
         j = self._seq.locate(pos)[0]
-        symbol = self._seq.delete_at(pos)
-        self._table.apply_point(j, symbol, -1)
-        self._reset_check()
+        if len(self._seq) - 1 <= self._n0 // 2:
+            flat = self._seq.to_list()
+            symbol = flat.pop(pos)
+            self._rebuild_layout(flat, "halve")
+        else:
+            symbol = self._seq.delete_at(pos)
+            self._table.apply_point(j, symbol, -1)
+            self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
         if self._config.audit_mode:
             self._check_capacities()
         return symbol
@@ -322,19 +331,6 @@ class RangeModeEngine:
         else:
             for t in range(j, k, -1):
                 self.move_left(t)
-
-    # ------------------------------------------------------------------
-    # resets
-    # ------------------------------------------------------------------
-
-    def _reset_check(self) -> None:
-        """Rebuild the layout once the length has doubled or halved since the last rebuild."""
-        n = len(self._seq)
-        # A rebuild that failed is retried by the next op.
-        kind = "double" if n >= 2 * self._n0 else "halve" if n <= self._n0 // 2 else ""
-        if kind:
-            self._rebuild_layout(self._seq.to_list(), kind == "double")
-            self.reset_events.append((kind, n))
 
     # ------------------------------------------------------------------
     # audits

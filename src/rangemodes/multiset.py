@@ -37,9 +37,9 @@ finds the top count and its columns at C speed, O(σ') per query.  The table
 takes L(L+1)/2 · width · 4 bytes.  Beside it are ints: L offset words of
 width fields, its kept masks of up to min(L(L²+2)/3, L(L+1)/2 · width)
 fields, and up to 2N/S + L chunk words of width fields, each priced at 4
-bytes per 30 bits by :func:`int_bytes`.  The :class:`CharSeq` build, before
-it counts a chunk, and every widening first compare the sum with what the
-process can get and raise :class:`MemoryError` instead.
+bytes per 30 bits by :func:`int_bytes` plus a header and a list slot.  The
+:class:`CharSeq` build, before it counts a chunk, and every widening check
+the sum against what the process can get, raising :class:`MemoryError`.
 
 The column map is the one :class:`CharSeq` builds, one column per symbol
 of its blocks in increasing order, shared by both.  After the build the
@@ -64,6 +64,7 @@ Symbol ids must fit in 64 bits.
 from __future__ import annotations
 
 import os
+import struct
 import sys
 from array import array
 from collections import Counter
@@ -88,6 +89,7 @@ _ONE_FIELD = (1).to_bytes(_FIELD_BYTES, sys.byteorder)  # native order, as the f
 _ZERO_FIELD = bytes(_FIELD_BYTES)
 MAX_COUNT = (1 << _FIELD_BITS) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
+_INT_HEAD = int.__basicsize__ + struct.calcsize("P")  # an int's header and its list slot
 
 # Counts live in an array("I"), one field per item.
 if array("I").itemsize != _FIELD_BYTES:
@@ -130,16 +132,17 @@ def int_bytes(fields: int) -> int:
 def check_table_fits(slots: int, width: int, words: int = 0) -> None:
     """Raise :class:`MemoryError` if a table of ``slots`` blocks and ``width``
     columns, with its ``slots`` offset words, ``words`` packed count words of
-    that width and its stored edit masks beside it, takes more bytes than the
-    process can get.
+    that width and its ``slots`` kept edit masks beside it, takes more bytes
+    than the process can get.
 
-    The masks of all slots take L(L²+2)/3 fields, but the table stores them
-    only up to its own field count.  The words and the masks are ints,
-    priced by :func:`int_bytes`.
+    The masks of all slots take L(L²+2)/3 fields, but the table keeps them
+    only up to its own field count.  The words and the masks are ints, each
+    priced at its digits by :func:`int_bytes` plus a header and a list slot.
     """
     cells = slots * (slots + 1) // 2
     masks = min(slots * (slots * slots + 2) // 3, cells * width)
-    nbytes = _FIELD_BYTES * width * cells + (slots + words) * int_bytes(width) + int_bytes(masks)
+    ints = (slots + words) * int_bytes(width) + int_bytes(masks) + (2 * slots + words) * _INT_HEAD
+    nbytes = _FIELD_BYTES * width * cells + ints
     limit = _memory_limit()
     if limit is not None and nbytes > limit:
         raise MemoryError(

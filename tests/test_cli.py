@@ -1,4 +1,6 @@
 import gc
+import struct
+import sys
 import warnings
 
 import pytest
@@ -267,7 +269,11 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["trace", "intersect"])
     def test_memory_guard_is_a_line_error(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setattr(multiset, "_memory_limit", lambda: 10)
+        # An empty engine's 3 slots are priced as 9 ints, offset words, chunk
+        # words and edit masks, each a header and a list slot; that fits, and
+        # the first symbol, a widening to one column, does not.
+        head = sys.getsizeof(1) - sys.int_info.sizeof_digit + struct.calcsize("P")
+        monkeypatch.setattr(multiset, "_memory_limit", lambda: 9 * head)
         family = tmp_path / "family.txt"
         family.write_text("2 2\n2 0 1\n1 0\n")
         ops = tmp_path / "ops.txt"

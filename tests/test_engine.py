@@ -1,5 +1,6 @@
 import os
 import random
+import struct
 import subprocess
 import sys
 import textwrap
@@ -22,6 +23,9 @@ from rangemodes import (
     NaiveSeq,
     RangeModeEngine,
 )
+
+
+INT_HEAD = sys.getsizeof(1) - sys.int_info.sizeof_digit + struct.calcsize("P")  # header, list slot
 
 
 def ceil_root(num: int, den: int, p: int, q: int) -> int:
@@ -552,30 +556,136 @@ class TestResets:
         halvings = [length for kind, length in engine.reset_events if kind == "halve"]
         assert halvings[:4] == [32, 16, 8, 4]
 
-    def test_failed_rebuild_is_not_logged_and_is_retried(self, monkeypatch):
+    def test_failed_rebuild_changes_nothing(self, monkeypatch):
         engine = RangeModeEngine(range(64))
         while len(engine) > 33:
             engine.delete(0)
-
-        def refuse(*args):
-            raise MemoryError("refused")
-
         monkeypatch.setattr(charseq, "check_table_fits", refuse)
         with pytest.raises(MemoryError):
-            engine.delete(0)  # the length halves to 32, but the new layout does not fit
-        assert engine.reset_events == [] and engine.n0 == 64
-        report = engine.audit()
-        assert not report.ok and "outside the reset range" in report.message
+            engine.delete(0)  # the length would halve to 32, but the new layout does not fit
+        assert len(engine) == 33 and engine.n0 == 64 and engine.reset_events == []
+        assert engine.to_list() == list(range(31, 64)) and engine.audit().ok
         monkeypatch.undo()
-        engine.delete(0)  # still at most n0 / 2: this delete rebuilds
-        assert engine.reset_events == [("halve", 31)] and engine.n0 == 31
-        assert engine.to_list() == list(range(33, 64)) and engine.audit().ok
+        assert engine.delete(0) == 31
+        assert engine.reset_events == [("halve", 32)] and engine.n0 == 32
+        assert engine.to_list() == list(range(32, 64)) and engine.audit().ok
+
+        while len(engine) < 63:
+            engine.insert(len(engine), 7)
+        monkeypatch.setattr(charseq, "check_table_fits", refuse)
+        with pytest.raises(MemoryError):
+            engine.insert(0, 5)  # the length would double to 64
+        assert len(engine) == 63 and engine.n0 == 32 and engine.reset_events == [("halve", 32)]
+        assert engine.audit().ok
+        monkeypatch.undo()
+        engine.insert(0, 5)
+        assert engine.reset_events == [("halve", 32), ("double", 64)] and engine.n0 == 64
+        assert engine.to_list() == [5, *range(32, 64), *[7] * 31] and engine.audit().ok
 
     def test_simple_strategy_resets_too(self):
         engine = RangeModeEngine((), Config(audit_mode=True))
         for k in range(40):
             engine.insert(0, k % 2)
         assert ("double", 32) in engine.reset_events
+        assert engine.audit().ok
+
+
+def refuse(*args, **kwargs):
+    raise MemoryError("refused")
+
+
+FAULTS = {
+    "check_table_fits": lambda mp: mp.setattr(charseq, "check_table_fits", refuse),
+    "CharSeq.__init__": lambda mp: mp.setattr(charseq.CharSeq, "__init__", refuse),
+    "PairTable.__init__": lambda mp: mp.setattr(multiset.PairTable, "__init__", refuse),
+    "MAX_COUNT": lambda mp: mp.setattr(engine_module, "MAX_COUNT", 1),  # the build's ValueError
+}
+WIDEN_FAULTS = {
+    "PairTable._widen": lambda mp: mp.setattr(multiset.PairTable, "_widen", refuse),
+    "multiset.check_table_fits": lambda mp: mp.setattr(multiset, "check_table_fits", refuse),
+}
+
+
+class TestFailedOps:
+    """An op that raises where it can fail for lack of memory changes nothing."""
+
+    def engine_at(self, length):
+        rng = random.Random(length)
+        engine = RangeModeEngine([rng.randrange(6) for _ in range(64)])
+        while len(engine) > length:
+            engine.delete(rng.randrange(len(engine)))
+        while len(engine) < length:
+            engine.insert(rng.randint(0, len(engine)), rng.randrange(6))
+        return engine
+
+    def check_unchanged_then_fuzz(self, engine, monkeypatch, op):
+        before = (engine.to_list(), len(engine), engine.n0, list(engine.reset_events))
+        with pytest.raises((MemoryError, ValueError)):
+            op(engine)
+        assert (engine.to_list(), len(engine), engine.n0, engine.reset_events) == before
+        assert engine.audit().ok
+        monkeypatch.undo()
+        oracle = NaiveSeq(engine.to_list())
+        rng = random.Random(5)
+        for _ in range(50):
+            n = len(oracle)
+            roll = rng.random()
+            if n == 0 or roll < 0.4:
+                pos, symbol = rng.randint(0, n), rng.randrange(8)
+                engine.insert(pos, symbol)
+                oracle.insert_at(pos, symbol)
+            elif roll < 0.7:
+                pos = rng.randrange(n)
+                assert engine.delete(pos) == oracle.delete_at(pos)
+            else:
+                lo = rng.randrange(n)
+                hi = rng.randint(lo, n - 1)
+                assert engine.modes(lo, hi) == oracle.modes(lo, hi)
+        assert engine.to_list() == oracle.to_list() and engine.audit().ok
+
+    @pytest.mark.parametrize("site", FAULTS)
+    def test_doubling_insert(self, monkeypatch, site):
+        engine = self.engine_at(127)
+        FAULTS[site](monkeypatch)
+        self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.insert(50, 9))
+
+    @pytest.mark.parametrize("site", FAULTS)
+    def test_halving_delete(self, monkeypatch, site):
+        engine = self.engine_at(33)
+        FAULTS[site](monkeypatch)
+        self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.delete(20))
+
+    @pytest.mark.parametrize("site", WIDEN_FAULTS)
+    def test_new_symbol_insert(self, monkeypatch, site):
+        engine = self.engine_at(80)
+        assert engine._table._width == engine.sigma_prime == 6  # no column to spare
+        WIDEN_FAULTS[site](monkeypatch)
+        self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.insert(50, 99))
+
+    def test_failed_chunk_split_keeps_the_chunk_lists_in_step(self, monkeypatch):
+        # 6000 elements fill 19 blocks of 315 or 316, each two chunks of 157
+        # or 158; 99 inserts at position 100 grow chunk 0 of block 0 to 257.
+        rng = random.Random(8)
+        oracle = NaiveSeq([rng.randrange(5) for _ in range(6000)])
+        engine = RangeModeEngine(oracle.to_list())
+        assert engine._seq.chunk_sizes[0] == [158, 158]
+        monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
+        for _ in range(99):
+            symbol = rng.randrange(5)
+            oracle.insert_at(100, symbol)
+            try:
+                engine.insert(100, symbol)
+            except MemoryError:
+                break
+        assert len(engine) == 6099  # the split raised, the element stays
+        monkeypatch.undo()
+        assert engine.to_list() == oracle.to_list()
+        assert engine.audit().message == "chunk 0 of block 0 holds 257, outside [1, 256]"
+        for _ in range(200):
+            lo = rng.randrange(len(oracle))
+            hi = rng.randint(lo, len(oracle) - 1)
+            assert engine.modes(lo, hi) == oracle.modes(lo, hi)
+        engine.insert(100, 0)  # the chunk splits now
         assert engine.audit().ok
 
 
@@ -709,22 +819,26 @@ class TestMemoryGuard:
         # The 115·116/2 cells of 2^17 fields, the 115 offset words and the
         # 2·2^17/128 + 115 chunk words, ints of 2^17 fields, and the edit
         # masks of all 115 slots, 115·(115² + 2)/3 fields, far under the
-        # table's own count.
+        # table's own count; each of those 115 + words + 115 ints also has a
+        # header and a list slot.
         cells, offsets, words = 115 * 116 // 2, 115, 2 * (1 << 17) // 128 + 115
         masks = 115 * (115 * 115 + 2) // 3
         nbytes = 4 * (1 << 17) * cells + (offsets + words) * int_bytes(1 << 17) + int_bytes(masks)
+        nbytes += (offsets + words + 115) * INT_HEAD
         assert f"needs {nbytes} bytes" in message
 
     def test_chunk_words_count_against_the_limit(self, monkeypatch):
         # The words of S = 128 chunks are up to 2N/S + L ints of σ' fields,
-        # beside the cells, the L offset words and the edit masks, L(L² + 2)/3
-        # fields at most cells·σ'.
+        # beside the cells, the L offset words and the L edit masks,
+        # L(L² + 2)/3 fields at most cells·σ'; every int also has a header
+        # and a list slot.
         symbols = [k % 40 for k in range(3000)]
         slots = len(RangeModeEngine(symbols).block_sizes())
         cells = slots * (slots + 1) // 2
         masks = min(slots * (slots * slots + 2) // 3, cells * 40)
         table_bytes = 4 * 40 * cells + slots * int_bytes(40) + int_bytes(masks)
-        word_bytes = (2 * len(symbols) // 128 + slots) * int_bytes(40)
+        table_bytes += 2 * slots * INT_HEAD
+        word_bytes = (2 * len(symbols) // 128 + slots) * (int_bytes(40) + INT_HEAD)
         monkeypatch.setattr(multiset, "_memory_limit", lambda: table_bytes)
         with pytest.raises(MemoryError, match=f"needs {table_bytes + word_bytes} bytes"):
             RangeModeEngine(symbols)

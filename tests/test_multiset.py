@@ -1,4 +1,6 @@
 import random
+import re
+import struct
 import sys
 from array import array
 from collections import Counter
@@ -318,11 +320,13 @@ class TestPairTable:
         table = build_table(blocks)
         width = table._width
         # Beside the cells, 2 offset words and 2·3/128 + 2 = 2 chunk words of
-        # the new width, and the 2 edit masks of 2 fields each, as ints.
+        # the new width, and the 2 edit masks of 2 fields each, as 6 ints,
+        # each with a header and a list slot.
         cells = table.cell_count()
+        head = sys.getsizeof(1) - sys.int_info.sizeof_digit + struct.calcsize("P")
 
         def priced(width):
-            return 4 * cells * width + 4 * int_bytes(width) + int_bytes(4)
+            return 4 * cells * width + 4 * int_bytes(width) + int_bytes(4) + 6 * head
 
         monkeypatch.setattr(multiset, "_memory_limit", lambda: priced(width))
         with pytest.raises(MemoryError, match=str(priced(width + width // 2 + 1))):
@@ -347,6 +351,25 @@ class TestPairTable:
         ]:
             held = sys.getsizeof(value) - header
             assert 4 * fields < held <= int_bytes(fields) <= held + 2 * digit
+
+    def test_chunk_words_are_priced_with_their_headers(self, monkeypatch):
+        # Each word is an int with a header and a slot in its chunk list.  Its
+        # digits are priced for a full top field, which holds a count of at
+        # most 2S: at σ' = 26 a word takes 27 digits, priced at 28 (+2.9 %).
+        rng = random.Random(14)
+        engine = RangeModeEngine([rng.randrange(26) for _ in range(1 << 14)])
+        words = [word for block in engine._seq.chunk_counts for word in block]
+        held = sum(sys.getsizeof(word) + struct.calcsize("P") for word in words)
+        monkeypatch.setattr(multiset, "_memory_limit", lambda: 0)
+
+        def priced(words):
+            with pytest.raises(MemoryError) as refused:
+                multiset.check_table_fits(engine._table.slots, 26, words)
+            return int(re.search(r"needs (\d+) bytes", str(refused.value))[1])
+
+        assert len(words) == 104
+        extra = priced(len(words)) - priced(0)
+        assert held <= extra <= 1.03 * held
 
     def test_new_symbols_widen_every_cell(self):
         blocks = [[A], [], [B, B]]

@@ -117,10 +117,15 @@ class CharSeq:
         j = self.insert_block(pos)
         ends = self.sizes.prefix_sums()
         off = pos - (ends[j - 1] if j else 0)
+        c = bisect_left(self._chunk_bounds(j), off, 1) - 1 if len(self.chunk_sizes[j]) > 1 else 0
         self.blocks[j].insert(off, symbol)
         self.sizes.adjust(j, 1)
-        c = bisect_left(self._chunk_bounds(j), off, 1) - 1 if len(self.chunk_sizes[j]) > 1 else 0
-        self._gain(j, c, symbol)
+        try:
+            self._gain(j, c, symbol)
+        except BaseException:  # a split's recount failed; _gain wrote nothing
+            self.sizes.adjust(j, -1)
+            del self.blocks[j][off]
+            raise
 
     def delete_at(self, pos: int) -> int:
         """Remove and return the element at index ``pos``."""
@@ -267,23 +272,25 @@ class CharSeq:
         """Count ``symbol``, just added to block ``k``, into its chunk ``c``.
 
         An empty block gets a new chunk; a chunk past 2S splits in two.
+        Both halves are counted before anything is written, so a recount
+        that raises leaves the chunk lists as they were.
         """
         sizes, words = self.chunk_sizes[k], self.chunk_counts[k]
-        self._bounds[k] = None
         if not sizes:
             sizes.append(1)
             words.append(self._field(symbol))
-            return
-        size = sizes[c] = sizes[c] + 1
-        words[c] += self._field(symbol)
-        if size > 2 * CHUNK:
+        elif sizes[c] < 2 * CHUNK:
+            sizes[c] += 1
+            words[c] += self._field(symbol)
+        else:
+            size = sizes[c] + 1
             start = sum(sizes[:c])
             half = start + size // 2
             block = self.blocks[k]
-            # Both words first: a recount that raises leaves one whole chunk.
             halves = [self.recount(block[start:half]), self.recount(block[half : start + size])]
             sizes[c : c + 1] = [size // 2, size - size // 2]
             words[c : c + 1] = halves
+        self._bounds[k] = None
 
     def _lose(self, k: int, c: int, symbol: int) -> None:
         """Take ``symbol``, just removed from block ``k``, out of its chunk ``c``.

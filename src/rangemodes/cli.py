@@ -4,6 +4,7 @@ Trace grammar (UTF-8 text, one operation per line, decimal 0-based fields):
 
     I <pos> <sym>    insert <sym> at position <pos>
     D <pos>          delete the element at <pos>
+    R <src> <dst>    move the element at <src> so that it becomes the element at <dst>
     Q <l> <r>        enumerate the modes of the inclusive range [l, r]
 
 Lines starting with ``#`` and blank lines are skipped.  Each query emits one
@@ -65,9 +66,9 @@ def _apply(lines: Iterable[str], ops: Ops, kind: str = "operation") -> Iterator[
         yield name, result
 
 
-def _trace_ops(insert: Callable, delete: Callable, modes: Callable) -> Ops:
-    """The trace grammar over one sequence's insert, delete and modes."""
-    return {"I": (2, insert), "D": (1, delete), "Q": (2, modes)}
+def _trace_ops(insert: Callable, delete: Callable, relocate: Callable, modes: Callable) -> Ops:
+    """The trace grammar over one sequence's insert, delete, relocate and modes."""
+    return {"I": (2, insert), "D": (1, delete), "R": (2, relocate), "Q": (2, modes)}
 
 
 # ----------------------------------------------------------------------
@@ -78,7 +79,8 @@ def _trace_ops(insert: Callable, delete: Callable, modes: Callable) -> Ops:
 def run_trace(lines: Iterable[str], config: Config | None = None) -> Iterator[str]:
     """Execute a trace against a fresh engine, yielding one line per query."""
     engine = RangeModeEngine((), config)
-    for name, result in _apply(lines, _trace_ops(engine.insert, engine.delete, engine.modes)):
+    ops = _trace_ops(engine.insert, engine.delete, engine.relocate, engine.modes)
+    for name, result in _apply(lines, ops):
         if name == "Q":
             yield " ".join([str(result.multiplicity), *map(str, result.modes)])
 
@@ -161,8 +163,12 @@ def run_fuzz(
     trace = generate_trace(seed, ops, max_len, alphabet)
     engine = RangeModeEngine((), config)
     oracle = NaiveSeq()
-    got_results = _apply(trace, _trace_ops(engine.insert, engine.delete, engine.modes))
-    want_results = _apply(trace, _trace_ops(oracle.insert_at, oracle.delete_at, oracle.modes))
+    got_results = _apply(
+        trace, _trace_ops(engine.insert, engine.delete, engine.relocate, engine.modes)
+    )
+    want_results = _apply(
+        trace, _trace_ops(oracle.insert_at, oracle.delete_at, oracle.relocate, oracle.modes)
+    )
     queries = 0
     for step, (line, (name, want)) in enumerate(zip(trace, want_results)):
         queries += name == "Q"

@@ -35,6 +35,11 @@ slack absorbs the next ``n0`` inserts, and otherwise over the first
 slice of summary cells an edit adds to is shortest.  A block that overflows
 sheds one element along a chain of boundary moves to the nearest block with
 room.
+
+A relocation moves one element without changing the length: it inserts the
+symbol where ``insert(dst, delete(src))`` would, then removes the original.
+Every summary cell counts whole blocks, so a relocation inside one block
+edits no cell, only the block list and its chunk words.
 """
 
 from __future__ import annotations
@@ -232,15 +237,27 @@ class RangeModeEngine:
             flat.insert(pos, symbol)
             self._rebuild_layout(flat, "double")
         else:
-            # The table first: a new symbol may widen it, which can fail for
-            # lack of memory before anything has changed.
-            self._table.apply_point(j, symbol, 1)
-            self._seq.insert_at(pos, symbol)
+            self._place(j, pos, symbol)
             if self._sizes.size_of(j) > self._capacity:
                 self._rebalance(j)
             self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
         if self._config.audit_mode:
             self._check_capacities()
+
+    def _place(self, j: int, pos: int, symbol: int) -> None:
+        """Count ``symbol`` into block ``j`` and insert it at ``pos``, which lies there.
+
+        The table first: a new symbol may widen it, which can fail for lack
+        of memory before anything has changed.  A chunk split that fails
+        leaves the sequence as it was, and the table is put back, a column
+        it claimed freed again.
+        """
+        self._table.apply_point(j, symbol, 1)
+        try:
+            self._seq.insert_at(pos, symbol)
+        except BaseException:
+            self._table.apply_point(j, symbol, -1)
+            raise
 
     def delete(self, pos: int) -> int:
         """Remove and return the element at ``pos``."""
@@ -254,6 +271,40 @@ class RangeModeEngine:
             symbol = self._seq.delete_at(pos)
             self._table.apply_point(j, symbol, -1)
             self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
+        if self._config.audit_mode:
+            self._check_capacities()
+        return symbol
+
+    def relocate(self, src: int, dst: int) -> int:
+        """Move the element at ``src`` so that it becomes the element at ``dst``; return it.
+
+        The sequence is that of ``insert(dst, delete(src))``, but the length
+        does not change, so the layout is never reset.  The symbol joins the
+        block that the insert would join and leaves its own block; when the
+        two are the same block, no summary cell changes.
+        """
+        _check_position(src)
+        _check_position(dst)
+        seq = self._seq
+        n = len(seq)
+        if not (0 <= src < n and 0 <= dst < n):
+            raise IndexError(f"relocation {src} -> {dst} out of range (length {n})")
+        js, off = seq.locate(src)
+        symbol = seq.blocks[js][off]
+        # Insert first, so a chunk split that fails changes nothing; the
+        # positions are those before the original is removed.
+        ins, rem = (dst, src + 1) if dst <= src else (dst + 1, src)
+        jd = seq.insert_block(ins)
+        if jd == js:
+            seq.insert_at(ins, symbol)
+            seq.delete_at(rem)
+        else:
+            self._place(jd, ins, symbol)  # the gain first, so the column is never freed
+            seq.delete_at(rem)
+            self._table.apply_point(js, symbol, -1)
+            if self._sizes.size_of(jd) > self._capacity:
+                self._rebalance(jd)
+        self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
         if self._config.audit_mode:
             self._check_capacities()
         return symbol

@@ -33,6 +33,15 @@ class NaiveSeq:
             raise IndexError(f"delete position {pos} out of range (length {len(self._items)})")
         return self._items.pop(pos)
 
+    def relocate(self, src: int, dst: int) -> int:
+        """Move the element at ``src`` so that it becomes the element at ``dst``; return it."""
+        n = len(self._items)
+        if not (0 <= src < n and 0 <= dst < n):
+            raise IndexError(f"relocation {src} -> {dst} out of range (length {n})")
+        symbol = self._items.pop(src)
+        self._items.insert(dst, symbol)
+        return symbol
+
     def modes(self, lo: int, hi: int) -> ModesResult:
         """All modes of positions ``lo..hi`` inclusive, by a single counting pass."""
         if not (0 <= lo <= hi < len(self._items)):

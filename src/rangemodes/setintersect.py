@@ -8,6 +8,11 @@ gadget ``i``, all full gadgets between, and the head copy of gadget ``j``,
 an element ``x`` occurs ``2(j - i - 1) + [x in S_i] + [x in S_j]`` times.
 The range modes therefore reach multiplicity ``2(j - i)`` exactly when the
 two sets intersect, and the modes are then exactly the intersection.
+
+A member update moves each of the two copies of one element from a
+non-member run to the member run beside it, or back, as one
+:meth:`RangeModeEngine.relocate` each, at most ``u`` positions; a move that
+stays inside one block of the engine edits no summary cell.
 """
 
 from __future__ import annotations
@@ -122,21 +127,24 @@ class SetFamily:
         return members, rank, rank < len(members) and members[rank] == x
 
     def add_member(self, k: int, x: int) -> None:
-        """Add ``x`` to set ``k`` (four point updates inside gadget ``k``)."""
+        """Add ``x`` to set ``k``: two relocations inside gadget ``k``.
+
+        Each moves one copy of ``x`` from a non-member run to the member run
+        beside it, at most ``u`` positions away.
+        """
         members, rank_m, present = self._rank(k, x)
         if present:
             raise ValueError(f"member {x} already in set {k}")
-        base = 2 * (k - 1) * self._universe
+        u = self._universe
+        base = 2 * (k - 1) * u
         size = len(members)
-        comp = self._universe - size
+        comp = u - size
         rank_c = x - rank_m  # non-members below x
         engine = self.engine
-        # Drop x from both complement copies (higher position first), then
-        # insert it into both member copies.
-        engine.delete(base + size + comp + rank_c)
-        engine.delete(base + size + rank_c)
-        engine.insert(base + rank_m, x)
-        engine.insert(base + (size + 1) + 2 * (comp - 1) + rank_m, x)
+        # Head complement copy to the head member copy, then tail complement
+        # copy to the tail member copy.
+        engine.relocate(base + size + rank_c, base + rank_m)
+        engine.relocate(base + u + rank_c, base + u + comp - 1 + rank_m)
         insort(members, x)
 
     def remove_member(self, k: int, x: int) -> None:
@@ -144,15 +152,14 @@ class SetFamily:
         members, rank_m, present = self._rank(k, x)
         if not present:
             raise ValueError(f"member {x} not in set {k}")
-        base = 2 * (k - 1) * self._universe
+        u = self._universe
+        base = 2 * (k - 1) * u
         size = len(members)
-        comp = self._universe - size
+        comp = u - size
         rank_c = x - rank_m
         engine = self.engine
-        engine.delete(base + size + 2 * comp + rank_m)
-        engine.delete(base + rank_m)
-        engine.insert(base + (size - 1) + rank_c, x)
-        engine.insert(base + (size - 1) + (comp + 1) + rank_c, x)
+        engine.relocate(base + rank_m, base + size - 1 + rank_c)
+        engine.relocate(base + u + comp + rank_m, base + u + rank_c)
         del members[rank_m]
 
     def gadget_symbols(self, k: int) -> list[int]:

@@ -1,4 +1,5 @@
 import gc
+import random
 import struct
 import sys
 import warnings
@@ -49,6 +50,38 @@ class TestTrace:
     def test_ties_sorted_ascending(self):
         lines = ["I 0 9", "I 0 4", "Q 0 1"]
         assert list(run_trace(lines)) == ["1 4 9"]
+
+    def test_relocate_lines(self):
+        # [5, 7, 5] -> [5, 5, 7] -> [7, 5, 5]
+        lines = ["I 0 5", "I 1 7", "I 2 5", "Q 0 1", "R 1 2", "Q 0 1", "R 2 0", "Q 0 0"]
+        assert list(run_trace(lines)) == ["1 5 7", "2 5", "1 7"]
+        for bad in ("R 0 3", "R 3 0", "R 0"):  # out of range, wrong field count
+            with pytest.raises(TraceError) as err:
+                list(run_trace([*lines, bad]))
+            assert err.value.line_no == len(lines) + 1
+
+    def test_relocations_match_the_oracle(self):
+        rng = random.Random(7)
+        oracle = NaiveSeq()
+        lines, want = [], []
+        for _ in range(600):
+            n = len(oracle)
+            roll = rng.random()
+            if n < 2 or roll < 0.3:
+                pos, symbol = rng.randint(0, n), rng.randrange(4)
+                oracle.insert_at(pos, symbol)
+                lines.append(f"I {pos} {symbol}")
+            elif roll < 0.7:
+                src, dst = rng.randrange(n), rng.randrange(n)
+                oracle.relocate(src, dst)
+                lines.append(f"R {src} {dst}")
+            else:
+                lo = rng.randrange(n)
+                hi = rng.randint(lo, n - 1)
+                result = oracle.modes(lo, hi)
+                want.append(" ".join(map(str, [result.multiplicity, *result.modes])))
+                lines.append(f"Q {lo} {hi}")
+        assert list(run_trace(lines)) == want
 
     def test_pure_function_of_text(self):
         lines = generate_trace(seed=5, ops=300, max_len=60, alphabet=4)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -294,6 +295,139 @@ class TestDelete:
             ranges.append((lo, rng.randint(lo, n - 1)))
         for lo, hi in ranges:
             assert engine.modes(lo, hi) == oracle.modes(lo, hi), (lo, hi)
+
+
+class TestRelocate:
+    def make_engine(self, n=300, config=None):
+        # n0 = 300 fills 7 of 16 slots with 42 or 43 elements; capacity 72.
+        rng = random.Random(n)
+        return RangeModeEngine([rng.randrange(6) for _ in range(n)], config)
+
+    def check(self, engine, src, dst):
+        """Relocate on the engine and on the oracle; return the table edits it made."""
+        oracle = NaiveSeq(engine.to_list())
+        resets, n0 = list(engine.reset_events), engine.n0
+        edits = []
+        apply_point = multiset.PairTable.apply_point
+        try:
+            multiset.PairTable.apply_point = lambda self, *args: (
+                edits.append(args) or apply_point(self, *args)
+            )
+            assert engine.relocate(src, dst) == oracle.relocate(src, dst)
+        finally:
+            multiset.PairTable.apply_point = apply_point
+        assert engine.to_list() == oracle.to_list()
+        assert (engine.reset_events, engine.n0) == (resets, n0)
+        report = engine.audit()
+        assert report.ok, report.message
+        return edits
+
+    def starts(self, engine):
+        """The first position of each block."""
+        return [0, *accumulate(engine.block_sizes())][:-1]
+
+    @pytest.mark.parametrize("src, dst", [(5, 30), (30, 5), (0, 41), (41, 0)])
+    def test_inside_one_block_edits_no_summary_cell(self, src, dst):
+        engine = self.make_engine()
+        assert engine.block_sizes()[0] == 43
+        table = engine._table
+        before = (bytes(table._counts), list(table._base), engine.block_sizes())
+        assert self.check(engine, src, dst) == []
+        assert (bytes(table._counts), list(table._base), engine.block_sizes()) == before
+
+    def test_across_chunks_splits_and_merges(self, monkeypatch):
+        monkeypatch.setattr(charseq, "CHUNK", 2)
+        engine = self.make_engine()
+        rng = random.Random(3)
+        chunk_counts = set()
+        for _ in range(200):
+            src, dst = rng.randrange(43), rng.randrange(43)  # inside block 0
+            before = len(engine._seq.chunk_sizes[0])
+            assert self.check(engine, src, dst) == []
+            chunk_counts.add(len(engine._seq.chunk_sizes[0]) - before)
+        assert {-1, 1} <= chunk_counts  # a merge or drop, and a split
+
+    @pytest.mark.parametrize("src, dst", [(5, 150), (150, 5)], ids=["up", "down"])
+    def test_across_blocks_edits_two_blocks(self, src, dst):
+        engine = self.make_engine()
+        js, jd = engine._seq.locate(src)[0], engine._seq.locate(dst)[0]
+        symbol = engine.to_list()[src]
+        sizes = engine.block_sizes()
+        assert self.check(engine, src, dst) == [(jd, symbol, 1), (js, symbol, -1)]
+        sizes[js] -= 1
+        sizes[jd] += 1
+        assert engine.block_sizes() == sizes
+
+    def test_from_the_first_element_of_a_block(self):
+        engine = self.make_engine()
+        first = self.starts(engine)[2]
+        assert self.check(engine, first, first + 5) == []  # it stays in block 2
+        first = self.starts(engine)[2]
+        symbol = engine.to_list()[first]
+        # Inserted before position first - 1, it joins the end of block 1.
+        assert self.check(engine, first, first - 1) == [(1, symbol, 1), (2, symbol, -1)]
+
+    def test_to_the_ends(self):
+        engine = self.make_engine()
+        n = len(engine)
+        for src, dst in [(100, 0), (100, n - 1), (0, n - 1), (n - 1, 0), (0, 0), (n - 1, n - 1)]:
+            self.check(engine, src, dst)
+
+    def test_to_itself(self):
+        engine = self.make_engine()
+        for pos in [0, 7, *self.starts(engine)[1:3], len(engine) - 1]:
+            self.check(engine, pos, pos)
+        one = RangeModeEngine([7])
+        assert self.check(one, 0, 0) == []
+        assert one.to_list() == [7] and one.reset_events == []
+
+    def test_into_a_full_block_rebalances(self, monkeypatch):
+        engine = self.make_engine()
+        sizes = engine.block_sizes()
+        cap = engine.capacity
+        sizes[0], sizes[1] = sizes[0] + sizes[1] - cap, cap
+        lay_out(engine, sizes)
+        moves = count_moves(monkeypatch)
+        src = self.starts(engine)[4]
+        self.check(engine, src, self.starts(engine)[1] + 10)
+        assert moves == [1]  # block 1 sheds its first element to block 0
+        assert max(engine.block_sizes()) == cap
+
+    def test_audit_mode(self):
+        engine = self.make_engine(config=Config(audit_mode=True))
+        rng = random.Random(4)
+        for _ in range(50):
+            self.check(engine, rng.randrange(len(engine)), rng.randrange(len(engine)))
+        # A relocation inside one block checks the capacities too.
+        engine._capacity = engine.block_sizes()[0] - 1
+        with pytest.raises(AuditError, match="block 0 holds"):
+            engine.relocate(0, 5)
+
+    def test_random_relocations_match_the_oracle(self):
+        engine = self.make_engine(2000)
+        oracle = NaiveSeq(engine.to_list())
+        rng = random.Random(5)
+        for _ in range(500):
+            n = len(oracle)
+            src = rng.randrange(n)
+            dst = min(max(src + rng.randint(-300, 300), 0), n - 1)
+            assert engine.relocate(src, dst) == oracle.relocate(src, dst)
+            lo = rng.randrange(n)
+            hi = rng.randint(lo, n - 1)
+            assert engine.modes(lo, hi) == oracle.modes(lo, hi)
+        assert engine.to_list() == oracle.to_list() and engine.audit().ok
+        assert engine.reset_events == []
+
+    @pytest.mark.parametrize("bad", [True, -1, 300, "3", 2.0])
+    def test_bad_positions_change_nothing(self, bad):
+        engine = self.make_engine()
+        table = engine._table
+        before = snapshot(engine), bytes(table._counts)
+        for src, dst in [(bad, 5), (5, bad)]:
+            with pytest.raises((TypeError, IndexError)):
+                engine.relocate(src, dst)
+            assert (snapshot(engine), bytes(table._counts)) == before
+        assert engine.audit().ok
 
 
 class TestModes:
@@ -590,6 +724,15 @@ class TestResets:
         assert engine.audit().ok
 
 
+def snapshot(engine):
+    """Everything an op that raises must leave as it was."""
+    seq = engine._seq
+    return (
+        engine.to_list(), engine.block_sizes(), engine.n0, list(engine.reset_events),
+        [list(sizes) for sizes in seq.chunk_sizes], [list(words) for words in seq.chunk_counts],
+    )
+
+
 def refuse(*args, **kwargs):
     raise MemoryError("refused")
 
@@ -619,12 +762,12 @@ class TestFailedOps:
         return engine
 
     def check_unchanged_then_fuzz(self, engine, monkeypatch, op):
-        before = (engine.to_list(), len(engine), engine.n0, list(engine.reset_events))
+        before = snapshot(engine)
         with pytest.raises((MemoryError, ValueError)):
             op(engine)
-        assert (engine.to_list(), len(engine), engine.n0, engine.reset_events) == before
-        assert engine.audit().ok
+        assert snapshot(engine) == before
         monkeypatch.undo()
+        assert engine.audit().ok
         oracle = NaiveSeq(engine.to_list())
         rng = random.Random(5)
         for _ in range(50):
@@ -662,31 +805,38 @@ class TestFailedOps:
         WIDEN_FAULTS[site](monkeypatch)
         self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.insert(50, 99))
 
-    def test_failed_chunk_split_keeps_the_chunk_lists_in_step(self, monkeypatch):
+    def engine_with_a_full_chunk(self):
         # 6000 elements fill 19 blocks of 315 or 316, each two chunks of 157
-        # or 158; 99 inserts at position 100 grow chunk 0 of block 0 to 257.
+        # or 158; 98 inserts at position 100 grow chunk 0 of block 0 to 2S,
+        # so the next element it takes splits it.
         rng = random.Random(8)
-        oracle = NaiveSeq([rng.randrange(5) for _ in range(6000)])
-        engine = RangeModeEngine(oracle.to_list())
+        engine = RangeModeEngine([rng.randrange(5) for _ in range(6000)])
         assert engine._seq.chunk_sizes[0] == [158, 158]
+        for _ in range(98):
+            engine.insert(100, rng.randrange(5))
+        assert engine._seq.chunk_sizes[0] == [256, 158] and len(engine) == 6098
+        return engine
+
+    def test_failed_chunk_split_keeps_the_chunk_lists_in_step(self, monkeypatch):
+        engine = self.engine_with_a_full_chunk()
+        table = engine._table
+        assert table._width == engine.sigma_prime == 5 and not table._free
         monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
-        for _ in range(99):
-            symbol = rng.randrange(5)
-            oracle.insert_at(100, symbol)
+
+        def insert_new_symbol(e):
             try:
-                engine.insert(100, symbol)
-            except MemoryError:
-                break
-        assert len(engine) == 6099  # the split raised, the element stays
-        monkeypatch.undo()
-        assert engine.to_list() == oracle.to_list()
-        assert engine.audit().message == "chunk 0 of block 0 holds 257, outside [1, 256]"
-        for _ in range(200):
-            lo = rng.randrange(len(oracle))
-            hi = rng.randint(lo, len(oracle) - 1)
-            assert engine.modes(lo, hi) == oracle.modes(lo, hi)
-        engine.insert(100, 0)  # the chunk splits now
-        assert engine.audit().ok
+                e.insert(100, 9)
+            finally:  # the column the insert claimed is free again
+                assert table._free == [5] and 9 not in table._column
+
+        self.check_unchanged_then_fuzz(engine, monkeypatch, insert_new_symbol)
+
+    @pytest.mark.parametrize("src", [200, 5000], ids=["inside-block", "across-blocks"])
+    def test_failed_chunk_split_in_a_relocation_changes_nothing(self, monkeypatch, src):
+        engine = self.engine_with_a_full_chunk()
+        assert engine._seq.locate(200)[0] == 0 < engine._seq.locate(5000)[0]
+        monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
+        self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.relocate(src, 100))
 
 
 class TestAudit:

@@ -21,6 +21,17 @@ def test_delete_front():
     assert seq.to_list() == [2]
 
 
+def test_relocate_is_delete_then_insert():
+    seq = NaiveSeq([1, 2, 3, 4])
+    assert seq.relocate(0, 2) == 1
+    assert seq.to_list() == [2, 3, 1, 4]
+    assert seq.relocate(3, 0) == 4
+    assert seq.to_list() == [4, 2, 3, 1]
+    with pytest.raises(IndexError):
+        seq.relocate(0, 4)
+    assert seq.to_list() == [4, 2, 3, 1]
+
+
 def test_modes_hand_checked():
     seq = NaiveSeq([1, 2, 1, 2, 3])
     assert seq.modes(0, 4) == ModesResult(2, (1, 2))

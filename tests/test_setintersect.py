@@ -1,9 +1,10 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
 
-from rangemodes import Config, SetFamily
+from rangemodes import Config, RangeModeEngine, SetFamily, multiset
 
 
 def direct_intersection(family, i, j):
@@ -176,3 +177,64 @@ class TestUpdates:
         assert [family.members(s) for s in (1, 2)] == members
         assert [family.gadget_symbols(s) for s in (1, 2)] == gadgets
         assert family.engine.audit().ok
+
+
+def four_edit_update(engine, universe, members, k, x):
+    """Add ``x`` to set ``k``, or remove it, as two deletes and two inserts.
+
+    ``members`` is the set before the update.  This is how an update was
+    done before it became two relocations, kept as the reference.
+    """
+    rank_m = bisect_left(members, x)
+    base = 2 * (k - 1) * universe
+    size = len(members)
+    comp = universe - size
+    rank_c = x - rank_m
+    if rank_m < size and members[rank_m] == x:
+        engine.delete(base + size + 2 * comp + rank_m)
+        engine.delete(base + rank_m)
+        engine.insert(base + (size - 1) + rank_c, x)
+        engine.insert(base + (size - 1) + (comp + 1) + rank_c, x)
+    else:
+        engine.delete(base + size + comp + rank_c)
+        engine.delete(base + size + rank_c)
+        engine.insert(base + rank_m, x)
+        engine.insert(base + (size + 1) + 2 * (comp - 1) + rank_m, x)
+
+
+class TestRelocatingUpdates:
+    @pytest.mark.parametrize("universe, count", [(256, 64), (100, 37), (33, 200), (7, 300)])
+    def test_same_layout_as_four_point_edits(self, monkeypatch, universe, count):
+        rng = random.Random(universe * count)
+        sets = [[x for x in range(universe) if rng.random() < 0.5] for _ in range(count)]
+        family = SetFamily(sets, universe)
+        reference = RangeModeEngine(family.engine.to_list())
+        assert reference.block_sizes() == family.engine.block_sizes()
+        # Count the relocations of the family's engine that edit its table.
+        table, edits, editing = family.engine._table, [0], [0]
+        apply_point = multiset.PairTable.apply_point
+        relocate = family.engine.relocate
+
+        def counted_apply_point(self, *args):
+            edits[0] += self is table
+            return apply_point(self, *args)
+
+        def counted_relocate(src, dst):
+            before = edits[0]
+            symbol = relocate(src, dst)
+            editing[0] += edits[0] > before
+            return symbol
+
+        monkeypatch.setattr(multiset.PairTable, "apply_point", counted_apply_point)
+        monkeypatch.setattr(family.engine, "relocate", counted_relocate)
+        for step in range(6000):
+            k, x = rng.randint(1, count), rng.randrange(universe)
+            members = family.members(k)
+            four_edit_update(reference, universe, members, k, x)
+            (family.remove_member if x in members else family.add_member)(k, x)
+            assert family.engine.block_sizes() == reference.block_sizes(), step
+        assert family.engine.to_list() == reference.to_list()
+        assert family.engine.reset_events == reference.reset_events
+        assert family.engine._table is table and family.engine.audit().ok
+        if (universe, count) == (256, 64):  # each gadget fills two blocks
+            assert editing[0] <= 0.01 * 2 * 6000, editing[0]

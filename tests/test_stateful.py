@@ -4,7 +4,7 @@ Each rule edits or queries both and compares them; ``audit()`` runs after
 every rule, so a failure shrinks to a minimal op trace.  The machine also
 records which rare paths it reached (layout resets, boundary moves, a freed
 summary column reused, a table widened for a new symbol, a chunk split,
-merged or dropped); the test requires every one of them, so the fuzzing
+merged or dropped, a relocation inside one block and one across blocks); the test requires every one of them, so the fuzzing
 cannot silently stop exercising them.  Its blocks hold a few dozen elements
 at most, so the test shrinks the chunk size S from 128 to 2.
 """
@@ -75,14 +75,24 @@ class EngineMachine(RuleBasedStateMachine):
         for symbol in symbols:
             self._insert(len(self.naive) // 2, symbol)
 
-    def _delete(self, pos):
-        seq, resets = self.engine._seq, len(self.engine.reset_events)
-        k, off = seq.locate(pos)
-        sizes = list(seq.chunk_sizes[k])
+    def _chunk_of(self, pos):
+        """Block of position ``pos``, the chunk sizes of that block, and its chunk."""
+        k, off = self.engine._seq.locate(pos)
+        sizes = list(self.engine._seq.chunk_sizes[k])
         c = next(c for c in range(len(sizes)) if off < sum(sizes[: c + 1]))
-        assert self.engine.delete(pos) == self.naive.delete_at(pos)
-        if len(self.engine.reset_events) == resets and len(seq.chunk_sizes[k]) < len(sizes):
+        return k, sizes, c
+
+    def _reach_loss(self, k, sizes, c):
+        """Record the chunk path an element leaving chunk ``c`` of block ``k`` took."""
+        if len(self.engine._seq.chunk_sizes[k]) < len(sizes):
             self.reach("chunk dropped" if sizes[c] == 1 else "chunks merged")
+
+    def _delete(self, pos):
+        resets = len(self.engine.reset_events)
+        k, sizes, c = self._chunk_of(pos)
+        assert self.engine.delete(pos) == self.naive.delete_at(pos)
+        if len(self.engine.reset_events) == resets:
+            self._reach_loss(k, sizes, c)
 
     @precondition(lambda self: len(self.naive) > 0)
     @rule(pos=POSITIONS)
@@ -95,6 +105,22 @@ class EngineMachine(RuleBasedStateMachine):
         # Shrinks the sequence fast enough to reach halving resets.
         for _ in range(min(count, len(self.naive))):
             self._delete(0)
+
+    @precondition(lambda self: len(self.naive) > 0)
+    @rule(a=POSITIONS, b=POSITIONS)
+    def relocate(self, a, b):
+        n = len(self.naive)
+        src, dst = a % n, b % n
+        js, chunks, c = self._chunk_of(src)
+        jd = self.engine._seq.insert_block(dst if dst <= src else dst + 1)
+        size = self.engine.block_sizes()[jd]
+        assert self.engine.relocate(src, dst) == self.naive.relocate(src, dst)
+        self.reach("relocate within a block" if jd == js else "relocate across blocks")
+        # Its insert may split a chunk of block jd, but not merge or drop
+        # one, so a chunk fewer in block js, if jd made no boundary move,
+        # is the removal's.
+        if self.engine.block_sizes()[jd] == size + (jd != js):
+            self._reach_loss(js, chunks, c)
 
     @precondition(lambda self: len(self.naive) > 0)
     @rule(a=POSITIONS, b=POSITIONS)
@@ -129,6 +155,7 @@ def test_engine_matches_oracle_in_lockstep(monkeypatch):
     )
     wanted = {f"alpha={alpha}" for alpha in ALPHAS} | {
         "double reset", "halve reset", "boundary moves", "column reused", "table widened",
-        "chunk split", "chunks merged", "chunk dropped",
+        "chunk split", "chunks merged", "chunk dropped", "relocate within a block",
+        "relocate across blocks",
     }
     assert wanted <= reached.keys(), wanted - reached.keys()

@@ -1,12 +1,13 @@
 """Dynamic symbol sequence stored as the engine's blocks, with chunk counts.
 
 Symbols are opaque non-negative integers.  The sequence is one Python list
-per block slot, in order; empty blocks are allowed anywhere.  A
-:class:`BlockSizeIndex` of the list lengths locates a position by bisecting
-its prefix sums in O(log L), so the engine reads block boundaries from the
-same index that stores them.  An edit inside a block is a list insert or
-pop; a boundary move pops an end element of one block and adds it to the
-near end of its neighbour.
+per block slot, in order; empty blocks are allowed anywhere.  An engine op
+finds its block and offset once, by bisecting the prefix sums of the
+:class:`BlockSizeIndex` of the list lengths (:meth:`CharSeq.locate`,
+:meth:`CharSeq.insert_place`), and edits there: a list insert or pop and one
+count word edit, while the block size is the engine's to adjust, so a
+relocation inside one block changes none.  A boundary move adds an end
+element of one block to the near end of its neighbour, then takes it out.
 
 Beside each block list sits its chunk index.  A chunk is a run of 1..2S
 consecutive elements of the block, S = :data:`CHUNK`, and two neighbouring
@@ -20,8 +21,8 @@ An edit adds ``±1 << 32·col`` to one word, a copy of up to σ'·4 bytes; a chu
 past 2S splits in two and both halves are recounted, an empty chunk is
 dropped, and a chunk that shrinks to S or less together with a neighbour
 merges into it.  A query then counts the whole chunks of a margin as one
-sum of words and only the elements at its ends, at most one chunk each,
-one by one (:meth:`CharSeq.count`).
+sum of words, and slices the elements at its ends, fewer than one chunk
+each, straight from the block list (:meth:`CharSeq.count`).
 """
 
 from __future__ import annotations
@@ -83,23 +84,20 @@ class CharSeq:
 
     def locate(self, pos: int) -> tuple[int, int]:
         """Block slot and offset of position ``pos``."""
-        n = len(self)
-        if not 0 <= pos < n:
-            raise IndexError(f"position {pos} out of range (length {n})")
-        ends = self.sizes.prefix_sums()
+        ends = self.sizes.prefix_sums()  # the length last
+        if not 0 <= pos < ends[-1]:
+            raise IndexError(f"position {pos} out of range (length {ends[-1]})")
         k = bisect_right(ends, pos)
         return k, pos - (ends[k - 1] if k else 0)
 
-    def insert_block(self, pos: int) -> int:
-        """Block an insert at ``pos`` joins: the one holding ``pos - 1``.
-
-        At the front it is the block holding position 0; in an empty
-        sequence, slot 0.
-        """
-        n = len(self)
-        if not 0 <= pos <= n:
-            raise IndexError(f"insert position {pos} out of range (length {n})")
-        return self.locate(max(pos - 1, 0))[0] if n else 0
+    def insert_place(self, pos: int) -> tuple[int, int]:
+        """Block and offset an insert at ``pos`` takes: the block holding ``pos - 1``,
+        at the front the one holding position 0, in an empty sequence slot 0."""
+        ends = self.sizes.prefix_sums()
+        if not 0 <= pos <= ends[-1]:
+            raise IndexError(f"insert position {pos} out of range (length {ends[-1]})")
+        k = bisect_left(ends, pos or 1) if ends[-1] else 0
+        return k, pos - (ends[k - 1] if k else 0)
 
     # ------------------------------------------------------------------
     # public operations
@@ -109,28 +107,23 @@ class CharSeq:
         k, off = self.locate(pos)
         return self.blocks[k][off]
 
-    def insert_at(self, pos: int, symbol: int) -> None:
-        """Insert ``symbol`` so that it becomes the element at ``pos``, in :meth:`insert_block`.
+    def insert_at(self, k: int, off: int, symbol: int) -> None:
+        """Insert ``symbol`` at offset ``off`` of block ``k`` and count it in its chunk.
 
-        Like the block, the chunk it joins is the one holding ``pos - 1``.
+        Like the block, the chunk it joins is the one holding offset
+        ``off - 1``.  A chunk split that fails takes the element back out.
         """
-        j = self.insert_block(pos)
-        ends = self.sizes.prefix_sums()
-        off = pos - (ends[j - 1] if j else 0)
-        c = bisect_left(self._chunk_bounds(j), off, 1) - 1 if len(self.chunk_sizes[j]) > 1 else 0
-        self.blocks[j].insert(off, symbol)
-        self.sizes.adjust(j, 1)
+        c = bisect_left(self._chunk_bounds(k), off, 1) - 1 if len(self.chunk_sizes[k]) > 1 else 0
+        block = self.blocks[k]
+        block.insert(off, symbol)
         try:
-            self._gain(j, c, symbol)
+            self._gain(k, c, symbol)
         except BaseException:  # a split's recount failed; _gain wrote nothing
-            self.sizes.adjust(j, -1)
-            del self.blocks[j][off]
+            del block[off]
             raise
 
-    def delete_at(self, pos: int) -> int:
-        """Remove and return the element at index ``pos``."""
-        k, off = self.locate(pos)
-        self.sizes.adjust(k, -1)
+    def delete_at(self, k: int, off: int) -> int:
+        """Remove and return the element at offset ``off`` of block ``k``, and uncount it."""
         symbol = self.blocks[k].pop(off)
         c = bisect_right(self._chunk_bounds(k), off) - 1 if len(self.chunk_sizes[k]) > 1 else 0
         self._lose(k, c, symbol)
@@ -138,32 +131,27 @@ class CharSeq:
 
     def move_left(self, i: int) -> int:
         """Move the first element of block ``i`` to the end of block ``i - 1``; return it."""
-        slots = len(self.blocks)
-        if not 1 <= i < slots:
-            raise IndexError(f"move_left source {i} out of range ({slots} slots)")
-        if not self.blocks[i]:
-            raise InvariantError(f"move_left from empty block {i}")
-        symbol = self.blocks[i].pop(0)
-        self.blocks[i - 1].append(symbol)
-        self.sizes.adjust(i, -1)
-        self.sizes.adjust(i - 1, 1)
-        self._lose(i, 0, symbol)
-        self._gain(i - 1, len(self.chunk_sizes[i - 1]) - 1, symbol)
-        return symbol
+        return self._move(i, i - 1, "move_left")
 
     def move_right(self, i: int) -> int:
         """Move the last element of block ``i`` to the front of block ``i + 1``; return it."""
+        return self._move(i, i + 1, "move_right")
+
+    def _move(self, i: int, k: int, name: str) -> int:
+        """Move the end element of block ``i`` facing its neighbour ``k`` into ``k``.
+
+        The gain comes first, so a chunk split that fails changes nothing."""
         slots = len(self.blocks)
-        if not 0 <= i < slots - 1:
-            raise IndexError(f"move_right source {i} out of range ({slots} slots)")
+        if not (0 <= i < slots and 0 <= k < slots):
+            raise IndexError(f"{name} source {i} out of range ({slots} slots)")
         if not self.blocks[i]:
-            raise InvariantError(f"move_right from empty block {i}")
-        symbol = self.blocks[i].pop()
-        self.blocks[i + 1].insert(0, symbol)
+            raise InvariantError(f"{name} from empty block {i}")
+        off = 0 if k < i else len(self.blocks[i]) - 1
+        symbol = self.blocks[i][off]
+        self.insert_at(k, len(self.blocks[k]) if k < i else 0, symbol)
+        self.delete_at(i, off)
         self.sizes.adjust(i, -1)
-        self.sizes.adjust(i + 1, 1)
-        self._lose(i, len(self.chunk_sizes[i]) - 1, symbol)
-        self._gain(i + 1, 0, symbol)
+        self.sizes.adjust(k, 1)
         return symbol
 
     def access_range(self, lo: int, hi: int) -> list[int]:
@@ -191,27 +179,25 @@ class CharSeq:
     # chunk counts
     # ------------------------------------------------------------------
 
-    def count(self, k: int, lo: int, stop: int, loose: Counter[int]) -> int:
-        """Count positions ``lo..stop - 1``, which lie in block ``k``.
+    def count(self, k: int, lo: int, stop: int, loose: list[int]) -> int:
+        """Count offsets ``lo..stop - 1`` of block ``k``.
 
         Returns the summed count word of the whole chunks among them and
-        adds the other elements, read by :meth:`access_range`, to ``loose``.
-        Only part of a block is ever asked for, so a one-chunk block has no
-        whole chunk.
+        appends the other elements, sliced from the block list, to
+        ``loose``.  Only part of a block is ever asked for, so a one-chunk
+        block has no whole chunk.
         """
+        block = self.blocks[k]
         if len(self.chunk_sizes[k]) > 1:
-            base = self.sizes.prefix_sums()[k - 1] if k else 0
             bounds = self._chunk_bounds(k)
-            i = bisect_left(bounds, lo - base)
-            j = bisect_right(bounds, stop - base) - 1
+            i = bisect_left(bounds, lo)
+            j = bisect_right(bounds, stop) - 1
             if i < j:
-                first, end = base + bounds[i], base + bounds[j]
-                if lo < first:
-                    loose.update(self.access_range(lo, first - 1))
-                if end < stop:
-                    loose.update(self.access_range(end, stop - 1))
+                first, end = bounds[i], bounds[j]
+                loose += block[lo:first]
+                loose += block[end:stop]
                 return sum(self.chunk_counts[k][i:j])
-        loose.update(self.access_range(lo, stop - 1))
+        loose += block[lo:stop]
         return 0
 
     def block_words(self) -> list[int]:

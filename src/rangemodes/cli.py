@@ -91,11 +91,13 @@ def run_trace(lines: Iterable[str], config: Config | None = None) -> Iterator[st
 
 
 def generate_trace(seed: int, ops: int, max_len: int, alphabet: int) -> list[str]:
-    """Seeded random trace: ~40% inserts, ~20% deletes, ~40% queries.
+    """Seeded random trace: ~40% inserts, ~20% deletes, ~32% queries, ~8% relocations.
 
-    Once the length reaches ``max_len`` the mix turns delete-heavy (~40%
-    deletes, ~20% inserts) until it falls to ``max_len // 4``, so a long run
-    cycles through halvings and chunk merges as well as doublings.
+    Half the relocations move at most 16 positions, so many of those stay
+    inside one block; the others move anywhere.  Once the length reaches
+    ``max_len`` the mix turns delete-heavy (~40% deletes, ~20% inserts)
+    until it falls to ``max_len // 4``, so a long run cycles through
+    halvings and chunk merges as well as doublings.
     """
     for name, value in (("ops", ops), ("max_len", max_len), ("alphabet", alphabet)):
         if value < 1:
@@ -117,13 +119,18 @@ def generate_trace(seed: int, ops: int, max_len: int, alphabet: int) -> list[str
         elif roll < 0.6:
             kind = "I" if shrinking and length < max_len else "D"
         else:
-            kind = "Q"
+            kind = "R" if roll < 0.68 else "Q"
         if kind == "I":
             lines.append(f"I {rng.randint(0, length)} {rng.randrange(alphabet)}")
             length += 1
         elif kind == "D":
             lines.append(f"D {rng.randrange(length)}")
             length -= 1
+        elif kind == "R":
+            src = rng.randrange(length)
+            near = rng.random() < 0.5
+            dst = min(max(src + rng.randint(-16, 16), 0), length - 1) if near else rng.randrange(length)
+            lines.append(f"R {src} {dst}")
         else:
             lo = rng.randrange(length)
             lines.append(f"Q {lo} {rng.randint(lo, length - 1)}")

@@ -11,16 +11,17 @@ modes query reads the summary cell of the blocks that lie wholly inside its
 range, a strided gather of one field from each of σ' planes, and counts the
 part inside the range of each partial end block, in
 O(N^(1-alpha) + σ' + output) time for σ' distinct symbols present; a range
-inside one block reads a cell only when it covers that whole block.  Of a
-counted part, the whole chunks of :class:`CharSeq` come as one sum of packed
-count words, and only the loose elements at its ends, fewer than one chunk
-each, are counted one by one; the cell and the words are then one packed
-int sum, unpacked once.
+inside one block reads a cell only when it covers that whole block, and a
+cell whose blocks are all empty is not read.  Of a counted part, the whole
+chunks of :class:`CharSeq` come as one sum of packed count words, and the
+loose elements at its ends, fewer than one chunk each, are sliced from the
+block lists into one list, counted once; the cell and the words are one
+packed int sum, unpacked once.
 
-The blocks are the symbol lists of :class:`CharSeq`, and the engine reads
-their boundaries from its :class:`BlockSizeIndex`; an insert joins the block
-that ``CharSeq`` names for it, so the sequence and the summary cells always
-agree on where an element lives.
+The blocks are the symbol lists of :class:`CharSeq`, with their boundaries
+in its :class:`BlockSizeIndex`.  Each op finds its block and offset there
+once and edits the sequence and the summary cells at that block, so the two
+always agree on where an element lives.
 
 The layout is sized for the reference length ``n0`` of the last rebuild:
 ``ceil(n0^alpha) + ceil((2·n0)^alpha)`` block slots, each holding at most
@@ -39,7 +40,7 @@ room.
 A relocation moves one element without changing the length: it inserts the
 symbol where ``insert(dst, delete(src))`` would, then removes the original.
 Every summary cell counts whole blocks, so a relocation inside one block
-edits no cell, only the block list and its chunk words.
+edits no cell and no block size, only the block list and its chunk words.
 """
 
 from __future__ import annotations
@@ -231,21 +232,21 @@ class RangeModeEngine:
         """Insert ``symbol`` so that it becomes the element at ``pos``."""
         _check_position(pos)
         _check_symbol(symbol)
-        j = self._seq.insert_block(pos)
+        j, off = self._seq.insert_place(pos)
         if len(self._seq) + 1 >= 2 * self._n0:
             flat = self._seq.to_list()
             flat.insert(pos, symbol)
             self._rebuild_layout(flat, "double")
         else:
-            self._place(j, pos, symbol)
+            self._place(j, off, symbol)
             if self._sizes.size_of(j) > self._capacity:
                 self._rebalance(j)
             self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
         if self._config.audit_mode:
             self._check_capacities()
 
-    def _place(self, j: int, pos: int, symbol: int) -> None:
-        """Count ``symbol`` into block ``j`` and insert it at ``pos``, which lies there.
+    def _place(self, j: int, off: int, symbol: int) -> None:
+        """Count ``symbol`` into block ``j`` and insert it at offset ``off`` there.
 
         The table first: a new symbol may widen it, which can fail for lack
         of memory before anything has changed.  A chunk split that fails
@@ -254,21 +255,23 @@ class RangeModeEngine:
         """
         self._table.apply_point(j, symbol, 1)
         try:
-            self._seq.insert_at(pos, symbol)
+            self._seq.insert_at(j, off, symbol)
         except BaseException:
             self._table.apply_point(j, symbol, -1)
             raise
+        self._sizes.adjust(j, 1)
 
     def delete(self, pos: int) -> int:
         """Remove and return the element at ``pos``."""
         _check_position(pos)
-        j = self._seq.locate(pos)[0]
+        j, off = self._seq.locate(pos)
         if len(self._seq) - 1 <= self._n0 // 2:
             flat = self._seq.to_list()
             symbol = flat.pop(pos)
             self._rebuild_layout(flat, "halve")
         else:
-            symbol = self._seq.delete_at(pos)
+            symbol = self._seq.delete_at(j, off)
+            self._sizes.adjust(j, -1)
             self._table.apply_point(j, symbol, -1)
             self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
         if self._config.audit_mode:
@@ -281,7 +284,7 @@ class RangeModeEngine:
         The sequence is that of ``insert(dst, delete(src))``, but the length
         does not change, so the layout is never reset.  The symbol joins the
         block that the insert would join and leaves its own block; when the
-        two are the same block, no summary cell changes.
+        two are the same block, no block size and no summary cell changes.
         """
         _check_position(src)
         _check_position(dst)
@@ -289,22 +292,22 @@ class RangeModeEngine:
         n = len(seq)
         if not (0 <= src < n and 0 <= dst < n):
             raise IndexError(f"relocation {src} -> {dst} out of range (length {n})")
-        js, off = seq.locate(src)
-        symbol = seq.blocks[js][off]
+        js, offs = seq.locate(src)
+        symbol = seq.blocks[js][offs]
         # Insert first, so a chunk split that fails changes nothing; the
-        # positions are those before the original is removed.
-        ins, rem = (dst, src + 1) if dst <= src else (dst + 1, src)
-        jd = seq.insert_block(ins)
+        # position is the one before the original is removed.
+        jd, offd = seq.insert_place(dst if dst <= src else dst + 1)
         if jd == js:
-            seq.insert_at(ins, symbol)
-            seq.delete_at(rem)
+            seq.insert_at(jd, offd, symbol)
+            seq.delete_at(js, offs + (offd <= offs))
         else:
-            self._place(jd, ins, symbol)  # the gain first, so the column is never freed
-            seq.delete_at(rem)
+            self._place(jd, offd, symbol)  # the gain first, so the column is never freed
+            seq.delete_at(js, offs)
+            self._sizes.adjust(js, -1)
             self._table.apply_point(js, symbol, -1)
             if self._sizes.size_of(jd) > self._capacity:
                 self._rebalance(jd)
-        self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
+            self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
         if self._config.audit_mode:
             self._check_capacities()
         return symbol
@@ -313,27 +316,29 @@ class RangeModeEngine:
         """Enumerate all modes of the inclusive range ``[lo, hi]``."""
         _check_position(lo)
         _check_position(hi)
-        n = len(self._seq)
+        ends = self._sizes.prefix_sums()  # ends[k]: one past the last position of block k
+        n = ends[-1]
         if not (0 <= lo <= hi < n):
             raise IndexError(f"range [{lo}, {hi}] out of bounds (length {n})")
         stop = hi + 1
-        ends = self._sizes.prefix_sums()  # ends[k]: one past the last position of block k
         bl = bisect_right(ends, lo)  # block holding lo
         br = bisect_left(ends, stop, bl)  # block holding hi
-        out_l = lo > (ends[bl - 1] if bl else 0)  # block bl starts before the range
+        start = ends[bl - 1] if bl else 0
+        out_l = lo > start  # block bl starts before the range
         out_r = ends[br] > stop  # block br ends after it
         # The cell leaves out each partial end block, whose part inside the
-        # range is counted instead.
+        # range is counted instead; a cell of empty blocks is not read.
         cs, ce = bl + out_l, br - out_r
         seq = self._seq
-        margin: Counter[int] = Counter()
+        loose: list[int] = []
         if bl == br:
-            plus = seq.count(bl, lo, stop, margin) if out_l or out_r else 0
+            plus = seq.count(bl, lo - start, stop - start, loose) if out_l or out_r else 0
         else:
-            plus = seq.count(bl, lo, ends[bl], margin) if out_l else 0
+            plus = seq.count(bl, lo - start, ends[bl] - start, loose) if out_l else 0
             if out_r:
-                plus += seq.count(br, ends[br - 1], stop, margin)
-        if cs <= ce:
+                plus += seq.count(br, 0, stop - ends[br - 1], loose)
+        margin = Counter(loose)
+        if cs <= ce and ends[ce] > (ends[cs - 1] if cs else 0):
             best, winners = self._table.modes(cs, ce, margin, plus)
         elif plus:
             best, winners = self._table.modes(None, None, margin, plus)

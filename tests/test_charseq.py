@@ -34,6 +34,22 @@ def check_mirror(seq, mirror):
     assert seq.chunk_fault() is None
 
 
+def insert(seq, pos, symbol):
+    """Insert ``symbol`` at position ``pos`` as the engine does; return the block joined."""
+    k, off = seq.insert_place(pos)
+    seq.insert_at(k, off, symbol)
+    seq.sizes.adjust(k, 1)
+    return k
+
+
+def delete(seq, pos):
+    """Remove and return the element at position ``pos`` as the engine does."""
+    k, off = seq.locate(pos)
+    symbol = seq.delete_at(k, off)
+    seq.sizes.adjust(k, -1)
+    return symbol
+
+
 def mirror_insert(mirror, pos, symbol):
     """Insert into plain lists by the documented rule; return the block joined."""
     if not any(mirror):
@@ -97,77 +113,100 @@ def test_takes_the_block_lists_without_copying():
 
 def test_insert_middle():
     seq = seq_over([[1], [2]])
-    assert seq.insert_block(1) == 0  # the block holding position 0
-    seq.insert_at(1, 9)
+    assert seq.insert_place(1) == (0, 1)  # after the element of block 0
+    insert(seq, 1, 9)
     check_mirror(seq, [[1, 9], [2]])
 
 
 def test_insert_into_empty():
     seq = seq_over([[], [], []])
-    assert seq.insert_block(0) == 0
-    seq.insert_at(0, 4)
+    assert seq.insert_place(0) == (0, 0)
+    insert(seq, 0, 4)
     check_mirror(seq, [[4], [], []])
 
 
 def test_insert_append():
     seq = seq_over([[1], []])
-    assert seq.insert_block(1) == 0
-    seq.insert_at(1, 2)
+    assert seq.insert_place(1) == (0, 1)
+    insert(seq, 1, 2)
     check_mirror(seq, [[1, 2], []])
 
 
 def test_insert_at_front_joins_first_nonempty_block():
     seq = seq_over([[], [], [5, 6], [7]])
-    assert seq.insert_block(0) == 2
-    seq.insert_at(0, 4)
+    assert seq.insert_place(0) == (2, 0)
+    insert(seq, 0, 4)
     check_mirror(seq, [[], [], [4, 5, 6], [7]])
 
 
 def test_insert_after_a_block_end_stays_in_that_block():
     seq = seq_over([[1, 2], [], [3]])
-    assert seq.insert_block(2) == 0
-    seq.insert_at(2, 9)
+    assert seq.insert_place(2) == (0, 2)
+    insert(seq, 2, 9)
     check_mirror(seq, [[1, 2, 9], [], [3]])
-    assert seq.insert_block(4) == 2
-    seq.insert_at(4, 8)
+    assert seq.insert_place(4) == (2, 1)
+    insert(seq, 4, 8)
     check_mirror(seq, [[1, 2, 9], [], [3, 8]])
+
+
+@pytest.mark.parametrize(
+    "blocks, pos, place",
+    [
+        ([[], [], []], 0, (0, 0)),  # an empty sequence: slot 0
+        ([[], [], [5]], 0, (2, 0)),  # the front: the block holding position 0
+        ([[], [5, 6], [], []], 1, (1, 1)),
+        ([[], [5, 6], [], [7], []], 2, (1, 2)),  # a block end, empty blocks after it
+        ([[], [5, 6], [], [7], []], 3, (3, 1)),  # the end of the sequence
+        ([[5], [], [], [7, 8]], 1, (0, 1)),  # not the empty blocks in between
+        ([[5], [], [], [7, 8]], 2, (3, 1)),
+    ],
+)
+def test_insert_place(blocks, pos, place):
+    seq = seq_over(blocks)
+    assert seq.insert_place(pos) == place
+    mirror = [list(block) for block in blocks]
+    assert insert(seq, pos, 9) == mirror_insert(mirror, pos, 9) == place[0]
+    check_mirror(seq, mirror)
 
 
 def test_insert_out_of_range():
     seq = CharSeq([[1], []])
     for pos in (2, -1):
         with pytest.raises(IndexError):
-            seq.insert_at(pos, 5)
-        with pytest.raises(IndexError):
-            seq.insert_block(pos)
+            seq.insert_place(pos)
     check_mirror(seq, [[1], []])
+    with pytest.raises(IndexError):
+        CharSeq([[], []]).insert_place(1)
 
 
 def test_delete_front():
     seq = CharSeq([[], [1, 2], [3]])
-    assert seq.delete_at(0) == 1
+    assert seq.locate(0) == (1, 0)
+    assert delete(seq, 0) == 1
     check_mirror(seq, [[], [2], [3]])
 
 
 def test_delete_only_element():
     seq = CharSeq([[], [1], []])
-    assert seq.delete_at(0) == 1
+    assert delete(seq, 0) == 1
     check_mirror(seq, [[], [], []])
 
 
 def test_delete_last():
     seq = CharSeq([[1], [2], []])
-    assert seq.delete_at(1) == 2
+    assert seq.locate(1) == (1, 0)
+    assert delete(seq, 1) == 2
     check_mirror(seq, [[1], [], []])
 
 
 def test_delete_out_of_range():
     with pytest.raises(IndexError):
-        CharSeq([[]]).delete_at(0)
-    with pytest.raises(IndexError):
-        CharSeq([[1], []]).delete_at(1)
-    with pytest.raises(IndexError):
-        CharSeq([[1], []]).delete_at(-1)
+        CharSeq([[]]).locate(0)
+    seq = CharSeq([[1], []])
+    for pos in (1, -1):
+        with pytest.raises(IndexError):
+            seq.locate(pos)
+    check_mirror(seq, [[1], []])
 
 
 def test_getitem():
@@ -212,10 +251,43 @@ def test_move_bounds_and_empty_source():
     check_mirror(seq, [[1], [], [2]])
 
 
+def refuse(*args):
+    raise MemoryError("refused")
+
+
+@pytest.mark.parametrize(
+    "blocks, grow, move",
+    [
+        ([[1, 2, 3, 4], [5, 6]], (4, 5), lambda seq: seq.move_left(1)),  # block 0 gains at its end
+        ([[1, 2], [3, 4, 5, 6]], (3, 3), lambda seq: seq.move_right(0)),  # block 1 at its front
+    ],
+    ids=["left", "right"],
+)
+def test_a_move_whose_split_fails_changes_nothing(monkeypatch, blocks, grow, move):
+    # S = 2: two inserts grow the receiving chunk to 2S, so the element the
+    # move brings splits it, and the split's recount is refused.
+    monkeypatch.setattr(charseq, "CHUNK", 2)
+    seq = seq_over(blocks)
+    for pos in grow:
+        insert(seq, pos, 7)
+    assert 4 in (seq.chunk_sizes[0][-1], seq.chunk_sizes[1][0])
+    mirror = [list(block) for block in seq.blocks]
+    chunks = [list(sizes) for sizes in seq.chunk_sizes], [list(words) for words in seq.chunk_counts]
+    monkeypatch.setattr(CharSeq, "recount", refuse)
+    with pytest.raises(MemoryError):
+        move(seq)
+    assert ([list(sizes) for sizes in seq.chunk_sizes], [list(words) for words in seq.chunk_counts]) == chunks
+    monkeypatch.undo()
+    monkeypatch.setattr(charseq, "CHUNK", 2)
+    check_mirror(seq, mirror)
+    move(seq)  # with the recount back, the split goes through
+    assert seq.chunk_fault() is None
+
+
 def test_distinct_inserts_read_back_in_order():
     seq = seq_over([[] for _ in range(4)])
     for k in range(50):
-        seq.insert_at(len(seq), k)
+        insert(seq, len(seq), k)
     assert seq.access_range(0, 49) == list(range(50))
     assert seq.sizes.to_list() == [50, 0, 0, 0]
 
@@ -232,11 +304,10 @@ def test_differential_against_list_mirror():
         if n == 0 or roll < 0.4:
             pos = rng.randint(0, n)
             sym = rng.randrange(1000)
-            assert seq.insert_block(pos) == mirror_insert(mirror, pos, sym)
-            seq.insert_at(pos, sym)
+            assert insert(seq, pos, sym) == mirror_insert(mirror, pos, sym)
         elif roll < 0.7:
             pos = rng.randrange(n)
-            assert seq.delete_at(pos) == mirror_delete(mirror, pos)
+            assert delete(seq, pos) == mirror_delete(mirror, pos)
         else:
             i = rng.randrange(len(mirror))
             if roll < 0.85 and i > 0 and mirror[i]:
@@ -270,11 +341,10 @@ def test_property_matches_list(blocks, ops):
         n = len(flatten(mirror))
         if kind == "i" or (kind == "d" and not n):
             pos = raw % (n + 1)
-            assert seq.insert_block(pos) == mirror_insert(mirror, pos, sym)
-            seq.insert_at(pos, sym)
+            assert insert(seq, pos, sym) == mirror_insert(mirror, pos, sym)
         elif kind == "d":
             pos = raw % n
-            assert seq.delete_at(pos) == mirror_delete(mirror, pos)
+            assert delete(seq, pos) == mirror_delete(mirror, pos)
         elif kind == "l":
             i = raw % len(mirror)
             if i == 0 or not mirror[i]:
@@ -315,11 +385,10 @@ def test_chunks_follow_edits_and_count_margins(monkeypatch):
         roll = rng.random()
         if n == 0 or roll < 0.45:
             pos, sym = rng.randint(0, n), rng.randrange(7)
-            mirror_insert(mirror, pos, sym)
-            seq.insert_at(pos, sym)
+            assert insert(seq, pos, sym) == mirror_insert(mirror, pos, sym)
         elif roll < 0.8:
             pos = rng.randrange(n)
-            assert seq.delete_at(pos) == mirror_delete(mirror, pos)
+            assert delete(seq, pos) == mirror_delete(mirror, pos)
         else:
             i = rng.randrange(1, len(mirror))
             if mirror[i]:
@@ -331,9 +400,9 @@ def test_chunks_follow_edits_and_count_margins(monkeypatch):
         if len(mirror[k]) > 1:
             lo = base + rng.randrange(len(mirror[k]) - 1)
             stop = rng.randint(lo + 1, base + len(mirror[k]) - (lo == base))
-            loose = Counter()
-            word = seq.count(k, lo, stop, loose)
+            loose = []
+            word = seq.count(k, lo - base, stop - base, loose)
             counted += bool(word)
-            assert sum(loose.values()) <= 4 * charseq.CHUNK
-            assert loose + word_counts(seq, word) == Counter(flatten(mirror)[lo:stop])
+            assert len(loose) <= 4 * charseq.CHUNK
+            assert Counter(loose) + word_counts(seq, word) == Counter(flatten(mirror)[lo:stop])
     assert counted > 100

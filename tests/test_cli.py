@@ -106,16 +106,24 @@ class TestGenerateTrace:
             elif parts[0] == "D":
                 assert 0 <= int(parts[1]) < length
                 length -= 1
+            elif parts[0] == "R":
+                assert 0 <= int(parts[1]) < length and 0 <= int(parts[2]) < length
             else:
                 lo, hi = int(parts[1]), int(parts[2])
                 assert 0 <= lo <= hi < length
 
-    def test_mix_roughly_40_20_40(self):
+    def test_mix_roughly_40_20_32_8(self):
         lines = generate_trace(3, 10000, 10**9, 5)
         kinds = [line[0] for line in lines]
         assert 0.30 < kinds.count("I") / len(kinds) < 0.50
         assert 0.10 < kinds.count("D") / len(kinds) < 0.30
-        assert 0.30 < kinds.count("Q") / len(kinds) < 0.50
+        assert 0.27 < kinds.count("Q") / len(kinds) < 0.37
+        assert 0.05 < kinds.count("R") / len(kinds) < 0.11
+
+    def test_half_the_relocations_are_short(self):
+        moves = [line.split() for line in generate_trace(3, 10000, 10**9, 5) if line[0] == "R"]
+        short = sum(abs(int(src) - int(dst)) <= 16 for _, src, dst in moves)
+        assert 0.4 < short / len(moves) < 0.65
 
 
     def test_shrinks_to_a_quarter_after_max_len(self):
@@ -185,6 +193,8 @@ class TestFuzz:
                 oracle.insert_at(int(parts[1]), int(parts[2]))
             elif parts[0] == "D":
                 oracle.delete_at(int(parts[1]))
+            elif parts[0] == "R":
+                oracle.relocate(int(parts[1]), int(parts[2]))
             else:
                 res = oracle.modes(int(parts[1]), int(parts[2]))
                 answers.append(" ".join([str(res.multiplicity), *map(str, res.modes)]))

@@ -18,6 +18,7 @@ from rangemodes import charseq, multiset
 from rangemodes.multiset import int_bytes
 from rangemodes import (
     AuditError,
+    BlockSizeIndex,
     Config,
     InvariantError,
     ModesResult,
@@ -194,6 +195,27 @@ class TestConstruction:
             assert engine.audit().ok
 
 
+    @pytest.mark.parametrize("bad", [-1, 20, 21, 1 << 64])
+    def test_out_of_range_position_leaves_engine_unchanged(self, bad):
+        # The block and offset an op works on come from one lookup, which
+        # raises before anything changes.
+        engine = RangeModeEngine(range(20))
+        before = snapshot(engine), bytes(engine._table._counts)
+        calls = [
+            lambda: engine.insert(bad + (bad > 0), 7),  # an insert may also go at 20
+            lambda: engine.delete(bad),
+            lambda: engine.relocate(bad, 3),
+            lambda: engine.relocate(3, bad),
+            lambda: engine.modes(bad, 19),
+            lambda: engine.modes(0, bad),
+        ]
+        for call in calls:
+            with pytest.raises(IndexError):
+                call()
+            assert (snapshot(engine), bytes(engine._table._counts)) == before
+        assert engine.audit().ok
+
+
 class TestInsert:
     def test_insert_middle(self):
         engine = RangeModeEngine([1, 2])
@@ -334,6 +356,21 @@ class TestRelocate:
         before = (bytes(table._counts), list(table._base), engine.block_sizes())
         assert self.check(engine, src, dst) == []
         assert (bytes(table._counts), list(table._base), engine.block_sizes()) == before
+
+    def test_inside_one_block_adjusts_no_size(self, monkeypatch):
+        # The block sizes do not change, so the prefix sums the last edit
+        # left stay valid and are not rebuilt.
+        engine = self.make_engine()
+        adjusts = []
+        adjust = BlockSizeIndex.adjust
+        monkeypatch.setattr(
+            BlockSizeIndex, "adjust", lambda self, *args: adjusts.append(args) or adjust(self, *args)
+        )
+        sizes, ends = engine.block_sizes(), engine._sizes.prefix_sums()
+        for src, dst in [(5, 30), (30, 5), (0, 41), (41, 0), (12, 12)]:
+            assert self.check(engine, src, dst) == []
+        assert adjusts == []
+        assert engine.block_sizes() == sizes and engine._sizes.prefix_sums() is ends
 
     def test_across_chunks_splits_and_merges(self, monkeypatch):
         monkeypatch.setattr(charseq, "CHUNK", 2)
@@ -837,6 +874,42 @@ class TestFailedOps:
         assert engine._seq.locate(200)[0] == 0 < engine._seq.locate(5000)[0]
         monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
         self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.relocate(src, 100))
+
+
+    def test_failed_chunk_split_in_a_boundary_move_keeps_the_chunk_lists_in_step(self, monkeypatch):
+        # 6000 elements fill 19 blocks of 315 or 316 (capacity 525), each two
+        # chunks of 157 or 158.  98 inserts at the end of block 0 grow its
+        # last chunk to 2S; then block 1 is filled to capacity.  An insert
+        # into block 1 sheds an element to block 0, the nearest block with
+        # room, and that element splits block 0's last chunk.
+        rng = random.Random(8)
+        engine = RangeModeEngine([rng.randrange(5) for _ in range(6000)])
+        seq, cap = engine._seq, engine.capacity
+        assert seq.chunk_sizes[0] == [158, 158] and cap == 525
+        for _ in range(98):
+            engine.insert(engine.block_sizes()[0], rng.randrange(5))
+        assert seq.chunk_sizes[0] == [158, 256]
+        while engine.block_sizes()[1] < cap:
+            engine.insert(engine.block_sizes()[0] + 1, rng.randrange(5))
+        # Insert into a chunk of block 1 that does not split.
+        c = next(c for c, size in enumerate(seq.chunk_sizes[1]) if size < 256)
+        pos = engine.block_sizes()[0] + sum(seq.chunk_sizes[1][:c]) + 1
+        flat = engine.to_list()
+        flat.insert(pos, 3)
+        monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
+        with pytest.raises(MemoryError):
+            engine.insert(pos, 3)
+        monkeypatch.undo()
+        # The insert stays applied, and the move that failed changed nothing.
+        assert engine.to_list() == flat
+        assert engine.block_sizes() == [len(block) for block in seq.blocks]
+        assert engine.block_sizes()[:2] == [414, cap + 1]
+        assert seq.chunk_fault() is None
+        report = engine.audit()
+        assert report.message == f"block 1 holds {cap + 1}, outside [0, {cap}]"
+        # Nothing else is wrong: the summary cells agree with the blocks.
+        monkeypatch.setattr(engine, "_check_capacities", lambda: None)
+        assert engine.audit().ok
 
 
 class TestAudit:

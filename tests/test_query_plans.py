@@ -3,10 +3,10 @@
 A query reads the cell of the blocks that lie wholly inside its range and
 counts the part inside the range of each partial end block: the cell is
 (bl + 1, br) when block bl starts before the range and (bl, br - 1) when
-block br ends after it.  A range inside one block reads a cell only when
-it covers that whole block.  These tests fix the block layout by hand,
-record the cell and the counted ranges of each query, and check the answer
-against :class:`NaiveSeq`.
+block br ends after it.  A cell whose blocks are all empty is not read.  A
+range inside one block reads a cell only when it covers that whole block.
+These tests fix the block layout by hand, record the cell and the counted
+ranges of each query, and check the answer against :class:`NaiveSeq`.
 """
 
 import random
@@ -36,9 +36,9 @@ def laid_out(symbols, sizes=SIZES):
 
 @pytest.fixture
 def plan(monkeypatch):
-    """Record the cell read, the ranges counted and their loose reads by each query."""
-    log = {"cells": [], "counts": [], "reads": []}
-    table_modes, count, access_range = PairTable.modes, CharSeq.count, CharSeq.access_range
+    """Record the cell read and the ranges counted by each query, with their loose elements."""
+    log = {"cells": [], "counts": []}
+    table_modes, count = PairTable.modes, CharSeq.count
 
     def modes(self, l, r, margin, plus=0):
         if l is not None:  # a query that reads no cell passes its margin alone
@@ -46,17 +46,14 @@ def plan(monkeypatch):
         return table_modes(self, l, r, margin, plus)
 
     def counted(self, k, lo, stop, loose):
+        before = len(loose)
         word = count(self, k, lo, stop, loose)
-        log["counts"].append((lo, stop, word))
+        base = self.sizes.prefix_sums()[k - 1] if k else 0
+        log["counts"].append((base + lo, base + stop, word, loose[before:]))
         return word
-
-    def read(self, lo, hi):
-        log["reads"].append((lo, hi))
-        return access_range(self, lo, hi)
 
     monkeypatch.setattr(PairTable, "modes", modes)
     monkeypatch.setattr(CharSeq, "count", counted)
-    monkeypatch.setattr(CharSeq, "access_range", read)
 
     def query(engine, lo, hi):
         for entries in log.values():
@@ -64,7 +61,7 @@ def plan(monkeypatch):
         assert engine.modes(lo, hi) == NaiveSeq(engine.to_list()).modes(lo, hi)
         cells = log["cells"]
         assert len(cells) <= 1
-        ranges = sorted((a, b) for a, b, _ in log["counts"])
+        ranges = sorted((a, b) for a, b, _, _ in log["counts"])
         return (cells[0] if cells else None), ranges
 
     query.log = log
@@ -89,8 +86,8 @@ class TestPlans:
     @pytest.fixture(autouse=True)
     def no_chunk_words(self, plan):
         yield
-        assert not any(word for _, _, word in plan.log["counts"])
-        assert sorted(plan.log["reads"]) == [(a, b - 1) for a, b, _ in sorted(plan.log["counts"])]
+        assert not any(word for _, _, word, _ in plan.log["counts"])
+        assert all(len(loose) == b - a for a, b, _, loose in plan.log["counts"])
 
     def test_left_out(self, plan):
         # Block 8 starts before the range: the cell leaves it out, and its
@@ -112,9 +109,11 @@ class TestPlans:
         engine = laid_out(two_symbols())
         assert plan(engine, 16, 37) == ((9, 10), [(16, 20), (30, 38)])
 
-    def test_an_empty_block_between_two_ends_is_the_cell(self, plan):
+    def test_an_empty_block_between_two_ends_is_not_read(self, plan):
+        # The cell between the two partial end blocks is (9, 9), and block 9
+        # is empty, so the query counts its two ends alone.
         engine = laid_out(two_symbols())
-        assert plan(engine, 15, 24) == ((9, 9), [(15, 20), (20, 25)])
+        assert plan(engine, 15, 24) == (None, [(15, 20), (20, 25)])
 
     def test_both_out_inside_one_block(self, plan):
         engine = laid_out(two_symbols())
@@ -183,11 +182,10 @@ def test_chunk_words_leave_the_plans_unchanged(plan, monkeypatch, lo, hi, cell):
     monkeypatch.setattr(charseq, "CHUNK", 2)
     engine = laid_out(symbols)
     assert plan(engine, lo, hi) == (cell, ranges)
-    reads = plan.log["reads"]
-    assert sum(b - a + 1 for a, b in reads) <= 2 * (2 * 2 - 1)
-    for a, b, word in plan.log["counts"]:
-        loose = Counter(x for r0, r1 in reads if a <= r0 < b for x in symbols[r0 : r1 + 1])
-        assert word and word_counts(engine, word) + loose == Counter(symbols[a:b]), (a, b)
+    counts = plan.log["counts"]
+    assert sum(len(loose) for _, _, _, loose in counts) <= 2 * (2 * 2 - 1)
+    for a, b, word, loose in counts:
+        assert word and word_counts(engine, word) + Counter(loose) == Counter(symbols[a:b]), (a, b)
 
 
 @pytest.mark.parametrize(

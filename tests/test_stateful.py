@@ -51,7 +51,7 @@ class EngineMachine(RuleBasedStateMachine):
         engine = self.engine
         table, width, free = engine._table, engine._table._width, len(engine._table._free)
         new = symbol not in table._column
-        j = engine._seq.insert_block(pos)
+        j = engine._seq.insert_place(pos)[0]
         size, resets = engine.block_sizes()[j], len(engine.reset_events)
         chunks = len(engine._seq.chunk_sizes[j])
         engine.insert(pos, symbol)
@@ -112,7 +112,7 @@ class EngineMachine(RuleBasedStateMachine):
         n = len(self.naive)
         src, dst = a % n, b % n
         js, chunks, c = self._chunk_of(src)
-        jd = self.engine._seq.insert_block(dst if dst <= src else dst + 1)
+        jd = self.engine._seq.insert_place(dst if dst <= src else dst + 1)[0]
         size = self.engine.block_sizes()[jd]
         assert self.engine.relocate(src, dst) == self.naive.relocate(src, dst)
         self.reach("relocate within a block" if jd == js else "relocate across blocks")

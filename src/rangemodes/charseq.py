@@ -21,8 +21,11 @@ An edit adds ``±1 << 32·col`` to one word, a copy of up to σ'·4 bytes; a chu
 past 2S splits in two and both halves are recounted, an empty chunk is
 dropped, and a chunk that shrinks to S or less together with a neighbour
 merges into it.  A query then counts the whole chunks of a margin as one
-sum of words, and slices the elements at its ends, fewer than one chunk
-each, straight from the block list (:meth:`CharSeq.count`).
+sum of words.  Each end of the margin moves to the nearer boundary of the
+chunk it cuts, so it reads at most half that chunk, at most S elements,
+straight from the block list: the elements up to an inner boundary as
+loose, or, past an outer one, the elements outside the range as taken away
+from the added word (:meth:`CharSeq.count`).
 """
 
 from __future__ import annotations
@@ -179,13 +182,19 @@ class CharSeq:
     # chunk counts
     # ------------------------------------------------------------------
 
-    def count(self, k: int, lo: int, stop: int, loose: list[int]) -> int:
+    def count(self, k: int, lo: int, stop: int, loose: list[int], taken: list[int]) -> int:
         """Count offsets ``lo..stop - 1`` of block ``k``.
 
-        Returns the summed count word of the whole chunks among them and
-        appends the other elements, sliced from the block list, to
-        ``loose``.  Only part of a block is ever asked for, so a one-chunk
-        block has no whole chunk.
+        Returns the summed count word of the whole chunks it takes, appends
+        the elements inside the range that no word holds to ``loose``, and
+        the elements outside it that a word holds to ``taken``: the count is
+        word + ``loose`` − ``taken``.  When the part holds a whole chunk,
+        each end goes to the nearer boundary of the chunk it cuts: inwards,
+        reading the elements up to it as loose, or outwards, adding that
+        chunk's word and reading the elements past the range as taken.
+        Each end then reads at most half its cut chunk, at most S elements.
+        Otherwise every element is loose.  Only part of a block is ever
+        asked for, so a one-chunk block has no whole chunk.
         """
         block = self.blocks[k]
         if len(self.chunk_sizes[k]) > 1:
@@ -194,8 +203,16 @@ class CharSeq:
             j = bisect_right(bounds, stop) - 1
             if i < j:
                 first, end = bounds[i], bounds[j]
-                loose += block[lo:first]
-                loose += block[end:stop]
+                if lo < first and lo - bounds[i - 1] < first - lo:
+                    i -= 1
+                    taken += block[bounds[i] : lo]
+                else:
+                    loose += block[lo:first]
+                if stop > end and bounds[j + 1] - stop < stop - end:
+                    j += 1
+                    taken += block[stop : bounds[j]]
+                else:
+                    loose += block[end:stop]
                 return sum(self.chunk_counts[k][i:j])
         loose += block[lo:stop]
         return 0

@@ -13,10 +13,14 @@ part inside the range of each partial end block, in
 O(N^(1-alpha) + σ' + output) time for σ' distinct symbols present; a range
 inside one block reads a cell only when it covers that whole block, and a
 cell whose blocks are all empty is not read.  Of a counted part, the whole
-chunks of :class:`CharSeq` come as one sum of packed count words, and the
-loose elements at its ends, fewer than one chunk each, are sliced from the
-block lists into one list, counted once; the cell and the words are one
-packed int sum, unpacked once.
+chunks of :class:`CharSeq` come as one sum of packed count words, and each
+end moves to the nearer boundary of the chunk it cuts, reading at most half
+that chunk from the block list: inside the range as loose elements, or,
+past an outer boundary whose chunk word it adds, outside the range as
+elements to take away.  The cell and the words are one packed int sum,
+unpacked once, and each loose or taken element is then one step on the
+unpacked counts.  A query that reads no cell and no word counts its loose
+elements alone, so its cost follows the symbols present, not σ'.
 
 The blocks are the symbol lists of :class:`CharSeq`, with their boundaries
 in its :class:`BlockSizeIndex`.  Each op finds its block and offset there
@@ -331,18 +335,19 @@ class RangeModeEngine:
         cs, ce = bl + out_l, br - out_r
         seq = self._seq
         loose: list[int] = []
+        taken: list[int] = []
         if bl == br:
-            plus = seq.count(bl, lo - start, stop - start, loose) if out_l or out_r else 0
+            plus = seq.count(bl, lo - start, stop - start, loose, taken) if out_l or out_r else 0
         else:
-            plus = seq.count(bl, lo - start, ends[bl] - start, loose) if out_l else 0
+            plus = seq.count(bl, lo - start, ends[bl] - start, loose, taken) if out_l else 0
             if out_r:
-                plus += seq.count(br, 0, stop - ends[br - 1], loose)
-        margin = Counter(loose)
+                plus += seq.count(br, 0, stop - ends[br - 1], loose, taken)
         if cs <= ce and ends[ce] > (ends[cs - 1] if cs else 0):
-            best, winners = self._table.modes(cs, ce, margin, plus)
+            best, winners = self._table.modes(cs, ce, loose, taken, plus)
         elif plus:
-            best, winners = self._table.modes(None, None, margin, plus)
-        else:
+            best, winners = self._table.modes(None, None, loose, taken, plus)
+        else:  # every element is loose: count the symbols present, not σ' columns
+            margin = Counter(loose)
             best = max(margin.values())
             winners = [symbol for symbol, count in margin.items() if count == best]
         winners.sort()

@@ -31,13 +31,15 @@ makes a new table, which starts with none.  A boundary shift adds to one
 cell per row above the boundary and a run of ones to one row tail.  A modes
 query reads one field from each plane, a strided gather of σ' fields, packs
 them into one ``int``, subtracts the row's offset word, adds the packed
-count words of the whole chunks in its margin, and unpacks the sum once to a
-list of σ' counts.  It then adds one counter of loose margin symbols and
-finds the top count and its columns at C speed, O(σ') per query.  The table
-takes L(L+1)/2 · width · 4 bytes.  Beside it are ints: L offset words of
-width fields, its kept masks of up to min(L(L²+2)/3, L(L+1)/2 · width)
-fields, and up to 2N/S + L chunk words of width fields, each priced at 4
-bytes per 30 bits by :func:`int_bytes` plus a header and a list slot.  The
+count words of the chunks in its margin, and unpacks the sum once to a
+list of σ' counts.  It then adds 1 at the column of each loose margin
+element and takes 1 away at the column of each element a chunk word holds
+outside the range, one step per element, and finds the top count and its
+columns at C speed, O(σ') per query.  The table takes L(L+1)/2 · width · 4
+bytes.  Beside it are ints: L offset words of width fields, its kept masks
+of up to min(L(L²+2)/3, L(L+1)/2 · width) fields, and up to 2N/S + L chunk
+words of width fields, each priced at 4 bytes per 30 bits by
+:func:`int_bytes` plus a header and a list slot.  The
 :class:`CharSeq` build, before it counts a chunk, and every widening check
 the sum against what the process can get, raising :class:`MemoryError`.
 
@@ -67,7 +69,6 @@ import os
 import struct
 import sys
 from array import array
-from collections import Counter
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator
 
@@ -264,15 +265,17 @@ class PairTable:
         )
 
     def modes(
-        self, l: int | None, r: int | None, margin: Counter[int], plus: int = 0
+        self, l: int | None, r: int | None, loose: list[int], taken: list[int], plus: int = 0
     ) -> tuple[int, list[int]]:
         """Top multiplicity and its symbols, unsorted, over blocks ``l..r``
-        plus ``margin`` and the count word ``plus``; with ``l`` None, of
-        ``margin`` and ``plus`` alone.
+        plus the count word ``plus`` and the elements ``loose``, less the
+        elements ``taken``; with ``l`` None, of the word and lists alone.
 
         The engine leaves each partial end block of a query out of ``l..r``
-        and passes the part inside the range: its whole chunks as the sum of
-        their count words, its other elements as ``margin``.  Every symbol
+        and passes the part inside the range as :meth:`CharSeq.count` gives
+        it: the sum of the count words it takes, the elements inside the
+        range that no word holds, and those outside it that a word holds.
+        Each element is one step on the unpacked counts.  Every symbol
         counted must be present in the table.
         """
         symbol = self._symbol
@@ -290,8 +293,10 @@ class PairTable:
         counts = unpack(word, width)
         column = self._column
         try:
-            for s, extra in margin.items():
-                counts[column[s]] += extra
+            for s in loose:
+                counts[column[s]] += 1
+            for s in taken:
+                counts[column[s]] -= 1
         except KeyError as exc:
             raise InvariantError(f"margin symbol {exc.args[0]} has no column") from None
         best = max(counts)

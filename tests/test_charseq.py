@@ -379,7 +379,7 @@ def test_chunks_follow_edits_and_count_margins(monkeypatch):
     mirror = [[rng.randrange(5) for _ in range(size)] for size in (0, 13, 30, 1, 9)]
     seq = seq_over([list(block) for block in mirror])
     assert [len(sizes) for sizes in seq.chunk_sizes] == [0, 4, 10, 1, 3]
-    counted = 0
+    counted = took = 0
     for _ in range(600):
         n = len(flatten(mirror))
         roll = rng.random()
@@ -400,9 +400,18 @@ def test_chunks_follow_edits_and_count_margins(monkeypatch):
         if len(mirror[k]) > 1:
             lo = base + rng.randrange(len(mirror[k]) - 1)
             stop = rng.randint(lo + 1, base + len(mirror[k]) - (lo == base))
-            loose = []
-            word = seq.count(k, lo - base, stop - base, loose)
-            counted += bool(word)
-            assert len(loose) <= 4 * charseq.CHUNK
-            assert Counter(loose) + word_counts(seq, word) == Counter(flatten(mirror)[lo:stop])
-    assert counted > 100
+            loose, taken = [], []
+            word = seq.count(k, lo - base, stop - base, loose, taken)
+            if word:
+                counted += 1
+                took += bool(taken)
+                # Each end reads at most half the chunk it cuts.
+                assert len(loose) + len(taken) <= 2 * charseq.CHUNK
+            else:
+                assert not taken and len(loose) <= 4 * charseq.CHUNK
+            # subtract, unlike -, keeps a count that falls to 0 or below.
+            total = word_counts(seq, word) + Counter(loose)
+            total.subtract(taken)
+            total = {symbol: count for symbol, count in total.items() if count}
+            assert total == Counter(flatten(mirror)[lo:stop])
+    assert counted > 100 and took > 30

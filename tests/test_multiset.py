@@ -285,7 +285,7 @@ class TestPairTable:
         table.apply_point(1, MAX_SYMBOL, 1)
         table.shift_right(0, A)
         assert cell_counts(table, 1, 1) == {MAX_SYMBOL: 2, A: 1}
-        assert table.modes(0, 1, Counter()) == (3, [MAX_SYMBOL])
+        assert table.modes(0, 1, [], []) == (3, [MAX_SYMBOL])
 
     def test_freed_column_is_reused(self):
         table = build_table([[A], [B]])
@@ -298,22 +298,34 @@ class TestPairTable:
 
     def test_modes_adds_margin_counts(self):
         table = build_table([[A, A, B], [B, C]])
-        best, winners = table.modes(0, 1, Counter())
+        best, winners = table.modes(0, 1, [], [])
         assert (best, sorted(winners)) == (2, [A, B])
-        assert table.modes(1, 1, Counter({C: 1})) == (2, [C])
-        best, winners = table.modes(0, 0, Counter({B: 1, C: 2}))
+        assert table.modes(1, 1, [C], []) == (2, [C])
+        best, winners = table.modes(0, 0, [B, C, C], [])
         assert (best, sorted(winners)) == (2, [A, B, C])
+
+    def test_modes_takes_away_taken_counts(self):
+        table = build_table([[A, A, B], [B, C]])
+        assert table.modes(0, 1, [], [B, C]) == (2, [A])
+        best, winners = table.modes(0, 1, [C], [A, B])
+        assert (best, sorted(winners)) == (2, [C])
+        # With no cell, the counts are the word plus the loose elements,
+        # less the taken ones: here the word of one A and two Bs.
+        word = sum(1 << (multiset._FIELD_BITS * table._column[s]) for s in (A, B, B))
+        assert table.modes(None, None, [A], [B], word) == (2, [A])
 
     @pytest.mark.parametrize("l, r", [(-1, 0), (-1, -1), (1, 0), (0, 2)])
     def test_modes_rejects_cells_out_of_range(self, l, r):
         table = build_table([[A, A, B], [B, C]])
         with pytest.raises(IndexError):
-            table.modes(l, r, Counter())
+            table.modes(l, r, [], [])
 
     def test_modes_rejects_margin_symbol_without_column(self):
         table = build_table([[A], [B]])
         with pytest.raises(InvariantError):
-            table.modes(0, 1, Counter({C: 1}))
+            table.modes(0, 1, [C], [])
+        with pytest.raises(InvariantError):
+            table.modes(0, 1, [], [C])
 
     def test_widening_past_the_memory_limit_changes_nothing(self, monkeypatch):
         blocks = [[A], [B, B]]
@@ -387,7 +399,7 @@ class TestPairTable:
         blocks[0].remove(A)
         blocks[1].append(A)
         assert all_cells(table) == recount(blocks)
-        best, winners = table.modes(0, 2, Counter())
+        best, winners = table.modes(0, 2, [], [])
         assert (best, sorted(winners)) == (3, sorted(100 + k for k in range(6)))
 
 

@@ -36,20 +36,21 @@ def laid_out(symbols, sizes=SIZES):
 
 @pytest.fixture
 def plan(monkeypatch):
-    """Record the cell read and the ranges counted by each query, with their loose elements."""
+    """Record the cell read and the ranges counted by each query, with the
+    loose and the taken-away elements of each range."""
     log = {"cells": [], "counts": []}
     table_modes, count = PairTable.modes, CharSeq.count
 
-    def modes(self, l, r, margin, plus=0):
+    def modes(self, l, r, loose, taken, plus=0):
         if l is not None:  # a query that reads no cell passes its margin alone
             log["cells"].append((l, r))
-        return table_modes(self, l, r, margin, plus)
+        return table_modes(self, l, r, loose, taken, plus)
 
-    def counted(self, k, lo, stop, loose):
-        before = len(loose)
-        word = count(self, k, lo, stop, loose)
+    def counted(self, k, lo, stop, loose, taken):
+        before, before_taken = len(loose), len(taken)
+        word = count(self, k, lo, stop, loose, taken)
         base = self.sizes.prefix_sums()[k - 1] if k else 0
-        log["counts"].append((base + lo, base + stop, word, loose[before:]))
+        log["counts"].append((base + lo, base + stop, word, loose[before:], taken[before_taken:]))
         return word
 
     monkeypatch.setattr(PairTable, "modes", modes)
@@ -61,7 +62,7 @@ def plan(monkeypatch):
         assert engine.modes(lo, hi) == NaiveSeq(engine.to_list()).modes(lo, hi)
         cells = log["cells"]
         assert len(cells) <= 1
-        ranges = sorted((a, b) for a, b, _, _ in log["counts"])
+        ranges = sorted((a, b) for a, b, *_ in log["counts"])
         return (cells[0] if cells else None), ranges
 
     query.log = log
@@ -86,8 +87,8 @@ class TestPlans:
     @pytest.fixture(autouse=True)
     def no_chunk_words(self, plan):
         yield
-        assert not any(word for _, _, word, _ in plan.log["counts"])
-        assert all(len(loose) == b - a for a, b, _, loose in plan.log["counts"])
+        assert not any(word or taken for _, _, word, _, taken in plan.log["counts"])
+        assert all(len(loose) == b - a for a, b, _, loose, _ in plan.log["counts"])
 
     def test_left_out(self, plan):
         # Block 8 starts before the range: the cell leaves it out, and its
@@ -175,29 +176,43 @@ class TestPlans:
 def test_chunk_words_leave_the_plans_unchanged(plan, monkeypatch, lo, hi, cell):
     # S = 2: chunks of 1..4 elements, so each margin here holds a whole
     # chunk.  The query reads the same cell and counts the same ranges as
-    # with one chunk per block, but only the at most 2S - 1 elements of a
-    # cut chunk at each inner end of a range are read one by one.
+    # with one chunk per block, but each inner end of a range reads at most
+    # half the chunk it cuts, S elements, one by one: loose inside the
+    # range, or taken away outside it.
     symbols = two_symbols()
     _, ranges = plan(laid_out(symbols), lo, hi)
     monkeypatch.setattr(charseq, "CHUNK", 2)
     engine = laid_out(symbols)
     assert plan(engine, lo, hi) == (cell, ranges)
     counts = plan.log["counts"]
-    assert sum(len(loose) for _, _, _, loose in counts) <= 2 * (2 * 2 - 1)
-    for a, b, word, loose in counts:
-        assert word and word_counts(engine, word) + Counter(loose) == Counter(symbols[a:b]), (a, b)
+    assert sum(len(loose) + len(taken) for *_, loose, taken in counts) <= 2 * 2
+    for a, b, word, loose, taken in counts:
+        assert word, (a, b)
+        total = word_counts(engine, word) + Counter(loose)
+        total.subtract(taken)  # keeps a count that falls to 0 or below
+        assert {s: c for s, c in total.items() if c} == Counter(symbols[a:b]), (a, b)
 
 
 @pytest.mark.parametrize(
-    "alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5)], ids=str
+    "alpha, chunk",
+    [
+        pytest.param(alpha, chunk, id=str(alpha) + ("" if chunk == charseq.CHUNK else f"-S{chunk}"))
+        for chunk in (charseq.CHUNK, 2)
+        for alpha in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5))
+    ],
 )
-def test_every_range_after_random_edits(alpha, monkeypatch):
-    cell_reads = Counter()
+def test_every_range_after_random_edits(alpha, chunk, monkeypatch):
+    # At S = 2 the blocks hold many chunks, so the ends of a counted part
+    # round both inwards and outwards.
+    monkeypatch.setattr(charseq, "CHUNK", chunk)
+    cell_reads, rounded_out = Counter(), Counter()
     table_modes = PairTable.modes
 
-    def modes(self, l, r, margin, plus=0):
+    def modes(self, l, r, loose, taken, plus=0):
         cell_reads[l is not None] += 1
-        return table_modes(self, l, r, margin, plus)
+        if plus:
+            rounded_out[bool(taken)] += 1
+        return table_modes(self, l, r, loose, taken, plus)
 
     monkeypatch.setattr(PairTable, "modes", modes)
     rng = random.Random(alpha.denominator * 7 + alpha.numerator)
@@ -218,4 +233,6 @@ def test_every_range_after_random_edits(alpha, monkeypatch):
             assert engine.modes(lo, hi) == oracle.modes(lo, hi), (lo, hi)
     # Both queries that read a cell and queries that read none ran.
     assert 0 < cell_reads[True] < n * (n + 1) // 2
+    if chunk == 2:  # queries with chunk words took elements away, and some took none
+        assert rounded_out[True] and rounded_out[False]
     assert engine.audit().ok

@@ -12,20 +12,23 @@ element of one block to the near end of its neighbour, then takes it out.
 Beside each block list sits its chunk index.  A chunk is a run of 1..2S
 consecutive elements of the block, S = :data:`CHUNK`, and two neighbouring
 chunks hold more than S together, so a block of c elements has at most
-2c/S + 1 chunks.  The index keeps each chunk's size and its count word: a
-Python ``int`` whose 32-bit field ``col`` is the chunk's count of the
+2c/S + 1 chunks.  The index keeps the offset where each chunk starts, the
+block length last (``[0]`` for an empty block), and each chunk's count word:
+a Python ``int`` whose 32-bit field ``col`` is the chunk's count of the
 symbol in column ``col`` of :attr:`CharSeq.column`, the column map the
 summary table shares.  The build numbers the symbols of the blocks; after
 it, the table hands a new symbol its column before the sequence takes it.
-An edit adds ``±1 << 32·col`` to one word, a copy of up to σ'·4 bytes; a chunk
-past 2S splits in two and both halves are recounted, an empty chunk is
-dropped, and a chunk that shrinks to S or less together with a neighbour
-merges into it.  A query then counts the whole chunks of a margin as one
-sum of words.  Each end of the margin moves to the nearer boundary of the
-chunk it cuts, so it reads at most half that chunk, at most S elements,
-straight from the block list: the elements up to an inner boundary as
-loose, or, past an outer one, the elements outside the range as taken away
-from the added word (:meth:`CharSeq.count`).
+An edit in chunk ``c`` adds ``±1 << 32·col`` to its word, a copy of up to
+σ'·4 bytes, and ±1 to the offsets after ``c``; a chunk past 2S splits in
+two recounted halves at a new offset, while an empty chunk is dropped, and
+a chunk that shrinks to S or less together with a neighbour merges into it,
+each deleting one offset.  A query then counts the whole chunks of a margin
+as one sum of words, found by bisecting the offsets.  Each end of the
+margin moves to the nearer boundary of the chunk it cuts, so it reads at
+most half that chunk, at most S elements, straight from the block list: the
+elements up to an inner boundary as loose, or, past an outer one, the
+elements outside the range as taken away from the added word
+(:meth:`CharSeq.count`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import accumulate
 
 from .blockindex import BlockSizeIndex
 from .errors import InvariantError
@@ -46,7 +48,7 @@ CHUNK = 128
 class CharSeq:
     """Mutable sequence of symbol ids split into a fixed row of blocks."""
 
-    __slots__ = ("blocks", "sizes", "column", "chunk_sizes", "chunk_counts", "_bounds")
+    __slots__ = ("blocks", "sizes", "column", "chunk_bounds", "chunk_counts")
 
     def __init__(self, blocks: list[list[int]]) -> None:
         """Take ``blocks`` as the block lists, without copying them, and count their chunks.
@@ -61,25 +63,22 @@ class CharSeq:
         self.sizes = BlockSizeIndex(map(len, blocks))
         alphabet = sorted(set().union(*blocks))
         self.column: dict[int, int] = dict(zip(alphabet, range(len(alphabet))))  # symbol -> column
-        self.chunk_sizes: list[list[int]] = []  # per block, the size of each chunk
+        self.chunk_bounds: list[list[int]] = []  # per block, chunk starts and its length last
         self.chunk_counts: list[list[int]] = []  # per block, the count word of each chunk
-        self._bounds: list[list[int] | None] = [None] * len(blocks)  # chunk offsets, lazily
         check_table_fits(len(blocks), len(alphabet), self.word_bound())
         column = self.column
         zero = array("I", bytes(_FIELD_BYTES * len(alphabet)))
         for block in blocks:
             k = len(block) // CHUNK or min(len(block), 1)
             q, extra = divmod(len(block), k) if k else (0, 0)
-            sizes = [q + (i < extra) for i in range(k)]
+            bounds = [i * q + min(i, extra) for i in range(k + 1)]
             words = []
-            start = 0
-            for size in sizes:
+            for start, end in zip(bounds, bounds[1:]):
                 fields = zero[:]
-                for symbol, count in Counter(block[start : start + size]).items():
+                for symbol, count in Counter(block[start:end]).items():
                     fields[column[symbol]] = count
-                start += size
                 words.append(pack(fields))
-            self.chunk_sizes.append(sizes)
+            self.chunk_bounds.append(bounds)
             self.chunk_counts.append(words)
 
     def __len__(self) -> int:
@@ -116,7 +115,7 @@ class CharSeq:
         Like the block, the chunk it joins is the one holding offset
         ``off - 1``.  A chunk split that fails takes the element back out.
         """
-        c = bisect_left(self._chunk_bounds(k), off, 1) - 1 if len(self.chunk_sizes[k]) > 1 else 0
+        c = bisect_left(self.chunk_bounds[k], off, 1) - 1
         block = self.blocks[k]
         block.insert(off, symbol)
         try:
@@ -128,8 +127,7 @@ class CharSeq:
     def delete_at(self, k: int, off: int) -> int:
         """Remove and return the element at offset ``off`` of block ``k``, and uncount it."""
         symbol = self.blocks[k].pop(off)
-        c = bisect_right(self._chunk_bounds(k), off) - 1 if len(self.chunk_sizes[k]) > 1 else 0
-        self._lose(k, c, symbol)
+        self._lose(k, bisect_right(self.chunk_bounds[k], off) - 1, symbol)
         return symbol
 
     def move_left(self, i: int) -> int:
@@ -197,23 +195,22 @@ class CharSeq:
         asked for, so a one-chunk block has no whole chunk.
         """
         block = self.blocks[k]
-        if len(self.chunk_sizes[k]) > 1:
-            bounds = self._chunk_bounds(k)
-            i = bisect_left(bounds, lo)
-            j = bisect_right(bounds, stop) - 1
-            if i < j:
-                first, end = bounds[i], bounds[j]
-                if lo < first and lo - bounds[i - 1] < first - lo:
-                    i -= 1
-                    taken += block[bounds[i] : lo]
-                else:
-                    loose += block[lo:first]
-                if stop > end and bounds[j + 1] - stop < stop - end:
-                    j += 1
-                    taken += block[stop : bounds[j]]
-                else:
-                    loose += block[end:stop]
-                return sum(self.chunk_counts[k][i:j])
+        bounds = self.chunk_bounds[k]
+        i = bisect_left(bounds, lo)
+        j = bisect_right(bounds, stop) - 1
+        if i < j:
+            first, end = bounds[i], bounds[j]
+            if lo < first and lo - bounds[i - 1] < first - lo:
+                i -= 1
+                taken += block[bounds[i] : lo]
+            else:
+                loose += block[lo:first]
+            if stop > end and bounds[j + 1] - stop < stop - end:
+                j += 1
+                taken += block[stop : bounds[j]]
+            else:
+                loose += block[end:stop]
+            return sum(self.chunk_counts[k][i:j])
         loose += block[lo:stop]
         return 0
 
@@ -237,35 +234,28 @@ class CharSeq:
     def chunk_fault(self) -> str | None:
         """The first chunk that breaks a rule of the module docstring, or None.
 
-        Sizes must sum to the block length, lie in 1..2S, and two
-        neighbours must hold more than S; every word must equal a recount.
+        Offsets must run from 0 to the block length, one more than the
+        words; the sizes between them must lie in 1..2S, and two neighbours
+        must hold more than S; every word must equal a recount.
         """
         top = 2 * CHUNK
         for k, block in enumerate(self.blocks):
-            sizes, words = self.chunk_sizes[k], self.chunk_counts[k]
-            if len(words) != len(sizes) or sum(sizes) != len(block):
+            bounds, words = self.chunk_bounds[k], self.chunk_counts[k]
+            if len(bounds) != len(words) + 1 or bounds[0] != 0 or bounds[-1] != len(block):
                 return f"the chunks of block {k} do not cover its {len(block)} elements"
-            start = 0
+            sizes = [end - start for start, end in zip(bounds, bounds[1:])]
             for i, size in enumerate(sizes):
                 if not 1 <= size <= top:
                     return f"chunk {i} of block {k} holds {size}, outside [1, {top}]"
                 if i and sizes[i - 1] + size <= CHUNK:
                     return f"chunks {i - 1} and {i} of block {k} hold {CHUNK} or fewer together"
                 try:
-                    recounted = self.recount(block[start : start + size])
+                    recounted = self.recount(block[bounds[i] : bounds[i + 1]])
                 except KeyError as exc:
                     return f"symbol {exc.args[0]} in block {k} has no column"
                 if words[i] != recounted:
                     return f"count word of chunk {i} of block {k} disagrees with a recount"
-                start += size
         return None
-
-    def _chunk_bounds(self, k: int) -> list[int]:
-        """Offsets in block ``k`` where its chunks start, and its length last."""
-        bounds = self._bounds[k]
-        if bounds is None:
-            bounds = self._bounds[k] = list(accumulate(self.chunk_sizes[k], initial=0))
-        return bounds
 
     def _field(self, symbol: int) -> int:
         """A count word holding one ``symbol``, whose column the summary table handed out."""
@@ -278,22 +268,22 @@ class CharSeq:
         Both halves are counted before anything is written, so a recount
         that raises leaves the chunk lists as they were.
         """
-        sizes, words = self.chunk_sizes[k], self.chunk_counts[k]
-        if not sizes:
-            sizes.append(1)
+        bounds, words = self.chunk_bounds[k], self.chunk_counts[k]
+        if not words:
+            bounds.append(1)
             words.append(self._field(symbol))
-        elif sizes[c] < 2 * CHUNK:
-            sizes[c] += 1
+            return
+        start, end = bounds[c], bounds[c + 1] + 1
+        if end - start <= 2 * CHUNK:
             words[c] += self._field(symbol)
         else:
-            size = sizes[c] + 1
-            start = sum(sizes[:c])
-            half = start + size // 2
+            half = (start + end) // 2
             block = self.blocks[k]
-            halves = [self.recount(block[start:half]), self.recount(block[half : start + size])]
-            sizes[c : c + 1] = [size // 2, size - size // 2]
-            words[c : c + 1] = halves
-        self._bounds[k] = None
+            words[c : c + 1] = [self.recount(block[start:half]), self.recount(block[half:end])]
+            c += 1
+            bounds.insert(c, half)
+        for i in range(c + 1, len(bounds)):
+            bounds[i] += 1
 
     def _lose(self, k: int, c: int, symbol: int) -> None:
         """Take ``symbol``, just removed from block ``k``, out of its chunk ``c``.
@@ -301,17 +291,17 @@ class CharSeq:
         An empty chunk is dropped; a chunk that holds S or fewer together
         with a neighbour merges into it.
         """
-        sizes, words = self.chunk_sizes[k], self.chunk_counts[k]
-        self._bounds[k] = None
+        bounds, words = self.chunk_bounds[k], self.chunk_counts[k]
         words[c] -= self._field(symbol)
-        size = sizes[c] - 1
-        if not size:
-            del sizes[c], words[c]
+        for i in range(c + 1, len(bounds)):
+            bounds[i] -= 1
+        start, end = bounds[c], bounds[c + 1]
+        if start == end:
+            del bounds[c], words[c]
             return
-        sizes[c] = size
-        if c and sizes[c - 1] + size <= CHUNK:
+        if c and end - bounds[c - 1] <= CHUNK:
             c -= 1
-        elif not (c + 1 < len(sizes) and size + sizes[c + 1] <= CHUNK):
+        elif not (c + 2 < len(bounds) and bounds[c + 2] - start <= CHUNK):
             return
-        sizes[c] += sizes.pop(c + 1)
+        del bounds[c + 1]
         words[c] += words.pop(c + 1)

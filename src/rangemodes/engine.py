@@ -244,7 +244,11 @@ class RangeModeEngine:
         else:
             self._place(j, off, symbol)
             if self._sizes.size_of(j) > self._capacity:
-                self._rebalance(j)
+                try:
+                    self._rebalance(j)
+                except BaseException:  # the chain edits block j last: off still holds the symbol
+                    self._take(j, off)
+                    raise
             self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
         if self._config.audit_mode:
             self._check_capacities()
@@ -265,6 +269,13 @@ class RangeModeEngine:
             raise
         self._sizes.adjust(j, 1)
 
+    def _take(self, j: int, off: int) -> int:
+        """Remove and return the element at offset ``off`` of block ``j``, and uncount it."""
+        symbol = self._seq.delete_at(j, off)
+        self._sizes.adjust(j, -1)
+        self._table.apply_point(j, symbol, -1)
+        return symbol
+
     def delete(self, pos: int) -> int:
         """Remove and return the element at ``pos``."""
         _check_position(pos)
@@ -274,9 +285,7 @@ class RangeModeEngine:
             symbol = flat.pop(pos)
             self._rebuild_layout(flat, "halve")
         else:
-            symbol = self._seq.delete_at(j, off)
-            self._sizes.adjust(j, -1)
-            self._table.apply_point(j, symbol, -1)
+            symbol = self._take(j, off)
             self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
         if self._config.audit_mode:
             self._check_capacities()
@@ -306,9 +315,7 @@ class RangeModeEngine:
             seq.delete_at(js, offs + (offd <= offs))
         else:
             self._place(jd, offd, symbol)  # the gain first, so the column is never freed
-            seq.delete_at(js, offs)
-            self._sizes.adjust(js, -1)
-            self._table.apply_point(js, symbol, -1)
+            self._take(js, offs)
             if self._sizes.size_of(jd) > self._capacity:
                 self._rebalance(jd)
             self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
@@ -379,7 +386,9 @@ class RangeModeEngine:
 
         The donor is the block nearest to ``j`` that is below capacity; of
         two at the same distance, the lower slot.  The blocks in between each
-        pass one element on, so their sizes do not change.
+        pass one element on, so their sizes do not change.  The moves run
+        from the donor end, so each leaves both its blocks within capacity,
+        and block ``j`` is edited only by the last.
         """
         cap = self._capacity
         room = [k for k, size in enumerate(self._sizes.to_list()) if size < cap]
@@ -387,10 +396,10 @@ class RangeModeEngine:
             raise InvariantError(f"no donor block available for overflowing block {j}")
         k = min(room, key=lambda slot: (abs(slot - j), slot))
         if k > j:
-            for t in range(j, k):
+            for t in range(k - 1, j - 1, -1):
                 self.move_right(t)
         else:
-            for t in range(j, k, -1):
+            for t in range(k + 1, j + 1):
                 self.move_left(t)
 
     # ------------------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from chunks import chunk_sizes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -270,13 +271,13 @@ def test_a_move_whose_split_fails_changes_nothing(monkeypatch, blocks, grow, mov
     seq = seq_over(blocks)
     for pos in grow:
         insert(seq, pos, 7)
-    assert 4 in (seq.chunk_sizes[0][-1], seq.chunk_sizes[1][0])
+    assert 4 in (chunk_sizes(seq, 0)[-1], chunk_sizes(seq, 1)[0])
     mirror = [list(block) for block in seq.blocks]
-    chunks = [list(sizes) for sizes in seq.chunk_sizes], [list(words) for words in seq.chunk_counts]
+    chunks = [list(b) for b in seq.chunk_bounds], [list(w) for w in seq.chunk_counts]
     monkeypatch.setattr(CharSeq, "recount", refuse)
     with pytest.raises(MemoryError):
         move(seq)
-    assert ([list(sizes) for sizes in seq.chunk_sizes], [list(words) for words in seq.chunk_counts]) == chunks
+    assert ([list(b) for b in seq.chunk_bounds], [list(w) for w in seq.chunk_counts]) == chunks
     monkeypatch.undo()
     monkeypatch.setattr(charseq, "CHUNK", 2)
     check_mirror(seq, mirror)
@@ -378,7 +379,7 @@ def test_chunks_follow_edits_and_count_margins(monkeypatch):
     rng = random.Random(99)
     mirror = [[rng.randrange(5) for _ in range(size)] for size in (0, 13, 30, 1, 9)]
     seq = seq_over([list(block) for block in mirror])
-    assert [len(sizes) for sizes in seq.chunk_sizes] == [0, 4, 10, 1, 3]
+    assert [len(bounds) - 1 for bounds in seq.chunk_bounds] == [0, 4, 10, 1, 3]
     counted = took = 0
     for _ in range(600):
         n = len(flatten(mirror))

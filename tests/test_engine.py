@@ -9,6 +9,7 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from chunks import chunk_sizes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from layout import lay_out
@@ -301,13 +302,14 @@ class TestDelete:
         symbols = [rng.randrange(26) for _ in range(1 << 15)]
         engine = RangeModeEngine(symbols)
         oracle = NaiveSeq(symbols)
-        chunks = engine._seq.chunk_sizes
-        assert engine.block_sizes()[:33] == [1024] * 32 + [0] and chunks[0] == [128] * 8
+        seq = engine._seq
+        assert engine.block_sizes()[:33] == [1024] * 32 + [0]
+        assert seq.chunk_bounds[0] == list(range(0, 1025, 128))
         for _ in range(127):
             assert engine.delete(320) == oracle.delete_at(320)
-        assert chunks[0] == [128, 128, 64, 65] + [128] * 4  # neither chunk emptied
+        assert chunk_sizes(seq, 0) == [128, 128, 64, 65] + [128] * 4  # neither chunk emptied
         assert engine.delete(320) == oracle.delete_at(320)
-        assert chunks[0] == [128] * 7  # 64 + 64 merged: a chunk lost, none dropped
+        assert seq.chunk_bounds[0] == list(range(0, 897, 128))  # 64 + 64 merged, none dropped
         assert engine.reset_events == [] and engine.audit().ok
         n = len(oracle)
         ends = (0, 255, 256, 319, 320, 383, 384, 1023, n - 1)
@@ -376,13 +378,13 @@ class TestRelocate:
         monkeypatch.setattr(charseq, "CHUNK", 2)
         engine = self.make_engine()
         rng = random.Random(3)
-        chunk_counts = set()
+        changes = set()
         for _ in range(200):
             src, dst = rng.randrange(43), rng.randrange(43)  # inside block 0
-            before = len(engine._seq.chunk_sizes[0])
+            before = len(engine._seq.chunk_bounds[0])
             assert self.check(engine, src, dst) == []
-            chunk_counts.add(len(engine._seq.chunk_sizes[0]) - before)
-        assert {-1, 1} <= chunk_counts  # a merge or drop, and a split
+            changes.add(len(engine._seq.chunk_bounds[0]) - before)
+        assert {-1, 1} <= changes  # a merge or drop, and a split
 
     @pytest.mark.parametrize("src, dst", [(5, 150), (150, 5)], ids=["up", "down"])
     def test_across_blocks_edits_two_blocks(self, src, dst):
@@ -643,9 +645,9 @@ class TestDonors:
         sizes = engine.block_sizes()
         assert sizes[:filled] == [cap] * filled and not any(sizes[filled:])
         # Every filled block is full: the next insert sheds to the first
-        # empty slot, one move per block in between.
+        # empty slot, one move per block in between, the empty slot's first.
         engine.insert(1, 99)
-        assert moves == list(range(filled))
+        assert moves == list(range(filled - 1, -1, -1))  # from the donor end
         assert engine.block_sizes() == [cap] * filled + [1] + [0] * (len(sizes) - filled - 1)
         assert engine.audit().ok
 
@@ -766,7 +768,7 @@ def snapshot(engine):
     seq = engine._seq
     return (
         engine.to_list(), engine.block_sizes(), engine.n0, list(engine.reset_events),
-        [list(sizes) for sizes in seq.chunk_sizes], [list(words) for words in seq.chunk_counts],
+        [list(b) for b in seq.chunk_bounds], [list(words) for words in seq.chunk_counts],
     )
 
 
@@ -848,10 +850,10 @@ class TestFailedOps:
         # so the next element it takes splits it.
         rng = random.Random(8)
         engine = RangeModeEngine([rng.randrange(5) for _ in range(6000)])
-        assert engine._seq.chunk_sizes[0] == [158, 158]
+        assert engine._seq.chunk_bounds[0] == [0, 158, 316]
         for _ in range(98):
             engine.insert(100, rng.randrange(5))
-        assert engine._seq.chunk_sizes[0] == [256, 158] and len(engine) == 6098
+        assert engine._seq.chunk_bounds[0] == [0, 256, 414] and len(engine) == 6098
         return engine
 
     def test_failed_chunk_split_keeps_the_chunk_lists_in_step(self, monkeypatch):
@@ -885,31 +887,55 @@ class TestFailedOps:
         rng = random.Random(8)
         engine = RangeModeEngine([rng.randrange(5) for _ in range(6000)])
         seq, cap = engine._seq, engine.capacity
-        assert seq.chunk_sizes[0] == [158, 158] and cap == 525
+        assert seq.chunk_bounds[0] == [0, 158, 316] and cap == 525
         for _ in range(98):
             engine.insert(engine.block_sizes()[0], rng.randrange(5))
-        assert seq.chunk_sizes[0] == [158, 256]
+        assert seq.chunk_bounds[0] == [0, 158, 414]
         while engine.block_sizes()[1] < cap:
             engine.insert(engine.block_sizes()[0] + 1, rng.randrange(5))
         # Insert into a chunk of block 1 that does not split.
-        c = next(c for c, size in enumerate(seq.chunk_sizes[1]) if size < 256)
-        pos = engine.block_sizes()[0] + sum(seq.chunk_sizes[1][:c]) + 1
-        flat = engine.to_list()
-        flat.insert(pos, 3)
+        bounds = seq.chunk_bounds[1]
+        c = next(c for c in range(len(bounds) - 1) if bounds[c + 1] - bounds[c] < 256)
+        pos = engine.block_sizes()[0] + bounds[c] + 1
+        moves = count_moves(monkeypatch)
+        monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
+        # The one move fails, the insert takes its element back out, and
+        # the engine is left as it was.
+        self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.insert(pos, 3))
+        assert moves == [1]
+
+    def test_failed_move_late_in_a_chain_changes_nothing(self, monkeypatch):
+        # 98 inserts at offset 1 of block 1 grow its first chunk to 2S; then
+        # blocks 1 and 0 are filled to capacity.  An insert into block 0
+        # sheds along move_right(1), which block 2's first chunk takes
+        # without a split, then move_right(0), whose element splits block
+        # 1's first chunk.
+        rng = random.Random(8)
+        engine = RangeModeEngine([rng.randrange(5) for _ in range(6000)])
+        seq, cap = engine._seq, engine.capacity
+        for _ in range(98):
+            engine.insert(engine.block_sizes()[0] + 1, rng.randrange(5))
+        assert chunk_sizes(seq, 1)[0] == 256 and chunk_sizes(seq, 2)[0] < 256
+        while engine.block_sizes()[1] < cap:
+            engine.insert(sum(engine.block_sizes()[:2]), rng.randrange(5))
+        while engine.block_sizes()[0] < cap:
+            engine.insert(1, rng.randrange(5))
+        assert chunk_sizes(seq, 1)[0] == 256 and engine.block_sizes()[2] < cap
+        c = next(c for c, size in enumerate(chunk_sizes(seq, 0)) if size < 256)
+        pos = seq.chunk_bounds[0][c] + 1
+        flat, sizes = engine.to_list(), engine.block_sizes()
+        moves = count_moves(monkeypatch)
         monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
         with pytest.raises(MemoryError):
             engine.insert(pos, 3)
         monkeypatch.undo()
-        # The insert stays applied, and the move that failed changed nothing.
-        assert engine.to_list() == flat
-        assert engine.block_sizes() == [len(block) for block in seq.blocks]
-        assert engine.block_sizes()[:2] == [414, cap + 1]
-        assert seq.chunk_fault() is None
+        assert moves == [1, 0]  # from the donor end; the second move failed
+        # The first move stays made, and the insert took its element back out.
+        assert engine.to_list() == flat and len(engine) == len(flat)
+        sizes[1:3] = [cap - 1, sizes[2] + 1]
+        assert engine.block_sizes() == sizes
         report = engine.audit()
-        assert report.message == f"block 1 holds {cap + 1}, outside [0, {cap}]"
-        # Nothing else is wrong: the summary cells agree with the blocks.
-        monkeypatch.setattr(engine, "_check_capacities", lambda: None)
-        assert engine.audit().ok
+        assert report.ok, report.message
 
 
 class TestAudit:
@@ -939,7 +965,7 @@ class TestAudit:
 
     def test_detects_corrupted_chunk_word(self):
         engine = RangeModeEngine([k % 5 for k in range(8000)])
-        assert engine._seq.chunk_sizes[4] == [134, 133, 133]
+        assert engine._seq.chunk_bounds[4] == [0, 134, 267, 400]
         assert engine.audit().ok
         engine._seq.chunk_counts[4][1] += 1  # one more of the symbol in column 0
         report = engine.audit()
@@ -949,11 +975,9 @@ class TestAudit:
     def test_detects_chunks_left_unmerged(self):
         engine = RangeModeEngine([k % 5 for k in range(8000)])
         seq = engine._seq
-        block = seq.blocks[0]
-        seq.chunk_sizes[0] = [10, 60, 197, 133]
-        seq.chunk_counts[0] = [
-            seq.recount(block[a:b]) for a, b in ((0, 10), (10, 70), (70, 267), (267, 400))
-        ]
+        block, bounds = seq.blocks[0], [0, 10, 70, 267, 400]
+        seq.chunk_bounds[0] = bounds
+        seq.chunk_counts[0] = [seq.recount(block[a:b]) for a, b in zip(bounds, bounds[1:])]
         report = engine.audit()
         assert not report.ok
         assert report.message == "chunks 0 and 1 of block 0 hold 128 or fewer together"
@@ -961,7 +985,7 @@ class TestAudit:
     def test_detects_oversized_chunk(self):
         engine = RangeModeEngine([k % 5 for k in range(8000)])
         seq = engine._seq
-        seq.chunk_sizes[0] = [400]
+        seq.chunk_bounds[0] = [0, 400]
         seq.chunk_counts[0] = [sum(seq.chunk_counts[0])]
         report = engine.audit()
         assert not report.ok
@@ -969,12 +993,28 @@ class TestAudit:
 
     def test_detects_empty_chunk(self):
         engine = RangeModeEngine([k % 5 for k in range(4000)])
-        assert engine._seq.chunk_sizes[2] == [250]
-        engine._seq.chunk_sizes[2].insert(0, 0)
+        assert engine._seq.chunk_bounds[2] == [0, 250]
+        engine._seq.chunk_bounds[2].insert(0, 0)
         engine._seq.chunk_counts[2].insert(0, 0)
         report = engine.audit()
         assert not report.ok
         assert report.message == "chunk 0 of block 2 holds 0, outside [1, 256]"
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ([1, 134, 267, 400], "the chunks of block 4 do not cover its 400 elements"),
+            ([0, 134, 267, 399], "the chunks of block 4 do not cover its 400 elements"),
+            ([0, 134, 100, 400], "chunk 1 of block 4 holds -34, outside [1, 256]"),
+        ],
+        ids=["not-from-0", "not-to-the-length", "not-increasing"],
+    )
+    def test_detects_misplaced_chunk_offsets(self, bounds, message):
+        engine = RangeModeEngine([k % 5 for k in range(8000)])
+        assert engine._seq.chunk_bounds[4] == [0, 134, 267, 400]
+        engine._seq.chunk_bounds[4] = bounds
+        assert engine._seq.chunk_fault() == message
+        assert engine.audit().message == message
 
     def test_detects_stale_symbol_column(self):
         engine = RangeModeEngine([1, 2, 3, 4, 5])

@@ -53,7 +53,7 @@ class EngineMachine(RuleBasedStateMachine):
         new = symbol not in table._column
         j = engine._seq.insert_place(pos)[0]
         size, resets = engine.block_sizes()[j], len(engine.reset_events)
-        chunks = len(engine._seq.chunk_sizes[j])
+        offsets = len(engine._seq.chunk_bounds[j])
         engine.insert(pos, symbol)
         self.naive.insert_at(pos, symbol)
         if engine._table is table and new:
@@ -62,7 +62,7 @@ class EngineMachine(RuleBasedStateMachine):
         if len(engine.reset_events) == resets:
             if engine.block_sizes()[j] == size:
                 self.reach("boundary moves")  # block j overflowed and shed an element
-            elif chunks and len(engine._seq.chunk_sizes[j]) > chunks:
+            elif offsets > 1 and len(engine._seq.chunk_bounds[j]) > offsets:
                 self.reach("chunk split")
 
     @rule(pos=POSITIONS, symbol=SYMBOLS)
@@ -76,23 +76,23 @@ class EngineMachine(RuleBasedStateMachine):
             self._insert(len(self.naive) // 2, symbol)
 
     def _chunk_of(self, pos):
-        """Block of position ``pos``, the chunk sizes of that block, and its chunk."""
+        """Block of position ``pos``, the chunk offsets of that block, and its chunk."""
         k, off = self.engine._seq.locate(pos)
-        sizes = list(self.engine._seq.chunk_sizes[k])
-        c = next(c for c in range(len(sizes)) if off < sum(sizes[: c + 1]))
-        return k, sizes, c
+        bounds = list(self.engine._seq.chunk_bounds[k])
+        c = next(c for c in range(len(bounds) - 1) if off < bounds[c + 1])
+        return k, bounds, c
 
-    def _reach_loss(self, k, sizes, c):
+    def _reach_loss(self, k, bounds, c):
         """Record the chunk path an element leaving chunk ``c`` of block ``k`` took."""
-        if len(self.engine._seq.chunk_sizes[k]) < len(sizes):
-            self.reach("chunk dropped" if sizes[c] == 1 else "chunks merged")
+        if len(self.engine._seq.chunk_bounds[k]) < len(bounds):
+            self.reach("chunk dropped" if bounds[c + 1] - bounds[c] == 1 else "chunks merged")
 
     def _delete(self, pos):
         resets = len(self.engine.reset_events)
-        k, sizes, c = self._chunk_of(pos)
+        k, bounds, c = self._chunk_of(pos)
         assert self.engine.delete(pos) == self.naive.delete_at(pos)
         if len(self.engine.reset_events) == resets:
-            self._reach_loss(k, sizes, c)
+            self._reach_loss(k, bounds, c)
 
     @precondition(lambda self: len(self.naive) > 0)
     @rule(pos=POSITIONS)
@@ -111,7 +111,7 @@ class EngineMachine(RuleBasedStateMachine):
     def relocate(self, a, b):
         n = len(self.naive)
         src, dst = a % n, b % n
-        js, chunks, c = self._chunk_of(src)
+        js, bounds, c = self._chunk_of(src)
         jd = self.engine._seq.insert_place(dst if dst <= src else dst + 1)[0]
         size = self.engine.block_sizes()[jd]
         assert self.engine.relocate(src, dst) == self.naive.relocate(src, dst)
@@ -120,7 +120,7 @@ class EngineMachine(RuleBasedStateMachine):
         # one, so a chunk fewer in block js, if jd made no boundary move,
         # is the removal's.
         if self.engine.block_sizes()[jd] == size + (jd != js):
-            self._reach_loss(js, chunks, c)
+            self._reach_loss(js, bounds, c)
 
     @precondition(lambda self: len(self.naive) > 0)
     @rule(a=POSITIONS, b=POSITIONS)

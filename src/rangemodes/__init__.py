@@ -1,8 +1,8 @@
 """Dynamic sequence with output-sensitive enumeration of all range modes.
 
 The package provides the block-decomposed engine (:class:`RangeModeEngine`),
-its building blocks (:class:`CharSeq`, the symbols as one list per block,
-located through their :class:`BlockSizeIndex`; :class:`PairTable` and
+its building blocks (:class:`CharSeq`, the symbols as one array of column
+ids per block, located through their :class:`BlockSizeIndex`; :class:`PairTable` and
 its cell snapshots, :class:`CountedSet`), a naive oracle for differential
 testing (:class:`NaiveSeq`), and a set-intersection application
 (:class:`SetFamily`).  See the ``rangemodes`` CLI for traces, fuzzing, and

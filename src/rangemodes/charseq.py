@@ -1,33 +1,43 @@
 """Dynamic symbol sequence stored as the engine's blocks, with chunk counts.
 
-Symbols are opaque non-negative integers.  The sequence is one Python list
-per block slot, in order; empty blocks are allowed anywhere.  An engine op
-finds its block and offset once, by bisecting the prefix sums of the
-:class:`BlockSizeIndex` of the list lengths (:meth:`CharSeq.locate`,
-:meth:`CharSeq.insert_place`), and edits there: a list insert or pop and one
-count word edit, while the block size is the engine's to adjust, so a
-relocation inside one block changes none.  A boundary move adds an end
-element of one block to the near end of its neighbour, then takes it out.
+Symbols are opaque non-negative integers, but a block stores none of them:
+each block slot holds an ``array('I')`` of column ids, 4 bytes per element
+whatever the symbol, in order; empty blocks are allowed anywhere.  Column
+``col`` stands for symbol ``symbol[col]`` of :attr:`CharSeq.symbol`, and
+:attr:`CharSeq.column` maps each symbol present back to its column; the
+summary table shares both, hands a new symbol its column before the
+sequence takes it, and frees the column when the symbol's last element
+goes.  The build writes the arrays in one pass over the caller's list,
+block by block, with no copy of the whole list; when the symbols are
+exactly ``0..σ'-1``, the column ids are the symbols themselves.  Edits,
+boundary moves and margin counts work on column ids alone; only
+:meth:`CharSeq.to_list`, :meth:`CharSeq.access_range` and indexing map
+them back to symbols.
 
-Beside each block list sits its chunk index.  A chunk is a run of 1..2S
+An engine op finds its block and offset once, by bisecting the prefix sums
+of the :class:`BlockSizeIndex` of the block lengths (:meth:`CharSeq.locate`,
+:meth:`CharSeq.insert_place`), and edits there: an array insert or pop, a
+``memmove``, and one count word edit, while the block size is the engine's
+to adjust, so a relocation inside one block changes none.  A boundary move
+adds an end element of one block to the near end of its neighbour, then
+takes it out.
+
+Beside each block sits its chunk index.  A chunk is a run of 1..2S
 consecutive elements of the block, S = :data:`CHUNK`, and two neighbouring
 chunks hold more than S together, so a block of c elements has at most
 2c/S + 1 chunks.  The index keeps the offset where each chunk starts, the
 block length last (``[0]`` for an empty block), and each chunk's count word:
-a Python ``int`` whose 32-bit field ``col`` is the chunk's count of the
-symbol in column ``col`` of :attr:`CharSeq.column`, the column map the
-summary table shares.  The build numbers the symbols of the blocks; after
-it, the table hands a new symbol its column before the sequence takes it.
-An edit in chunk ``c`` adds ``±1 << 32·col`` to its word, a copy of up to
-σ'·4 bytes, and ±1 to the offsets after ``c``; a chunk past 2S splits in
-two recounted halves at a new offset, while an empty chunk is dropped, and
-a chunk that shrinks to S or less together with a neighbour merges into it,
-each deleting one offset.  A query then counts the whole chunks of a margin
-as one sum of words, found by bisecting the offsets.  Each end of the
-margin moves to the nearer boundary of the chunk it cuts, so it reads at
-most half that chunk, at most S elements, straight from the block list: the
-elements up to an inner boundary as loose, or, past an outer one, the
-elements outside the range as taken away from the added word
+a Python ``int`` whose 32-bit field ``col`` is the chunk's count of column
+``col``.  An edit in chunk ``c`` adds ``±1 << 32·col`` to its word, a copy
+of up to σ'·4 bytes, and ±1 to the offsets after ``c``; a chunk past 2S
+splits in two recounted halves at a new offset, while an empty chunk is
+dropped, and a chunk that shrinks to S or less together with a neighbour
+merges into it, each deleting one offset.  A query then counts the whole
+chunks of a margin as one sum of words, found by bisecting the offsets.
+Each end of the margin moves to the nearer boundary of the chunk it cuts,
+so it reads at most half that chunk, at most S column ids, straight from
+the block array: the ids up to an inner boundary as loose, or, past an
+outer one, the ids outside the range as taken away from the added word
 (:meth:`CharSeq.count`).
 """
 
@@ -36,6 +46,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from typing import Iterable, Iterator, Sequence
 
 from .blockindex import BlockSizeIndex
 from .errors import InvariantError
@@ -46,38 +57,55 @@ CHUNK = 128
 
 
 class CharSeq:
-    """Mutable sequence of symbol ids split into a fixed row of blocks."""
+    """Mutable sequence of symbol ids split into a fixed row of blocks of column ids."""
 
-    __slots__ = ("blocks", "sizes", "column", "chunk_bounds", "chunk_counts")
+    __slots__ = ("blocks", "sizes", "column", "symbol", "room", "chunk_bounds", "chunk_counts")
 
-    def __init__(self, blocks: list[list[int]]) -> None:
-        """Take ``blocks`` as the block lists, without copying them, and count their chunks.
+    def __init__(
+        self, symbols: Sequence[int], sizes: Sequence[int], alphabet: Iterable[int] | None = None
+    ) -> None:
+        """Write ``symbols``, cut into blocks of ``sizes``, as column-id arrays.
 
-        Symbols get columns in increasing order, and the table and the
-        chunk words at that width must pass :func:`check_table_fits` before
-        any chunk is counted.  Each block is cut into chunks of S..2S-1
-        elements, sizes differing by at most one (a block shorter than S
-        into one chunk), and each chunk is counted once.
+        ``symbols`` is read block by block and not kept; ``alphabet``, its
+        distinct symbols, saves a pass over it when the caller has them.
+        Symbols get columns in increasing order, and the table, the chunk
+        words and the arrays at that width must pass
+        :func:`check_table_fits` before any array is written.  Each block
+        is cut into chunks of S..2S-1 elements, sizes differing by at most
+        one (a block shorter than S into one chunk), and each chunk is
+        counted once.
         """
-        self.blocks = blocks
-        self.sizes = BlockSizeIndex(map(len, blocks))
-        alphabet = sorted(set().union(*blocks))
+        self.sizes = BlockSizeIndex(sizes)
+        if len(self) != len(symbols):
+            raise ValueError(f"block sizes sum to {len(self)}, not to the {len(symbols)} symbols")
+        alphabet = sorted(set(symbols) if alphabet is None else alphabet)
+        self.symbol = alphabet  # column -> symbol; a free column keeps its last one
         self.column: dict[int, int] = dict(zip(alphabet, range(len(alphabet))))  # symbol -> column
+        # Most elements the blocks hold before the engine's next rebuild: 2·n0.
+        self.room = 2 * max(len(symbols), 1)
+        self.blocks: list[array] = []
         self.chunk_bounds: list[list[int]] = []  # per block, chunk starts and its length last
         self.chunk_counts: list[list[int]] = []  # per block, the count word of each chunk
-        check_table_fits(len(blocks), len(alphabet), self.word_bound())
-        column = self.column
+        check_table_fits(len(sizes), len(alphabet), self.word_bound(), self.room)
+        # Symbols 0..σ'-1 are their own columns; others are looked up.
+        identity = not alphabet or alphabet[-1] == len(alphabet) - 1
+        lookup = self.column.__getitem__
         zero = array("I", bytes(_FIELD_BYTES * len(alphabet)))
-        for block in blocks:
-            k = len(block) // CHUNK or min(len(block), 1)
-            q, extra = divmod(len(block), k) if k else (0, 0)
+        end = 0
+        for size in sizes:
+            part = symbols[end : end + size]
+            end += size
+            block = array("I", part if identity else map(lookup, part))
+            k = size // CHUNK or min(size, 1)
+            q, extra = divmod(size, k) if k else (0, 0)
             bounds = [i * q + min(i, extra) for i in range(k + 1)]
             words = []
-            for start, end in zip(bounds, bounds[1:]):
+            for start, stop in zip(bounds, bounds[1:]):
                 fields = zero[:]
-                for symbol, count in Counter(block[start:end]).items():
-                    fields[column[symbol]] = count
+                for col, count in Counter(block[start:stop]).items():
+                    fields[col] = count
                 words.append(pack(fields))
+            self.blocks.append(block)
             self.chunk_bounds.append(bounds)
             self.chunk_counts.append(words)
 
@@ -107,35 +135,35 @@ class CharSeq:
 
     def __getitem__(self, pos: int) -> int:
         k, off = self.locate(pos)
-        return self.blocks[k][off]
+        return self.symbol[self.blocks[k][off]]
 
-    def insert_at(self, k: int, off: int, symbol: int) -> None:
-        """Insert ``symbol`` at offset ``off`` of block ``k`` and count it in its chunk.
+    def insert_at(self, k: int, off: int, col: int) -> None:
+        """Insert column id ``col`` at offset ``off`` of block ``k`` and count it in its chunk.
 
         Like the block, the chunk it joins is the one holding offset
         ``off - 1``.  A chunk split that fails takes the element back out.
         """
         c = bisect_left(self.chunk_bounds[k], off, 1) - 1
         block = self.blocks[k]
-        block.insert(off, symbol)
+        block.insert(off, col)
         try:
-            self._gain(k, c, symbol)
+            self._gain(k, c, col)
         except BaseException:  # a split's recount failed; _gain wrote nothing
             del block[off]
             raise
 
     def delete_at(self, k: int, off: int) -> int:
-        """Remove and return the element at offset ``off`` of block ``k``, and uncount it."""
-        symbol = self.blocks[k].pop(off)
-        self._lose(k, bisect_right(self.chunk_bounds[k], off) - 1, symbol)
-        return symbol
+        """Remove and uncount the element at offset ``off`` of block ``k``; return its column id."""
+        col = self.blocks[k].pop(off)
+        self._lose(k, bisect_right(self.chunk_bounds[k], off) - 1, col)
+        return col
 
     def move_left(self, i: int) -> int:
-        """Move the first element of block ``i`` to the end of block ``i - 1``; return it."""
+        """Move block ``i``'s first element to the end of block ``i - 1``; return its column."""
         return self._move(i, i - 1, "move_left")
 
     def move_right(self, i: int) -> int:
-        """Move the last element of block ``i`` to the front of block ``i + 1``; return it."""
+        """Move block ``i``'s last element to the front of block ``i + 1``; return its column."""
         return self._move(i, i + 1, "move_right")
 
     def _move(self, i: int, k: int, name: str) -> int:
@@ -148,32 +176,33 @@ class CharSeq:
         if not self.blocks[i]:
             raise InvariantError(f"{name} from empty block {i}")
         off = 0 if k < i else len(self.blocks[i]) - 1
-        symbol = self.blocks[i][off]
-        self.insert_at(k, len(self.blocks[k]) if k < i else 0, symbol)
+        col = self.blocks[i][off]
+        self.insert_at(k, len(self.blocks[k]) if k < i else 0, col)
         self.delete_at(i, off)
         self.sizes.adjust(i, -1)
         self.sizes.adjust(k, 1)
-        return symbol
+        return col
 
     def access_range(self, lo: int, hi: int) -> list[int]:
-        """Return the elements at positions ``lo..hi`` inclusive, in order."""
+        """Return the symbols at positions ``lo..hi`` inclusive, in order."""
         n = len(self)
         if not (0 <= lo <= hi < n):
             raise IndexError(f"range [{lo}, {hi}] out of bounds (length {n})")
         want = hi - lo + 1
         k, off = self.locate(lo)
         blocks = self.blocks
-        out = blocks[k][off : off + want]
-        while len(out) < want:
+        cols = blocks[k][off : off + want]
+        while len(cols) < want:
             k += 1
-            out += blocks[k][: want - len(out)]
-        return out
+            cols += blocks[k][: want - len(cols)]
+        return list(map(self.symbol.__getitem__, cols))
 
     def to_list(self) -> list[int]:
-        """Flatten the whole sequence into a plain list."""
+        """Flatten the whole sequence into a plain list of symbols."""
+        symbol = self.symbol.__getitem__
         out: list[int] = []
         for block in self.blocks:
-            out.extend(block)
+            out += map(symbol, block)
         return out
 
     # ------------------------------------------------------------------
@@ -184,8 +213,8 @@ class CharSeq:
         """Count offsets ``lo..stop - 1`` of block ``k``.
 
         Returns the summed count word of the whole chunks it takes, appends
-        the elements inside the range that no word holds to ``loose``, and
-        the elements outside it that a word holds to ``taken``: the count is
+        the column ids inside the range that no word holds to ``loose``, and
+        those outside it that a word holds to ``taken``: the count is
         word + ``loose`` − ``taken``.  When the part holds a whole chunk,
         each end goes to the nearer boundary of the chunk it cuts: inwards,
         reading the elements up to it as loose, or outwards, adding that
@@ -214,32 +243,35 @@ class CharSeq:
         loose += block[lo:stop]
         return 0
 
-    def block_words(self) -> list[int]:
-        """The count word of each block: the sum of its chunk words."""
-        return [sum(words) for words in self.chunk_counts]
+    def block_words(self) -> Iterator[int]:
+        """The count word of each block, the sum of its chunk words, one at a time."""
+        return map(sum, self.chunk_counts)
 
     def word_bound(self) -> int:
         """Most chunk words the sequence can take at its length: 2N/S + L."""
-        return 2 * len(self) // CHUNK + len(self.blocks)
+        return 2 * len(self) // CHUNK + len(self.sizes)
 
-    def recount(self, symbols: list[int]) -> int:
-        """The count word of ``symbols``, counted afresh."""
-        counted = Counter(symbols)
-        cols = [self.column[symbol] for symbol in counted]
-        fields = array("I", bytes(_FIELD_BYTES * (max(cols, default=-1) + 1)))
-        for col, count in zip(cols, counted.values()):
+    def recount(self, cols: Sequence[int]) -> int:
+        """The count word of the column ids ``cols``, counted afresh."""
+        counted = Counter(cols)
+        fields = array("I", bytes(_FIELD_BYTES * (max(counted, default=-1) + 1)))
+        for col, count in counted.items():
             fields[col] = count
         return pack(fields)
 
     def chunk_fault(self) -> str | None:
         """The first chunk that breaks a rule of the module docstring, or None.
 
-        Offsets must run from 0 to the block length, one more than the
-        words; the sizes between them must lie in 1..2S, and two neighbours
-        must hold more than S; every word must equal a recount.
+        Every column id must lie below the width, the number of columns
+        handed out.  Offsets must run from 0 to the block length, one more
+        than the words; the sizes between them must lie in 1..2S, and two
+        neighbours must hold more than S; every word must equal a recount.
         """
         top = 2 * CHUNK
+        width = len(self.symbol)
         for k, block in enumerate(self.blocks):
+            if block and max(block) >= width:
+                return f"block {k} holds column id {max(block)}, past the width {width}"
             bounds, words = self.chunk_bounds[k], self.chunk_counts[k]
             if len(bounds) != len(words) + 1 or bounds[0] != 0 or bounds[-1] != len(block):
                 return f"the chunks of block {k} do not cover its {len(block)} elements"
@@ -249,20 +281,12 @@ class CharSeq:
                     return f"chunk {i} of block {k} holds {size}, outside [1, {top}]"
                 if i and sizes[i - 1] + size <= CHUNK:
                     return f"chunks {i - 1} and {i} of block {k} hold {CHUNK} or fewer together"
-                try:
-                    recounted = self.recount(block[bounds[i] : bounds[i + 1]])
-                except KeyError as exc:
-                    return f"symbol {exc.args[0]} in block {k} has no column"
-                if words[i] != recounted:
+                if words[i] != self.recount(block[bounds[i] : bounds[i + 1]]):
                     return f"count word of chunk {i} of block {k} disagrees with a recount"
         return None
 
-    def _field(self, symbol: int) -> int:
-        """A count word holding one ``symbol``, whose column the summary table handed out."""
-        return 1 << (_FIELD_BITS * self.column[symbol])
-
-    def _gain(self, k: int, c: int, symbol: int) -> None:
-        """Count ``symbol``, just added to block ``k``, into its chunk ``c``.
+    def _gain(self, k: int, c: int, col: int) -> None:
+        """Count column ``col``, just added to block ``k``, into its chunk ``c``.
 
         An empty block gets a new chunk; a chunk past 2S splits in two.
         Both halves are counted before anything is written, so a recount
@@ -271,11 +295,11 @@ class CharSeq:
         bounds, words = self.chunk_bounds[k], self.chunk_counts[k]
         if not words:
             bounds.append(1)
-            words.append(self._field(symbol))
+            words.append(1 << (_FIELD_BITS * col))
             return
         start, end = bounds[c], bounds[c + 1] + 1
         if end - start <= 2 * CHUNK:
-            words[c] += self._field(symbol)
+            words[c] += 1 << (_FIELD_BITS * col)
         else:
             half = (start + end) // 2
             block = self.blocks[k]
@@ -285,14 +309,14 @@ class CharSeq:
         for i in range(c + 1, len(bounds)):
             bounds[i] += 1
 
-    def _lose(self, k: int, c: int, symbol: int) -> None:
-        """Take ``symbol``, just removed from block ``k``, out of its chunk ``c``.
+    def _lose(self, k: int, c: int, col: int) -> None:
+        """Take column ``col``, just removed from block ``k``, out of its chunk ``c``.
 
         An empty chunk is dropped; a chunk that holds S or fewer together
         with a neighbour merges into it.
         """
         bounds, words = self.chunk_bounds[k], self.chunk_counts[k]
-        words[c] -= self._field(symbol)
+        words[c] -= 1 << (_FIELD_BITS * col)
         for i in range(c + 1, len(bounds)):
             bounds[i] -= 1
         start, end = bounds[c], bounds[c + 1]

@@ -15,17 +15,21 @@ inside one block reads a cell only when it covers that whole block, and a
 cell whose blocks are all empty is not read.  Of a counted part, the whole
 chunks of :class:`CharSeq` come as one sum of packed count words, and each
 end moves to the nearer boundary of the chunk it cuts, reading at most half
-that chunk from the block list: inside the range as loose elements, or,
+that chunk from the block array: inside the range as loose elements, or,
 past an outer boundary whose chunk word it adds, outside the range as
 elements to take away.  The cell and the words are one packed int sum,
 unpacked once, and each loose or taken element is then one step on the
-unpacked counts.  A query that reads no cell and no word counts its loose
-elements alone, so its cost follows the symbols present, not σ'.
+unpacked counts, at the column id the block stores.  A query that reads no
+cell and no word counts its loose elements alone, so its cost follows the
+symbols present, not σ'.
 
-The blocks are the symbol lists of :class:`CharSeq`, with their boundaries
-in its :class:`BlockSizeIndex`.  Each op finds its block and offset there
-once and edits the sequence and the summary cells at that block, so the two
-always agree on where an element lives.
+The blocks are the column-id arrays of :class:`CharSeq`, ``array('I')``,
+4 bytes per element, with their boundaries in its :class:`BlockSizeIndex`;
+the build writes them from the caller's list without copying it, and only
+the symbols an op returns are mapped back from their columns.  Each op
+finds its block and offset there once and edits the sequence and the
+summary cells at that block, so the two always agree on where an element
+lives.
 
 The layout is sized for the reference length ``n0`` of the last rebuild:
 ``ceil(n0^alpha) + ceil((2·n0)^alpha)`` block slots, each holding at most
@@ -39,22 +43,22 @@ slack absorbs the next ``n0`` inserts, and otherwise over the first
 ``ceil(n0^alpha)`` slots, which keeps edits in the low slots, where the
 slice of summary cells an edit adds to is shortest.  A block that overflows
 sheds one element along a chain of boundary moves to the nearest block with
-room.
+room; a chain that raises is undone, and the element taken back out.
 
 A relocation moves one element without changing the length: it inserts the
-symbol where ``insert(dst, delete(src))`` would, then removes the original.
-Every summary cell counts whole blocks, so a relocation inside one block
-edits no cell and no block size, only the block list and its chunk words.
+symbol where ``insert(dst, delete(src))`` would, sheds any overflow, and
+only then removes the original, so a failure anywhere before that leaves
+the sequence as it was.  Every summary cell counts whole blocks, so a
+relocation inside one block edits no cell and no block size, only the block
+array and its chunk words.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable
 
 from .charseq import CharSeq
@@ -85,17 +89,20 @@ def _check_symbol(symbol: object) -> None:
         raise ValueError(f"symbol id {symbol} does not fit in one machine word")
 
 
-def _check_symbols(flat: list[object]) -> None:
-    """:func:`_check_symbol` on every item, at C speed while all pass."""
-    try:
-        ok = list(map(type, flat)).count(int) == len(flat)
-        if ok:
-            array("Q", flat)  # an int outside 0..MAX_SYMBOL raises OverflowError
-    except (OverflowError, TypeError):
-        ok = False
-    if not ok:
-        for symbol in flat:
-            _check_symbol(symbol)
+def _check_symbols(flat: list[object]) -> set[int]:
+    """:func:`_check_symbol` on every item, at C speed while all pass; the
+    distinct symbols.
+
+    The passing check builds no temporary the size of ``flat``: a set of
+    the types, then the set it returns.
+    """
+    if set(map(type, flat)) <= {int}:
+        distinct = set(flat)
+        if not distinct or 0 <= min(distinct) and max(distinct) <= MAX_SYMBOL:
+            return distinct
+    for symbol in flat:
+        _check_symbol(symbol)
+    raise AssertionError("a symbol failed the bulk check but passes one by one")
 
 
 def _check_position(pos: object) -> None:
@@ -155,21 +162,24 @@ class RangeModeEngine:
 
     def __init__(self, initial: Iterable[int] = (), config: Config | None = None) -> None:
         self._config = config if config is not None else Config()
-        flat = list(initial)
-        _check_symbols(flat)
+        flat = initial if type(initial) is list else list(initial)  # read, never kept or changed
+        alphabet = _check_symbols(flat)
         self.reset_events: list[tuple[str, int]] = []
-        self._rebuild_layout(flat)
+        self._rebuild_layout(flat, alphabet=alphabet)
 
     # ------------------------------------------------------------------
     # layout
     # ------------------------------------------------------------------
 
-    def _rebuild_layout(self, flat: list[int], kind: str = "") -> None:
+    def _rebuild_layout(
+        self, flat: list[int], kind: str = "", alphabet: set[int] | None = None
+    ) -> None:
         """Lay out ``flat`` evenly over the first slots of a layout sized for its length.
 
         Those are ``ceil(n0^alpha)`` slots, or after a doubling every slot.
         An op that resets the layout passes its ``kind``, ``"double"`` or
-        ``"halve"``, which is logged once the new layout is installed.
+        ``"halve"``, which is logged once the new layout is installed.  The
+        build passes the ``alphabet`` of ``flat`` it has already counted.
         """
         n = len(flat)
         n0 = max(n, 1)
@@ -179,9 +189,7 @@ class RangeModeEngine:
             raise InvariantError("the layout cannot hold the sequence at reset")
         q, extra = divmod(n, used)
         sizes = [q + (k < extra) for k in range(used)] + [0] * (slots - used)
-        ends = list(accumulate(sizes, initial=0))
-        blocks = [flat[a:b] for a, b in zip(ends, ends[1:])]  # slices carry no spare capacity
-        seq = CharSeq(blocks)
+        seq = CharSeq(flat, sizes, alphabet)
         table = PairTable(seq)  # if either raises, the old layout stands
         # A stored field is a count, which reaches 2·n0 before the next
         # rebuild, plus its row's offset; it must fit its field until then.
@@ -242,39 +250,42 @@ class RangeModeEngine:
             flat.insert(pos, symbol)
             self._rebuild_layout(flat, "double")
         else:
-            self._place(j, off, symbol)
-            if self._sizes.size_of(j) > self._capacity:
-                try:
-                    self._rebalance(j)
-                except BaseException:  # the chain edits block j last: off still holds the symbol
-                    self._take(j, off)
-                    raise
+            # The column first: a new symbol may widen the table, which can
+            # fail for lack of memory before anything has changed.
+            self._place(j, off, self._table.claim_column(symbol))
             self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
         if self._config.audit_mode:
             self._check_capacities()
 
-    def _place(self, j: int, off: int, symbol: int) -> None:
-        """Count ``symbol`` into block ``j`` and insert it at offset ``off`` there.
+    def _place(self, j: int, off: int, col: int) -> None:
+        """Count column ``col`` into block ``j``, insert it at offset ``off``
+        there, and shed any overflow along a chain of boundary moves.
 
-        The table first: a new symbol may widen it, which can fail for lack
-        of memory before anything has changed.  A chunk split that fails
-        leaves the sequence as it was, and the table is put back, a column
-        it claimed freed again.
+        A chunk split that fails leaves the sequence as it was, and the
+        table is put back, a column it claimed freed again.  A chain that
+        fails is rolled back by :meth:`_rebalance`, and the element taken
+        back out of block ``j``, where ``off`` still holds it.
         """
-        self._table.apply_point(j, symbol, 1)
+        self._table.apply_point(j, col, 1)
         try:
-            self._seq.insert_at(j, off, symbol)
+            self._seq.insert_at(j, off, col)
         except BaseException:
-            self._table.apply_point(j, symbol, -1)
+            self._table.apply_point(j, col, -1)
             raise
         self._sizes.adjust(j, 1)
+        if self._sizes.size_of(j) > self._capacity:
+            try:
+                self._rebalance(j)
+            except BaseException:
+                self._take(j, off)
+                raise
 
     def _take(self, j: int, off: int) -> int:
-        """Remove and return the element at offset ``off`` of block ``j``, and uncount it."""
-        symbol = self._seq.delete_at(j, off)
+        """Remove and uncount the element at offset ``off`` of block ``j``; return its symbol."""
+        col = self._seq.delete_at(j, off)
         self._sizes.adjust(j, -1)
-        self._table.apply_point(j, symbol, -1)
-        return symbol
+        self._table.apply_point(j, col, -1)
+        return self._seq.symbol[col]  # a freed column keeps its last symbol
 
     def delete(self, pos: int) -> int:
         """Remove and return the element at ``pos``."""
@@ -306,22 +317,23 @@ class RangeModeEngine:
         if not (0 <= src < n and 0 <= dst < n):
             raise IndexError(f"relocation {src} -> {dst} out of range (length {n})")
         js, offs = seq.locate(src)
-        symbol = seq.blocks[js][offs]
-        # Insert first, so a chunk split that fails changes nothing; the
-        # position is the one before the original is removed.
-        jd, offd = seq.insert_place(dst if dst <= src else dst + 1)
+        col = seq.blocks[js][offs]
+        # Insert first, so a failure changes nothing; the position is the
+        # one before the original is removed, and the original then sits at
+        # src + (at <= src).
+        at = dst if dst <= src else dst + 1
+        jd, offd = seq.insert_place(at)
         if jd == js:
-            seq.insert_at(jd, offd, symbol)
+            seq.insert_at(jd, offd, col)
             seq.delete_at(js, offs + (offd <= offs))
         else:
-            self._place(jd, offd, symbol)  # the gain first, so the column is never freed
-            self._take(js, offs)
-            if self._sizes.size_of(jd) > self._capacity:
-                self._rebalance(jd)
+            self._place(jd, offd, col)  # the gain first, so the column is never freed
+            # Boundary moves keep every position, but may move the original.
+            self._take(*seq.locate(src + (at <= src)))
             self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
         if self._config.audit_mode:
             self._check_capacities()
-        return symbol
+        return seq.symbol[col]
 
     def modes(self, lo: int, hi: int) -> ModesResult:
         """Enumerate all modes of the inclusive range ``[lo, hi]``."""
@@ -341,7 +353,7 @@ class RangeModeEngine:
         # range is counted instead; a cell of empty blocks is not read.
         cs, ce = bl + out_l, br - out_r
         seq = self._seq
-        loose: list[int] = []
+        loose: list[int] = []  # column ids
         taken: list[int] = []
         if bl == br:
             plus = seq.count(bl, lo - start, stop - start, loose, taken) if out_l or out_r else 0
@@ -353,10 +365,11 @@ class RangeModeEngine:
             best, winners = self._table.modes(cs, ce, loose, taken, plus)
         elif plus:
             best, winners = self._table.modes(None, None, loose, taken, plus)
-        else:  # every element is loose: count the symbols present, not σ' columns
+        else:  # every element is loose: count the columns present, not σ' columns
             margin = Counter(loose)
             best = max(margin.values())
-            winners = [symbol for symbol, count in margin.items() if count == best]
+            symbol = seq.symbol
+            winners = [symbol[col] for col, count in margin.items() if count == best]
         winners.sort()
         return ModesResult(best, tuple(winners))
 
@@ -388,19 +401,28 @@ class RangeModeEngine:
         two at the same distance, the lower slot.  The blocks in between each
         pass one element on, so their sizes do not change.  The moves run
         from the donor end, so each leaves both its blocks within capacity,
-        and block ``j`` is edited only by the last.
+        and block ``j`` is edited only by the last.  A move that raises
+        changes nothing, and the moves before it are undone in reverse
+        order, each element sent back to the end of the block it left.
         """
         cap = self._capacity
         room = [k for k, size in enumerate(self._sizes.to_list()) if size < cap]
         if not room:
             raise InvariantError(f"no donor block available for overflowing block {j}")
         k = min(room, key=lambda slot: (abs(slot - j), slot))
-        if k > j:
-            for t in range(k - 1, j - 1, -1):
-                self.move_right(t)
-        else:
-            for t in range(k + 1, j + 1):
-                self.move_left(t)
+        step = 1 if k > j else -1
+        move, back = self.move_right, self.move_left
+        if k < j:
+            move, back = back, move
+        made = []  # the block each move so far filled
+        try:
+            for t in range(k - step, j - step, -step):
+                move(t)
+                made.append(t + step)
+        except BaseException:
+            for t in reversed(made):
+                back(t)
+            raise
 
     # ------------------------------------------------------------------
     # audits
@@ -414,29 +436,29 @@ class RangeModeEngine:
                 raise AuditError(f"block {slot} holds {size}, outside [0, {cap}]")
 
     def audit(self) -> AuditReport:
-        """Recompute every invariant from scratch; report the first violation."""
-        blocks = self._seq.blocks
-        flat = self._seq.to_list()
+        """Recompute every invariant afresh; report the first violation.
+
+        The recounts run over column ids, which must lie below the width;
+        a summary cell is compared with its recount mapped to symbols.
+        """
+        seq = self._seq
+        blocks = seq.blocks
+        n = sum(map(len, blocks))
         sizes = self._sizes.to_list()
         n0 = self._n0
         slots, _, capacity = _layout(n0, self._config.alpha)
-        if not (n0 // 2 < len(flat) < 2 * n0 or n0 == 1 and not flat):
-            return AuditReport(
-                False, f"length {len(flat)} lies outside the reset range of n0 = {n0}"
-            )
+        if not (n0 // 2 < n < 2 * n0 or n0 == 1 and not n):
+            return AuditReport(False, f"length {n} lies outside the reset range of n0 = {n0}")
         if len(sizes) != slots or len(blocks) != slots:
             return AuditReport(False, "slot count does not match the layout")
-        if sum(sizes) != len(flat):
-            return AuditReport(
-                False,
-                f"block sizes sum to {sum(sizes)} but the sequence holds {len(flat)}",
-            )
+        if sum(sizes) != n:
+            return AuditReport(False, f"block sizes sum to {sum(sizes)} but the sequence holds {n}")
         for slot, block in enumerate(blocks):
             if len(block) != sizes[slot]:
                 return AuditReport(
                     False, f"block {slot} holds {len(block)} symbols but its size is {sizes[slot]}"
                 )
-        fault = self._seq.chunk_fault() or self._table.offset_fault()
+        fault = seq.chunk_fault() or self._table.offset_fault()
         if fault:
             return AuditReport(False, fault)
         if self._capacity != capacity:
@@ -446,16 +468,16 @@ class RangeModeEngine:
         except AuditError as exc:
             return AuditReport(False, str(exc))
         # Every summary cell must equal a fresh recount of its block range.
+        symbol = seq.symbol
         for l in range(slots):
-            running: dict[int, int] = {}
+            running: Counter[int] = Counter()
             for r in range(l, slots):
-                for symbol in blocks[r]:
-                    running[symbol] = running.get(symbol, 0) + 1
-                if self._table.cell(l, r) != running:
+                running.update(blocks[r])
+                if self._table.cell(l, r) != {symbol[col]: c for col, c in running.items()}:
                     return AuditReport(
                         False, f"summary cell ({l}, {r}) disagrees with a recount"
                     )
-        distinct = len(set(flat))
+        distinct = len(set().union(*blocks))
         if self._table.sigma_prime != distinct:
             return AuditReport(
                 False,

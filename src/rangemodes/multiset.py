@@ -32,26 +32,32 @@ cell per row above the boundary and a run of ones to one row tail.  A modes
 query reads one field from each plane, a strided gather of σ' fields, packs
 them into one ``int``, subtracts the row's offset word, adds the packed
 count words of the chunks in its margin, and unpacks the sum once to a
-list of σ' counts.  It then adds 1 at the column of each loose margin
-element and takes 1 away at the column of each element a chunk word holds
-outside the range, one step per element, and finds the top count and its
-columns at C speed, O(σ') per query.  The table takes L(L+1)/2 · width · 4
-bytes.  Beside it are ints: L offset words of width fields, its kept masks
-of up to min(L(L²+2)/3, L(L+1)/2 · width) fields, and up to 2N/S + L chunk
-words of width fields, each priced at 4 bytes per 30 bits by
-:func:`int_bytes` plus a header and a list slot.  The
-:class:`CharSeq` build, before it counts a chunk, and every widening check
-the sum against what the process can get, raising :class:`MemoryError`.
+list of σ' counts.  It then adds 1 at each loose margin element and takes
+1 away at each element a chunk word holds outside the range, one step per
+element at the column id its block stores, with no lookup, and finds the
+top count and its columns at C speed, O(σ') per query.  The table takes
+L(L+1)/2 · width · 4 bytes.  Beside it are ints: L offset words of width
+fields, its kept masks of up to min(L(L²+2)/3, L(L+1)/2 · width) fields,
+and up to 2N/S + L chunk words of width fields, each priced at 4 bytes per
+30 bits by :func:`int_bytes` plus a header and a list slot; and the
+sequence, L arrays of column ids priced at 4 bytes for each of the 2·n0
+elements they can hold before the next rebuild, plus a header and a list
+slot each.  The :class:`CharSeq` build, before it writes a block, and every
+widening check the sum against what the process can get, raising
+:class:`MemoryError`.
 
 The column map is the one :class:`CharSeq` builds, one column per symbol
-of its blocks in increasing order, shared by both.  After the build the
-table alone hands out columns: a new symbol gets one when it is inserted,
-and it goes back on a free list when the symbol's count over all blocks
-falls to 0, so σ' is the size of the column map.  A reused column keeps the
-offsets of its last symbol, and its cells read 0 as its fields still equal
-them.  A symbol that finds no free column widens the table by half,
-appending zero planes in one copy; the offset words and the chunk words,
-Python ints, need no widening.  Every decrement first reads the symbol's
+of its blocks in increasing order, both ways (``column``, symbol → column,
+and ``symbol``, column → symbol) and shared by both.  After the build the
+table alone hands out columns: a new symbol gets one
+(:meth:`PairTable.claim_column`) before it is inserted, and it goes back
+on a free list when the symbol's count over all blocks falls to 0, so σ'
+is the size of the column map.  Edits and shifts name their column, which
+the blocks store.  A reused column keeps the offsets of its last symbol,
+and its cells read 0 as its fields still equal them.  A symbol that finds
+no free column widens the table by half, appending zero planes in one copy;
+the offset words and the chunk words, Python ints, and the column ids, 32
+bits each, need no widening.  Every decrement first reads the column's
 count in the source block's own cell and raises :class:`InvariantError` if
 it is 0, before any cell changes, so no field of a slice add can borrow from
 its neighbour.  A stored field holds a count plus its offset and must stay
@@ -60,7 +66,7 @@ the engine rejects a layout whose fields could exceed it.
 
 ``PairTable.cell`` returns a summary cell as a :class:`CountedSet`, a
 symbol→count snapshot that ``audit()`` compares with a recount.
-Symbol ids must fit in 64 bits.
+Symbol ids must fit in 64 bits; the blocks never store them.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ import os
 import struct
 import sys
 from array import array
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import InvariantError
@@ -91,6 +97,7 @@ _ZERO_FIELD = bytes(_FIELD_BYTES)
 MAX_COUNT = (1 << _FIELD_BITS) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
 _INT_HEAD = int.__basicsize__ + struct.calcsize("P")  # an int's header and its list slot
+_ARRAY_HEAD = sys.getsizeof(array("I")) + struct.calcsize("P")  # an empty array and its list slot
 
 # Counts live in an array("I"), one field per item.
 if array("I").itemsize != _FIELD_BYTES:
@@ -130,20 +137,23 @@ def int_bytes(fields: int) -> int:
     return digits * sys.int_info.sizeof_digit
 
 
-def check_table_fits(slots: int, width: int, words: int = 0) -> None:
+def check_table_fits(slots: int, width: int, words: int, elements: int) -> None:
     """Raise :class:`MemoryError` if a table of ``slots`` blocks and ``width``
     columns, with its ``slots`` offset words, ``words`` packed count words of
-    that width and its ``slots`` kept edit masks beside it, takes more bytes
-    than the process can get.
+    that width, its ``slots`` kept edit masks and a sequence of ``elements``
+    column ids in ``slots`` arrays beside it, takes more bytes than the
+    process can get.
 
     The masks of all slots take L(L²+2)/3 fields, but the table keeps them
     only up to its own field count.  The words and the masks are ints, each
     priced at its digits by :func:`int_bytes` plus a header and a list slot.
+    A column id takes 4 bytes, and each array a header and a list slot.
     """
     cells = slots * (slots + 1) // 2
     masks = min(slots * (slots * slots + 2) // 3, cells * width)
     ints = (slots + words) * int_bytes(width) + int_bytes(masks) + (2 * slots + words) * _INT_HEAD
-    nbytes = _FIELD_BYTES * width * cells + ints
+    arrays = _FIELD_BYTES * elements + slots * _ARRAY_HEAD
+    nbytes = _FIELD_BYTES * width * cells + ints + arrays
     limit = _memory_limit()
     if limit is not None and nbytes > limit:
         raise MemoryError(
@@ -226,21 +236,25 @@ class PairTable:
         # as it moves no field of a plane.
         self._masks: list[int | None] = [None] * slots
         self._mask_fields = 0  # fields of the stored masks, at most cells · width
-        column = self._column = seq.column  # symbol -> column, shared with ``seq``
+        self._column = seq.column  # symbol -> column, shared with ``seq``
+        self._symbol = seq.symbol  # column -> symbol, shared; a free column keeps its last one
         self._free: list[int] = []
-        self._symbol = list(column)  # column -> symbol; a free column keeps its last one
-        width = self._width = len(column)  # ``seq`` checked that the table fits at this width
+        width = self._width = len(self._symbol)  # ``seq`` checked that the table fits at this width
         # prefix[k]: the count word of blocks 0..k-1.  Row l stores the
         # counts of blocks 0..r for r = l..slots-1, the suffix from l of the
         # column's prefix counts, so its offset is prefix[l].
         prefix = list(accumulate(seq.block_words(), initial=0))
         self._base = prefix[:slots]
         nbytes = _FIELD_BYTES * width
-        sums = memoryview(b"".join(w.to_bytes(nbytes, "little") for w in prefix[1:])).cast("I")
+        sums = array("I")  # field col of word k at k·width + col
+        for word in islice(prefix, 1, None):
+            sums.frombytes(word.to_bytes(nbytes, "little"))
         counts = self._counts = _zeros(cells * width)
         for col in range(width):
-            run = memoryview(sums[col::width].tobytes())
-            plane = b"".join([run[_FIELD_BYTES * l :] for l in range(slots)])
+            run = sums[col::width].tobytes()  # the column's counts in blocks 0..r, by r
+            plane = bytearray()  # grown row by row, with no list of the rows beside it
+            for start in range(0, _FIELD_BYTES * slots, _FIELD_BYTES):
+                plane += run[start:]
             counts[col * cells : (col + 1) * cells] = memoryview(plane).cast("I")
         if _BIG_ENDIAN:
             counts.obj.byteswap()
@@ -268,15 +282,14 @@ class PairTable:
         self, l: int | None, r: int | None, loose: list[int], taken: list[int], plus: int = 0
     ) -> tuple[int, list[int]]:
         """Top multiplicity and its symbols, unsorted, over blocks ``l..r``
-        plus the count word ``plus`` and the elements ``loose``, less the
-        elements ``taken``; with ``l`` None, of the word and lists alone.
+        plus the count word ``plus`` and the column ids ``loose``, less the
+        column ids ``taken``; with ``l`` None, of the word and ids alone.
 
         The engine leaves each partial end block of a query out of ``l..r``
         and passes the part inside the range as :meth:`CharSeq.count` gives
-        it: the sum of the count words it takes, the elements inside the
-        range that no word holds, and those outside it that a word holds.
-        Each element is one step on the unpacked counts.  Every symbol
-        counted must be present in the table.
+        it: the sum of the count words it takes, the ids inside the range
+        that no word holds, and those outside it that a word holds.  Each id
+        is one step on the unpacked counts, and must be a column in use.
         """
         symbol = self._symbol
         width = len(symbol)
@@ -291,14 +304,13 @@ class PairTable:
             # and none overflows, as no count exceeds MAX_COUNT.
             word = pack(fields) - self._base[l] + plus
         counts = unpack(word, width)
-        column = self._column
         try:
-            for s in loose:
-                counts[column[s]] += 1
-            for s in taken:
-                counts[column[s]] -= 1
-        except KeyError as exc:
-            raise InvariantError(f"margin symbol {exc.args[0]} has no column") from None
+            for col in loose:
+                counts[col] += 1
+            for col in taken:
+                counts[col] -= 1
+        except IndexError:
+            raise InvariantError(f"a margin column id is past the width {width}") from None
         best = max(counts)
         winners = []
         counts.append(best)  # a sentinel ends the walk in one pass
@@ -334,8 +346,10 @@ class PairTable:
     # columns
     # ------------------------------------------------------------------
 
-    def _claim_column(self, symbol: int) -> int:
-        """The column of ``symbol``, handing it a free one if it has none."""
+    def claim_column(self, symbol: int) -> int:
+        """The column of ``symbol``, handing it a free one if it has none.
+
+        A widening that fails raises before any column is handed out."""
         col = self._column.get(symbol)
         if col is None:
             if self._free:
@@ -353,25 +367,24 @@ class PairTable:
         """Give the table half as many columns again; the new planes count 0."""
         old, width = self._counts, self._width
         new_width = width + width // 2 + 1
-        check_table_fits(self._slots, new_width, self._seq.word_bound())
+        seq = self._seq
+        check_table_fits(self._slots, new_width, seq.word_bound(), seq.room)
         counts = _zeros(self._cells * new_width)
         counts[: len(old)] = old
         self._counts, self._width = counts, new_width
 
-    def _source_column(self, j: int, symbol: int) -> int:
-        """The column of ``symbol``, which must occur in block ``j``.
+    def _check_source(self, j: int, col: int) -> None:
+        """Raise :class:`InvariantError` unless column ``col`` occurs in block ``j``.
 
         Every cell an edit decrements covers block ``j``, so a nonzero count
         in cell (j, j) keeps all of them from borrowing.
         """
-        col = self._column.get(symbol)
         if (
-            col is None
+            not 0 <= col < len(self._symbol)
             or self._counts[col * self._cells + self._row_base[j] + j]
             == self._base[j] >> (_FIELD_BITS * col) & MAX_COUNT
         ):
-            raise InvariantError(f"symbol {symbol} is absent from block {j}")
-        return col
+            raise InvariantError(f"column {col} is absent from block {j}")
 
     # ------------------------------------------------------------------
     # update routines
@@ -400,15 +413,20 @@ class PairTable:
             self._mask_fields += fields
         return step
 
-    def apply_point(self, j: int, symbol: int, delta: int) -> None:
-        """Adjust every cell (l, r) with l ≤ j ≤ r by ``delta`` for ``symbol``."""
+    def apply_point(self, j: int, col: int, delta: int) -> None:
+        """Adjust every cell (l, r) with l ≤ j ≤ r by ``delta`` for column ``col``.
+
+        A gain needs a column :meth:`claim_column` handed out; a loss that
+        leaves the column's symbol nowhere frees the column.
+        """
         slots = self._slots
         if not 0 <= j < slots:
             raise IndexError(f"block {j} out of range ({slots} slots)")
         if delta == 1:
-            col = self._claim_column(symbol)
+            if not 0 <= col < len(self._symbol):
+                raise InvariantError(f"column {col} was never handed out")
         elif delta == -1:
-            col = self._source_column(j, symbol)
+            self._check_source(j, col)
         else:
             raise ValueError("delta must be +1 or -1")
         plane = col * self._cells
@@ -416,11 +434,11 @@ class PairTable:
         self._add(plane + j, mask_fields(slots, j), self._masks[j] or self._mask(j), delta)
         # Cell (0, slots - 1) covers every block, and row 0 has no offset.
         if delta == -1 and not self._counts[plane + slots - 1]:
-            del self._column[symbol]
+            del self._column[self._symbol[col]]
             self._free.append(col)
 
-    def shift_left(self, i: int, symbol: int) -> None:
-        """Record one ``symbol`` crossing from block ``i`` into block ``i - 1``.
+    def shift_left(self, i: int, col: int) -> None:
+        """Record one element of column ``col`` crossing from block ``i`` into block ``i - 1``.
 
         Cells ending at i-1 gain the symbol; cells starting at i lose it.
         Cells spanning both blocks are untouched.
@@ -428,19 +446,19 @@ class PairTable:
         slots = self._slots
         if not 1 <= i < slots:
             raise IndexError(f"shift_left source {i} out of range ({slots} slots)")
-        col = self._source_column(i, symbol)
+        self._check_source(i, col)
         counts, row_base = self._counts, self._row_base
         plane = col * self._cells
         for row in row_base[:i]:
             counts[plane + row + i - 1] += 1
         self._add(plane + row_base[i] + i, slots - i, _ones(slots - i), -1)
 
-    def shift_right(self, i: int, symbol: int) -> None:
-        """Record one ``symbol`` crossing from block ``i`` into block ``i + 1``."""
+    def shift_right(self, i: int, col: int) -> None:
+        """Record one element of column ``col`` crossing from block ``i`` into block ``i + 1``."""
         slots = self._slots
         if not 0 <= i < slots - 1:
             raise IndexError(f"shift_right source {i} out of range ({slots} slots)")
-        col = self._source_column(i, symbol)
+        self._check_source(i, col)
         counts, row_base = self._counts, self._row_base
         plane = col * self._cells
         for row in row_base[: i + 1]:

@@ -1,4 +1,5 @@
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -14,21 +15,34 @@ def flatten(blocks):
     return [symbol for block in blocks for symbol in block]
 
 
+def seq_of(blocks):
+    """A CharSeq holding the symbol lists ``blocks``."""
+    return CharSeq(flatten(blocks), [len(block) for block in blocks])
+
+
+def symbol_blocks(seq):
+    """The blocks of ``seq`` as symbol lists, read through its column map."""
+    return [[seq.symbol[col] for col in block] for block in seq.blocks]
+
+
 def seq_over(blocks, alphabet=range(1000)):
     """A CharSeq over ``blocks`` whose column map also holds ``alphabet``.
 
     In the engine the summary table hands a new symbol its column before
     the sequence takes it; a sequence without a table needs them up front.
     """
-    seq = CharSeq(blocks)
+    seq = seq_of(blocks)
     for symbol in alphabet:
-        seq.column.setdefault(symbol, len(seq.column))
+        if symbol not in seq.column:
+            seq.column[symbol] = len(seq.symbol)
+            seq.symbol.append(symbol)
     return seq
 
 
 def check_mirror(seq, mirror):
     """The sequence holds exactly the mirror's blocks, and its size index agrees."""
-    assert seq.blocks == mirror
+    assert all(type(block) is array and block.typecode == "I" for block in seq.blocks)
+    assert symbol_blocks(seq) == mirror
     assert seq.sizes.to_list() == [len(block) for block in mirror]
     assert seq.to_list() == flatten(mirror)
     assert len(seq) == len(flatten(mirror))
@@ -38,7 +52,7 @@ def check_mirror(seq, mirror):
 def insert(seq, pos, symbol):
     """Insert ``symbol`` at position ``pos`` as the engine does; return the block joined."""
     k, off = seq.insert_place(pos)
-    seq.insert_at(k, off, symbol)
+    seq.insert_at(k, off, seq.column[symbol])
     seq.sizes.adjust(k, 1)
     return k
 
@@ -46,9 +60,14 @@ def insert(seq, pos, symbol):
 def delete(seq, pos):
     """Remove and return the element at position ``pos`` as the engine does."""
     k, off = seq.locate(pos)
-    symbol = seq.delete_at(k, off)
+    col = seq.delete_at(k, off)
     seq.sizes.adjust(k, -1)
-    return symbol
+    return seq.symbol[col]
+
+
+def move(seq, name, i):
+    """Make the boundary move ``name`` from block ``i``; return the symbol moved."""
+    return seq.symbol[getattr(seq, name)(i)]
 
 
 def mirror_insert(mirror, pos, symbol):
@@ -75,41 +94,51 @@ def mirror_delete(mirror, pos):
 
 
 def test_access_range_basic():
-    seq = CharSeq([[10], [], [11, 12], [13]])
+    seq = seq_of([[10], [], [11, 12], [13]])
     assert seq.access_range(1, 2) == [11, 12]
     assert seq.access_range(0, 3) == [10, 11, 12, 13]
     assert seq.access_range(2, 3) == [12, 13]
 
 
 def test_access_range_singleton():
-    seq = CharSeq([[], [7], []])
+    seq = seq_of([[], [7], []])
     assert seq.access_range(0, 0) == [7]
 
 
 def test_access_range_full():
-    seq = CharSeq([[], [1], [], [2, 1], []])
+    seq = seq_of([[], [1], [], [2, 1], []])
     assert seq.access_range(0, 2) == [1, 2, 1]
 
 
 def test_access_range_leaves_sequence_unchanged():
-    seq = CharSeq([[5], [6, 7]])
+    seq = seq_of([[5], [6, 7]])
     seq.access_range(0, 2)
     check_mirror(seq, [[5], [6, 7]])
 
 
 @pytest.mark.parametrize("lo,hi", [(-1, 0), (0, 3), (2, 1), (3, 3)])
 def test_access_range_bounds(lo, hi):
-    seq = CharSeq([[1], [], [2, 3], []])
+    seq = seq_of([[1], [], [2, 3], []])
     with pytest.raises(IndexError):
         seq.access_range(lo, hi)
 
 
-def test_takes_the_block_lists_without_copying():
-    blocks = [[1, 2], [], [3]]
-    seq = CharSeq(blocks)
-    assert seq.blocks is blocks
-    assert seq.blocks[0] is blocks[0]
-    assert seq.sizes.to_list() == [2, 0, 1]
+def test_writes_column_arrays_from_the_symbol_list():
+    # Symbols exactly 0..σ'-1 are their own column ids.
+    symbols = [2, 0, 1, 2]
+    seq = CharSeq(symbols, [2, 0, 2])
+    assert symbols == [2, 0, 1, 2]  # read, not changed
+    assert seq.blocks == [array("I", [2, 0]), array("I"), array("I", [1, 2])]
+    assert seq.symbol == [0, 1, 2] and seq.column == {0: 0, 1: 1, 2: 2}
+    assert seq.sizes.to_list() == [2, 0, 2] and seq.room == 8
+    # Others get columns in increasing order, whatever their size.
+    big = [1 << 63, 7, 1 << 32, 7]
+    seq = CharSeq(big, [1, 3])
+    assert seq.symbol == [7, 1 << 32, 1 << 63]
+    assert seq.blocks == [array("I", [2]), array("I", [0, 1, 0])]
+    check_mirror(seq, [[1 << 63], [7, 1 << 32, 7]])
+    with pytest.raises(ValueError):
+        CharSeq([1, 2], [1, 0])
 
 
 def test_insert_middle():
@@ -171,30 +200,30 @@ def test_insert_place(blocks, pos, place):
 
 
 def test_insert_out_of_range():
-    seq = CharSeq([[1], []])
+    seq = seq_of([[1], []])
     for pos in (2, -1):
         with pytest.raises(IndexError):
             seq.insert_place(pos)
     check_mirror(seq, [[1], []])
     with pytest.raises(IndexError):
-        CharSeq([[], []]).insert_place(1)
+        seq_of([[], []]).insert_place(1)
 
 
 def test_delete_front():
-    seq = CharSeq([[], [1, 2], [3]])
+    seq = seq_of([[], [1, 2], [3]])
     assert seq.locate(0) == (1, 0)
     assert delete(seq, 0) == 1
     check_mirror(seq, [[], [2], [3]])
 
 
 def test_delete_only_element():
-    seq = CharSeq([[], [1], []])
+    seq = seq_of([[], [1], []])
     assert delete(seq, 0) == 1
     check_mirror(seq, [[], [], []])
 
 
 def test_delete_last():
-    seq = CharSeq([[1], [2], []])
+    seq = seq_of([[1], [2], []])
     assert seq.locate(1) == (1, 0)
     assert delete(seq, 1) == 2
     check_mirror(seq, [[1], [], []])
@@ -202,8 +231,8 @@ def test_delete_last():
 
 def test_delete_out_of_range():
     with pytest.raises(IndexError):
-        CharSeq([[]]).locate(0)
-    seq = CharSeq([[1], []])
+        seq_of([[]]).locate(0)
+    seq = seq_of([[1], []])
     for pos in (1, -1):
         with pytest.raises(IndexError):
             seq.locate(pos)
@@ -211,7 +240,7 @@ def test_delete_out_of_range():
 
 
 def test_getitem():
-    seq = CharSeq([[4], [], [5, 6]])
+    seq = seq_of([[4], [], [5, 6]])
     assert [seq[i] for i in range(3)] == [4, 5, 6]
     for pos in (3, -1):
         with pytest.raises(IndexError):
@@ -219,24 +248,24 @@ def test_getitem():
 
 
 def test_locate_skips_empty_blocks():
-    seq = CharSeq([[], [4], [], [5, 6], []])
+    seq = seq_of([[], [4], [], [5, 6], []])
     assert [seq.locate(pos) for pos in range(3)] == [(1, 0), (3, 0), (3, 1)]
 
 
 def test_moves_carry_one_element_across_a_boundary():
-    seq = CharSeq([[1, 2], [], [3]])
-    assert seq.move_right(0) == 2
+    seq = seq_of([[1, 2], [], [3]])
+    assert move(seq, "move_right", 0) == 2
     check_mirror(seq, [[1], [2], [3]])
-    assert seq.move_left(2) == 3
+    assert move(seq, "move_left", 2) == 3
     check_mirror(seq, [[1], [2, 3], []])
-    assert seq.move_right(1) == 3
+    assert move(seq, "move_right", 1) == 3
     check_mirror(seq, [[1], [2], [3]])
-    assert seq.move_left(1) == 2
+    assert move(seq, "move_left", 1) == 2
     check_mirror(seq, [[1, 2], [], [3]])
 
 
 def test_move_bounds_and_empty_source():
-    seq = CharSeq([[1], [], [2]])
+    seq = seq_of([[1], [], [2]])
     with pytest.raises(IndexError):
         seq.move_left(0)
     with pytest.raises(IndexError):
@@ -272,7 +301,7 @@ def test_a_move_whose_split_fails_changes_nothing(monkeypatch, blocks, grow, mov
     for pos in grow:
         insert(seq, pos, 7)
     assert 4 in (chunk_sizes(seq, 0)[-1], chunk_sizes(seq, 1)[0])
-    mirror = [list(block) for block in seq.blocks]
+    mirror = symbol_blocks(seq)
     chunks = [list(b) for b in seq.chunk_bounds], [list(w) for w in seq.chunk_counts]
     monkeypatch.setattr(CharSeq, "recount", refuse)
     with pytest.raises(MemoryError):
@@ -313,10 +342,10 @@ def test_differential_against_list_mirror():
             i = rng.randrange(len(mirror))
             if roll < 0.85 and i > 0 and mirror[i]:
                 mirror[i - 1].append(mirror[i].pop(0))
-                assert seq.move_left(i) == mirror[i - 1][-1]
+                assert move(seq, "move_left", i) == mirror[i - 1][-1]
             elif i + 1 < len(mirror) and mirror[i]:
                 mirror[i + 1].insert(0, mirror[i].pop())
-                assert seq.move_right(i) == mirror[i + 1][0]
+                assert move(seq, "move_right", i) == mirror[i + 1][0]
         if step % 500 == 0:
             check_mirror(seq, mirror)
             flat = flatten(mirror)
@@ -367,9 +396,8 @@ def test_property_matches_list(blocks, ops):
 
 def word_counts(seq, word):
     """The symbol counts a chunk count word holds."""
-    symbol = {col: s for s, col in seq.column.items()}
-    fields = unpack(word, len(seq.column))
-    return Counter({symbol[col]: count for col, count in enumerate(fields) if count})
+    fields = unpack(word, len(seq.symbol))
+    return Counter({seq.symbol[col]: count for col, count in enumerate(fields) if count})
 
 
 def test_chunks_follow_edits_and_count_margins(monkeypatch):
@@ -411,8 +439,8 @@ def test_chunks_follow_edits_and_count_margins(monkeypatch):
             else:
                 assert not taken and len(loose) <= 4 * charseq.CHUNK
             # subtract, unlike -, keeps a count that falls to 0 or below.
-            total = word_counts(seq, word) + Counter(loose)
-            total.subtract(taken)
+            total = word_counts(seq, word) + Counter(seq.symbol[col] for col in loose)
+            total.subtract(seq.symbol[col] for col in taken)
             total = {symbol: count for symbol, count in total.items() if count}
             assert total == Counter(flatten(mirror)[lo:stop])
     assert counted > 100 and took > 30

@@ -4,6 +4,9 @@ import struct
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from array import array
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -16,7 +19,7 @@ from layout import lay_out
 
 import rangemodes.engine as engine_module
 from rangemodes import charseq, multiset
-from rangemodes.multiset import int_bytes
+from rangemodes.multiset import MAX_SYMBOL, int_bytes
 from rangemodes import (
     AuditError,
     BlockSizeIndex,
@@ -29,6 +32,7 @@ from rangemodes import (
 
 
 INT_HEAD = sys.getsizeof(1) - sys.int_info.sizeof_digit + struct.calcsize("P")  # header, list slot
+ARRAY_HEAD = sys.getsizeof(array("I")) + struct.calcsize("P")  # an empty array, its list slot
 
 
 def ceil_root(num: int, den: int, p: int, q: int) -> int:
@@ -904,12 +908,16 @@ class TestFailedOps:
         self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.insert(pos, 3))
         assert moves == [1]
 
-    def test_failed_move_late_in_a_chain_changes_nothing(self, monkeypatch):
-        # 98 inserts at offset 1 of block 1 grow its first chunk to 2S; then
-        # blocks 1 and 0 are filled to capacity.  An insert into block 0
-        # sheds along move_right(1), which block 2's first chunk takes
-        # without a split, then move_right(0), whose element splits block
-        # 1's first chunk.
+    def engine_with_a_chain_to_fail(self):
+        """An engine whose next element in block 0 sheds along two moves,
+        the second of which splits a full chunk; and an offset for it.
+
+        98 inserts at offset 1 of block 1 grow its first chunk to 2S; then
+        blocks 1 and 0 are filled to capacity.  An element added to block 0
+        sheds along move_right(1), which block 2's first chunk takes
+        without a split, then move_right(0), whose element splits block 1's
+        first chunk.
+        """
         rng = random.Random(8)
         engine = RangeModeEngine([rng.randrange(5) for _ in range(6000)])
         seq, cap = engine._seq, engine.capacity
@@ -922,20 +930,32 @@ class TestFailedOps:
             engine.insert(1, rng.randrange(5))
         assert chunk_sizes(seq, 1)[0] == 256 and engine.block_sizes()[2] < cap
         c = next(c for c, size in enumerate(chunk_sizes(seq, 0)) if size < 256)
-        pos = seq.chunk_bounds[0][c] + 1
-        flat, sizes = engine.to_list(), engine.block_sizes()
+        return engine, seq.chunk_bounds[0][c] + 1
+
+    def test_failed_move_late_in_a_chain_changes_nothing(self, monkeypatch):
+        engine, pos = self.engine_with_a_chain_to_fail()
         moves = count_moves(monkeypatch)
         monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
-        with pytest.raises(MemoryError):
-            engine.insert(pos, 3)
-        monkeypatch.undo()
-        assert moves == [1, 0]  # from the donor end; the second move failed
-        # The first move stays made, and the insert took its element back out.
-        assert engine.to_list() == flat and len(engine) == len(flat)
-        sizes[1:3] = [cap - 1, sizes[2] + 1]
-        assert engine.block_sizes() == sizes
-        report = engine.audit()
-        assert report.ok, report.message
+        # The second move fails, the first is undone, and the insert takes
+        # its element back out.
+        self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.insert(pos, 3))
+        assert moves == [1, 0, 2]  # from the donor end, then move_right(1) undone
+
+    def test_failed_chain_in_a_relocation_changes_nothing(self, monkeypatch):
+        # A relocation from block 5 into full block 0 runs the same chain;
+        # the element leaves block 5 only once the chain has gone through.
+        engine, pos = self.engine_with_a_chain_to_fail()
+        src = sum(engine.block_sizes()[:5]) + 7
+        assert engine._seq.locate(src)[0] == 5
+        moves = count_moves(monkeypatch)
+        monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
+        self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.relocate(src, pos))
+        assert moves == [1, 0, 2]
+        oracle = NaiveSeq(engine.to_list())
+        symbol = oracle.delete_at(src)
+        oracle.insert_at(pos, symbol)
+        assert engine.relocate(src, pos) == symbol  # with the recount back
+        assert engine.to_list() == oracle.to_list() and engine.audit().ok
 
 
 class TestAudit:
@@ -955,7 +975,8 @@ class TestAudit:
 
     def test_detects_corrupted_cell(self):
         engine = RangeModeEngine([1, 2, 3, 4, 5])
-        engine._table.apply_point(0, 7, 1)  # bypass the engine bookkeeping
+        table = engine._table
+        table.apply_point(0, table.claim_column(7), 1)  # bypass the engine bookkeeping
         report = engine.audit()
         assert not report.ok
         assert "cell" in report.message
@@ -1016,9 +1037,16 @@ class TestAudit:
         assert engine._seq.chunk_fault() == message
         assert engine.audit().message == message
 
+    def test_detects_column_id_past_the_width(self):
+        engine = RangeModeEngine([1, 2, 3])
+        engine._seq.blocks[0][0] = 3  # three columns, 0..2, are handed out
+        report = engine.audit()
+        assert not report.ok
+        assert report.message == "block 0 holds column id 3, past the width 3"
+
     def test_detects_stale_symbol_column(self):
         engine = RangeModeEngine([1, 2, 3, 4, 5])
-        engine._table._claim_column(9)  # a column no element counts in
+        engine._table.claim_column(9)  # a column no element counts in
         report = engine.audit()
         assert not report.ok
         assert "distinct symbols" in report.message
@@ -1048,6 +1076,66 @@ class TestAudit:
         engine._sizes.adjust(len(engine.block_sizes()) - 1, engine.capacity + 1)
         with pytest.raises(AuditError):
             engine._check_capacities()
+
+
+class TestColumnStorage:
+    """Each block is an ``array('I')`` of column ids, whatever the symbols."""
+
+    @pytest.mark.parametrize("shift", [0, 40], ids=["own-columns", "looked-up"])
+    def test_build_makes_no_copy_of_its_input(self, shift):
+        # The build reads the caller's list block by block, so nothing of N
+        # items outlives a block beside the engine; a copy of the list
+        # alone would take 8·N bytes.  Symbols 0..25 are their own column
+        # ids, and symbols shifted past 2^32 are looked up.
+        n = 1 << 16
+        rng = random.Random(16)
+        symbols = [rng.randrange(26) << shift for _ in range(n)]
+        tracemalloc.start()
+        try:
+            engine = RangeModeEngine(symbols)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - size < n
+        assert engine.to_list() == symbols and engine.audit().ok
+
+    def test_symbol_size_does_not_reach_the_blocks(self):
+        # Ids 2^32, 2^63 and MAX_SYMBOL among small ones, through inserts,
+        # deletes, relocations inside one block and across blocks, one
+        # doubling and one halving.
+        alphabet = [1 << 32, 1 << 63, MAX_SYMBOL, 0, 1, 2, 5]
+        rng = random.Random(23)
+        initial = [rng.choice(alphabet) for _ in range(200)]
+        engine, oracle = RangeModeEngine(initial), NaiveSeq(initial)
+        paths = Counter()
+        for grow in (True, False):
+            kind = "double" if grow else "halve"
+            while kind not in dict(engine.reset_events):
+                n, roll = len(oracle), rng.random()
+                if roll < 0.5 and (roll < 0.35) == grow:  # edits lean to the phase's way
+                    pos, symbol = rng.randint(0, n), rng.choice(alphabet)
+                    engine.insert(pos, symbol)
+                    oracle.insert_at(pos, symbol)
+                elif roll < 0.5:
+                    pos = rng.randrange(n)
+                    assert engine.delete(pos) == oracle.delete_at(pos)
+                elif roll < 0.8:
+                    src, dst = rng.randrange(n), rng.randrange(n)
+                    seq = engine._seq
+                    at = dst if dst <= src else dst + 1
+                    paths[seq.locate(src)[0] == seq.insert_place(at)[0]] += 1
+                    symbol = oracle.delete_at(src)
+                    oracle.insert_at(dst, symbol)
+                    assert engine.relocate(src, dst) == symbol
+                else:
+                    lo = rng.randrange(n)
+                    hi = rng.randint(lo, n - 1)
+                    assert engine.modes(lo, hi) == oracle.modes(lo, hi)
+        assert [kind for kind, _ in engine.reset_events] == ["double", "halve"]
+        assert paths[True] and paths[False]  # both relocation paths
+        assert engine.to_list() == oracle.to_list() and engine.audit().ok
+        assert set(engine.to_list()) == set(alphabet) and engine.sigma_prime == 7
+        assert all(block.typecode == "I" for block in engine._seq.blocks)
 
 
 class TestMemoryGuard:
@@ -1083,24 +1171,28 @@ class TestMemoryGuard:
         # 2·2^17/128 + 115 chunk words, ints of 2^17 fields, and the edit
         # masks of all 115 slots, 115·(115² + 2)/3 fields, far under the
         # table's own count; each of those 115 + words + 115 ints also has a
-        # header and a list slot.
+        # header and a list slot.  The 115 blocks are arrays priced at 4
+        # bytes for each of the 2·2^17 column ids they hold before the next
+        # rebuild, and a header and a list slot each.
         cells, offsets, words = 115 * 116 // 2, 115, 2 * (1 << 17) // 128 + 115
         masks = 115 * (115 * 115 + 2) // 3
         nbytes = 4 * (1 << 17) * cells + (offsets + words) * int_bytes(1 << 17) + int_bytes(masks)
         nbytes += (offsets + words + 115) * INT_HEAD
+        nbytes += 4 * 2 * (1 << 17) + 115 * ARRAY_HEAD
         assert f"needs {nbytes} bytes" in message
 
     def test_chunk_words_count_against_the_limit(self, monkeypatch):
         # The words of S = 128 chunks are up to 2N/S + L ints of σ' fields,
         # beside the cells, the L offset words and the L edit masks,
         # L(L² + 2)/3 fields at most cells·σ'; every int also has a header
-        # and a list slot.
+        # and a list slot.  The L blocks are arrays of up to 2N column ids,
+        # 4 bytes each, and a header and a list slot per array.
         symbols = [k % 40 for k in range(3000)]
         slots = len(RangeModeEngine(symbols).block_sizes())
         cells = slots * (slots + 1) // 2
         masks = min(slots * (slots * slots + 2) // 3, cells * 40)
         table_bytes = 4 * 40 * cells + slots * int_bytes(40) + int_bytes(masks)
-        table_bytes += 2 * slots * INT_HEAD
+        table_bytes += 2 * slots * INT_HEAD + 4 * 2 * len(symbols) + slots * ARRAY_HEAD
         word_bytes = (2 * len(symbols) // 128 + slots) * (int_bytes(40) + INT_HEAD)
         monkeypatch.setattr(multiset, "_memory_limit", lambda: table_bytes)
         with pytest.raises(MemoryError, match=f"needs {table_bytes + word_bytes} bytes"):

@@ -85,7 +85,27 @@ class TestCountedSet:
 
 
 def build_table(blocks):
-    return PairTable(CharSeq([list(b) for b in blocks]))
+    return PairTable(CharSeq([s for b in blocks for s in b], [len(b) for b in blocks]))
+
+
+def point(table, j, symbol, delta):
+    """``apply_point`` for ``symbol``, as the engine makes it: a gain claims
+    the symbol's column first, a loss reads it from the column map."""
+    col = table.claim_column(symbol) if delta == 1 else table._column[symbol]
+    table.apply_point(j, col, delta)
+
+
+def shift_left(table, i, symbol):
+    table.shift_left(i, table._column[symbol])
+
+
+def shift_right(table, i, symbol):
+    table.shift_right(i, table._column[symbol])
+
+
+def cols(table, symbols):
+    """The column ids of ``symbols``, as a query's margin passes them."""
+    return [table._column[symbol] for symbol in symbols]
 
 
 def cell_counts(table, l, r):
@@ -128,7 +148,7 @@ class TestPairTable:
 
     def test_apply_point_affected_cells(self):
         table = build_table([[], [], []])
-        table.apply_point(1, C, 1)
+        point(table, 1, C, 1)
         changed = {(0, 1), (0, 2), (1, 1), (1, 2)}
         for l in range(3):
             for r in range(l, 3):
@@ -137,14 +157,14 @@ class TestPairTable:
 
     def test_apply_point_single_block(self):
         table = build_table([[]])
-        table.apply_point(0, C, 1)
+        point(table, 0, C, 1)
         assert cell_counts(table, 0, 0) == {C: 1}
 
     def test_apply_point_inverse(self):
         table = build_table([[A], [B]])
         reference = [cell_counts(table, l, r) for l in range(2) for r in range(l, 2)]
-        table.apply_point(1, C, 1)
-        table.apply_point(1, C, -1)
+        point(table, 1, C, 1)
+        point(table, 1, C, -1)
         assert [
             cell_counts(table, l, r) for l in range(2) for r in range(l, 2)
         ] == reference
@@ -153,7 +173,7 @@ class TestPairTable:
         slots = 6
         for j in range(slots):
             table = build_table([[] for _ in range(slots)])
-            table.apply_point(j, A, 1)
+            point(table, j, A, 1)
             touched = sum(
                 1
                 for l in range(slots)
@@ -166,7 +186,7 @@ class TestPairTable:
         # Moving one C from block 1 to block 0: cells ending at 0 gain,
         # cells starting at 1 lose, spanning cells unchanged.
         table = build_table([[A], [C, B], [B]])
-        table.shift_left(1, C)
+        shift_left(table, 1, C)
         assert cell_counts(table, 0, 0) == {A: 1, C: 1}
         assert cell_counts(table, 1, 1) == {B: 1}
         assert cell_counts(table, 1, 2) == {B: 2}
@@ -175,14 +195,14 @@ class TestPairTable:
 
     def test_shift_left_two_blocks(self):
         table = build_table([[], [C]])
-        table.shift_left(1, C)
+        shift_left(table, 1, C)
         assert cell_counts(table, 0, 0) == {C: 1}
         assert cell_counts(table, 1, 1) == {}
         assert cell_counts(table, 0, 1) == {C: 1}
 
     def test_shift_right_three_blocks(self):
         table = build_table([[A], [B, C], []])
-        table.shift_right(1, C)
+        shift_right(table, 1, C)
         assert cell_counts(table, 0, 1) == {A: 1, B: 1}
         assert cell_counts(table, 1, 1) == {B: 1}
         assert cell_counts(table, 2, 2) == {C: 1}
@@ -190,15 +210,15 @@ class TestPairTable:
 
     def test_shift_right_two_blocks(self):
         table = build_table([[C], []])
-        table.shift_right(0, C)
+        shift_right(table, 0, C)
         assert cell_counts(table, 0, 0) == {}
         assert cell_counts(table, 1, 1) == {C: 1}
 
     def test_shift_pair_is_identity(self):
         table = build_table([[A], [B, C], [B]])
         reference = [cell_counts(table, l, r) for l in range(3) for r in range(l, 3)]
-        table.shift_right(1, C)
-        table.shift_left(2, C)
+        shift_right(table, 1, C)
+        shift_left(table, 2, C)
         assert [
             cell_counts(table, l, r) for l in range(3) for r in range(l, 3)
         ] == reference
@@ -211,6 +231,8 @@ class TestPairTable:
             table.apply_point(2, A, 1)
         with pytest.raises(ValueError):
             table.apply_point(0, A, 2)
+        with pytest.raises(InvariantError):
+            table.apply_point(0, A, 1)  # no column was handed out
         with pytest.raises(IndexError):
             table.shift_left(0, A)
         with pytest.raises(IndexError):
@@ -235,9 +257,9 @@ class TestPairTable:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda t: t.apply_point(1, A, -1),
-            lambda t: t.shift_left(1, A),
-            lambda t: t.shift_right(1, A),
+            lambda t: point(t, 1, A, -1),
+            lambda t: shift_left(t, 1, A),
+            lambda t: shift_right(t, 1, A),
         ],
         ids=["apply_point", "shift_left", "shift_right"],
     )
@@ -266,14 +288,14 @@ class TestPairTable:
         ]
         for kind, i, symbol, *delta in edits:
             if kind == "point":
-                table.apply_point(i, symbol, delta[0])
+                point(table, i, symbol, delta[0])
                 if delta[0] == 1:
                     blocks[i].append(symbol)
                 else:
                     blocks[i].remove(symbol)
             else:
                 dst = i - 1 if kind == "left" else i + 1
-                (table.shift_left if kind == "left" else table.shift_right)(i, symbol)
+                (shift_left if kind == "left" else shift_right)(table, i, symbol)
                 blocks[i].remove(symbol)
                 blocks[dst].append(symbol)
             assert all_cells(table) == recount(blocks), (kind, i, symbol)
@@ -282,16 +304,16 @@ class TestPairTable:
         blocks = [[MAX_SYMBOL, A], [MAX_SYMBOL]]
         table = build_table(blocks)
         assert cell_counts(table, 0, 1) == {MAX_SYMBOL: 2, A: 1}
-        table.apply_point(1, MAX_SYMBOL, 1)
-        table.shift_right(0, A)
+        point(table, 1, MAX_SYMBOL, 1)
+        shift_right(table, 0, A)
         assert cell_counts(table, 1, 1) == {MAX_SYMBOL: 2, A: 1}
         assert table.modes(0, 1, [], []) == (3, [MAX_SYMBOL])
 
     def test_freed_column_is_reused(self):
         table = build_table([[A], [B]])
-        table.apply_point(0, A, -1)
+        point(table, 0, A, -1)
         assert table.sigma_prime == 1
-        table.apply_point(1, C, 1)
+        point(table, 1, C, 1)
         assert table.sigma_prime == 2
         assert len(table._symbol) == 2  # C took A's column
         assert all_cells(table) == recount([[], [B, C]])
@@ -300,19 +322,19 @@ class TestPairTable:
         table = build_table([[A, A, B], [B, C]])
         best, winners = table.modes(0, 1, [], [])
         assert (best, sorted(winners)) == (2, [A, B])
-        assert table.modes(1, 1, [C], []) == (2, [C])
-        best, winners = table.modes(0, 0, [B, C, C], [])
+        assert table.modes(1, 1, cols(table, [C]), []) == (2, [C])
+        best, winners = table.modes(0, 0, cols(table, [B, C, C]), [])
         assert (best, sorted(winners)) == (2, [A, B, C])
 
     def test_modes_takes_away_taken_counts(self):
         table = build_table([[A, A, B], [B, C]])
-        assert table.modes(0, 1, [], [B, C]) == (2, [A])
-        best, winners = table.modes(0, 1, [C], [A, B])
+        assert table.modes(0, 1, [], cols(table, [B, C])) == (2, [A])
+        best, winners = table.modes(0, 1, cols(table, [C]), cols(table, [A, B]))
         assert (best, sorted(winners)) == (2, [C])
         # With no cell, the counts are the word plus the loose elements,
         # less the taken ones: here the word of one A and two Bs.
         word = sum(1 << (multiset._FIELD_BITS * table._column[s]) for s in (A, B, B))
-        assert table.modes(None, None, [A], [B], word) == (2, [A])
+        assert table.modes(None, None, cols(table, [A]), cols(table, [B]), word) == (2, [A])
 
     @pytest.mark.parametrize("l, r", [(-1, 0), (-1, -1), (1, 0), (0, 2)])
     def test_modes_rejects_cells_out_of_range(self, l, r):
@@ -321,11 +343,12 @@ class TestPairTable:
             table.modes(l, r, [], [])
 
     def test_modes_rejects_margin_symbol_without_column(self):
+        # Two columns are in use; a margin column id of 2 has no symbol.
         table = build_table([[A], [B]])
         with pytest.raises(InvariantError):
-            table.modes(0, 1, [C], [])
+            table.modes(0, 1, [2], [])
         with pytest.raises(InvariantError):
-            table.modes(0, 1, [], [C])
+            table.modes(0, 1, [], [2])
 
     def test_widening_past_the_memory_limit_changes_nothing(self, monkeypatch):
         blocks = [[A], [B, B]]
@@ -333,16 +356,20 @@ class TestPairTable:
         width = table._width
         # Beside the cells, 2 offset words and 2·3/128 + 2 = 2 chunk words of
         # the new width, and the 2 edit masks of 2 fields each, as 6 ints,
-        # each with a header and a list slot.
+        # each with a header and a list slot; and the 2 blocks, arrays priced
+        # at 4 bytes for each of the 2·3 column ids they hold before the
+        # next rebuild, each with a header and a list slot.
         cells = table.cell_count()
         head = sys.getsizeof(1) - sys.int_info.sizeof_digit + struct.calcsize("P")
+        array_head = sys.getsizeof(array("I")) + struct.calcsize("P")
 
         def priced(width):
-            return 4 * cells * width + 4 * int_bytes(width) + int_bytes(4) + 6 * head
+            ints = 4 * int_bytes(width) + int_bytes(4) + 6 * head
+            return 4 * cells * width + ints + 4 * 6 + 2 * array_head
 
         monkeypatch.setattr(multiset, "_memory_limit", lambda: priced(width))
         with pytest.raises(MemoryError, match=str(priced(width + width // 2 + 1))):
-            table.apply_point(0, C, 1)
+            point(table, 0, C, 1)
         assert table._width == width and table.sigma_prime == 2
         assert all_cells(table) == recount(blocks)
 
@@ -370,18 +397,26 @@ class TestPairTable:
         # most 2S: at σ' = 26 a word takes 27 digits, priced at 28 (+2.9 %).
         rng = random.Random(14)
         engine = RangeModeEngine([rng.randrange(26) for _ in range(1 << 14)])
-        words = [word for block in engine._seq.chunk_counts for word in block]
+        seq, slots = engine._seq, engine._table.slots
+        words = [word for block in seq.chunk_counts for word in block]
         held = sum(sys.getsizeof(word) + struct.calcsize("P") for word in words)
         monkeypatch.setattr(multiset, "_memory_limit", lambda: 0)
 
-        def priced(words):
+        def priced(words, elements):
             with pytest.raises(MemoryError) as refused:
-                multiset.check_table_fits(engine._table.slots, 26, words)
+                multiset.check_table_fits(slots, 26, words, elements)
             return int(re.search(r"needs (\d+) bytes", str(refused.value))[1])
 
         assert len(words) == 104
-        extra = priced(len(words)) - priced(0)
+        extra = priced(len(words), seq.room) - priced(0, seq.room)
         assert held <= extra <= 1.03 * held
+        # The blocks are priced at 4 bytes for each of the 2·n0 column ids
+        # they hold at most before the next rebuild, and a header and a list
+        # slot each: more than the arrays of n0 ids take now.
+        array_head = sys.getsizeof(array("I")) + struct.calcsize("P")
+        assert priced(0, seq.room) - priced(0, 0) == 4 * seq.room == 8 << 14
+        arrays = sum(sys.getsizeof(block) + struct.calcsize("P") for block in seq.blocks)
+        assert arrays == 4 * (1 << 14) + slots * array_head
 
     def test_new_symbols_widen_every_cell(self):
         blocks = [[A], [], [B, B]]
@@ -389,13 +424,13 @@ class TestPairTable:
         assert table._width == 2
         for k in range(40):
             j, symbol = k % 3, 100 + k % 17
-            table.apply_point(j, symbol, 1)
+            point(table, j, symbol, 1)
             blocks[j].append(symbol)
         assert table._width >= table.sigma_prime == 19
-        table.shift_left(2, 102)
+        shift_left(table, 2, 102)
         blocks[2].remove(102)
         blocks[1].append(102)
-        table.shift_right(0, A)
+        shift_right(table, 0, A)
         blocks[0].remove(A)
         blocks[1].append(A)
         assert all_cells(table) == recount(blocks)
@@ -457,19 +492,19 @@ class TestSymbolMajorLayout:
             for j in range(slots):
                 for delta in (1, -1):
                     before = all_cells(table)
-                    table.apply_point(j, A, delta)
+                    point(table, j, A, delta)
                     # Rows 0..j from column j on; the head cells (l, l..j-1) of
                     # rows 1..j lie inside the edit's slice and must not move.
                     expected = {(l, r): {A: delta} for l, r in cells if l <= j <= r}
                     assert moved(before, all_cells(table)) == expected, (run, j, delta)
             for i in range(1, slots):
                 before = all_cells(table)
-                table.shift_left(i, A)
+                shift_left(table, i, A)
                 gained = {(l, i - 1): {A: 1} for l in range(i)}
                 lost = {(i, r): {A: -1} for r in range(i, slots)}
                 assert moved(before, all_cells(table)) == {**gained, **lost}, (run, i)
                 before = all_cells(table)
-                table.shift_right(i - 1, A)
+                shift_right(table, i - 1, A)
                 lost = {(l, i - 1): {A: -1} for l in range(i)}
                 gained = {(i, r): {A: 1} for r in range(i, slots)}
                 assert moved(before, all_cells(table)) == {**lost, **gained}, (run, i)
@@ -513,15 +548,15 @@ class TestSymbolMajorLayout:
     def test_widening_between_two_edits_keeps_the_mask(self):
         blocks = [[A], [A, A], [A]]
         table = build_table(blocks)
-        table.apply_point(1, A, 1)
+        point(table, 1, A, 1)
         blocks[1].append(A)
         mask = table._masks[1]
         assert mask is not None and table._width == 1
-        table.apply_point(0, B, 1)  # a second symbol widens the table
+        point(table, 0, B, 1)  # a second symbol widens the table
         blocks[0].append(B)
         assert table._width == 2 and table._masks[1] is mask
-        table.apply_point(1, B, 1)
-        table.apply_point(1, A, -1)
+        point(table, 1, B, 1)
+        point(table, 1, A, -1)
         blocks[1].remove(A)
         blocks[1].append(B)
         assert all_cells(table) == recount(blocks)
@@ -532,16 +567,16 @@ class TestSymbolMajorLayout:
         col = table._column[A]
         for j, copies in ((0, 1), (1, 2), (2, 1)):
             for _ in range(copies):
-                table.apply_point(j, A, -1)
+                point(table, j, A, -1)
         assert table.sigma_prime == 1 and table._free == [col]
-        assert table._claim_column(C) == col
+        assert table.claim_column(C) == col
         # The fields still hold A's offsets, 1 in row 1 and 3 in row 2...
         assert [stored(table, l, 2, col) for l in range(3)] == [0, 1, 3]
         # ...and every cell of C reads 0.
         assert all_cells(table) == recount([[B], [], [B]])
-        table.apply_point(1, C, 1)
+        point(table, 1, C, 1)
         assert all_cells(table) == recount([[B], [C], [B]])
-        table.apply_point(1, C, -1)
+        point(table, 1, C, -1)
         assert table._free == [col]
 
     def test_widening_keeps_cells_over_offsets(self):
@@ -549,11 +584,11 @@ class TestSymbolMajorLayout:
         table = build_table(blocks)
         assert table._width == 3 and offset(table, 2, A) == 2 and offset(table, 2, C) == 1
         for symbol in (10, 11, 12):
-            table.apply_point(1, symbol, 1)
+            point(table, 1, symbol, 1)
             blocks[1].append(symbol)
         assert table._width == 8  # widened twice: 3 -> 5 -> 8 columns
         assert all_cells(table) == recount(blocks)
-        table.shift_right(1, C)
+        shift_right(table, 1, C)
         blocks[1].remove(C)
         blocks[2].append(C)
         assert all_cells(table) == recount(blocks)
@@ -570,8 +605,8 @@ class TestSymbolMajorLayout:
         table = engine._table
         col = table._column[0]
         table._counts[col * table.cell_count() + table._row_base[1] + 2] += 1
-        table.apply_point(3, 0, 1)
-        table.apply_point(3, 0, -1)
+        point(table, 3, 0, 1)
+        point(table, 3, 0, -1)
         report = engine.audit()
         assert not report.ok
         assert report.message == "summary cell (1, 2) disagrees with a recount"

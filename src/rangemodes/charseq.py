@@ -8,11 +8,9 @@ whatever the symbol, in order; empty blocks are allowed anywhere.  Column
 summary table shares both, hands a new symbol its column before the
 sequence takes it, and frees the column when the symbol's last element
 goes.  The build writes the arrays in one pass over the caller's list,
-block by block, with no copy of the whole list; when the symbols are
-exactly ``0..σ'-1``, the column ids are the symbols themselves.  Edits,
-boundary moves and margin counts work on column ids alone; only
-:meth:`CharSeq.to_list`, :meth:`CharSeq.access_range` and indexing map
-them back to symbols.
+block by block, with no copy of the whole list.  Edits, boundary moves
+and margin counts work on column ids alone; only :meth:`CharSeq.to_list`,
+:meth:`CharSeq.access_range` and indexing map them back to symbols.
 
 An engine op finds its block and offset once, by bisecting the prefix sums
 of the :class:`BlockSizeIndex` of the block lengths (:meth:`CharSeq.locate`,
@@ -46,7 +44,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from .blockindex import BlockSizeIndex
 from .errors import InvariantError
@@ -61,13 +60,11 @@ class CharSeq:
 
     __slots__ = ("blocks", "sizes", "column", "symbol", "room", "chunk_bounds", "chunk_counts")
 
-    def __init__(
-        self, symbols: Sequence[int], sizes: Sequence[int], alphabet: Iterable[int] | None = None
-    ) -> None:
+    def __init__(self, symbols: Sequence[int], sizes: Sequence[int], room: int) -> None:
         """Write ``symbols``, cut into blocks of ``sizes``, as column-id arrays.
 
-        ``symbols`` is read block by block and not kept; ``alphabet``, its
-        distinct symbols, saves a pass over it when the caller has them.
+        ``symbols`` is read block by block and not kept; ``room`` is the
+        most elements the blocks will hold, which the memory guard prices.
         Symbols get columns in increasing order, and the table, the chunk
         words and the arrays at that width must pass
         :func:`check_table_fits` before any array is written.  Each block
@@ -78,24 +75,23 @@ class CharSeq:
         self.sizes = BlockSizeIndex(sizes)
         if len(self) != len(symbols):
             raise ValueError(f"block sizes sum to {len(self)}, not to the {len(symbols)} symbols")
-        alphabet = sorted(set(symbols) if alphabet is None else alphabet)
+        alphabet = sorted(set(symbols))
         self.symbol = alphabet  # column -> symbol; a free column keeps its last one
         self.column: dict[int, int] = dict(zip(alphabet, range(len(alphabet))))  # symbol -> column
-        # Most elements the blocks hold before the engine's next rebuild: 2·n0.
-        self.room = 2 * max(len(symbols), 1)
+        self.room = room
         self.blocks: list[array] = []
         self.chunk_bounds: list[list[int]] = []  # per block, chunk starts and its length last
         self.chunk_counts: list[list[int]] = []  # per block, the count word of each chunk
-        check_table_fits(len(sizes), len(alphabet), self.word_bound(), self.room)
-        # Symbols 0..σ'-1 are their own columns; others are looked up.
-        identity = not alphabet or alphabet[-1] == len(alphabet) - 1
-        lookup = self.column.__getitem__
+        check_table_fits(len(sizes), len(alphabet), self.word_bound(), room)
+        column = self.column
         zero = array("I", bytes(_FIELD_BYTES * len(alphabet)))
         end = 0
         for size in sizes:
             part = symbols[end : end + size]
             end += size
-            block = array("I", part if identity else map(lookup, part))
+            # One itemgetter call looks a block's symbols up at twice the speed
+            # of mapping column.__getitem__; it returns a tuple for two or more.
+            block = array("I", itemgetter(*part)(column) if size > 1 else [column[s] for s in part])
             k = size // CHUNK or min(size, 1)
             q, extra = divmod(size, k) if k else (0, 0)
             bounds = [i * q + min(i, extra) for i in range(k + 1)]

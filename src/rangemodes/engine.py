@@ -89,17 +89,16 @@ def _check_symbol(symbol: object) -> None:
         raise ValueError(f"symbol id {symbol} does not fit in one machine word")
 
 
-def _check_symbols(flat: list[object]) -> set[int]:
-    """:func:`_check_symbol` on every item, at C speed while all pass; the
-    distinct symbols.
+def _check_symbols(flat: list[object]) -> None:
+    """:func:`_check_symbol` on every item, at C speed while all pass.
 
     The passing check builds no temporary the size of ``flat``: a set of
-    the types, then the set it returns.
+    the types, then a set of the symbols.
     """
     if set(map(type, flat)) <= {int}:
         distinct = set(flat)
         if not distinct or 0 <= min(distinct) and max(distinct) <= MAX_SYMBOL:
-            return distinct
+            return
     for symbol in flat:
         _check_symbol(symbol)
     raise AssertionError("a symbol failed the bulk check but passes one by one")
@@ -163,23 +162,20 @@ class RangeModeEngine:
     def __init__(self, initial: Iterable[int] = (), config: Config | None = None) -> None:
         self._config = config if config is not None else Config()
         flat = initial if type(initial) is list else list(initial)  # read, never kept or changed
-        alphabet = _check_symbols(flat)
+        _check_symbols(flat)
         self.reset_events: list[tuple[str, int]] = []
-        self._rebuild_layout(flat, alphabet=alphabet)
+        self._rebuild_layout(flat)
 
     # ------------------------------------------------------------------
     # layout
     # ------------------------------------------------------------------
 
-    def _rebuild_layout(
-        self, flat: list[int], kind: str = "", alphabet: set[int] | None = None
-    ) -> None:
+    def _rebuild_layout(self, flat: list[int], kind: str = "") -> None:
         """Lay out ``flat`` evenly over the first slots of a layout sized for its length.
 
         Those are ``ceil(n0^alpha)`` slots, or after a doubling every slot.
         An op that resets the layout passes its ``kind``, ``"double"`` or
-        ``"halve"``, which is logged once the new layout is installed.  The
-        build passes the ``alphabet`` of ``flat`` it has already counted.
+        ``"halve"``, which is logged once the new layout is installed.
         """
         n = len(flat)
         n0 = max(n, 1)
@@ -189,7 +185,8 @@ class RangeModeEngine:
             raise InvariantError("the layout cannot hold the sequence at reset")
         q, extra = divmod(n, used)
         sizes = [q + (k < extra) for k in range(used)] + [0] * (slots - used)
-        seq = CharSeq(flat, sizes, alphabet)
+        # The blocks hold at most 2·n0 elements before the next rebuild.
+        seq = CharSeq(flat, sizes, 2 * n0)
         table = PairTable(seq)  # if either raises, the old layout stands
         # A stored field is a count, which reaches 2·n0 before the next
         # rebuild, plus its row's offset; it must fit its field until then.

@@ -1081,12 +1081,12 @@ class TestAudit:
 class TestColumnStorage:
     """Each block is an ``array('I')`` of column ids, whatever the symbols."""
 
-    @pytest.mark.parametrize("shift", [0, 40], ids=["own-columns", "looked-up"])
+    @pytest.mark.parametrize("shift", [0, 40], ids=["small", "past-2^32"])
     def test_build_makes_no_copy_of_its_input(self, shift):
         # The build reads the caller's list block by block, so nothing of N
         # items outlives a block beside the engine; a copy of the list
-        # alone would take 8·N bytes.  Symbols 0..25 are their own column
-        # ids, and symbols shifted past 2^32 are looked up.
+        # alone would take 8·N bytes.  Symbols past 2^32 take the same
+        # path as small ones.
         n = 1 << 16
         rng = random.Random(16)
         symbols = [rng.randrange(26) << shift for _ in range(n)]

@@ -85,7 +85,8 @@ class TestCountedSet:
 
 
 def build_table(blocks):
-    return PairTable(CharSeq([s for b in blocks for s in b], [len(b) for b in blocks]))
+    symbols = [s for b in blocks for s in b]
+    return PairTable(CharSeq(symbols, [len(b) for b in blocks], 2 * len(symbols)))
 
 
 def point(table, j, symbol, delta):

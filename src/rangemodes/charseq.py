@@ -45,7 +45,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .blockindex import BlockSizeIndex
 from .errors import InvariantError
@@ -60,13 +60,16 @@ class CharSeq:
 
     __slots__ = ("blocks", "sizes", "column", "symbol", "room", "chunk_bounds", "chunk_counts")
 
-    def __init__(self, symbols: Sequence[int], sizes: Sequence[int], room: int) -> None:
+    def __init__(
+        self, symbols: Sequence[int], sizes: Sequence[int], alphabet: Iterable[int], room: int
+    ) -> None:
         """Write ``symbols``, cut into blocks of ``sizes``, as column-id arrays.
 
-        ``symbols`` is read block by block and not kept; ``room`` is the
-        most elements the blocks will hold, which the memory guard prices.
-        Symbols get columns in increasing order, and the table, the chunk
-        words and the arrays at that width must pass
+        ``symbols`` is read block by block and not kept; ``alphabet`` holds
+        its distinct symbols, which the caller has already counted, and
+        ``room`` is the most elements the blocks will hold, which the
+        memory guard prices.  Symbols get columns in increasing order, and
+        the table, the chunk words and the arrays at that width must pass
         :func:`check_table_fits` before any array is written.  Each block
         is cut into chunks of S..2S-1 elements, sizes differing by at most
         one (a block shorter than S into one chunk), and each chunk is
@@ -75,7 +78,7 @@ class CharSeq:
         self.sizes = BlockSizeIndex(sizes)
         if len(self) != len(symbols):
             raise ValueError(f"block sizes sum to {len(self)}, not to the {len(symbols)} symbols")
-        alphabet = sorted(set(symbols))
+        alphabet = sorted(alphabet)
         self.symbol = alphabet  # column -> symbol; a free column keeps its last one
         self.column: dict[int, int] = dict(zip(alphabet, range(len(alphabet))))  # symbol -> column
         self.room = room

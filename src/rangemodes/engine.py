@@ -89,16 +89,17 @@ def _check_symbol(symbol: object) -> None:
         raise ValueError(f"symbol id {symbol} does not fit in one machine word")
 
 
-def _check_symbols(flat: list[object]) -> None:
-    """:func:`_check_symbol` on every item, at C speed while all pass.
+def _check_symbols(flat: list[object]) -> set[int]:
+    """:func:`_check_symbol` on every item, at C speed while all pass; the
+    distinct symbols.
 
     The passing check builds no temporary the size of ``flat``: a set of
-    the types, then a set of the symbols.
+    the types, then the set it returns.
     """
     if set(map(type, flat)) <= {int}:
         distinct = set(flat)
         if not distinct or 0 <= min(distinct) and max(distinct) <= MAX_SYMBOL:
-            return
+            return distinct
     for symbol in flat:
         _check_symbol(symbol)
     raise AssertionError("a symbol failed the bulk check but passes one by one")
@@ -162,16 +163,17 @@ class RangeModeEngine:
     def __init__(self, initial: Iterable[int] = (), config: Config | None = None) -> None:
         self._config = config if config is not None else Config()
         flat = initial if type(initial) is list else list(initial)  # read, never kept or changed
-        _check_symbols(flat)
+        alphabet = _check_symbols(flat)
         self.reset_events: list[tuple[str, int]] = []
-        self._rebuild_layout(flat)
+        self._rebuild_layout(flat, alphabet)
 
     # ------------------------------------------------------------------
     # layout
     # ------------------------------------------------------------------
 
-    def _rebuild_layout(self, flat: list[int], kind: str = "") -> None:
-        """Lay out ``flat`` evenly over the first slots of a layout sized for its length.
+    def _rebuild_layout(self, flat: list[int], alphabet: set[int], kind: str = "") -> None:
+        """Lay out ``flat``, whose distinct symbols are ``alphabet``, evenly
+        over the first slots of a layout sized for its length.
 
         Those are ``ceil(n0^alpha)`` slots, or after a doubling every slot.
         An op that resets the layout passes its ``kind``, ``"double"`` or
@@ -186,7 +188,7 @@ class RangeModeEngine:
         q, extra = divmod(n, used)
         sizes = [q + (k < extra) for k in range(used)] + [0] * (slots - used)
         # The blocks hold at most 2·n0 elements before the next rebuild.
-        seq = CharSeq(flat, sizes, 2 * n0)
+        seq = CharSeq(flat, sizes, alphabet, 2 * n0)
         table = PairTable(seq)  # if either raises, the old layout stands
         # A stored field is a count, which reaches 2·n0 before the next
         # rebuild, plus its row's offset; it must fit its field until then.
@@ -245,7 +247,7 @@ class RangeModeEngine:
         if len(self._seq) + 1 >= 2 * self._n0:
             flat = self._seq.to_list()
             flat.insert(pos, symbol)
-            self._rebuild_layout(flat, "double")
+            self._rebuild_layout(flat, set(flat), "double")
         else:
             # The column first: a new symbol may widen the table, which can
             # fail for lack of memory before anything has changed.
@@ -291,7 +293,7 @@ class RangeModeEngine:
         if len(self._seq) - 1 <= self._n0 // 2:
             flat = self._seq.to_list()
             symbol = flat.pop(pos)
-            self._rebuild_layout(flat, "halve")
+            self._rebuild_layout(flat, set(flat), "halve")
         else:
             symbol = self._take(j, off)
             self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query

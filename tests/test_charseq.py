@@ -18,7 +18,7 @@ def flatten(blocks):
 def seq_of(blocks):
     """A CharSeq holding the symbol lists ``blocks``, priced for twice their length."""
     symbols = flatten(blocks)
-    return CharSeq(symbols, [len(block) for block in blocks], 2 * len(symbols))
+    return CharSeq(symbols, [len(block) for block in blocks], set(symbols), 2 * len(symbols))
 
 
 def symbol_blocks(seq):
@@ -126,19 +126,19 @@ def test_access_range_bounds(lo, hi):
 
 def test_writes_column_arrays_from_the_symbol_list():
     symbols = [2, 0, 1, 2]
-    seq = CharSeq(symbols, [2, 0, 2], 8)
+    seq = CharSeq(symbols, [2, 0, 2], set(symbols), 8)
     assert symbols == [2, 0, 1, 2]  # read, not changed
     assert seq.blocks == [array("I", [2, 0]), array("I"), array("I", [1, 2])]
     assert seq.symbol == [0, 1, 2] and seq.column == {0: 0, 1: 1, 2: 2}
     assert seq.sizes.to_list() == [2, 0, 2] and seq.room == 8
     # Symbols get columns in increasing order, whatever their size.
     big = [1 << 63, 7, 1 << 32, 7]
-    seq = CharSeq(big, [1, 3], 8)
+    seq = CharSeq(big, [1, 3], set(big), 8)
     assert seq.symbol == [7, 1 << 32, 1 << 63]
     assert seq.blocks == [array("I", [2]), array("I", [0, 1, 0])]
     check_mirror(seq, [[1 << 63], [7, 1 << 32, 7]])
     with pytest.raises(ValueError):
-        CharSeq([1, 2], [1, 0], 4)
+        CharSeq([1, 2], [1, 0], {1, 2}, 4)
 
 
 def test_insert_middle():

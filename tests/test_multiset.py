@@ -86,7 +86,7 @@ class TestCountedSet:
 
 def build_table(blocks):
     symbols = [s for b in blocks for s in b]
-    return PairTable(CharSeq(symbols, [len(b) for b in blocks], 2 * len(symbols)))
+    return PairTable(CharSeq(symbols, [len(b) for b in blocks], set(symbols), 2 * len(symbols)))
 
 
 def point(table, j, symbol, delta):

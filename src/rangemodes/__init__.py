@@ -5,14 +5,15 @@ its building blocks (:class:`CharSeq`, the symbols as one array of column
 ids per block, located through their :class:`BlockSizeIndex`; :class:`PairTable` and
 its cell snapshots, :class:`CountedSet`), a naive oracle for differential
 testing (:class:`NaiveSeq`), and a set-intersection application
-(:class:`SetFamily`).  See the ``rangemodes`` CLI for traces, fuzzing, and
-set intersections.
+(:class:`SetFamily`).  The engine's one parameter is the block exponent of
+its :class:`Config`, and :meth:`RangeModeEngine.audit` is its one checker.
+See the ``rangemodes`` CLI for traces, fuzzing, and set intersections.
 """
 
 from .blockindex import BlockSizeIndex
 from .charseq import CharSeq
 from .engine import AuditReport, Config, RangeModeEngine
-from .errors import AuditError, InvariantError
+from .errors import InvariantError
 from .multiset import CountedSet, PairTable
 from .oracle import NaiveSeq
 from .results import ModesResult
@@ -21,7 +22,6 @@ from .setintersect import SetFamily
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditError",
     "AuditReport",
     "BlockSizeIndex",
     "CharSeq",

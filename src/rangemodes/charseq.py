@@ -15,10 +15,11 @@ and margin counts work on column ids alone; only :meth:`CharSeq.to_list`,
 An engine op finds its block and offset once, by bisecting the prefix sums
 of the :class:`BlockSizeIndex` of the block lengths (:meth:`CharSeq.locate`,
 :meth:`CharSeq.insert_place`), and edits there: an array insert or pop, a
-``memmove``, and one count word edit, while the block size is the engine's
-to adjust, so a relocation inside one block changes none.  A boundary move
-adds an end element of one block to the near end of its neighbour, then
-takes it out.
+``memmove``, and one count word edit.  :meth:`CharSeq.insert_at` and
+:meth:`CharSeq.delete_at` leave the block size to their caller, so a
+relocation inside one block changes none.  A boundary move adds an end
+element of one block to the near end of its neighbour, then takes it out,
+and adjusts both block sizes itself.
 
 Beside each block sits its chunk index.  A chunk is a run of 1..2S
 consecutive elements of the block, S = :data:`CHUNK`, and two neighbouring

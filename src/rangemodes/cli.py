@@ -13,7 +13,8 @@ separated.
 
 A line that cannot be applied, for want of memory too, is a :class:`TraceError`
 with its line number.  The fuzzer compares every op's result with the naive
-oracle's, a delete's removed symbol included; an engine exception is a divergence.
+oracle's, a delete's removed symbol included, and checks after every op that
+no block holds more than the block capacity; an engine exception is a divergence.
 """
 
 from __future__ import annotations
@@ -164,7 +165,11 @@ def run_fuzz(
     config: Config | None = None,
     audit_every: int = 0,
 ) -> FuzzReport:
-    """Run a seeded trace on the engine and the naive oracle in lockstep, comparing every op."""
+    """Run a seeded trace on the engine and the naive oracle in lockstep, comparing every op.
+
+    After every op the largest block must be within the block capacity, and
+    every ``audit_every`` ops (0: never) the full :meth:`RangeModeEngine.audit` must pass.
+    """
     if audit_every < 0:
         raise ValueError(f"audit_every must be at least 0, got {audit_every}")
     trace = generate_trace(seed, ops, max_len, alphabet)
@@ -185,6 +190,8 @@ def run_fuzz(
             failure = f"{line} -> engine raised {exc!r}"
         else:
             failure = "" if got == want else f"{line} -> engine={got} oracle={want}"
+            if not failure and (largest := max(engine.block_sizes())) > engine.capacity:
+                failure = f"{line} -> a block holds {largest}, over capacity {engine.capacity}"
         if not failure and audit_every and (step + 1) % audit_every == 0:
             report = engine.audit()
             failure = "" if report.ok else f"audit failed: {report.message}"
@@ -246,10 +253,6 @@ def run_intersect(family: SetFamily, queries: Iterable[str]) -> Iterator[str]:
 # ----------------------------------------------------------------------
 
 
-def _config_from_args(args: argparse.Namespace) -> Config:
-    return Config(alpha=args.alpha, audit_mode=args.audit)
-
-
 def _alpha(text: str) -> Fraction:
     """Parse ``--alpha`` through ``Config``, which holds the rules it must meet."""
     try:
@@ -289,11 +292,10 @@ def _open_input(parser: argparse.ArgumentParser, flag: str, path: str) -> TextIO
         parser.error(f"argument {flag}: can't open '{path}': {exc}")
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+def _add_alpha_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--alpha", type=_alpha, default="1/3", help="block-count exponent (rational)"
     )
-    parser.add_argument("--audit", action="store_true", help="enable audit mode")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,11 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_trace = sub.add_parser("trace", help="run a trace file (default stdin)")
+    # No abbreviations, so that a removed flag is rejected, not taken for a longer one.
+    p_trace = sub.add_parser("trace", allow_abbrev=False, help="run a trace file (default stdin)")
     p_trace.add_argument("file", nargs="?", default="-", help="trace file or - for stdin")
-    _add_engine_flags(p_trace)
+    _add_alpha_flag(p_trace)
 
-    p_fuzz = sub.add_parser("fuzz", help="differential fuzz against the naive oracle")
+    p_fuzz = sub.add_parser(
+        "fuzz", allow_abbrev=False, help="differential fuzz against the naive oracle"
+    )
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--ops", type=_positive_int, default=10000)
     p_fuzz.add_argument("--max-len", type=_positive_int, default=2000)
@@ -321,12 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument(
         "--dump", default="", help="write the reproducer trace here on divergence"
     )
-    _add_engine_flags(p_fuzz)
+    _add_alpha_flag(p_fuzz)
 
-    p_inter = sub.add_parser("intersect", help="answer set-intersection queries")
+    p_inter = sub.add_parser(
+        "intersect", allow_abbrev=False, help="answer set-intersection queries"
+    )
     p_inter.add_argument("--family", required=True, help="family definition file")
     p_inter.add_argument("file", nargs="?", default="-", help="query file or - for stdin")
-    _add_engine_flags(p_inter)
+    _add_alpha_flag(p_inter)
 
     return parser
 
@@ -337,10 +344,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "trace":
             with _open_input(parser, "file", args.file) as trace:
-                for line in run_trace(trace, _config_from_args(args)):
+                for line in run_trace(trace, Config(args.alpha)):
                     print(line)
         elif args.command == "fuzz":
-            config = _config_from_args(args)
+            config = Config(args.alpha)
             report = run_fuzz(
                 seed=args.seed,
                 ops=args.ops,
@@ -351,7 +358,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
             print(
                 f"fuzz seed={args.seed} ops={args.ops} max_len={args.max_len} "
-                f"alphabet={args.alphabet} alpha={config.alpha} audit={config.audit_mode}"
+                f"alphabet={args.alphabet} alpha={config.alpha}"
             )
             print(report.summary())
             if not report.ok:
@@ -368,7 +375,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             with _open_input(parser, "--family", args.family) as family_file, _open_input(
                 parser, "file", args.file
             ) as queries:
-                family = load_family(family_file, _config_from_args(args))
+                family = load_family(family_file, Config(args.alpha))
                 for line in run_intersect(family, queries):
                     print(line)
     except TraceError as exc:

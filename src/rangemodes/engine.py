@@ -62,7 +62,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .charseq import CharSeq
-from .errors import AuditError, InvariantError
+from .errors import InvariantError
 from .multiset import MAX_COUNT, MAX_SYMBOL, PairTable
 from .results import ModesResult
 
@@ -113,16 +113,13 @@ def _check_position(pos: object) -> None:
 
 @dataclass(frozen=True)
 class Config:
-    """Engine tuning knobs.
+    """The engine's one parameter, the block-count exponent.
 
-    ``alpha`` controls the block-count exponent (L = Θ(N^alpha)); it must be
-    a rational strictly between 0 and 1 with a small denominator so layout
-    arithmetic stays exact.  ``audit_mode`` checks every block against the
-    block capacity after each edit.
+    ``alpha`` sets L = Θ(N^alpha) blocks; it must be a rational strictly
+    between 0 and 1 with a small denominator so layout arithmetic stays exact.
     """
 
     alpha: Fraction = Fraction(1, 3)
-    audit_mode: bool = False
 
     def __post_init__(self) -> None:
         alpha = self.alpha
@@ -253,8 +250,6 @@ class RangeModeEngine:
             # fail for lack of memory before anything has changed.
             self._place(j, off, self._table.claim_column(symbol))
             self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
-        if self._config.audit_mode:
-            self._check_capacities()
 
     def _place(self, j: int, off: int, col: int) -> None:
         """Count column ``col`` into block ``j``, insert it at offset ``off``
@@ -297,8 +292,6 @@ class RangeModeEngine:
         else:
             symbol = self._take(j, off)
             self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
-        if self._config.audit_mode:
-            self._check_capacities()
         return symbol
 
     def relocate(self, src: int, dst: int) -> int:
@@ -330,8 +323,6 @@ class RangeModeEngine:
             # Boundary moves keep every position, but may move the original.
             self._take(*seq.locate(src + (at <= src)))
             self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
-        if self._config.audit_mode:
-            self._check_capacities()
         return seq.symbol[col]
 
     def modes(self, lo: int, hi: int) -> ModesResult:
@@ -427,13 +418,6 @@ class RangeModeEngine:
     # audits
     # ------------------------------------------------------------------
 
-    def _check_capacities(self) -> None:
-        """Raise :class:`AuditError` for a block outside ``[0, capacity]``."""
-        cap = self._capacity
-        for slot, size in enumerate(self._sizes.to_list()):
-            if not 0 <= size <= cap:
-                raise AuditError(f"block {slot} holds {size}, outside [0, {cap}]")
-
     def audit(self) -> AuditReport:
         """Recompute every invariant afresh; report the first violation.
 
@@ -462,10 +446,9 @@ class RangeModeEngine:
             return AuditReport(False, fault)
         if self._capacity != capacity:
             return AuditReport(False, "block capacity drifted from the formula")
-        try:
-            self._check_capacities()
-        except AuditError as exc:
-            return AuditReport(False, str(exc))
+        for slot, size in enumerate(sizes):
+            if not 0 <= size <= capacity:
+                return AuditReport(False, f"block {slot} holds {size}, outside [0, {capacity}]")
         # Every summary cell must equal a fresh recount of its block range.
         symbol = seq.symbol
         for l in range(slots):

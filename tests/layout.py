@@ -1,4 +1,5 @@
-"""Lay out an engine's blocks by hand, independent of the rebuild's fill rule."""
+"""Lay out an engine's blocks by hand, independent of the rebuild's fill rule,
+and check their sizes against the block capacity."""
 
 
 def lay_out(engine, sizes):
@@ -15,3 +16,8 @@ def lay_out(engine, sizes):
             for i in range(m, k, -1):
                 engine.move_left(i)
     assert engine.block_sizes() == sizes
+
+
+def assert_within_capacity(engine):
+    """Assert that no block holds more than the block capacity."""
+    assert max(engine.block_sizes()) <= engine.capacity, (engine.block_sizes(), engine.capacity)

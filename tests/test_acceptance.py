@@ -11,7 +11,8 @@ import statistics
 import time
 from typing import Sequence
 
-from rangemodes import Config, ModesResult, NaiveSeq, RangeModeEngine, SetFamily
+from layout import assert_within_capacity
+from rangemodes import ModesResult, NaiveSeq, RangeModeEngine, SetFamily
 from rangemodes.cli import run_fuzz
 
 
@@ -39,9 +40,9 @@ def test_criterion_1_differential_correctness():
 
 
 def test_criterion_2_regime_stress():
-    """Grow to 5000 and shrink to 8 with the per-edit capacity audit armed."""
+    """Grow to 5000 and shrink to 8, asserting every block's capacity after each edit."""
     rng = random.Random(77)
-    engine = RangeModeEngine((), Config(audit_mode=True))
+    engine = RangeModeEngine()
     oracle = NaiveSeq()
     ops = 0
 
@@ -54,13 +55,15 @@ def test_criterion_2_regime_stress():
     while len(oracle) < 5_000:
         pos = rng.randint(0, len(oracle))
         sym = rng.randrange(26)
-        engine.insert(pos, sym)  # audit_mode asserts every block's capacity
+        engine.insert(pos, sym)
         oracle.insert_at(pos, sym)
+        assert_within_capacity(engine)
         ops += 1
         maybe_query()
     while len(oracle) > 8:
         pos = rng.randrange(len(oracle))
         assert engine.delete(pos) == oracle.delete_at(pos)
+        assert_within_capacity(engine)
         ops += 1
         maybe_query()
 
@@ -77,19 +80,22 @@ def test_criterion_2_regime_stress():
 
 
 def test_criterion_3_structural_audit():
-    """Full audit every 100 ops stays clean on instances with N <= 300."""
+    """Full audit every 100 ops, and the capacities after every edit, stay clean
+    on instances with N <= 300."""
     start = time.time()
     audits = 0
     for seed in (5, 6):
         rng = random.Random(seed)
-        engine = RangeModeEngine((), Config(audit_mode=True))
+        engine = RangeModeEngine()
         for step in range(2_500):
             n = len(engine)
             roll = rng.random()
             if n == 0 or (roll < 0.45 and n < 300):
                 engine.insert(rng.randint(0, n), rng.randrange(12))
+                assert_within_capacity(engine)
             elif roll < 0.65:
                 engine.delete(rng.randrange(n))
+                assert_within_capacity(engine)
             elif n:
                 lo = rng.randrange(n)
                 engine.modes(lo, rng.randint(lo, n - 1))

@@ -7,7 +7,7 @@ from array import array
 
 import pytest
 
-from rangemodes import Config, InvariantError, NaiveSeq, RangeModeEngine, multiset
+from rangemodes import InvariantError, NaiveSeq, RangeModeEngine, multiset
 from rangemodes.cli import (
     TraceError,
     build_parser,
@@ -240,15 +240,26 @@ class TestFuzz:
             run_fuzz(**{"seed": 0, "ops": 10, "max_len": 10, "alphabet": 2, **bad})
 
     def test_audit_hook_runs(self):
-        report = run_fuzz(
-            seed=4,
-            ops=400,
-            max_len=60,
-            alphabet=3,
-            config=Config(audit_mode=True),
-            audit_every=100,
-        )
+        report = run_fuzz(seed=4, ops=400, max_len=60, alphabet=3, audit_every=100)
         assert report.ok
+
+    def test_block_over_capacity_is_a_divergence(self, monkeypatch):
+        monkeypatch.setattr(RangeModeEngine, "_rebalance", lambda self, j: None)
+        trace = generate_trace(seed=4, ops=400, max_len=60, alphabet=3)
+        engine = RangeModeEngine()
+        ops = {"I": engine.insert, "D": engine.delete, "R": engine.relocate, "Q": engine.modes}
+        for step, line in enumerate(trace):
+            name, *args = line.split()
+            ops[name](*map(int, args))
+            if max(engine.block_sizes()) > engine.capacity:
+                break
+        else:
+            pytest.fail("no op of the trace overfills a block")
+        report = run_fuzz(seed=4, ops=400, max_len=60, alphabet=3)
+        assert not report.ok
+        assert report.failure.startswith(f"op {step}: {line} -> a block holds ")
+        assert f"over capacity {engine.capacity}" in report.failure
+        assert report.reproducer == trace[: step + 1]
 
 
 FAMILY_TEXT = """\
@@ -302,7 +313,7 @@ class TestMain:
     def test_trace_alpha_flag(self, tmp_path, capsys):
         trace = tmp_path / "ops.trace"
         trace.write_text("I 0 1\nI 1 2\nI 2 1\nQ 0 2\n")
-        assert main(["trace", str(trace), "--alpha", "1/2", "--audit"]) == 0
+        assert main(["trace", str(trace), "--alpha", "1/2"]) == 0
         assert capsys.readouterr().out == "2 1\n"
 
     def test_trace_error_exit_code(self, tmp_path, capsys):
@@ -338,8 +349,8 @@ class TestMain:
 
     @pytest.mark.parametrize(
         ("flags", "header_end"),
-        [([], "alpha=1/3 audit=False"), (["--alpha", "2/5", "--audit"], "alpha=2/5 audit=True")],
-        ids=["default", "alpha-audit"],
+        [([], "alpha=1/3"), (["--alpha", "2/5"], "alpha=2/5")],
+        ids=["default", "alpha"],
     )
     def test_fuzz_header_names_config(self, capsys, flags, header_end):
         code = main(["fuzz", "--seed", "3", "--ops", "50", "--max-len", "20", *flags])
@@ -368,6 +379,23 @@ class TestMain:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and f"argument {flag}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--audit"],
+            ["fuzz", "--audit"],
+            ["fuzz", "--audit", "5"],  # not taken for --audit-every
+            ["intersect", "--family", "family.txt", "--audit"],
+        ],
+        ids=["trace", "fuzz", "fuzz-with-value", "intersect"],
+    )
+    def test_audit_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments: --audit" in err
 
     @pytest.mark.parametrize(
         "argv",

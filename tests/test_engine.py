@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import struct
@@ -15,13 +16,13 @@ import pytest
 from chunks import chunk_sizes
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from layout import lay_out
+from layout import assert_within_capacity, lay_out
 
 import rangemodes.engine as engine_module
 from rangemodes import charseq, multiset
 from rangemodes.multiset import MAX_SYMBOL, int_bytes
 from rangemodes import (
-    AuditError,
+    AuditReport,
     BlockSizeIndex,
     Config,
     InvariantError,
@@ -76,7 +77,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = Config()
         assert cfg.alpha == Fraction(1, 3)
-        assert not cfg.audit_mode
+        assert [f.name for f in dataclasses.fields(Config)] == ["alpha"]
 
     @pytest.mark.parametrize("alpha", [0, 1, Fraction(3, 2), Fraction(-1, 3)])
     def test_alpha_out_of_range(self, alpha):
@@ -249,8 +250,7 @@ class TestInsert:
             engine.insert(-1, 0)
 
     def test_doubling_reset_fires_and_answers_survive(self):
-        config = Config(audit_mode=True)
-        engine = RangeModeEngine([0] * 16, config)
+        engine = RangeModeEngine([0] * 16)
         oracle = NaiveSeq([0] * 16)
         rng = random.Random(2)
         for k in range(2 * engine.n0):
@@ -258,6 +258,7 @@ class TestInsert:
             sym = rng.randrange(5)
             engine.insert(pos, sym)
             oracle.insert_at(pos, sym)
+            assert_within_capacity(engine)
         assert ("double", 32) in engine.reset_events
         for _ in range(20):
             lo = rng.randrange(len(oracle))
@@ -283,13 +284,13 @@ class TestDelete:
             engine.delete(0)
 
     def test_halving_reset_fires_and_answers_survive(self):
-        config = Config(audit_mode=True)
-        engine = RangeModeEngine(range(64), config)
+        engine = RangeModeEngine(range(64))
         oracle = NaiveSeq(range(64))
         rng = random.Random(3)
         while len(oracle) > 30:
             pos = rng.randrange(len(oracle))
             assert engine.delete(pos) == oracle.delete_at(pos)
+            assert_within_capacity(engine)
         assert any(kind == "halve" for kind, _ in engine.reset_events)
         for _ in range(20):
             lo = rng.randrange(len(oracle))
@@ -436,16 +437,6 @@ class TestRelocate:
         assert moves == [1]  # block 1 sheds its first element to block 0
         assert max(engine.block_sizes()) == cap
 
-    def test_audit_mode(self):
-        engine = self.make_engine(config=Config(audit_mode=True))
-        rng = random.Random(4)
-        for _ in range(50):
-            self.check(engine, rng.randrange(len(engine)), rng.randrange(len(engine)))
-        # A relocation inside one block checks the capacities too.
-        engine._capacity = engine.block_sizes()[0] - 1
-        with pytest.raises(AuditError, match="block 0 holds"):
-            engine.relocate(0, 5)
-
     def test_random_relocations_match_the_oracle(self):
         engine = self.make_engine(2000)
         oracle = NaiveSeq(engine.to_list())
@@ -582,12 +573,11 @@ class TestDonors:
     so that slots 0..6 can all be full.
     """
 
-    HALF = Config(alpha=Fraction(1, 2), audit_mode=True)
-
     def laid_out(self, sizes):
-        engine = RangeModeEngine(range(46), self.HALF)
+        engine = RangeModeEngine(range(46), Config(alpha=Fraction(1, 2)))
         for k in range(46, sum(sizes)):
             engine.insert(k, k)
+            assert_within_capacity(engine)
         assert engine.n0 == 46 and engine.capacity == 10
         lay_out(engine, sizes)
         return engine
@@ -595,6 +585,7 @@ class TestDonors:
     def test_donor_is_the_nearest_block_with_room(self):
         engine = self.laid_out([10, 9, 10, 10, 10, 10, 4] + [0] * 10)
         engine.insert(0, 99)  # block 1 is nearer than the emptier block 6
+        assert_within_capacity(engine)
         assert engine.block_sizes() == [10] * 6 + [4] + [0] * 10
         assert engine.to_list() == [99, *range(63)]
         assert engine.audit().ok
@@ -602,6 +593,7 @@ class TestDonors:
     def test_tie_goes_to_the_lower_slot(self):
         engine = self.laid_out([10, 10, 9, 10, 8, 10, 10] + [0] * 10)
         engine.insert(30, 99)  # block 3 overflows; blocks 2 and 4 are one slot away
+        assert_within_capacity(engine)
         assert engine.block_sizes() == [10, 10, 10, 10, 8, 10, 10] + [0] * 10
         assert engine.to_list() == [*range(30), 99, *range(30, 67)]
         assert engine.audit().ok
@@ -609,17 +601,20 @@ class TestDonors:
     def test_nearer_next_block_beats_room_in_cur(self):
         engine = self.laid_out([9] + [10] * 6 + [0] * 10)
         engine.insert(69, 99)  # block 6 overflows; block 7 is nearer than block 0
+        assert_within_capacity(engine)
         assert engine.block_sizes() == [9] + [10] * 6 + [1] + [0] * 9
         assert engine.to_list() == [*range(69), 99]
         assert engine.audit().ok
 
     def test_saturated_cur_spills_to_the_nearest_next_block(self):
         engine = self.laid_out([10] * 7 + [0] * 10)
-        engine.insert(0, 97)
-        engine.insert(0, 98)
+        for symbol in (97, 98):
+            engine.insert(0, symbol)
+            assert_within_capacity(engine)
         assert engine.block_sizes() == [10] * 7 + [2] + [0] * 9
         engine.move_right(7)  # slots 7.. read [1, 1, 0, ...]
         engine.insert(0, 99)
+        assert_within_capacity(engine)
         assert engine.block_sizes() == [10] * 7 + [2, 1] + [0] * 8
         assert engine.to_list() == [99, 98, 97, *range(70)]
         assert engine.audit().ok
@@ -674,10 +669,11 @@ class TestFill:
         assert engine.to_list() == list(range(n))
 
     def test_halving_reset_fills_cur_evenly(self):
-        engine = RangeModeEngine(range(200), Config(audit_mode=True))
+        engine = RangeModeEngine(range(200))
         rng = random.Random(5)
         while not engine.reset_events:
             engine.delete(rng.randrange(len(engine)))
+            assert_within_capacity(engine)
         assert engine.reset_events == [("halve", 100)]
         filled = filled_slots(engine)
         sizes = engine.block_sizes()
@@ -685,51 +681,57 @@ class TestFill:
         assert not any(sizes[filled:])
 
     def test_doubling_reset_fills_every_slot_evenly(self):
-        engine = RangeModeEngine(range(100), Config(audit_mode=True))
+        engine = RangeModeEngine(range(100))
         rng = random.Random(6)
         while not engine.reset_events:
             engine.insert(rng.randint(0, len(engine)), 100 + len(engine))
+            assert_within_capacity(engine)
         assert engine.reset_events == [("double", 200)]
         assert_even(engine.block_sizes())
 
     def test_inserts_after_a_doubling_make_no_boundary_move(self, monkeypatch):
-        engine = RangeModeEngine(range(512), Config(audit_mode=True))
+        engine = RangeModeEngine(range(512))
         rng = random.Random(7)
         while not engine.reset_events:
             engine.insert(rng.randint(0, len(engine)), rng.randrange(26))
+            assert_within_capacity(engine)
         assert engine.n0 == 1024
         moves = count_moves(monkeypatch)
         for _ in range(engine.n0 // 2):
             engine.insert(rng.randint(0, len(engine)), rng.randrange(26))
+            assert_within_capacity(engine)
         assert moves == []
         assert engine.audit().ok
 
 
 class TestResets:
     def test_no_reset_strictly_inside_window(self):
-        engine = RangeModeEngine(range(64), Config(audit_mode=True))
+        engine = RangeModeEngine(range(64))
         rng = random.Random(4)
         for _ in range(600):
             if len(engine) <= 50 or (len(engine) < 90 and rng.random() < 0.5):
                 engine.insert(rng.randint(0, len(engine)), rng.randrange(4))
             else:
                 engine.delete(rng.randrange(len(engine)))
+            assert_within_capacity(engine)
         assert engine.reset_events == []
         assert engine.audit().ok
 
     def test_doubling_resets_walk_up(self):
-        engine = RangeModeEngine((), Config(audit_mode=True))
+        engine = RangeModeEngine()
         for k in range(70):
             engine.insert(len(engine), k % 3)
+            assert_within_capacity(engine)
         kinds = [kind for kind, _ in engine.reset_events]
         assert "double" in kinds
         lengths = [length for kind, length in engine.reset_events if kind == "double"]
         assert lengths == [2, 4, 8, 16, 32, 64]
 
     def test_halving_resets_walk_down(self):
-        engine = RangeModeEngine(range(64), Config(audit_mode=True))
+        engine = RangeModeEngine(range(64))
         while len(engine):
             engine.delete(len(engine) - 1)
+            assert_within_capacity(engine)
         halvings = [length for kind, length in engine.reset_events if kind == "halve"]
         assert halvings[:4] == [32, 16, 8, 4]
 
@@ -760,9 +762,10 @@ class TestResets:
         assert engine.to_list() == [5, *range(32, 64), *[7] * 31] and engine.audit().ok
 
     def test_simple_strategy_resets_too(self):
-        engine = RangeModeEngine((), Config(audit_mode=True))
+        engine = RangeModeEngine()
         for k in range(40):
             engine.insert(0, k % 2)
+            assert_within_capacity(engine)
         assert ("double", 32) in engine.reset_events
         assert engine.audit().ok
 
@@ -1071,11 +1074,15 @@ class TestAudit:
         assert not report.ok
         assert report.message == "block 0 holds 2 symbols but its size is 3"
 
-    def test_capacity_checked_in_audit_mode(self):
-        engine = RangeModeEngine([1, 2, 3], Config(audit_mode=True))
-        engine._sizes.adjust(len(engine.block_sizes()) - 1, engine.capacity + 1)
-        with pytest.raises(AuditError):
-            engine._check_capacities()
+    def test_reports_block_over_capacity(self, monkeypatch):
+        engine = RangeModeEngine(range(100))
+        cap = engine.capacity
+        while engine.block_sizes()[0] < cap:
+            engine.insert(0, 7)
+        assert engine.audit().ok
+        monkeypatch.setattr(RangeModeEngine, "_rebalance", lambda self, j: None)
+        engine.insert(0, 7)  # into the full block 0, which sheds no overflow
+        assert engine.audit() == AuditReport(False, f"block 0 holds {cap + 1}, outside [0, {cap}]")
 
 
 class TestColumnStorage:
@@ -1237,7 +1244,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 5)])
     def test_oracle_equivalence_mini_fuzz(self, alpha):
         rng = random.Random(17)
-        engine = RangeModeEngine((), Config(alpha=alpha, audit_mode=True))
+        engine = RangeModeEngine((), Config(alpha=alpha))
         oracle = NaiveSeq()
         for step in range(1500):
             n = len(oracle)
@@ -1247,9 +1254,11 @@ class TestEquivalence:
                 sym = rng.randrange(5)
                 engine.insert(pos, sym)
                 oracle.insert_at(pos, sym)
+                assert_within_capacity(engine)
             elif roll < 0.65:
                 pos = rng.randrange(n)
                 assert engine.delete(pos) == oracle.delete_at(pos)
+                assert_within_capacity(engine)
             else:
                 lo = rng.randrange(n)
                 hi = rng.randint(lo, n - 1)
@@ -1278,7 +1287,7 @@ class TestEquivalence:
         st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 4)), max_size=50),
     )
     def test_property_any_interleaving_matches_oracle(self, alpha, ops):
-        engine = RangeModeEngine((), Config(alpha=alpha, audit_mode=True))
+        engine = RangeModeEngine((), Config(alpha=alpha))
         oracle = NaiveSeq()
         for raw, sym in ops:
             n = len(oracle)
@@ -1287,9 +1296,11 @@ class TestEquivalence:
                 pos = raw % (n + 1)
                 engine.insert(pos, sym)
                 oracle.insert_at(pos, sym)
+                assert_within_capacity(engine)
             elif action == 2:
                 pos = raw % n
                 assert engine.delete(pos) == oracle.delete_at(pos)
+                assert_within_capacity(engine)
             else:
                 lo = raw % n
                 hi = lo + (raw // 7) % (n - lo)

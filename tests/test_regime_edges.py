@@ -9,8 +9,8 @@ import random
 
 import pytest
 
-from layout import lay_out
-from rangemodes import Config, NaiveSeq, RangeModeEngine
+from layout import assert_within_capacity, lay_out
+from rangemodes import NaiveSeq, RangeModeEngine
 
 
 def test_insert_into_fully_packed_layout():
@@ -18,9 +18,10 @@ def test_insert_into_fully_packed_layout():
     # Grown to 14 and packed to [7, 7, 0, 0, 0], those two slots hold exactly
     # their total capacity, so an insert into block 0 has no donor next to
     # it and must spill past block 1.
-    engine = RangeModeEngine([5] * 8, Config(audit_mode=True))
+    engine = RangeModeEngine([5] * 8)
     for _ in range(6):
         engine.insert(0, 5)
+        assert_within_capacity(engine)
     assert engine.n0 == 8 and engine.capacity == 7
     lay_out(engine, [7, 7, 0, 0, 0])
     engine.insert(3, 7)
@@ -33,9 +34,10 @@ def test_insert_into_fully_packed_layout():
 def test_pure_deletes_from_odd_reference_length(n0):
     # Odd reference lengths make the halving boundary land off the exact
     # half; every block must stay within capacity down to the empty sequence.
-    engine = RangeModeEngine(range(n0), Config(audit_mode=True))
+    engine = RangeModeEngine(range(n0))
     while len(engine):
         engine.delete(0)
+        assert_within_capacity(engine)
     assert any(kind == "halve" for kind, _ in engine.reset_events)
     assert engine.audit().ok
 
@@ -43,7 +45,7 @@ def test_pure_deletes_from_odd_reference_length(n0):
 def test_sawtooth_across_both_boundaries():
     # Repeatedly cross the doubling and halving thresholds with queries in
     # between; answers must track the oracle through every reset.
-    engine = RangeModeEngine((), Config(audit_mode=True))
+    engine = RangeModeEngine()
     oracle = NaiveSeq()
     rng = random.Random(21)
     for _ in range(4):
@@ -52,9 +54,11 @@ def test_sawtooth_across_both_boundaries():
             sym = rng.randrange(6)
             engine.insert(pos, sym)
             oracle.insert_at(pos, sym)
+            assert_within_capacity(engine)
         while len(oracle) > 20:
             pos = rng.randrange(len(oracle))
             assert engine.delete(pos) == oracle.delete_at(pos)
+            assert_within_capacity(engine)
         lo = rng.randrange(len(oracle))
         hi = rng.randint(lo, len(oracle) - 1)
         assert engine.modes(lo, hi) == oracle.modes(lo, hi)

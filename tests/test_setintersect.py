@@ -96,7 +96,7 @@ class TestQueries:
             family.enumerate_intersection(True, 2)
 
     def test_configured_family(self):
-        family = SetFamily([[0, 1], [1, 2]], 3, Config(alpha=Fraction(1, 2), audit_mode=True))
+        family = SetFamily([[0, 1], [1, 2]], 3, Config(alpha=Fraction(1, 2)))
         assert family.enumerate_intersection(1, 2) == {1}
 
 

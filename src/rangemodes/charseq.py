@@ -15,31 +15,35 @@ and margin counts work on column ids alone; only :meth:`CharSeq.to_list`,
 An engine op finds its block and offset once, by bisecting the prefix sums
 of the :class:`BlockSizeIndex` of the block lengths (:meth:`CharSeq.locate`,
 :meth:`CharSeq.insert_place`), and edits there: an array insert or pop, a
-``memmove``, and one count word edit.  :meth:`CharSeq.insert_at` and
-:meth:`CharSeq.delete_at` leave the block size to their caller, so a
-relocation inside one block changes none.  A boundary move adds an end
-element of one block to the near end of its neighbour, then takes it out,
-and adjusts both block sizes itself.
+``memmove``, and O(C) word adds for the C chunks of the block.
+:meth:`CharSeq.insert_at` and :meth:`CharSeq.delete_at` leave the block
+size to their caller.  A relocation inside one block
+(:meth:`CharSeq.relocate`) keeps every chunk offset and every block size.
+A boundary move adds an end element of one block to the near end of its
+neighbour, then takes it out, and adjusts both block sizes itself.
 
 Beside each block sits its chunk index.  A chunk is a run of 1..2S
 consecutive elements of the block, S = :data:`CHUNK`, and two neighbouring
 chunks hold more than S together, so a block of c elements has at most
 2c/S + 1 chunks.  The index keeps the offset where each chunk starts, the
-block length last (``[0]`` for an empty block), and each chunk's count word:
-a Python ``int`` whose 32-bit field ``col`` is the chunk's count of column
-``col``.  An edit in chunk ``c`` adds ``±1 << 32·col`` to its word, a copy
-of up to σ'·4 bytes, and ±1 to the offsets after ``c``; a chunk past 2S
-splits in two recounted halves at a new offset, while an empty chunk is
-dropped, and a chunk that shrinks to S or less together with a neighbour
-merges into it, each deleting one offset.  A query then counts the whole
-chunks of a margin as one sum of words, found by bisecting the offsets.
-Each end of the margin moves to the nearer boundary of the chunk it cuts,
-so it reads at most half that chunk, at most S column ids, straight from
-the block array: the ids up to an inner boundary as loose, or, past an
-outer one, the ids outside the range as taken away from the added word
-(:meth:`CharSeq.count`).
+block length last (``[0]`` for an empty block), and, at the same index t,
+the count word of chunks 0..t-1: a Python ``int`` whose 32-bit field
+``col`` counts column ``col`` in them, 0 first and the block's word last.
+An edit in chunk ``c`` adds ``±1 << 32·col`` to every word after ``c``, a
+copy of up to σ'·4 bytes each, and ±1 to the offsets there; a chunk past
+2S splits in two at a new offset, whose word adds a recount of the first
+half to the one before it, while an empty chunk is dropped, and a chunk
+that shrinks to S or less together with a neighbour merges into it, each
+deleting one offset and its word.  A relocation inside one block moves no
+offset: it adds to the word at each chunk offset it crosses the element
+crossing that offset the other way, and takes the moved one away, or the
+reverse.  A query then counts the whole chunks of a margin as one
+difference of two words, found by bisecting the offsets.  Each end of the
+margin moves to the nearer boundary of the chunk it cuts, so it reads at
+most half that chunk, at most S column ids, straight from the block array:
+the ids up to an inner boundary as loose, or, past an outer one, the ids
+outside the range as taken away from the word (:meth:`CharSeq.count`).
 """
-
 from __future__ import annotations
 
 from array import array
@@ -59,7 +63,7 @@ CHUNK = 128
 class CharSeq:
     """Mutable sequence of symbol ids split into a fixed row of blocks of column ids."""
 
-    __slots__ = ("blocks", "sizes", "column", "symbol", "room", "chunk_bounds", "chunk_counts")
+    __slots__ = ("blocks", "sizes", "column", "symbol", "room", "chunk_bounds", "chunk_sums")
 
     def __init__(
         self, symbols: Sequence[int], sizes: Sequence[int], alphabet: Iterable[int], room: int
@@ -74,7 +78,7 @@ class CharSeq:
         :func:`check_table_fits` before any array is written.  Each block
         is cut into chunks of S..2S-1 elements, sizes differing by at most
         one (a block shorter than S into one chunk), and each chunk is
-        counted once.
+        counted once and added to the running word before it.
         """
         self.sizes = BlockSizeIndex(sizes)
         if len(self) != len(symbols):
@@ -85,7 +89,7 @@ class CharSeq:
         self.room = room
         self.blocks: list[array] = []
         self.chunk_bounds: list[list[int]] = []  # per block, chunk starts and its length last
-        self.chunk_counts: list[list[int]] = []  # per block, the count word of each chunk
+        self.chunk_sums: list[list[int]] = []  # per block, the count word of chunks 0..t-1 at t
         check_table_fits(len(sizes), len(alphabet), self.word_bound(), room)
         column = self.column
         zero = array("I", bytes(_FIELD_BYTES * len(alphabet)))
@@ -99,15 +103,15 @@ class CharSeq:
             k = size // CHUNK or min(size, 1)
             q, extra = divmod(size, k) if k else (0, 0)
             bounds = [i * q + min(i, extra) for i in range(k + 1)]
-            words = []
+            sums = [0]
             for start, stop in zip(bounds, bounds[1:]):
                 fields = zero[:]
                 for col, count in Counter(block[start:stop]).items():
                     fields[col] = count
-                words.append(pack(fields))
+                sums.append(sums[-1] + pack(fields))
             self.blocks.append(block)
             self.chunk_bounds.append(bounds)
-            self.chunk_counts.append(words)
+            self.chunk_sums.append(sums)
 
     def __len__(self) -> int:
         return self.sizes.total()
@@ -212,7 +216,7 @@ class CharSeq:
     def count(self, k: int, lo: int, stop: int, loose: list[int], taken: list[int]) -> int:
         """Count offsets ``lo..stop - 1`` of block ``k``.
 
-        Returns the summed count word of the whole chunks it takes, appends
+        Returns the count word of the whole chunks it takes, appends
         the column ids inside the range that no word holds to ``loose``, and
         those outside it that a word holds to ``taken``: the count is
         word + ``loose`` − ``taken``.  When the part holds a whole chunk,
@@ -239,16 +243,18 @@ class CharSeq:
                 taken += block[stop : bounds[j]]
             else:
                 loose += block[end:stop]
-            return sum(self.chunk_counts[k][i:j])
+            sums = self.chunk_sums[k]
+            return sums[j] - sums[i]
         loose += block[lo:stop]
         return 0
 
     def block_words(self) -> Iterator[int]:
-        """The count word of each block, the sum of its chunk words, one at a time."""
-        return map(sum, self.chunk_counts)
+        """The count word of each block, the last of its words, one at a time."""
+        return map(itemgetter(-1), self.chunk_sums)
 
     def word_bound(self) -> int:
-        """Most chunk words the sequence can take at its length: 2N/S + L."""
+        """Most words the sequence can hold past the 0 that leads each block's
+        list, one per chunk, at its length: 2N/S + L."""
         return 2 * len(self) // CHUNK + len(self.sizes)
 
     def recount(self, cols: Sequence[int]) -> int:
@@ -263,51 +269,80 @@ class CharSeq:
         """The first chunk that breaks a rule of the module docstring, or None.
 
         Every column id must lie below the width, the number of columns
-        handed out.  Offsets must run from 0 to the block length, one more
-        than the words; the sizes between them must lie in 1..2S, and two
-        neighbours must hold more than S; every word must equal a recount.
+        handed out.  Offsets must run from 0 to the block length; the sizes
+        between them must lie in 1..2S, and two neighbours must hold more
+        than S.  The words must start at 0, one per offset, and the
+        difference of each two neighbours must equal a recount of its chunk.
         """
         top = 2 * CHUNK
         width = len(self.symbol)
         for k, block in enumerate(self.blocks):
             if block and max(block) >= width:
                 return f"block {k} holds column id {max(block)}, past the width {width}"
-            bounds, words = self.chunk_bounds[k], self.chunk_counts[k]
-            if len(bounds) != len(words) + 1 or bounds[0] != 0 or bounds[-1] != len(block):
+            bounds, sums = self.chunk_bounds[k], self.chunk_sums[k]
+            if bounds[0] != 0 or bounds[-1] != len(block):
                 return f"the chunks of block {k} do not cover its {len(block)} elements"
+            if len(sums) != len(bounds):
+                return f"block {k} has {len(sums)} count words for {len(bounds) - 1} chunks"
+            if sums[0] != 0:
+                return f"the count words of block {k} do not start at 0"
             sizes = [end - start for start, end in zip(bounds, bounds[1:])]
             for i, size in enumerate(sizes):
                 if not 1 <= size <= top:
                     return f"chunk {i} of block {k} holds {size}, outside [1, {top}]"
                 if i and sizes[i - 1] + size <= CHUNK:
                     return f"chunks {i - 1} and {i} of block {k} hold {CHUNK} or fewer together"
-                if words[i] != self.recount(block[bounds[i] : bounds[i + 1]]):
+                if sums[i + 1] - sums[i] != self.recount(block[bounds[i] : bounds[i + 1]]):
                     return f"count word of chunk {i} of block {k} disagrees with a recount"
         return None
+
+    def relocate(self, k: int, off: int, to: int) -> None:
+        """Move the element at offset ``off`` of block ``k`` to offset ``to`` there.
+
+        The element goes in at its new offset first and the old copy comes
+        out second, so an array insert that fails changes nothing.  Every
+        chunk keeps its offsets, so none splits or merges and nothing is
+        recounted: the word at each offset the move crosses gains the
+        element crossing it the other way and loses the moved one, or the
+        reverse.
+        """
+        if to == off:
+            return
+        block, bounds, sums = self.blocks[k], self.chunk_bounds[k], self.chunk_sums[k]
+        col = block[off]
+        unit = 1 << (_FIELD_BITS * col)
+        block.insert(to + (to > off), col)
+        del block[off + (to < off)]
+        if to < off:  # the words of offsets to+1..off gain the moved element
+            for t in range(bisect_right(bounds, to), bisect_right(bounds, off)):
+                sums[t] += unit - (1 << (_FIELD_BITS * block[bounds[t]]))
+        else:  # the words of offsets off+1..to lose it
+            for t in range(bisect_right(bounds, off), bisect_right(bounds, to)):
+                sums[t] += (1 << (_FIELD_BITS * block[bounds[t] - 1])) - unit
 
     def _gain(self, k: int, c: int, col: int) -> None:
         """Count column ``col``, just added to block ``k``, into its chunk ``c``.
 
         An empty block gets a new chunk; a chunk past 2S splits in two.
-        Both halves are counted before anything is written, so a recount
+        The first half is counted before anything is written, so a recount
         that raises leaves the chunk lists as they were.
         """
-        bounds, words = self.chunk_bounds[k], self.chunk_counts[k]
-        if not words:
+        bounds, sums = self.chunk_bounds[k], self.chunk_sums[k]
+        unit = 1 << (_FIELD_BITS * col)
+        if len(bounds) == 1:
             bounds.append(1)
-            words.append(1 << (_FIELD_BITS * col))
+            sums.append(unit)
             return
         start, end = bounds[c], bounds[c + 1] + 1
-        if end - start <= 2 * CHUNK:
-            words[c] += 1 << (_FIELD_BITS * col)
-        else:
+        if end - start > 2 * CHUNK:
             half = (start + end) // 2
-            block = self.blocks[k]
-            words[c : c + 1] = [self.recount(block[start:half]), self.recount(block[half:end])]
+            word = sums[c] + self.recount(self.blocks[k][start:half])
             c += 1
             bounds.insert(c, half)
+            sums.insert(c, word)
         for i in range(c + 1, len(bounds)):
             bounds[i] += 1
+            sums[i] += unit
 
     def _lose(self, k: int, c: int, col: int) -> None:
         """Take column ``col``, just removed from block ``k``, out of its chunk ``c``.
@@ -315,17 +350,15 @@ class CharSeq:
         An empty chunk is dropped; a chunk that holds S or fewer together
         with a neighbour merges into it.
         """
-        bounds, words = self.chunk_bounds[k], self.chunk_counts[k]
-        words[c] -= 1 << (_FIELD_BITS * col)
+        bounds, sums = self.chunk_bounds[k], self.chunk_sums[k]
+        unit = 1 << (_FIELD_BITS * col)
         for i in range(c + 1, len(bounds)):
             bounds[i] -= 1
+            sums[i] -= unit
         start, end = bounds[c], bounds[c + 1]
-        if start == end:
-            del bounds[c], words[c]
-            return
-        if c and end - bounds[c - 1] <= CHUNK:
-            c -= 1
-        elif not (c + 2 < len(bounds) and bounds[c + 2] - start <= CHUNK):
-            return
-        del bounds[c + 1]
-        words[c] += words.pop(c + 1)
+        if start < end:
+            if c and end - bounds[c - 1] <= CHUNK:
+                c -= 1
+            elif not (c + 2 < len(bounds) and bounds[c + 2] - start <= CHUNK):
+                return
+        del bounds[c + 1], sums[c + 1]  # the empty chunk, or the seam of a merge

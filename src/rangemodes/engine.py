@@ -5,19 +5,21 @@ triangular table of per-block-range symbol counts (:class:`PairTable`),
 stored symbol-major: one plane of L(L+1)/2 32-bit counts per symbol.  A
 point edit in block j adds to the O(L^2) summary cells that cover it, which
 lie in one slice of the symbol's plane: one int add of a mask built from
-j+1 row pieces, O(L^2) bytes at C speed whatever σ'.  It also adds to one
-packed chunk count word of :class:`CharSeq`, an O(σ')-byte int add.  A
-modes query reads the summary cell of the blocks that lie wholly inside its
-range, a strided gather of one field from each of σ' planes, and counts the
-part inside the range of each partial end block, in
-O(N^(1-alpha) + σ' + output) time for σ' distinct symbols present; a range
-inside one block reads a cell only when it covers that whole block, and a
-cell whose blocks are all empty is not read.  Of a counted part, the whole
-chunks of :class:`CharSeq` come as one sum of packed count words, and each
-end moves to the nearer boundary of the chunk it cuts, reading at most half
-that chunk from the block array: inside the range as loose elements, or,
-past an outer boundary whose chunk word it adds, outside the range as
-elements to take away.  The cell and the words are one packed int sum,
+j+1 row pieces, O(L^2) bytes at C speed whatever σ'.  It also adds to the
+running chunk count word of :class:`CharSeq` at each later chunk of its
+block, one O(σ')-byte int add for each of up to C chunks, in the loop that
+moves their chunk offsets.  A modes query reads the summary cell of the blocks
+that lie wholly inside its range, a strided gather of one field from each
+of σ' planes, and counts the part inside the range of each partial end
+block, in O(log N + σ' + S + output) time for σ' distinct symbols present
+and chunks of at most 2S elements; a range inside one block reads a cell
+only when it covers that whole block, and a cell whose blocks are all empty
+is not read.  Of a counted part, the whole chunks of :class:`CharSeq` come
+as one difference of two running count words, and each end moves to the
+nearer boundary of the chunk it cuts, reading at most half that chunk from
+the block array: inside the range as loose elements, or, past an outer
+boundary whose chunk it counts, outside the range as elements to take
+away.  The cell and the words are one packed int sum,
 unpacked once, and each loose or taken element is then one step on the
 unpacked counts, at the column id the block stores.  A query that reads no
 cell and no word counts its loose elements alone, so its cost follows the
@@ -49,8 +51,9 @@ A relocation moves one element without changing the length: it inserts the
 symbol where ``insert(dst, delete(src))`` would, sheds any overflow, and
 only then removes the original, so a failure anywhere before that leaves
 the sequence as it was.  Every summary cell counts whole blocks, so a
-relocation inside one block edits no cell and no block size, only the block
-array and its chunk words.
+relocation inside one block edits no cell, no block size and no chunk
+offset, only the block array and the running chunk words at the chunk
+offsets it crosses (:meth:`CharSeq.relocate`).
 """
 
 from __future__ import annotations
@@ -315,9 +318,8 @@ class RangeModeEngine:
         # src + (at <= src).
         at = dst if dst <= src else dst + 1
         jd, offd = seq.insert_place(at)
-        if jd == js:
-            seq.insert_at(jd, offd, col)
-            seq.delete_at(js, offs + (offd <= offs))
+        if jd == js:  # the block keeps its start, so the element lands at offs + dst - src
+            seq.relocate(js, offs, offs + dst - src)
         else:
             self._place(jd, offd, col)  # the gain first, so the column is never freed
             # Boundary moves keep every position, but may move the original.

@@ -30,21 +30,22 @@ edit.  A widening keeps them, as it moves no field of a plane; a rebuild
 makes a new table, which starts with none.  A boundary shift adds to one
 cell per row above the boundary and a run of ones to one row tail.  A modes
 query reads one field from each plane, a strided gather of σ' fields, packs
-them into one ``int``, subtracts the row's offset word, adds the packed
-count words of the chunks in its margin, and unpacks the sum once to a
+them into one ``int``, subtracts the row's offset word, adds the count
+word of the whole chunks of each margin, and unpacks the sum once to a
 list of σ' counts.  It then adds 1 at each loose margin element and takes
-1 away at each element a chunk word holds outside the range, one step per
+1 away at each element a margin word counts outside the range, one step per
 element at the column id its block stores, with no lookup, and finds the
 top count and its columns at C speed, O(σ') per query.  The table takes
 L(L+1)/2 · width · 4 bytes.  Beside it are ints: L offset words of width
 fields, its kept masks of up to min(L(L²+2)/3, L(L+1)/2 · width) fields,
-and up to 2N/S + L chunk words of width fields, each priced at 4 bytes per
-30 bits by :func:`int_bytes` plus a header and a list slot; and the
-sequence, L arrays of column ids priced at 4 bytes for each of the 2·n0
-elements they can hold before the next rebuild, plus a header and a list
-slot each.  The :class:`CharSeq` build, before it writes a block, and every
-widening check the sum against what the process can get, raising
-:class:`MemoryError`.
+and the L prefix lists of chunk count words, up to 2N/S + L running words
+of width fields after the 0 that leads each, the 0 priced at its list slot
+and every other int at 4 bytes per 30 bits by :func:`int_bytes` plus a
+header and a list slot; and the sequence, L arrays of column ids priced at
+4 bytes for each of the 2·n0 elements they can hold before the next
+rebuild, plus a header and a list slot each.  The :class:`CharSeq` build,
+before it writes a block, and every widening check the sum against what
+the process can get, raising :class:`MemoryError`.
 
 The column map is the one :class:`CharSeq` builds, one column per symbol
 of its blocks in increasing order, both ways (``column``, symbol → column,
@@ -96,8 +97,9 @@ _ONE_FIELD = (1).to_bytes(_FIELD_BYTES, sys.byteorder)  # native order, as the f
 _ZERO_FIELD = bytes(_FIELD_BYTES)
 MAX_COUNT = (1 << _FIELD_BITS) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
-_INT_HEAD = int.__basicsize__ + struct.calcsize("P")  # an int's header and its list slot
-_ARRAY_HEAD = sys.getsizeof(array("I")) + struct.calcsize("P")  # an empty array and its list slot
+_SLOT = struct.calcsize("P")  # a list slot
+_INT_HEAD = int.__basicsize__ + _SLOT  # an int's header and its list slot
+_ARRAY_HEAD = sys.getsizeof(array("I")) + _SLOT  # an empty array and its list slot
 
 # Counts live in an array("I"), one field per item.
 if array("I").itemsize != _FIELD_BYTES:
@@ -137,21 +139,34 @@ def int_bytes(fields: int) -> int:
     return digits * sys.int_info.sizeof_digit
 
 
+def prefix_list_bytes(slots: int, width: int, words: int) -> int:
+    """Bytes of the entries of ``slots`` lists of running count words of
+    ``width`` fields, ``words`` of them past the 0 that leads each list.
+
+    A word is priced at its digits by :func:`int_bytes` plus a header and a
+    list slot; the leading 0 is CPython's shared small int and takes its
+    list slot alone.
+    """
+    return words * (int_bytes(width) + _INT_HEAD) + slots * _SLOT
+
+
 def check_table_fits(slots: int, width: int, words: int, elements: int) -> None:
     """Raise :class:`MemoryError` if a table of ``slots`` blocks and ``width``
-    columns, with its ``slots`` offset words, ``words`` packed count words of
-    that width, its ``slots`` kept edit masks and a sequence of ``elements``
-    column ids in ``slots`` arrays beside it, takes more bytes than the
-    process can get.
+    columns, with its ``slots`` offset words, ``slots`` lists of running
+    count words of that width, 0 and then ``words`` words in all, its
+    ``slots`` kept edit masks and a sequence of ``elements`` column ids in
+    ``slots`` arrays beside it, takes more bytes than the process can get.
 
     The masks of all slots take L(L²+2)/3 fields, but the table keeps them
-    only up to its own field count.  The words and the masks are ints, each
-    priced at its digits by :func:`int_bytes` plus a header and a list slot.
-    A column id takes 4 bytes, and each array a header and a list slot.
+    only up to its own field count.  The offset words and the masks are
+    ints, each priced at its digits by :func:`int_bytes` plus a header and a
+    list slot, and the lists by :func:`prefix_list_bytes`.  A column id
+    takes 4 bytes, and each array a header and a list slot.
     """
     cells = slots * (slots + 1) // 2
     masks = min(slots * (slots * slots + 2) // 3, cells * width)
-    ints = (slots + words) * int_bytes(width) + int_bytes(masks) + (2 * slots + words) * _INT_HEAD
+    ints = slots * int_bytes(width) + int_bytes(masks) + 2 * slots * _INT_HEAD
+    ints += prefix_list_bytes(slots, width, words)
     arrays = _FIELD_BYTES * elements + slots * _ARRAY_HEAD
     nbytes = _FIELD_BYTES * width * cells + ints + arrays
     limit = _memory_limit()

@@ -302,11 +302,11 @@ def test_a_move_whose_split_fails_changes_nothing(monkeypatch, blocks, grow, mov
         insert(seq, pos, 7)
     assert 4 in (chunk_sizes(seq, 0)[-1], chunk_sizes(seq, 1)[0])
     mirror = symbol_blocks(seq)
-    chunks = [list(b) for b in seq.chunk_bounds], [list(w) for w in seq.chunk_counts]
+    chunks = [list(b) for b in seq.chunk_bounds], [list(w) for w in seq.chunk_sums]
     monkeypatch.setattr(CharSeq, "recount", refuse)
     with pytest.raises(MemoryError):
         move(seq)
-    assert ([list(b) for b in seq.chunk_bounds], [list(w) for w in seq.chunk_counts]) == chunks
+    assert ([list(b) for b in seq.chunk_bounds], [list(w) for w in seq.chunk_sums]) == chunks
     monkeypatch.undo()
     monkeypatch.setattr(charseq, "CHUNK", 2)
     check_mirror(seq, mirror)

@@ -32,8 +32,9 @@ from rangemodes import (
 )
 
 
-INT_HEAD = sys.getsizeof(1) - sys.int_info.sizeof_digit + struct.calcsize("P")  # header, list slot
-ARRAY_HEAD = sys.getsizeof(array("I")) + struct.calcsize("P")  # an empty array, its list slot
+SLOT = struct.calcsize("P")  # a list slot
+INT_HEAD = sys.getsizeof(1) - sys.int_info.sizeof_digit + SLOT  # header, list slot
+ARRAY_HEAD = sys.getsizeof(array("I")) + SLOT  # an empty array, its list slot
 
 
 def ceil_root(num: int, den: int, p: int, q: int) -> int:
@@ -379,17 +380,23 @@ class TestRelocate:
         assert adjusts == []
         assert engine.block_sizes() == sizes and engine._sizes.prefix_sums() is ends
 
-    def test_across_chunks_splits_and_merges(self, monkeypatch):
+    def test_across_chunks_keeps_every_chunk_offset(self, monkeypatch):
+        # S = 2 from the build on: block 0's 43 elements lie in 21 chunks,
+        # and a move inside it crosses up to 20 chunk offsets without
+        # splitting or merging a chunk; the audit checks every word.
         monkeypatch.setattr(charseq, "CHUNK", 2)
         engine = self.make_engine()
+        seq = engine._seq
+        bounds = list(seq.chunk_bounds[0])
+        assert len(bounds) == 22
         rng = random.Random(3)
-        changes = set()
+        crossed = 0
         for _ in range(200):
             src, dst = rng.randrange(43), rng.randrange(43)  # inside block 0
-            before = len(engine._seq.chunk_bounds[0])
+            crossed += sum(min(src, dst) < b <= max(src, dst) for b in bounds)
             assert self.check(engine, src, dst) == []
-            changes.add(len(engine._seq.chunk_bounds[0]) - before)
-        assert {-1, 1} <= changes  # a merge or drop, and a split
+            assert seq.chunk_bounds[0] == bounds
+        assert crossed > 1000
 
     @pytest.mark.parametrize("src, dst", [(5, 150), (150, 5)], ids=["up", "down"])
     def test_across_blocks_edits_two_blocks(self, src, dst):
@@ -775,7 +782,7 @@ def snapshot(engine):
     seq = engine._seq
     return (
         engine.to_list(), engine.block_sizes(), engine.n0, list(engine.reset_events),
-        [list(b) for b in seq.chunk_bounds], [list(words) for words in seq.chunk_counts],
+        [list(b) for b in seq.chunk_bounds], [list(sums) for sums in seq.chunk_sums],
     )
 
 
@@ -877,12 +884,28 @@ class TestFailedOps:
 
         self.check_unchanged_then_fuzz(engine, monkeypatch, insert_new_symbol)
 
-    @pytest.mark.parametrize("src", [200, 5000], ids=["inside-block", "across-blocks"])
+    @pytest.mark.parametrize("src", [5000], ids=["across-blocks"])
     def test_failed_chunk_split_in_a_relocation_changes_nothing(self, monkeypatch, src):
         engine = self.engine_with_a_full_chunk()
-        assert engine._seq.locate(200)[0] == 0 < engine._seq.locate(5000)[0]
+        assert engine._seq.locate(5000)[0] > 0
         monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
         self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.relocate(src, 100))
+
+    def test_relocation_inside_a_block_splits_no_chunk(self, monkeypatch):
+        # Position 100 lies in block 0's full chunk of 2S, where an insert
+        # would split it; a relocation into it from the same block needs no
+        # recount and keeps every chunk offset.
+        engine = self.engine_with_a_full_chunk()
+        seq = engine._seq
+        assert seq.locate(200)[0] == 0
+        bounds = [list(b) for b in seq.chunk_bounds]
+        oracle = NaiveSeq(engine.to_list())
+        monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
+        assert engine.relocate(200, 100) == oracle.relocate(200, 100)
+        assert engine.relocate(50, 300) == oracle.relocate(50, 300)
+        assert [list(b) for b in seq.chunk_bounds] == bounds
+        monkeypatch.undo()
+        assert engine.to_list() == oracle.to_list() and engine.audit().ok
 
 
     def test_failed_chunk_split_in_a_boundary_move_keeps_the_chunk_lists_in_step(self, monkeypatch):
@@ -988,20 +1011,23 @@ class TestAudit:
     # fill 20 blocks of 400: each three chunks of 133 or 134.
 
     def test_detects_corrupted_chunk_word(self):
+        # The running word after chunk 1 counts one more of the symbol in
+        # column 0, so chunk 1 reads one too many and chunk 2 one too few.
         engine = RangeModeEngine([k % 5 for k in range(8000)])
         assert engine._seq.chunk_bounds[4] == [0, 134, 267, 400]
         assert engine.audit().ok
-        engine._seq.chunk_counts[4][1] += 1  # one more of the symbol in column 0
+        engine._seq.chunk_sums[4][2] += 1
         report = engine.audit()
         assert not report.ok
         assert report.message == "count word of chunk 1 of block 4 disagrees with a recount"
 
     def test_detects_chunks_left_unmerged(self):
+        # Each running word agrees with a recount; only the sizes are wrong.
         engine = RangeModeEngine([k % 5 for k in range(8000)])
         seq = engine._seq
         block, bounds = seq.blocks[0], [0, 10, 70, 267, 400]
         seq.chunk_bounds[0] = bounds
-        seq.chunk_counts[0] = [seq.recount(block[a:b]) for a, b in zip(bounds, bounds[1:])]
+        seq.chunk_sums[0] = [seq.recount(block[:end]) if end else 0 for end in bounds]
         report = engine.audit()
         assert not report.ok
         assert report.message == "chunks 0 and 1 of block 0 hold 128 or fewer together"
@@ -1010,7 +1036,7 @@ class TestAudit:
         engine = RangeModeEngine([k % 5 for k in range(8000)])
         seq = engine._seq
         seq.chunk_bounds[0] = [0, 400]
-        seq.chunk_counts[0] = [sum(seq.chunk_counts[0])]
+        seq.chunk_sums[0] = [0, seq.chunk_sums[0][-1]]
         report = engine.audit()
         assert not report.ok
         assert report.message == "chunk 0 of block 0 holds 400, outside [1, 256]"
@@ -1019,10 +1045,27 @@ class TestAudit:
         engine = RangeModeEngine([k % 5 for k in range(4000)])
         assert engine._seq.chunk_bounds[2] == [0, 250]
         engine._seq.chunk_bounds[2].insert(0, 0)
-        engine._seq.chunk_counts[2].insert(0, 0)
+        engine._seq.chunk_sums[2].insert(0, 0)
         report = engine.audit()
         assert not report.ok
         assert report.message == "chunk 0 of block 2 holds 0, outside [1, 256]"
+
+    def test_detects_chunk_words_not_from_0(self):
+        # Every difference still agrees with a recount of its chunk.
+        engine = RangeModeEngine([k % 5 for k in range(8000)])
+        sums = engine._seq.chunk_sums[4]
+        sums[:] = [word + 1 for word in sums]
+        assert engine._seq.chunk_fault() == "the count words of block 4 do not start at 0"
+        assert engine.audit().message == "the count words of block 4 do not start at 0"
+
+    @pytest.mark.parametrize("cut", [slice(1, None), slice(None, -1)], ids=["first", "last"])
+    def test_detects_a_chunk_word_missing(self, cut):
+        engine = RangeModeEngine([k % 5 for k in range(8000)])
+        seq = engine._seq
+        seq.chunk_sums[4] = seq.chunk_sums[4][cut]
+        report = engine.audit()
+        assert not report.ok
+        assert report.message == "block 4 has 3 count words for 3 chunks"
 
     @pytest.mark.parametrize(
         "bounds, message",
@@ -1175,32 +1218,34 @@ class TestMemoryGuard:
         seconds, message = child.stdout.split(" ", 1)
         assert float(seconds) < 1.0
         # The 115·116/2 cells of 2^17 fields, the 115 offset words and the
-        # 2·2^17/128 + 115 chunk words, ints of 2^17 fields, and the edit
-        # masks of all 115 slots, 115·(115² + 2)/3 fields, far under the
+        # 2·2^17/128 + 115 running chunk words, ints of 2^17 fields, and the
+        # edit masks of all 115 slots, 115·(115² + 2)/3 fields, far under the
         # table's own count; each of those 115 + words + 115 ints also has a
-        # header and a list slot.  The 115 blocks are arrays priced at 4
-        # bytes for each of the 2·2^17 column ids they hold before the next
+        # header and a list slot, and the 0 that leads each of the 115 word
+        # lists a list slot.  The 115 blocks are arrays priced at 4 bytes
+        # for each of the 2·2^17 column ids they hold before the next
         # rebuild, and a header and a list slot each.
         cells, offsets, words = 115 * 116 // 2, 115, 2 * (1 << 17) // 128 + 115
         masks = 115 * (115 * 115 + 2) // 3
         nbytes = 4 * (1 << 17) * cells + (offsets + words) * int_bytes(1 << 17) + int_bytes(masks)
-        nbytes += (offsets + words + 115) * INT_HEAD
+        nbytes += (offsets + words + 115) * INT_HEAD + 115 * SLOT
         nbytes += 4 * 2 * (1 << 17) + 115 * ARRAY_HEAD
         assert f"needs {nbytes} bytes" in message
 
     def test_chunk_words_count_against_the_limit(self, monkeypatch):
-        # The words of S = 128 chunks are up to 2N/S + L ints of σ' fields,
-        # beside the cells, the L offset words and the L edit masks,
-        # L(L² + 2)/3 fields at most cells·σ'; every int also has a header
-        # and a list slot.  The L blocks are arrays of up to 2N column ids,
-        # 4 bytes each, and a header and a list slot per array.
+        # The running words of S = 128 chunks are up to 2N/S + L ints of σ'
+        # fields after the 0 that leads each block's list, beside the cells,
+        # the L offset words and the L edit masks, L(L² + 2)/3 fields at
+        # most cells·σ'; every int also has a header and a list slot, and
+        # each leading 0 a list slot.  The L blocks are arrays of up to 2N
+        # column ids, 4 bytes each, and a header and a list slot per array.
         symbols = [k % 40 for k in range(3000)]
         slots = len(RangeModeEngine(symbols).block_sizes())
         cells = slots * (slots + 1) // 2
         masks = min(slots * (slots * slots + 2) // 3, cells * 40)
         table_bytes = 4 * 40 * cells + slots * int_bytes(40) + int_bytes(masks)
         table_bytes += 2 * slots * INT_HEAD + 4 * 2 * len(symbols) + slots * ARRAY_HEAD
-        word_bytes = (2 * len(symbols) // 128 + slots) * (int_bytes(40) + INT_HEAD)
+        word_bytes = (2 * len(symbols) // 128 + slots) * (int_bytes(40) + INT_HEAD) + slots * SLOT
         monkeypatch.setattr(multiset, "_memory_limit", lambda: table_bytes)
         with pytest.raises(MemoryError, match=f"needs {table_bytes + word_bytes} bytes"):
             RangeModeEngine(symbols)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from rangemodes import CharSeq, Config, CountedSet, InvariantError, PairTable, RangeModeEngine
 from rangemodes import multiset
-from rangemodes.multiset import MAX_COUNT, MAX_SYMBOL, int_bytes, mask_fields
+from rangemodes.multiset import MAX_COUNT, MAX_SYMBOL, int_bytes, mask_fields, prefix_list_bytes
 
 A, B, C = 0, 1, 2
 
@@ -355,17 +355,19 @@ class TestPairTable:
         blocks = [[A], [B, B]]
         table = build_table(blocks)
         width = table._width
-        # Beside the cells, 2 offset words and 2·3/128 + 2 = 2 chunk words of
-        # the new width, and the 2 edit masks of 2 fields each, as 6 ints,
-        # each with a header and a list slot; and the 2 blocks, arrays priced
-        # at 4 bytes for each of the 2·3 column ids they hold before the
-        # next rebuild, each with a header and a list slot.
+        # Beside the cells, 2 offset words and 2·3/128 + 2 = 2 running chunk
+        # words of the new width, and the 2 edit masks of 2 fields each, as
+        # 6 ints, each with a header and a list slot, and a list slot for the
+        # 0 that leads each of the 2 word lists; and the 2 blocks, arrays
+        # priced at 4 bytes for each of the 2·3 column ids they hold before
+        # the next rebuild, each with a header and a list slot.
         cells = table.cell_count()
-        head = sys.getsizeof(1) - sys.int_info.sizeof_digit + struct.calcsize("P")
-        array_head = sys.getsizeof(array("I")) + struct.calcsize("P")
+        slot = struct.calcsize("P")
+        head = sys.getsizeof(1) - sys.int_info.sizeof_digit + slot
+        array_head = sys.getsizeof(array("I")) + slot
 
         def priced(width):
-            ints = 4 * int_bytes(width) + int_bytes(4) + 6 * head
+            ints = 4 * int_bytes(width) + int_bytes(4) + 6 * head + 2 * slot
             return 4 * cells * width + ints + 4 * 6 + 2 * array_head
 
         monkeypatch.setattr(multiset, "_memory_limit", lambda: priced(width))
@@ -380,27 +382,38 @@ class TestPairTable:
         for fields in range(1, 200):
             assert sys.getsizeof((1 << 32 * fields) - 1) - header == int_bytes(fields)
         # Real words and masks: a top field under 2^32 saves at most 2 digits.
+        # Every chunk of 128 holds all 26 symbols, so every running word
+        # past the leading 0 of a block's list has its top field set.
         engine = RangeModeEngine([k % 26 for k in range(4096)])
         engine.insert(engine.block_sizes()[0] * 10 + 1, 3)  # an edit in block 10
         table, seq = engine._table, engine._seq
         assert table._masks[10] is not None
+        words = [word for sums in seq.chunk_sums for word in sums[1:]]
+        assert len(words) == 32
         for value, fields in [
             (table._masks[10], mask_fields(table.slots, 10)),
             (table._base[-1], table._width),
-            (seq.chunk_counts[0][0], table._width),
+            *[(word, table._width) for word in words],
         ]:
             held = sys.getsizeof(value) - header
             assert 4 * fields < held <= int_bytes(fields) <= held + 2 * digit
 
     def test_chunk_words_are_priced_with_their_headers(self, monkeypatch):
-        # Each word is an int with a header and a slot in its chunk list.  Its
+        # Each block keeps a list of running count words, 0 first.  The 0 is
+        # CPython's shared small int, so it holds its list slot alone; every
+        # other word is an int with a header and a slot in its list.  Its
         # digits are priced for a full top field, which holds a count of at
-        # most 2S: at σ' = 26 a word takes 27 digits, priced at 28 (+2.9 %).
+        # most the block's length: at σ' = 26 a word takes 27 digits, priced
+        # at 28 (+2.9 %).
         rng = random.Random(14)
         engine = RangeModeEngine([rng.randrange(26) for _ in range(1 << 14)])
         seq, slots = engine._seq, engine._table.slots
-        words = [word for block in seq.chunk_counts for word in block]
-        held = sum(sys.getsizeof(word) + struct.calcsize("P") for word in words)
+        slot, zero = struct.calcsize("P"), 0
+        assert len(seq.chunk_sums) == slots and all(sums[0] is zero for sums in seq.chunk_sums)
+        words = [word for sums in seq.chunk_sums for word in sums[1:]]
+        held = sum(sys.getsizeof(word) + slot for word in words) + slots * slot
+        assert len(words) == 104
+        assert held <= prefix_list_bytes(slots, 26, len(words)) <= 1.03 * held
         monkeypatch.setattr(multiset, "_memory_limit", lambda: 0)
 
         def priced(words, elements):
@@ -408,9 +421,9 @@ class TestPairTable:
                 multiset.check_table_fits(slots, 26, words, elements)
             return int(re.search(r"needs (\d+) bytes", str(refused.value))[1])
 
-        assert len(words) == 104
+        # The guard prices each word, and the leading 0s even with no word.
         extra = priced(len(words), seq.room) - priced(0, seq.room)
-        assert held <= extra <= 1.03 * held
+        assert extra == prefix_list_bytes(slots, 26, len(words)) - slots * slot
         # The blocks are priced at 4 bytes for each of the 2·n0 column ids
         # they hold at most before the next rebuild, and a header and a list
         # slot each: more than the arrays of n0 ids take now.

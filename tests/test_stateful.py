@@ -4,8 +4,9 @@ Each rule edits or queries both and compares them; ``audit()`` runs after
 every rule, so a failure shrinks to a minimal op trace.  The machine also
 records which rare paths it reached (layout resets, boundary moves, a freed
 summary column reused, a table widened for a new symbol, a chunk split,
-merged or dropped, a relocation inside one block and one across blocks); the test requires every one of them, so the fuzzing
-cannot silently stop exercising them.  Its blocks hold a few dozen elements
+merged or dropped, a relocation inside one block, one of those across a
+chunk boundary, and one across blocks); the test requires every one of
+them, so the fuzzing cannot silently stop exercising them.  Its blocks hold a few dozen elements
 at most, so the test shrinks the chunk size S from 128 to 2.
 """
 
@@ -111,15 +112,23 @@ class EngineMachine(RuleBasedStateMachine):
     def relocate(self, a, b):
         n = len(self.naive)
         src, dst = a % n, b % n
+        seq = self.engine._seq
         js, bounds, c = self._chunk_of(src)
-        jd = self.engine._seq.insert_place(dst if dst <= src else dst + 1)[0]
+        to = seq.locate(src)[1] + dst - src  # its offset if it stays in block js
+        jd = seq.insert_place(dst if dst <= src else dst + 1)[0]
         size = self.engine.block_sizes()[jd]
         assert self.engine.relocate(src, dst) == self.naive.relocate(src, dst)
-        self.reach("relocate within a block" if jd == js else "relocate across blocks")
+        if jd == js:  # no chunk splits, merges or is dropped
+            assert seq.chunk_bounds[js] == bounds
+            self.reach("relocate within a block")
+            if not bounds[c] <= to < bounds[c + 1]:
+                self.reach("relocate within a block across a chunk boundary")
+            return
+        self.reach("relocate across blocks")
         # Its insert may split a chunk of block jd, but not merge or drop
         # one, so a chunk fewer in block js, if jd made no boundary move,
         # is the removal's.
-        if self.engine.block_sizes()[jd] == size + (jd != js):
+        if self.engine.block_sizes()[jd] == size + 1:
             self._reach_loss(js, bounds, c)
 
     @precondition(lambda self: len(self.naive) > 0)
@@ -156,6 +165,6 @@ def test_engine_matches_oracle_in_lockstep(monkeypatch):
     wanted = {f"alpha={alpha}" for alpha in ALPHAS} | {
         "double reset", "halve reset", "boundary moves", "column reused", "table widened",
         "chunk split", "chunks merged", "chunk dropped", "relocate within a block",
-        "relocate across blocks",
+        "relocate within a block across a chunk boundary", "relocate across blocks",
     }
     assert wanted <= reached.keys(), wanted - reached.keys()

@@ -20,7 +20,10 @@ of the :class:`BlockSizeIndex` of the block lengths (:meth:`CharSeq.locate`,
 size to their caller.  A relocation inside one block
 (:meth:`CharSeq.relocate`) keeps every chunk offset and every block size.
 A boundary move adds an end element of one block to the near end of its
-neighbour, then takes it out, and adjusts both block sizes itself.
+neighbour, then takes it out, and adjusts both block sizes itself.  Its
+undo (:meth:`CharSeq.move_back`) moves the element back in the arrays and
+sizes alone, and the caller puts back the chunk lists it copied before
+(:meth:`CharSeq.chunk_lists`), so an undo recounts nothing.
 
 Beside each block sits its chunk index.  A chunk is a run of 1..2S
 consecutive elements of the block, S = :data:`CHUNK`, and two neighbouring
@@ -186,6 +189,32 @@ class CharSeq:
         self.sizes.adjust(i, -1)
         self.sizes.adjust(k, 1)
         return col
+
+    def move_back(self, i: int, k: int) -> int:
+        """Undo a boundary move from block ``k`` into its neighbour ``i`` in the
+        arrays and block sizes alone; return the column id sent back.
+
+        It counts and splits nothing, so it cannot fail; the chunk lists of
+        both blocks are left to :meth:`set_chunk_lists`.
+        """
+        col = self.blocks[i].pop(0 if k < i else -1)
+        if k < i:
+            self.blocks[k].append(col)
+        else:
+            self.blocks[k].insert(0, col)
+        self.sizes.adjust(i, -1)
+        self.sizes.adjust(k, 1)
+        return col
+
+    def chunk_lists(self, lo: int, hi: int) -> list[tuple[list[int], list[int]]]:
+        """Copies of the chunk offsets and words of blocks ``lo..hi - 1``."""
+        lists = zip(self.chunk_bounds[lo:hi], self.chunk_sums[lo:hi])
+        return [(bounds[:], sums[:]) for bounds, sums in lists]
+
+    def set_chunk_lists(self, lo: int, lists: list[tuple[list[int], list[int]]]) -> None:
+        """Give blocks ``lo``, ``lo + 1``, ... the chunk lists of :meth:`chunk_lists`."""
+        for k, (bounds, sums) in enumerate(lists, lo):
+            self.chunk_bounds[k], self.chunk_sums[k] = bounds, sums
 
     def access_range(self, lo: int, hi: int) -> list[int]:
         """Return the symbols at positions ``lo..hi`` inclusive, in order."""

@@ -35,7 +35,7 @@ lives.
 
 The layout is sized for the reference length ``n0`` of the last rebuild:
 ``ceil(n0^alpha) + ceil((2·n0)^alpha)`` block slots, each holding at most
-``ceil((2·n0)^(1-alpha))`` elements.  An op that doubles or halves the
+``ceil(2·n0 / ceil(n0^alpha))`` elements.  An op that doubles or halves the
 length rebuilds the whole layout from the edited list, not by an edit, and
 installs it only once the build succeeds, so it raises with nothing
 changed.  N stays between n0/2 and 2·n0, L = Θ(N^alpha) and the capacity
@@ -43,9 +43,13 @@ changed.  N stays between n0/2 and 2·n0, L = Θ(N^alpha) and the capacity
 sizes differing by at most one: after a doubling over every slot, so the
 slack absorbs the next ``n0`` inserts, and otherwise over the first
 ``ceil(n0^alpha)`` slots, which keeps edits in the low slots, where the
-slice of summary cells an edit adds to is shortest.  A block that overflows
+slice of summary cells an edit adds to is shortest.  Those slots hold
+``2·n0`` elements at capacity, more than the sequence reaches before its
+next doubling, so a regrowing sequence fits them, and a boundary moves only
+where random edits fill one before the others.  A block that overflows
 sheds one element along a chain of boundary moves to the nearest block with
-room; a chain that raises is undone, and the element taken back out.
+room; a chain that raises is undone without a count or a split, and the
+element taken back out.
 
 A relocation moves one element without changing the length: it inserts the
 symbol where ``insert(dst, delete(src))`` would, sheds any overflow, and
@@ -147,9 +151,15 @@ class AuditReport:
 
 
 def _layout(n0: int, alpha: Fraction) -> tuple[int, int, int]:
-    """Slot count, slots a rebuild fills, and block capacity for length ``n0``."""
+    """Slot count, slots a rebuild fills, and block capacity for length ``n0``.
+
+    The capacity is the least at which the ``ceil(n0^alpha)`` filled slots
+    hold ``2·n0`` elements, more than the sequence reaches before its next
+    doubling, so a regrowing sequence fits them without boundary moves.  It
+    is Θ(N^(1-alpha)): at most ``2·ceil((2·n0)^(1-alpha))``.
+    """
     filled = _ceil_power(n0, alpha)
-    return filled + _ceil_power(2 * n0, alpha), filled, _ceil_power(2 * n0, 1 - alpha)
+    return filled + _ceil_power(2 * n0, alpha), filled, -(-2 * n0 // filled)
 
 
 class RangeModeEngine:
@@ -261,20 +271,25 @@ class RangeModeEngine:
         A chunk split that fails leaves the sequence as it was, and the
         table is put back, a column it claimed freed again.  A chain that
         fails is rolled back by :meth:`_rebalance`, and the element taken
-        back out of block ``j``, where ``off`` still holds it.
+        back out of block ``j``, where ``off`` still holds it; the block
+        then gets back the chunk lists it had before the insert.
         """
+        seq = self._seq
+        # A full block overflows: keep its chunk lists for a failed chain.
+        before = seq.chunk_lists(j, j + 1) if self._sizes.size_of(j) >= self._capacity else None
         self._table.apply_point(j, col, 1)
         try:
-            self._seq.insert_at(j, off, col)
+            seq.insert_at(j, off, col)
         except BaseException:
             self._table.apply_point(j, col, -1)
             raise
         self._sizes.adjust(j, 1)
-        if self._sizes.size_of(j) > self._capacity:
+        if before:
             try:
                 self._rebalance(j)
             except BaseException:
                 self._take(j, off)
+                seq.set_chunk_lists(j, before)  # undoes a split the insert made
                 raise
 
     def _take(self, j: int, off: int) -> int:
@@ -394,18 +409,24 @@ class RangeModeEngine:
         pass one element on, so their sizes do not change.  The moves run
         from the donor end, so each leaves both its blocks within capacity,
         and block ``j`` is edited only by the last.  A move that raises
-        changes nothing, and the moves before it are undone in reverse
-        order, each element sent back to the end of the block it left.
+        changes nothing.  The moves before it are undone in reverse order,
+        each element sent back in the block arrays and summary cells alone,
+        and the blocks they touched get back their chunk lists of before the
+        chain: an undo counts and splits nothing, so it cannot fail.
         """
         cap = self._capacity
         room = [k for k, size in enumerate(self._sizes.to_list()) if size < cap]
         if not room:
             raise InvariantError(f"no donor block available for overflowing block {j}")
         k = min(room, key=lambda slot: (abs(slot - j), slot))
-        step = 1 if k > j else -1
-        move, back = self.move_right, self.move_left
-        if k < j:
-            move, back = back, move
+        seq, table = self._seq, self._table
+        if k > j:
+            step, move, back, lo, hi = 1, self.move_right, table.shift_left, j + 1, k + 1
+        else:
+            step, move, back, lo, hi = -1, self.move_left, table.shift_right, k, j
+        # Blocks lo..hi-1: the chain's blocks but j, which only the last
+        # move edits, and that move ends the chain or fails with no edit.
+        saved = seq.chunk_lists(lo, hi)
         made = []  # the block each move so far filled
         try:
             for t in range(k - step, j - step, -step):
@@ -413,7 +434,8 @@ class RangeModeEngine:
                 made.append(t + step)
         except BaseException:
             for t in reversed(made):
-                back(t)
+                back(t, seq.move_back(t, t - step))
+            seq.set_chunk_lists(lo, saved)
             raise
 
     # ------------------------------------------------------------------

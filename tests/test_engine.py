@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import random
 import struct
@@ -39,10 +40,14 @@ ARRAY_HEAD = sys.getsizeof(array("I")) + SLOT  # an empty array, its list slot
 
 def ceil_root(num: int, den: int, p: int, q: int) -> int:
     """Smallest k with k**q * den**p >= num**p (independent of the engine)."""
-    k = 0
-    while k**q * den**p < num**p:
-        k += 1
-    return k
+    lo, hi = 0, max(num, 1)  # den >= 1 and p <= q, so hi satisfies it
+    while lo < hi:
+        k = (lo + hi) // 2
+        if k**q * den**p < num**p:
+            lo = k + 1
+        else:
+            hi = k
+    return lo
 
 
 def filled_slots(engine):
@@ -107,7 +112,7 @@ class TestConstruction:
     def test_nine_elements_layout(self):
         engine = RangeModeEngine([4] * 9)
         assert filled_slots(engine) == ceil_root(9, 1, 1, 3) == 3
-        assert engine.capacity == ceil_root(18, 1, 2, 3) == 7
+        assert engine.capacity == 18 // 3 == 6
         assert engine.block_sizes() == [3, 3, 3] + [0] * ceil_root(18, 1, 1, 3)
 
     def test_len(self):
@@ -119,10 +124,26 @@ class TestConstruction:
         engine = RangeModeEngine(range(n0), Config(alpha=alpha))
         assert engine.n0 == n0
         p, q = alpha.numerator, alpha.denominator
-        assert engine.capacity == ceil_root(2 * n0, 1, q - p, q)
-        slots = ceil_root(n0, 1, p, q) + ceil_root(2 * n0, 1, p, q)
+        filled = ceil_root(n0, 1, p, q)
+        assert engine.capacity == -(-2 * n0 // filled)
+        slots = filled + ceil_root(2 * n0, 1, p, q)
         assert len(engine.block_sizes()) == slots
         assert engine.audit().ok
+
+    @pytest.mark.parametrize(
+        "alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5), Fraction(1, 8)],
+        ids=str,
+    )
+    def test_filled_slots_hold_the_sequence_until_its_doubling(self, alpha):
+        # The capacity is the least at which the filled slots hold 2·n0
+        # elements, and stays within twice ceil((2·n0)^(1-alpha)).
+        p, q = alpha.numerator, alpha.denominator
+        for n0 in range(1, 3001):
+            slots, filled, cap = engine_module._layout(n0, alpha)
+            assert filled == ceil_root(n0, 1, p, q)
+            assert slots == filled + ceil_root(2 * n0, 1, p, q)
+            assert filled * cap >= 2 * n0 > filled * (cap - 1)
+            assert cap <= 2 * ceil_root(2 * n0, 1, q - p, q)
 
     def test_symbol_validation(self):
         with pytest.raises(ValueError):
@@ -329,7 +350,7 @@ class TestDelete:
 
 class TestRelocate:
     def make_engine(self, n=300, config=None):
-        # n0 = 300 fills 7 of 16 slots with 42 or 43 elements; capacity 72.
+        # n0 = 300 fills 7 of 16 slots with 42 or 43 elements; capacity 86.
         rng = random.Random(n)
         return RangeModeEngine([rng.randrange(6) for _ in range(n)], config)
 
@@ -575,9 +596,11 @@ class TestMoves:
 class TestDonors:
     """Which block takes the overflow of a full block (alpha = 1/2).
 
-    At n0 = 46 there are 17 slots, each of capacity 10; a rebuild fills
-    slots 0..6.  The sequence grows past n0 before the blocks are laid out,
-    so that slots 0..6 can all be full.
+    At n0 = 46 there are 17 slots, each of capacity 14; a rebuild fills
+    slots 0..6, which hold 98 elements, more than the 91 the sequence
+    reaches before its doubling, so they are never all full.  The sequence
+    grows past n0 before the blocks are laid out, so that runs of them can
+    be full.
     """
 
     def laid_out(self, sizes):
@@ -585,76 +608,83 @@ class TestDonors:
         for k in range(46, sum(sizes)):
             engine.insert(k, k)
             assert_within_capacity(engine)
-        assert engine.n0 == 46 and engine.capacity == 10
+        assert engine.n0 == 46 and engine.capacity == 14
         lay_out(engine, sizes)
         return engine
 
     def test_donor_is_the_nearest_block_with_room(self):
-        engine = self.laid_out([10, 9, 10, 10, 10, 10, 4] + [0] * 10)
+        engine = self.laid_out([14, 13, 14, 14, 14, 14, 4] + [0] * 10)
         engine.insert(0, 99)  # block 1 is nearer than the emptier block 6
         assert_within_capacity(engine)
-        assert engine.block_sizes() == [10] * 6 + [4] + [0] * 10
-        assert engine.to_list() == [99, *range(63)]
+        assert engine.block_sizes() == [14] * 6 + [4] + [0] * 10
+        assert engine.to_list() == [99, *range(87)]
         assert engine.audit().ok
 
     def test_tie_goes_to_the_lower_slot(self):
-        engine = self.laid_out([10, 10, 9, 10, 8, 10, 10] + [0] * 10)
-        engine.insert(30, 99)  # block 3 overflows; blocks 2 and 4 are one slot away
+        engine = self.laid_out([14, 14, 13, 14, 12, 14, 6] + [0] * 10)
+        engine.insert(44, 99)  # block 3 overflows; blocks 2 and 4 are one slot away
         assert_within_capacity(engine)
-        assert engine.block_sizes() == [10, 10, 10, 10, 8, 10, 10] + [0] * 10
-        assert engine.to_list() == [*range(30), 99, *range(30, 67)]
+        assert engine.block_sizes() == [14, 14, 14, 14, 12, 14, 6] + [0] * 10
+        assert engine.to_list() == [*range(44), 99, *range(44, 87)]
         assert engine.audit().ok
 
     def test_nearer_next_block_beats_room_in_cur(self):
-        engine = self.laid_out([9] + [10] * 6 + [0] * 10)
-        engine.insert(69, 99)  # block 6 overflows; block 7 is nearer than block 0
+        engine = self.laid_out([6] + [14] * 6 + [0] * 10)
+        engine.insert(90, 99)  # block 6 overflows; block 7 is nearer than block 0
         assert_within_capacity(engine)
-        assert engine.block_sizes() == [9] + [10] * 6 + [1] + [0] * 9
-        assert engine.to_list() == [*range(69), 99]
+        assert engine.block_sizes() == [6] + [14] * 6 + [1] + [0] * 9
+        assert engine.to_list() == [*range(90), 99]
         assert engine.audit().ok
 
-    def test_saturated_cur_spills_to_the_nearest_next_block(self):
-        engine = self.laid_out([10] * 7 + [0] * 10)
+    def test_saturated_cur_spills_to_the_nearest_next_block(self, monkeypatch):
+        # Blocks 1..6 are full; from block 4, block 7 is nearer than block 0.
+        engine = self.laid_out([2] + [14] * 6 + [0] * 10)
+        moves = count_moves(monkeypatch)
         for symbol in (97, 98):
-            engine.insert(0, symbol)
+            engine.insert(50, symbol)
             assert_within_capacity(engine)
-        assert engine.block_sizes() == [10] * 7 + [2] + [0] * 9
+        assert moves == [6, 5, 4] * 2  # from the donor end
+        assert engine.block_sizes() == [2] + [14] * 6 + [2] + [0] * 9
         engine.move_right(7)  # slots 7.. read [1, 1, 0, ...]
-        engine.insert(0, 99)
+        engine.insert(50, 99)
         assert_within_capacity(engine)
-        assert engine.block_sizes() == [10] * 7 + [2, 1] + [0] * 8
-        assert engine.to_list() == [99, 98, 97, *range(70)]
+        assert engine.block_sizes() == [2] + [14] * 6 + [2, 1] + [0] * 8
+        assert engine.to_list() == [*range(50), 99, 98, 97, *range(50, 86)]
         assert engine.audit().ok
 
     def test_no_room_anywhere_is_an_invariant_error(self):
-        engine = self.laid_out([10] * 7 + [0] * 10)
-        for slot in range(7, 17):
-            engine._sizes.adjust(slot, 10)  # mark every slot full, bypassing the blocks
+        engine = self.laid_out([14] * 6 + [6] + [0] * 10)
+        for slot, size in enumerate(engine.block_sizes()):
+            engine._sizes.adjust(slot, 14 - size)  # mark every slot full, bypassing the blocks
         with pytest.raises(InvariantError):
             engine._rebalance(0)
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)], ids=str)
     def test_filled_blocks_take_inserts_up_to_capacity(self, alpha, monkeypatch):
+        # The filled blocks, each grown to capacity in turn, hold the
+        # sequence until its doubling without a boundary move.
         engine = RangeModeEngine([0] * 1000, Config(alpha=alpha))
-        filled, cap = filled_slots(engine), engine.capacity
-        assert filled * cap < 2 * engine.n0 - 1  # no doubling on the way
+        n0, filled, cap = engine.n0, filled_slots(engine), engine.capacity
+        top = 2 * n0 - 1  # the longest sequence before the doubling
+        assert (filled - 1) * cap < top <= filled * cap  # the last filled block never fills
         moves = count_moves(monkeypatch)
         rng = random.Random(8)
         for k in range(filled):
-            while (size := engine.block_sizes()[k]) < cap:
+            while (size := engine.block_sizes()[k]) < cap and len(engine) < top:
                 # Position 0 joins block 0; just past the first element of a
                 # nonempty block k joins block k.
                 pos = 0 if k == 0 else sum(engine.block_sizes()[:k]) + 1
                 engine.insert(pos, rng.randrange(26))
                 assert engine.block_sizes()[k] == size + 1
-        assert moves == []
+        assert moves == [] and engine.reset_events == []
         sizes = engine.block_sizes()
-        assert sizes[:filled] == [cap] * filled and not any(sizes[filled:])
-        # Every filled block is full: the next insert sheds to the first
-        # empty slot, one move per block in between, the empty slot's first.
+        assert sizes[: filled - 1] == [cap] * (filled - 1) and not any(sizes[filled:])
+        assert sizes[filled - 1] == top - (filled - 1) * cap
+        assert engine.audit().ok
+        # The next insert doubles the length, and the rebuild fills every slot.
         engine.insert(1, 99)
-        assert moves == list(range(filled - 1, -1, -1))  # from the donor end
-        assert engine.block_sizes() == [cap] * filled + [1] + [0] * (len(sizes) - filled - 1)
+        assert engine.reset_events == [("double", 2 * n0)] and moves == []
+        assert_even(engine.block_sizes())
         assert engine.audit().ok
 
 
@@ -709,6 +739,32 @@ class TestFill:
             assert_within_capacity(engine)
         assert moves == []
         assert engine.audit().ok
+
+
+class TestRegrowth:
+    """A sequence that regrows to just below its doubling fits the filled
+    slots with few boundary moves, after construction and after a halving."""
+
+    def grow(self, engine, rng, monkeypatch):
+        """Insert at uniform random positions up to 2·n0 − 2; the boundary moves made."""
+        n0 = engine.n0
+        moves = count_moves(monkeypatch)
+        while len(engine) < 2 * n0 - 2:
+            engine.insert(rng.randint(0, len(engine)), rng.randrange(26))
+        monkeypatch.undo()
+        assert engine.n0 == n0 and engine.audit().ok
+        return len(moves)
+
+    def test_regrowth_makes_few_boundary_moves(self, monkeypatch):
+        rng = random.Random(3)
+        engine = RangeModeEngine([rng.randrange(26) for _ in range(1024)])
+        assert self.grow(engine, rng, monkeypatch) <= 400
+        while engine.n0 == 1024:  # double to n0 = 2048, then halve back to 1024
+            engine.insert(rng.randint(0, len(engine)), rng.randrange(26))
+        while engine.n0 != 1024:
+            engine.delete(rng.randrange(len(engine)))
+        assert [kind for kind, _ in engine.reset_events] == ["double", "halve"]
+        assert self.grow(engine, rng, monkeypatch) <= 400
 
 
 class TestResets:
@@ -909,7 +965,7 @@ class TestFailedOps:
 
 
     def test_failed_chunk_split_in_a_boundary_move_keeps_the_chunk_lists_in_step(self, monkeypatch):
-        # 6000 elements fill 19 blocks of 315 or 316 (capacity 525), each two
+        # 6000 elements fill 19 blocks of 315 or 316 (capacity 632), each two
         # chunks of 157 or 158.  98 inserts at the end of block 0 grow its
         # last chunk to 2S; then block 1 is filled to capacity.  An insert
         # into block 1 sheds an element to block 0, the nearest block with
@@ -917,7 +973,7 @@ class TestFailedOps:
         rng = random.Random(8)
         engine = RangeModeEngine([rng.randrange(5) for _ in range(6000)])
         seq, cap = engine._seq, engine.capacity
-        assert seq.chunk_bounds[0] == [0, 158, 316] and cap == 525
+        assert seq.chunk_bounds[0] == [0, 158, 316] and cap == 632
         for _ in range(98):
             engine.insert(engine.block_sizes()[0], rng.randrange(5))
         assert seq.chunk_bounds[0] == [0, 158, 414]
@@ -965,7 +1021,7 @@ class TestFailedOps:
         # The second move fails, the first is undone, and the insert takes
         # its element back out.
         self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.insert(pos, 3))
-        assert moves == [1, 0, 2]  # from the donor end, then move_right(1) undone
+        assert moves == [1, 0]  # from the donor end; the undo is no boundary move
 
     def test_failed_chain_in_a_relocation_changes_nothing(self, monkeypatch):
         # A relocation from block 5 into full block 0 runs the same chain;
@@ -976,12 +1032,64 @@ class TestFailedOps:
         moves = count_moves(monkeypatch)
         monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
         self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.relocate(src, pos))
-        assert moves == [1, 0, 2]
+        assert moves == [1, 0]
         oracle = NaiveSeq(engine.to_list())
         symbol = oracle.delete_at(src)
         oracle.insert_at(pos, symbol)
         assert engine.relocate(src, pos) == symbol  # with the recount back
         assert engine.to_list() == oracle.to_list() and engine.audit().ok
+
+    def test_failed_chain_undoes_every_move_exactly(self, monkeypatch):
+        # With S = 2 chunks hold 1..4 elements, so the moves of a chain split,
+        # drop and merge chunks all the time.  Blocks 0..3 are full, and
+        # random edits that keep the block sizes vary their chunks.  An
+        # insert into block 0 then sheds along four moves to block 4, with
+        # the recount refused from its n-th call on, for each n until the
+        # insert goes through.  An undo that rejoined its element to a full
+        # chunk would need a refused recount itself.
+        monkeypatch.setattr(charseq, "CHUNK", 2)
+        recount = charseq.CharSeq.recount
+        moves = count_moves(monkeypatch)
+        undone = 0  # failed chains that had made two moves or more
+
+        def build(seed):
+            rng = random.Random(seed)
+            engine = RangeModeEngine([rng.randrange(5) for _ in range(46)], Config(alpha=Fraction(1, 2)))
+            for _ in range(18):
+                engine.insert(rng.randint(0, len(engine)), rng.randrange(5))
+            lay_out(engine, [14, 14, 14, 14, 8] + [0] * 12)
+            for _ in range(100):
+                k = rng.randrange(5)
+                size = engine.block_sizes()[k]
+                engine.delete(14 * k + rng.randrange(size))
+                engine.insert(14 * k + rng.randint(1, size - 1), rng.randrange(5))
+            assert engine.block_sizes() == [14, 14, 14, 14, 8] + [0] * 12
+            return engine
+
+        for seed in range(40):
+            for n in itertools.count(1):
+                engine = build(seed)
+                before = snapshot(engine)
+                calls = itertools.count(1)
+
+                def refuse_late(seq, cols):
+                    if next(calls) >= n:
+                        raise MemoryError("refused")
+                    return recount(seq, cols)
+
+                monkeypatch.setattr(charseq.CharSeq, "recount", refuse_late)
+                moves.clear()
+                try:
+                    engine.insert(1 + seed % 13, 9)
+                except MemoryError:
+                    monkeypatch.setattr(charseq.CharSeq, "recount", recount)
+                    assert snapshot(engine) == before and engine.audit().ok
+                    undone += len(moves) > 2  # the last move is the one that failed
+                    continue
+                monkeypatch.setattr(charseq.CharSeq, "recount", recount)
+                assert moves == [3, 2, 1, 0] and engine.audit().ok
+                break
+        assert undone >= 5
 
 
 class TestAudit:

@@ -21,7 +21,7 @@ from rangemodes.multiset import unpack
 
 HALF = Config(alpha=Fraction(1, 2))
 
-# 48 elements at alpha = 1/2: 17 slots of capacity 10, of which a rebuild
+# 48 elements at alpha = 1/2: 17 slots of capacity 14, of which a rebuild
 # fills slots 0..6.  Everything goes into the slots past those:
 # block 7 = [0, 10), 8 = [10, 20), 9 empty, 10 = [20, 30), 11 = [30, 40),
 # 12 = [40, 48).

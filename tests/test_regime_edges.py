@@ -14,19 +14,19 @@ from rangemodes import NaiveSeq, RangeModeEngine
 
 
 def test_insert_into_fully_packed_layout():
-    # n0 = 8 gives 5 slots of capacity 7, and a rebuild fills the first two.
-    # Grown to 14 and packed to [7, 7, 0, 0, 0], those two slots hold exactly
-    # their total capacity, so an insert into block 0 has no donor next to
-    # it and must spill past block 1.
-    engine = RangeModeEngine([5] * 8)
-    for _ in range(6):
+    # n0 = 27 gives 7 slots of capacity 18, and a rebuild fills the first
+    # three.  Grown to 36 and packed to [18, 18, 0, ...], the first two slots
+    # hold exactly their total capacity, so an insert into block 0 has no
+    # donor next to it and must spill past block 1.
+    engine = RangeModeEngine([5] * 27)
+    for _ in range(9):
         engine.insert(0, 5)
         assert_within_capacity(engine)
-    assert engine.n0 == 8 and engine.capacity == 7
-    lay_out(engine, [7, 7, 0, 0, 0])
+    assert engine.n0 == 27 and engine.capacity == 18
+    lay_out(engine, [18, 18, 0, 0, 0, 0, 0])
     engine.insert(3, 7)
-    assert engine.block_sizes() == [7, 7, 1, 0, 0]
-    assert engine.to_list() == [5, 5, 5, 7] + [5] * 11
+    assert engine.block_sizes() == [18, 18, 1, 0, 0, 0, 0]
+    assert engine.to_list() == [5, 5, 5, 7] + [5] * 33
     assert engine.audit().ok
 
 

@@ -15,37 +15,31 @@ and margin counts work on column ids alone; only :meth:`CharSeq.to_list`,
 An engine op finds its block and offset once, by bisecting the prefix sums
 of the :class:`BlockSizeIndex` of the block lengths (:meth:`CharSeq.locate`,
 :meth:`CharSeq.insert_place`), and edits there: an array insert or pop, a
-``memmove``, and O(C) word adds for the C chunks of the block.
-:meth:`CharSeq.insert_at` and :meth:`CharSeq.delete_at` leave the block
-size to their caller.  A relocation inside one block
-(:meth:`CharSeq.relocate`) keeps every chunk offset and every block size.
-A boundary move adds an end element of one block to the near end of its
-neighbour, then takes it out, and adjusts both block sizes itself.  Its
-undo (:meth:`CharSeq.move_back`) moves the element back in the arrays and
-sizes alone, and the caller puts back the chunk lists it copied before
-(:meth:`CharSeq.chunk_lists`), so an undo recounts nothing.
+``memmove``, O(C) word adds for the C chunks of the block, and the block
+size.  A relocation inside one block (:meth:`CharSeq.relocate`) keeps every
+block size.  A boundary move adds an end element of one block to the near
+end of its neighbour, then takes it out.
 
-Beside each block sits its chunk index.  A chunk is a run of 1..2S
-consecutive elements of the block, S = :data:`CHUNK`, and two neighbouring
-chunks hold more than S together, so a block of c elements has at most
-2c/S + 1 chunks.  The index keeps the offset where each chunk starts, the
-block length last (``[0]`` for an empty block), and, at the same index t,
-the count word of chunks 0..t-1: a Python ``int`` whose 32-bit field
-``col`` counts column ``col`` in them, 0 first and the block's word last.
-An edit in chunk ``c`` adds ``±1 << 32·col`` to every word after ``c``, a
-copy of up to σ'·4 bytes each, and ±1 to the offsets there; a chunk past
-2S splits in two at a new offset, whose word adds a recount of the first
-half to the one before it, while an empty chunk is dropped, and a chunk
-that shrinks to S or less together with a neighbour merges into it, each
-deleting one offset and its word.  A relocation inside one block moves no
-offset: it adds to the word at each chunk offset it crosses the element
-crossing that offset the other way, and takes the moved one away, or the
-reverse.  A query then counts the whole chunks of a margin as one
-difference of two words, found by bisecting the offsets.  Each end of the
-margin moves to the nearer boundary of the chunk it cuts, so it reads at
-most half that chunk, at most S column ids, straight from the block array:
-the ids up to an inner boundary as loose, or, past an outer one, the ids
-outside the range as taken away from the word (:meth:`CharSeq.count`).
+Beside each block sits its chunk index.  Chunk t of a block holds its
+offsets t·S .. (t+1)·S - 1, S = :data:`CHUNK`, so the offsets are implicit.
+The index keeps, at t, the count word of the block's first min(t·S, c)
+elements, c the block length: a Python ``int`` whose 32-bit field ``col``
+counts column ``col`` in them, 0 first and the block's word last, ⌈c/S⌉ + 1
+words in all.  The words follow from the block array alone.  An edit at
+offset ``off`` changes each word whose boundary lies past ``off``, adding
+the element that crosses that boundary and taking away the one that leaves,
+two adds of σ'·4 bytes each: with u(col) = ``1 << 32·col``, an insert adds
+u(col) - u(block[t·S]), a delete u(block[t·S - 1]) - u(col), and the last
+word gains or loses u(col); when the length crosses a multiple of S one
+word is appended or dropped.  Nothing splits, merges or is recounted, and a
+boundary move undone by the opposite move leaves every word as it was.  A
+relocation inside one block changes, by the same rule, the words of the
+boundaries between its two ends.  A query counts the whole chunks of a
+margin as one difference of two words, found by arithmetic.  Each end of
+the margin moves to the nearer boundary of the chunk it cuts, so it reads
+at most S/2 column ids straight from the block array: the ids up to an
+inner boundary as loose, or, past an outer one, the ids outside the range
+as taken away from the word (:meth:`CharSeq.count`).
 """
 from __future__ import annotations
 
@@ -60,13 +54,13 @@ from .errors import InvariantError
 from .multiset import _FIELD_BITS, _FIELD_BYTES, check_table_fits, pack
 
 CHUNK = 128
-"""S: a chunk holds 1..2S elements; a rebuild cuts chunks of S..2S-1."""
+"""S: chunk t of a block holds its offsets t·S .. (t+1)·S - 1."""
 
 
 class CharSeq:
     """Mutable sequence of symbol ids split into a fixed row of blocks of column ids."""
 
-    __slots__ = ("blocks", "sizes", "column", "symbol", "room", "chunk_bounds", "chunk_sums")
+    __slots__ = ("blocks", "sizes", "column", "symbol", "room", "chunk_sums")
 
     def __init__(
         self, symbols: Sequence[int], sizes: Sequence[int], alphabet: Iterable[int], room: int
@@ -78,10 +72,9 @@ class CharSeq:
         ``room`` is the most elements the blocks will hold, which the
         memory guard prices.  Symbols get columns in increasing order, and
         the table, the chunk words and the arrays at that width must pass
-        :func:`check_table_fits` before any array is written.  Each block
-        is cut into chunks of S..2S-1 elements, sizes differing by at most
-        one (a block shorter than S into one chunk), and each chunk is
-        counted once and added to the running word before it.
+        :func:`check_table_fits` before any array is written.  Each chunk
+        is counted once by :meth:`recount` and added to the running word
+        before it.
         """
         self.sizes = BlockSizeIndex(sizes)
         if len(self) != len(symbols):
@@ -91,11 +84,9 @@ class CharSeq:
         self.column: dict[int, int] = dict(zip(alphabet, range(len(alphabet))))  # symbol -> column
         self.room = room
         self.blocks: list[array] = []
-        self.chunk_bounds: list[list[int]] = []  # per block, chunk starts and its length last
-        self.chunk_sums: list[list[int]] = []  # per block, the count word of chunks 0..t-1 at t
+        self.chunk_sums: list[list[int]] = []  # per block, at t the word of its first min(t·S, c)
         check_table_fits(len(sizes), len(alphabet), self.word_bound(), room)
         column = self.column
-        zero = array("I", bytes(_FIELD_BYTES * len(alphabet)))
         end = 0
         for size in sizes:
             part = symbols[end : end + size]
@@ -103,17 +94,10 @@ class CharSeq:
             # One itemgetter call looks a block's symbols up at twice the speed
             # of mapping column.__getitem__; it returns a tuple for two or more.
             block = array("I", itemgetter(*part)(column) if size > 1 else [column[s] for s in part])
-            k = size // CHUNK or min(size, 1)
-            q, extra = divmod(size, k) if k else (0, 0)
-            bounds = [i * q + min(i, extra) for i in range(k + 1)]
-            sums = [0]
-            for start, stop in zip(bounds, bounds[1:]):
-                fields = zero[:]
-                for col, count in Counter(block[start:stop]).items():
-                    fields[col] = count
-                sums.append(sums[-1] + pack(fields))
+            sums = [0] * (-(-size // CHUNK) + 1)  # sized once: no list slot to spare
+            for t in range(1, len(sums)):
+                sums[t] = sums[t - 1] + self.recount(block[(t - 1) * CHUNK : t * CHUNK])
             self.blocks.append(block)
-            self.chunk_bounds.append(bounds)
             self.chunk_sums.append(sums)
 
     def __len__(self) -> int:
@@ -145,24 +129,34 @@ class CharSeq:
         return self.symbol[self.blocks[k][off]]
 
     def insert_at(self, k: int, off: int, col: int) -> None:
-        """Insert column id ``col`` at offset ``off`` of block ``k`` and count it in its chunk.
+        """Insert column id ``col`` at offset ``off`` of block ``k`` and count it in its words.
 
-        Like the block, the chunk it joins is the one holding offset
-        ``off - 1``.  A chunk split that fails takes the element back out.
+        The array insert comes first, so one that fails changes nothing.
         """
-        c = bisect_left(self.chunk_bounds[k], off, 1) - 1
-        block = self.blocks[k]
+        block, sums = self.blocks[k], self.chunk_sums[k]
         block.insert(off, col)
-        try:
-            self._gain(k, c, col)
-        except BaseException:  # a split's recount failed; _gain wrote nothing
-            del block[off]
-            raise
+        if not (len(block) - 1) % CHUNK:  # the last word's boundary becomes a chunk's
+            sums.append(sums[-1])
+        unit = 1 << (_FIELD_BITS * col)
+        first = off // CHUNK + 1  # the first boundary past off; block[t·S] leaves word t
+        for t, out in enumerate(block[first * CHUNK :: CHUNK], first):
+            sums[t] += unit - (1 << (_FIELD_BITS * out))
+        sums[-1] += unit
+        self.sizes.adjust(k, 1)
 
     def delete_at(self, k: int, off: int) -> int:
         """Remove and uncount the element at offset ``off`` of block ``k``; return its column id."""
-        col = self.blocks[k].pop(off)
-        self._lose(k, bisect_right(self.chunk_bounds[k], off) - 1, col)
+        block, sums = self.blocks[k], self.chunk_sums[k]
+        col = block.pop(off)
+        unit = 1 << (_FIELD_BITS * col)
+        first = off // CHUNK + 1  # the first boundary past off; block[t·S - 1] joins word t
+        for t, into in enumerate(block[first * CHUNK - 1 :: CHUNK], first):
+            sums[t] += (1 << (_FIELD_BITS * into)) - unit
+        if len(block) % CHUNK:
+            sums[-1] -= unit
+        else:  # the word before the last now ends the block
+            sums.pop()
+        self.sizes.adjust(k, -1)
         return col
 
     def move_left(self, i: int) -> int:
@@ -176,7 +170,7 @@ class CharSeq:
     def _move(self, i: int, k: int, name: str) -> int:
         """Move the end element of block ``i`` facing its neighbour ``k`` into ``k``.
 
-        The gain comes first, so a chunk split that fails changes nothing."""
+        The gain comes first, so an array insert that fails changes nothing."""
         slots = len(self.blocks)
         if not (0 <= i < slots and 0 <= k < slots):
             raise IndexError(f"{name} source {i} out of range ({slots} slots)")
@@ -186,35 +180,7 @@ class CharSeq:
         col = self.blocks[i][off]
         self.insert_at(k, len(self.blocks[k]) if k < i else 0, col)
         self.delete_at(i, off)
-        self.sizes.adjust(i, -1)
-        self.sizes.adjust(k, 1)
         return col
-
-    def move_back(self, i: int, k: int) -> int:
-        """Undo a boundary move from block ``k`` into its neighbour ``i`` in the
-        arrays and block sizes alone; return the column id sent back.
-
-        It counts and splits nothing, so it cannot fail; the chunk lists of
-        both blocks are left to :meth:`set_chunk_lists`.
-        """
-        col = self.blocks[i].pop(0 if k < i else -1)
-        if k < i:
-            self.blocks[k].append(col)
-        else:
-            self.blocks[k].insert(0, col)
-        self.sizes.adjust(i, -1)
-        self.sizes.adjust(k, 1)
-        return col
-
-    def chunk_lists(self, lo: int, hi: int) -> list[tuple[list[int], list[int]]]:
-        """Copies of the chunk offsets and words of blocks ``lo..hi - 1``."""
-        lists = zip(self.chunk_bounds[lo:hi], self.chunk_sums[lo:hi])
-        return [(bounds[:], sums[:]) for bounds, sums in lists]
-
-    def set_chunk_lists(self, lo: int, lists: list[tuple[list[int], list[int]]]) -> None:
-        """Give blocks ``lo``, ``lo + 1``, ... the chunk lists of :meth:`chunk_lists`."""
-        for k, (bounds, sums) in enumerate(lists, lo):
-            self.chunk_bounds[k], self.chunk_sums[k] = bounds, sums
 
     def access_range(self, lo: int, hi: int) -> list[int]:
         """Return the symbols at positions ``lo..hi`` inclusive, in order."""
@@ -252,27 +218,25 @@ class CharSeq:
         each end goes to the nearer boundary of the chunk it cuts: inwards,
         reading the elements up to it as loose, or outwards, adding that
         chunk's word and reading the elements past the range as taken.
-        Each end then reads at most half its cut chunk, at most S elements.
-        Otherwise every element is loose.  Only part of a block is ever
-        asked for, so a one-chunk block has no whole chunk.
+        Each end then reads at most S/2 elements.  Otherwise every element
+        is loose.  Only part of a block is ever asked for, so a one-chunk
+        block has no whole chunk.
         """
-        block = self.blocks[k]
-        bounds = self.chunk_bounds[k]
-        i = bisect_left(bounds, lo)
-        j = bisect_right(bounds, stop) - 1
+        block, sums = self.blocks[k], self.chunk_sums[k]
+        i = -(-lo // CHUNK)  # the first boundary at or after lo
+        j = len(sums) - 1 if stop == len(block) else stop // CHUNK  # the last at or before stop
         if i < j:
-            first, end = bounds[i], bounds[j]
-            if lo < first and lo - bounds[i - 1] < first - lo:
+            first, end = i * CHUNK, min(j * CHUNK, stop)
+            if 2 * (first - lo) > CHUNK:
                 i -= 1
-                taken += block[bounds[i] : lo]
+                taken += block[first - CHUNK : lo]
             else:
                 loose += block[lo:first]
-            if stop > end and bounds[j + 1] - stop < stop - end:
+            if stop > end and min(end + CHUNK, len(block)) - stop < stop - end:
                 j += 1
-                taken += block[stop : bounds[j]]
+                taken += block[stop : end + CHUNK]
             else:
                 loose += block[end:stop]
-            sums = self.chunk_sums[k]
             return sums[j] - sums[i]
         loose += block[lo:stop]
         return 0
@@ -282,15 +246,15 @@ class CharSeq:
         return map(itemgetter(-1), self.chunk_sums)
 
     def word_bound(self) -> int:
-        """Most words the sequence can hold past the 0 that leads each block's
-        list, one per chunk, at its length: 2N/S + L."""
-        return 2 * len(self) // CHUNK + len(self.sizes)
+        """Most words the blocks can hold, past the 0 that leads each block's
+        list, before the next rebuild: ⌈c/S⌉ for a block of c, at most
+        room/S + L in all."""
+        return self.room // CHUNK + len(self.sizes)
 
     def recount(self, cols: Sequence[int]) -> int:
-        """The count word of the column ids ``cols``, counted afresh."""
-        counted = Counter(cols)
-        fields = array("I", bytes(_FIELD_BYTES * (max(counted, default=-1) + 1)))
-        for col, count in counted.items():
+        """The count word of the column ids ``cols``, each below the width, counted afresh."""
+        fields = array("I", bytes(_FIELD_BYTES * len(self.symbol)))
+        for col, count in Counter(cols).items():
             fields[col] = count
         return pack(fields)
 
@@ -298,96 +262,45 @@ class CharSeq:
         """The first chunk that breaks a rule of the module docstring, or None.
 
         Every column id must lie below the width, the number of columns
-        handed out.  Offsets must run from 0 to the block length; the sizes
-        between them must lie in 1..2S, and two neighbours must hold more
-        than S.  The words must start at 0, one per offset, and the
-        difference of each two neighbours must equal a recount of its chunk.
+        handed out.  A block of c elements must have ⌈c/S⌉ + 1 words, 0
+        first, and the difference of each two neighbours must equal a
+        recount of its chunk.
         """
-        top = 2 * CHUNK
         width = len(self.symbol)
         for k, block in enumerate(self.blocks):
             if block and max(block) >= width:
                 return f"block {k} holds column id {max(block)}, past the width {width}"
-            bounds, sums = self.chunk_bounds[k], self.chunk_sums[k]
-            if bounds[0] != 0 or bounds[-1] != len(block):
-                return f"the chunks of block {k} do not cover its {len(block)} elements"
-            if len(sums) != len(bounds):
-                return f"block {k} has {len(sums)} count words for {len(bounds) - 1} chunks"
+            sums = self.chunk_sums[k]
+            want = -(-len(block) // CHUNK) + 1
+            if len(sums) != want:
+                return f"block {k} of {len(block)} elements has {len(sums)} count words, not {want}"
             if sums[0] != 0:
                 return f"the count words of block {k} do not start at 0"
-            sizes = [end - start for start, end in zip(bounds, bounds[1:])]
-            for i, size in enumerate(sizes):
-                if not 1 <= size <= top:
-                    return f"chunk {i} of block {k} holds {size}, outside [1, {top}]"
-                if i and sizes[i - 1] + size <= CHUNK:
-                    return f"chunks {i - 1} and {i} of block {k} hold {CHUNK} or fewer together"
-                if sums[i + 1] - sums[i] != self.recount(block[bounds[i] : bounds[i + 1]]):
-                    return f"count word of chunk {i} of block {k} disagrees with a recount"
+            for t in range(1, want):
+                if sums[t] - sums[t - 1] != self.recount(block[(t - 1) * CHUNK : t * CHUNK]):
+                    return f"count word of chunk {t - 1} of block {k} disagrees with a recount"
         return None
 
     def relocate(self, k: int, off: int, to: int) -> None:
         """Move the element at offset ``off`` of block ``k`` to offset ``to`` there.
 
         The element goes in at its new offset first and the old copy comes
-        out second, so an array insert that fails changes nothing.  Every
-        chunk keeps its offsets, so none splits or merges and nothing is
-        recounted: the word at each offset the move crosses gains the
-        element crossing it the other way and loses the moved one, or the
-        reverse.
+        out second, so an array insert that fails changes nothing.  The word
+        at each chunk boundary the move crosses gains the element crossing
+        it the other way and loses the moved one, or the reverse.
         """
         if to == off:
             return
-        block, bounds, sums = self.blocks[k], self.chunk_bounds[k], self.chunk_sums[k]
+        block, sums = self.blocks[k], self.chunk_sums[k]
         col = block[off]
         unit = 1 << (_FIELD_BITS * col)
         block.insert(to + (to > off), col)
         del block[off + (to < off)]
-        if to < off:  # the words of offsets to+1..off gain the moved element
-            for t in range(bisect_right(bounds, to), bisect_right(bounds, off)):
-                sums[t] += unit - (1 << (_FIELD_BITS * block[bounds[t]]))
-        else:  # the words of offsets off+1..to lose it
-            for t in range(bisect_right(bounds, off), bisect_right(bounds, to)):
-                sums[t] += (1 << (_FIELD_BITS * block[bounds[t] - 1])) - unit
-
-    def _gain(self, k: int, c: int, col: int) -> None:
-        """Count column ``col``, just added to block ``k``, into its chunk ``c``.
-
-        An empty block gets a new chunk; a chunk past 2S splits in two.
-        The first half is counted before anything is written, so a recount
-        that raises leaves the chunk lists as they were.
-        """
-        bounds, sums = self.chunk_bounds[k], self.chunk_sums[k]
-        unit = 1 << (_FIELD_BITS * col)
-        if len(bounds) == 1:
-            bounds.append(1)
-            sums.append(unit)
-            return
-        start, end = bounds[c], bounds[c + 1] + 1
-        if end - start > 2 * CHUNK:
-            half = (start + end) // 2
-            word = sums[c] + self.recount(self.blocks[k][start:half])
-            c += 1
-            bounds.insert(c, half)
-            sums.insert(c, word)
-        for i in range(c + 1, len(bounds)):
-            bounds[i] += 1
-            sums[i] += unit
-
-    def _lose(self, k: int, c: int, col: int) -> None:
-        """Take column ``col``, just removed from block ``k``, out of its chunk ``c``.
-
-        An empty chunk is dropped; a chunk that holds S or fewer together
-        with a neighbour merges into it.
-        """
-        bounds, sums = self.chunk_bounds[k], self.chunk_sums[k]
-        unit = 1 << (_FIELD_BITS * col)
-        for i in range(c + 1, len(bounds)):
-            bounds[i] -= 1
-            sums[i] -= unit
-        start, end = bounds[c], bounds[c + 1]
-        if start < end:
-            if c and end - bounds[c - 1] <= CHUNK:
-                c -= 1
-            elif not (c + 2 < len(bounds) and bounds[c + 2] - start <= CHUNK):
-                return
-        del bounds[c + 1], sums[c + 1]  # the empty chunk, or the seam of a merge
+        if to < off:  # the words of boundaries to+1..off gain it; block[t·S] leaves word t
+            first = to // CHUNK + 1
+            for t, out in enumerate(block[first * CHUNK : off + 1 : CHUNK], first):
+                sums[t] += unit - (1 << (_FIELD_BITS * out))
+        else:  # the words of boundaries off+1..to lose it; block[t·S - 1] joins word t
+            first = off // CHUNK + 1
+            for t, into in enumerate(block[first * CHUNK - 1 : to : CHUNK], first):
+                sums[t] += (1 << (_FIELD_BITS * into)) - unit

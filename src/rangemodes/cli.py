@@ -98,7 +98,7 @@ def generate_trace(seed: int, ops: int, max_len: int, alphabet: int) -> list[str
     inside one block; the others move anywhere.  Once the length reaches
     ``max_len`` the mix turns delete-heavy (~40% deletes, ~20% inserts)
     until it falls to ``max_len // 4``, so a long run cycles through
-    halvings and chunk merges as well as doublings.
+    halvings and chunk word drops as well as doublings.
     """
     for name, value in (("ops", ops), ("max_len", max_len), ("alphabet", alphabet)):
         if value < 1:

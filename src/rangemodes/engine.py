@@ -5,25 +5,24 @@ triangular table of per-block-range symbol counts (:class:`PairTable`),
 stored symbol-major: one plane of L(L+1)/2 32-bit counts per symbol.  A
 point edit in block j adds to the O(L^2) summary cells that cover it, which
 lie in one slice of the symbol's plane: one int add of a mask built from
-j+1 row pieces, O(L^2) bytes at C speed whatever σ'.  It also adds to the
-running chunk count word of :class:`CharSeq` at each later chunk of its
-block, one O(σ')-byte int add for each of up to C chunks, in the loop that
-moves their chunk offsets.  A modes query reads the summary cell of the blocks
-that lie wholly inside its range, a strided gather of one field from each
-of σ' planes, and counts the part inside the range of each partial end
-block, in O(log N + σ' + S + output) time for σ' distinct symbols present
-and chunks of at most 2S elements; a range inside one block reads a cell
-only when it covers that whole block, and a cell whose blocks are all empty
-is not read.  Of a counted part, the whole chunks of :class:`CharSeq` come
-as one difference of two running count words, and each end moves to the
-nearer boundary of the chunk it cuts, reading at most half that chunk from
-the block array: inside the range as loose elements, or, past an outer
-boundary whose chunk it counts, outside the range as elements to take
-away.  The cell and the words are one packed int sum,
-unpacked once, and each loose or taken element is then one step on the
-unpacked counts, at the column id the block stores.  A query that reads no
-cell and no word counts its loose elements alone, so its cost follows the
-symbols present, not σ'.
+j+1 row pieces, O(L^2) bytes at C speed whatever σ'.  It also changes the
+running chunk count word of :class:`CharSeq` at each chunk boundary of its
+block past its offset, two O(σ')-byte int adds for each of up to C chunks
+of S elements.  A modes query reads the summary cell of the blocks that lie
+wholly inside its range, a strided gather of one field from each of σ'
+planes, and counts the part inside the range of each partial end block, in
+O(log N + σ' + S + output) time for σ' distinct symbols present; a range
+inside one block reads a cell only when it covers that whole block, and a
+cell whose blocks are all empty is not read.  Of a counted part, the whole
+chunks of :class:`CharSeq` come as one difference of two running count
+words, and each end moves to the nearer boundary of the chunk it cuts,
+reading at most S/2 elements from the block array: inside the range as
+loose elements, or, past an outer boundary whose chunk it counts, outside
+the range as elements to take away.  The cell and the words are one packed
+int sum, unpacked once, and each loose or taken element is then one step on
+the unpacked counts, at the column id the block stores.  A query that reads
+no cell and no word counts its loose elements alone, so its cost follows
+the symbols present, not σ'.
 
 The blocks are the column-id arrays of :class:`CharSeq`, ``array('I')``,
 4 bytes per element, with their boundaries in its :class:`BlockSizeIndex`;
@@ -48,16 +47,16 @@ slice of summary cells an edit adds to is shortest.  Those slots hold
 next doubling, so a regrowing sequence fits them, and a boundary moves only
 where random edits fill one before the others.  A block that overflows
 sheds one element along a chain of boundary moves to the nearest block with
-room; a chain that raises is undone without a count or a split, and the
-element taken back out.
+room; a chain that raises is undone by the opposite moves, which give the
+chunk words back exactly, and the element taken back out.
 
 A relocation moves one element without changing the length: it inserts the
 symbol where ``insert(dst, delete(src))`` would, sheds any overflow, and
 only then removes the original, so a failure anywhere before that leaves
 the sequence as it was.  Every summary cell counts whole blocks, so a
-relocation inside one block edits no cell, no block size and no chunk
-offset, only the block array and the running chunk words at the chunk
-offsets it crosses (:meth:`CharSeq.relocate`).
+relocation inside one block edits no cell and no block size, only the block
+array and the running chunk words at the chunk offsets it crosses
+(:meth:`CharSeq.relocate`).
 """
 
 from __future__ import annotations
@@ -268,34 +267,27 @@ class RangeModeEngine:
         """Count column ``col`` into block ``j``, insert it at offset ``off``
         there, and shed any overflow along a chain of boundary moves.
 
-        A chunk split that fails leaves the sequence as it was, and the
+        An array insert that fails leaves the sequence as it was, and the
         table is put back, a column it claimed freed again.  A chain that
-        fails is rolled back by :meth:`_rebalance`, and the element taken
-        back out of block ``j``, where ``off`` still holds it; the block
-        then gets back the chunk lists it had before the insert.
+        fails is undone by :meth:`_rebalance`, and the element taken back
+        out of block ``j``, where ``off`` still holds it.
         """
-        seq = self._seq
-        # A full block overflows: keep its chunk lists for a failed chain.
-        before = seq.chunk_lists(j, j + 1) if self._sizes.size_of(j) >= self._capacity else None
         self._table.apply_point(j, col, 1)
         try:
-            seq.insert_at(j, off, col)
+            self._seq.insert_at(j, off, col)
         except BaseException:
             self._table.apply_point(j, col, -1)
             raise
-        self._sizes.adjust(j, 1)
-        if before:
+        if self._sizes.size_of(j) > self._capacity:
             try:
                 self._rebalance(j)
             except BaseException:
                 self._take(j, off)
-                seq.set_chunk_lists(j, before)  # undoes a split the insert made
                 raise
 
     def _take(self, j: int, off: int) -> int:
         """Remove and uncount the element at offset ``off`` of block ``j``; return its symbol."""
         col = self._seq.delete_at(j, off)
-        self._sizes.adjust(j, -1)
         self._table.apply_point(j, col, -1)
         return self._seq.symbol[col]  # a freed column keeps its last symbol
 
@@ -409,24 +401,19 @@ class RangeModeEngine:
         pass one element on, so their sizes do not change.  The moves run
         from the donor end, so each leaves both its blocks within capacity,
         and block ``j`` is edited only by the last.  A move that raises
-        changes nothing.  The moves before it are undone in reverse order,
-        each element sent back in the block arrays and summary cells alone,
-        and the blocks they touched get back their chunk lists of before the
-        chain: an undo counts and splits nothing, so it cannot fail.
+        changes nothing.  The moves before it are undone by the opposite
+        moves in reverse order; the chunk words follow from the block arrays
+        alone, so they come back exactly.
         """
         cap = self._capacity
         room = [k for k, size in enumerate(self._sizes.to_list()) if size < cap]
         if not room:
             raise InvariantError(f"no donor block available for overflowing block {j}")
         k = min(room, key=lambda slot: (abs(slot - j), slot))
-        seq, table = self._seq, self._table
         if k > j:
-            step, move, back, lo, hi = 1, self.move_right, table.shift_left, j + 1, k + 1
+            step, move, back = 1, self.move_right, self.move_left
         else:
-            step, move, back, lo, hi = -1, self.move_left, table.shift_right, k, j
-        # Blocks lo..hi-1: the chain's blocks but j, which only the last
-        # move edits, and that move ends the chain or fails with no edit.
-        saved = seq.chunk_lists(lo, hi)
+            step, move, back = -1, self.move_left, self.move_right
         made = []  # the block each move so far filled
         try:
             for t in range(k - step, j - step, -step):
@@ -434,8 +421,7 @@ class RangeModeEngine:
                 made.append(t + step)
         except BaseException:
             for t in reversed(made):
-                back(t, seq.move_back(t, t - step))
-            seq.set_chunk_lists(lo, saved)
+                back(t)
             raise
 
     # ------------------------------------------------------------------

@@ -38,12 +38,13 @@ element at the column id its block stores, with no lookup, and finds the
 top count and its columns at C speed, O(σ') per query.  The table takes
 L(L+1)/2 · width · 4 bytes.  Beside it are ints: L offset words of width
 fields, its kept masks of up to min(L(L²+2)/3, L(L+1)/2 · width) fields,
-and the L prefix lists of chunk count words, up to 2N/S + L running words
-of width fields after the 0 that leads each, the 0 priced at its list slot
-and every other int at 4 bytes per 30 bits by :func:`int_bytes` plus a
-header and a list slot; and the sequence, L arrays of column ids priced at
-4 bytes for each of the 2·n0 elements they can hold before the next
-rebuild, plus a header and a list slot each.  The :class:`CharSeq` build,
+and the L prefix lists of chunk count words, ⌈c/S⌉ running words of width
+fields for a block of c after the 0 that leads each, at most 2·n0/S + L
+before the next rebuild, a list priced at its header and a list slot, the
+0 at its list slot and every other int at 4 bytes per 30 bits by
+:func:`int_bytes` plus a header and a list slot; and the sequence, L arrays
+of column ids priced at 4 bytes for each of the 2·n0 elements they can hold
+before the next rebuild, plus a header and a list slot each.  The :class:`CharSeq` build,
 before it writes a block, and every widening check the sum against what
 the process can get, raising :class:`MemoryError`.
 
@@ -100,6 +101,7 @@ _BIG_ENDIAN = sys.byteorder == "big"
 _SLOT = struct.calcsize("P")  # a list slot
 _INT_HEAD = int.__basicsize__ + _SLOT  # an int's header and its list slot
 _ARRAY_HEAD = sys.getsizeof(array("I")) + _SLOT  # an empty array and its list slot
+_LIST_HEAD = sys.getsizeof([]) + _SLOT  # an empty list and its list slot
 
 # Counts live in an array("I"), one field per item.
 if array("I").itemsize != _FIELD_BYTES:
@@ -140,14 +142,15 @@ def int_bytes(fields: int) -> int:
 
 
 def prefix_list_bytes(slots: int, width: int, words: int) -> int:
-    """Bytes of the entries of ``slots`` lists of running count words of
-    ``width`` fields, ``words`` of them past the 0 that leads each list.
+    """Bytes of ``slots`` lists of running count words of ``width`` fields,
+    ``words`` of them past the 0 that leads each list.
 
     A word is priced at its digits by :func:`int_bytes` plus a header and a
     list slot; the leading 0 is CPython's shared small int and takes its
-    list slot alone.
+    list slot alone; and each list takes a header and a slot in the list of
+    lists.
     """
-    return words * (int_bytes(width) + _INT_HEAD) + slots * _SLOT
+    return words * (int_bytes(width) + _INT_HEAD) + slots * (_SLOT + _LIST_HEAD)
 
 
 def check_table_fits(slots: int, width: int, words: int, elements: int) -> None:

@@ -325,14 +325,16 @@ class TestMain:
     @pytest.mark.parametrize("command", ["trace", "intersect"])
     def test_memory_guard_is_a_line_error(self, tmp_path, capsys, monkeypatch, command):
         # An empty engine's 3 slots are priced as 9 ints, offset words, chunk
-        # words and edit masks, each a header and a list slot, the 0 that
-        # leads each of the 3 chunk word lists, a list slot, and 3 arrays of
-        # up to 2 column ids, each a header and a list slot too; that fits,
-        # and the first symbol, a widening to one column, does not.
+        # words and edit masks, each a header and a list slot, 3 chunk word
+        # lists, each a header and a list slot and a list slot for the 0
+        # that leads it, and 3 arrays of up to 2 column ids, each a header
+        # and a list slot too; that fits, and the first symbol, a widening
+        # to one column, does not.
         slot = struct.calcsize("P")
         head = sys.getsizeof(1) - sys.int_info.sizeof_digit + slot
+        lists = 3 * (sys.getsizeof([]) + 2 * slot)
         arrays = 4 * 2 + 3 * (sys.getsizeof(array("I")) + slot)
-        monkeypatch.setattr(multiset, "_memory_limit", lambda: 9 * head + 3 * slot + arrays)
+        monkeypatch.setattr(multiset, "_memory_limit", lambda: 9 * head + lists + arrays)
         family = tmp_path / "family.txt"
         family.write_text("2 2\n2 0 1\n1 0\n")
         ops = tmp_path / "ops.txt"

@@ -14,7 +14,6 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from chunks import chunk_sizes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from layout import assert_within_capacity, lay_out
@@ -36,6 +35,7 @@ from rangemodes import (
 SLOT = struct.calcsize("P")  # a list slot
 INT_HEAD = sys.getsizeof(1) - sys.int_info.sizeof_digit + SLOT  # header, list slot
 ARRAY_HEAD = sys.getsizeof(array("I")) + SLOT  # an empty array, its list slot
+LIST_HEAD = sys.getsizeof([]) + SLOT  # an empty list, its list slot
 
 
 def ceil_root(num: int, den: int, p: int, q: int) -> int:
@@ -320,26 +320,25 @@ class TestDelete:
             assert engine.modes(lo, hi) == oracle.modes(lo, hi)
         assert engine.audit().ok
 
-    def test_deleting_across_two_chunks_merges_them(self):
+    def test_deleting_across_a_chunk_offset_drops_a_word(self):
         # 2^15 symbols fill 32 blocks of 1024 elements, each eight chunks of
-        # the default S = 128.  Block 0's chunks 2 and 3 hold 256..383 and
-        # 384..511; the run 320..447 is the back half of one and the front
-        # half of the other.
+        # the default S = 128, nine words.  The deletes at 320 cross the
+        # chunk offsets 384..1023 of block 0, and the 128th of them takes it
+        # to 896 elements, seven chunks: the last word is dropped.
         rng = random.Random(14)
         symbols = [rng.randrange(26) for _ in range(1 << 15)]
         engine = RangeModeEngine(symbols)
         oracle = NaiveSeq(symbols)
-        seq = engine._seq
-        assert engine.block_sizes()[:33] == [1024] * 32 + [0]
-        assert seq.chunk_bounds[0] == list(range(0, 1025, 128))
+        sums = engine._seq.chunk_sums[0]
+        assert engine.block_sizes()[:33] == [1024] * 32 + [0] and len(sums) == 9
         for _ in range(127):
             assert engine.delete(320) == oracle.delete_at(320)
-        assert chunk_sizes(seq, 0) == [128, 128, 64, 65] + [128] * 4  # neither chunk emptied
+        assert len(sums) == 9
         assert engine.delete(320) == oracle.delete_at(320)
-        assert seq.chunk_bounds[0] == list(range(0, 897, 128))  # 64 + 64 merged, none dropped
+        assert len(sums) == 8 and engine.block_sizes()[0] == 896
         assert engine.reset_events == [] and engine.audit().ok
         n = len(oracle)
-        ends = (0, 255, 256, 319, 320, 383, 384, 1023, n - 1)
+        ends = (0, 255, 256, 319, 320, 383, 384, 895, 896, n - 1)
         ranges = [(lo, hi) for lo in ends for hi in ends if lo <= hi]
         for _ in range(100):
             lo = rng.randrange(n)
@@ -402,21 +401,20 @@ class TestRelocate:
         assert engine.block_sizes() == sizes and engine._sizes.prefix_sums() is ends
 
     def test_across_chunks_keeps_every_chunk_offset(self, monkeypatch):
-        # S = 2 from the build on: block 0's 43 elements lie in 21 chunks,
-        # and a move inside it crosses up to 20 chunk offsets without
-        # splitting or merging a chunk; the audit checks every word.
+        # S = 2 from the build on: block 0's 43 elements lie in 22 chunks,
+        # and a move inside it crosses up to 21 chunk offsets, changing
+        # only the words there; the audit checks every word.
         monkeypatch.setattr(charseq, "CHUNK", 2)
         engine = self.make_engine()
-        seq = engine._seq
-        bounds = list(seq.chunk_bounds[0])
-        assert len(bounds) == 22
+        sums = engine._seq.chunk_sums[0]
+        assert len(sums) == 23
         rng = random.Random(3)
         crossed = 0
         for _ in range(200):
             src, dst = rng.randrange(43), rng.randrange(43)  # inside block 0
-            crossed += sum(min(src, dst) < b <= max(src, dst) for b in bounds)
+            crossed += sum(min(src, dst) < b <= max(src, dst) for b in range(2, 43, 2))
             assert self.check(engine, src, dst) == []
-            assert seq.chunk_bounds[0] == bounds
+            assert len(sums) == 23
         assert crossed > 1000
 
     @pytest.mark.parametrize("src, dst", [(5, 150), (150, 5)], ids=["up", "down"])
@@ -838,7 +836,7 @@ def snapshot(engine):
     seq = engine._seq
     return (
         engine.to_list(), engine.block_sizes(), engine.n0, list(engine.reset_events),
-        [list(b) for b in seq.chunk_bounds], [list(sums) for sums in seq.chunk_sums],
+        [list(sums) for sums in seq.chunk_sums],
     )
 
 
@@ -914,182 +912,100 @@ class TestFailedOps:
         WIDEN_FAULTS[site](monkeypatch)
         self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.insert(50, 99))
 
-    def engine_with_a_full_chunk(self):
-        # 6000 elements fill 19 blocks of 315 or 316, each two chunks of 157
-        # or 158; 98 inserts at position 100 grow chunk 0 of block 0 to 2S,
-        # so the next element it takes splits it.
-        rng = random.Random(8)
-        engine = RangeModeEngine([rng.randrange(5) for _ in range(6000)])
-        assert engine._seq.chunk_bounds[0] == [0, 158, 316]
-        for _ in range(98):
-            engine.insert(100, rng.randrange(5))
-        assert engine._seq.chunk_bounds[0] == [0, 256, 414] and len(engine) == 6098
-        return engine
-
-    def test_failed_chunk_split_keeps_the_chunk_lists_in_step(self, monkeypatch):
-        engine = self.engine_with_a_full_chunk()
-        table = engine._table
-        assert table._width == engine.sigma_prime == 5 and not table._free
-        monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
-
-        def insert_new_symbol(e):
-            try:
-                e.insert(100, 9)
-            finally:  # the column the insert claimed is free again
-                assert table._free == [5] and 9 not in table._column
-
-        self.check_unchanged_then_fuzz(engine, monkeypatch, insert_new_symbol)
-
-    @pytest.mark.parametrize("src", [5000], ids=["across-blocks"])
-    def test_failed_chunk_split_in_a_relocation_changes_nothing(self, monkeypatch, src):
-        engine = self.engine_with_a_full_chunk()
-        assert engine._seq.locate(5000)[0] > 0
-        monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
-        self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.relocate(src, 100))
-
-    def test_relocation_inside_a_block_splits_no_chunk(self, monkeypatch):
-        # Position 100 lies in block 0's full chunk of 2S, where an insert
-        # would split it; a relocation into it from the same block needs no
-        # recount and keeps every chunk offset.
-        engine = self.engine_with_a_full_chunk()
-        seq = engine._seq
-        assert seq.locate(200)[0] == 0
-        bounds = [list(b) for b in seq.chunk_bounds]
-        oracle = NaiveSeq(engine.to_list())
-        monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
-        assert engine.relocate(200, 100) == oracle.relocate(200, 100)
-        assert engine.relocate(50, 300) == oracle.relocate(50, 300)
-        assert [list(b) for b in seq.chunk_bounds] == bounds
-        monkeypatch.undo()
-        assert engine.to_list() == oracle.to_list() and engine.audit().ok
-
-
-    def test_failed_chunk_split_in_a_boundary_move_keeps_the_chunk_lists_in_step(self, monkeypatch):
-        # 6000 elements fill 19 blocks of 315 or 316 (capacity 632), each two
-        # chunks of 157 or 158.  98 inserts at the end of block 0 grow its
-        # last chunk to 2S; then block 1 is filled to capacity.  An insert
-        # into block 1 sheds an element to block 0, the nearest block with
-        # room, and that element splits block 0's last chunk.
-        rng = random.Random(8)
-        engine = RangeModeEngine([rng.randrange(5) for _ in range(6000)])
-        seq, cap = engine._seq, engine.capacity
-        assert seq.chunk_bounds[0] == [0, 158, 316] and cap == 632
-        for _ in range(98):
-            engine.insert(engine.block_sizes()[0], rng.randrange(5))
-        assert seq.chunk_bounds[0] == [0, 158, 414]
-        while engine.block_sizes()[1] < cap:
-            engine.insert(engine.block_sizes()[0] + 1, rng.randrange(5))
-        # Insert into a chunk of block 1 that does not split.
-        bounds = seq.chunk_bounds[1]
-        c = next(c for c in range(len(bounds) - 1) if bounds[c + 1] - bounds[c] < 256)
-        pos = engine.block_sizes()[0] + bounds[c] + 1
-        moves = count_moves(monkeypatch)
-        monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
-        # The one move fails, the insert takes its element back out, and
-        # the engine is left as it was.
-        self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.insert(pos, 3))
-        assert moves == [1]
-
-    def engine_with_a_chain_to_fail(self):
-        """An engine whose next element in block 0 sheds along two moves,
-        the second of which splits a full chunk; and an offset for it.
-
-        98 inserts at offset 1 of block 1 grow its first chunk to 2S; then
-        blocks 1 and 0 are filled to capacity.  An element added to block 0
-        sheds along move_right(1), which block 2's first chunk takes
-        without a split, then move_right(0), whose element splits block 1's
-        first chunk.
-        """
-        rng = random.Random(8)
-        engine = RangeModeEngine([rng.randrange(5) for _ in range(6000)])
-        seq, cap = engine._seq, engine.capacity
-        for _ in range(98):
-            engine.insert(engine.block_sizes()[0] + 1, rng.randrange(5))
-        assert chunk_sizes(seq, 1)[0] == 256 and chunk_sizes(seq, 2)[0] < 256
-        while engine.block_sizes()[1] < cap:
-            engine.insert(sum(engine.block_sizes()[:2]), rng.randrange(5))
-        while engine.block_sizes()[0] < cap:
-            engine.insert(1, rng.randrange(5))
-        assert chunk_sizes(seq, 1)[0] == 256 and engine.block_sizes()[2] < cap
-        c = next(c for c, size in enumerate(chunk_sizes(seq, 0)) if size < 256)
-        return engine, seq.chunk_bounds[0][c] + 1
-
-    def test_failed_move_late_in_a_chain_changes_nothing(self, monkeypatch):
-        engine, pos = self.engine_with_a_chain_to_fail()
-        moves = count_moves(monkeypatch)
-        monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
-        # The second move fails, the first is undone, and the insert takes
-        # its element back out.
-        self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.insert(pos, 3))
-        assert moves == [1, 0]  # from the donor end; the undo is no boundary move
-
-    def test_failed_chain_in_a_relocation_changes_nothing(self, monkeypatch):
-        # A relocation from block 5 into full block 0 runs the same chain;
-        # the element leaves block 5 only once the chain has gone through.
-        engine, pos = self.engine_with_a_chain_to_fail()
-        src = sum(engine.block_sizes()[:5]) + 7
-        assert engine._seq.locate(src)[0] == 5
-        moves = count_moves(monkeypatch)
-        monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
-        self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.relocate(src, pos))
-        assert moves == [1, 0]
-        oracle = NaiveSeq(engine.to_list())
-        symbol = oracle.delete_at(src)
-        oracle.insert_at(pos, symbol)
-        assert engine.relocate(src, pos) == symbol  # with the recount back
-        assert engine.to_list() == oracle.to_list() and engine.audit().ok
-
-    def test_failed_chain_undoes_every_move_exactly(self, monkeypatch):
-        # With S = 2 chunks hold 1..4 elements, so the moves of a chain split,
-        # drop and merge chunks all the time.  Blocks 0..3 are full, and
-        # random edits that keep the block sizes vary their chunks.  An
-        # insert into block 0 then sheds along four moves to block 4, with
-        # the recount refused from its n-th call on, for each n until the
-        # insert goes through.  An undo that rejoined its element to a full
-        # chunk would need a refused recount itself.
+    def test_no_edit_recounts(self, monkeypatch):
+        # S = 2: inserts, deletes, relocations inside and across blocks and
+        # boundary moves append and drop words all the time, and none of
+        # them counts a chunk afresh.
         monkeypatch.setattr(charseq, "CHUNK", 2)
+        rng = random.Random(8)
+        engine = RangeModeEngine([rng.randrange(5) for _ in range(300)])
+        oracle = NaiveSeq(engine.to_list())
         recount = charseq.CharSeq.recount
+        monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
+        for _ in range(300):
+            n = len(oracle)
+            roll = rng.random()
+            if roll < 0.3:
+                pos, symbol = rng.randint(0, n), rng.randrange(7)
+                engine.insert(pos, symbol)
+                oracle.insert_at(pos, symbol)
+            elif roll < 0.6:
+                pos = rng.randrange(n)
+                assert engine.delete(pos) == oracle.delete_at(pos)
+            elif roll < 0.9:
+                src, dst = rng.randrange(n), rng.randrange(n)
+                assert engine.relocate(src, dst) == oracle.relocate(src, dst)
+            else:
+                i = rng.randrange(1, len(engine.block_sizes()))
+                if engine.block_sizes()[i] and engine.block_sizes()[i - 1] < engine.capacity:
+                    engine.move_left(i)
+        monkeypatch.setattr(charseq.CharSeq, "recount", recount)
+        assert engine.to_list() == oracle.to_list() and engine.audit().ok
+
+    @pytest.mark.parametrize("op", ["insert", "relocate"])
+    def test_failed_chain_is_undone_by_the_opposite_moves(self, monkeypatch, op):
+        # S = 2, so each move appends or drops words.  Blocks 0..m-1 are
+        # full, and random edits that keep the block sizes vary their
+        # contents.  An element added to block 0 sheds along m moves to
+        # block m, and the n-th insert_at fails: n = 1 is the op's own
+        # insert, n = 2..m+1 the move from block m - n + 1.  The op raises
+        # with the sequence, the block sizes and every word list as they
+        # were, and a new symbol's column freed again.
+        monkeypatch.setattr(charseq, "CHUNK", 2)
+        insert_at = charseq.CharSeq.insert_at
         moves = count_moves(monkeypatch)
         undone = 0  # failed chains that had made two moves or more
+        chains = [[14, 13, 13, 12, 12], [14, 14, 12, 12, 12], [14, 14, 14, 11, 11], [14, 14, 14, 14, 8]]
+        for m, sizes in enumerate(chains, 1):
+            for seed in range(4):
+                rng = random.Random(seed)
+                symbols = [rng.randrange(5) for _ in range(46)]
+                engine = RangeModeEngine(symbols, Config(alpha=Fraction(1, 2)))
+                for _ in range(18):
+                    engine.insert(rng.randint(0, len(engine)), rng.randrange(5))
+                lay_out(engine, sizes + [0] * 12)
+                assert engine.capacity == 14
+                for _ in range(60):
+                    k = rng.randrange(5)
+                    start, size = sum(sizes[:k]), sizes[k]
+                    engine.delete(start + rng.randrange(size))
+                    engine.insert(start + rng.randint(1, size - 1), rng.randrange(5))
+                pos = 1 + seed % 13
+                if op == "insert":
+                    run = lambda e: e.insert(pos, 9)  # a new symbol
+                else:
+                    run = lambda e: e.relocate(len(e) - 1, pos)  # from block 4
+                for n in range(1, m + 2):
+                    calls = itertools.count(1)
 
-        def build(seed):
-            rng = random.Random(seed)
-            engine = RangeModeEngine([rng.randrange(5) for _ in range(46)], Config(alpha=Fraction(1, 2)))
-            for _ in range(18):
-                engine.insert(rng.randint(0, len(engine)), rng.randrange(5))
-            lay_out(engine, [14, 14, 14, 14, 8] + [0] * 12)
-            for _ in range(100):
-                k = rng.randrange(5)
-                size = engine.block_sizes()[k]
-                engine.delete(14 * k + rng.randrange(size))
-                engine.insert(14 * k + rng.randint(1, size - 1), rng.randrange(5))
-            assert engine.block_sizes() == [14, 14, 14, 14, 8] + [0] * 12
-            return engine
+                    def fail_nth(seq, *args):
+                        if next(calls) == n:
+                            raise MemoryError("refused")
+                        return insert_at(seq, *args)
 
-        for seed in range(40):
-            for n in itertools.count(1):
-                engine = build(seed)
-                before = snapshot(engine)
-                calls = itertools.count(1)
-
-                def refuse_late(seq, cols):
-                    if next(calls) >= n:
-                        raise MemoryError("refused")
-                    return recount(seq, cols)
-
-                monkeypatch.setattr(charseq.CharSeq, "recount", refuse_late)
+                    before = snapshot(engine), engine.sigma_prime
+                    monkeypatch.setattr(charseq.CharSeq, "insert_at", fail_nth)
+                    moves.clear()
+                    with pytest.raises(MemoryError):
+                        run(engine)
+                    monkeypatch.setattr(charseq.CharSeq, "insert_at", insert_at)
+                    assert (snapshot(engine), engine.sigma_prime) == before
+                    assert engine.audit().ok
+                    # The moves run from the donor end, the n-th insert_at
+                    # fails in the (n-1)-th, and each of the n - 2 made is
+                    # undone by one the other way, in reverse order.
+                    assert moves == [*range(m - 1, m - n, -1), *range(m - n + 3, m + 1)]
+                    undone += n - 2 >= 2
+                oracle = NaiveSeq(engine.to_list())
+                if op == "insert":
+                    oracle.insert_at(pos, 9)
+                else:
+                    oracle.insert_at(pos, oracle.delete_at(len(oracle) - 1))
                 moves.clear()
-                try:
-                    engine.insert(1 + seed % 13, 9)
-                except MemoryError:
-                    monkeypatch.setattr(charseq.CharSeq, "recount", recount)
-                    assert snapshot(engine) == before and engine.audit().ok
-                    undone += len(moves) > 2  # the last move is the one that failed
-                    continue
-                monkeypatch.setattr(charseq.CharSeq, "recount", recount)
-                assert moves == [3, 2, 1, 0] and engine.audit().ok
-                break
-        assert undone >= 5
+                run(engine)
+                assert moves == list(range(m - 1, -1, -1))
+                assert engine.to_list() == oracle.to_list() and engine.audit().ok
+        assert undone == 4 * (1 + 2)  # m = 3: n = 4; m = 4: n = 4, 5
 
 
 class TestAudit:
@@ -1115,48 +1031,19 @@ class TestAudit:
         assert not report.ok
         assert "cell" in report.message
 
-    # 4000 elements fill 16 blocks of 250: each one chunk of 250; 8000
-    # fill 20 blocks of 400: each three chunks of 133 or 134.
+    # 8000 elements fill 20 blocks of 400: each four chunks, three of 128
+    # and one of 16, and five words.
 
     def test_detects_corrupted_chunk_word(self):
         # The running word after chunk 1 counts one more of the symbol in
         # column 0, so chunk 1 reads one too many and chunk 2 one too few.
         engine = RangeModeEngine([k % 5 for k in range(8000)])
-        assert engine._seq.chunk_bounds[4] == [0, 134, 267, 400]
+        assert engine.block_sizes()[4] == 400 and len(engine._seq.chunk_sums[4]) == 5
         assert engine.audit().ok
         engine._seq.chunk_sums[4][2] += 1
         report = engine.audit()
         assert not report.ok
         assert report.message == "count word of chunk 1 of block 4 disagrees with a recount"
-
-    def test_detects_chunks_left_unmerged(self):
-        # Each running word agrees with a recount; only the sizes are wrong.
-        engine = RangeModeEngine([k % 5 for k in range(8000)])
-        seq = engine._seq
-        block, bounds = seq.blocks[0], [0, 10, 70, 267, 400]
-        seq.chunk_bounds[0] = bounds
-        seq.chunk_sums[0] = [seq.recount(block[:end]) if end else 0 for end in bounds]
-        report = engine.audit()
-        assert not report.ok
-        assert report.message == "chunks 0 and 1 of block 0 hold 128 or fewer together"
-
-    def test_detects_oversized_chunk(self):
-        engine = RangeModeEngine([k % 5 for k in range(8000)])
-        seq = engine._seq
-        seq.chunk_bounds[0] = [0, 400]
-        seq.chunk_sums[0] = [0, seq.chunk_sums[0][-1]]
-        report = engine.audit()
-        assert not report.ok
-        assert report.message == "chunk 0 of block 0 holds 400, outside [1, 256]"
-
-    def test_detects_empty_chunk(self):
-        engine = RangeModeEngine([k % 5 for k in range(4000)])
-        assert engine._seq.chunk_bounds[2] == [0, 250]
-        engine._seq.chunk_bounds[2].insert(0, 0)
-        engine._seq.chunk_sums[2].insert(0, 0)
-        report = engine.audit()
-        assert not report.ok
-        assert report.message == "chunk 0 of block 2 holds 0, outside [1, 256]"
 
     def test_detects_chunk_words_not_from_0(self):
         # Every difference still agrees with a recount of its chunk.
@@ -1173,23 +1060,15 @@ class TestAudit:
         seq.chunk_sums[4] = seq.chunk_sums[4][cut]
         report = engine.audit()
         assert not report.ok
-        assert report.message == "block 4 has 3 count words for 3 chunks"
+        assert report.message == "block 4 of 400 elements has 4 count words, not 5"
 
-    @pytest.mark.parametrize(
-        "bounds, message",
-        [
-            ([1, 134, 267, 400], "the chunks of block 4 do not cover its 400 elements"),
-            ([0, 134, 267, 399], "the chunks of block 4 do not cover its 400 elements"),
-            ([0, 134, 100, 400], "chunk 1 of block 4 holds -34, outside [1, 256]"),
-        ],
-        ids=["not-from-0", "not-to-the-length", "not-increasing"],
-    )
-    def test_detects_misplaced_chunk_offsets(self, bounds, message):
+    def test_detects_a_chunk_word_too_many(self):
+        # A word list one longer than the block's chunks, as if a delete that
+        # took the length to a multiple of S had not dropped its last word.
         engine = RangeModeEngine([k % 5 for k in range(8000)])
-        assert engine._seq.chunk_bounds[4] == [0, 134, 267, 400]
-        engine._seq.chunk_bounds[4] = bounds
-        assert engine._seq.chunk_fault() == message
-        assert engine.audit().message == message
+        sums = engine._seq.chunk_sums[4]
+        sums.append(sums[-1])
+        assert engine.audit().message == "block 4 of 400 elements has 6 count words, not 5"
 
     def test_detects_column_id_past_the_width(self):
         engine = RangeModeEngine([1, 2, 3])
@@ -1329,14 +1208,15 @@ class TestMemoryGuard:
         # 2·2^17/128 + 115 running chunk words, ints of 2^17 fields, and the
         # edit masks of all 115 slots, 115·(115² + 2)/3 fields, far under the
         # table's own count; each of those 115 + words + 115 ints also has a
-        # header and a list slot, and the 0 that leads each of the 115 word
-        # lists a list slot.  The 115 blocks are arrays priced at 4 bytes
-        # for each of the 2·2^17 column ids they hold before the next
-        # rebuild, and a header and a list slot each.
+        # header and a list slot, and each of the 115 word lists a header,
+        # a list slot and a list slot for the 0 that leads it.  The 115
+        # blocks are arrays priced at 4 bytes for each of the 2·2^17 column
+        # ids they hold before the next rebuild, and a header and a list
+        # slot each.
         cells, offsets, words = 115 * 116 // 2, 115, 2 * (1 << 17) // 128 + 115
         masks = 115 * (115 * 115 + 2) // 3
         nbytes = 4 * (1 << 17) * cells + (offsets + words) * int_bytes(1 << 17) + int_bytes(masks)
-        nbytes += (offsets + words + 115) * INT_HEAD + 115 * SLOT
+        nbytes += (offsets + words + 115) * INT_HEAD + 115 * (SLOT + LIST_HEAD)
         nbytes += 4 * 2 * (1 << 17) + 115 * ARRAY_HEAD
         assert f"needs {nbytes} bytes" in message
 
@@ -1345,7 +1225,8 @@ class TestMemoryGuard:
         # fields after the 0 that leads each block's list, beside the cells,
         # the L offset words and the L edit masks, L(L² + 2)/3 fields at
         # most cells·σ'; every int also has a header and a list slot, and
-        # each leading 0 a list slot.  The L blocks are arrays of up to 2N
+        # each word list a header, a list slot and a list slot for its
+        # leading 0.  The L blocks are arrays of up to 2N
         # column ids, 4 bytes each, and a header and a list slot per array.
         symbols = [k % 40 for k in range(3000)]
         slots = len(RangeModeEngine(symbols).block_sizes())
@@ -1353,13 +1234,39 @@ class TestMemoryGuard:
         masks = min(slots * (slots * slots + 2) // 3, cells * 40)
         table_bytes = 4 * 40 * cells + slots * int_bytes(40) + int_bytes(masks)
         table_bytes += 2 * slots * INT_HEAD + 4 * 2 * len(symbols) + slots * ARRAY_HEAD
-        word_bytes = (2 * len(symbols) // 128 + slots) * (int_bytes(40) + INT_HEAD) + slots * SLOT
+        word_bytes = (2 * len(symbols) // 128 + slots) * (int_bytes(40) + INT_HEAD)
+        word_bytes += slots * (SLOT + LIST_HEAD)
         monkeypatch.setattr(multiset, "_memory_limit", lambda: table_bytes)
         with pytest.raises(MemoryError, match=f"needs {table_bytes + word_bytes} bytes"):
             RangeModeEngine(symbols)
         monkeypatch.setattr(multiset, "_memory_limit", lambda: table_bytes + word_bytes)
         engine = RangeModeEngine(symbols)
         assert engine.sigma_prime == 40 and engine.audit().ok
+
+    @pytest.mark.parametrize("sigma", [1, 26, 256])
+    def test_words_held_stay_within_the_word_bound(self, monkeypatch, sigma):
+        # The guard prices word_bound() words, ⌈c/S⌉ for a block of c summed
+        # from the room the blocks have before the next rebuild, not from
+        # the length.  S = 3 makes many chunks per block.  The length grows
+        # from 600 past a doubling to 1500, then shrinks past a halving to
+        # 500, with relocations among the edits.
+        monkeypatch.setattr(charseq, "CHUNK", 3)
+        rng = random.Random(sigma)
+        engine = RangeModeEngine([rng.randrange(sigma) for _ in range(600)])
+        for grow, until in [(0.8, lambda n: n >= 1500), (0.2, lambda n: n <= 500)]:
+            while not until(len(engine)):
+                n = len(engine)
+                roll = rng.random()
+                if roll < grow:
+                    engine.insert(rng.randint(0, n), rng.randrange(sigma))
+                elif roll < 0.9:
+                    engine.delete(rng.randrange(n))
+                else:
+                    engine.relocate(rng.randrange(n), rng.randrange(n))
+                seq = engine._seq
+                assert sum(len(sums) - 1 for sums in seq.chunk_sums) <= seq.word_bound()
+        assert [kind for kind, _ in engine.reset_events] == ["double", "halve"]
+        assert engine.audit().ok
 
     def test_widening_past_the_limit_leaves_the_engine_unchanged(self, monkeypatch):
         engine = RangeModeEngine([1, 2, 3, 4, 1, 2])

@@ -357,8 +357,9 @@ class TestPairTable:
         width = table._width
         # Beside the cells, 2 offset words and 2·3/128 + 2 = 2 running chunk
         # words of the new width, and the 2 edit masks of 2 fields each, as
-        # 6 ints, each with a header and a list slot, and a list slot for the
-        # 0 that leads each of the 2 word lists; and the 2 blocks, arrays
+        # 6 ints, each with a header and a list slot, and the 2 word lists,
+        # each a header, a list slot and a list slot for the 0 that leads
+        # it; and the 2 blocks, arrays
         # priced at 4 bytes for each of the 2·3 column ids they hold before
         # the next rebuild, each with a header and a list slot.
         cells = table.cell_count()
@@ -367,7 +368,8 @@ class TestPairTable:
         array_head = sys.getsizeof(array("I")) + slot
 
         def priced(width):
-            ints = 4 * int_bytes(width) + int_bytes(4) + 6 * head + 2 * slot
+            ints = 4 * int_bytes(width) + int_bytes(4) + 6 * head
+            ints += 2 * (sys.getsizeof([]) + 2 * slot)
             return 4 * cells * width + ints + 4 * 6 + 2 * array_head
 
         monkeypatch.setattr(multiset, "_memory_limit", lambda: priced(width))
@@ -383,13 +385,15 @@ class TestPairTable:
             assert sys.getsizeof((1 << 32 * fields) - 1) - header == int_bytes(fields)
         # Real words and masks: a top field under 2^32 saves at most 2 digits.
         # Every chunk of 128 holds all 26 symbols, so every running word
-        # past the leading 0 of a block's list has its top field set.
+        # past the leading 0 of a block's list has its top field set.  The
+        # 16 blocks of 256 hold two chunks each, and the edit in block 10
+        # takes it to 257 elements, which appends a third word.
         engine = RangeModeEngine([k % 26 for k in range(4096)])
         engine.insert(engine.block_sizes()[0] * 10 + 1, 3)  # an edit in block 10
         table, seq = engine._table, engine._seq
         assert table._masks[10] is not None
         words = [word for sums in seq.chunk_sums for word in sums[1:]]
-        assert len(words) == 32
+        assert len(words) == 33 and len(seq.chunk_sums[10]) == 4
         for value, fields in [
             (table._masks[10], mask_fields(table.slots, 10)),
             (table._base[-1], table._width),
@@ -399,21 +403,28 @@ class TestPairTable:
             assert 4 * fields < held <= int_bytes(fields) <= held + 2 * digit
 
     def test_chunk_words_are_priced_with_their_headers(self, monkeypatch):
-        # Each block keeps a list of running count words, 0 first.  The 0 is
-        # CPython's shared small int, so it holds its list slot alone; every
-        # other word is an int with a header and a slot in its list.  Its
-        # digits are priced for a full top field, which holds a count of at
-        # most the block's length: at σ' = 26 a word takes 27 digits, priced
-        # at 28 (+2.9 %).
+        # Each block keeps a list of running count words, 0 first, built at
+        # its length.  The list takes a header and a slot in the list of
+        # lists; the 0 is CPython's shared small int, so it holds its list
+        # slot alone; every other word is an int with a header and a slot in
+        # its list.  Its digits are priced for a full top field, which holds
+        # a count of at most the block's length: at σ' = 26 a word takes 27
+        # digits, priced at 28 (+2.9 %).  26 blocks of 630 or 631 hold five
+        # chunks each, and the other 32 slots are empty.
         rng = random.Random(14)
         engine = RangeModeEngine([rng.randrange(26) for _ in range(1 << 14)])
         seq, slots = engine._seq, engine._table.slots
         slot, zero = struct.calcsize("P"), 0
-        assert len(seq.chunk_sums) == slots and all(sums[0] is zero for sums in seq.chunk_sums)
+        assert len(seq.chunk_sums) == slots == 58
+        assert all(sums[0] is zero for sums in seq.chunk_sums)
         words = [word for sums in seq.chunk_sums for word in sums[1:]]
-        held = sum(sys.getsizeof(word) + slot for word in words) + slots * slot
-        assert len(words) == 104
+        held = sum(sys.getsizeof(sums) + slot for sums in seq.chunk_sums)
+        held += sum(map(sys.getsizeof, words))
+        assert len(words) == 26 * 5
         assert held <= prefix_list_bytes(slots, 26, len(words)) <= 1.03 * held
+        # The guard prices the most words the blocks can hold before the
+        # next rebuild: ⌈c/S⌉ for a block of c, at most 2·n0/S + L.
+        assert seq.word_bound() == 2 * (1 << 14) // 128 + slots
         monkeypatch.setattr(multiset, "_memory_limit", lambda: 0)
 
         def priced(words, elements):
@@ -421,9 +432,10 @@ class TestPairTable:
                 multiset.check_table_fits(slots, 26, words, elements)
             return int(re.search(r"needs (\d+) bytes", str(refused.value))[1])
 
-        # The guard prices each word, and the leading 0s even with no word.
+        # The guard prices each word, and the lists even with no word.
         extra = priced(len(words), seq.room) - priced(0, seq.room)
-        assert extra == prefix_list_bytes(slots, 26, len(words)) - slots * slot
+        assert extra == prefix_list_bytes(slots, 26, len(words)) - prefix_list_bytes(slots, 26, 0)
+        assert prefix_list_bytes(slots, 26, 0) == slots * (sys.getsizeof([]) + 2 * slot)
         # The blocks are priced at 4 bytes for each of the 2·n0 column ids
         # they hold at most before the next rebuild, and a header and a list
         # slot each: more than the arrays of n0 ids take now.

@@ -174,18 +174,18 @@ class TestPlans:
     ],
 )
 def test_chunk_words_leave_the_plans_unchanged(plan, monkeypatch, lo, hi, cell):
-    # S = 2: chunks of 1..4 elements, so each margin here holds a whole
+    # S = 2: chunks of 2 elements, so each margin here holds a whole
     # chunk.  The query reads the same cell and counts the same ranges as
     # with one chunk per block, but each inner end of a range reads at most
-    # half the chunk it cuts, S elements, one by one: loose inside the
-    # range, or taken away outside it.
+    # half the chunk it cuts, S/2 = 1 element: loose inside the range, or
+    # taken away outside it.  A query has two inner ends at most.
     symbols = two_symbols()
     _, ranges = plan(laid_out(symbols), lo, hi)
     monkeypatch.setattr(charseq, "CHUNK", 2)
     engine = laid_out(symbols)
     assert plan(engine, lo, hi) == (cell, ranges)
     counts = plan.log["counts"]
-    assert sum(len(loose) + len(taken) for *_, loose, taken in counts) <= 2 * 2
+    assert sum(len(loose) + len(taken) for *_, loose, taken in counts) <= 2 * 1
     for a, b, word, loose, taken in counts:
         assert word, (a, b)
         total = word_counts(engine, word) + Counter(loose)
@@ -197,13 +197,15 @@ def test_chunk_words_leave_the_plans_unchanged(plan, monkeypatch, lo, hi, cell):
     "alpha, chunk",
     [
         pytest.param(alpha, chunk, id=str(alpha) + ("" if chunk == charseq.CHUNK else f"-S{chunk}"))
-        for chunk in (charseq.CHUNK, 2)
+        for chunk in (charseq.CHUNK, 2, 3)
         for alpha in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5))
     ],
 )
 def test_every_range_after_random_edits(alpha, chunk, monkeypatch):
-    # At S = 2 the blocks hold many chunks, so the ends of a counted part
-    # round both inwards and outwards.
+    # At S = 2 and 3 the blocks hold many chunks.  At S = 3 the ends of a
+    # counted part round both inwards and outwards.  At S = 2 an end that
+    # cuts a chunk lies 1 from each of its boundaries, a tie, which rounds
+    # inwards, so no end rounds outwards.
     monkeypatch.setattr(charseq, "CHUNK", chunk)
     cell_reads, rounded_out = Counter(), Counter()
     table_modes = PairTable.modes
@@ -233,6 +235,8 @@ def test_every_range_after_random_edits(alpha, chunk, monkeypatch):
             assert engine.modes(lo, hi) == oracle.modes(lo, hi), (lo, hi)
     # Both queries that read a cell and queries that read none ran.
     assert 0 < cell_reads[True] < n * (n + 1) // 2
-    if chunk == 2:  # queries with chunk words took elements away, and some took none
+    if chunk == 3:  # queries with chunk words took elements away, and some took none
         assert rounded_out[True] and rounded_out[False]
+    if chunk == 2:  # queries with chunk words, none of which took an element away
+        assert rounded_out[False] and not rounded_out[True]
     assert engine.audit().ok

@@ -3,11 +3,12 @@
 Each rule edits or queries both and compares them; ``audit()`` runs after
 every rule, so a failure shrinks to a minimal op trace.  The machine also
 records which rare paths it reached (layout resets, boundary moves, a freed
-summary column reused, a table widened for a new symbol, a chunk split,
-merged or dropped, a relocation inside one block, one of those across a
-chunk boundary, and one across blocks); the test requires every one of
-them, so the fuzzing cannot silently stop exercising them.  Its blocks hold a few dozen elements
-at most, so the test shrinks the chunk size S from 128 to 2.
+summary column reused, a table widened for a new symbol, a chunk word
+appended or dropped, an edit that crosses a chunk offset, a relocation
+inside one block, one of those across a chunk boundary, and one across
+blocks); the test requires every one of them, so the fuzzing cannot
+silently stop exercising them.  Its blocks hold a few dozen elements at
+most, so the test shrinks the chunk size S from 128 to 2.
 """
 
 from __future__ import annotations
@@ -48,13 +49,22 @@ class EngineMachine(RuleBasedStateMachine):
         self.naive = NaiveSeq(initial)
         self.reach(f"alpha={alpha}")
 
+    def _reach_words(self, k, off, stop, words):
+        """Record the word paths of an edit at offset ``off`` of block ``k``
+        that changed the words of the chunk offsets below ``stop``, and that
+        had ``words`` words before."""
+        if len(self.engine._seq.chunk_sums[k]) != words:
+            self.reach("chunk word appended or dropped")
+        if (off // charseq.CHUNK + 1) * charseq.CHUNK < stop:
+            self.reach("edit crosses a chunk offset")
+
     def _insert(self, pos, symbol):
         engine = self.engine
         table, width, free = engine._table, engine._table._width, len(engine._table._free)
         new = symbol not in table._column
-        j = engine._seq.insert_place(pos)[0]
+        j, off = engine._seq.insert_place(pos)
         size, resets = engine.block_sizes()[j], len(engine.reset_events)
-        offsets = len(engine._seq.chunk_bounds[j])
+        words = len(engine._seq.chunk_sums[j])
         engine.insert(pos, symbol)
         self.naive.insert_at(pos, symbol)
         if engine._table is table and new:
@@ -63,8 +73,8 @@ class EngineMachine(RuleBasedStateMachine):
         if len(engine.reset_events) == resets:
             if engine.block_sizes()[j] == size:
                 self.reach("boundary moves")  # block j overflowed and shed an element
-            elif offsets > 1 and len(engine._seq.chunk_bounds[j]) > offsets:
-                self.reach("chunk split")
+            else:
+                self._reach_words(j, off, size + 1, words)
 
     @rule(pos=POSITIONS, symbol=SYMBOLS)
     def insert(self, pos, symbol):
@@ -76,24 +86,13 @@ class EngineMachine(RuleBasedStateMachine):
         for symbol in symbols:
             self._insert(len(self.naive) // 2, symbol)
 
-    def _chunk_of(self, pos):
-        """Block of position ``pos``, the chunk offsets of that block, and its chunk."""
-        k, off = self.engine._seq.locate(pos)
-        bounds = list(self.engine._seq.chunk_bounds[k])
-        c = next(c for c in range(len(bounds) - 1) if off < bounds[c + 1])
-        return k, bounds, c
-
-    def _reach_loss(self, k, bounds, c):
-        """Record the chunk path an element leaving chunk ``c`` of block ``k`` took."""
-        if len(self.engine._seq.chunk_bounds[k]) < len(bounds):
-            self.reach("chunk dropped" if bounds[c + 1] - bounds[c] == 1 else "chunks merged")
-
     def _delete(self, pos):
         resets = len(self.engine.reset_events)
-        k, bounds, c = self._chunk_of(pos)
+        k, off = self.engine._seq.locate(pos)
+        size, words = self.engine.block_sizes()[k], len(self.engine._seq.chunk_sums[k])
         assert self.engine.delete(pos) == self.naive.delete_at(pos)
         if len(self.engine.reset_events) == resets:
-            self._reach_loss(k, bounds, c)
+            self._reach_words(k, off, size, words)
 
     @precondition(lambda self: len(self.naive) > 0)
     @rule(pos=POSITIONS)
@@ -113,23 +112,18 @@ class EngineMachine(RuleBasedStateMachine):
         n = len(self.naive)
         src, dst = a % n, b % n
         seq = self.engine._seq
-        js, bounds, c = self._chunk_of(src)
-        to = seq.locate(src)[1] + dst - src  # its offset if it stays in block js
+        js, off = seq.locate(src)
+        words = len(seq.chunk_sums[js])
+        to = off + dst - src  # its offset if it stays in block js
         jd = seq.insert_place(dst if dst <= src else dst + 1)[0]
-        size = self.engine.block_sizes()[jd]
         assert self.engine.relocate(src, dst) == self.naive.relocate(src, dst)
-        if jd == js:  # no chunk splits, merges or is dropped
-            assert seq.chunk_bounds[js] == bounds
+        if jd == js:  # the block keeps its length, so its word count too
+            assert len(seq.chunk_sums[js]) == words
             self.reach("relocate within a block")
-            if not bounds[c] <= to < bounds[c + 1]:
+            if off // charseq.CHUNK != to // charseq.CHUNK:
                 self.reach("relocate within a block across a chunk boundary")
             return
         self.reach("relocate across blocks")
-        # Its insert may split a chunk of block jd, but not merge or drop
-        # one, so a chunk fewer in block js, if jd made no boundary move,
-        # is the removal's.
-        if self.engine.block_sizes()[jd] == size + 1:
-            self._reach_loss(js, bounds, c)
 
     @precondition(lambda self: len(self.naive) > 0)
     @rule(a=POSITIONS, b=POSITIONS)
@@ -164,7 +158,7 @@ def test_engine_matches_oracle_in_lockstep(monkeypatch):
     )
     wanted = {f"alpha={alpha}" for alpha in ALPHAS} | {
         "double reset", "halve reset", "boundary moves", "column reused", "table widened",
-        "chunk split", "chunks merged", "chunk dropped", "relocate within a block",
+        "chunk word appended or dropped", "edit crosses a chunk offset", "relocate within a block",
         "relocate within a block across a chunk boundary", "relocate across blocks",
     }
     assert wanted <= reached.keys(), wanted - reached.keys()

@@ -2,7 +2,8 @@
 
 The package provides the block-decomposed engine (:class:`RangeModeEngine`),
 its building blocks (:class:`CharSeq`, the symbols as one array of column
-ids per block, located through their :class:`BlockSizeIndex`; :class:`PairTable` and
+ids per block, one byte each up to 256 columns and four beyond,
+located through their :class:`BlockSizeIndex`; :class:`PairTable` and
 its cell snapshots, :class:`CountedSet`), a naive oracle for differential
 testing (:class:`NaiveSeq`), and a set-intersection application
 (:class:`SetFamily`).  The engine's one parameter is the block exponent of

@@ -1,16 +1,22 @@
 """Dynamic symbol sequence stored as the engine's blocks, with chunk counts.
 
 Symbols are opaque non-negative integers, but a block stores none of them:
-each block slot holds an ``array('I')`` of column ids, 4 bytes per element
-whatever the symbol, in order; empty blocks are allowed anywhere.  Column
-``col`` stands for symbol ``symbol[col]`` of :attr:`CharSeq.symbol`, and
-:attr:`CharSeq.column` maps each symbol present back to its column; the
-summary table shares both, hands a new symbol its column before the
-sequence takes it, and frees the column when the symbol's last element
-goes.  The build writes the arrays in one pass over the caller's list,
-block by block, with no copy of the whole list.  Edits, boundary moves
-and margin counts work on column ids alone; only :meth:`CharSeq.to_list`,
-:meth:`CharSeq.access_range` and indexing map them back to symbols.
+each block slot holds an array of column ids, in order, whatever the
+symbols; empty blocks are allowed anywhere.  Column ``col`` stands for
+symbol ``symbol[col]`` of :attr:`CharSeq.symbol`, and :attr:`CharSeq.column`
+maps each symbol present back to its column; the summary table shares both,
+hands a new symbol its column before the sequence takes it, and frees the
+column when the symbol's last element goes.  Every array has the narrower
+unsigned type that holds every column handed out (:func:`id_type`): ``'B'``,
+one byte per element, up to 256 columns, and ``'I'``, four bytes, beyond.
+The build picks it from its alphabet and writes the arrays in one pass over
+the caller's list, block by block, with no copy of the whole list.  Before
+the table hands out column 256 it has every block rewritten as ``'I'``
+(:meth:`CharSeq.retype`), one copy of N ids; the new arrays are all built
+before any replaces an old one, so a failure changes nothing.  Edits,
+boundary moves and margin counts work on column ids alone; only
+:meth:`CharSeq.to_list`, :meth:`CharSeq.access_range` and indexing map them
+back to symbols.
 
 An engine op finds its block and offset once, by bisecting the prefix sums
 of the :class:`BlockSizeIndex` of the block lengths (:meth:`CharSeq.locate`,
@@ -51,7 +57,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .blockindex import BlockSizeIndex
 from .errors import InvariantError
-from .multiset import _FIELD_BITS, _FIELD_BYTES, check_table_fits, pack
+from .multiset import _FIELD_BITS, _FIELD_BYTES, check_table_fits, id_type, pack
 
 CHUNK = 128
 """S: chunk t of a block holds its offsets t·S .. (t+1)·S - 1."""
@@ -71,10 +77,11 @@ class CharSeq:
         its distinct symbols, which the caller has already counted, and
         ``room`` is the most elements the blocks will hold, which the
         memory guard prices.  Symbols get columns in increasing order, and
-        the table, the chunk words and the arrays at that width must pass
-        :func:`check_table_fits` before any array is written.  Each chunk
-        is counted once by :meth:`recount` and added to the running word
-        before it.
+        the arrays take the narrower type that holds them, :func:`id_type`
+        of the alphabet's size; the table, the chunk words and the arrays at
+        that width must pass :func:`check_table_fits` before any array is
+        written.  Each chunk is counted once by :meth:`recount` and added to
+        the running word before it.
         """
         self.sizes = BlockSizeIndex(sizes)
         if len(self) != len(symbols):
@@ -85,7 +92,8 @@ class CharSeq:
         self.room = room
         self.blocks: list[array] = []
         self.chunk_sums: list[list[int]] = []  # per block, at t the word of its first min(t·S, c)
-        check_table_fits(len(sizes), len(alphabet), self.word_bound(), room)
+        code = id_type(len(alphabet))
+        check_table_fits(len(sizes), len(alphabet), self.word_bound(), room, code)
         column = self.column
         end = 0
         for size in sizes:
@@ -93,7 +101,11 @@ class CharSeq:
             end += size
             # One itemgetter call looks a block's symbols up at twice the speed
             # of mapping column.__getitem__; it returns a tuple for two or more.
-            block = array("I", itemgetter(*part)(column) if size > 1 else [column[s] for s in part])
+            ids = itemgetter(*part)(column) if size > 1 else [column[s] for s in part]
+            if code == "B":  # bytes() reads the ids at C speed; array("B", ids) parses each
+                block = array("B", bytes(ids))
+            else:
+                block = array("I", ids)
             sums = [0] * (-(-size // CHUNK) + 1)  # sized once: no list slot to spare
             for t in range(1, len(sums)):
                 sums[t] = sums[t - 1] + self.recount(block[(t - 1) * CHUNK : t * CHUNK])
@@ -258,16 +270,28 @@ class CharSeq:
             fields[col] = count
         return pack(fields)
 
-    def chunk_fault(self) -> str | None:
-        """The first chunk that breaks a rule of the module docstring, or None.
+    def retype(self, code: str) -> None:
+        """Rewrite every block as an array of ``code``, which must hold every id.
 
-        Every column id must lie below the width, the number of columns
-        handed out.  A block of c elements must have ⌈c/S⌉ + 1 words, 0
+        The new arrays are all built before they replace the old ones, so a
+        failure changes nothing.
+        """
+        self.blocks = [array(code, block) for block in self.blocks]
+
+    def chunk_fault(self) -> str | None:
+        """The first block or chunk that breaks a rule of the module docstring, or None.
+
+        Every block must be an array of :func:`id_type` of the width, the
+        number of columns handed out, and every column id must lie below
+        the width.  A block of c elements must have ⌈c/S⌉ + 1 words, 0
         first, and the difference of each two neighbours must equal a
         recount of its chunk.
         """
         width = len(self.symbol)
+        code = id_type(width)
         for k, block in enumerate(self.blocks):
+            if block.typecode != code:
+                return f"block {k} holds {block.typecode!r} ids, not {code!r} for {width} columns"
             if block and max(block) >= width:
                 return f"block {k} holds column id {max(block)}, past the width {width}"
             sums = self.chunk_sums[k]

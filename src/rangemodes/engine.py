@@ -24,10 +24,13 @@ the unpacked counts, at the column id the block stores.  A query that reads
 no cell and no word counts its loose elements alone, so its cost follows
 the symbols present, not σ'.
 
-The blocks are the column-id arrays of :class:`CharSeq`, ``array('I')``,
-4 bytes per element, with their boundaries in its :class:`BlockSizeIndex`;
-the build writes them from the caller's list without copying it, and only
-the symbols an op returns are mapped back from their columns.  Each op
+The blocks are the column-id arrays of :class:`CharSeq`, each in the
+narrower unsigned type that holds every column handed out (one byte per
+element up to 256 columns, four beyond), with their
+boundaries in its :class:`BlockSizeIndex`; the build writes them from the
+caller's list without copying it, a new column that needs a wider type
+first has every block rewritten, and only the symbols an op returns are
+mapped back from their columns.  Each op
 finds its block and offset there once and edits the sequence and the
 summary cells at that block, so the two always agree on where an element
 lives.

@@ -43,10 +43,15 @@ fields for a block of c after the 0 that leads each, at most 2·n0/S + L
 before the next rebuild, a list priced at its header and a list slot, the
 0 at its list slot and every other int at 4 bytes per 30 bits by
 :func:`int_bytes` plus a header and a list slot; and the sequence, L arrays
-of column ids priced at 4 bytes for each of the 2·n0 elements they can hold
-before the next rebuild, plus a header and a list slot each.  The :class:`CharSeq` build,
-before it writes a block, and every widening check the sum against what
-the process can get, raising :class:`MemoryError`.
+of column ids priced by :func:`array_bytes` at the item size of their type
+(:func:`id_type`) for each of the 2·n0 elements they can hold before the
+next rebuild, with the spare room an array grown by inserts holds, as
+measured at import, plus a header and a list slot each.  The
+:class:`CharSeq` build, before it writes a block, every widening, and
+the rewrite of the arrays to ``'I'`` check the sum against what the
+process can get, raising :class:`MemoryError`.  The old table of a
+widening and the old arrays of a rewrite live beside the new ones until
+the copy ends, and are not priced.
 
 The column map is the one :class:`CharSeq` builds, one column per symbol
 of its blocks in increasing order, both ways (``column``, symbol → column,
@@ -58,13 +63,15 @@ is the size of the column map.  Edits and shifts name their column, which
 the blocks store.  A reused column keeps the offsets of its last symbol,
 and its cells read 0 as its fields still equal them.  A symbol that finds
 no free column widens the table by half, appending zero planes in one copy;
-the offset words and the chunk words, Python ints, and the column ids, 32
-bits each, need no widening.  Every decrement first reads the column's
-count in the source block's own cell and raises :class:`InvariantError` if
-it is 0, before any cell changes, so no field of a slice add can borrow from
-its neighbour.  A stored field holds a count plus its offset and must stay
-at most ``MAX_COUNT``; :meth:`PairTable.top_offset` bounds the offsets, and
-the engine rejects a layout whose fields could exceed it.
+the offset words and the chunk words, Python ints, need no widening.  The
+column ids do when column 256 is handed out: every block is rewritten as
+``'I'`` first, and a rewrite that fails changes no block.
+Every decrement first reads the column's count in the source block's own
+cell and raises :class:`InvariantError` if it is 0, before any cell
+changes, so no field of a slice add can borrow from its neighbour.  A
+stored field holds a count plus its offset and must stay at most
+``MAX_COUNT``; :meth:`PairTable.top_offset` bounds the offsets, and the
+engine rejects a layout whose fields could exceed it.
 
 ``PairTable.cell`` returns a summary cell as a :class:`CountedSet`, a
 symbol→count snapshot that ``audit()`` compares with a recount.
@@ -73,6 +80,7 @@ Symbol ids must fit in 64 bits; the blocks never store them.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import sys
@@ -100,12 +108,14 @@ MAX_COUNT = (1 << _FIELD_BITS) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
 _SLOT = struct.calcsize("P")  # a list slot
 _INT_HEAD = int.__basicsize__ + _SLOT  # an int's header and its list slot
-_ARRAY_HEAD = sys.getsizeof(array("I")) + _SLOT  # an empty array and its list slot
+_EMPTY_ARRAY = sys.getsizeof(array("B"))  # the same for every type
+_ARRAY_HEAD = _EMPTY_ARRAY + _SLOT  # an empty array and its list slot
 _LIST_HEAD = sys.getsizeof([]) + _SLOT  # an empty list and its list slot
 
-# Counts live in an array("I"), one field per item.
-if array("I").itemsize != _FIELD_BYTES:
-    raise ImportError("rangemodes needs a 4-byte unsigned int ('I') array type")
+# Counts live in an array("I"), one field per item; column ids in the
+# narrower of 'B' and 'I' that holds them (:func:`id_type`).
+if [array(code).itemsize for code in "BI"] != [1, _FIELD_BYTES]:
+    raise ImportError("rangemodes needs 1- and 4-byte unsigned array types 'B' and 'I'")
 
 
 def _memory_limit() -> int | None:
@@ -123,6 +133,32 @@ def _memory_limit() -> int | None:
         if soft != resource.RLIM_INFINITY:
             limits.append(soft)
     return min(limits) if limits else None
+
+
+def id_type(columns: int) -> str:
+    """The narrower unsigned array type that holds the column ids below
+    ``columns``: 'B' up to 256 columns, 'I' beyond."""
+    return "B" if columns <= 1 << 8 else "I"
+
+
+def _measure_room(items: int = 4096) -> tuple[float, float]:
+    """``(ratio, pad)``: an array grown one insert at a time to n items, for
+    every n up to ``items``, holds room for at most ratio·n + pad items.
+
+    Measured with :func:`sys.getsizeof` on an array grown so: ratio is the
+    most room per item it holds from ``items // 4`` items on, and pad the
+    most it holds past ratio·n at any size.  An array's spare room is
+    counted in items, the same for every item size.
+    """
+    grown, held = array("B"), []
+    for _ in range(items):
+        grown.append(0)
+        held.append(sys.getsizeof(grown) - _EMPTY_ARRAY)
+    ratio = max(room / n for n, room in enumerate(held, 1) if 4 * n >= items)
+    return ratio, max(room - ratio * n for n, room in enumerate(held, 1))
+
+
+_ROOM_RATIO, _ROOM_PAD = _measure_room()
 
 
 def mask_fields(slots: int, j: int) -> int:
@@ -153,25 +189,36 @@ def prefix_list_bytes(slots: int, width: int, words: int) -> int:
     return words * (int_bytes(width) + _INT_HEAD) + slots * (_SLOT + _LIST_HEAD)
 
 
-def check_table_fits(slots: int, width: int, words: int, elements: int) -> None:
+def array_bytes(slots: int, elements: int, code: str) -> int:
+    """Bytes of ``slots`` arrays of type ``code`` that hold ``elements`` ids
+    in all, grown by inserts.
+
+    Each array holds room for at most ratio·n + pad items for its n, as
+    :func:`_measure_room` measured, and takes a header and a list slot.
+    """
+    items = math.ceil(_ROOM_RATIO * elements + _ROOM_PAD * slots)
+    return items * array(code).itemsize + slots * _ARRAY_HEAD
+
+
+def check_table_fits(slots: int, width: int, words: int, elements: int, code: str) -> None:
     """Raise :class:`MemoryError` if a table of ``slots`` blocks and ``width``
     columns, with its ``slots`` offset words, ``slots`` lists of running
     count words of that width, 0 and then ``words`` words in all, its
     ``slots`` kept edit masks and a sequence of ``elements`` column ids in
-    ``slots`` arrays beside it, takes more bytes than the process can get.
+    ``slots`` arrays of type ``code`` beside it, takes more bytes than the
+    process can get.
 
     The masks of all slots take L(L²+2)/3 fields, but the table keeps them
     only up to its own field count.  The offset words and the masks are
     ints, each priced at its digits by :func:`int_bytes` plus a header and a
-    list slot, and the lists by :func:`prefix_list_bytes`.  A column id
-    takes 4 bytes, and each array a header and a list slot.
+    list slot, the lists by :func:`prefix_list_bytes`, and the arrays by
+    :func:`array_bytes`.
     """
     cells = slots * (slots + 1) // 2
     masks = min(slots * (slots * slots + 2) // 3, cells * width)
     ints = slots * int_bytes(width) + int_bytes(masks) + 2 * slots * _INT_HEAD
     ints += prefix_list_bytes(slots, width, words)
-    arrays = _FIELD_BYTES * elements + slots * _ARRAY_HEAD
-    nbytes = _FIELD_BYTES * width * cells + ints + arrays
+    nbytes = _FIELD_BYTES * width * cells + ints + array_bytes(slots, elements, code)
     limit = _memory_limit()
     if limit is not None and nbytes > limit:
         raise MemoryError(
@@ -367,7 +414,11 @@ class PairTable:
     def claim_column(self, symbol: int) -> int:
         """The column of ``symbol``, handing it a free one if it has none.
 
-        A widening that fails raises before any column is handed out."""
+        A widening or a rewrite of the blocks that fails raises before any
+        column is handed out.  A widening is priced at the blocks' new type,
+        so a rewrite the guard refuses leaves the table as it was; a rewrite
+        whose copy fails leaves every block as it was, and a widening before
+        it has only added zero planes."""
         col = self._column.get(symbol)
         if col is None:
             if self._free:
@@ -377,6 +428,11 @@ class PairTable:
                 col = len(self._symbol)
                 if col == self._width:
                     self._widen()
+                code = id_type(col + 1)
+                if code != id_type(col):  # column 256: every block to 'I' first
+                    seq = self._seq
+                    check_table_fits(self._slots, self._width, seq.word_bound(), seq.room, code)
+                    seq.retype(code)
                 self._symbol.append(symbol)
             self._column[symbol] = col
         return col
@@ -386,7 +442,10 @@ class PairTable:
         old, width = self._counts, self._width
         new_width = width + width // 2 + 1
         seq = self._seq
-        check_table_fits(self._slots, new_width, seq.word_bound(), seq.room)
+        # Priced at the type the claimed column needs, so that a widening the
+        # rewrite to 'I' would not fit beside is refused before it allocates.
+        code = id_type(len(self._symbol) + 1)
+        check_table_fits(self._slots, new_width, seq.word_bound(), seq.room, code)
         counts = _zeros(self._cells * new_width)
         counts[: len(old)] = old
         self._counts, self._width = counts, new_width

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rangemodes import CharSeq, InvariantError, charseq
-from rangemodes.multiset import unpack
+from rangemodes.multiset import id_type, unpack
 
 
 def flatten(blocks):
@@ -36,12 +36,15 @@ def seq_over(blocks, alphabet=range(1000)):
         if symbol not in seq.column:
             seq.column[symbol] = len(seq.symbol)
             seq.symbol.append(symbol)
+    seq.retype(id_type(len(seq.symbol)))  # as the table does before it hands column 256 out
     return seq
 
 
 def check_mirror(seq, mirror):
-    """The sequence holds exactly the mirror's blocks, and its size index agrees."""
-    assert all(type(block) is array and block.typecode == "I" for block in seq.blocks)
+    """The sequence holds exactly the mirror's blocks, in arrays of the type
+    the width needs, and its size index agrees."""
+    code = id_type(len(seq.symbol))
+    assert all(type(block) is array and block.typecode == code for block in seq.blocks)
     assert symbol_blocks(seq) == mirror
     assert seq.sizes.to_list() == [len(block) for block in mirror]
     assert seq.to_list() == flatten(mirror)
@@ -124,14 +127,14 @@ def test_writes_column_arrays_from_the_symbol_list():
     symbols = [2, 0, 1, 2]
     seq = CharSeq(symbols, [2, 0, 2], set(symbols), 8)
     assert symbols == [2, 0, 1, 2]  # read, not changed
-    assert seq.blocks == [array("I", [2, 0]), array("I"), array("I", [1, 2])]
+    assert seq.blocks == [array("B", [2, 0]), array("B"), array("B", [1, 2])]
     assert seq.symbol == [0, 1, 2] and seq.column == {0: 0, 1: 1, 2: 2}
     assert seq.sizes.to_list() == [2, 0, 2] and seq.room == 8
     # Symbols get columns in increasing order, whatever their size.
     big = [1 << 63, 7, 1 << 32, 7]
     seq = CharSeq(big, [1, 3], set(big), 8)
     assert seq.symbol == [7, 1 << 32, 1 << 63]
-    assert seq.blocks == [array("I", [2]), array("I", [0, 1, 0])]
+    assert seq.blocks == [array("B", [2]), array("B", [0, 1, 0])]
     check_mirror(seq, [[1 << 63], [7, 1 << 32, 7]])
     with pytest.raises(ValueError):
         CharSeq([1, 2], [1, 0], {1, 2}, 4)

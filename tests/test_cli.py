@@ -3,7 +3,6 @@ import random
 import struct
 import sys
 import warnings
-from array import array
 
 import pytest
 
@@ -327,13 +326,13 @@ class TestMain:
         # An empty engine's 3 slots are priced as 9 ints, offset words, chunk
         # words and edit masks, each a header and a list slot, 3 chunk word
         # lists, each a header and a list slot and a list slot for the 0
-        # that leads it, and 3 arrays of up to 2 column ids, each a header
-        # and a list slot too; that fits, and the first symbol, a widening
-        # to one column, does not.
+        # that leads it, and 3 arrays of up to 2 one-byte column ids with
+        # their growth room, each a header and a list slot too; that fits,
+        # and the first symbol, a widening to one column, does not.
         slot = struct.calcsize("P")
         head = sys.getsizeof(1) - sys.int_info.sizeof_digit + slot
         lists = 3 * (sys.getsizeof([]) + 2 * slot)
-        arrays = 4 * 2 + 3 * (sys.getsizeof(array("I")) + slot)
+        arrays = multiset.array_bytes(3, 2, "B")
         monkeypatch.setattr(multiset, "_memory_limit", lambda: 9 * head + lists + arrays)
         family = tmp_path / "family.txt"
         family.write_text("2 2\n2 0 1\n1 0\n")

@@ -20,7 +20,7 @@ from layout import assert_within_capacity, lay_out
 
 import rangemodes.engine as engine_module
 from rangemodes import charseq, multiset
-from rangemodes.multiset import MAX_SYMBOL, int_bytes
+from rangemodes.multiset import MAX_SYMBOL, array_bytes, int_bytes
 from rangemodes import (
     AuditReport,
     BlockSizeIndex,
@@ -34,7 +34,6 @@ from rangemodes import (
 
 SLOT = struct.calcsize("P")  # a list slot
 INT_HEAD = sys.getsizeof(1) - sys.int_info.sizeof_digit + SLOT  # header, list slot
-ARRAY_HEAD = sys.getsizeof(array("I")) + SLOT  # an empty array, its list slot
 LIST_HEAD = sys.getsizeof([]) + SLOT  # an empty list, its list slot
 
 
@@ -1070,6 +1069,12 @@ class TestAudit:
         sums.append(sums[-1])
         assert engine.audit().message == "block 4 of 400 elements has 6 count words, not 5"
 
+    def test_detects_a_block_of_the_wrong_type(self):
+        engine = RangeModeEngine([1, 2, 3])
+        blocks = engine._seq.blocks
+        blocks[0] = array("I", blocks[0])  # three columns take 'B' ids
+        assert engine.audit() == AuditReport(False, "block 0 holds 'I' ids, not 'B' for 3 columns")
+
     def test_detects_column_id_past_the_width(self):
         engine = RangeModeEngine([1, 2, 3])
         engine._seq.blocks[0][0] = 3  # three columns, 0..2, are handed out
@@ -1116,7 +1121,8 @@ class TestAudit:
 
 
 class TestColumnStorage:
-    """Each block is an ``array('I')`` of column ids, whatever the symbols."""
+    """Each block is an array of column ids in the narrowest unsigned type
+    that holds every column handed out, whatever the symbols."""
 
     @pytest.mark.parametrize("shift", [0, 40], ids=["small", "past-2^32"])
     def test_build_makes_no_copy_of_its_input(self, shift):
@@ -1172,10 +1178,142 @@ class TestColumnStorage:
         assert paths[True] and paths[False]  # both relocation paths
         assert engine.to_list() == oracle.to_list() and engine.audit().ok
         assert set(engine.to_list()) == set(alphabet) and engine.sigma_prime == 7
-        assert all(block.typecode == "I" for block in engine._seq.blocks)
+        assert all(block.typecode == "B" for block in engine._seq.blocks)  # 7 columns
+
+    def test_a_257th_symbol_rewrites_every_block_as_four_byte_ids(self):
+        # 256 symbols fill the one-byte ids.  The 257th, column 256, comes
+        # in by an insert, which rewrites every block as 'I' before the
+        # column is handed out; relocations then move it across blocks and
+        # inside one, among random edits and queries.
+        rng = random.Random(257)
+        initial = list(range(256)) * 4
+        rng.shuffle(initial)
+        engine, oracle = RangeModeEngine(initial), NaiveSeq(initial)
+        assert {block.typecode for block in engine._seq.blocks} == {"B"}
+        engine.insert(500, 1000)
+        oracle.insert_at(500, 1000)
+        assert {block.typecode for block in engine._seq.blocks} == {"I"}
+        assert engine._seq.column[1000] == 256 and engine.audit().ok
+        paths = Counter()
+        for step in range(600):
+            n = len(oracle)
+            seq = engine._seq
+            src = oracle.to_list().index(1000) if step % 3 == 0 else rng.randrange(n)
+            dst = rng.randrange(n)
+            roll = rng.random()
+            if roll < 0.6:
+                at = dst if dst <= src else dst + 1
+                paths[seq.locate(src)[0] == seq.insert_place(at)[0]] += 1
+                symbol = oracle.delete_at(src)
+                oracle.insert_at(dst, symbol)
+                assert engine.relocate(src, dst) == symbol
+            elif roll < 0.8:
+                symbol = rng.choice([1000, rng.randrange(256)])
+                engine.insert(dst, symbol)
+                oracle.insert_at(dst, symbol)
+            else:
+                lo, hi = sorted((src, dst))
+                assert engine.modes(lo, hi) == oracle.modes(lo, hi)
+        assert paths[True] and paths[False]  # both relocation paths
+        assert engine.to_list() == oracle.to_list() and engine.audit().ok
+        assert engine.modes(0, len(oracle) - 1) == oracle.modes(0, len(oracle) - 1)
+        assert {block.typecode for block in engine._seq.blocks} == {"I"}
+
+    @pytest.mark.parametrize("fault", ["guard", "copy"])
+    def test_a_failed_rewrite_changes_nothing(self, monkeypatch, fault):
+        # Column 256 needs a widening of the 256 columns to 385 and the
+        # rewrite to 'I'.  The guard refuses the 'I' arrays, which it prices
+        # with the widening, so nothing is allocated; or the tenth block
+        # copy raises, after nine new arrays are built, and the widening
+        # before it has only added zero planes.
+        engine = RangeModeEngine(list(range(256)) * 2)
+        seq, width = engine._seq, engine._table._width
+        assert width == 256
+
+        def state():
+            return (
+                engine.to_list(), engine.block_sizes(), engine.sigma_prime,
+                [block.typecode for block in engine._seq.blocks],
+                [list(sums) for sums in seq.chunk_sums],
+            )
+
+        before = state()
+        if fault == "guard":
+            fits = multiset.check_table_fits
+
+            def refuse_i(*args):
+                if args[-1] == "I":
+                    raise MemoryError("refused")
+                fits(*args)
+
+            monkeypatch.setattr(multiset, "check_table_fits", refuse_i)
+        else:
+            real, copies = charseq.array, []
+
+            def fail_tenth(code, *init):
+                if init and isinstance(init[0], real):  # a block copied by retype
+                    copies.append(code)
+                    if len(copies) == 10:
+                        raise MemoryError("refused")
+                return real(code, *init)
+
+            monkeypatch.setattr(charseq, "array", fail_tenth)
+        with pytest.raises(MemoryError):
+            engine.insert(7, 256)
+        assert state() == before and engine._seq is seq and engine.audit().ok
+        assert before[3] == ["B"] * len(before[3])
+        assert engine._table._width == (width if fault == "guard" else 385)
+        monkeypatch.undo()
+        engine.insert(7, 256)
+        assert {block.typecode for block in engine._seq.blocks} == {"I"}
+        assert engine.sigma_prime == 257 and engine.audit().ok
+
+    def test_a_halving_under_257_columns_rebuilds_one_byte_ids(self):
+        # 300 symbols take 'I' ids.  Deleting every copy of 299 of them frees
+        # their columns, but the columns handed out stay 300, and so do the
+        # 'I' arrays; the halving rebuilds from the one symbol left.
+        initial = list(range(300)) + [0] * 900
+        engine = RangeModeEngine(initial)
+        assert {block.typecode for block in engine._seq.blocks} == {"I"}
+        for _ in range(299):
+            engine.delete(1)
+        assert engine.sigma_prime == 1 and not engine.reset_events
+        assert {block.typecode for block in engine._seq.blocks} == {"I"}
+        while not engine.reset_events:
+            engine.delete(0)
+        assert engine.reset_events == [("halve", 600)]
+        assert {block.typecode for block in engine._seq.blocks} == {"B"}
+        assert engine.to_list() == [0] * 600 and engine.audit().ok
 
 
 class TestMemoryGuard:
+    @pytest.mark.parametrize(
+        "sigma, code, alpha",
+        [(26, "B", Fraction(1, 3)), (300, "I", Fraction(1, 3)), (26, "B", Fraction(1, 8))],
+    )
+    def test_arrays_held_stay_within_their_price(self, sigma, code, alpha):
+        # An array insert leaves spare room, which array_bytes prices from
+        # a measurement of arrays up to 4 096 items.  An engine of n0 = 2^14
+        # grows by random inserts to 2·n0 - 1 elements, the most before its
+        # doubling; its arrays, with their headers and list slots, then take
+        # more than their ids alone but no more than the price of the 2·n0
+        # ids the guard counts.  At alpha = 1/8 the engine has 8 slots, and
+        # its blocks grow past the measured 4 096 items.
+        rng = random.Random(sigma)
+        n0 = 1 << 14
+        engine = RangeModeEngine([rng.randrange(sigma) for _ in range(n0)], Config(alpha=alpha))
+        while len(engine) < 2 * n0 - 1:
+            engine.insert(rng.randint(0, len(engine)), rng.randrange(sigma))
+        seq = engine._seq
+        slots, itemsize = len(seq.blocks), array(code).itemsize
+        assert engine.n0 == n0 and seq.room == 2 * n0 and engine.sigma_prime == sigma
+        assert {block.typecode for block in seq.blocks} == {code}
+        if alpha == Fraction(1, 8):
+            assert max(seq.sizes.to_list()) > 4096
+        held = sum(sys.getsizeof(block) + SLOT for block in seq.blocks)
+        heads = slots * (sys.getsizeof(array(code)) + SLOT)
+        assert itemsize * len(engine) + heads < held <= array_bytes(slots, seq.room, code)
+
     def test_oversized_table_is_refused_before_allocating(self):
         # RangeModeEngine(range(1 << 17)) would need about 3.5 GB of counts
         # for its table alone, 115 slots of 2^17 columns, and 2·2^17/128 + 115
@@ -1210,14 +1348,14 @@ class TestMemoryGuard:
         # table's own count; each of those 115 + words + 115 ints also has a
         # header and a list slot, and each of the 115 word lists a header,
         # a list slot and a list slot for the 0 that leads it.  The 115
-        # blocks are arrays priced at 4 bytes for each of the 2·2^17 column
-        # ids they hold before the next rebuild, and a header and a list
-        # slot each.
+        # blocks are 'I' arrays, as 2^17 columns are past 256, priced by
+        # array_bytes for the 2·2^17 column ids they hold before the next
+        # rebuild.
         cells, offsets, words = 115 * 116 // 2, 115, 2 * (1 << 17) // 128 + 115
         masks = 115 * (115 * 115 + 2) // 3
         nbytes = 4 * (1 << 17) * cells + (offsets + words) * int_bytes(1 << 17) + int_bytes(masks)
         nbytes += (offsets + words + 115) * INT_HEAD + 115 * (SLOT + LIST_HEAD)
-        nbytes += 4 * 2 * (1 << 17) + 115 * ARRAY_HEAD
+        nbytes += array_bytes(115, 2 * (1 << 17), "I")
         assert f"needs {nbytes} bytes" in message
 
     def test_chunk_words_count_against_the_limit(self, monkeypatch):
@@ -1226,14 +1364,14 @@ class TestMemoryGuard:
         # the L offset words and the L edit masks, L(L² + 2)/3 fields at
         # most cells·σ'; every int also has a header and a list slot, and
         # each word list a header, a list slot and a list slot for its
-        # leading 0.  The L blocks are arrays of up to 2N
-        # column ids, 4 bytes each, and a header and a list slot per array.
+        # leading 0.  The L blocks are 'B' arrays of up to 2N column ids,
+        # priced by array_bytes.
         symbols = [k % 40 for k in range(3000)]
         slots = len(RangeModeEngine(symbols).block_sizes())
         cells = slots * (slots + 1) // 2
         masks = min(slots * (slots * slots + 2) // 3, cells * 40)
         table_bytes = 4 * 40 * cells + slots * int_bytes(40) + int_bytes(masks)
-        table_bytes += 2 * slots * INT_HEAD + 4 * 2 * len(symbols) + slots * ARRAY_HEAD
+        table_bytes += 2 * slots * INT_HEAD + array_bytes(slots, 2 * len(symbols), "B")
         word_bytes = (2 * len(symbols) // 128 + slots) * (int_bytes(40) + INT_HEAD)
         word_bytes += slots * (SLOT + LIST_HEAD)
         monkeypatch.setattr(multiset, "_memory_limit", lambda: table_bytes)

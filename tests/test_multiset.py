@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from rangemodes import CharSeq, Config, CountedSet, InvariantError, PairTable, RangeModeEngine
 from rangemodes import multiset
-from rangemodes.multiset import MAX_COUNT, MAX_SYMBOL, int_bytes, mask_fields, prefix_list_bytes
+from rangemodes.multiset import (
+    MAX_COUNT, MAX_SYMBOL, array_bytes, id_type, int_bytes, mask_fields, prefix_list_bytes,
+)
 
 A, B, C = 0, 1, 2
 
@@ -359,18 +361,16 @@ class TestPairTable:
         # words of the new width, and the 2 edit masks of 2 fields each, as
         # 6 ints, each with a header and a list slot, and the 2 word lists,
         # each a header, a list slot and a list slot for the 0 that leads
-        # it; and the 2 blocks, arrays
-        # priced at 4 bytes for each of the 2·3 column ids they hold before
-        # the next rebuild, each with a header and a list slot.
+        # it; and the 2 blocks, 'B' arrays of the 2·3 column ids they hold
+        # before the next rebuild, priced by array_bytes.
         cells = table.cell_count()
         slot = struct.calcsize("P")
         head = sys.getsizeof(1) - sys.int_info.sizeof_digit + slot
-        array_head = sys.getsizeof(array("I")) + slot
 
         def priced(width):
             ints = 4 * int_bytes(width) + int_bytes(4) + 6 * head
             ints += 2 * (sys.getsizeof([]) + 2 * slot)
-            return 4 * cells * width + ints + 4 * 6 + 2 * array_head
+            return 4 * cells * width + ints + array_bytes(2, 6, "B")
 
         monkeypatch.setattr(multiset, "_memory_limit", lambda: priced(width))
         with pytest.raises(MemoryError, match=str(priced(width + width // 2 + 1))):
@@ -429,20 +429,43 @@ class TestPairTable:
 
         def priced(words, elements):
             with pytest.raises(MemoryError) as refused:
-                multiset.check_table_fits(slots, 26, words, elements)
+                multiset.check_table_fits(slots, 26, words, elements, "B")
             return int(re.search(r"needs (\d+) bytes", str(refused.value))[1])
 
         # The guard prices each word, and the lists even with no word.
         extra = priced(len(words), seq.room) - priced(0, seq.room)
         assert extra == prefix_list_bytes(slots, 26, len(words)) - prefix_list_bytes(slots, 26, 0)
         assert prefix_list_bytes(slots, 26, 0) == slots * (sys.getsizeof([]) + 2 * slot)
-        # The blocks are priced at 4 bytes for each of the 2·n0 column ids
-        # they hold at most before the next rebuild, and a header and a list
-        # slot each: more than the arrays of n0 ids take now.
-        array_head = sys.getsizeof(array("I")) + struct.calcsize("P")
-        assert priced(0, seq.room) - priced(0, 0) == 4 * seq.room == 8 << 14
+        # The blocks, 'B' arrays at 26 columns, are priced by array_bytes
+        # for the 2·n0 column ids they hold at most before the next rebuild,
+        # a byte each and their growth room: more than the arrays of n0 ids
+        # take now, with the room the build leaves them.
+        assert priced(0, seq.room) - priced(0, 0) == (
+            array_bytes(slots, seq.room, "B") - array_bytes(slots, 0, "B")
+        )
+        assert 1.06 * seq.room < array_bytes(slots, seq.room, "B") - array_bytes(slots, 0, "B")
         arrays = sum(sys.getsizeof(block) + struct.calcsize("P") for block in seq.blocks)
-        assert arrays == 4 * (1 << 14) + slots * array_head
+        assert array_bytes(slots, 0, "B") + (1 << 14) < arrays
+        assert arrays <= array_bytes(slots, 1 << 14, "B")
+
+    def test_claiming_column_256_rewrites_every_block_as_four_byte_ids(self):
+        # The blocks take the narrower type that holds every column handed
+        # out: 256 columns fit 'B', one more does not.  Claiming column 256
+        # rewrites every block as 'I' before the column is handed out.
+        assert (id_type(256), id_type(257)) == ("B", "I")
+        symbols = [(k * 7919) % 256 for k in range(256)]
+        blocks = [symbols[:85], [], symbols[85:]]
+        table = build_table(blocks)
+        seq = table._seq
+        assert [block.typecode for block in seq.blocks] == ["B"] * 3
+        assert table.claim_column(256) == 256
+        assert [block.typecode for block in seq.blocks] == ["I"] * 3
+        assert seq.to_list() == symbols and seq.chunk_fault() is None
+        table.apply_point(1, 256, 1)
+        seq.insert_at(1, 0, 256)
+        blocks[1].append(256)
+        assert seq.blocks[1].tolist() == [256] and seq.chunk_fault() is None
+        assert table.cell(0, 2) == recount(blocks)[(0, 2)]
 
     def test_new_symbols_widen_every_cell(self):
         blocks = [[A], [], [B, B]]

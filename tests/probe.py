@@ -1,0 +1,230 @@
+"""What the tests know of the engine's storage, in one place.
+
+Every test that reads or corrupts the state :class:`CharSeq` keeps beside
+its blocks, prices the engine's bytes, makes an op fail, or lays blocks out
+by hand goes through this module, so a change of that storage rewrites the
+readers here and not the tests.
+
+- :func:`words` and :func:`set_words`: block k's running chunk words as
+  lists of per-column counts, read and written, and :func:`word_count`.
+- :func:`snapshot`: everything an op that raises must leave as it was.
+- :func:`add_columns`: the column map grown as the summary table grows it.
+- :func:`held_bytes` and :func:`priced_bytes`: the bytes the sequence's
+  parts hold, and the memory guard's price of every part, recomputed.
+- :data:`FAULTS`, :data:`WIDEN_FAULTS` and :func:`fail_nth_insert_at`: the
+  places an op can fail for lack of memory, ready to patch in.
+- :func:`lay_out` and :func:`assert_within_capacity`: block sizes set by
+  boundary moves, and checked against the capacity.
+"""
+
+from __future__ import annotations
+
+import itertools
+import struct
+import sys
+from array import array
+
+import rangemodes.engine as engine_module
+from rangemodes import charseq, multiset
+from rangemodes.multiset import array_bytes, int_bytes, pack, unpack
+
+HIDDEN = ("chunk_sums",)
+"""Names of the storage that no test module but this one may use."""
+BYTE_HELPERS = ("prefix_list_bytes", "array_bytes", "int_bytes")
+"""The guard's byte helpers, used outside this module only by their own tests."""
+
+_FIELD_BITS = 32
+_SLOT = struct.calcsize("P")  # a list slot
+_INT_HEAD = sys.getsizeof(1) - sys.int_info.sizeof_digit + _SLOT  # an int's header, its list slot
+_LIST_HEAD = sys.getsizeof([]) + _SLOT  # an empty list, its list slot
+_ZERO = 0  # CPython's shared small int
+
+
+# ----------------------------------------------------------------------
+# chunk words
+# ----------------------------------------------------------------------
+
+
+def words(seq, k):
+    """Block ``k``'s running words, 0 first, each a list of its count of
+    every column below the width.
+
+    Raises :class:`AssertionError` when a word has bits past the width, so
+    that decoding never hides a difference the stored words show.
+    """
+    width = len(seq.symbol)
+    out = []
+    for t, word in enumerate(seq.chunk_sums[k]):
+        if not 0 <= word < 1 << (_FIELD_BITS * width):
+            raise AssertionError(f"word {t} of block {k} has bits past the {width} columns")
+        out.append(unpack(word, width))
+    return out
+
+
+def word_count(seq, k):
+    """How many running words block ``k`` keeps, the leading 0 included."""
+    return len(seq.chunk_sums[k])
+
+
+def set_words(seq, k, lists):
+    """Store ``lists``, each a count of every column below the width, as
+    block ``k``'s running words; the one writer of chunk words."""
+    width = len(seq.symbol)
+    assert all(len(counts) == width for counts in lists), "a word needs one count per column"
+    seq.chunk_sums[k][:] = [pack(array("I", counts)) for counts in lists]
+
+
+# ----------------------------------------------------------------------
+# engine state
+# ----------------------------------------------------------------------
+
+
+def typecodes(engine):
+    """The array type of each block's column ids."""
+    return [block.typecode for block in engine._seq.blocks]
+
+
+def snapshot(engine):
+    """Everything an op that raises must leave as it was.
+
+    A word shows as its nonzero counts by column, so a column that the op
+    handed out and freed again, which stays past σ' in the column map,
+    does not show.
+    """
+    seq = engine._seq
+    return {
+        "list": engine.to_list(),
+        "sizes": engine.block_sizes(),
+        "n0": engine.n0,
+        "resets": list(engine.reset_events),
+        "sigma_prime": engine.sigma_prime,
+        "typecodes": typecodes(engine),
+        "words": [
+            [{col: n for col, n in enumerate(counts) if n} for counts in words(seq, k)]
+            for k in range(len(seq.blocks))
+        ],
+    }
+
+
+def add_columns(seq, symbols):
+    """Hand each of ``symbols`` that has no column the next one, as
+    :meth:`PairTable.claim_column` does with no free column: every block is
+    rewritten to the wider id type before column 256 is handed out."""
+    for symbol in symbols:
+        if symbol not in seq.column:
+            col = len(seq.symbol)
+            code = multiset.id_type(col + 1)
+            if code != multiset.id_type(col):
+                seq.retype(code)
+            seq.symbol.append(symbol)
+            seq.column[symbol] = col
+
+
+# ----------------------------------------------------------------------
+# bytes
+# ----------------------------------------------------------------------
+
+
+def held_bytes(engine):
+    """Bytes the sequence's parts hold by :func:`sys.getsizeof`, each
+    object with its list slot.
+
+    ``"words"``: the word lists and every word past the 0 that leads each
+    list, which must be CPython's shared small int, as the guard prices it
+    at its list slot alone.  ``"arrays"``: the block arrays.
+    """
+    seq = engine._seq
+    held = {"words": 0, "arrays": 0}
+    for sums in seq.chunk_sums:
+        assert sums[0] is _ZERO, "a word list leads with a 0 of its own"
+        held["words"] += sys.getsizeof(sums) + _SLOT + sum(map(sys.getsizeof, sums[1:]))
+    for block in seq.blocks:
+        held["arrays"] += sys.getsizeof(block) + _SLOT
+    return held
+
+
+def priced_bytes(slots, width, words, elements, code):
+    """The memory guard's price of each part of an engine of ``slots``
+    blocks and ``width`` columns, whose blocks hold ``words`` running words
+    past their leading 0s and ``elements`` column ids of type ``code``.
+
+    Recomputed here from the guard's model, not read from it: the table's
+    32-bit fields; the offset words and the kept edit masks, ints of
+    :func:`int_bytes` digits with a header and a list slot each, the masks
+    capped at the table's own field count; the word lists, each word an int
+    of ``width`` fields, each list a header, a slot in the list of lists
+    and a slot for its leading 0; and the arrays, by :func:`array_bytes`.
+    The guard refuses when the sum of the parts passes the limit.
+    """
+    cells = slots * (slots + 1) // 2
+    masks = min(slots * (slots * slots + 2) // 3, cells * width)
+    return {
+        "table": 4 * width * cells,
+        "offsets": slots * (int_bytes(width) + _INT_HEAD),
+        "masks": int_bytes(masks) + slots * _INT_HEAD,
+        "words": words * (int_bytes(width) + _INT_HEAD) + slots * (_SLOT + _LIST_HEAD),
+        "arrays": array_bytes(slots, elements, code),
+    }
+
+
+# ----------------------------------------------------------------------
+# faults
+# ----------------------------------------------------------------------
+
+
+def refuse(*args, **kwargs):
+    raise MemoryError("refused")
+
+
+FAULTS = {  # where a doubling or halving rebuild can fail
+    "check_table_fits": lambda mp: mp.setattr(charseq, "check_table_fits", refuse),
+    "CharSeq.__init__": lambda mp: mp.setattr(charseq.CharSeq, "__init__", refuse),
+    "PairTable.__init__": lambda mp: mp.setattr(multiset.PairTable, "__init__", refuse),
+    "MAX_COUNT": lambda mp: mp.setattr(engine_module, "MAX_COUNT", 1),  # the build's ValueError
+}
+WIDEN_FAULTS = {  # where handing a new symbol a column can fail
+    "PairTable._widen": lambda mp: mp.setattr(multiset.PairTable, "_widen", refuse),
+    "multiset.check_table_fits": lambda mp: mp.setattr(multiset, "check_table_fits", refuse),
+}
+
+
+def fail_nth_insert_at(mp, n):
+    """Make the ``n``-th call of :meth:`CharSeq.insert_at` from now on raise
+    :class:`MemoryError`, as an array insert that runs out of memory: n = 1
+    is an op's own insert, and each boundary move after it makes one call."""
+    insert_at = charseq.CharSeq.insert_at
+    calls = itertools.count(1)
+
+    def fail_nth(seq, *args):
+        if next(calls) == n:
+            raise MemoryError("refused")
+        return insert_at(seq, *args)
+
+    mp.setattr(charseq.CharSeq, "insert_at", fail_nth)
+
+
+# ----------------------------------------------------------------------
+# layouts
+# ----------------------------------------------------------------------
+
+
+def lay_out(engine, sizes):
+    """Move block boundaries until the block sizes equal ``sizes``,
+    independent of the rebuild's fill rule."""
+    assert sum(sizes) == len(engine) and len(sizes) == len(engine.block_sizes())
+    want = 0
+    for k in range(len(sizes) - 1):
+        want += sizes[k]
+        while sum(engine.block_sizes()[: k + 1]) > want:
+            engine.move_right(k)
+        while sum(engine.block_sizes()[: k + 1]) < want:
+            # Walk the first element of the next nonempty block left to block k.
+            m = next(i for i, size in enumerate(engine.block_sizes()) if i > k and size)
+            for i in range(m, k, -1):
+                engine.move_left(i)
+    assert engine.block_sizes() == sizes
+
+
+def assert_within_capacity(engine):
+    """Assert that no block holds more than the block capacity."""
+    assert max(engine.block_sizes()) <= engine.capacity, (engine.block_sizes(), engine.capacity)

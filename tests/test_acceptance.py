@@ -11,7 +11,7 @@ import statistics
 import time
 from typing import Sequence
 
-from layout import assert_within_capacity
+from probe import assert_within_capacity
 from rangemodes import ModesResult, NaiveSeq, RangeModeEngine, SetFamily
 from rangemodes.cli import run_fuzz
 

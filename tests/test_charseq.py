@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from probe import add_columns, word_count, words
 
 from rangemodes import CharSeq, InvariantError, charseq
 from rangemodes.multiset import id_type, unpack
@@ -32,12 +33,13 @@ def seq_over(blocks, alphabet=range(1000)):
     the sequence takes it; a sequence without a table needs them up front.
     """
     seq = seq_of(blocks)
-    for symbol in alphabet:
-        if symbol not in seq.column:
-            seq.column[symbol] = len(seq.symbol)
-            seq.symbol.append(symbol)
-    seq.retype(id_type(len(seq.symbol)))  # as the table does before it hands column 256 out
+    add_columns(seq, alphabet)
     return seq
+
+
+def all_words(seq):
+    """The running words of every block, as per-column counts."""
+    return [words(seq, k) for k in range(len(seq.blocks))]
 
 
 def check_mirror(seq, mirror):
@@ -288,7 +290,7 @@ def test_opposite_moves_restore_every_word(monkeypatch):
     rng = random.Random(7)
     for _ in range(200):
         seq = seq_over([[rng.randrange(4) for _ in range(rng.randrange(6))] for _ in range(4)])
-        before = symbol_blocks(seq), [list(sums) for sums in seq.chunk_sums]
+        before = symbol_blocks(seq), all_words(seq)
         made = []
         for _ in range(rng.randrange(1, 8)):
             i, step = rng.randrange(4), rng.choice((-1, 1))
@@ -303,7 +305,7 @@ def test_opposite_moves_restore_every_word(monkeypatch):
             assert seq.chunk_fault() is None
         for name, i in reversed(made):
             getattr(seq, name)(i)
-        assert (symbol_blocks(seq), [list(sums) for sums in seq.chunk_sums]) == before
+        assert (symbol_blocks(seq), all_words(seq)) == before
 
 
 def test_distinct_inserts_read_back_in_order():
@@ -399,7 +401,7 @@ def test_chunks_follow_edits_and_count_margins(monkeypatch):
     rng = random.Random(99)
     mirror = [[rng.randrange(5) for _ in range(size)] for size in (0, 13, 30, 1, 9)]
     seq = seq_over([list(block) for block in mirror])
-    assert [len(sums) - 1 for sums in seq.chunk_sums] == [0, 5, 10, 1, 3]
+    assert [word_count(seq, k) - 1 for k in range(5)] == [0, 5, 10, 1, 3]
     counted = took = 0
     for _ in range(600):
         n = len(flatten(mirror))

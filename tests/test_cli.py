@@ -1,10 +1,9 @@
 import gc
 import random
-import struct
-import sys
 import warnings
 
 import pytest
+from probe import priced_bytes
 
 from rangemodes import InvariantError, NaiveSeq, RangeModeEngine, multiset
 from rangemodes.cli import (
@@ -329,11 +328,8 @@ class TestMain:
         # that leads it, and 3 arrays of up to 2 one-byte column ids with
         # their growth room, each a header and a list slot too; that fits,
         # and the first symbol, a widening to one column, does not.
-        slot = struct.calcsize("P")
-        head = sys.getsizeof(1) - sys.int_info.sizeof_digit + slot
-        lists = 3 * (sys.getsizeof([]) + 2 * slot)
-        arrays = multiset.array_bytes(3, 2, "B")
-        monkeypatch.setattr(multiset, "_memory_limit", lambda: 9 * head + lists + arrays)
+        fits = sum(priced_bytes(3, 0, 3, 2, "B").values())
+        monkeypatch.setattr(multiset, "_memory_limit", lambda: fits)
         family = tmp_path / "family.txt"
         family.write_text("2 2\n2 0 1\n1 0\n")
         ops = tmp_path / "ops.txt"

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import os
 import random
 import struct
@@ -16,11 +15,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from layout import assert_within_capacity, lay_out
+from probe import (
+    FAULTS, WIDEN_FAULTS, assert_within_capacity, fail_nth_insert_at, held_bytes, lay_out,
+    priced_bytes, refuse, set_words, snapshot, typecodes, word_count, words,
+)
 
 import rangemodes.engine as engine_module
 from rangemodes import charseq, multiset
-from rangemodes.multiset import MAX_SYMBOL, array_bytes, int_bytes
+from rangemodes.multiset import MAX_SYMBOL
 from rangemodes import (
     AuditReport,
     BlockSizeIndex,
@@ -33,8 +35,6 @@ from rangemodes import (
 
 
 SLOT = struct.calcsize("P")  # a list slot
-INT_HEAD = sys.getsizeof(1) - sys.int_info.sizeof_digit + SLOT  # header, list slot
-LIST_HEAD = sys.getsizeof([]) + SLOT  # an empty list, its list slot
 
 
 def ceil_root(num: int, den: int, p: int, q: int) -> int:
@@ -328,13 +328,13 @@ class TestDelete:
         symbols = [rng.randrange(26) for _ in range(1 << 15)]
         engine = RangeModeEngine(symbols)
         oracle = NaiveSeq(symbols)
-        sums = engine._seq.chunk_sums[0]
-        assert engine.block_sizes()[:33] == [1024] * 32 + [0] and len(sums) == 9
+        seq = engine._seq
+        assert engine.block_sizes()[:33] == [1024] * 32 + [0] and word_count(seq, 0) == 9
         for _ in range(127):
             assert engine.delete(320) == oracle.delete_at(320)
-        assert len(sums) == 9
+        assert word_count(seq, 0) == 9
         assert engine.delete(320) == oracle.delete_at(320)
-        assert len(sums) == 8 and engine.block_sizes()[0] == 896
+        assert word_count(seq, 0) == 8 and engine.block_sizes()[0] == 896
         assert engine.reset_events == [] and engine.audit().ok
         n = len(oracle)
         ends = (0, 255, 256, 319, 320, 383, 384, 895, 896, n - 1)
@@ -405,15 +405,15 @@ class TestRelocate:
         # only the words there; the audit checks every word.
         monkeypatch.setattr(charseq, "CHUNK", 2)
         engine = self.make_engine()
-        sums = engine._seq.chunk_sums[0]
-        assert len(sums) == 23
+        seq = engine._seq
+        assert word_count(seq, 0) == 23
         rng = random.Random(3)
         crossed = 0
         for _ in range(200):
             src, dst = rng.randrange(43), rng.randrange(43)  # inside block 0
             crossed += sum(min(src, dst) < b <= max(src, dst) for b in range(2, 43, 2))
             assert self.check(engine, src, dst) == []
-            assert len(sums) == 23
+            assert word_count(seq, 0) == 23
         assert crossed > 1000
 
     @pytest.mark.parametrize("src, dst", [(5, 150), (150, 5)], ids=["up", "down"])
@@ -821,38 +821,13 @@ class TestResets:
         assert engine.reset_events == [("halve", 32), ("double", 64)] and engine.n0 == 64
         assert engine.to_list() == [5, *range(32, 64), *[7] * 31] and engine.audit().ok
 
-    def test_simple_strategy_resets_too(self):
+    def test_front_inserts_double_within_capacity(self):
         engine = RangeModeEngine()
         for k in range(40):
             engine.insert(0, k % 2)
             assert_within_capacity(engine)
         assert ("double", 32) in engine.reset_events
         assert engine.audit().ok
-
-
-def snapshot(engine):
-    """Everything an op that raises must leave as it was."""
-    seq = engine._seq
-    return (
-        engine.to_list(), engine.block_sizes(), engine.n0, list(engine.reset_events),
-        [list(sums) for sums in seq.chunk_sums],
-    )
-
-
-def refuse(*args, **kwargs):
-    raise MemoryError("refused")
-
-
-FAULTS = {
-    "check_table_fits": lambda mp: mp.setattr(charseq, "check_table_fits", refuse),
-    "CharSeq.__init__": lambda mp: mp.setattr(charseq.CharSeq, "__init__", refuse),
-    "PairTable.__init__": lambda mp: mp.setattr(multiset.PairTable, "__init__", refuse),
-    "MAX_COUNT": lambda mp: mp.setattr(engine_module, "MAX_COUNT", 1),  # the build's ValueError
-}
-WIDEN_FAULTS = {
-    "PairTable._widen": lambda mp: mp.setattr(multiset.PairTable, "_widen", refuse),
-    "multiset.check_table_fits": lambda mp: mp.setattr(multiset, "check_table_fits", refuse),
-}
 
 
 class TestFailedOps:
@@ -975,20 +950,13 @@ class TestFailedOps:
                 else:
                     run = lambda e: e.relocate(len(e) - 1, pos)  # from block 4
                 for n in range(1, m + 2):
-                    calls = itertools.count(1)
-
-                    def fail_nth(seq, *args):
-                        if next(calls) == n:
-                            raise MemoryError("refused")
-                        return insert_at(seq, *args)
-
-                    before = snapshot(engine), engine.sigma_prime
-                    monkeypatch.setattr(charseq.CharSeq, "insert_at", fail_nth)
+                    before = snapshot(engine)
+                    fail_nth_insert_at(monkeypatch, n)
                     moves.clear()
                     with pytest.raises(MemoryError):
                         run(engine)
                     monkeypatch.setattr(charseq.CharSeq, "insert_at", insert_at)
-                    assert (snapshot(engine), engine.sigma_prime) == before
+                    assert snapshot(engine) == before
                     assert engine.audit().ok
                     # The moves run from the donor end, the n-th insert_at
                     # fails in the (n-1)-th, and each of the n - 2 made is
@@ -1037,9 +1005,12 @@ class TestAudit:
         # The running word after chunk 1 counts one more of the symbol in
         # column 0, so chunk 1 reads one too many and chunk 2 one too few.
         engine = RangeModeEngine([k % 5 for k in range(8000)])
-        assert engine.block_sizes()[4] == 400 and len(engine._seq.chunk_sums[4]) == 5
+        seq = engine._seq
+        sums = words(seq, 4)
+        assert engine.block_sizes()[4] == 400 and len(sums) == 5
         assert engine.audit().ok
-        engine._seq.chunk_sums[4][2] += 1
+        sums[2][0] += 1
+        set_words(seq, 4, sums)
         report = engine.audit()
         assert not report.ok
         assert report.message == "count word of chunk 1 of block 4 disagrees with a recount"
@@ -1047,8 +1018,8 @@ class TestAudit:
     def test_detects_chunk_words_not_from_0(self):
         # Every difference still agrees with a recount of its chunk.
         engine = RangeModeEngine([k % 5 for k in range(8000)])
-        sums = engine._seq.chunk_sums[4]
-        sums[:] = [word + 1 for word in sums]
+        seq = engine._seq
+        set_words(seq, 4, [[counts[0] + 1, *counts[1:]] for counts in words(seq, 4)])
         assert engine._seq.chunk_fault() == "the count words of block 4 do not start at 0"
         assert engine.audit().message == "the count words of block 4 do not start at 0"
 
@@ -1056,7 +1027,7 @@ class TestAudit:
     def test_detects_a_chunk_word_missing(self, cut):
         engine = RangeModeEngine([k % 5 for k in range(8000)])
         seq = engine._seq
-        seq.chunk_sums[4] = seq.chunk_sums[4][cut]
+        set_words(seq, 4, words(seq, 4)[cut])
         report = engine.audit()
         assert not report.ok
         assert report.message == "block 4 of 400 elements has 4 count words, not 5"
@@ -1065,8 +1036,9 @@ class TestAudit:
         # A word list one longer than the block's chunks, as if a delete that
         # took the length to a multiple of S had not dropped its last word.
         engine = RangeModeEngine([k % 5 for k in range(8000)])
-        sums = engine._seq.chunk_sums[4]
-        sums.append(sums[-1])
+        seq = engine._seq
+        sums = words(seq, 4)
+        set_words(seq, 4, [*sums, sums[-1]])
         assert engine.audit().message == "block 4 of 400 elements has 6 count words, not 5"
 
     def test_detects_a_block_of_the_wrong_type(self):
@@ -1178,7 +1150,7 @@ class TestColumnStorage:
         assert paths[True] and paths[False]  # both relocation paths
         assert engine.to_list() == oracle.to_list() and engine.audit().ok
         assert set(engine.to_list()) == set(alphabet) and engine.sigma_prime == 7
-        assert all(block.typecode == "B" for block in engine._seq.blocks)  # 7 columns
+        assert all(code == "B" for code in typecodes(engine))  # 7 columns
 
     def test_a_257th_symbol_rewrites_every_block_as_four_byte_ids(self):
         # 256 symbols fill the one-byte ids.  The 257th, column 256, comes
@@ -1189,10 +1161,10 @@ class TestColumnStorage:
         initial = list(range(256)) * 4
         rng.shuffle(initial)
         engine, oracle = RangeModeEngine(initial), NaiveSeq(initial)
-        assert {block.typecode for block in engine._seq.blocks} == {"B"}
+        assert set(typecodes(engine)) == {"B"}
         engine.insert(500, 1000)
         oracle.insert_at(500, 1000)
-        assert {block.typecode for block in engine._seq.blocks} == {"I"}
+        assert set(typecodes(engine)) == {"I"}
         assert engine._seq.column[1000] == 256 and engine.audit().ok
         paths = Counter()
         for step in range(600):
@@ -1217,7 +1189,7 @@ class TestColumnStorage:
         assert paths[True] and paths[False]  # both relocation paths
         assert engine.to_list() == oracle.to_list() and engine.audit().ok
         assert engine.modes(0, len(oracle) - 1) == oracle.modes(0, len(oracle) - 1)
-        assert {block.typecode for block in engine._seq.blocks} == {"I"}
+        assert set(typecodes(engine)) == {"I"}
 
     @pytest.mark.parametrize("fault", ["guard", "copy"])
     def test_a_failed_rewrite_changes_nothing(self, monkeypatch, fault):
@@ -1229,15 +1201,7 @@ class TestColumnStorage:
         engine = RangeModeEngine(list(range(256)) * 2)
         seq, width = engine._seq, engine._table._width
         assert width == 256
-
-        def state():
-            return (
-                engine.to_list(), engine.block_sizes(), engine.sigma_prime,
-                [block.typecode for block in engine._seq.blocks],
-                [list(sums) for sums in seq.chunk_sums],
-            )
-
-        before = state()
+        before = snapshot(engine)
         if fault == "guard":
             fits = multiset.check_table_fits
 
@@ -1260,12 +1224,12 @@ class TestColumnStorage:
             monkeypatch.setattr(charseq, "array", fail_tenth)
         with pytest.raises(MemoryError):
             engine.insert(7, 256)
-        assert state() == before and engine._seq is seq and engine.audit().ok
-        assert before[3] == ["B"] * len(before[3])
+        assert snapshot(engine) == before and engine._seq is seq and engine.audit().ok
+        assert before["typecodes"] == ["B"] * len(before["typecodes"])
         assert engine._table._width == (width if fault == "guard" else 385)
         monkeypatch.undo()
         engine.insert(7, 256)
-        assert {block.typecode for block in engine._seq.blocks} == {"I"}
+        assert set(typecodes(engine)) == {"I"}
         assert engine.sigma_prime == 257 and engine.audit().ok
 
     def test_a_halving_under_257_columns_rebuilds_one_byte_ids(self):
@@ -1274,15 +1238,15 @@ class TestColumnStorage:
         # 'I' arrays; the halving rebuilds from the one symbol left.
         initial = list(range(300)) + [0] * 900
         engine = RangeModeEngine(initial)
-        assert {block.typecode for block in engine._seq.blocks} == {"I"}
+        assert set(typecodes(engine)) == {"I"}
         for _ in range(299):
             engine.delete(1)
         assert engine.sigma_prime == 1 and not engine.reset_events
-        assert {block.typecode for block in engine._seq.blocks} == {"I"}
+        assert set(typecodes(engine)) == {"I"}
         while not engine.reset_events:
             engine.delete(0)
         assert engine.reset_events == [("halve", 600)]
-        assert {block.typecode for block in engine._seq.blocks} == {"B"}
+        assert set(typecodes(engine)) == {"B"}
         assert engine.to_list() == [0] * 600 and engine.audit().ok
 
 
@@ -1292,7 +1256,7 @@ class TestMemoryGuard:
         [(26, "B", Fraction(1, 3)), (300, "I", Fraction(1, 3)), (26, "B", Fraction(1, 8))],
     )
     def test_arrays_held_stay_within_their_price(self, sigma, code, alpha):
-        # An array insert leaves spare room, which array_bytes prices from
+        # An array insert leaves spare room, which the guard prices from
         # a measurement of arrays up to 4 096 items.  An engine of n0 = 2^14
         # grows by random inserts to 2·n0 - 1 elements, the most before its
         # doubling; its arrays, with their headers and list slots, then take
@@ -1307,12 +1271,13 @@ class TestMemoryGuard:
         seq = engine._seq
         slots, itemsize = len(seq.blocks), array(code).itemsize
         assert engine.n0 == n0 and seq.room == 2 * n0 and engine.sigma_prime == sigma
-        assert {block.typecode for block in seq.blocks} == {code}
+        assert set(typecodes(engine)) == {code}
         if alpha == Fraction(1, 8):
             assert max(seq.sizes.to_list()) > 4096
-        held = sum(sys.getsizeof(block) + SLOT for block in seq.blocks)
+        held = held_bytes(engine)["arrays"]
         heads = slots * (sys.getsizeof(array(code)) + SLOT)
-        assert itemsize * len(engine) + heads < held <= array_bytes(slots, seq.room, code)
+        price = priced_bytes(slots, sigma, seq.word_bound(), seq.room, code)["arrays"]
+        assert itemsize * len(engine) + heads < held <= price
 
     def test_oversized_table_is_refused_before_allocating(self):
         # RangeModeEngine(range(1 << 17)) would need about 3.5 GB of counts
@@ -1345,18 +1310,13 @@ class TestMemoryGuard:
         # The 115·116/2 cells of 2^17 fields, the 115 offset words and the
         # 2·2^17/128 + 115 running chunk words, ints of 2^17 fields, and the
         # edit masks of all 115 slots, 115·(115² + 2)/3 fields, far under the
-        # table's own count; each of those 115 + words + 115 ints also has a
-        # header and a list slot, and each of the 115 word lists a header,
-        # a list slot and a list slot for the 0 that leads it.  The 115
-        # blocks are 'I' arrays, as 2^17 columns are past 256, priced by
-        # array_bytes for the 2·2^17 column ids they hold before the next
-        # rebuild.
-        cells, offsets, words = 115 * 116 // 2, 115, 2 * (1 << 17) // 128 + 115
-        masks = 115 * (115 * 115 + 2) // 3
-        nbytes = 4 * (1 << 17) * cells + (offsets + words) * int_bytes(1 << 17) + int_bytes(masks)
-        nbytes += (offsets + words + 115) * INT_HEAD + 115 * (SLOT + LIST_HEAD)
-        nbytes += array_bytes(115, 2 * (1 << 17), "I")
-        assert f"needs {nbytes} bytes" in message
+        # table's own count; each of those ints also has a header and a
+        # list slot, and each of the 115 word lists a header, a list slot
+        # and a list slot for the 0 that leads it.  The 115 blocks are 'I'
+        # arrays, as 2^17 columns are past 256, priced for the 2·2^17
+        # column ids they hold before the next rebuild.
+        parts = priced_bytes(115, 1 << 17, 2 * (1 << 17) // 128 + 115, 2 * (1 << 17), "I")
+        assert f"needs {sum(parts.values())} bytes" in message
 
     def test_chunk_words_count_against_the_limit(self, monkeypatch):
         # The running words of S = 128 chunks are up to 2N/S + L ints of σ'
@@ -1364,16 +1324,12 @@ class TestMemoryGuard:
         # the L offset words and the L edit masks, L(L² + 2)/3 fields at
         # most cells·σ'; every int also has a header and a list slot, and
         # each word list a header, a list slot and a list slot for its
-        # leading 0.  The L blocks are 'B' arrays of up to 2N column ids,
-        # priced by array_bytes.
+        # leading 0.  The L blocks are 'B' arrays of up to 2N column ids.
         symbols = [k % 40 for k in range(3000)]
         slots = len(RangeModeEngine(symbols).block_sizes())
-        cells = slots * (slots + 1) // 2
-        masks = min(slots * (slots * slots + 2) // 3, cells * 40)
-        table_bytes = 4 * 40 * cells + slots * int_bytes(40) + int_bytes(masks)
-        table_bytes += 2 * slots * INT_HEAD + array_bytes(slots, 2 * len(symbols), "B")
-        word_bytes = (2 * len(symbols) // 128 + slots) * (int_bytes(40) + INT_HEAD)
-        word_bytes += slots * (SLOT + LIST_HEAD)
+        parts = priced_bytes(slots, 40, 2 * len(symbols) // 128 + slots, 2 * len(symbols), "B")
+        word_bytes = parts["words"]
+        table_bytes = sum(parts.values()) - word_bytes
         monkeypatch.setattr(multiset, "_memory_limit", lambda: table_bytes)
         with pytest.raises(MemoryError, match=f"needs {table_bytes + word_bytes} bytes"):
             RangeModeEngine(symbols)
@@ -1402,7 +1358,8 @@ class TestMemoryGuard:
                 else:
                     engine.relocate(rng.randrange(n), rng.randrange(n))
                 seq = engine._seq
-                assert sum(len(sums) - 1 for sums in seq.chunk_sums) <= seq.word_bound()
+                held = sum(word_count(seq, k) - 1 for k in range(len(seq.blocks)))
+                assert held <= seq.word_bound()
         assert [kind for kind, _ in engine.reset_events] == ["double", "halve"]
         assert engine.audit().ok
 

@@ -9,12 +9,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from probe import held_bytes, priced_bytes, word_count, words
 
 from rangemodes import CharSeq, Config, CountedSet, InvariantError, PairTable, RangeModeEngine
 from rangemodes import multiset
-from rangemodes.multiset import (
-    MAX_COUNT, MAX_SYMBOL, array_bytes, id_type, int_bytes, mask_fields, prefix_list_bytes,
-)
+from rangemodes.multiset import MAX_COUNT, MAX_SYMBOL, id_type, mask_fields, pack
 
 A, B, C = 0, 1, 2
 
@@ -28,22 +27,22 @@ def drain(cs):
     return out
 
 
-def snapshot(symbols):
+def hand_cell(symbols):
     """The cell snapshot of a hand count of ``symbols``."""
     return CountedSet(Counter(symbols))
 
 
 class TestCountedSet:
     def test_increment_hand_count(self):
-        cs = snapshot((A, A, B))
+        cs = hand_cell((A, A, B))
         assert cs.count_of(A) == 2
         assert cs.count_of(B) == 1
 
     def test_single_increment_max(self):
-        assert snapshot((A,)).max_entry() == (1, A)
+        assert hand_cell((A,)).max_entry() == (1, A)
 
     def test_increment_merges_ranked_entry(self):
-        assert drain(snapshot((A, A))) == [(2, A)]
+        assert drain(hand_cell((A, A))) == [(2, A)]
 
     def test_decrement_hand_count_with_tie(self):
         counts = Counter((A, A, B))
@@ -54,25 +53,25 @@ class TestCountedSet:
         assert drain(cs) == [(1, B), (1, A)]
 
     def test_count_of_absent(self):
-        assert snapshot((A, A)).count_of(25) == 0
+        assert hand_cell((A, A)).count_of(25) == 0
 
     def test_max_entry_hand_count(self):
-        assert snapshot((A, A, B)).max_entry() == (2, A)
+        assert hand_cell((A, A, B)).max_entry() == (2, A)
 
     def test_max_entry_empty(self):
         assert CountedSet().max_entry() is None
 
     def test_max_entry_tie_prefers_higher_id(self):
-        assert snapshot((A, B)).max_entry() == (1, B)
+        assert hand_cell((A, B)).max_entry() == (1, B)
 
     def test_cursor_iteration(self):
-        assert drain(snapshot((A, A, B))) == [(2, A), (1, B)]
+        assert drain(hand_cell((A, A, B))) == [(2, A), (1, B)]
 
     def test_cursor_singleton(self):
-        assert drain(snapshot((A,))) == [(1, A)]
+        assert drain(hand_cell((A,))) == [(1, A)]
 
     def test_cursor_counts_with_ties(self):
-        cs = snapshot((A, A, A, B, B, B, C))
+        cs = hand_cell((A, A, A, B, B, B, C))
         assert [count for count, _ in drain(cs)] == [3, 3, 1]
 
     @settings(max_examples=60, deadline=None)
@@ -362,15 +361,10 @@ class TestPairTable:
         # 6 ints, each with a header and a list slot, and the 2 word lists,
         # each a header, a list slot and a list slot for the 0 that leads
         # it; and the 2 blocks, 'B' arrays of the 2·3 column ids they hold
-        # before the next rebuild, priced by array_bytes.
-        cells = table.cell_count()
-        slot = struct.calcsize("P")
-        head = sys.getsizeof(1) - sys.int_info.sizeof_digit + slot
+        # before the next rebuild.
 
         def priced(width):
-            ints = 4 * int_bytes(width) + int_bytes(4) + 6 * head
-            ints += 2 * (sys.getsizeof([]) + 2 * slot)
-            return 4 * cells * width + ints + array_bytes(2, 6, "B")
+            return sum(priced_bytes(2, width, 2, 6, "B").values())
 
         monkeypatch.setattr(multiset, "_memory_limit", lambda: priced(width))
         with pytest.raises(MemoryError, match=str(priced(width + width // 2 + 1))):
@@ -382,7 +376,7 @@ class TestPairTable:
         digit = sys.int_info.sizeof_digit
         header = sys.getsizeof(1) - digit  # an int's bytes besides its digits
         for fields in range(1, 200):
-            assert sys.getsizeof((1 << 32 * fields) - 1) - header == int_bytes(fields)
+            assert sys.getsizeof((1 << 32 * fields) - 1) - header == multiset.int_bytes(fields)
         # Real words and masks: a top field under 2^32 saves at most 2 digits.
         # Every chunk of 128 holds all 26 symbols, so every running word
         # past the leading 0 of a block's list has its top field set.  The
@@ -392,15 +386,18 @@ class TestPairTable:
         engine.insert(engine.block_sizes()[0] * 10 + 1, 3)  # an edit in block 10
         table, seq = engine._table, engine._seq
         assert table._masks[10] is not None
-        words = [word for sums in seq.chunk_sums for word in sums[1:]]
-        assert len(words) == 33 and len(seq.chunk_sums[10]) == 4
+        # Each running word past the leading 0s, as the int of its counts.
+        ints = [
+            pack(array("I", counts)) for k in range(table.slots) for counts in words(seq, k)[1:]
+        ]
+        assert len(ints) == 33 and word_count(seq, 10) == 4
         for value, fields in [
             (table._masks[10], mask_fields(table.slots, 10)),
             (table._base[-1], table._width),
-            *[(word, table._width) for word in words],
+            *[(word, table._width) for word in ints],
         ]:
             held = sys.getsizeof(value) - header
-            assert 4 * fields < held <= int_bytes(fields) <= held + 2 * digit
+            assert 4 * fields < held <= multiset.int_bytes(fields) <= held + 2 * digit
 
     def test_chunk_words_are_priced_with_their_headers(self, monkeypatch):
         # Each block keeps a list of running count words, 0 first, built at
@@ -413,15 +410,14 @@ class TestPairTable:
         # chunks each, and the other 32 slots are empty.
         rng = random.Random(14)
         engine = RangeModeEngine([rng.randrange(26) for _ in range(1 << 14)])
+        prefix_list_bytes, array_bytes = multiset.prefix_list_bytes, multiset.array_bytes
         seq, slots = engine._seq, engine._table.slots
-        slot, zero = struct.calcsize("P"), 0
-        assert len(seq.chunk_sums) == slots == 58
-        assert all(sums[0] is zero for sums in seq.chunk_sums)
-        words = [word for sums in seq.chunk_sums for word in sums[1:]]
-        held = sum(sys.getsizeof(sums) + slot for sums in seq.chunk_sums)
-        held += sum(map(sys.getsizeof, words))
-        assert len(words) == 26 * 5
-        assert held <= prefix_list_bytes(slots, 26, len(words)) <= 1.03 * held
+        slot = struct.calcsize("P")
+        assert len(seq.blocks) == slots == 58
+        count = sum(word_count(seq, k) - 1 for k in range(slots))
+        held = held_bytes(engine)["words"]  # which checks that each list leads with the shared 0
+        assert count == 26 * 5
+        assert held <= prefix_list_bytes(slots, 26, count) <= 1.03 * held
         # The guard prices the most words the blocks can hold before the
         # next rebuild: ⌈c/S⌉ for a block of c, at most 2·n0/S + L.
         assert seq.word_bound() == 2 * (1 << 14) // 128 + slots
@@ -433,8 +429,8 @@ class TestPairTable:
             return int(re.search(r"needs (\d+) bytes", str(refused.value))[1])
 
         # The guard prices each word, and the lists even with no word.
-        extra = priced(len(words), seq.room) - priced(0, seq.room)
-        assert extra == prefix_list_bytes(slots, 26, len(words)) - prefix_list_bytes(slots, 26, 0)
+        extra = priced(count, seq.room) - priced(0, seq.room)
+        assert extra == prefix_list_bytes(slots, 26, count) - prefix_list_bytes(slots, 26, 0)
         assert prefix_list_bytes(slots, 26, 0) == slots * (sys.getsizeof([]) + 2 * slot)
         # The blocks, 'B' arrays at 26 columns, are priced by array_bytes
         # for the 2·n0 column ids they hold at most before the next rebuild,
@@ -444,7 +440,7 @@ class TestPairTable:
             array_bytes(slots, seq.room, "B") - array_bytes(slots, 0, "B")
         )
         assert 1.06 * seq.room < array_bytes(slots, seq.room, "B") - array_bytes(slots, 0, "B")
-        arrays = sum(sys.getsizeof(block) + struct.calcsize("P") for block in seq.blocks)
+        arrays = held_bytes(engine)["arrays"]
         assert array_bytes(slots, 0, "B") + (1 << 14) < arrays
         assert arrays <= array_bytes(slots, 1 << 14, "B")
 

@@ -1,0 +1,118 @@
+"""The probe reads the chunk words right, and no other test module reads them."""
+
+import ast
+import random
+from collections import Counter
+from pathlib import Path
+
+import probe
+import pytest
+from probe import add_columns, set_words, words
+
+from rangemodes import CharSeq, charseq
+
+TESTS = Path(__file__).parent
+HELPER_TESTS = {  # the tests of the byte helpers themselves, which may name them
+    "test_multiset.py": {
+        "test_int_held_fields_are_priced_at_their_digits",
+        "test_chunk_words_are_priced_with_their_headers",
+    },
+}
+
+
+def random_seq(rng, code):
+    """A CharSeq over random blocks of up to 400 elements, edited at random.
+
+    Its edits insert symbols of columns added after the build: 20 columns
+    in all for ``code`` "B", and past 256 for "I", which rewrites the blocks.
+    """
+    blocks = [[rng.randrange(20) for _ in range(rng.choice((0, 1, 5, 130, 400)))] for _ in range(6)]
+    symbols = [s for block in blocks for s in block]
+    seq = CharSeq(symbols, [len(block) for block in blocks], set(symbols), 2 * len(symbols))
+    alphabet = range(20) if code == "B" else range(1000, 1300)
+    add_columns(seq, alphabet)
+    for _ in range(300):
+        k = rng.randrange(len(seq.blocks))
+        size = len(seq.blocks[k])
+        roll = rng.random()
+        if roll < 0.4 or not size:
+            seq.insert_at(k, rng.randint(0, size), seq.column[rng.choice(alphabet)])
+        elif roll < 0.7:
+            seq.delete_at(k, rng.randrange(size))
+        elif roll < 0.85:
+            seq.relocate(k, rng.randrange(size), rng.randrange(size))
+        elif k:
+            seq.move_left(k)
+    assert {block.typecode for block in seq.blocks} == {code}
+    return seq
+
+
+@pytest.mark.parametrize("code", ["B", "I"])
+@pytest.mark.parametrize("chunk", [2, 128])
+def test_words_recount_every_prefix(monkeypatch, chunk, code):
+    monkeypatch.setattr(charseq, "CHUNK", chunk)
+    rng = random.Random(chunk)
+    for _ in range(3):
+        seq = random_seq(rng, code)
+        width = len(seq.symbol)
+        for k, block in enumerate(seq.blocks):
+            prefixes = []
+            for t in range(-(-len(block) // chunk) + 1):
+                count = Counter(block[: t * chunk])
+                prefixes.append([count[col] for col in range(width)])
+            assert words(seq, k) == prefixes
+
+
+@pytest.mark.parametrize("code", ["B", "I"])
+@pytest.mark.parametrize("chunk", [2, 128])
+def test_written_words_read_back(monkeypatch, chunk, code):
+    monkeypatch.setattr(charseq, "CHUNK", chunk)
+    seq = random_seq(random.Random(chunk + 1), code)
+    before = [words(seq, k) for k in range(len(seq.blocks))]
+    for k in range(len(seq.blocks)):
+        set_words(seq, k, words(seq, k))
+    assert seq.chunk_fault() is None
+    assert [words(seq, k) for k in range(len(seq.blocks))] == before
+
+
+def test_a_word_past_the_width_is_refused():
+    # Column 2 counted in block 0's words, then dropped from the column map:
+    # a decoding at the two columns left would hide it.
+    seq = CharSeq([5, 6], [2], {5, 6}, 8)
+    add_columns(seq, [7])
+    seq.insert_at(0, 1, seq.column[7])
+    assert words(seq, 0) == [[0, 0, 0], [1, 1, 1]]
+    del seq.column[seq.symbol.pop()]
+    with pytest.raises(AssertionError, match="bits past the 2 columns"):
+        words(seq, 0)
+
+
+def test_add_columns_rewrites_the_blocks_at_column_256():
+    seq = CharSeq([0, 1], [1, 1], {0, 1}, 4)
+    add_columns(seq, range(256))
+    assert len(seq.symbol) == 256 and {block.typecode for block in seq.blocks} == {"B"}
+    add_columns(seq, [256])
+    assert seq.column[256] == 256 and {block.typecode for block in seq.blocks} == {"I"}
+    assert seq.chunk_fault() is None
+
+
+def test_only_the_probe_names_the_storage():
+    # The chunk words are named only in the probe, and the guard's byte
+    # helpers only there and in their own tests.
+    found, seen = [], set()
+    for path in sorted(TESTS.glob("*.py")):
+        if path.name == "probe.py":
+            continue
+        text = path.read_text()
+        exempt = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and node.name in HELPER_TESTS.get(path.name, ()):
+                exempt.update(range(node.lineno, node.end_lineno + 1))
+                seen.add((path.name, node.name))
+                assert any(name in ast.unparse(node) for name in probe.BYTE_HELPERS), node.name
+        for number, line in enumerate(text.splitlines(), 1):
+            names = [*probe.HIDDEN, *(probe.BYTE_HELPERS if number not in exempt else ())]
+            found += [(path.name, number, name) for name in names if name in line]
+    assert found == []
+    assert seen == {(name, test) for name, tests in HELPER_TESTS.items() for test in tests}
+    assert not (TESTS / "layout.py").exists()

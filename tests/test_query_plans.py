@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from layout import lay_out
+from probe import lay_out
 from rangemodes import CharSeq, Config, NaiveSeq, PairTable, RangeModeEngine, charseq
 from rangemodes.multiset import unpack
 

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from layout import assert_within_capacity, lay_out
+from probe import assert_within_capacity, lay_out
 from rangemodes import NaiveSeq, RangeModeEngine
 
 

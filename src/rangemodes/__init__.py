@@ -2,11 +2,13 @@
 
 The package provides the block-decomposed engine (:class:`RangeModeEngine`),
 its building blocks (:class:`CharSeq`, the symbols as one array of column
-ids per block, one byte each up to 256 columns and four beyond,
-located through their :class:`BlockSizeIndex`; :class:`PairTable` and
-its cell snapshots, :class:`CountedSet`), a naive oracle for differential
-testing (:class:`NaiveSeq`), and a set-intersection application
-(:class:`SetFamily`).  The engine's one parameter is the block exponent of
+ids per block, one byte each up to 256 columns and four beyond, located
+through its one list of block ends; :class:`PairTable`, whose cell
+snapshots are plain dicts), a naive oracle for differential testing
+(:class:`NaiveSeq`), and a set-intersection application
+(:class:`SetFamily`).  :class:`BlockSizeIndex` and :class:`CountedSet`
+are exported for the benchmark's tracer alone, which wraps their methods;
+the engine uses neither.  The engine's one parameter is the block exponent of
 its :class:`Config`, and :meth:`RangeModeEngine.audit` is its one checker.
 See the ``rangemodes`` CLI for traces, fuzzing, and set intersections.
 """

@@ -1,14 +1,10 @@
 """Array of block lengths with prefix-select and argmin queries.
 
-:class:`CharSeq` keeps one of these over the lengths of its block lists, and
-the engine reads every block boundary from it.
-
-The slot count is fixed between layout resets and stays in the hundreds, so
-the sizes live in a plain list.  Prefix sums are rebuilt lazily after an edit
-(O(L)); between edits ``prefix_sum`` and ``prefix_sums`` are O(1) and
-``select_prefix`` bisects them in O(log L).  ``argmin_size_in`` scans its
-range in O(L).  An engine edit already touches O(L²) summary cells, so these
-costs stay inside its bounds.
+No module of the package uses it: :class:`CharSeq` keeps its block ends in
+one list of its own.  Its one remaining caller is the benchmark's tracer,
+which imports it from the package and wraps its methods.  The sizes live in
+a plain list; prefix sums are rebuilt lazily after an edit (O(L)), then
+``prefix_sum`` is O(1) and ``select_prefix`` bisects them in O(log L).
 """
 
 from __future__ import annotations
@@ -32,18 +28,10 @@ class BlockSizeIndex:
         self._prefix: list[int] | None = None  # inclusive prefix sums, None when stale
 
     def prefix_sums(self) -> list[int]:
-        """Inclusive prefix sums: entry ``k`` is one past the last position of slot ``k``.
-
-        The list is shared, not copied: read it, do not change it, and fetch
-        it again after any edit.
-        """
+        """Inclusive prefix sums, shared: entry ``k`` is one past slot ``k``'s last position."""
         if self._prefix is None:
             self._prefix = list(accumulate(self._sizes))
         return self._prefix
-
-    # ------------------------------------------------------------------
-    # basic accessors
-    # ------------------------------------------------------------------
 
     def __len__(self) -> int:
         """Number of slots."""
@@ -67,10 +55,6 @@ class BlockSizeIndex:
         n = len(self._sizes)
         if not 0 <= i < n:
             raise IndexError(f"slot {i} out of range ({n} slots)")
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
 
     def adjust(self, i: int, delta: int) -> None:
         """Add ``delta`` to slot ``i``; the result must stay non-negative."""
@@ -105,10 +89,6 @@ class BlockSizeIndex:
         if not (0 <= lo <= hi < n):
             raise IndexError(f"slot range [{lo}, {hi}] invalid ({n} slots)")
         return min(range(lo, hi + 1), key=self._sizes.__getitem__)
-
-    # ------------------------------------------------------------------
-    # slot edits
-    # ------------------------------------------------------------------
 
     def insert_slot(self, i: int, x: int) -> None:
         """Insert a new slot holding ``x`` at position ``i``."""

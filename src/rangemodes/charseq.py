@@ -18,13 +18,14 @@ boundary moves and margin counts work on column ids alone; only
 :meth:`CharSeq.to_list`, :meth:`CharSeq.access_range` and indexing map them
 back to symbols.
 
-An engine op finds its block and offset once, by bisecting the prefix sums
-of the :class:`BlockSizeIndex` of the block lengths (:meth:`CharSeq.locate`,
+The block boundaries are one list, :attr:`CharSeq.ends`, whose entry k is
+one past the last position of block k.  An engine op finds its block and
+offset once, by bisecting it (:meth:`CharSeq.locate`,
 :meth:`CharSeq.insert_place`), and edits there: an array insert or pop, a
-``memmove``, O(C) word adds for the C chunks of the block, and the block
-size.  A relocation inside one block (:meth:`CharSeq.relocate`) keeps every
-block size.  A boundary move adds an end element of one block to the near
-end of its neighbour, then takes it out.
+``memmove``, O(C) word adds for the C chunks of the block, and ±1 on the
+ends from block k on, O(L).  A relocation inside one block
+(:meth:`CharSeq.relocate`) keeps every end.  A boundary move adds an end
+element of one block to the near end of its neighbour, then takes it out.
 
 Beside each block sits its chunk index.  Chunk t of a block holds its
 offsets t·S .. (t+1)·S - 1, S = :data:`CHUNK`, so the offsets are implicit.
@@ -52,10 +53,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .blockindex import BlockSizeIndex
 from .errors import InvariantError
 from .multiset import _FIELD_BITS, _FIELD_BYTES, check_table_fits, id_type, pack
 
@@ -66,7 +67,7 @@ CHUNK = 128
 class CharSeq:
     """Mutable sequence of symbol ids split into a fixed row of blocks of column ids."""
 
-    __slots__ = ("blocks", "sizes", "column", "symbol", "room", "chunk_sums")
+    __slots__ = ("blocks", "ends", "column", "symbol", "room", "chunk_sums")
 
     def __init__(
         self, symbols: Sequence[int], sizes: Sequence[int], alphabet: Iterable[int], room: int
@@ -83,7 +84,7 @@ class CharSeq:
         written.  Each chunk is counted once by :meth:`recount` and added to
         the running word before it.
         """
-        self.sizes = BlockSizeIndex(sizes)
+        self.ends = list(accumulate(sizes))  # one past the last position of each block
         if len(self) != len(symbols):
             raise ValueError(f"block sizes sum to {len(self)}, not to the {len(symbols)} symbols")
         alphabet = sorted(alphabet)
@@ -113,11 +114,11 @@ class CharSeq:
             self.chunk_sums.append(sums)
 
     def __len__(self) -> int:
-        return self.sizes.total()
+        return self.ends[-1]
 
     def locate(self, pos: int) -> tuple[int, int]:
         """Block slot and offset of position ``pos``."""
-        ends = self.sizes.prefix_sums()  # the length last
+        ends = self.ends  # the length last
         if not 0 <= pos < ends[-1]:
             raise IndexError(f"position {pos} out of range (length {ends[-1]})")
         k = bisect_right(ends, pos)
@@ -126,7 +127,7 @@ class CharSeq:
     def insert_place(self, pos: int) -> tuple[int, int]:
         """Block and offset an insert at ``pos`` takes: the block holding ``pos - 1``,
         at the front the one holding position 0, in an empty sequence slot 0."""
-        ends = self.sizes.prefix_sums()
+        ends = self.ends
         if not 0 <= pos <= ends[-1]:
             raise IndexError(f"insert position {pos} out of range (length {ends[-1]})")
         k = bisect_left(ends, pos or 1) if ends[-1] else 0
@@ -141,7 +142,8 @@ class CharSeq:
         return self.symbol[self.blocks[k][off]]
 
     def insert_at(self, k: int, off: int, col: int) -> None:
-        """Insert column id ``col`` at offset ``off`` of block ``k`` and count it in its words.
+        """Insert column id ``col`` at offset ``off`` of block ``k``, count it
+        in its words, and move the ends from block ``k`` on by one.
 
         The array insert comes first, so one that fails changes nothing.
         """
@@ -154,7 +156,8 @@ class CharSeq:
         for t, out in enumerate(block[first * CHUNK :: CHUNK], first):
             sums[t] += unit - (1 << (_FIELD_BITS * out))
         sums[-1] += unit
-        self.sizes.adjust(k, 1)
+        ends = self.ends
+        ends[k:] = [end + 1 for end in ends[k:]]
 
     def delete_at(self, k: int, off: int) -> int:
         """Remove and uncount the element at offset ``off`` of block ``k``; return its column id."""
@@ -168,7 +171,8 @@ class CharSeq:
             sums[-1] -= unit
         else:  # the word before the last now ends the block
             sums.pop()
-        self.sizes.adjust(k, -1)
+        ends = self.ends
+        ends[k:] = [end - 1 for end in ends[k:]]
         return col
 
     def move_left(self, i: int) -> int:
@@ -261,7 +265,7 @@ class CharSeq:
         """Most words the blocks can hold, past the 0 that leads each block's
         list, before the next rebuild: ⌈c/S⌉ for a block of c, at most
         room/S + L in all."""
-        return self.room // CHUNK + len(self.sizes)
+        return self.room // CHUNK + len(self.ends)
 
     def recount(self, cols: Sequence[int]) -> int:
         """The count word of the column ids ``cols``, each below the width, counted afresh."""

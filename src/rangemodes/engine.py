@@ -26,14 +26,13 @@ the symbols present, not σ'.
 
 The blocks are the column-id arrays of :class:`CharSeq`, each in the
 narrower unsigned type that holds every column handed out (one byte per
-element up to 256 columns, four beyond), with their
-boundaries in its :class:`BlockSizeIndex`; the build writes them from the
-caller's list without copying it, a new column that needs a wider type
-first has every block rewritten, and only the symbols an op returns are
-mapped back from their columns.  Each op
-finds its block and offset there once and edits the sequence and the
-summary cells at that block, so the two always agree on where an element
-lives.
+element up to 256 columns, four beyond), with their boundaries in its one
+list of block ends; the build writes them from the caller's list without
+copying it, a new column that needs a wider type first has every block
+rewritten, and only the symbols an op returns are mapped back from their
+columns.  Each op finds its block and offset there once and edits the
+sequence and the summary cells at that block, so the two always agree on
+where an element lives.
 
 The layout is sized for the reference length ``n0`` of the last rebuild:
 ``ceil(n0^alpha) + ceil((2·n0)^alpha)`` block slots, each holding at most
@@ -57,7 +56,7 @@ A relocation moves one element without changing the length: it inserts the
 symbol where ``insert(dst, delete(src))`` would, sheds any overflow, and
 only then removes the original, so a failure anywhere before that leaves
 the sequence as it was.  Every summary cell counts whole blocks, so a
-relocation inside one block edits no cell and no block size, only the block
+relocation inside one block edits no cell and no block end, only the block
 array and the running chunk words at the chunk offsets it crosses
 (:meth:`CharSeq.relocate`).
 """
@@ -68,6 +67,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
 from .charseq import CharSeq
@@ -195,8 +195,6 @@ class RangeModeEngine:
         n0 = max(n, 1)
         slots, filled, capacity = _layout(n0, self._config.alpha)
         used = slots if kind == "double" else filled
-        if n > used * capacity:
-            raise InvariantError("the layout cannot hold the sequence at reset")
         q, extra = divmod(n, used)
         sizes = [q + (k < extra) for k in range(used)] + [0] * (slots - used)
         # The blocks hold at most 2·n0 elements before the next rebuild.
@@ -213,7 +211,6 @@ class RangeModeEngine:
         self._n0 = n0
         self._capacity = capacity
         self._seq = seq
-        self._sizes = self._seq.sizes  # the block boundaries, read by the engine
         if kind:
             self.reset_events.append((kind, n))
 
@@ -244,8 +241,8 @@ class RangeModeEngine:
         return len(self._seq)
 
     def block_sizes(self) -> list[int]:
-        """Snapshot of the block-length array, one entry per slot."""
-        return self._sizes.to_list()
+        """The size of each block, one entry per slot."""
+        return list(map(len, self._seq.blocks))
 
     def to_list(self) -> list[int]:
         """Flattened sequence contents."""
@@ -261,10 +258,17 @@ class RangeModeEngine:
             flat.insert(pos, symbol)
             self._rebuild_layout(flat, set(flat), "double")
         else:
-            # The column first: a new symbol may widen the table, which can
-            # fail for lack of memory before anything has changed.
-            self._place(j, off, self._table.claim_column(symbol))
-            self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
+            # The column first: a new symbol may widen the table or rewrite the
+            # blocks, which can fail for lack of memory before anything changes.
+            seq, table = self._seq, self._table
+            appended, blocks = len(seq.symbol), seq.blocks
+            col = table.claim_column(symbol)
+            try:
+                self._place(j, off, col)
+            except BaseException:
+                if col == appended:  # handed out past the column map, and freed again
+                    table.unclaim_column(col, blocks)
+                raise
 
     def _place(self, j: int, off: int, col: int) -> None:
         """Count column ``col`` into block ``j``, insert it at offset ``off``
@@ -281,7 +285,7 @@ class RangeModeEngine:
         except BaseException:
             self._table.apply_point(j, col, -1)
             raise
-        if self._sizes.size_of(j) > self._capacity:
+        if len(self._seq.blocks[j]) > self._capacity:
             try:
                 self._rebalance(j)
             except BaseException:
@@ -304,7 +308,6 @@ class RangeModeEngine:
             self._rebuild_layout(flat, set(flat), "halve")
         else:
             symbol = self._take(j, off)
-            self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
         return symbol
 
     def relocate(self, src: int, dst: int) -> int:
@@ -313,7 +316,7 @@ class RangeModeEngine:
         The sequence is that of ``insert(dst, delete(src))``, but the length
         does not change, so the layout is never reset.  The symbol joins the
         block that the insert would join and leaves its own block; when the
-        two are the same block, no block size and no summary cell changes.
+        two are the same block, no block end and no summary cell changes.
         """
         _check_position(src)
         _check_position(dst)
@@ -334,14 +337,13 @@ class RangeModeEngine:
             self._place(jd, offd, col)  # the gain first, so the column is never freed
             # Boundary moves keep every position, but may move the original.
             self._take(*seq.locate(src + (at <= src)))
-            self._sizes.prefix_sums()  # rebuilt by the edit, not by the next query
         return seq.symbol[col]
 
     def modes(self, lo: int, hi: int) -> ModesResult:
         """Enumerate all modes of the inclusive range ``[lo, hi]``."""
         _check_position(lo)
         _check_position(hi)
-        ends = self._sizes.prefix_sums()  # ends[k]: one past the last position of block k
+        ends = self._seq.ends  # ends[k]: one past the last position of block k
         n = ends[-1]
         if not (0 <= lo <= hi < n):
             raise IndexError(f"range [{lo}, {hi}] out of bounds (length {n})")
@@ -409,7 +411,7 @@ class RangeModeEngine:
         alone, so they come back exactly.
         """
         cap = self._capacity
-        room = [k for k, size in enumerate(self._sizes.to_list()) if size < cap]
+        room = [k for k, block in enumerate(self._seq.blocks) if len(block) < cap]
         if not room:
             raise InvariantError(f"no donor block available for overflowing block {j}")
         k = min(room, key=lambda slot: (abs(slot - j), slot))
@@ -439,20 +441,19 @@ class RangeModeEngine:
         """
         seq = self._seq
         blocks = seq.blocks
-        n = sum(map(len, blocks))
-        sizes = self._sizes.to_list()
+        sizes = list(map(len, blocks))
+        ends = list(accumulate(sizes))
+        n = ends[-1]
         n0 = self._n0
         slots, _, capacity = _layout(n0, self._config.alpha)
         if not (n0 // 2 < n < 2 * n0 or n0 == 1 and not n):
             return AuditReport(False, f"length {n} lies outside the reset range of n0 = {n0}")
-        if len(sizes) != slots or len(blocks) != slots:
+        if len(seq.ends) != slots or len(blocks) != slots:
             return AuditReport(False, "slot count does not match the layout")
-        if sum(sizes) != n:
-            return AuditReport(False, f"block sizes sum to {sum(sizes)} but the sequence holds {n}")
-        for slot, block in enumerate(blocks):
-            if len(block) != sizes[slot]:
+        for slot, (stored, end) in enumerate(zip(seq.ends, ends)):
+            if stored != end:
                 return AuditReport(
-                    False, f"block {slot} holds {len(block)} symbols but its size is {sizes[slot]}"
+                    False, f"block {slot} ends at {stored}, but blocks 0..{slot} hold {end}"
                 )
         fault = seq.chunk_fault() or self._table.offset_fault()
         if fault:

@@ -50,8 +50,8 @@ measured at import, plus a header and a list slot each.  The
 :class:`CharSeq` build, before it writes a block, every widening, and
 the rewrite of the arrays to ``'I'`` check the sum against what the
 process can get, raising :class:`MemoryError`.  The old table of a
-widening and the old arrays of a rewrite live beside the new ones until
-the copy ends, and are not priced.
+widening lives beside the new one until the copy ends, and the old arrays
+of a rewrite until the insert that needed it ends; neither is priced.
 
 The column map is the one :class:`CharSeq` builds, one column per symbol
 of its blocks in increasing order, both ways (``column``, symbol → column,
@@ -65,7 +65,9 @@ and its cells read 0 as its fields still equal them.  A symbol that finds
 no free column widens the table by half, appending zero planes in one copy;
 the offset words and the chunk words, Python ints, need no widening.  The
 column ids do when column 256 is handed out: every block is rewritten as
-``'I'`` first, and a rewrite that fails changes no block.
+``'I'`` first, and a rewrite that fails changes no block.  An insert that
+fails gives back a column its claim appended, and the blocks from before a
+rewrite (:meth:`PairTable.unclaim_column`); a widening keeps its planes.
 Every decrement first reads the column's count in the source block's own
 cell and raises :class:`InvariantError` if it is 0, before any cell
 changes, so no field of a slice add can borrow from its neighbour.  A
@@ -73,8 +75,9 @@ stored field holds a count plus its offset and must stay at most
 ``MAX_COUNT``; :meth:`PairTable.top_offset` bounds the offsets, and the
 engine rejects a layout whose fields could exceed it.
 
-``PairTable.cell`` returns a summary cell as a :class:`CountedSet`, a
-symbol→count snapshot that ``audit()`` compares with a recount.
+``PairTable.cell`` returns a summary cell as a plain ``dict``, a
+symbol→count snapshot that ``audit()`` compares with a recount; no module
+builds a :class:`CountedSet`, which stays for the benchmark's tracer.
 Symbol ids must fit in 64 bits; the blocks never store them.
 """
 
@@ -253,7 +256,8 @@ def _zeros(n: int) -> memoryview:
 
 
 class CountedSet(dict):
-    """Snapshot of a summary cell: each symbol present mapped to its count.
+    """Each symbol mapped to its count, with ranked readers; no module of the
+    package builds one, and the benchmark's tracer wraps its methods.
 
     Ranked order is decreasing ``(count, symbol)`` lexicographic: higher
     counts first, ties broken toward the higher symbol id.
@@ -333,15 +337,14 @@ class PairTable:
         """Number of distinct symbols present in the blocks."""
         return len(self._column)
 
-    def cell(self, l: int, r: int) -> CountedSet:
-        """Snapshot of the summary multiset for blocks ``l..r`` inclusive."""
+    def cell(self, l: int, r: int) -> dict[int, int]:
+        """Snapshot of the summary multiset for blocks ``l..r`` inclusive:
+        each symbol present mapped to its count."""
         start = self._index(l, r)
         symbol, cells = self._symbol, self._cells
         stored = self._counts[start : start + len(symbol) * cells : cells].tolist()
         offsets = unpack(self._base[l], len(symbol))
-        return CountedSet(
-            {symbol[k]: c - b for k, (c, b) in enumerate(zip(stored, offsets)) if c != b}
-        )
+        return {symbol[k]: c - b for k, (c, b) in enumerate(zip(stored, offsets)) if c != b}
 
     def modes(
         self, l: int | None, r: int | None, loose: list[int], taken: list[int], plus: int = 0
@@ -436,6 +439,14 @@ class PairTable:
                 self._symbol.append(symbol)
             self._column[symbol] = col
         return col
+
+    def unclaim_column(self, col: int, blocks: list[array]) -> None:
+        """Take back column ``col``, appended by :meth:`claim_column` for an
+        insert that failed and freed it again, and put back ``blocks``, the
+        block list from before the claim, whose ids a rewrite only copied."""
+        self._free.remove(col)
+        self._symbol.pop()
+        self._seq.blocks = blocks
 
     def _widen(self) -> None:
         """Give the table half as many columns again; the new planes count 0."""

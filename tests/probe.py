@@ -7,12 +7,14 @@ readers here and not the tests.
 
 - :func:`words` and :func:`set_words`: block k's running chunk words as
   lists of per-column counts, read and written, and :func:`word_count`.
+- :func:`ends` and :func:`set_end`: the block ends, read and written.
 - :func:`snapshot`: everything an op that raises must leave as it was.
 - :func:`add_columns`: the column map grown as the summary table grows it.
 - :func:`held_bytes` and :func:`priced_bytes`: the bytes the sequence's
   parts hold, and the memory guard's price of every part, recomputed.
-- :data:`FAULTS`, :data:`WIDEN_FAULTS` and :func:`fail_nth_insert_at`: the
-  places an op can fail for lack of memory, ready to patch in.
+- :data:`FAULTS`, :data:`WIDEN_FAULTS`, :data:`RETYPE_FAULTS` and
+  :func:`fail_nth_insert_at`: the places an op can fail for lack of memory,
+  ready to patch in.
 - :func:`lay_out` and :func:`assert_within_capacity`: block sizes set by
   boundary moves, and checked against the capacity.
 """
@@ -28,8 +30,11 @@ import rangemodes.engine as engine_module
 from rangemodes import charseq, multiset
 from rangemodes.multiset import array_bytes, int_bytes, pack, unpack
 
-HIDDEN = ("chunk_sums",)
-"""Names of the storage that no test module but this one may use."""
+HIDDEN = (r"chunk_sums", r"\.ends\b")
+"""Patterns of the storage's names that no test module but this one may use."""
+OLD_INDEX = (r"\b_sizes\b", r"\.sizes\.", r"prefix_sums")
+"""Patterns of the names the block boundaries had in the old size index,
+which no test module but this one and that class's own tests may use."""
 BYTE_HELPERS = ("prefix_list_bytes", "array_bytes", "int_bytes")
 """The guard's byte helpers, used outside this module only by their own tests."""
 
@@ -75,6 +80,23 @@ def set_words(seq, k, lists):
 
 
 # ----------------------------------------------------------------------
+# block ends
+# ----------------------------------------------------------------------
+
+
+def ends(seq):
+    """The block ends ``seq`` keeps, the list itself: entry k is one past
+    the last position of block k."""
+    return seq.ends
+
+
+def set_end(seq, k, end):
+    """Store ``end`` as block ``k``'s end, whatever the blocks hold; the one
+    writer of the ends."""
+    seq.ends[k] = end
+
+
+# ----------------------------------------------------------------------
 # engine state
 # ----------------------------------------------------------------------
 
@@ -95,6 +117,7 @@ def snapshot(engine):
     return {
         "list": engine.to_list(),
         "sizes": engine.block_sizes(),
+        "ends": list(seq.ends),
         "n0": engine.n0,
         "resets": list(engine.reset_events),
         "sigma_prime": engine.sigma_prime,
@@ -185,6 +208,9 @@ FAULTS = {  # where a doubling or halving rebuild can fail
 WIDEN_FAULTS = {  # where handing a new symbol a column can fail
     "PairTable._widen": lambda mp: mp.setattr(multiset.PairTable, "_widen", refuse),
     "multiset.check_table_fits": lambda mp: mp.setattr(multiset, "check_table_fits", refuse),
+}
+RETYPE_FAULTS = {  # where handing out column 256 can fail, besides those
+    "CharSeq.retype": lambda mp: mp.setattr(charseq.CharSeq, "retype", refuse),
 }
 
 

@@ -1,11 +1,12 @@
 import random
 from array import array
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from probe import add_columns, word_count, words
+from probe import add_columns, ends, word_count, words
 
 from rangemodes import CharSeq, InvariantError, charseq
 from rangemodes.multiset import id_type, unpack
@@ -44,11 +45,11 @@ def all_words(seq):
 
 def check_mirror(seq, mirror):
     """The sequence holds exactly the mirror's blocks, in arrays of the type
-    the width needs, and its size index agrees."""
+    the width needs, and its block ends agree."""
     code = id_type(len(seq.symbol))
     assert all(type(block) is array and block.typecode == code for block in seq.blocks)
     assert symbol_blocks(seq) == mirror
-    assert seq.sizes.to_list() == [len(block) for block in mirror]
+    assert ends(seq) == list(accumulate(map(len, mirror)))
     assert seq.to_list() == flatten(mirror)
     assert len(seq) == len(flatten(mirror))
     assert seq.chunk_fault() is None
@@ -131,7 +132,7 @@ def test_writes_column_arrays_from_the_symbol_list():
     assert symbols == [2, 0, 1, 2]  # read, not changed
     assert seq.blocks == [array("B", [2, 0]), array("B"), array("B", [1, 2])]
     assert seq.symbol == [0, 1, 2] and seq.column == {0: 0, 1: 1, 2: 2}
-    assert seq.sizes.to_list() == [2, 0, 2] and seq.room == 8
+    assert ends(seq) == [2, 2, 4] and seq.room == 8
     # Symbols get columns in increasing order, whatever their size.
     big = [1 << 63, 7, 1 << 32, 7]
     seq = CharSeq(big, [1, 3], set(big), 8)
@@ -313,7 +314,7 @@ def test_distinct_inserts_read_back_in_order():
     for k in range(50):
         insert(seq, len(seq), k)
     assert seq.access_range(0, 49) == list(range(50))
-    assert seq.sizes.to_list() == [50, 0, 0, 0]
+    assert ends(seq) == [50, 50, 50, 50]
 
 
 def test_differential_against_list_mirror():

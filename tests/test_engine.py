@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from probe import (
-    FAULTS, WIDEN_FAULTS, assert_within_capacity, fail_nth_insert_at, held_bytes, lay_out,
-    priced_bytes, refuse, set_words, snapshot, typecodes, word_count, words,
+    FAULTS, WIDEN_FAULTS, assert_within_capacity, ends, fail_nth_insert_at, held_bytes, lay_out,
+    priced_bytes, refuse, set_end, set_words, snapshot, typecodes, word_count, words,
 )
 
 import rangemodes.engine as engine_module
@@ -25,7 +25,6 @@ from rangemodes import charseq, multiset
 from rangemodes.multiset import MAX_SYMBOL
 from rangemodes import (
     AuditReport,
-    BlockSizeIndex,
     Config,
     InvariantError,
     ModesResult,
@@ -135,7 +134,9 @@ class TestConstruction:
     )
     def test_filled_slots_hold_the_sequence_until_its_doubling(self, alpha):
         # The capacity is the least at which the filled slots hold 2·n0
-        # elements, and stays within twice ceil((2·n0)^(1-alpha)).
+        # elements, and stays within twice ceil((2·n0)^(1-alpha)).  So a
+        # rebuild, which spreads n0 elements over the filled slots, or after
+        # a doubling over every slot, needs no check that they fit.
         p, q = alpha.numerator, alpha.denominator
         for n0 in range(1, 3001):
             slots, filled, cap = engine_module._layout(n0, alpha)
@@ -384,20 +385,16 @@ class TestRelocate:
         assert self.check(engine, src, dst) == []
         assert (bytes(table._counts), list(table._base), engine.block_sizes()) == before
 
-    def test_inside_one_block_adjusts_no_size(self, monkeypatch):
-        # The block sizes do not change, so the prefix sums the last edit
-        # left stay valid and are not rebuilt.
+    def test_inside_one_block_adjusts_no_size(self):
+        # The block sizes do not change, so the block ends stay the same
+        # list with the same values.
         engine = self.make_engine()
-        adjusts = []
-        adjust = BlockSizeIndex.adjust
-        monkeypatch.setattr(
-            BlockSizeIndex, "adjust", lambda self, *args: adjusts.append(args) or adjust(self, *args)
-        )
-        sizes, ends = engine.block_sizes(), engine._sizes.prefix_sums()
+        sizes, stored = engine.block_sizes(), ends(engine._seq)
+        before = list(stored)
         for src, dst in [(5, 30), (30, 5), (0, 41), (41, 0), (12, 12)]:
             assert self.check(engine, src, dst) == []
-        assert adjusts == []
-        assert engine.block_sizes() == sizes and engine._sizes.prefix_sums() is ends
+        assert ends(engine._seq) is stored and stored == before
+        assert engine.block_sizes() == sizes
 
     def test_across_chunks_keeps_every_chunk_offset(self, monkeypatch):
         # S = 2 from the build on: block 0's 43 elements lie in 22 chunks,
@@ -651,8 +648,8 @@ class TestDonors:
 
     def test_no_room_anywhere_is_an_invariant_error(self):
         engine = self.laid_out([14] * 6 + [6] + [0] * 10)
-        for slot, size in enumerate(engine.block_sizes()):
-            engine._sizes.adjust(slot, 14 - size)  # mark every slot full, bypassing the blocks
+        for block in engine._seq.blocks:  # fill every block, bypassing the words and the table
+            block.extend([0] * (14 - len(block)))
         with pytest.raises(InvariantError):
             engine._rebalance(0)
 
@@ -1063,10 +1060,23 @@ class TestAudit:
 
     def test_detects_partition_drift(self):
         engine = RangeModeEngine([1, 2, 3])
-        engine._sizes.adjust(0, 1)
-        report = engine.audit()
-        assert not report.ok
-        assert "sum" in report.message
+        assert ends(engine._seq)[:2] == [2, 3]
+        set_end(engine._seq, 0, 3)
+        assert engine.audit() == AuditReport(False, "block 0 ends at 3, but blocks 0..0 hold 2")
+
+    @pytest.mark.parametrize("slot", [3, 8, 13], ids=["filled", "empty", "last"])
+    def test_reports_the_first_stale_block_end(self, slot):
+        # Blocks 0..5 hold 5 elements each and 6..13 none.  One end is off
+        # by one and every end after it by two: the audit names the first.
+        engine = RangeModeEngine(range(30), Config(alpha=Fraction(1, 2)))
+        seq = engine._seq
+        good = list(ends(seq))
+        assert good == [5, 10, 15, 20, 25] + [30] * 9
+        for k in range(slot, len(good)):
+            set_end(seq, k, good[k] + (1 if k == slot else 2))
+        end = good[slot]
+        message = f"block {slot} ends at {end + 1}, but blocks 0..{slot} hold {end}"
+        assert engine.audit() == AuditReport(False, message)
 
     def test_detects_symbol_added_to_a_block_list(self):
         engine = RangeModeEngine([1, 2, 3])
@@ -1079,7 +1089,7 @@ class TestAudit:
         blocks[1].append(blocks[0].pop())  # same total, sizes no longer match
         report = engine.audit()
         assert not report.ok
-        assert report.message == "block 0 holds 2 symbols but its size is 3"
+        assert report.message == "block 0 ends at 3, but blocks 0..0 hold 2"
 
     def test_reports_block_over_capacity(self, monkeypatch):
         engine = RangeModeEngine(range(100))
@@ -1232,6 +1242,28 @@ class TestColumnStorage:
         assert set(typecodes(engine)) == {"I"}
         assert engine.sigma_prime == 257 and engine.audit().ok
 
+    @pytest.mark.parametrize("n", [1, 2], ids=["insert", "chain"])
+    def test_a_failed_insert_at_column_256_changes_nothing(self, monkeypatch, n):
+        # The claim of column 256 widens the table and rewrites every block
+        # to 'I' before the insert.  Then the array insert fails (n = 1), or,
+        # into a full block 0, the first boundary move of its chain (n = 2),
+        # and the element comes back out.  The column goes back, and so do
+        # the 'B' blocks; the widened table keeps its zero planes.
+        engine = RangeModeEngine(list(range(256)) * 2)
+        if n == 2:
+            lay_out(engine, [engine.capacity, 0] + [64] * 6 + [0] * 11)
+        seq = engine._seq
+        before, blocks = snapshot(engine), seq.blocks
+        fail_nth_insert_at(monkeypatch, n)
+        with pytest.raises(MemoryError):
+            engine.insert(7, 1000)
+        assert snapshot(engine) == before and engine.audit().ok
+        assert seq.blocks is blocks and len(seq.symbol) == 256 and engine._table._width == 385
+        monkeypatch.undo()
+        engine.insert(7, 1000)
+        assert set(typecodes(engine)) == {"I"} and engine.to_list()[7] == 1000
+        assert engine.sigma_prime == 257 and engine.audit().ok
+
     def test_a_halving_under_257_columns_rebuilds_one_byte_ids(self):
         # 300 symbols take 'I' ids.  Deleting every copy of 299 of them frees
         # their columns, but the columns handed out stay 300, and so do the
@@ -1273,7 +1305,7 @@ class TestMemoryGuard:
         assert engine.n0 == n0 and seq.room == 2 * n0 and engine.sigma_prime == sigma
         assert set(typecodes(engine)) == {code}
         if alpha == Fraction(1, 8):
-            assert max(seq.sizes.to_list()) > 4096
+            assert max(engine.block_sizes()) > 4096
         held = held_bytes(engine)["arrays"]
         heads = slots * (sys.getsizeof(array(code)) + SLOT)
         price = priced_bytes(slots, sigma, seq.word_bound(), seq.room, code)["arrays"]

@@ -1,7 +1,9 @@
-"""The probe reads the chunk words right, and no other test module reads them."""
+"""The probe reads the chunk words right, and no other test module reads
+them or the block ends."""
 
 import ast
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -18,6 +20,8 @@ HELPER_TESTS = {  # the tests of the byte helpers themselves, which may name the
         "test_chunk_words_are_priced_with_their_headers",
     },
 }
+INDEX_TESTS = "test_blockindex.py"  # the old size index's own tests, which may name its parts
+QUOTED = ("test_probe.py", "test_the_guard_patterns_catch_the_names")  # quotes the names
 
 
 def random_seq(rng, code):
@@ -96,23 +100,46 @@ def test_add_columns_rewrites_the_blocks_at_column_256():
     assert seq.chunk_fault() is None
 
 
+def test_the_guard_patterns_catch_the_names():
+    # Each storage name in a line of code, and none of the lines that only
+    # look alike.
+    caught = ["seq.chunk_sums[k]", "seq.ends[-1]", "engine._sizes.adjust(0, 1)",
+              "seq.sizes.to_list()", "self.sizes.prefix_sums()[k - 1]"]
+    passed = ["engine.block_sizes()", "name.endswith('.py')", "ends = (0, 255)", "# ends after it"]
+    patterns = [*probe.HIDDEN, *probe.OLD_INDEX]
+    assert all(any(re.search(p, line) for p in patterns) for line in caught)
+    assert all(any(re.search(p, line) for line in caught) for p in patterns)
+    assert not any(re.search(p, line) for p in patterns for line in passed)
+
+
 def test_only_the_probe_names_the_storage():
-    # The chunk words are named only in the probe, and the guard's byte
-    # helpers only there and in their own tests.
+    # The chunk words and the block ends are named only in the probe, the
+    # old size index's parts only there and in that class's own tests, and
+    # the guard's byte helpers only in the probe and in their own tests.
     found, seen = [], set()
     for path in sorted(TESTS.glob("*.py")):
         if path.name == "probe.py":
             continue
         text = path.read_text()
-        exempt = set()
+        exempt, quoted = set(), set()
         for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.FunctionDef) and node.name in HELPER_TESTS.get(path.name, ()):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if (path.name, node.name) == QUOTED:
+                quoted.update(range(node.lineno, node.end_lineno + 1))
+                seen.add(QUOTED)
+            if node.name in HELPER_TESTS.get(path.name, ()):
                 exempt.update(range(node.lineno, node.end_lineno + 1))
                 seen.add((path.name, node.name))
                 assert any(name in ast.unparse(node) for name in probe.BYTE_HELPERS), node.name
         for number, line in enumerate(text.splitlines(), 1):
-            names = [*probe.HIDDEN, *(probe.BYTE_HELPERS if number not in exempt else ())]
-            found += [(path.name, number, name) for name in names if name in line]
+            patterns = [
+                *(probe.HIDDEN if number not in quoted else ()),
+                *(probe.OLD_INDEX if path.name != INDEX_TESTS and number not in quoted else ()),
+                *(probe.BYTE_HELPERS if number not in exempt else ()),
+            ]
+            found += [(path.name, number, p) for p in patterns if re.search(p, line)]
     assert found == []
-    assert seen == {(name, test) for name, tests in HELPER_TESTS.items() for test in tests}
+    helpers = {(name, test) for name, tests in HELPER_TESTS.items() for test in tests}
+    assert seen == {QUOTED} | helpers
     assert not (TESTS / "layout.py").exists()

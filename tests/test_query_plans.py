@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from probe import lay_out
+from probe import ends, lay_out
 from rangemodes import CharSeq, Config, NaiveSeq, PairTable, RangeModeEngine, charseq
 from rangemodes.multiset import unpack
 
@@ -49,7 +49,7 @@ def plan(monkeypatch):
     def counted(self, k, lo, stop, loose, taken):
         before, before_taken = len(loose), len(taken)
         word = count(self, k, lo, stop, loose, taken)
-        base = self.sizes.prefix_sums()[k - 1] if k else 0
+        base = ends(self)[k - 1] if k else 0
         log["counts"].append((base + lo, base + stop, word, loose[before:], taken[before_taken:]))
         return word
 

@@ -8,16 +8,18 @@ which rare paths it reached (layout resets, boundary moves, a freed summary
 column reused, a table widened for a new symbol, a chunk word appended or
 dropped, an edit that crosses a chunk offset, a relocation inside one
 block, one of those across a chunk boundary, one across blocks, a failed
-doubling or halving, and a failed rebalance chain whose two moves or more
-were undone); the test requires every one of them, so the fuzzing cannot
-silently stop exercising them.  Its blocks hold a few dozen elements at
-most, so the test shrinks the chunk size S from 128 to 2.
+doubling or halving, a failed rebalance chain whose two moves or more
+were undone, and a failed rewrite of the blocks at column 256 and a failed
+insert right after one); the test requires every one of them, so the
+fuzzing cannot silently stop exercising them.  Its blocks hold a few dozen
+elements at most, so the test shrinks the chunk size S from 128 to 2.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import HealthCheck, event, settings
@@ -30,15 +32,18 @@ from hypothesis.stateful import (
     rule,
     run_state_machine_as_test,
 )
-from probe import FAULTS, WIDEN_FAULTS, fail_nth_insert_at, lay_out, snapshot, word_count
+from probe import (
+    FAULTS, RETYPE_FAULTS, WIDEN_FAULTS, fail_nth_insert_at, lay_out, snapshot, word_count,
+)
 
 from rangemodes import Config, NaiveSeq, RangeModeEngine, charseq
 
 ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5))
-SYMBOLS = st.integers(0, 11)
+NARROW = 12  # the rules draw symbols 0..11; a "wide" stage adds fresh ones from 12 on
+SYMBOLS = st.integers(0, NARROW - 1)
 POSITIONS = st.integers(0, 10**6)  # reduced modulo the current length
 INSERT_AT = 4  # faults at the first 4 calls of CharSeq.insert_at in one op
-FAULT_POINTS = [*range(1, INSERT_AT + 1), *FAULTS, *WIDEN_FAULTS]
+FAULT_POINTS = [*range(1, INSERT_AT + 1), *FAULTS, *WIDEN_FAULTS, *RETYPE_FAULTS]
 
 
 class EngineMachine(RuleBasedStateMachine):
@@ -144,9 +149,18 @@ class EngineMachine(RuleBasedStateMachine):
             return
         self.reach("relocate across blocks")
 
+    def _narrow(self):
+        """Delete the fresh symbols, then elements from the end until a
+        halving has rebuilt the column map at ``NARROW`` columns or fewer."""
+        fresh = [pos for pos, symbol in enumerate(self.naive.to_list()) if symbol >= NARROW]
+        for pos in reversed(fresh):
+            self._delete(pos)
+        while len(self.engine._seq.symbol) > NARROW:
+            self._delete(len(self.naive) - 1)
+
     @rule(
         op=st.sampled_from(["insert", "delete", "relocate"]),
-        setup=st.sampled_from(["none", "edge", "chain"]),
+        setup=st.sampled_from(["none", "edge", "chain", "wide"]),
         a=POSITIONS,
         b=POSITIONS,
         symbol=SYMBOLS,
@@ -154,9 +168,10 @@ class EngineMachine(RuleBasedStateMachine):
     )
     def failing_op(self, op, setup, a, b, symbol, fault):
         """An op with one fault point patched in: the ``fault``-th call of
-        :meth:`CharSeq.insert_at`, or a named place where a rebuild or a new
-        column can fail.  An op that raises must change nothing; one that
-        never reaches the fault must match the oracle as usual.
+        :meth:`CharSeq.insert_at`, or a named place where a rebuild, a new
+        column or the rewrite of the blocks at column 256 can fail.  An op
+        that raises must change nothing; one that never reaches the fault
+        must match the oracle as usual.
 
         Fault-free edits first set the stage.  With ``setup`` "edge", they
         take the length to where an insert doubles or a delete halves it.
@@ -166,9 +181,14 @@ class EngineMachine(RuleBasedStateMachine):
         full from block 0 on; the op then goes to the front.  An insert
         there, or a relocation from another block, sheds along a chain of
         as many moves, and the n-th insert_at is its (n-1)-th move: the
-        n - 2 moves before it are undone.
+        n - 2 moves before it are undone.  With "wide", they insert fresh
+        symbols until 256 columns are handed out and none is free, and the
+        op inserts one more, which claims column 256; the stage then
+        deletes them again, which halves the layout back to a narrow column
+        map, so that the audits of the rules after it stay cheap.
         """
         engine, naive = self.engine, self.naive
+        at_256 = False
         if setup == "edge" and op == "insert":
             while len(naive) < 2 * engine.n0 - 1:
                 self._insert(len(naive), symbol)
@@ -181,6 +201,12 @@ class EngineMachine(RuleBasedStateMachine):
                 self._insert(len(naive), symbol)
             self.pack()
             a = 0
+        elif setup == "wide":
+            fresh = (s for s in count(NARROW) if s not in engine._table._column)
+            while len(engine._seq.symbol) < 256 or engine._table._free:
+                self._insert(len(naive) // 2, next(fresh))
+            op, symbol = "insert", next(fresh)
+            at_256 = len(engine._seq.symbol) == 256
         n = len(naive)
         if not n:
             op = "insert"
@@ -199,6 +225,8 @@ class EngineMachine(RuleBasedStateMachine):
                 FAULTS[fault](mp)
             elif fault in WIDEN_FAULTS:
                 WIDEN_FAULTS[fault](mp)
+            elif fault in RETYPE_FAULTS:
+                RETYPE_FAULTS[fault](mp)
             else:
                 fail_nth_insert_at(mp, fault)
             try:
@@ -207,16 +235,22 @@ class EngineMachine(RuleBasedStateMachine):
                 failed = True
             else:
                 failed = False
-        if not failed:
+        if failed:
+            assert snapshot(engine) == before
+            report = engine.audit()
+            assert report.ok, report.message
+            if fault in FAULTS:  # only a rebuild reaches these
+                self.reach("a reset failed")
+            elif setup == "chain" and fault in range(4, INSERT_AT + 1):  # two moves undone or more
+                self.reach("a rebalance chain failed")
+            elif at_256 and fault in RETYPE_FAULTS:
+                self.reach("a rewrite at column 256 failed")
+            elif at_256 and fault in range(1, INSERT_AT + 1):
+                self.reach("an insert at column 256 failed")
+        else:
             assert got == mirror()
-            return
-        assert snapshot(engine) == before
-        report = engine.audit()
-        assert report.ok, report.message
-        if fault in FAULTS:  # only a rebuild reaches these
-            self.reach("a reset failed")
-        elif setup == "chain" and fault in range(4, INSERT_AT + 1):  # two moves undone or more
-            self.reach("a rebalance chain failed")
+        if setup == "wide":
+            self._narrow()
 
     @precondition(lambda self: len(self.naive) > 0)
     @rule(a=POSITIONS, b=POSITIONS)
@@ -253,6 +287,7 @@ def test_engine_matches_oracle_in_lockstep(monkeypatch):
         "double reset", "halve reset", "boundary moves", "column reused", "table widened",
         "chunk word appended or dropped", "edit crosses a chunk offset", "relocate within a block",
         "relocate within a block across a chunk boundary", "relocate across blocks",
-        "a reset failed", "a rebalance chain failed",
+        "a reset failed", "a rebalance chain failed", "a rewrite at column 256 failed",
+        "an insert at column 256 failed",
     }
     assert wanted <= reached.keys(), wanted - reached.keys()

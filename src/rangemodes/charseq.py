@@ -104,7 +104,7 @@ class CharSeq:
             # of mapping column.__getitem__; it returns a tuple for two or more.
             ids = itemgetter(*part)(column) if size > 1 else [column[s] for s in part]
             if code == "B":  # bytes() reads the ids at C speed; array("B", ids) parses each
-                block = array("B", bytes(ids))
+                block = array("B", bytes(ids))[:]  # the copy drops frombytes' spare room
             else:
                 block = array("I", ids)
             sums = [0] * (-(-size // CHUNK) + 1)  # sized once: no list slot to spare

@@ -36,21 +36,20 @@ where an element lives.
 
 The layout is sized for the reference length ``n0`` of the last rebuild:
 ``ceil(n0^alpha) + ceil((2·n0)^alpha)`` block slots, each holding at most
-``ceil(2·n0 / ceil(n0^alpha))`` elements.  An op that doubles or halves the
+``ceil(3·n0 / ceil(n0^alpha))`` elements.  An op that doubles or halves the
 length rebuilds the whole layout from the edited list, not by an edit, and
 installs it only once the build succeeds, so it raises with nothing
 changed.  N stays between n0/2 and 2·n0, L = Θ(N^alpha) and the capacity
-Θ(N^(1-alpha)), at amortized cost.  A rebuild spreads the elements evenly,
-sizes differing by at most one: after a doubling over every slot, so the
-slack absorbs the next ``n0`` inserts, and otherwise over the first
-``ceil(n0^alpha)`` slots, which keeps edits in the low slots, where the
-slice of summary cells an edit adds to is shortest.  Those slots hold
-``2·n0`` elements at capacity, more than the sequence reaches before its
-next doubling, so a regrowing sequence fits them, and a boundary moves only
-where random edits fill one before the others.  A block that overflows
-sheds one element along a chain of boundary moves to the nearest block with
-room; a chain that raises is undone by the opposite moves, which give the
-chunk words back exactly, and the element taken back out.
+Θ(N^(1-alpha)), at amortized cost.  Every rebuild spreads the elements
+evenly over the first ``ceil(n0^alpha)`` slots, sizes differing by at most
+one, which keeps edits in the low slots, where the slice of summary cells
+an edit adds to is shortest.  Those slots hold ``3·n0`` elements at
+capacity, half as many again as the sequence reaches before its next
+doubling, so a sequence regrowing evenly from any rebuild fits them, and a
+boundary moves only where edits fill one before the others.  A block that
+overflows sheds one element along a chain of boundary moves to the nearest
+block with room; a chain that raises is undone by the opposite moves, which
+give the chunk words back exactly, and the element taken back out.
 
 A relocation moves one element without changing the length: it inserts the
 symbol where ``insert(dst, delete(src))`` would, sheds any overflow, and
@@ -156,12 +155,13 @@ def _layout(n0: int, alpha: Fraction) -> tuple[int, int, int]:
     """Slot count, slots a rebuild fills, and block capacity for length ``n0``.
 
     The capacity is the least at which the ``ceil(n0^alpha)`` filled slots
-    hold ``2·n0`` elements, more than the sequence reaches before its next
-    doubling, so a regrowing sequence fits them without boundary moves.  It
-    is Θ(N^(1-alpha)): at most ``2·ceil((2·n0)^(1-alpha))``.
+    hold ``3·n0`` elements, half as many again as the sequence reaches before
+    its next doubling, so a sequence regrowing evenly from any rebuild fits
+    them without boundary moves.  It is Θ(N^(1-alpha)): at most
+    ``3·ceil((2·n0)^(1-alpha))``.
     """
     filled = _ceil_power(n0, alpha)
-    return filled + _ceil_power(2 * n0, alpha), filled, -(-2 * n0 // filled)
+    return filled + _ceil_power(2 * n0, alpha), filled, -(-3 * n0 // filled)
 
 
 class RangeModeEngine:
@@ -185,18 +185,17 @@ class RangeModeEngine:
 
     def _rebuild_layout(self, flat: list[int], alphabet: set[int], kind: str = "") -> None:
         """Lay out ``flat``, whose distinct symbols are ``alphabet``, evenly
-        over the first slots of a layout sized for its length.
+        over the first ``ceil(n0^alpha)`` slots of a layout sized for its
+        length.
 
-        Those are ``ceil(n0^alpha)`` slots, or after a doubling every slot.
         An op that resets the layout passes its ``kind``, ``"double"`` or
         ``"halve"``, which is logged once the new layout is installed.
         """
         n = len(flat)
         n0 = max(n, 1)
         slots, filled, capacity = _layout(n0, self._config.alpha)
-        used = slots if kind == "double" else filled
-        q, extra = divmod(n, used)
-        sizes = [q + (k < extra) for k in range(used)] + [0] * (slots - used)
+        q, extra = divmod(n, filled)
+        sizes = [q + (k < extra) for k in range(filled)] + [0] * (slots - filled)
         # The blocks hold at most 2·n0 elements before the next rebuild.
         seq = CharSeq(flat, sizes, alphabet, 2 * n0)
         table = PairTable(seq)  # if either raises, the old layout stands

@@ -110,7 +110,7 @@ class TestConstruction:
     def test_nine_elements_layout(self):
         engine = RangeModeEngine([4] * 9)
         assert filled_slots(engine) == ceil_root(9, 1, 1, 3) == 3
-        assert engine.capacity == 18 // 3 == 6
+        assert engine.capacity == 27 // 3 == 9
         assert engine.block_sizes() == [3, 3, 3] + [0] * ceil_root(18, 1, 1, 3)
 
     def test_len(self):
@@ -123,7 +123,7 @@ class TestConstruction:
         assert engine.n0 == n0
         p, q = alpha.numerator, alpha.denominator
         filled = ceil_root(n0, 1, p, q)
-        assert engine.capacity == -(-2 * n0 // filled)
+        assert engine.capacity == -(-3 * n0 // filled)
         slots = filled + ceil_root(2 * n0, 1, p, q)
         assert len(engine.block_sizes()) == slots
         assert engine.audit().ok
@@ -133,17 +133,18 @@ class TestConstruction:
         ids=str,
     )
     def test_filled_slots_hold_the_sequence_until_its_doubling(self, alpha):
-        # The capacity is the least at which the filled slots hold 2·n0
-        # elements, and stays within twice ceil((2·n0)^(1-alpha)).  So a
-        # rebuild, which spreads n0 elements over the filled slots, or after
-        # a doubling over every slot, needs no check that they fit.
+        # The capacity is the least at which the filled slots hold 3·n0
+        # elements, and stays within three times ceil((2·n0)^(1-alpha)).  So
+        # a rebuild, which spreads n0 elements over the filled slots, needs
+        # no check that they fit, and they hold the sequence up to its next
+        # doubling at 2·n0 with room to spare.
         p, q = alpha.numerator, alpha.denominator
         for n0 in range(1, 3001):
             slots, filled, cap = engine_module._layout(n0, alpha)
             assert filled == ceil_root(n0, 1, p, q)
             assert slots == filled + ceil_root(2 * n0, 1, p, q)
-            assert filled * cap >= 2 * n0 > filled * (cap - 1)
-            assert cap <= 2 * ceil_root(2 * n0, 1, q - p, q)
+            assert filled * cap >= 3 * n0 > filled * (cap - 1)
+            assert cap <= 3 * ceil_root(2 * n0, 1, q - p, q)
 
     def test_symbol_validation(self):
         with pytest.raises(ValueError):
@@ -349,7 +350,7 @@ class TestDelete:
 
 class TestRelocate:
     def make_engine(self, n=300, config=None):
-        # n0 = 300 fills 7 of 16 slots with 42 or 43 elements; capacity 86.
+        # n0 = 300 fills 7 of 16 slots with 42 or 43 elements; capacity 129.
         rng = random.Random(n)
         return RangeModeEngine([rng.randrange(6) for _ in range(n)], config)
 
@@ -448,10 +449,13 @@ class TestRelocate:
         assert one.to_list() == [7] and one.reset_events == []
 
     def test_into_a_full_block_rebalances(self, monkeypatch):
+        # Block 1 takes the elements of blocks 2 and 3 and is full; blocks 0
+        # and 2 have room, and the tie goes to the lower slot.
         engine = self.make_engine()
         sizes = engine.block_sizes()
         cap = engine.capacity
-        sizes[0], sizes[1] = sizes[0] + sizes[1] - cap, cap
+        sizes[1:4] = [cap, sum(sizes[1:4]) - cap, 0]
+        assert 0 <= sizes[2] < cap and sizes[0] < cap
         lay_out(engine, sizes)
         moves = count_moves(monkeypatch)
         src = self.starts(engine)[4]
@@ -590,11 +594,11 @@ class TestMoves:
 class TestDonors:
     """Which block takes the overflow of a full block (alpha = 1/2).
 
-    At n0 = 46 there are 17 slots, each of capacity 14; a rebuild fills
-    slots 0..6, which hold 98 elements, more than the 91 the sequence
-    reaches before its doubling, so they are never all full.  The sequence
-    grows past n0 before the blocks are laid out, so that runs of them can
-    be full.
+    At n0 = 46 there are 17 slots, each of capacity 20; a rebuild fills
+    slots 0..6, which hold 140 elements, half as many again as the 91 the
+    sequence reaches before its doubling, so at most four of them are ever
+    full.  The sequence grows past n0 before the blocks are laid out, so
+    that runs of them can be full.
     """
 
     def laid_out(self, sizes):
@@ -602,65 +606,67 @@ class TestDonors:
         for k in range(46, sum(sizes)):
             engine.insert(k, k)
             assert_within_capacity(engine)
-        assert engine.n0 == 46 and engine.capacity == 14
+        assert engine.n0 == 46 and engine.capacity == 20
         lay_out(engine, sizes)
         return engine
 
     def test_donor_is_the_nearest_block_with_room(self):
-        engine = self.laid_out([14, 13, 14, 14, 14, 14, 4] + [0] * 10)
-        engine.insert(0, 99)  # block 1 is nearer than the emptier block 6
+        engine = self.laid_out([20, 19, 20, 20, 4] + [0] * 12)
+        engine.insert(0, 99)  # block 1 is nearer than the emptier block 4
         assert_within_capacity(engine)
-        assert engine.block_sizes() == [14] * 6 + [4] + [0] * 10
-        assert engine.to_list() == [99, *range(87)]
+        assert engine.block_sizes() == [20] * 4 + [4] + [0] * 12
+        assert engine.to_list() == [99, *range(83)]
         assert engine.audit().ok
 
     def test_tie_goes_to_the_lower_slot(self):
-        engine = self.laid_out([14, 14, 13, 14, 12, 14, 6] + [0] * 10)
-        engine.insert(44, 99)  # block 3 overflows; blocks 2 and 4 are one slot away
+        engine = self.laid_out([20, 19, 20, 18, 10] + [0] * 12)
+        engine.insert(44, 99)  # block 2 overflows; blocks 1 and 3 are one slot away
         assert_within_capacity(engine)
-        assert engine.block_sizes() == [14, 14, 14, 14, 12, 14, 6] + [0] * 10
+        assert engine.block_sizes() == [20, 20, 20, 18, 10] + [0] * 12
         assert engine.to_list() == [*range(44), 99, *range(44, 87)]
         assert engine.audit().ok
 
     def test_nearer_next_block_beats_room_in_cur(self):
-        engine = self.laid_out([6] + [14] * 6 + [0] * 10)
-        engine.insert(90, 99)  # block 6 overflows; block 7 is nearer than block 0
+        engine = self.laid_out([10, 0, 0] + [20] * 4 + [0] * 10)
+        engine.insert(90, 99)  # block 6 overflows; block 7 is nearer than block 2
         assert_within_capacity(engine)
-        assert engine.block_sizes() == [6] + [14] * 6 + [1] + [0] * 9
+        assert engine.block_sizes() == [10, 0, 0] + [20] * 4 + [1] + [0] * 9
         assert engine.to_list() == [*range(90), 99]
         assert engine.audit().ok
 
     def test_saturated_cur_spills_to_the_nearest_next_block(self, monkeypatch):
-        # Blocks 1..6 are full; from block 4, block 7 is nearer than block 0.
-        engine = self.laid_out([2] + [14] * 6 + [0] * 10)
+        # Blocks 3..6 are full; from block 5, block 7 is nearer than block 2.
+        engine = self.laid_out([3, 3, 2] + [20] * 4 + [0] * 10)
         moves = count_moves(monkeypatch)
         for symbol in (97, 98):
             engine.insert(50, symbol)
             assert_within_capacity(engine)
-        assert moves == [6, 5, 4] * 2  # from the donor end
-        assert engine.block_sizes() == [2] + [14] * 6 + [2] + [0] * 9
+        assert moves == [6, 5] * 2  # from the donor end
+        assert engine.block_sizes() == [3, 3, 2] + [20] * 4 + [2] + [0] * 9
         engine.move_right(7)  # slots 7.. read [1, 1, 0, ...]
         engine.insert(50, 99)
         assert_within_capacity(engine)
-        assert engine.block_sizes() == [2] + [14] * 6 + [2, 1] + [0] * 8
-        assert engine.to_list() == [*range(50), 99, 98, 97, *range(50, 86)]
+        assert engine.block_sizes() == [3, 3, 2] + [20] * 4 + [2, 1] + [0] * 8
+        assert engine.to_list() == [*range(50), 99, 98, 97, *range(50, 88)]
         assert engine.audit().ok
 
     def test_no_room_anywhere_is_an_invariant_error(self):
-        engine = self.laid_out([14] * 6 + [6] + [0] * 10)
+        engine = self.laid_out([20] * 4 + [6] + [0] * 12)
         for block in engine._seq.blocks:  # fill every block, bypassing the words and the table
-            block.extend([0] * (14 - len(block)))
+            block.extend([0] * (20 - len(block)))
         with pytest.raises(InvariantError):
             engine._rebalance(0)
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)], ids=str)
     def test_filled_blocks_take_inserts_up_to_capacity(self, alpha, monkeypatch):
         # The filled blocks, each grown to capacity in turn, hold the
-        # sequence until its doubling without a boundary move.
+        # sequence until its doubling without a boundary move, and room for
+        # n0 more elements is left over.
         engine = RangeModeEngine([0] * 1000, Config(alpha=alpha))
         n0, filled, cap = engine.n0, filled_slots(engine), engine.capacity
         top = 2 * n0 - 1  # the longest sequence before the doubling
-        assert (filled - 1) * cap < top <= filled * cap  # the last filled block never fills
+        assert top + n0 < filled * cap
+        built = engine.block_sizes()
         moves = count_moves(monkeypatch)
         rng = random.Random(8)
         for k in range(filled):
@@ -670,23 +676,28 @@ class TestDonors:
                 pos = 0 if k == 0 else sum(engine.block_sizes()[:k]) + 1
                 engine.insert(pos, rng.randrange(26))
                 assert engine.block_sizes()[k] == size + 1
-        assert moves == [] and engine.reset_events == []
+        assert moves == [] and engine.reset_events == [] and len(engine) == top
         sizes = engine.block_sizes()
-        assert sizes[: filled - 1] == [cap] * (filled - 1) and not any(sizes[filled:])
-        assert sizes[filled - 1] == top - (filled - 1) * cap
+        full = sizes.count(cap)  # the blocks grown to capacity, then one grown part way
+        assert 0 < full < filled - 1
+        assert sizes[:full] == [cap] * full and built[full] < sizes[full] < cap
+        assert sizes[full + 1 :] == built[full + 1 :] and not any(sizes[filled:])
         assert engine.audit().ok
-        # The next insert doubles the length, and the rebuild fills every slot.
+        # The next insert doubles the length, and the rebuild fills the
+        # first filled slots of the new layout.
         engine.insert(1, 99)
         assert engine.reset_events == [("double", 2 * n0)] and moves == []
-        assert_even(engine.block_sizes())
+        sizes = engine.block_sizes()
+        assert_even(sizes[: filled_slots(engine)])
+        assert not any(sizes[filled_slots(engine) :])
         assert engine.audit().ok
 
 
 class TestFill:
     """How a rebuild spreads the elements over the blocks.
 
-    ``cur`` in a test name means the slots a rebuild fills at construction
-    and after a halving.
+    ``cur`` in a test name means the slots every rebuild fills, the first
+    ``ceil(n0^alpha)``.
     """
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)])
@@ -711,28 +722,51 @@ class TestFill:
         assert_even(sizes[:filled])
         assert not any(sizes[filled:])
 
-    def test_doubling_reset_fills_every_slot_evenly(self):
+    def test_doubling_reset_fills_cur_evenly(self):
         engine = RangeModeEngine(range(100))
         rng = random.Random(6)
         while not engine.reset_events:
             engine.insert(rng.randint(0, len(engine)), 100 + len(engine))
             assert_within_capacity(engine)
         assert engine.reset_events == [("double", 200)]
-        assert_even(engine.block_sizes())
+        filled = filled_slots(engine)
+        sizes = engine.block_sizes()
+        assert_even(sizes[:filled])
+        assert not any(sizes[filled:])
+
+    def regrow_without_moves(self, engine, rng, monkeypatch):
+        """Insert at uniform random positions up to 2·n0 - 1, checking that
+        no insert moves a boundary or overfills a block."""
+        n0 = engine.n0
+        moves = count_moves(monkeypatch)
+        while len(engine) < 2 * n0 - 1:
+            engine.insert(rng.randint(0, len(engine)), rng.randrange(26))
+            assert moves == []
+            assert_within_capacity(engine)
+        monkeypatch.undo()
+        assert engine.n0 == n0
+        report = engine.audit()
+        assert report.ok, report.message
 
     def test_inserts_after_a_doubling_make_no_boundary_move(self, monkeypatch):
-        engine = RangeModeEngine(range(512))
-        rng = random.Random(7)
-        while not engine.reset_events:
-            engine.insert(rng.randint(0, len(engine)), rng.randrange(26))
-            assert_within_capacity(engine)
-        assert engine.n0 == 1024
-        moves = count_moves(monkeypatch)
-        for _ in range(engine.n0 // 2):
-            engine.insert(rng.randint(0, len(engine)), rng.randrange(26))
-            assert_within_capacity(engine)
-        assert moves == []
-        assert engine.audit().ok
+        for alpha in [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)]:
+            engine = RangeModeEngine(range(512), Config(alpha=alpha))
+            rng = random.Random(7)
+            while not engine.reset_events:
+                engine.insert(rng.randint(0, len(engine)), rng.randrange(26))
+                assert_within_capacity(engine)
+            assert engine.n0 == 1024
+            self.regrow_without_moves(engine, rng, monkeypatch)
+
+    def test_inserts_after_a_halving_make_no_boundary_move(self, monkeypatch):
+        for alpha in [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)]:
+            engine = RangeModeEngine(range(2048), Config(alpha=alpha))
+            rng = random.Random(9)
+            while not engine.reset_events:
+                engine.delete(rng.randrange(len(engine)))
+                assert_within_capacity(engine)
+            assert engine.reset_events == [("halve", 1024)]
+            self.regrow_without_moves(engine, rng, monkeypatch)
 
 
 class TestRegrowth:
@@ -926,16 +960,16 @@ class TestFailedOps:
         insert_at = charseq.CharSeq.insert_at
         moves = count_moves(monkeypatch)
         undone = 0  # failed chains that had made two moves or more
-        chains = [[14, 13, 13, 12, 12], [14, 14, 12, 12, 12], [14, 14, 14, 11, 11], [14, 14, 14, 14, 8]]
+        chains = [[20, 18, 18, 17, 17], [20, 20, 17, 17, 16], [20, 20, 20, 15, 15], [20, 20, 20, 20, 10]]
         for m, sizes in enumerate(chains, 1):
             for seed in range(4):
                 rng = random.Random(seed)
                 symbols = [rng.randrange(5) for _ in range(46)]
                 engine = RangeModeEngine(symbols, Config(alpha=Fraction(1, 2)))
-                for _ in range(18):
+                for _ in range(44):  # to 90, one short of the doubling at 92 after an insert
                     engine.insert(rng.randint(0, len(engine)), rng.randrange(5))
                 lay_out(engine, sizes + [0] * 12)
-                assert engine.capacity == 14
+                assert engine.capacity == 20
                 for _ in range(60):
                     k = rng.randrange(5)
                     start, size = sum(sizes[:k]), sizes[k]
@@ -1251,7 +1285,8 @@ class TestColumnStorage:
         # the 'B' blocks; the widened table keeps its zero planes.
         engine = RangeModeEngine(list(range(256)) * 2)
         if n == 2:
-            lay_out(engine, [engine.capacity, 0] + [64] * 6 + [0] * 11)
+            assert engine.capacity == 192
+            lay_out(engine, [192, 0] + [64] * 5 + [0] * 12)
         seq = engine._seq
         before, blocks = snapshot(engine), seq.blocks
         fail_nth_insert_at(monkeypatch, n)
@@ -1310,6 +1345,19 @@ class TestMemoryGuard:
         heads = slots * (sys.getsizeof(array(code)) + SLOT)
         price = priced_bytes(slots, sigma, seq.word_bound(), seq.room, code)["arrays"]
         assert itemsize * len(engine) + heads < held <= price
+
+    @pytest.mark.parametrize("n, sigma, code", [(1, 1, "B"), (5000, 26, "B"), (5000, 300, "I")])
+    def test_a_fresh_build_sizes_each_block_exactly(self, n, sigma, code):
+        # A freshly built block holds its ids and no spare room: one-byte
+        # ids are copied out of the array that frombytes over-allocates,
+        # four-byte ids come from a tuple of known length.
+        rng = random.Random(n)
+        engine = RangeModeEngine([rng.randrange(sigma) for _ in range(n)])
+        assert set(typecodes(engine)) == {code}
+        empty, itemsize = sys.getsizeof(array(code)), array(code).itemsize
+        assert [sys.getsizeof(block) for block in engine._seq.blocks] == [
+            empty + itemsize * size for size in engine.block_sizes()
+        ]
 
     def test_oversized_table_is_refused_before_allocating(self):
         # RangeModeEngine(range(1 << 17)) would need about 3.5 GB of counts

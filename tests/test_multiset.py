@@ -435,13 +435,13 @@ class TestPairTable:
         # The blocks, 'B' arrays at 26 columns, are priced by array_bytes
         # for the 2·n0 column ids they hold at most before the next rebuild,
         # a byte each and their growth room: more than the arrays of n0 ids
-        # take now, with the room the build leaves them.
+        # take now, which the build sizes exactly, with no room to spare.
         assert priced(0, seq.room) - priced(0, 0) == (
             array_bytes(slots, seq.room, "B") - array_bytes(slots, 0, "B")
         )
         assert 1.06 * seq.room < array_bytes(slots, seq.room, "B") - array_bytes(slots, 0, "B")
         arrays = held_bytes(engine)["arrays"]
-        assert array_bytes(slots, 0, "B") + (1 << 14) < arrays
+        assert arrays == slots * (sys.getsizeof(array("B")) + slot) + (1 << 14)
         assert arrays <= array_bytes(slots, 1 << 14, "B")
 
     def test_claiming_column_256_rewrites_every_block_as_four_byte_ids(self):

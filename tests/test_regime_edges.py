@@ -14,19 +14,20 @@ from rangemodes import NaiveSeq, RangeModeEngine
 
 
 def test_insert_into_fully_packed_layout():
-    # n0 = 27 gives 7 slots of capacity 18, and a rebuild fills the first
-    # three.  Grown to 36 and packed to [18, 18, 0, ...], the first two slots
+    # n0 = 28 gives 8 slots of capacity 21, and a rebuild fills the first
+    # four, the fewest in which two full blocks stay below the doubling at
+    # 2·n0.  Grown to 42 and packed to [21, 21, 0, ...], the first two slots
     # hold exactly their total capacity, so an insert into block 0 has no
     # donor next to it and must spill past block 1.
-    engine = RangeModeEngine([5] * 27)
-    for _ in range(9):
+    engine = RangeModeEngine([5] * 28)
+    for _ in range(14):
         engine.insert(0, 5)
         assert_within_capacity(engine)
-    assert engine.n0 == 27 and engine.capacity == 18
-    lay_out(engine, [18, 18, 0, 0, 0, 0, 0])
+    assert engine.n0 == 28 and engine.capacity == 21
+    lay_out(engine, [21, 21, 0, 0, 0, 0, 0, 0])
     engine.insert(3, 7)
-    assert engine.block_sizes() == [18, 18, 1, 0, 0, 0, 0]
-    assert engine.to_list() == [5, 5, 5, 7] + [5] * 33
+    assert engine.block_sizes() == [21, 21, 1, 0, 0, 0, 0, 0]
+    assert engine.to_list() == [5, 5, 5, 7] + [5] * 39
     assert engine.audit().ok
 
 

@@ -10,13 +10,11 @@ column when the symbol's last element goes.  Every array has the narrower
 unsigned type that holds every column handed out (:func:`id_type`): ``'B'``,
 one byte per element, up to 256 columns, and ``'I'``, four bytes, beyond.
 The build picks it from its alphabet and writes the arrays in one pass over
-the caller's list, block by block, with no copy of the whole list.  Before
-the table hands out column 256 it has every block rewritten as ``'I'``
-(:meth:`CharSeq.retype`), one copy of N ids; the new arrays are all built
-before any replaces an old one, so a failure changes nothing.  Edits,
-boundary moves and margin counts work on column ids alone; only
-:meth:`CharSeq.to_list`, :meth:`CharSeq.access_range` and indexing map them
-back to symbols.
+the caller's list, block by block, with no copy of the whole list; the
+type holds until the next build, as the engine rebuilds its layout rather
+than hand out column 256 to ``'B'`` arrays.  Edits, boundary moves and
+margin counts work on column ids alone; only :meth:`CharSeq.to_list`,
+:meth:`CharSeq.access_range` and indexing map them back to symbols.
 
 The block boundaries are one list, :attr:`CharSeq.ends`, whose entry k is
 one past the last position of block k.  An engine op finds its block and
@@ -273,14 +271,6 @@ class CharSeq:
         for col, count in Counter(cols).items():
             fields[col] = count
         return pack(fields)
-
-    def retype(self, code: str) -> None:
-        """Rewrite every block as an array of ``code``, which must hold every id.
-
-        The new arrays are all built before they replace the old ones, so a
-        failure changes nothing.
-        """
-        self.blocks = [array(code, block) for block in self.blocks]
 
     def chunk_fault(self) -> str | None:
         """The first block or chunk that breaks a rule of the module docstring, or None.

@@ -28,28 +28,30 @@ The blocks are the column-id arrays of :class:`CharSeq`, each in the
 narrower unsigned type that holds every column handed out (one byte per
 element up to 256 columns, four beyond), with their boundaries in its one
 list of block ends; the build writes them from the caller's list without
-copying it, a new column that needs a wider type first has every block
-rewritten, and only the symbols an op returns are mapped back from their
-columns.  Each op finds its block and offset there once and edits the
-sequence and the summary cells at that block, so the two always agree on
-where an element lives.
+copying it, a symbol that would need a wider type has the layout rebuilt,
+and only the symbols an op returns are mapped back from their columns.
+Each op finds its block and offset there once and edits the sequence and
+the summary cells at that block, so the two always agree on where an
+element lives.
 
 The layout is sized for the reference length ``n0`` of the last rebuild:
 ``ceil(n0^alpha) + ceil((2·n0)^alpha)`` block slots, each holding at most
 ``ceil(3·n0 / ceil(n0^alpha))`` elements.  An op that doubles or halves the
 length rebuilds the whole layout from the edited list, not by an edit, and
 installs it only once the build succeeds, so it raises with nothing
-changed.  N stays between n0/2 and 2·n0, L = Θ(N^alpha) and the capacity
-Θ(N^(1-alpha)), at amortized cost.  Every rebuild spreads the elements
-evenly over the first ``ceil(n0^alpha)`` slots, sizes differing by at most
-one, which keeps edits in the low slots, where the slice of summary cells
-an edit adds to is shortest.  Those slots hold ``3·n0`` elements at
-capacity, half as many again as the sequence reaches before its next
-doubling, so a sequence regrowing evenly from any rebuild fits them, and a
-boundary moves only where edits fill one before the others.  A block that
-overflows sheds one element along a chain of boundary moves to the nearest
-block with room; a chain that raises is undone by the opposite moves, which
-give the chunk words back exactly, and the element taken back out.
+changed; so does an insert whose symbol would take column 256 of one-byte
+ids, which the new layout stores in four bytes.  N stays between n0/2 and
+2·n0, L = Θ(N^alpha) and the capacity Θ(N^(1-alpha)), at amortized cost.
+Every rebuild spreads the elements evenly over the first
+``ceil(n0^alpha)`` slots, sizes differing by at most one, which keeps edits
+in the low slots, where the slice of summary cells an edit adds to is
+shortest.  Those slots hold ``3·n0`` elements at capacity, half as many
+again as the sequence reaches before its next doubling, so a sequence
+regrowing evenly from any rebuild fits them, and a boundary moves only
+where edits fill one before the others.  A block that overflows sheds one
+element along a chain of boundary moves to the nearest block with room; a
+chain that raises is undone by the opposite moves, which give the chunk
+words back exactly, and the element taken back out.
 
 A relocation moves one element without changing the length: it inserts the
 symbol where ``insert(dst, delete(src))`` would, sheds any overflow, and
@@ -169,7 +171,9 @@ class RangeModeEngine:
 
     Indexing is 0-based; query ranges are inclusive ``[lo, hi]``.  Every
     operation requires exclusive access (queries mutate scratch state).
-    Layout resets are logged in ``reset_events`` as (kind, length) pairs.
+    Layout resets are logged in ``reset_events`` as (kind, length) pairs,
+    the kind ``"double"`` or ``"halve"`` for a length that doubled or
+    halved, or ``"ids"`` for a symbol that needed four-byte column ids.
     """
 
     def __init__(self, initial: Iterable[int] = (), config: Config | None = None) -> None:
@@ -188,8 +192,8 @@ class RangeModeEngine:
         over the first ``ceil(n0^alpha)`` slots of a layout sized for its
         length.
 
-        An op that resets the layout passes its ``kind``, ``"double"`` or
-        ``"halve"``, which is logged once the new layout is installed.
+        An op that resets the layout passes its ``kind``, which is logged
+        once the new layout is installed.
         """
         n = len(flat)
         n0 = max(n, 1)
@@ -251,22 +255,24 @@ class RangeModeEngine:
         """Insert ``symbol`` so that it becomes the element at ``pos``."""
         _check_position(pos)
         _check_symbol(symbol)
-        j, off = self._seq.insert_place(pos)
-        if len(self._seq) + 1 >= 2 * self._n0:
-            flat = self._seq.to_list()
+        seq, table = self._seq, self._table
+        j, off = seq.insert_place(pos)
+        # One-byte ids hold columns 0..255: a symbol that would take column
+        # 256 has the layout rebuilt with four-byte ids, like a doubling.
+        if len(seq) + 1 >= 2 * self._n0 or len(seq.symbol) == 256 and table.needs_wider_ids(symbol):
+            flat = seq.to_list()
             flat.insert(pos, symbol)
-            self._rebuild_layout(flat, set(flat), "double")
+            self._rebuild_layout(flat, set(flat), "double" if len(flat) >= 2 * self._n0 else "ids")
         else:
-            # The column first: a new symbol may widen the table or rewrite the
-            # blocks, which can fail for lack of memory before anything changes.
-            seq, table = self._seq, self._table
-            appended, blocks = len(seq.symbol), seq.blocks
+            # The column first: a new symbol may widen the table, which can
+            # fail for lack of memory before anything changes.
+            appended = len(seq.symbol)
             col = table.claim_column(symbol)
             try:
                 self._place(j, off, col)
             except BaseException:
                 if col == appended:  # handed out past the column map, and freed again
-                    table.unclaim_column(col, blocks)
+                    table.unclaim_column(col)
                 raise
 
     def _place(self, j: int, off: int, col: int) -> None:

@@ -47,11 +47,11 @@ of column ids priced by :func:`array_bytes` at the item size of their type
 (:func:`id_type`) for each of the 2·n0 elements they can hold before the
 next rebuild, with the spare room an array grown by inserts holds, as
 measured at import, plus a header and a list slot each.  The
-:class:`CharSeq` build, before it writes a block, every widening, and
-the rewrite of the arrays to ``'I'`` check the sum against what the
-process can get, raising :class:`MemoryError`.  The old table of a
-widening lives beside the new one until the copy ends, and the old arrays
-of a rewrite until the insert that needed it ends; neither is priced.
+:class:`CharSeq` build, before it writes a block, and every widening check
+the sum against what the process can get, raising :class:`MemoryError`; a
+widening keeps the word bound, room and id type of the build, which hold
+until the next.  The old table of a widening lives beside the new one
+until the copy ends, unpriced.
 
 The column map is the one :class:`CharSeq` builds, one column per symbol
 of its blocks in increasing order, both ways (``column``, symbol → column,
@@ -64,10 +64,11 @@ the blocks store.  A reused column keeps the offsets of its last symbol,
 and its cells read 0 as its fields still equal them.  A symbol that finds
 no free column widens the table by half, appending zero planes in one copy;
 the offset words and the chunk words, Python ints, need no widening.  The
-column ids do when column 256 is handed out: every block is rewritten as
-``'I'`` first, and a rewrite that fails changes no block.  An insert that
-fails gives back a column its claim appended, and the blocks from before a
-rewrite (:meth:`PairTable.unclaim_column`); a widening keeps its planes.
+column ids keep the build's type: column 256 does not fit one-byte ids, so
+the table refuses it, and the engine, told so by
+:meth:`PairTable.needs_wider_ids`, rebuilds its layout instead.  An insert
+that fails gives back a column its claim appended
+(:meth:`PairTable.unclaim_column`); a widening keeps its planes.
 Every decrement first reads the column's count in the source block's own
 cell and raises :class:`InvariantError` if it is 0, before any cell
 changes, so no field of a slice add can borrow from its neighbour.  A
@@ -291,14 +292,13 @@ class PairTable:
 
     __slots__ = (
         "_slots", "_cells", "_row_base", "_width", "_counts", "_base",
-        "_column", "_symbol", "_free", "_seq", "_masks", "_mask_fields",
+        "_column", "_symbol", "_free", "_guard", "_masks", "_mask_fields",
     )
 
     def __init__(self, seq: CharSeq) -> None:
         """Build a fresh table over the blocks of ``seq``, sharing its column map."""
         slots = self._slots = len(seq.blocks)
         cells = self._cells = slots * (slots + 1) // 2
-        self._seq = seq
         # Cell (l, r) is field _row_base[l] + r of every plane.
         self._row_base = [l * slots - (l * (l + 1)) // 2 for l in range(slots)]
         # The step of an edit in block j, once stored; widening keeps them,
@@ -309,6 +309,9 @@ class PairTable:
         self._symbol = seq.symbol  # column -> symbol, shared; a free column keeps its last one
         self._free: list[int] = []
         width = self._width = len(self._symbol)  # ``seq`` checked that the table fits at this width
+        # The memory guard's word bound, element room and id type, which
+        # hold until the next rebuild builds a new table.
+        self._guard = (seq.word_bound(), seq.room, id_type(width))
         # prefix[k]: the count word of blocks 0..k-1.  Row l stores the
         # counts of blocks 0..r for r = l..slots-1, the suffix from l of the
         # column's prefix counts, so its offset is prefix[l].
@@ -417,11 +420,9 @@ class PairTable:
     def claim_column(self, symbol: int) -> int:
         """The column of ``symbol``, handing it a free one if it has none.
 
-        A widening or a rewrite of the blocks that fails raises before any
-        column is handed out.  A widening is priced at the blocks' new type,
-        so a rewrite the guard refuses leaves the table as it was; a rewrite
-        whose copy fails leaves every block as it was, and a widening before
-        it has only added zero planes."""
+        A column past what the blocks' id type holds raises
+        :class:`InvariantError`, and a widening that fails raises, both
+        before any column is handed out."""
         col = self._column.get(symbol)
         if col is None:
             if self._free:
@@ -429,34 +430,30 @@ class PairTable:
                 self._symbol[col] = symbol
             else:
                 col = len(self._symbol)
+                if id_type(col + 1) != self._guard[-1]:
+                    raise InvariantError(f"column {col} does not fit {self._guard[-1]!r} ids")
                 if col == self._width:
                     self._widen()
-                code = id_type(col + 1)
-                if code != id_type(col):  # column 256: every block to 'I' first
-                    seq = self._seq
-                    check_table_fits(self._slots, self._width, seq.word_bound(), seq.room, code)
-                    seq.retype(code)
                 self._symbol.append(symbol)
             self._column[symbol] = col
         return col
 
-    def unclaim_column(self, col: int, blocks: list[array]) -> None:
+    def needs_wider_ids(self, symbol: int) -> bool:
+        """Whether :meth:`claim_column` would refuse ``symbol`` a column for the blocks' id type."""
+        code = id_type(len(self._symbol) + 1)
+        return code != self._guard[-1] and not self._free and symbol not in self._column
+
+    def unclaim_column(self, col: int) -> None:
         """Take back column ``col``, appended by :meth:`claim_column` for an
-        insert that failed and freed it again, and put back ``blocks``, the
-        block list from before the claim, whose ids a rewrite only copied."""
+        insert that failed and freed it again."""
         self._free.remove(col)
         self._symbol.pop()
-        self._seq.blocks = blocks
 
     def _widen(self) -> None:
         """Give the table half as many columns again; the new planes count 0."""
         old, width = self._counts, self._width
         new_width = width + width // 2 + 1
-        seq = self._seq
-        # Priced at the type the claimed column needs, so that a widening the
-        # rewrite to 'I' would not fit beside is refused before it allocates.
-        code = id_type(len(self._symbol) + 1)
-        check_table_fits(self._slots, new_width, seq.word_bound(), seq.room, code)
+        check_table_fits(self._slots, new_width, *self._guard)
         counts = _zeros(self._cells * new_width)
         counts[: len(old)] = old
         self._counts, self._width = counts, new_width

@@ -12,9 +12,8 @@ readers here and not the tests.
 - :func:`add_columns`: the column map grown as the summary table grows it.
 - :func:`held_bytes` and :func:`priced_bytes`: the bytes the sequence's
   parts hold, and the memory guard's price of every part, recomputed.
-- :data:`FAULTS`, :data:`WIDEN_FAULTS`, :data:`RETYPE_FAULTS` and
-  :func:`fail_nth_insert_at`: the places an op can fail for lack of memory,
-  ready to patch in.
+- :data:`FAULTS`, :data:`WIDEN_FAULTS` and :func:`fail_nth_insert_at`:
+  the places an op can fail for lack of memory, ready to patch in.
 - :func:`lay_out` and :func:`assert_within_capacity`: block sizes set by
   boundary moves, and checked against the capacity.
 """
@@ -131,14 +130,15 @@ def snapshot(engine):
 
 def add_columns(seq, symbols):
     """Hand each of ``symbols`` that has no column the next one, as
-    :meth:`PairTable.claim_column` does with no free column: every block is
-    rewritten to the wider id type before column 256 is handed out."""
+    :meth:`PairTable.claim_column` does with no free column, and rewrite
+    every block to the wider id type before column 256 is handed out, which
+    the engine does by a rebuild instead; the one writer of the blocks' type."""
     for symbol in symbols:
         if symbol not in seq.column:
             col = len(seq.symbol)
             code = multiset.id_type(col + 1)
             if code != multiset.id_type(col):
-                seq.retype(code)
+                seq.blocks[:] = [array(code, block) for block in seq.blocks]
             seq.symbol.append(symbol)
             seq.column[symbol] = col
 
@@ -199,7 +199,7 @@ def refuse(*args, **kwargs):
     raise MemoryError("refused")
 
 
-FAULTS = {  # where a doubling or halving rebuild can fail
+FAULTS = {  # where a rebuild can fail
     "check_table_fits": lambda mp: mp.setattr(charseq, "check_table_fits", refuse),
     "CharSeq.__init__": lambda mp: mp.setattr(charseq.CharSeq, "__init__", refuse),
     "PairTable.__init__": lambda mp: mp.setattr(multiset.PairTable, "__init__", refuse),
@@ -208,9 +208,6 @@ FAULTS = {  # where a doubling or halving rebuild can fail
 WIDEN_FAULTS = {  # where handing a new symbol a column can fail
     "PairTable._widen": lambda mp: mp.setattr(multiset.PairTable, "_widen", refuse),
     "multiset.check_table_fits": lambda mp: mp.setattr(multiset, "check_table_fits", refuse),
-}
-RETYPE_FAULTS = {  # where handing out column 256 can fail, besides those
-    "CharSeq.retype": lambda mp: mp.setattr(charseq.CharSeq, "retype", refuse),
 }
 
 

@@ -1198,9 +1198,9 @@ class TestColumnStorage:
 
     def test_a_257th_symbol_rewrites_every_block_as_four_byte_ids(self):
         # 256 symbols fill the one-byte ids.  The 257th, column 256, comes
-        # in by an insert, which rewrites every block as 'I' before the
-        # column is handed out; relocations then move it across blocks and
-        # inside one, among random edits and queries.
+        # in by an insert, which rebuilds the layout with every block as
+        # 'I'; relocations then move it across blocks and inside one, among
+        # random edits and queries.
         rng = random.Random(257)
         initial = list(range(256)) * 4
         rng.shuffle(initial)
@@ -1208,7 +1208,7 @@ class TestColumnStorage:
         assert set(typecodes(engine)) == {"B"}
         engine.insert(500, 1000)
         oracle.insert_at(500, 1000)
-        assert set(typecodes(engine)) == {"I"}
+        assert set(typecodes(engine)) == {"I"} and engine.reset_events == [("ids", 1025)]
         assert engine._seq.column[1000] == 256 and engine.audit().ok
         paths = Counter()
         for step in range(600):
@@ -1233,71 +1233,98 @@ class TestColumnStorage:
         assert paths[True] and paths[False]  # both relocation paths
         assert engine.to_list() == oracle.to_list() and engine.audit().ok
         assert engine.modes(0, len(oracle) - 1) == oracle.modes(0, len(oracle) - 1)
-        assert set(typecodes(engine)) == {"I"}
+        assert set(typecodes(engine)) == {"I"} and len(engine.reset_events) == 1
+
+    def test_column_256_rebuilds_the_layout_and_a_free_column_is_reused(self):
+        # A symbol that would take column 256 of one-byte ids rebuilds the
+        # layout, as a doubling does: one reset of kind "ids", at the new
+        # length, which becomes n0, and every block 'I'.
+        initial = [(k * 7) % 256 for k in range(768)]
+        engine, oracle = RangeModeEngine(initial), NaiveSeq(initial)
+        for pos, symbol in [(100, 5), (300, 1000), (0, 1001)]:
+            engine.insert(pos, symbol)
+            oracle.insert_at(pos, symbol)
+        assert engine.reset_events == [("ids", 770)] and engine.n0 == 770
+        assert set(typecodes(engine)) == {"I"} and engine.sigma_prime == 258
+        assert engine.to_list() == oracle.to_list() and engine.audit().ok
+        for lo in range(0, 672, 7):
+            assert engine.modes(lo, lo + 99) == oracle.modes(lo, lo + 99)
+        # With one symbol's every copy deleted, its column is free: the
+        # 257th symbol takes it, with no rebuild, and the blocks stay 'B'.
+        engine = RangeModeEngine(initial)
+        for pos in reversed(range(3, 768, 256)):  # the copies of symbol 21
+            engine.delete(pos)
+        free = engine._table._free
+        assert engine.sigma_prime == 255 and free == [21]
+        engine.insert(100, 1000)
+        assert engine._seq.column[1000] == 21 and not free
+        assert engine.reset_events == [] and set(typecodes(engine)) == {"B"}
+        assert engine.audit().ok
 
     @pytest.mark.parametrize("fault", ["guard", "copy"])
     def test_a_failed_rewrite_changes_nothing(self, monkeypatch, fault):
-        # Column 256 needs a widening of the 256 columns to 385 and the
-        # rewrite to 'I'.  The guard refuses the 'I' arrays, which it prices
-        # with the widening, so nothing is allocated; or the tenth block
-        # copy raises, after nine new arrays are built, and the widening
-        # before it has only added zero planes.
+        # Column 256 needs the layout rebuilt with 'I' blocks.  The guard
+        # refuses the 'I' arrays before any is written; or the tenth block
+        # array of the build raises, after nine are built.  The old layout
+        # stands, its 'B' blocks and its table, and nothing was widened.
         engine = RangeModeEngine(list(range(256)) * 2)
-        seq, width = engine._seq, engine._table._width
-        assert width == 256
+        seq, table = engine._seq, engine._table
+        assert table._width == 256
         before = snapshot(engine)
         if fault == "guard":
-            fits = multiset.check_table_fits
+            fits = charseq.check_table_fits
 
             def refuse_i(*args):
                 if args[-1] == "I":
                     raise MemoryError("refused")
                 fits(*args)
 
-            monkeypatch.setattr(multiset, "check_table_fits", refuse_i)
+            monkeypatch.setattr(charseq, "check_table_fits", refuse_i)
         else:
-            real, copies = charseq.array, []
+            real, built = charseq.array, []
 
             def fail_tenth(code, *init):
-                if init and isinstance(init[0], real):  # a block copied by retype
-                    copies.append(code)
-                    if len(copies) == 10:
+                if code == "I" and not isinstance(init[0], bytes):  # a block, not a recount
+                    built.append(code)
+                    if len(built) == 10:
                         raise MemoryError("refused")
                 return real(code, *init)
 
             monkeypatch.setattr(charseq, "array", fail_tenth)
         with pytest.raises(MemoryError):
             engine.insert(7, 256)
-        assert snapshot(engine) == before and engine._seq is seq and engine.audit().ok
+        assert snapshot(engine) == before and engine.audit().ok
+        assert engine._seq is seq and engine._table is table and table._width == 256
         assert before["typecodes"] == ["B"] * len(before["typecodes"])
-        assert engine._table._width == (width if fault == "guard" else 385)
         monkeypatch.undo()
         engine.insert(7, 256)
-        assert set(typecodes(engine)) == {"I"}
+        assert set(typecodes(engine)) == {"I"} and engine.reset_events == [("ids", 513)]
         assert engine.sigma_prime == 257 and engine.audit().ok
 
     @pytest.mark.parametrize("n", [1, 2], ids=["insert", "chain"])
     def test_a_failed_insert_at_column_256_changes_nothing(self, monkeypatch, n):
-        # The claim of column 256 widens the table and rewrites every block
-        # to 'I' before the insert.  Then the array insert fails (n = 1), or,
-        # into a full block 0, the first boundary move of its chain (n = 2),
-        # and the element comes back out.  The column goes back, and so do
-        # the 'B' blocks; the widened table keeps its zero planes.
+        # Column 256 rebuilds the layout with 'I' blocks, and the next new
+        # symbol claims column 257, which widens the table.  Then the array
+        # insert fails (n = 1), or, into a full block 0, the first boundary
+        # move of its chain (n = 2), and the element comes back out.  The
+        # column goes back; the widened table keeps its zero planes.
         engine = RangeModeEngine(list(range(256)) * 2)
+        engine.insert(0, 256)
+        assert engine.reset_events == [("ids", 513)] and set(typecodes(engine)) == {"I"}
         if n == 2:
-            assert engine.capacity == 192
-            lay_out(engine, [192, 0] + [64] * 5 + [0] * 12)
+            assert engine.capacity == 171
+            lay_out(engine, [171, 0] + [57] * 6 + [0] * 12)
         seq = engine._seq
         before, blocks = snapshot(engine), seq.blocks
         fail_nth_insert_at(monkeypatch, n)
         with pytest.raises(MemoryError):
             engine.insert(7, 1000)
         assert snapshot(engine) == before and engine.audit().ok
-        assert seq.blocks is blocks and len(seq.symbol) == 256 and engine._table._width == 385
+        assert seq.blocks is blocks and len(seq.symbol) == 257 and engine._table._width == 386
         monkeypatch.undo()
         engine.insert(7, 1000)
-        assert set(typecodes(engine)) == {"I"} and engine.to_list()[7] == 1000
-        assert engine.sigma_prime == 257 and engine.audit().ok
+        assert engine.to_list()[7] == 1000 and len(engine.reset_events) == 1
+        assert engine.sigma_prime == 258 and engine.audit().ok
 
     def test_a_halving_under_257_columns_rebuilds_one_byte_ids(self):
         # 300 symbols take 'I' ids.  Deleting every copy of 299 of them frees

@@ -444,24 +444,29 @@ class TestPairTable:
         assert arrays == slots * (sys.getsizeof(array("B")) + slot) + (1 << 14)
         assert arrays <= array_bytes(slots, 1 << 14, "B")
 
-    def test_claiming_column_256_rewrites_every_block_as_four_byte_ids(self):
+    def test_claiming_column_256_for_one_byte_ids_changes_nothing(self):
         # The blocks take the narrower type that holds every column handed
-        # out: 256 columns fit 'B', one more does not.  Claiming column 256
-        # rewrites every block as 'I' before the column is handed out.
+        # out: 256 columns fit 'B', one more does not.  The table keeps the
+        # type of its build and refuses column 256 before anything changes;
+        # the engine asks first and rebuilds its layout instead.  A free
+        # column is handed out as usual.
         assert (id_type(256), id_type(257)) == ("B", "I")
         symbols = [(k * 7919) % 256 for k in range(256)]
         blocks = [symbols[:85], [], symbols[85:]]
         table = build_table(blocks)
-        seq = table._seq
-        assert [block.typecode for block in seq.blocks] == ["B"] * 3
-        assert table.claim_column(256) == 256
-        assert [block.typecode for block in seq.blocks] == ["I"] * 3
-        assert seq.to_list() == symbols and seq.chunk_fault() is None
-        table.apply_point(1, 256, 1)
-        seq.insert_at(1, 0, 256)
+        before = all_cells(table)
+        assert table.needs_wider_ids(256) and not table.needs_wider_ids(0)
+        with pytest.raises(InvariantError, match="column 256 does not fit 'B' ids"):
+            table.claim_column(256)
+        assert all_cells(table) == before and len(table._symbol) == table._width == 256
+        assert 256 not in table._column and table._free == []
+        point(table, 0, 0, -1)  # symbol 0, in column 0, leaves block 0 and the table
+        assert table._free == [0] and not table.needs_wider_ids(256)
+        point(table, 1, 256, 1)
+        assert table._column[256] == 0
+        blocks[0].remove(0)
         blocks[1].append(256)
-        assert seq.blocks[1].tolist() == [256] and seq.chunk_fault() is None
-        assert table.cell(0, 2) == recount(blocks)[(0, 2)]
+        assert table._free == [] and all_cells(table) == recount(blocks)
 
     def test_new_symbols_widen_every_cell(self):
         blocks = [[A], [], [B, B]]

@@ -28,7 +28,8 @@ def random_seq(rng, code):
     """A CharSeq over random blocks of up to 400 elements, edited at random.
 
     Its edits insert symbols of columns added after the build: 20 columns
-    in all for ``code`` "B", and past 256 for "I", which rewrites the blocks.
+    in all for ``code`` "B", and past 256 for "I", with the blocks rewritten
+    to 'I' by the probe.
     """
     blocks = [[rng.randrange(20) for _ in range(rng.choice((0, 1, 5, 130, 400)))] for _ in range(6)]
     symbols = [s for block in blocks for s in block]
@@ -92,6 +93,8 @@ def test_a_word_past_the_width_is_refused():
 
 
 def test_add_columns_rewrites_the_blocks_at_column_256():
+    # The engine rebuilds its layout for column 256; a sequence without an
+    # engine has the probe rewrite its arrays instead.
     seq = CharSeq([0, 1], [1, 1], {0, 1}, 4)
     add_columns(seq, range(256))
     assert len(seq.symbol) == 256 and {block.typecode for block in seq.blocks} == {"B"}

@@ -36,7 +36,7 @@ the element that crosses that boundary and taking away the one that leaves,
 two adds of σ'·4 bytes each: with u(col) = ``1 << 32·col``, an insert adds
 u(col) - u(block[t·S]), a delete u(block[t·S - 1]) - u(col), and the last
 word gains or loses u(col); when the length crosses a multiple of S one
-word is appended or dropped.  Nothing splits, merges or is recounted, and a
+word is added or dropped.  Nothing splits, merges or is recounted, and a
 boundary move undone by the opposite move leaves every word as it was.  A
 relocation inside one block changes, by the same rule, the words of the
 boundaries between its two ends.  A query counts the whole chunks of a

@@ -26,7 +26,7 @@ the symbols present, not σ'.
 
 The blocks are the column-id arrays of :class:`CharSeq`, each in the
 narrower unsigned type that holds every column handed out (one byte per
-element up to 256 columns, four beyond), with their boundaries in its one
+element while the ids fit one, four beyond), with their boundaries in its one
 list of block ends; the build writes them from the caller's list without
 copying it, a symbol that would need a wider type has the layout rebuilt,
 and only the symbols an op returns are mapped back from their columns.
@@ -39,8 +39,9 @@ The layout is sized for the reference length ``n0`` of the last rebuild:
 ``ceil(3·n0 / ceil(n0^alpha))`` elements.  An op that doubles or halves the
 length rebuilds the whole layout from the edited list, not by an edit, and
 installs it only once the build succeeds, so it raises with nothing
-changed; so does an insert whose symbol would take column 256 of one-byte
-ids, which the new layout stores in four bytes.  N stays between n0/2 and
+changed; so does an insert whose symbol gets no column that fits one-byte
+ids (:meth:`PairTable.claim_column`), which the new layout stores in four
+bytes.  N stays between n0/2 and
 2·n0, L = Θ(N^alpha) and the capacity Θ(N^(1-alpha)), at amortized cost.
 Every rebuild spreads the elements evenly over the first
 ``ceil(n0^alpha)`` slots, sizes differing by at most one, which keeps edits
@@ -257,32 +258,30 @@ class RangeModeEngine:
         _check_symbol(symbol)
         seq, table = self._seq, self._table
         j, off = seq.insert_place(pos)
-        # One-byte ids hold columns 0..255: a symbol that would take column
-        # 256 has the layout rebuilt with four-byte ids, like a doubling.
-        if len(seq) + 1 >= 2 * self._n0 or len(seq.symbol) == 256 and table.needs_wider_ids(symbol):
+        # The column first, unless the length doubles: a widening for a new
+        # symbol can fail, with nothing changed yet.  A symbol with no column
+        # that fits the blocks' id type has the layout rebuilt, like a doubling.
+        col = None if len(seq) + 1 >= 2 * self._n0 else table.claim_column(symbol)
+        if col is None:
             flat = seq.to_list()
             flat.insert(pos, symbol)
             self._rebuild_layout(flat, set(flat), "double" if len(flat) >= 2 * self._n0 else "ids")
         else:
-            # The column first: a new symbol may widen the table, which can
-            # fail for lack of memory before anything changes.
-            appended = len(seq.symbol)
-            col = table.claim_column(symbol)
             try:
                 self._place(j, off, col)
             except BaseException:
-                if col == appended:  # handed out past the column map, and freed again
-                    table.unclaim_column(col)
+                table.release(col)  # a column no element counts is freed again
                 raise
 
     def _place(self, j: int, off: int, col: int) -> None:
         """Count column ``col`` into block ``j``, insert it at offset ``off``
         there, and shed any overflow along a chain of boundary moves.
 
-        An array insert that fails leaves the sequence as it was, and the
-        table is put back, a column it claimed freed again.  A chain that
-        fails is undone by :meth:`_rebalance`, and the element taken back
-        out of block ``j``, where ``off`` still holds it.
+        A summary add that fails changes nothing, and leaves a column the
+        caller claimed for it to release.  An array insert that fails is
+        undone by the opposite summary edit, which frees a column no element
+        counts; a chain that fails by :meth:`_rebalance`, and the element
+        taken back out of block ``j``, where ``off`` still holds it.
         """
         self._table.apply_point(j, col, 1)
         try:

@@ -56,19 +56,17 @@ until the copy ends, unpriced.
 The column map is the one :class:`CharSeq` builds, one column per symbol
 of its blocks in increasing order, both ways (``column``, symbol → column,
 and ``symbol``, column → symbol) and shared by both.  After the build the
-table alone hands out columns: a new symbol gets one
-(:meth:`PairTable.claim_column`) before it is inserted, and it goes back
-on a free list when the symbol's count over all blocks falls to 0, so σ'
-is the size of the column map.  Edits and shifts name their column, which
+table alone hands out columns and frees them: a new symbol gets one
+(:meth:`PairTable.claim_column`) before it is inserted, and
+:meth:`PairTable.release` puts it on a free list once the symbol's count
+over all blocks reads 0, after a delete or an insert that failed, so σ' is
+the number of columns in use.  Edits and shifts name their column, which
 the blocks store.  A reused column keeps the offsets of its last symbol,
 and its cells read 0 as its fields still equal them.  A symbol that finds
-no free column widens the table by half, appending zero planes in one copy;
-the offset words and the chunk words, Python ints, need no widening.  The
-column ids keep the build's type: column 256 does not fit one-byte ids, so
-the table refuses it, and the engine, told so by
-:meth:`PairTable.needs_wider_ids`, rebuilds its layout instead.  An insert
-that fails gives back a column its claim appended
-(:meth:`PairTable.unclaim_column`); a widening keeps its planes.
+no free column widens the table by half, appending zero planes in one copy
+that stays; the offset words and the chunk words, Python ints, need no
+widening.  The column ids keep the build's type: a column past it is not
+handed out, and the engine rebuilds its layout instead.
 Every decrement first reads the column's count in the source block's own
 cell and raises :class:`InvariantError` if it is 0, before any cell
 changes, so no field of a slice add can borrow from its neighbour.  A
@@ -417,12 +415,13 @@ class PairTable:
     # columns
     # ------------------------------------------------------------------
 
-    def claim_column(self, symbol: int) -> int:
+    def claim_column(self, symbol: int) -> int | None:
         """The column of ``symbol``, handing it a free one if it has none.
 
-        A column past what the blocks' id type holds raises
-        :class:`InvariantError`, and a widening that fails raises, both
-        before any column is handed out."""
+        A new symbol that finds no free column gets the next one, the table
+        widened first if it has no room; when that column does not fit the
+        blocks' id type, it gets None, and nothing changes.  A widening that
+        fails raises before any column is handed out."""
         col = self._column.get(symbol)
         if col is None:
             if self._free:
@@ -431,23 +430,24 @@ class PairTable:
             else:
                 col = len(self._symbol)
                 if id_type(col + 1) != self._guard[-1]:
-                    raise InvariantError(f"column {col} does not fit {self._guard[-1]!r} ids")
+                    return None
                 if col == self._width:
                     self._widen()
                 self._symbol.append(symbol)
             self._column[symbol] = col
         return col
 
-    def needs_wider_ids(self, symbol: int) -> bool:
-        """Whether :meth:`claim_column` would refuse ``symbol`` a column for the blocks' id type."""
-        code = id_type(len(self._symbol) + 1)
-        return code != self._guard[-1] and not self._free and symbol not in self._column
+    def release(self, col: int) -> None:
+        """Free column ``col`` if its symbol still holds it and occurs in no block.
 
-    def unclaim_column(self, col: int) -> None:
-        """Take back column ``col``, appended by :meth:`claim_column` for an
-        insert that failed and freed it again."""
-        self._free.remove(col)
-        self._symbol.pop()
+        Cell (0, L-1) covers every block, and row 0 has no offset.  A freed
+        column keeps its last symbol.
+        """
+        if not self._counts[col * self._cells + self._slots - 1]:
+            symbol = self._symbol[col]
+            if self._column.get(symbol) == col:
+                del self._column[symbol]
+                self._free.append(col)
 
     def _widen(self) -> None:
         """Give the table half as many columns again; the new planes count 0."""
@@ -501,8 +501,9 @@ class PairTable:
     def apply_point(self, j: int, col: int, delta: int) -> None:
         """Adjust every cell (l, r) with l ≤ j ≤ r by ``delta`` for column ``col``.
 
-        A gain needs a column :meth:`claim_column` handed out; a loss that
-        leaves the column's symbol nowhere frees the column.
+        A gain needs a column :meth:`claim_column` handed out; a loss hands
+        the column to :meth:`release`, which frees it if the symbol is left
+        nowhere.
         """
         slots = self._slots
         if not 0 <= j < slots:
@@ -517,10 +518,8 @@ class PairTable:
         plane = col * self._cells
         # A mask is never 0: every slot has a row tail.
         self._add(plane + j, mask_fields(slots, j), self._masks[j] or self._mask(j), delta)
-        # Cell (0, slots - 1) covers every block, and row 0 has no offset.
-        if delta == -1 and not self._counts[plane + slots - 1]:
-            del self._column[self._symbol[col]]
-            self._free.append(col)
+        if delta == -1:
+            self.release(col)
 
     def shift_left(self, i: int, col: int) -> None:
         """Record one element of column ``col`` crossing from block ``i`` into block ``i - 1``.
@@ -532,11 +531,7 @@ class PairTable:
         if not 1 <= i < slots:
             raise IndexError(f"shift_left source {i} out of range ({slots} slots)")
         self._check_source(i, col)
-        counts, row_base = self._counts, self._row_base
-        plane = col * self._cells
-        for row in row_base[:i]:
-            counts[plane + row + i - 1] += 1
-        self._add(plane + row_base[i] + i, slots - i, _ones(slots - i), -1)
+        self._cross(i, col, 1)
 
     def shift_right(self, i: int, col: int) -> None:
         """Record one element of column ``col`` crossing from block ``i`` into block ``i + 1``."""
@@ -544,9 +539,13 @@ class PairTable:
         if not 0 <= i < slots - 1:
             raise IndexError(f"shift_right source {i} out of range ({slots} slots)")
         self._check_source(i, col)
-        counts, row_base = self._counts, self._row_base
+        self._cross(i + 1, col, -1)
+
+    def _cross(self, b: int, col: int, delta: int) -> None:
+        """Add ``delta`` (±1) to column ``col``'s cells that end at block
+        ``b - 1`` and ``-delta`` to those that start at ``b``, row ``b``'s tail."""
+        counts, row_base, slots = self._counts, self._row_base, self._slots
         plane = col * self._cells
-        for row in row_base[: i + 1]:
-            counts[plane + row + i] -= 1
-        j = i + 1
-        self._add(plane + row_base[j] + j, slots - j, _ones(slots - j), 1)
+        for row in row_base[:b]:
+            counts[plane + row + b - 1] += delta
+        self._add(plane + row_base[b] + b, slots - b, _ones(slots - b), -delta)

@@ -12,8 +12,9 @@ readers here and not the tests.
 - :func:`add_columns`: the column map grown as the summary table grows it.
 - :func:`held_bytes` and :func:`priced_bytes`: the bytes the sequence's
   parts hold, and the memory guard's price of every part, recomputed.
-- :data:`FAULTS`, :data:`WIDEN_FAULTS` and :func:`fail_nth_insert_at`:
-  the places an op can fail for lack of memory, ready to patch in.
+- :data:`FAULTS`, :data:`WIDEN_FAULTS`, :func:`fail_nth_insert_at` and
+  :func:`fail_first_add`: the places an op can fail for lack of memory,
+  ready to patch in.
 - :func:`lay_out` and :func:`assert_within_capacity`: block sizes set by
   boundary moves, and checked against the capacity.
 """
@@ -211,19 +212,32 @@ WIDEN_FAULTS = {  # where handing a new symbol a column can fail
 }
 
 
+def _fail_nth_call(mp, owner, name, n):
+    """Make the ``n``-th call of method ``name`` of ``owner`` from now on
+    raise :class:`MemoryError`; the calls before and after it run."""
+    method = getattr(owner, name)
+    calls = itertools.count(1)
+
+    def fail_nth(self, *args):
+        if next(calls) == n:
+            raise MemoryError("refused")
+        return method(self, *args)
+
+    mp.setattr(owner, name, fail_nth)
+
+
 def fail_nth_insert_at(mp, n):
     """Make the ``n``-th call of :meth:`CharSeq.insert_at` from now on raise
     :class:`MemoryError`, as an array insert that runs out of memory: n = 1
     is an op's own insert, and each boundary move after it makes one call."""
-    insert_at = charseq.CharSeq.insert_at
-    calls = itertools.count(1)
+    _fail_nth_call(mp, charseq.CharSeq, "insert_at", n)
 
-    def fail_nth(seq, *args):
-        if next(calls) == n:
-            raise MemoryError("refused")
-        return insert_at(seq, *args)
 
-    mp.setattr(charseq.CharSeq, "insert_at", fail_nth)
+def fail_first_add(mp):
+    """Make the next call of :meth:`PairTable._add` raise :class:`MemoryError`,
+    as a summary add that runs out of memory: an op's first, which for an
+    insert or a relocation across blocks runs before anything changes."""
+    _fail_nth_call(mp, multiset.PairTable, "_add", 1)
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from probe import (
-    FAULTS, WIDEN_FAULTS, assert_within_capacity, ends, fail_nth_insert_at, held_bytes, lay_out,
-    priced_bytes, refuse, set_end, set_words, snapshot, typecodes, word_count, words,
+    FAULTS, WIDEN_FAULTS, assert_within_capacity, ends, fail_first_add, fail_nth_insert_at,
+    held_bytes, lay_out, priced_bytes, refuse, set_end, set_words, snapshot, typecodes, word_count,
+    words,
 )
 
 import rangemodes.engine as engine_module
@@ -917,6 +918,27 @@ class TestFailedOps:
         WIDEN_FAULTS[site](monkeypatch)
         self.check_unchanged_then_fuzz(engine, monkeypatch, lambda e: e.insert(50, 99))
 
+    @pytest.mark.parametrize("free", [False, True], ids=["appended", "free"])
+    def test_a_failed_summary_add_frees_a_new_symbols_column(self, monkeypatch, free):
+        # The first summary add of a new symbol's insert raises, with the
+        # symbol's column appended past the others, or taken from the free
+        # list, where the delete of the only 4 put column 3.  The op changes
+        # nothing, the column goes back on the free list, and the next
+        # insert of the symbol takes it.
+        engine = RangeModeEngine([1, 2, 3] * 10 + [4] * free)
+        if free:
+            engine.delete(30)
+        before = snapshot(engine)
+        fail_first_add(monkeypatch)
+        with pytest.raises(MemoryError):
+            engine.insert(4, 99)
+        assert snapshot(engine) == before and engine.audit().ok
+        assert engine._table._free == [3] and engine.sigma_prime == 3
+        monkeypatch.undo()
+        engine.insert(4, 99)
+        assert engine.to_list()[4] == 99 and engine._seq.column[99] == 3
+        assert engine.sigma_prime == 4 and engine.audit().ok
+
     def test_no_edit_recounts(self, monkeypatch):
         # S = 2: inserts, deletes, relocations inside and across blocks and
         # boundary moves append and drop words all the time, and none of
@@ -1307,7 +1329,8 @@ class TestColumnStorage:
         # symbol claims column 257, which widens the table.  Then the array
         # insert fails (n = 1), or, into a full block 0, the first boundary
         # move of its chain (n = 2), and the element comes back out.  The
-        # column goes back; the widened table keeps its zero planes.
+        # column goes on the free list, past σ', and the widened table keeps
+        # its zero planes; the next insert of the symbol takes that column.
         engine = RangeModeEngine(list(range(256)) * 2)
         engine.insert(0, 256)
         assert engine.reset_events == [("ids", 513)] and set(typecodes(engine)) == {"I"}
@@ -1320,10 +1343,12 @@ class TestColumnStorage:
         with pytest.raises(MemoryError):
             engine.insert(7, 1000)
         assert snapshot(engine) == before and engine.audit().ok
-        assert seq.blocks is blocks and len(seq.symbol) == 257 and engine._table._width == 386
+        assert seq.blocks is blocks and engine._table._free == [257]
+        assert engine.sigma_prime == 257 and engine._table._width == 386
         monkeypatch.undo()
         engine.insert(7, 1000)
         assert engine.to_list()[7] == 1000 and len(engine.reset_events) == 1
+        assert seq.column[1000] == 257 and not engine._table._free
         assert engine.sigma_prime == 258 and engine.audit().ok
 
     def test_a_halving_under_257_columns_rebuilds_one_byte_ids(self):

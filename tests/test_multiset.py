@@ -447,21 +447,19 @@ class TestPairTable:
     def test_claiming_column_256_for_one_byte_ids_changes_nothing(self):
         # The blocks take the narrower type that holds every column handed
         # out: 256 columns fit 'B', one more does not.  The table keeps the
-        # type of its build and refuses column 256 before anything changes;
-        # the engine asks first and rebuilds its layout instead.  A free
-        # column is handed out as usual.
+        # type of its build and hands out no column 256: the claim returns
+        # None before anything changes, and the engine rebuilds its layout
+        # instead.  A free column is handed out as usual.
         assert (id_type(256), id_type(257)) == ("B", "I")
         symbols = [(k * 7919) % 256 for k in range(256)]
         blocks = [symbols[:85], [], symbols[85:]]
         table = build_table(blocks)
         before = all_cells(table)
-        assert table.needs_wider_ids(256) and not table.needs_wider_ids(0)
-        with pytest.raises(InvariantError, match="column 256 does not fit 'B' ids"):
-            table.claim_column(256)
+        assert table.claim_column(256) is None
         assert all_cells(table) == before and len(table._symbol) == table._width == 256
         assert 256 not in table._column and table._free == []
         point(table, 0, 0, -1)  # symbol 0, in column 0, leaves block 0 and the table
-        assert table._free == [0] and not table.needs_wider_ids(256)
+        assert table._free == [0]
         point(table, 1, 256, 1)
         assert table._column[256] == 0
         blocks[0].remove(0)

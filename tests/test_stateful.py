@@ -9,10 +9,11 @@ column reused, a table widened for a new symbol, a chunk word appended or
 dropped, an edit that crosses a chunk offset, a relocation inside one
 block, one of those across a chunk boundary, one across blocks, a failed
 doubling or halving, a failed rebalance chain whose two moves or more
-were undone, a failed rebuild at column 256, and a failed insert of a new
-column after one); the test requires every one of them, so the
-fuzzing cannot silently stop exercising them.  Its blocks hold a few dozen
-elements at most, so the test shrinks the chunk size S from 128 to 2.
+were undone, a failed rebuild at column 256, a failed insert of a new
+column after one, and a new symbol's failed summary add); the test requires
+every one of them, so the fuzzing cannot silently stop exercising them.
+Its blocks hold a few dozen elements at most, so the test shrinks the
+chunk size S from 128 to 2.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from hypothesis.stateful import (
     rule,
     run_state_machine_as_test,
 )
-from probe import FAULTS, WIDEN_FAULTS, fail_nth_insert_at, lay_out, snapshot, word_count
+from probe import (
+    FAULTS, WIDEN_FAULTS, fail_first_add, fail_nth_insert_at, lay_out, snapshot, word_count,
+)
 
 from rangemodes import Config, NaiveSeq, RangeModeEngine, charseq
 
@@ -41,7 +44,8 @@ NARROW = 12  # the rules draw symbols 0..11; a "wide" stage adds fresh ones from
 SYMBOLS = st.integers(0, NARROW - 1)
 POSITIONS = st.integers(0, 10**6)  # reduced modulo the current length
 INSERT_AT = 4  # faults at the first 4 calls of CharSeq.insert_at in one op
-FAULT_POINTS = [*range(1, INSERT_AT + 1), *FAULTS, *WIDEN_FAULTS]
+ADD = "PairTable._add"  # a fault at the op's first summary add
+FAULT_POINTS = [*range(1, INSERT_AT + 1), *FAULTS, *WIDEN_FAULTS, ADD]
 
 
 class EngineMachine(RuleBasedStateMachine):
@@ -166,9 +170,11 @@ class EngineMachine(RuleBasedStateMachine):
     )
     def failing_op(self, op, setup, a, b, symbol, fault):
         """An op with one fault point patched in: the ``fault``-th call of
-        :meth:`CharSeq.insert_at`, or a named place where a rebuild or a new
-        column can fail.  An op that raises must change nothing; one that
-        never reaches the fault must match the oracle as usual.
+        :meth:`CharSeq.insert_at`, or a named place where a rebuild, a new
+        column or the op's first summary add can fail.  An op that raises
+        must change nothing; one that never reaches the fault must match the
+        oracle as usual.  A delete takes its element out before its summary
+        add, so the summary add fault goes to a relocation instead.
 
         Fault-free edits first set the stage.  With ``setup`` "edge", they
         take the length to where an insert doubles or a delete halves it.
@@ -189,6 +195,8 @@ class EngineMachine(RuleBasedStateMachine):
         """
         engine, naive = self.engine, self.naive
         wide = None  # what a failure of the op in the "wide" stage shows
+        if fault == ADD and op == "delete":
+            op = "relocate"
         if setup == "edge" and op == "insert":
             while len(naive) < 2 * engine.n0 - 1:
                 self._insert(len(naive), symbol)
@@ -224,12 +232,15 @@ class EngineMachine(RuleBasedStateMachine):
         else:
             src, dst = b % n, a % n
             run, mirror = lambda: engine.relocate(src, dst), lambda: naive.relocate(src, dst)
+        new = op == "insert" and symbol not in engine._table._column
         before = snapshot(engine)
         with pytest.MonkeyPatch.context() as mp:
             if fault in FAULTS:
                 FAULTS[fault](mp)
             elif fault in WIDEN_FAULTS:
                 WIDEN_FAULTS[fault](mp)
+            elif fault == ADD:
+                fail_first_add(mp)
             else:
                 fail_nth_insert_at(mp, fault)
             try:
@@ -248,6 +259,8 @@ class EngineMachine(RuleBasedStateMachine):
                 self.reach("a reset failed")
             elif setup == "chain" and fault in range(4, INSERT_AT + 1):  # two moves undone or more
                 self.reach("a rebalance chain failed")
+            if fault == ADD and new:
+                self.reach("a new symbol's summary add failed")
         else:
             assert got == mirror()
         if setup == "wide":
@@ -290,6 +303,6 @@ def test_engine_matches_oracle_in_lockstep(monkeypatch):
         "relocate within a block", "relocate within a block across a chunk boundary",
         "relocate across blocks",
         "a reset failed", "a rebalance chain failed", "a rebuild at column 256 failed",
-        "an insert of a new column after that rebuild failed",
+        "an insert of a new column after that rebuild failed", "a new symbol's summary add failed",
     }
     assert wanted <= reached.keys(), wanted - reached.keys()

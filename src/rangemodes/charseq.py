@@ -12,8 +12,10 @@ one byte per element, up to 256 columns, and ``'I'``, four bytes, beyond.
 The build picks it from its alphabet and writes the arrays in one pass over
 the caller's list, block by block, with no copy of the whole list; the
 type holds until the next build, as the engine rebuilds its layout rather
-than hand out column 256 to ``'B'`` arrays.  Edits, boundary moves and
-margin counts work on column ids alone; only :meth:`CharSeq.to_list`,
+than hand out column 256 to ``'B'`` arrays.  The build does not price
+what it writes: the engine admits a layout before building it, pricing the
+chunk words by :func:`word_bound`.  Edits, boundary moves and margin
+counts work on column ids alone; only :meth:`CharSeq.to_list`,
 :meth:`CharSeq.access_range` and indexing map them back to symbols.
 
 The block boundaries are one list, :attr:`CharSeq.ends`, whose entry k is
@@ -56,31 +58,35 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantError
-from .multiset import _FIELD_BITS, _FIELD_BYTES, check_table_fits, id_type, pack
+from .multiset import _FIELD_BITS, _FIELD_BYTES, id_type, pack
 
 CHUNK = 128
 """S: chunk t of a block holds its offsets t·S .. (t+1)·S - 1."""
 
 
+def word_bound(room: int, slots: int) -> int:
+    """Most words ``slots`` blocks of at most ``room`` elements in all can
+    hold, past the 0 that leads each block's list: ⌈c/S⌉ for a block of c,
+    at most room/S + L in all."""
+    return room // CHUNK + slots
+
+
 class CharSeq:
     """Mutable sequence of symbol ids split into a fixed row of blocks of column ids."""
 
-    __slots__ = ("blocks", "ends", "column", "symbol", "room", "chunk_sums")
+    __slots__ = ("blocks", "ends", "column", "symbol", "chunk_sums")
 
     def __init__(
-        self, symbols: Sequence[int], sizes: Sequence[int], alphabet: Iterable[int], room: int
+        self, symbols: Sequence[int], sizes: Sequence[int], alphabet: Iterable[int]
     ) -> None:
         """Write ``symbols``, cut into blocks of ``sizes``, as column-id arrays.
 
         ``symbols`` is read block by block and not kept; ``alphabet`` holds
-        its distinct symbols, which the caller has already counted, and
-        ``room`` is the most elements the blocks will hold, which the
-        memory guard prices.  Symbols get columns in increasing order, and
-        the arrays take the narrower type that holds them, :func:`id_type`
-        of the alphabet's size; the table, the chunk words and the arrays at
-        that width must pass :func:`check_table_fits` before any array is
-        written.  Each chunk is counted once by :meth:`recount` and added to
-        the running word before it.
+        its distinct symbols, which the caller has already counted.  Symbols
+        get columns in increasing order, and the arrays take the narrower
+        type that holds them, :func:`id_type` of the alphabet's size.  Each
+        chunk is counted once by :meth:`recount` and added to the running
+        word before it.
         """
         self.ends = list(accumulate(sizes))  # one past the last position of each block
         if len(self) != len(symbols):
@@ -88,11 +94,9 @@ class CharSeq:
         alphabet = sorted(alphabet)
         self.symbol = alphabet  # column -> symbol; a free column keeps its last one
         self.column: dict[int, int] = dict(zip(alphabet, range(len(alphabet))))  # symbol -> column
-        self.room = room
         self.blocks: list[array] = []
         self.chunk_sums: list[list[int]] = []  # per block, at t the word of its first min(t·S, c)
         code = id_type(len(alphabet))
-        check_table_fits(len(sizes), len(alphabet), self.word_bound(), room, code)
         column = self.column
         end = 0
         for size in sizes:
@@ -258,12 +262,6 @@ class CharSeq:
     def block_words(self) -> Iterator[int]:
         """The count word of each block, the last of its words, one at a time."""
         return map(itemgetter(-1), self.chunk_sums)
-
-    def word_bound(self) -> int:
-        """Most words the blocks can hold, past the 0 that leads each block's
-        list, before the next rebuild: ⌈c/S⌉ for a block of c, at most
-        room/S + L in all."""
-        return self.room // CHUNK + len(self.ends)
 
     def recount(self, cols: Sequence[int]) -> int:
         """The count word of the column ids ``cols``, each below the width, counted afresh."""

@@ -37,12 +37,15 @@ element lives.
 The layout is sized for the reference length ``n0`` of the last rebuild:
 ``ceil(n0^alpha) + ceil((2·n0)^alpha)`` block slots, each holding at most
 ``ceil(3·n0 / ceil(n0^alpha))`` elements.  An op that doubles or halves the
-length rebuilds the whole layout from the edited list, not by an edit, and
-installs it only once the build succeeds, so it raises with nothing
-changed; so does an insert whose symbol gets no column that fits one-byte
-ids (:meth:`PairTable.claim_column`), which the new layout stores in four
-bytes.  N stays between n0/2 and
-2·n0, L = Θ(N^alpha) and the capacity Θ(N^(1-alpha)), at amortized cost.
+length rebuilds the whole layout from the edited list, not by an edit.
+The rebuild admits the layout from its shape before it builds anything:
+its 32-bit fields must hold ``3·n0``, and its table, chunk words and blocks
+must pass the memory guard.  It installs the layout only once the build
+succeeds, so the op raises with nothing changed; so does an insert whose
+symbol gets no column that fits one-byte ids
+(:meth:`PairTable.claim_column`), which the new layout stores in four
+bytes.  N stays between n0/2 and 2·n0, L = Θ(N^alpha) and the capacity
+Θ(N^(1-alpha)), at amortized cost.
 Every rebuild spreads the elements evenly over the first
 ``ceil(n0^alpha)`` slots, sizes differing by at most one, which keeps edits
 in the low slots, where the slice of summary cells an edit adds to is
@@ -72,9 +75,9 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable
 
-from .charseq import CharSeq
+from .charseq import CharSeq, word_bound
 from .errors import InvariantError
-from .multiset import MAX_COUNT, MAX_SYMBOL, PairTable
+from .multiset import MAX_COUNT, MAX_SYMBOL, PairTable, check_table_fits, id_type
 from .results import ModesResult
 
 _MAX_ALPHA_DENOMINATOR = 64
@@ -193,30 +196,34 @@ class RangeModeEngine:
         over the first ``ceil(n0^alpha)`` slots of a layout sized for its
         length.
 
-        An op that resets the layout passes its ``kind``, which is logged
-        once the new layout is installed.
+        The layout is admitted here, before anything is built: its fields
+        must hold every count until the next rebuild, and its table, chunk
+        words and blocks must pass :func:`check_table_fits`.  An op that
+        resets the layout passes its ``kind``, which is logged once the new
+        layout is built and before it is installed.
         """
         n = len(flat)
         n0 = max(n, 1)
+        # A stored field is a count, under 2·n0 until the next rebuild, plus
+        # its row's offset, a count at the build and so at most n0.
+        if 3 * n0 > MAX_COUNT:
+            raise ValueError(
+                f"length {n} is too long: summary fields up to {3 * n0} exceed {MAX_COUNT}"
+            )
         slots, filled, capacity = _layout(n0, self._config.alpha)
+        # The blocks hold at most 2·n0 elements before the next rebuild.
+        guard = (word_bound(2 * n0, slots), 2 * n0, id_type(len(alphabet)))
+        check_table_fits(slots, len(alphabet), *guard)
         q, extra = divmod(n, filled)
         sizes = [q + (k < extra) for k in range(filled)] + [0] * (slots - filled)
-        # The blocks hold at most 2·n0 elements before the next rebuild.
-        seq = CharSeq(flat, sizes, alphabet, 2 * n0)
-        table = PairTable(seq)  # if either raises, the old layout stands
-        # A stored field is a count, which reaches 2·n0 before the next
-        # rebuild, plus its row's offset; it must fit its field until then.
-        reach = 2 * n0 + table.top_offset()
-        if reach > MAX_COUNT:
-            raise ValueError(
-                f"length {n} is too long: summary fields up to {reach} exceed {MAX_COUNT}"
-            )
+        seq = CharSeq(flat, sizes, alphabet)
+        table = PairTable(seq, guard)  # if either raises, the old layout stands
+        if kind:  # logged first: the stores that install the layout cannot fail
+            self.reset_events.append((kind, n))
         self._table = table
         self._n0 = n0
         self._capacity = capacity
         self._seq = seq
-        if kind:
-            self.reset_events.append((kind, n))
 
     # ------------------------------------------------------------------
     # public API

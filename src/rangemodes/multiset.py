@@ -46,11 +46,11 @@ before the next rebuild, a list priced at its header and a list slot, the
 of column ids priced by :func:`array_bytes` at the item size of their type
 (:func:`id_type`) for each of the 2·n0 elements they can hold before the
 next rebuild, with the spare room an array grown by inserts holds, as
-measured at import, plus a header and a list slot each.  The
-:class:`CharSeq` build, before it writes a block, and every widening check
-the sum against what the process can get, raising :class:`MemoryError`; a
-widening keeps the word bound, room and id type of the build, which hold
-until the next.  The old table of a widening lives beside the new one
+measured at import, plus a header and a list slot each.  The engine,
+before it builds a layout, and every widening check the sum against what
+the process can get, raising :class:`MemoryError`; the table keeps the
+word bound, room and id type the engine admitted it with, which hold until
+the next rebuild.  The old table of a widening lives beside the new one
 until the copy ends, unpriced.
 
 The column map is the one :class:`CharSeq` builds, one column per symbol
@@ -70,14 +70,16 @@ handed out, and the engine rebuilds its layout instead.
 Every decrement first reads the column's count in the source block's own
 cell and raises :class:`InvariantError` if it is 0, before any cell
 changes, so no field of a slice add can borrow from its neighbour.  A
-stored field holds a count plus its offset and must stay at most
-``MAX_COUNT``; :meth:`PairTable.top_offset` bounds the offsets, and the
-engine rejects a layout whose fields could exceed it.
+stored field holds a count plus its offset, under 3·n0 until the next
+rebuild, and must stay at most ``MAX_COUNT``; the engine refuses a length
+whose fields could pass it before it builds anything.
 
 ``PairTable.cell`` returns a summary cell as a plain ``dict``, a
 symbol→count snapshot that ``audit()`` compares with a recount; no module
 builds a :class:`CountedSet`, which stays for the benchmark's tracer.
-Symbol ids must fit in 64 bits; the blocks never store them.
+Symbol ids must fit in 64 bits; the blocks never store them.  Fields are
+stored in the host's order and read as little-endian words, so the module
+refuses a big-endian host at import.
 """
 
 from __future__ import annotations
@@ -104,10 +106,9 @@ MAX_SYMBOL = (1 << 64) - 1
 
 _FIELD_BITS = 32
 _FIELD_BYTES = _FIELD_BITS // 8
-_ONE_FIELD = (1).to_bytes(_FIELD_BYTES, sys.byteorder)  # native order, as the fields are stored
+_ONE_FIELD = (1).to_bytes(_FIELD_BYTES, "little")
 _ZERO_FIELD = bytes(_FIELD_BYTES)
 MAX_COUNT = (1 << _FIELD_BITS) - 1
-_BIG_ENDIAN = sys.byteorder == "big"
 _SLOT = struct.calcsize("P")  # a list slot
 _INT_HEAD = int.__basicsize__ + _SLOT  # an int's header and its list slot
 _EMPTY_ARRAY = sys.getsizeof(array("B"))  # the same for every type
@@ -118,6 +119,9 @@ _LIST_HEAD = sys.getsizeof([]) + _SLOT  # an empty list and its list slot
 # narrower of 'B' and 'I' that holds them (:func:`id_type`).
 if [array(code).itemsize for code in "BI"] != [1, _FIELD_BYTES]:
     raise ImportError("rangemodes needs 1- and 4-byte unsigned array types 'B' and 'I'")
+# The stored fields are read as the little-endian count words.
+if sys.byteorder != "little":
+    raise ImportError("rangemodes needs a little-endian host")
 
 
 def _memory_limit() -> int | None:
@@ -230,23 +234,17 @@ def check_table_fits(slots: int, width: int, words: int, elements: int, code: st
 
 def pack(fields: array) -> int:
     """The count word of ``fields``: count ``col`` in bits ``32·col`` up."""
-    if _BIG_ENDIAN:
-        fields = array("I", fields)
-        fields.byteswap()
     return int.from_bytes(fields, "little")
 
 
 def unpack(word: int, width: int) -> list[int]:
     """The first ``width`` counts of a count word."""
-    fields = array("I", word.to_bytes(_FIELD_BYTES * width, "little"))
-    if _BIG_ENDIAN:
-        fields.byteswap()
-    return fields.tolist()
+    return array("I", word.to_bytes(_FIELD_BYTES * width, "little")).tolist()
 
 
 def _ones(n: int) -> int:
-    """``n`` fields of 1, as an int in the fields' native order."""
-    return int.from_bytes(_ONE_FIELD * n, sys.byteorder)
+    """``n`` fields of 1, as an int."""
+    return int.from_bytes(_ONE_FIELD * n, "little")
 
 
 def _zeros(n: int) -> memoryview:
@@ -293,8 +291,9 @@ class PairTable:
         "_column", "_symbol", "_free", "_guard", "_masks", "_mask_fields",
     )
 
-    def __init__(self, seq: CharSeq) -> None:
-        """Build a fresh table over the blocks of ``seq``, sharing its column map."""
+    def __init__(self, seq: CharSeq, guard: tuple[int, int, str]) -> None:
+        """Build a fresh table over the blocks of ``seq``, sharing its column map;
+        ``guard`` is the word bound, room and id type the engine admitted it with."""
         slots = self._slots = len(seq.blocks)
         cells = self._cells = slots * (slots + 1) // 2
         # Cell (l, r) is field _row_base[l] + r of every plane.
@@ -306,10 +305,8 @@ class PairTable:
         self._column = seq.column  # symbol -> column, shared with ``seq``
         self._symbol = seq.symbol  # column -> symbol, shared; a free column keeps its last one
         self._free: list[int] = []
-        width = self._width = len(self._symbol)  # ``seq`` checked that the table fits at this width
-        # The memory guard's word bound, element room and id type, which
-        # hold until the next rebuild builds a new table.
-        self._guard = (seq.word_bound(), seq.room, id_type(width))
+        width = self._width = len(self._symbol)
+        self._guard = guard
         # prefix[k]: the count word of blocks 0..k-1.  Row l stores the
         # counts of blocks 0..r for r = l..slots-1, the suffix from l of the
         # column's prefix counts, so its offset is prefix[l].
@@ -326,8 +323,6 @@ class PairTable:
             for start in range(0, _FIELD_BYTES * slots, _FIELD_BYTES):
                 plane += run[start:]
             counts[col * cells : (col + 1) * cells] = memoryview(plane).cast("I")
-        if _BIG_ENDIAN:
-            counts.obj.byteswap()
 
     @property
     def slots(self) -> int:
@@ -391,11 +386,6 @@ class PairTable:
 
     def cell_count(self) -> int:
         return self._cells
-
-    def top_offset(self) -> int:
-        """The largest offset a stored field carries: the top count of blocks
-        0..L-2 at the build."""
-        return max(unpack(self._base[-1], len(self._symbol)), default=0)
 
     def offset_fault(self) -> str | None:
         """The first offset word with a field past the table's columns, or None."""
@@ -476,12 +466,12 @@ class PairTable:
     # ------------------------------------------------------------------
 
     def _add(self, start: int, fields: int, step: int, delta: int) -> None:
-        """Add ``delta`` (±1) times ``step``, a native-order int of ``fields``
-        fields of 0 and 1, to the fields from ``start`` on."""
+        """Add ``delta`` (±1) times ``step``, an int of ``fields`` fields of
+        0 and 1, to the fields from ``start`` on."""
         run = self._counts[start : start + fields]
-        value = int.from_bytes(run, sys.byteorder)
+        value = int.from_bytes(run, "little")
         total = value + step if delta == 1 else value - step
-        run[:] = memoryview(total.to_bytes(_FIELD_BYTES * fields, sys.byteorder)).cast("I")
+        run[:] = memoryview(total.to_bytes(_FIELD_BYTES * fields, "little")).cast("I")
 
     def _mask(self, j: int) -> int:
         """The step of an edit in block ``j``, stored while the stored masks
@@ -491,7 +481,7 @@ class PairTable:
         # (l, j..slots-1), and between the tails of rows l-1 and l the j-l
         # head cells (l, l..j-1), which the mask leaves alone.
         gaps = [_ZERO_FIELD * (j - l) for l in range(1, j + 1)]
-        step = int.from_bytes((_ONE_FIELD * (slots - j)).join([b"", *gaps, b""]), sys.byteorder)
+        step = int.from_bytes((_ONE_FIELD * (slots - j)).join([b"", *gaps, b""]), "little")
         fields = mask_fields(slots, j)
         if self._mask_fields + fields <= self._cells * self._width:
             self._masks[j] = step

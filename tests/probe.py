@@ -201,10 +201,10 @@ def refuse(*args, **kwargs):
 
 
 FAULTS = {  # where a rebuild can fail
-    "check_table_fits": lambda mp: mp.setattr(charseq, "check_table_fits", refuse),
+    "check_table_fits": lambda mp: mp.setattr(engine_module, "check_table_fits", refuse),
     "CharSeq.__init__": lambda mp: mp.setattr(charseq.CharSeq, "__init__", refuse),
     "PairTable.__init__": lambda mp: mp.setattr(multiset.PairTable, "__init__", refuse),
-    "MAX_COUNT": lambda mp: mp.setattr(engine_module, "MAX_COUNT", 1),  # the build's ValueError
+    "MAX_COUNT": lambda mp: mp.setattr(engine_module, "MAX_COUNT", 1),  # the length's ValueError
 }
 WIDEN_FAULTS = {  # where handing a new symbol a column can fail
     "PairTable._widen": lambda mp: mp.setattr(multiset.PairTable, "_widen", refuse),

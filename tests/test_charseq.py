@@ -17,9 +17,9 @@ def flatten(blocks):
 
 
 def seq_of(blocks):
-    """A CharSeq holding the symbol lists ``blocks``, priced for twice their length."""
+    """A CharSeq holding the symbol lists ``blocks``."""
     symbols = flatten(blocks)
-    return CharSeq(symbols, [len(block) for block in blocks], set(symbols), 2 * len(symbols))
+    return CharSeq(symbols, [len(block) for block in blocks], set(symbols))
 
 
 def symbol_blocks(seq):
@@ -128,19 +128,19 @@ def test_access_range_bounds(lo, hi):
 
 def test_writes_column_arrays_from_the_symbol_list():
     symbols = [2, 0, 1, 2]
-    seq = CharSeq(symbols, [2, 0, 2], set(symbols), 8)
+    seq = CharSeq(symbols, [2, 0, 2], set(symbols))
     assert symbols == [2, 0, 1, 2]  # read, not changed
     assert seq.blocks == [array("B", [2, 0]), array("B"), array("B", [1, 2])]
     assert seq.symbol == [0, 1, 2] and seq.column == {0: 0, 1: 1, 2: 2}
-    assert ends(seq) == [2, 2, 4] and seq.room == 8
+    assert ends(seq) == [2, 2, 4]
     # Symbols get columns in increasing order, whatever their size.
     big = [1 << 63, 7, 1 << 32, 7]
-    seq = CharSeq(big, [1, 3], set(big), 8)
+    seq = CharSeq(big, [1, 3], set(big))
     assert seq.symbol == [7, 1 << 32, 1 << 63]
     assert seq.blocks == [array("B", [2]), array("B", [0, 1, 0])]
     check_mirror(seq, [[1 << 63], [7, 1 << 32, 7]])
     with pytest.raises(ValueError):
-        CharSeq([1, 2], [1, 0], {1, 2}, 4)
+        CharSeq([1, 2], [1, 0], {1, 2})
 
 
 def test_insert_middle():

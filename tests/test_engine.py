@@ -182,17 +182,20 @@ class TestConstruction:
     def test_length_must_fit_the_count_fields(self, monkeypatch):
         # A summary count reaches 2·n0 before the next rebuild.
         monkeypatch.setattr(engine_module, "MAX_COUNT", 7)
-        assert RangeModeEngine(range(3)).audit().ok
-        with pytest.raises(ValueError):
-            RangeModeEngine(range(4))
+        assert RangeModeEngine(range(2)).audit().ok
+        with pytest.raises(ValueError, match="summary fields up to 9 exceed 7"):
+            RangeModeEngine(range(3))
 
     def test_row_offsets_count_against_the_count_fields(self, monkeypatch):
-        # A stored field also carries its row's offset, at most the top count
-        # of the build: 2·3 + 1 fits in 7, 2·3 + 3 does not.
+        # A stored field also carries its row's offset, at most n0: 2·3 fits
+        # in 7 but 2·3 + 3 does not, so the length is refused whatever the
+        # symbols, and fits once the fields reach 3·n0.
         monkeypatch.setattr(engine_module, "MAX_COUNT", 7)
-        assert RangeModeEngine([5, 6, 7]).audit().ok
-        with pytest.raises(ValueError, match="summary fields up to 9 exceed 7"):
-            RangeModeEngine([5, 5, 5])
+        for symbols in ([5, 6, 7], [5, 5, 5]):
+            with pytest.raises(ValueError, match="summary fields up to 9 exceed 7"):
+                RangeModeEngine(symbols)
+        monkeypatch.setattr(engine_module, "MAX_COUNT", 9)
+        assert RangeModeEngine([5, 5, 5]).audit().ok
 
     @pytest.mark.parametrize("bad", [1.0, True, "3", None, -1, 1 << 64])
     def test_rejected_symbol_leaves_engine_unchanged(self, bad):
@@ -831,7 +834,7 @@ class TestResets:
         engine = RangeModeEngine(range(64))
         while len(engine) > 33:
             engine.delete(0)
-        monkeypatch.setattr(charseq, "check_table_fits", refuse)
+        monkeypatch.setattr(engine_module, "check_table_fits", refuse)
         with pytest.raises(MemoryError):
             engine.delete(0)  # the length would halve to 32, but the new layout does not fit
         assert len(engine) == 33 and engine.n0 == 64 and engine.reset_events == []
@@ -843,7 +846,7 @@ class TestResets:
 
         while len(engine) < 63:
             engine.insert(len(engine), 7)
-        monkeypatch.setattr(charseq, "check_table_fits", refuse)
+        monkeypatch.setattr(engine_module, "check_table_fits", refuse)
         with pytest.raises(MemoryError):
             engine.insert(0, 5)  # the length would double to 64
         assert len(engine) == 63 and engine.n0 == 32 and engine.reset_events == [("halve", 32)]
@@ -1294,14 +1297,14 @@ class TestColumnStorage:
         assert table._width == 256
         before = snapshot(engine)
         if fault == "guard":
-            fits = charseq.check_table_fits
+            fits = engine_module.check_table_fits
 
             def refuse_i(*args):
                 if args[-1] == "I":
                     raise MemoryError("refused")
                 fits(*args)
 
-            monkeypatch.setattr(charseq, "check_table_fits", refuse_i)
+            monkeypatch.setattr(engine_module, "check_table_fits", refuse_i)
         else:
             real, built = charseq.array, []
 
@@ -1387,15 +1390,15 @@ class TestMemoryGuard:
         engine = RangeModeEngine([rng.randrange(sigma) for _ in range(n0)], Config(alpha=alpha))
         while len(engine) < 2 * n0 - 1:
             engine.insert(rng.randint(0, len(engine)), rng.randrange(sigma))
-        seq = engine._seq
+        seq, (bound, room, _) = engine._seq, engine._table._guard
         slots, itemsize = len(seq.blocks), array(code).itemsize
-        assert engine.n0 == n0 and seq.room == 2 * n0 and engine.sigma_prime == sigma
+        assert engine.n0 == n0 and room == 2 * n0 and engine.sigma_prime == sigma
         assert set(typecodes(engine)) == {code}
         if alpha == Fraction(1, 8):
             assert max(engine.block_sizes()) > 4096
         held = held_bytes(engine)["arrays"]
         heads = slots * (sys.getsizeof(array(code)) + SLOT)
-        price = priced_bytes(slots, sigma, seq.word_bound(), seq.room, code)["arrays"]
+        price = priced_bytes(slots, sigma, bound, room, code)["arrays"]
         assert itemsize * len(engine) + heads < held <= price
 
     @pytest.mark.parametrize("n, sigma, code", [(1, 1, "B"), (5000, 26, "B"), (5000, 300, "I")])
@@ -1450,6 +1453,21 @@ class TestMemoryGuard:
         parts = priced_bytes(115, 1 << 17, 2 * (1 << 17) // 128 + 115, 2 * (1 << 17), "I")
         assert f"needs {sum(parts.values())} bytes" in message
 
+    @pytest.mark.parametrize("refusal", ["fields", "guard"])
+    def test_a_layout_is_refused_before_the_sequence_is_built(self, monkeypatch, refusal):
+        # The field bound and the memory guard judge the layout's shape, so
+        # a sequence that cannot be built is never asked for: its own
+        # refusal is not the one raised.
+        FAULTS["CharSeq.__init__"](monkeypatch)
+        if refusal == "fields":
+            monkeypatch.setattr(engine_module, "MAX_COUNT", 7)
+            with pytest.raises(ValueError, match="summary fields up to 9 exceed 7"):
+                RangeModeEngine(range(3))
+        else:
+            monkeypatch.setattr(multiset, "_memory_limit", lambda: 1000)
+            with pytest.raises(MemoryError, match=r"needs \d+ bytes, more than the 1000"):
+                RangeModeEngine(range(3))
+
     def test_chunk_words_count_against_the_limit(self, monkeypatch):
         # The running words of S = 128 chunks are up to 2N/S + L ints of σ'
         # fields after the 0 that leads each block's list, beside the cells,
@@ -1471,7 +1489,7 @@ class TestMemoryGuard:
 
     @pytest.mark.parametrize("sigma", [1, 26, 256])
     def test_words_held_stay_within_the_word_bound(self, monkeypatch, sigma):
-        # The guard prices word_bound() words, ⌈c/S⌉ for a block of c summed
+        # The guard prices word_bound(2·n0, L) words, ⌈c/S⌉ for a block of c summed
         # from the room the blocks have before the next rebuild, not from
         # the length.  S = 3 makes many chunks per block.  The length grows
         # from 600 past a doubling to 1500, then shrinks past a halving to
@@ -1491,7 +1509,7 @@ class TestMemoryGuard:
                     engine.relocate(rng.randrange(n), rng.randrange(n))
                 seq = engine._seq
                 held = sum(word_count(seq, k) - 1 for k in range(len(seq.blocks)))
-                assert held <= seq.word_bound()
+                assert held <= engine._table._guard[0]
         assert [kind for kind, _ in engine.reset_events] == ["double", "halve"]
         assert engine.audit().ok
 

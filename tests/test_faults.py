@@ -1,0 +1,138 @@
+"""One failed allocation at a time: an op that raises changes nothing.
+
+``_testcapi.set_nomemory(n, n + 1)`` makes the allocation after the first
+``n`` fail, and no other.  For each ``n`` from 0 up to the first at which
+the op raises nothing, the op runs on a fresh engine: every raise must be
+a :class:`MemoryError` that leaves the engine as it was and sound, and the
+run that raises nothing must agree with :class:`NaiveSeq`.  The allocation
+counts are not pinned; each sweep finds where its op stops raising.  The
+ops are queries, and the inserts and deletes that rebuild the layout,
+which admit, build and log a new layout before installing it; an edit
+that does not rebuild can still be left half done by a failed allocation,
+and is not swept.  The garbage collector is off during a sweep, so no
+collection runs inside an op.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import pytest
+from probe import snapshot
+
+from rangemodes import NaiveSeq, RangeModeEngine
+
+_testcapi = pytest.importorskip("_testcapi")
+
+
+def grown(start, length, symbols=5):
+    """An engine built from ``start`` elements, then grown or shrunk at its
+    end to ``length``, with its :class:`NaiveSeq`."""
+    engine = RangeModeEngine([k % symbols for k in range(start)])
+    while len(engine) < length:
+        engine.insert(len(engine), len(engine) % symbols)
+    while len(engine) > length:
+        engine.delete(len(engine) - 1)
+    return engine, NaiveSeq(engine.to_list())
+
+
+CASES = {
+    # n0 = 200 fills 6 slots of 33 or 34 elements: the first range reads
+    # the cell of blocks 1..3, the second lies inside block 1.
+    "modes of a cell": (lambda: grown(200, 200), lambda s: s.modes(3, 150), []),
+    "modes inside a block": (lambda: grown(200, 200), lambda s: s.modes(40, 50), []),
+    # Length 63 at n0 = 32: the insert doubles the length.
+    "doubling insert": (lambda: grown(32, 63), lambda s: s.insert_at(20, 3), ["double"]),
+    "doubling insert of a new symbol": (
+        lambda: grown(32, 63), lambda s: s.insert_at(20, 99), ["double"],
+    ),
+    # Length 33 at n0 = 64: the delete halves the length.
+    "halving delete": (lambda: grown(64, 33), lambda s: s.delete_at(10), ["halve"]),
+    # 256 columns of one-byte ids: a new symbol has the layout rebuilt with
+    # four-byte ids.
+    '"ids" insert': (lambda: grown(300, 300, 256), lambda s: s.insert_at(150, 256), ["ids"]),
+}
+
+
+class Engine:
+    """The engine under :class:`NaiveSeq`'s op names."""
+
+    def __init__(self, engine):
+        self.modes = engine.modes
+        self.insert_at = engine.insert
+        self.delete_at = engine.delete
+
+
+def faulted(op, engine, n):
+    """``op`` on ``engine``, with the allocation after the first ``n`` failing."""
+    _testcapi.set_nomemory(n, n + 1)
+    try:
+        return op(engine)
+    finally:
+        _testcapi.remove_mem_hooks()
+
+
+@pytest.fixture
+def no_gc():
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+        gc.collect()
+
+
+def check(case, n):
+    """Run ``case`` with allocation ``n`` failing; True when it raised."""
+    build, op, resets = CASES[case]
+    engine, naive = build()
+    wrapped = Engine(engine)
+    before = snapshot(engine)
+    try:
+        got = faulted(op, wrapped, n)
+    except MemoryError:
+        assert snapshot(engine) == before, (case, n)
+        report = engine.audit()
+        assert report.ok, (case, n, report.message)
+        return True
+    assert got == op(naive), (case, n)
+    assert engine.to_list() == naive.to_list(), (case, n)
+    assert [kind for kind, _ in engine.reset_events] == resets, (case, n)
+    assert engine.audit().ok, (case, n)
+    return False
+
+
+def warm_up(case):
+    build, op, _ = CASES[case]
+    op(Engine(build()[0]))
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case != '"ids" insert'])
+def test_every_failed_allocation_changes_nothing(no_gc, case):
+    warm_up(case)
+    n = 0
+    while check(case, n):
+        n += 1
+    assert n > 0  # the op allocates, so the first allocation failed
+
+
+def test_every_late_failed_allocation_of_an_ids_insert_changes_nothing(no_gc):
+    # The rebuild makes about 10 000 allocations: find where it stops
+    # raising, by doubling and then bisecting, and sweep the last 64 before
+    # that in full, where the new layout is logged and installed, and the
+    # rest at a stride.
+    case = '"ids" insert'
+    warm_up(case)
+    hi = 1
+    while check(case, hi):
+        hi *= 2
+    lo = hi // 2
+    assert check(case, lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if check(case, mid):
+            lo = mid
+        else:
+            hi = mid
+    for n in [*range(0, lo - 64, 97), *range(max(lo - 64, 0), lo)]:
+        check(case, n)

@@ -1,10 +1,13 @@
+import os
 import random
 import re
 import struct
+import subprocess
 import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from probe import held_bytes, priced_bytes, word_count, words
 
 from rangemodes import CharSeq, Config, CountedSet, InvariantError, PairTable, RangeModeEngine
 from rangemodes import multiset
+from rangemodes.charseq import word_bound
 from rangemodes.multiset import MAX_COUNT, MAX_SYMBOL, id_type, mask_fields, pack
 
 A, B, C = 0, 1, 2
@@ -87,7 +91,9 @@ class TestCountedSet:
 
 def build_table(blocks):
     symbols = [s for b in blocks for s in b]
-    return PairTable(CharSeq(symbols, [len(b) for b in blocks], set(symbols), 2 * len(symbols)))
+    room, alphabet = 2 * len(symbols), set(symbols)
+    guard = (word_bound(room, len(blocks)), room, id_type(len(alphabet)))
+    return PairTable(CharSeq(symbols, [len(b) for b in blocks], alphabet), guard)
 
 
 def point(table, j, symbol, delta):
@@ -412,6 +418,7 @@ class TestPairTable:
         engine = RangeModeEngine([rng.randrange(26) for _ in range(1 << 14)])
         prefix_list_bytes, array_bytes = multiset.prefix_list_bytes, multiset.array_bytes
         seq, slots = engine._seq, engine._table.slots
+        bound, room, _ = engine._table._guard
         slot = struct.calcsize("P")
         assert len(seq.blocks) == slots == 58
         count = sum(word_count(seq, k) - 1 for k in range(slots))
@@ -420,7 +427,7 @@ class TestPairTable:
         assert held <= prefix_list_bytes(slots, 26, count) <= 1.03 * held
         # The guard prices the most words the blocks can hold before the
         # next rebuild: ⌈c/S⌉ for a block of c, at most 2·n0/S + L.
-        assert seq.word_bound() == 2 * (1 << 14) // 128 + slots
+        assert bound == 2 * (1 << 14) // 128 + slots
         monkeypatch.setattr(multiset, "_memory_limit", lambda: 0)
 
         def priced(words, elements):
@@ -429,17 +436,17 @@ class TestPairTable:
             return int(re.search(r"needs (\d+) bytes", str(refused.value))[1])
 
         # The guard prices each word, and the lists even with no word.
-        extra = priced(count, seq.room) - priced(0, seq.room)
+        extra = priced(count, room) - priced(0, room)
         assert extra == prefix_list_bytes(slots, 26, count) - prefix_list_bytes(slots, 26, 0)
         assert prefix_list_bytes(slots, 26, 0) == slots * (sys.getsizeof([]) + 2 * slot)
         # The blocks, 'B' arrays at 26 columns, are priced by array_bytes
         # for the 2·n0 column ids they hold at most before the next rebuild,
         # a byte each and their growth room: more than the arrays of n0 ids
         # take now, which the build sizes exactly, with no room to spare.
-        assert priced(0, seq.room) - priced(0, 0) == (
-            array_bytes(slots, seq.room, "B") - array_bytes(slots, 0, "B")
+        assert priced(0, room) - priced(0, 0) == (
+            array_bytes(slots, room, "B") - array_bytes(slots, 0, "B")
         )
-        assert 1.06 * seq.room < array_bytes(slots, seq.room, "B") - array_bytes(slots, 0, "B")
+        assert 1.06 * room < array_bytes(slots, room, "B") - array_bytes(slots, 0, "B")
         arrays = held_bytes(engine)["arrays"]
         assert arrays == slots * (sys.getsizeof(array("B")) + slot) + (1 << 14)
         assert arrays <= array_bytes(slots, 1 << 14, "B")
@@ -518,7 +525,7 @@ def check_masks(table):
         for l in range(j + 1):
             for r in range(j, slots):
                 fields[table._row_base[l] + r - j] = 1
-        assert mask == int.from_bytes(fields.tobytes(), sys.byteorder), j
+        assert mask == int.from_bytes(fields.tobytes(), "little"), j
     total = sum(mask_fields(slots, j) for j in stored)
     assert table._mask_fields == total <= table.cell_count() * table._width
 
@@ -672,3 +679,16 @@ class TestSymbolMajorLayout:
         report = engine.audit()
         assert not report.ok
         assert report.message == "offset word of row 1 has a field outside the summary table"
+
+
+def test_a_big_endian_host_is_refused_at_import():
+    # The fields are stored in the host's order and read as little-endian
+    # count words, so the package refuses any other order when imported.
+    src = str(Path(multiset.__file__).resolve().parents[1])
+    code = "import sys; sys.byteorder = 'big'; import rangemodes"
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert child.returncode == 1
+    assert "ImportError: rangemodes needs a little-endian host" in child.stderr

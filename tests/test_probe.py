@@ -33,7 +33,7 @@ def random_seq(rng, code):
     """
     blocks = [[rng.randrange(20) for _ in range(rng.choice((0, 1, 5, 130, 400)))] for _ in range(6)]
     symbols = [s for block in blocks for s in block]
-    seq = CharSeq(symbols, [len(block) for block in blocks], set(symbols), 2 * len(symbols))
+    seq = CharSeq(symbols, [len(block) for block in blocks], set(symbols))
     alphabet = range(20) if code == "B" else range(1000, 1300)
     add_columns(seq, alphabet)
     for _ in range(300):
@@ -83,7 +83,7 @@ def test_written_words_read_back(monkeypatch, chunk, code):
 def test_a_word_past_the_width_is_refused():
     # Column 2 counted in block 0's words, then dropped from the column map:
     # a decoding at the two columns left would hide it.
-    seq = CharSeq([5, 6], [2], {5, 6}, 8)
+    seq = CharSeq([5, 6], [2], {5, 6})
     add_columns(seq, [7])
     seq.insert_at(0, 1, seq.column[7])
     assert words(seq, 0) == [[0, 0, 0], [1, 1, 1]]
@@ -95,7 +95,7 @@ def test_a_word_past_the_width_is_refused():
 def test_add_columns_rewrites_the_blocks_at_column_256():
     # The engine rebuilds its layout for column 256; a sequence without an
     # engine has the probe rewrite its arrays instead.
-    seq = CharSeq([0, 1], [1, 1], {0, 1}, 4)
+    seq = CharSeq([0, 1], [1, 1], {0, 1})
     add_columns(seq, range(256))
     assert len(seq.symbol) == 256 and {block.typecode for block in seq.blocks} == {"B"}
     add_columns(seq, [256])

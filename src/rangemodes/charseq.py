@@ -10,12 +10,15 @@ column when the symbol's last element goes.  Every array has the narrower
 unsigned type that holds every column handed out (:func:`id_type`): ``'B'``,
 one byte per element, up to 256 columns, and ``'I'``, four bytes, beyond.
 The build picks it from its alphabet and writes the arrays in one pass over
-the caller's list, block by block, with no copy of the whole list; the
-type holds until the next build, as the engine rebuilds its layout rather
-than hand out column 256 to ``'B'`` arrays.  The build does not price
-what it writes: the engine admits a layout before building it, pricing the
-chunk words by :func:`word_bound`.  Edits, boundary moves and margin
-counts work on column ids alone; only :meth:`CharSeq.to_list`,
+the caller's list, block by block, with no copy of the whole list, by one
+``bytes.translate`` while every symbol is below 256 and one ``itemgetter``
+call otherwise; a rebuild passes column ids, which it slices.  Each chunk
+is counted once, by :func:`chunk_word`.  The type holds until the next
+build, as the engine rebuilds its layout rather than hand out column 256
+to ``'B'`` arrays.  The build does not price what it writes: the engine
+admits a layout before building it, pricing the chunk words by
+:func:`word_bound`.  Edits, boundary moves and margin counts work on
+column ids alone; only :meth:`CharSeq.to_list`,
 :meth:`CharSeq.access_range` and indexing map them back to symbols.
 
 The block boundaries are one list, :attr:`CharSeq.ends`, whose entry k is
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import _count_elements  # Counter's C loop, into any dict
 from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -71,6 +74,17 @@ def word_bound(room: int, slots: int) -> int:
     return room // CHUNK + slots
 
 
+def chunk_word(cols: Sequence[int], counts: dict[int, int], zeros: array) -> int:
+    """The count word of the column ids ``cols``, counted into ``counts``
+    and written over a copy of ``zeros``, a zero field for each column."""
+    counts.clear()
+    _count_elements(counts, cols)
+    fields = zeros[:]
+    for col, count in counts.items():
+        fields[col] = count
+    return pack(fields)
+
+
 class CharSeq:
     """Mutable sequence of symbol ids split into a fixed row of blocks of column ids."""
 
@@ -81,37 +95,44 @@ class CharSeq:
     ) -> None:
         """Write ``symbols``, cut into blocks of ``sizes``, as column-id arrays.
 
-        ``symbols`` is read block by block and not kept; ``alphabet`` holds
-        its distinct symbols, which the caller has already counted.  Symbols
-        get columns in increasing order, and the arrays take the narrower
-        type that holds them, :func:`id_type` of the alphabet's size.  Each
-        chunk is counted once by :meth:`recount` and added to the running
-        word before it.
+        ``symbols`` is read block by block and not kept: a list of symbols,
+        or a rebuild's array of their column ids, whose slices are the
+        blocks.  ``alphabet`` holds its distinct symbols, which the caller
+        has already counted.  Symbols get columns in increasing order, and
+        the arrays take the narrower type that holds them, :func:`id_type`
+        of the alphabet's size.  Each chunk is counted once by
+        :func:`chunk_word` and added to the running word before it.
         """
         self.ends = list(accumulate(sizes))  # one past the last position of each block
         if len(self) != len(symbols):
             raise ValueError(f"block sizes sum to {len(self)}, not to the {len(symbols)} symbols")
         alphabet = sorted(alphabet)
+        width = len(alphabet)
         self.symbol = alphabet  # column -> symbol; a free column keeps its last one
-        self.column: dict[int, int] = dict(zip(alphabet, range(len(alphabet))))  # symbol -> column
+        self.column: dict[int, int] = dict(zip(alphabet, range(width)))  # symbol -> column
         self.blocks: list[array] = []
         self.chunk_sums: list[list[int]] = []  # per block, at t the word of its first min(t·S, c)
-        code = id_type(len(alphabet))
+        code = id_type(width)
         column = self.column
+        small = width and alphabet[-1] < 1 << 8  # every symbol fits one byte
+        table = bytes.maketrans(bytes(alphabet), bytes(range(width))) if small else None
+        counts, zeros = {}, array("I", bytes(_FIELD_BYTES * width))  # chunk_word's, reused
         end = 0
         for size in sizes:
             part = symbols[end : end + size]
             end += size
-            # One itemgetter call looks a block's symbols up at twice the speed
-            # of mapping column.__getitem__; it returns a tuple for two or more.
-            ids = itemgetter(*part)(column) if size > 1 else [column[s] for s in part]
-            if code == "B":  # bytes() reads the ids at C speed; array("B", ids) parses each
-                block = array("B", bytes(ids))[:]  # the copy drops frombytes' spare room
+            if type(part) is array:  # a slice has no spare room
+                block = part
+            elif table:  # bytes() reads the symbols at C speed; array("B", ids) parses each
+                block = array("B", bytes(part).translate(table))[:]  # drops frombytes' spare room
             else:
-                block = array("I", ids)
+                # One itemgetter call looks a block's symbols up at twice the
+                # speed of mapping column.__getitem__; it returns a tuple for two or more.
+                ids = itemgetter(*part)(column) if size > 1 else [column[s] for s in part]
+                block = array("B", bytes(ids))[:] if code == "B" else array("I", ids)
             sums = [0] * (-(-size // CHUNK) + 1)  # sized once: no list slot to spare
-            for t in range(1, len(sums)):
-                sums[t] = sums[t - 1] + self.recount(block[(t - 1) * CHUNK : t * CHUNK])
+            for t, lo in enumerate(range(0, size, CHUNK), 1):
+                sums[t] = sums[t - 1] + chunk_word(block[lo : lo + CHUNK], counts, zeros)
             self.blocks.append(block)
             self.chunk_sums.append(sums)
 
@@ -263,24 +284,18 @@ class CharSeq:
         """The count word of each block, the last of its words, one at a time."""
         return map(itemgetter(-1), self.chunk_sums)
 
-    def recount(self, cols: Sequence[int]) -> int:
-        """The count word of the column ids ``cols``, each below the width, counted afresh."""
-        fields = array("I", bytes(_FIELD_BYTES * len(self.symbol)))
-        for col, count in Counter(cols).items():
-            fields[col] = count
-        return pack(fields)
-
     def chunk_fault(self) -> str | None:
         """The first block or chunk that breaks a rule of the module docstring, or None.
 
         Every block must be an array of :func:`id_type` of the width, the
         number of columns handed out, and every column id must lie below
         the width.  A block of c elements must have ⌈c/S⌉ + 1 words, 0
-        first, and the difference of each two neighbours must equal a
-        recount of its chunk.
+        first, and the difference of each two neighbours must equal
+        :func:`chunk_word` of its chunk.
         """
         width = len(self.symbol)
         code = id_type(width)
+        counts, zeros = {}, array("I", bytes(_FIELD_BYTES * width))
         for k, block in enumerate(self.blocks):
             if block.typecode != code:
                 return f"block {k} holds {block.typecode!r} ids, not {code!r} for {width} columns"
@@ -292,8 +307,8 @@ class CharSeq:
                 return f"block {k} of {len(block)} elements has {len(sums)} count words, not {want}"
             if sums[0] != 0:
                 return f"the count words of block {k} do not start at 0"
-            for t in range(1, want):
-                if sums[t] - sums[t - 1] != self.recount(block[(t - 1) * CHUNK : t * CHUNK]):
+            for t, lo in enumerate(range(0, len(block), CHUNK), 1):
+                if sums[t] - sums[t - 1] != chunk_word(block[lo : lo + CHUNK], counts, zeros):
                     return f"count word of chunk {t - 1} of block {k} disagrees with a recount"
         return None
 

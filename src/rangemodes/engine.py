@@ -37,7 +37,7 @@ element lives.
 The layout is sized for the reference length ``n0`` of the last rebuild:
 ``ceil(n0^alpha) + ceil((2·n0)^alpha)`` block slots, each holding at most
 ``ceil(3·n0 / ceil(n0^alpha))`` elements.  An op that doubles or halves the
-length rebuilds the whole layout from the edited list, not by an edit.
+length rebuilds the whole layout from its renumbered column ids, not by an edit.
 The rebuild admits the layout from its shape before it builds anything:
 its 32-bit fields must hold ``3·n0``, and its table, chunk words and blocks
 must pass the memory guard.  It installs the layout only once the build
@@ -68,16 +68,18 @@ array and the running chunk words at the chunk offsets it crosses
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable
+from itertools import accumulate, chain
+from operator import countOf
+from typing import Collection, Iterable, Sequence
 
 from .charseq import CharSeq, word_bound
 from .errors import InvariantError
-from .multiset import MAX_COUNT, MAX_SYMBOL, PairTable, check_table_fits, id_type
+from .multiset import _FIELD_BITS, MAX_COUNT, MAX_SYMBOL, PairTable, check_table_fits, id_type
 from .results import ModesResult
 
 _MAX_ALPHA_DENOMINATOR = 64
@@ -107,10 +109,10 @@ def _check_symbols(flat: list[object]) -> set[int]:
     """:func:`_check_symbol` on every item, at C speed while all pass; the
     distinct symbols.
 
-    The passing check builds no temporary the size of ``flat``: a set of
-    the types, then the set it returns.
+    The passing check builds no temporary the size of ``flat``: it counts
+    the items of type ``int``, then builds the set it returns.
     """
-    if set(map(type, flat)) <= {int}:
+    if countOf(map(type, flat), int) == len(flat):
         distinct = set(flat)
         if not distinct or 0 <= min(distinct) and max(distinct) <= MAX_SYMBOL:
             return distinct
@@ -191,10 +193,10 @@ class RangeModeEngine:
     # layout
     # ------------------------------------------------------------------
 
-    def _rebuild_layout(self, flat: list[int], alphabet: set[int], kind: str = "") -> None:
-        """Lay out ``flat``, whose distinct symbols are ``alphabet``, evenly
-        over the first ``ceil(n0^alpha)`` slots of a layout sized for its
-        length.
+    def _rebuild_layout(self, flat: Sequence[int], alphabet: Collection[int], kind="") -> None:
+        """Lay out ``flat``, symbols or :meth:`_edited_ids`' column ids, whose
+        distinct symbols are ``alphabet``, evenly over the first
+        ``ceil(n0^alpha)`` slots of a layout sized for its length.
 
         The layout is admitted here, before anything is built: its fields
         must hold every count until the next rebuild, and its table, chunk
@@ -224,6 +226,31 @@ class RangeModeEngine:
         self._n0 = n0
         self._capacity = capacity
         self._seq = seq
+
+    def _edited_ids(self, pos: int, symbol: int | None = None) -> tuple[array, list[int]]:
+        """Column ids, as a fresh build numbers them, and sorted alphabet of the sequence
+        with ``symbol`` inserted at ``pos``, or, for None, its element at ``pos`` deleted."""
+        seq = self._seq
+        alphabet = set(seq.column)  # the symbols present
+        if symbol is None:
+            gone = seq[pos]
+            if sum(seq.block_words()) >> (_FIELD_BITS * seq.column[gone]) & MAX_COUNT == 1:
+                alphabet.remove(gone)  # its last copy
+        else:
+            alphabet.add(symbol)
+        alphabet = sorted(alphabet)
+        column = dict(zip(alphabet, range(len(alphabet))))
+        remap = [column.get(s, 0) for s in seq.symbol]  # a free column's id occurs nowhere
+        code = id_type(len(alphabet))
+        if code == seq.blocks[0].typecode == "B":  # one C pass, no symbol looked up
+            ids = array("B", b"".join(seq.blocks).translate(bytes(remap).ljust(256, b"\0")))
+        else:
+            ids = array(code, map(remap.__getitem__, chain.from_iterable(seq.blocks)))
+        if symbol is None:
+            del ids[pos]
+        else:
+            ids.insert(pos, column[symbol])
+        return ids, alphabet
 
     # ------------------------------------------------------------------
     # public API
@@ -270,9 +297,8 @@ class RangeModeEngine:
         # that fits the blocks' id type has the layout rebuilt, like a doubling.
         col = None if len(seq) + 1 >= 2 * self._n0 else table.claim_column(symbol)
         if col is None:
-            flat = seq.to_list()
-            flat.insert(pos, symbol)
-            self._rebuild_layout(flat, set(flat), "double" if len(flat) >= 2 * self._n0 else "ids")
+            kind = "double" if len(seq) + 1 >= 2 * self._n0 else "ids"
+            self._rebuild_layout(*self._edited_ids(pos, symbol), kind)
         else:
             try:
                 self._place(j, off, col)
@@ -314,9 +340,8 @@ class RangeModeEngine:
         _check_position(pos)
         j, off = self._seq.locate(pos)
         if len(self._seq) - 1 <= self._n0 // 2:
-            flat = self._seq.to_list()
-            symbol = flat.pop(pos)
-            self._rebuild_layout(flat, set(flat), "halve")
+            symbol = self._seq.symbol[self._seq.blocks[j][off]]
+            self._rebuild_layout(*self._edited_ids(pos), "halve")
         else:
             symbol = self._take(j, off)
         return symbol

@@ -129,6 +129,24 @@ def snapshot(engine):
     }
 
 
+def stored_layout(engine):
+    """Every field a layout stores: the blocks' types and bytes, their ends
+    and chunk words, the column map both ways, the table's fields and row
+    offsets, and the reference length and block capacity."""
+    seq, table = engine._seq, engine._table
+    return {
+        "blocks": [(block.typecode, block.tobytes()) for block in seq.blocks],
+        "ends": seq.ends,
+        "words": seq.chunk_sums,
+        "symbol": seq.symbol,
+        "column": seq.column,
+        "fields": table._counts.tobytes(),
+        "base": table._base,
+        "n0": engine.n0,
+        "capacity": engine.capacity,
+    }
+
+
 def add_columns(seq, symbols):
     """Hand each of ``symbols`` that has no column the next one, as
     :meth:`PairTable.claim_column` does with no free column, and rewrite

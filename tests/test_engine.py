@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from probe import (
     FAULTS, WIDEN_FAULTS, assert_within_capacity, ends, fail_first_add, fail_nth_insert_at,
-    held_bytes, lay_out, priced_bytes, refuse, set_end, set_words, snapshot, typecodes, word_count,
-    words,
+    held_bytes, lay_out, priced_bytes, refuse, set_end, set_words, snapshot, stored_layout,
+    typecodes, word_count, words,
 )
 
 import rangemodes.engine as engine_module
@@ -35,6 +35,7 @@ from rangemodes import (
 
 
 SLOT = struct.calcsize("P")  # a list slot
+BIG = 1 << 32  # the least symbol past 32 bits
 
 
 def ceil_root(num: int, den: int, p: int, q: int) -> int:
@@ -76,6 +77,27 @@ def packed_first(symbols):
 
 def assert_even(sizes):
     assert max(sizes) - min(sizes) <= 1, sizes
+
+
+def scrambled(initial, gone, new, length):
+    """An engine built from ``initial`` whose columns no longer follow the
+    symbols' order: every copy of ``gone`` deleted, which frees its column,
+    then ``new``'s symbols inserted in turn, the first taking that column and
+    the rest the next ones, and the last element deleted or ``new`` inserted
+    again until the length is ``length``.  No edit resets the layout."""
+    engine = RangeModeEngine(initial)
+    while gone in engine.to_list():
+        engine.delete(engine.to_list().index(gone))
+    for k, symbol in enumerate(new):
+        engine.insert(k * 7 % (len(engine) + 1), symbol)
+    while len(engine) > length:
+        engine.delete(len(engine) - 1)
+    k = 0
+    while len(engine) < length:
+        engine.insert(k * 5 % (len(engine) + 1), new[k % len(new)])
+        k += 1
+    assert not engine.reset_events and engine.audit().ok
+    return engine
 
 
 class TestConfig:
@@ -864,6 +886,51 @@ class TestResets:
         assert ("double", 32) in engine.reset_events
         assert engine.audit().ok
 
+    # A layout; the position and symbol of the insert that rebuilds it, or
+    # the position and None of such a delete; the reset; and the symbols
+    # the op adds to the alphabet or drops from it.
+    REBUILDS = {
+        # n0 = 32, one short of the doubling, the columns of 5 and 15 out of order.
+        "doubling insert of a present symbol": (
+            lambda: scrambled([40, 10, 30, 20] * 8, 10, [5, 35, 15], 63), 17, 30, "double", set(),
+        ),
+        "doubling insert of a new symbol": (
+            lambda: scrambled([40, 10, 30, 20] * 8, 10, [5, 35, 15], 63), 17, 25, "double", {25},
+        ),
+        # n0 = 65, one above the halving: the delete takes the one copy of 7.
+        "halving delete of a last copy": (
+            lambda: scrambled([7] + [40, 10, 30, 20] * 16, 10, [35, 5], 33), 1, None, "halve", {7},
+        ),
+        # 256 columns of one-byte ids, the freed column of 0 taken by 300:
+        # the 257th symbol rebuilds with four-byte ids.
+        '"ids" insert': (
+            lambda: scrambled(list(range(256)) * 2, 0, [300], 512), 100, 1000, "ids", {1000},
+        ),
+        # 300 symbols past 32 bits, four-byte ids before and after.
+        "doubling insert of symbols past 32 bits": (
+            lambda: scrambled([BIG + 3 * k for k in range(300)], BIG, [BIG + 1, BIG - 1], 599),
+            250, BIG + 2, "double", {BIG + 2},
+        ),
+    }
+
+    @pytest.mark.parametrize("chunk", [128, 2])
+    @pytest.mark.parametrize("case", REBUILDS)
+    def test_a_rebuild_equals_a_fresh_build(self, monkeypatch, case, chunk):
+        monkeypatch.setattr(charseq, "CHUNK", chunk)
+        build, pos, symbol, kind, change = self.REBUILDS[case]
+        engine = build()
+        flat, before = engine.to_list(), set(engine._seq.column)
+        assert engine._seq.symbol != sorted(before)  # the columns are out of order
+        if symbol is None:
+            assert engine.delete(pos) == flat.pop(pos)
+        else:
+            engine.insert(pos, symbol)
+            flat.insert(pos, symbol)
+        assert [reset for reset, _ in engine.reset_events] == [kind]
+        assert set(engine._seq.column) ^ before == change
+        assert stored_layout(engine) == stored_layout(RangeModeEngine(flat))
+        assert engine.audit().ok
+
 
 class TestFailedOps:
     """An op that raises where it can fail for lack of memory changes nothing."""
@@ -950,8 +1017,8 @@ class TestFailedOps:
         rng = random.Random(8)
         engine = RangeModeEngine([rng.randrange(5) for _ in range(300)])
         oracle = NaiveSeq(engine.to_list())
-        recount = charseq.CharSeq.recount
-        monkeypatch.setattr(charseq.CharSeq, "recount", refuse)
+        chunk_word = charseq.chunk_word
+        monkeypatch.setattr(charseq, "chunk_word", refuse)
         for _ in range(300):
             n = len(oracle)
             roll = rng.random()
@@ -969,7 +1036,7 @@ class TestFailedOps:
                 i = rng.randrange(1, len(engine.block_sizes()))
                 if engine.block_sizes()[i] and engine.block_sizes()[i - 1] < engine.capacity:
                     engine.move_left(i)
-        monkeypatch.setattr(charseq.CharSeq, "recount", recount)
+        monkeypatch.setattr(charseq, "chunk_word", chunk_word)
         assert engine.to_list() == oracle.to_list() and engine.audit().ok
 
     @pytest.mark.parametrize("op", ["insert", "relocate"])

@@ -37,7 +37,8 @@ element lives.
 The layout is sized for the reference length ``n0`` of the last rebuild:
 ``ceil(n0^alpha) + ceil((2·n0)^alpha)`` block slots, each holding at most
 ``ceil(3·n0 / ceil(n0^alpha))`` elements.  An op that doubles or halves the
-length rebuilds the whole layout from its renumbered column ids, not by an edit.
+length rebuilds the whole layout from its renumbered column ids, not by an
+edit, and so does an insert or a relocation into a full block.
 The rebuild admits the layout from its shape before it builds anything:
 its 32-bit fields must hold ``3·n0``, and its table, chunk words and blocks
 must pass the memory guard.  It installs the layout only once the build
@@ -51,19 +52,19 @@ Every rebuild spreads the elements evenly over the first
 in the low slots, where the slice of summary cells an edit adds to is
 shortest.  Those slots hold ``3·n0`` elements at capacity, half as many
 again as the sequence reaches before its next doubling, so a sequence
-regrowing evenly from any rebuild fits them, and a boundary moves only
-where edits fill one before the others.  A block that overflows sheds one
-element along a chain of boundary moves to the nearest block with room; a
-chain that raises is undone by the opposite moves, which give the chunk
-words back exactly, and the element taken back out.
+regrowing evenly from any rebuild fits them.  A block fills only after
+gaining about 2·n0 / ceil(n0^alpha) elements, which pay for the rebuild of
+its overflow.  An insert at the end of a full block joins the front of the
+next block instead while that has room, so a run of appends walks from
+slot to slot and reaches its doubling with no rebuild.
 
 A relocation moves one element without changing the length: it inserts the
-symbol where ``insert(dst, delete(src))`` would, sheds any overflow, and
-only then removes the original, so a failure anywhere before that leaves
-the sequence as it was.  Every summary cell counts whole blocks, so a
-relocation inside one block edits no cell and no block end, only the block
-array and the running chunk words at the chunk offsets it crosses
-(:meth:`CharSeq.relocate`).
+symbol where ``insert(dst, delete(src))`` would, and only then removes the
+original, so a failure anywhere before that leaves the sequence as it was;
+one into a full block rebuilds the layout from the moved ids instead.
+Every summary cell counts whole blocks, so a relocation inside one block
+edits no cell and no block end, only the block array and the running chunk
+words at the chunk offsets it crosses (:meth:`CharSeq.relocate`).
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ from operator import countOf
 from typing import Collection, Iterable, Sequence
 
 from .charseq import CharSeq, word_bound
-from .errors import InvariantError
 from .multiset import _FIELD_BITS, MAX_COUNT, MAX_SYMBOL, PairTable, check_table_fits, id_type
 from .results import ModesResult
 
@@ -165,7 +165,7 @@ def _layout(n0: int, alpha: Fraction) -> tuple[int, int, int]:
     The capacity is the least at which the ``ceil(n0^alpha)`` filled slots
     hold ``3·n0`` elements, half as many again as the sequence reaches before
     its next doubling, so a sequence regrowing evenly from any rebuild fits
-    them without boundary moves.  It is Θ(N^(1-alpha)): at most
+    them without an overflow rebuild.  It is Θ(N^(1-alpha)): at most
     ``3·ceil((2·n0)^(1-alpha))``.
     """
     filled = _ceil_power(n0, alpha)
@@ -179,7 +179,8 @@ class RangeModeEngine:
     operation requires exclusive access (queries mutate scratch state).
     Layout resets are logged in ``reset_events`` as (kind, length) pairs,
     the kind ``"double"`` or ``"halve"`` for a length that doubled or
-    halved, or ``"ids"`` for a symbol that needed four-byte column ids.
+    halved, ``"overflow"`` for an insert or a relocation into a full block,
+    or ``"ids"`` for a symbol that needed four-byte column ids.
     """
 
     def __init__(self, initial: Iterable[int] = (), config: Config | None = None) -> None:
@@ -227,16 +228,20 @@ class RangeModeEngine:
         self._capacity = capacity
         self._seq = seq
 
-    def _edited_ids(self, pos: int, symbol: int | None = None) -> tuple[array, list[int]]:
-        """Column ids, as a fresh build numbers them, and sorted alphabet of the sequence
-        with ``symbol`` inserted at ``pos``, or, for None, its element at ``pos`` deleted."""
+    def _edited_ids(
+        self, src: int | None, dst: int | None, symbol: int | None = None
+    ) -> tuple[array, list[int]]:
+        """Column ids, as a fresh build numbers them, and sorted alphabet of the
+        sequence edited: the element at ``src`` deleted, then ``symbol``
+        inserted at ``dst``, or the deleted element where ``symbol`` is None;
+        a None position skips its step."""
         seq = self._seq
         alphabet = set(seq.column)  # the symbols present
-        if symbol is None:
-            gone = seq[pos]
+        if dst is None:
+            gone = seq[src]
             if sum(seq.block_words()) >> (_FIELD_BITS * seq.column[gone]) & MAX_COUNT == 1:
                 alphabet.remove(gone)  # its last copy
-        else:
+        elif symbol is not None:
             alphabet.add(symbol)
         alphabet = sorted(alphabet)
         column = dict(zip(alphabet, range(len(alphabet))))
@@ -246,10 +251,10 @@ class RangeModeEngine:
             ids = array("B", b"".join(seq.blocks).translate(bytes(remap).ljust(256, b"\0")))
         else:
             ids = array(code, map(remap.__getitem__, chain.from_iterable(seq.blocks)))
-        if symbol is None:
-            del ids[pos]
-        else:
-            ids.insert(pos, column[symbol])
+        if src is not None:
+            moved = ids.pop(src)
+        if dst is not None:
+            ids.insert(dst, moved if symbol is None else column[symbol])
         return ids, alphabet
 
     # ------------------------------------------------------------------
@@ -291,30 +296,40 @@ class RangeModeEngine:
         _check_position(pos)
         _check_symbol(symbol)
         seq, table = self._seq, self._table
-        j, off = seq.insert_place(pos)
-        # The column first, unless the length doubles: a widening for a new
+        place = self._room(*seq.insert_place(pos))
+        doubles = len(seq) + 1 >= 2 * self._n0
+        # The column first, unless the layout is rebuilt: a widening for a new
         # symbol can fail, with nothing changed yet.  A symbol with no column
         # that fits the blocks' id type has the layout rebuilt, like a doubling.
-        col = None if len(seq) + 1 >= 2 * self._n0 else table.claim_column(symbol)
+        col = None if doubles or place is None else table.claim_column(symbol)
         if col is None:
-            kind = "double" if len(seq) + 1 >= 2 * self._n0 else "ids"
-            self._rebuild_layout(*self._edited_ids(pos, symbol), kind)
+            kind = "double" if doubles else "overflow" if place is None else "ids"
+            self._rebuild_layout(*self._edited_ids(None, pos, symbol), kind)
         else:
             try:
-                self._place(j, off, col)
+                self._place(*place, col)
             except BaseException:
                 table.release(col)  # a column no element counts is freed again
                 raise
 
+    def _room(self, j: int, off: int) -> tuple[int, int] | None:
+        """Where an insert at offset ``off`` of block ``j`` goes: there, or, at
+        the end of a full block, to the front of the next one if it has room;
+        None when the layout must be rebuilt."""
+        blocks, cap = self._seq.blocks, self._capacity
+        if len(blocks[j]) < cap:
+            return j, off
+        if off == cap and j + 1 < len(blocks) and len(blocks[j + 1]) < cap:
+            return j + 1, 0
+        return None
+
     def _place(self, j: int, off: int, col: int) -> None:
-        """Count column ``col`` into block ``j``, insert it at offset ``off``
-        there, and shed any overflow along a chain of boundary moves.
+        """Count column ``col`` into block ``j`` and insert it at offset ``off`` there.
 
         A summary add that fails changes nothing, and leaves a column the
         caller claimed for it to release.  An array insert that fails is
         undone by the opposite summary edit, which frees a column no element
-        counts; a chain that fails by :meth:`_rebalance`, and the element
-        taken back out of block ``j``, where ``off`` still holds it.
+        counts.
         """
         self._table.apply_point(j, col, 1)
         try:
@@ -322,12 +337,6 @@ class RangeModeEngine:
         except BaseException:
             self._table.apply_point(j, col, -1)
             raise
-        if len(self._seq.blocks[j]) > self._capacity:
-            try:
-                self._rebalance(j)
-            except BaseException:
-                self._take(j, off)
-                raise
 
     def _take(self, j: int, off: int) -> int:
         """Remove and uncount the element at offset ``off`` of block ``j``; return its symbol."""
@@ -341,7 +350,7 @@ class RangeModeEngine:
         j, off = self._seq.locate(pos)
         if len(self._seq) - 1 <= self._n0 // 2:
             symbol = self._seq.symbol[self._seq.blocks[j][off]]
-            self._rebuild_layout(*self._edited_ids(pos), "halve")
+            self._rebuild_layout(*self._edited_ids(pos, None), "halve")
         else:
             symbol = self._take(j, off)
         return symbol
@@ -350,9 +359,11 @@ class RangeModeEngine:
         """Move the element at ``src`` so that it becomes the element at ``dst``; return it.
 
         The sequence is that of ``insert(dst, delete(src))``, but the length
-        does not change, so the layout is never reset.  The symbol joins the
-        block that the insert would join and leaves its own block; when the
-        two are the same block, no block end and no summary cell changes.
+        does not change.  The symbol joins the block that the insert would
+        join and leaves its own block; when the two are the same block, no
+        block end and no summary cell changes.  A relocation into another,
+        full block takes the end-of-block rule of :meth:`insert`, or else
+        rebuilds the layout, logged as an ``"overflow"`` reset.
         """
         _check_position(src)
         _check_position(dst)
@@ -362,6 +373,7 @@ class RangeModeEngine:
             raise IndexError(f"relocation {src} -> {dst} out of range (length {n})")
         js, offs = seq.locate(src)
         col = seq.blocks[js][offs]
+        symbol = seq.symbol[col]
         # Insert first, so a failure changes nothing; the position is the
         # one before the original is removed, and the original then sits at
         # src + (at <= src).
@@ -369,11 +381,12 @@ class RangeModeEngine:
         jd, offd = seq.insert_place(at)
         if jd == js:  # the block keeps its start, so the element lands at offs + dst - src
             seq.relocate(js, offs, offs + dst - src)
+        elif (place := self._room(jd, offd)) is None:
+            self._rebuild_layout(*self._edited_ids(src, dst), "overflow")
         else:
-            self._place(jd, offd, col)  # the gain first, so the column is never freed
-            # Boundary moves keep every position, but may move the original.
+            self._place(*place, col)  # the gain first, so the column is never freed
             self._take(*seq.locate(src + (at <= src)))
-        return seq.symbol[col]
+        return symbol
 
     def modes(self, lo: int, hi: int) -> ModesResult:
         """Enumerate all modes of the inclusive range ``[lo, hi]``."""
@@ -426,44 +439,14 @@ class RangeModeEngine:
         """Move the first element of block ``i`` to the end of block ``i - 1``.
 
         The flattened sequence is unchanged; only the block boundary and the
-        summary cells move.
+        summary cells move.  No op moves a boundary: tests lay blocks out
+        by these moves.
         """
         self._table.shift_left(i, self._seq.move_left(i))
 
     def move_right(self, i: int) -> None:
         """Move the last element of block ``i`` to the front of block ``i + 1``."""
         self._table.shift_right(i, self._seq.move_right(i))
-
-    def _rebalance(self, j: int) -> None:
-        """Shed the overflow of block ``j`` along boundary moves to a block with room.
-
-        The donor is the block nearest to ``j`` that is below capacity; of
-        two at the same distance, the lower slot.  The blocks in between each
-        pass one element on, so their sizes do not change.  The moves run
-        from the donor end, so each leaves both its blocks within capacity,
-        and block ``j`` is edited only by the last.  A move that raises
-        changes nothing.  The moves before it are undone by the opposite
-        moves in reverse order; the chunk words follow from the block arrays
-        alone, so they come back exactly.
-        """
-        cap = self._capacity
-        room = [k for k, block in enumerate(self._seq.blocks) if len(block) < cap]
-        if not room:
-            raise InvariantError(f"no donor block available for overflowing block {j}")
-        k = min(room, key=lambda slot: (abs(slot - j), slot))
-        if k > j:
-            step, move, back = 1, self.move_right, self.move_left
-        else:
-            step, move, back = -1, self.move_left, self.move_right
-        made = []  # the block each move so far filled
-        try:
-            for t in range(k - step, j - step, -step):
-                move(t)
-                made.append(t + step)
-        except BaseException:
-            for t in reversed(made):
-                back(t)
-            raise
 
     # ------------------------------------------------------------------
     # audits

@@ -15,8 +15,8 @@ readers here and not the tests.
 - :data:`FAULTS`, :data:`WIDEN_FAULTS`, :func:`fail_nth_insert_at` and
   :func:`fail_first_add`: the places an op can fail for lack of memory,
   ready to patch in.
-- :func:`lay_out` and :func:`assert_within_capacity`: block sizes set by
-  boundary moves, and checked against the capacity.
+- :func:`lay_out`, :func:`pack_front` and :func:`assert_within_capacity`: block
+  sizes set by boundary moves, and checked against the capacity.
 """
 
 from __future__ import annotations
@@ -278,6 +278,18 @@ def lay_out(engine, sizes):
             for i in range(m, k, -1):
                 engine.move_left(i)
     assert engine.block_sizes() == sizes
+
+
+def pack_front(engine):
+    """Lay ``engine``'s blocks out full from block 0 on, the rest of the
+    elements in the block after them; return ``engine``."""
+    sizes = [0] * len(engine.block_sizes())
+    q, r = divmod(len(engine), engine.capacity)
+    sizes[:q] = [engine.capacity] * q
+    if r:
+        sizes[q] = r
+    lay_out(engine, sizes)
+    return engine
 
 
 def assert_within_capacity(engine):

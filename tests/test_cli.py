@@ -242,7 +242,8 @@ class TestFuzz:
         assert report.ok
 
     def test_block_over_capacity_is_a_divergence(self, monkeypatch):
-        monkeypatch.setattr(RangeModeEngine, "_rebalance", lambda self, j: None)
+        # The block an insert targets takes it, full or not: no overflow rebuild.
+        monkeypatch.setattr(RangeModeEngine, "_room", lambda self, j, off: (j, off))
         trace = generate_trace(seed=4, ops=400, max_len=60, alphabet=3)
         engine = RangeModeEngine()
         ops = {"I": engine.insert, "D": engine.delete, "R": engine.relocate, "Q": engine.modes}

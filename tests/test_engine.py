@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from probe import (
     FAULTS, WIDEN_FAULTS, assert_within_capacity, ends, fail_first_add, fail_nth_insert_at,
-    held_bytes, lay_out, priced_bytes, refuse, set_end, set_words, snapshot, stored_layout,
-    typecodes, word_count, words,
+    held_bytes, lay_out, pack_front, priced_bytes, refuse, set_end, set_words, snapshot,
+    stored_layout, typecodes, word_count, words,
 )
 
 import rangemodes.engine as engine_module
@@ -474,20 +474,37 @@ class TestRelocate:
         assert self.check(one, 0, 0) == []
         assert one.to_list() == [7] and one.reset_events == []
 
-    def test_into_a_full_block_rebalances(self, monkeypatch):
-        # Block 1 takes the elements of blocks 2 and 3 and is full; blocks 0
-        # and 2 have room, and the tie goes to the lower slot.
+    def full_block_1(self):
+        """An engine whose block 1 takes the elements of blocks 2 and 3 and
+        is full, with block 2 below capacity."""
         engine = self.make_engine()
         sizes = engine.block_sizes()
-        cap = engine.capacity
-        sizes[1:4] = [cap, sum(sizes[1:4]) - cap, 0]
-        assert 0 <= sizes[2] < cap and sizes[0] < cap
+        sizes[1:4] = [engine.capacity, sum(sizes[1:4]) - engine.capacity, 0]
         lay_out(engine, sizes)
+        assert engine.block_sizes()[2] < engine.capacity
+        return engine
+
+    def test_into_a_full_block_rebalances(self):
+        # A relocation into block 1 from block 4 rebuilds the layout, which
+        # spreads the elements evenly again.
+        engine = self.full_block_1()
+        oracle = NaiveSeq(engine.to_list())
+        src, dst = self.starts(engine)[4], self.starts(engine)[1] + 10
+        assert engine.relocate(src, dst) == oracle.relocate(src, dst)
+        assert engine.reset_events == [("overflow", 300)]
+        assert stored_layout(engine) == stored_layout(RangeModeEngine(oracle.to_list()))
+        assert engine.audit().ok
+
+    def test_to_the_end_of_a_full_block_joins_the_next(self, monkeypatch):
+        # To the end of block 1, block 2 takes the element at its front,
+        # with no boundary move and no reset.
+        engine = self.full_block_1()
+        sizes = engine.block_sizes()
         moves = count_moves(monkeypatch)
-        src = self.starts(engine)[4]
-        self.check(engine, src, self.starts(engine)[1] + 10)
-        assert moves == [1]  # block 1 sheds its first element to block 0
-        assert max(engine.block_sizes()) == cap
+        src, dst = self.starts(engine)[4], self.starts(engine)[2]
+        symbol = engine.to_list()[src]
+        assert self.check(engine, src, dst) == [(2, symbol, 1), (4, symbol, -1)]
+        assert moves == [] and engine.block_sizes()[1:3] == [sizes[1], sizes[2] + 1]
 
     def test_random_relocations_match_the_oracle(self):
         engine = self.make_engine(2000)
@@ -618,7 +635,9 @@ class TestMoves:
 
 
 class TestDonors:
-    """Which block takes the overflow of a full block (alpha = 1/2).
+    """Which block takes an insert at a full block (alpha = 1/2): at its end,
+    the next block while that has room, and otherwise none, as the layout
+    is rebuilt.
 
     At n0 = 46 there are 17 slots, each of capacity 20; a rebuild fills
     slots 0..6, which hold 140 elements, half as many again as the 91 the
@@ -636,52 +655,90 @@ class TestDonors:
         lay_out(engine, sizes)
         return engine
 
-    def test_donor_is_the_nearest_block_with_room(self):
-        engine = self.laid_out([20, 19, 20, 20, 4] + [0] * 12)
-        engine.insert(0, 99)  # block 1 is nearer than the emptier block 4
-        assert_within_capacity(engine)
-        assert engine.block_sizes() == [20] * 4 + [4] + [0] * 12
-        assert engine.to_list() == [99, *range(83)]
+    def assert_rebuilt(self, engine, flat):
+        """The last op rebuilt ``engine``, holding ``flat``, as a fresh build."""
+        assert engine.reset_events == [("overflow", len(flat))] and engine.to_list() == flat
+        assert stored_layout(engine) == stored_layout(
+            RangeModeEngine(flat, Config(alpha=Fraction(1, 2)))
+        )
         assert engine.audit().ok
 
+    def test_the_next_block_takes_an_insert_at_the_end_of_a_full_one(self, monkeypatch):
+        engine = self.laid_out([20, 19, 20, 20, 4] + [0] * 12)
+        moves = count_moves(monkeypatch)
+        engine.insert(20, 99)  # the end of block 0: block 1 has room
+        assert engine.block_sizes() == [20] * 4 + [4] + [0] * 12
+        assert moves == [] and engine.reset_events == [] and engine.audit().ok
+        engine.insert(40, 98)  # the end of block 1: block 2 is full too
+        self.assert_rebuilt(engine, [*range(20), 99, *range(20, 39), 98, *range(39, 83)])
+        assert moves == []
+
     def test_tie_goes_to_the_lower_slot(self):
+        # The end of one block is the front of the next: an insert there
+        # joins the lower slot, and the upper one only when the lower is full.
         engine = self.laid_out([20, 19, 20, 18, 10] + [0] * 12)
-        engine.insert(44, 99)  # block 2 overflows; blocks 1 and 3 are one slot away
-        assert_within_capacity(engine)
+        engine.insert(39, 99)  # the end of block 1, which has room
         assert engine.block_sizes() == [20, 20, 20, 18, 10] + [0] * 12
-        assert engine.to_list() == [*range(44), 99, *range(44, 87)]
-        assert engine.audit().ok
+        engine.insert(60, 98)  # the end of block 2, which is full
+        assert engine.block_sizes() == [20, 20, 20, 19, 10] + [0] * 12
+        assert engine.to_list() == [*range(39), 99, *range(39, 59), 98, *range(59, 87)]
+        assert engine.reset_events == [] and engine.audit().ok
 
     def test_nearer_next_block_beats_room_in_cur(self):
         engine = self.laid_out([10, 0, 0] + [20] * 4 + [0] * 10)
-        engine.insert(90, 99)  # block 6 overflows; block 7 is nearer than block 2
+        engine.insert(90, 99)  # the end of the full block 6: block 7 takes it, not block 1
         assert_within_capacity(engine)
         assert engine.block_sizes() == [10, 0, 0] + [20] * 4 + [1] + [0] * 9
         assert engine.to_list() == [*range(90), 99]
         assert engine.audit().ok
 
     def test_saturated_cur_spills_to_the_nearest_next_block(self, monkeypatch):
-        # Blocks 3..6 are full; from block 5, block 7 is nearer than block 2.
+        # Blocks 3..6 are full.  Appends walk on into block 7; an insert at
+        # the end of block 5 would spill only into block 6, which is full.
         engine = self.laid_out([3, 3, 2] + [20] * 4 + [0] * 10)
         moves = count_moves(monkeypatch)
         for symbol in (97, 98):
-            engine.insert(50, symbol)
+            engine.insert(len(engine), symbol)
             assert_within_capacity(engine)
-        assert moves == [6, 5] * 2  # from the donor end
         assert engine.block_sizes() == [3, 3, 2] + [20] * 4 + [2] + [0] * 9
-        engine.move_right(7)  # slots 7.. read [1, 1, 0, ...]
-        engine.insert(50, 99)
-        assert_within_capacity(engine)
-        assert engine.block_sizes() == [3, 3, 2] + [20] * 4 + [2, 1] + [0] * 8
-        assert engine.to_list() == [*range(50), 99, 98, 97, *range(50, 88)]
-        assert engine.audit().ok
+        assert moves == [] and engine.reset_events == []
+        engine.insert(68, 99)
+        self.assert_rebuilt(engine, [*range(68), 99, *range(68, 88), 97, 98])
 
-    def test_no_room_anywhere_is_an_invariant_error(self):
-        engine = self.laid_out([20] * 4 + [6] + [0] * 12)
-        for block in engine._seq.blocks:  # fill every block, bypassing the words and the table
-            block.extend([0] * (20 - len(block)))
-        with pytest.raises(InvariantError):
-            engine._rebalance(0)
+    def test_a_full_block_with_no_room_after_it_rebuilds(self):
+        # An insert inside a full block, or at the end of the last slot.
+        engine = self.laid_out([3, 3, 2] + [20] * 4 + [0] * 10)
+        engine.insert(50, 99)
+        self.assert_rebuilt(engine, [*range(50), 99, *range(50, 88)])
+        engine = self.laid_out([20, 6] + [0] * 14 + [20])
+        engine.insert(46, 99)
+        self.assert_rebuilt(engine, [*range(46), 99])
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)], ids=str)
+    def test_appends_from_any_rebuild_reach_the_doubling(self, alpha):
+        # From a build, a halving and an overflow rebuild, appends walk
+        # from full block to the next and rebuild only at the doubling.
+        engine = RangeModeEngine([0] * 1000, Config(alpha=alpha))
+        starts = [engine]
+        engine = RangeModeEngine([0] * 1000, Config(alpha=alpha))
+        while not engine.reset_events:
+            engine.delete(0)
+        starts.append(engine)
+        engine = RangeModeEngine([0] * 1000, Config(alpha=alpha))
+        while not engine.reset_events:
+            engine.insert(0, 1)
+        starts.append(engine)
+        assert [engine.reset_events for engine in starts] == [
+            [], [("halve", 500)], [("overflow", len(engine))]
+        ]
+        for engine in starts:
+            resets, n0 = list(engine.reset_events), engine.n0
+            while len(engine) < 2 * n0 - 1:
+                engine.insert(len(engine), len(engine) % 7)
+                assert_within_capacity(engine)
+            assert engine.reset_events == resets
+            engine.insert(len(engine), 7)
+            assert engine.reset_events == [*resets, ("double", 2 * n0)] and engine.audit().ok
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)], ids=str)
     def test_filled_blocks_take_inserts_up_to_capacity(self, alpha, monkeypatch):
@@ -879,16 +936,28 @@ class TestResets:
         assert engine.to_list() == [5, *range(32, 64), *[7] * 31] and engine.audit().ok
 
     def test_front_inserts_double_within_capacity(self):
+        # Every insert at the front joins block 0: one that finds it full
+        # rebuilds the layout, and one that doubles the length too.
         engine = RangeModeEngine()
         for k in range(40):
+            n0, resets = engine.n0, list(engine.reset_events)
+            full = engine.block_sizes()[0] == engine.capacity
             engine.insert(0, k % 2)
             assert_within_capacity(engine)
-        assert ("double", 32) in engine.reset_events
-        assert engine.audit().ok
+            if len(engine) == 2 * n0:
+                assert engine.reset_events == [*resets, ("double", len(engine))]
+            elif full:
+                assert engine.reset_events == [*resets, ("overflow", len(engine))]
+            else:
+                assert engine.reset_events == resets
+        doublings = [("double", 2 ** k) for k in range(1, 5)]
+        assert engine.reset_events == [*doublings, ("overflow", 27)]
+        assert engine.to_list() == [1, 0] * 20 and engine.audit().ok
 
-    # A layout; the position and symbol of the insert that rebuilds it, or
-    # the position and None of such a delete; the reset; and the symbols
-    # the op adds to the alphabet or drops from it.
+    # A layout; the position and symbol of the insert that rebuilds it, the
+    # position and None of such a delete, or the positions and None of such
+    # a relocation; the reset; and the symbols the op adds to the alphabet
+    # or drops from it.
     REBUILDS = {
         # n0 = 32, one short of the doubling, the columns of 5 and 15 out of order.
         "doubling insert of a present symbol": (
@@ -896,6 +965,15 @@ class TestResets:
         ),
         "doubling insert of a new symbol": (
             lambda: scrambled([40, 10, 30, 20] * 8, 10, [5, 35, 15], 63), 17, 25, "double", {25},
+        ),
+        # n0 = 32 at length 60, blocks 0 and 1 packed to the capacity of 24.
+        "overflow insert": (
+            lambda: pack_front(scrambled([40, 10, 30, 20] * 8, 10, [5, 35, 15], 60)),
+            17, 30, "overflow", set(),
+        ),
+        "overflow relocation": (
+            lambda: pack_front(scrambled([40, 10, 30, 20] * 8, 10, [5, 35, 15], 60)),
+            (59, 17), None, "overflow", set(),
         ),
         # n0 = 65, one above the halving: the delete takes the one copy of 7.
         "halving delete of a last copy": (
@@ -921,7 +999,11 @@ class TestResets:
         engine = build()
         flat, before = engine.to_list(), set(engine._seq.column)
         assert engine._seq.symbol != sorted(before)  # the columns are out of order
-        if symbol is None:
+        if type(pos) is tuple:
+            src, dst = pos
+            assert engine.relocate(src, dst) == flat[src]
+            flat.insert(dst, flat.pop(src))
+        elif symbol is None:
             assert engine.delete(pos) == flat.pop(pos)
         else:
             engine.insert(pos, symbol)
@@ -1039,63 +1121,36 @@ class TestFailedOps:
         monkeypatch.setattr(charseq, "chunk_word", chunk_word)
         assert engine.to_list() == oracle.to_list() and engine.audit().ok
 
+    @pytest.mark.parametrize("site", FAULTS)
     @pytest.mark.parametrize("op", ["insert", "relocate"])
-    def test_failed_chain_is_undone_by_the_opposite_moves(self, monkeypatch, op):
-        # S = 2, so each move appends or drops words.  Blocks 0..m-1 are
-        # full, and random edits that keep the block sizes vary their
-        # contents.  An element added to block 0 sheds along m moves to
-        # block m, and the n-th insert_at fails: n = 1 is the op's own
-        # insert, n = 2..m+1 the move from block m - n + 1.  The op raises
-        # with the sequence, the block sizes and every word list as they
-        # were, and a new symbol's column freed again.
+    def test_a_failed_overflow_rebuild_changes_nothing(self, monkeypatch, op, site):
+        # S = 2, so the layout keeps many words.  Block 0 holds capacity, and
+        # an insert of a new symbol there, or a relocation from the last
+        # block, rebuilds the layout; a failed rebuild claims no column.
         monkeypatch.setattr(charseq, "CHUNK", 2)
-        insert_at = charseq.CharSeq.insert_at
-        moves = count_moves(monkeypatch)
-        undone = 0  # failed chains that had made two moves or more
-        chains = [[20, 18, 18, 17, 17], [20, 20, 17, 17, 16], [20, 20, 20, 15, 15], [20, 20, 20, 20, 10]]
-        for m, sizes in enumerate(chains, 1):
-            for seed in range(4):
-                rng = random.Random(seed)
-                symbols = [rng.randrange(5) for _ in range(46)]
-                engine = RangeModeEngine(symbols, Config(alpha=Fraction(1, 2)))
-                for _ in range(44):  # to 90, one short of the doubling at 92 after an insert
-                    engine.insert(rng.randint(0, len(engine)), rng.randrange(5))
-                lay_out(engine, sizes + [0] * 12)
-                assert engine.capacity == 20
-                for _ in range(60):
-                    k = rng.randrange(5)
-                    start, size = sum(sizes[:k]), sizes[k]
-                    engine.delete(start + rng.randrange(size))
-                    engine.insert(start + rng.randint(1, size - 1), rng.randrange(5))
-                pos = 1 + seed % 13
-                if op == "insert":
-                    run = lambda e: e.insert(pos, 9)  # a new symbol
-                else:
-                    run = lambda e: e.relocate(len(e) - 1, pos)  # from block 4
-                for n in range(1, m + 2):
-                    before = snapshot(engine)
-                    fail_nth_insert_at(monkeypatch, n)
-                    moves.clear()
-                    with pytest.raises(MemoryError):
-                        run(engine)
-                    monkeypatch.setattr(charseq.CharSeq, "insert_at", insert_at)
-                    assert snapshot(engine) == before
-                    assert engine.audit().ok
-                    # The moves run from the donor end, the n-th insert_at
-                    # fails in the (n-1)-th, and each of the n - 2 made is
-                    # undone by one the other way, in reverse order.
-                    assert moves == [*range(m - 1, m - n, -1), *range(m - n + 3, m + 1)]
-                    undone += n - 2 >= 2
-                oracle = NaiveSeq(engine.to_list())
-                if op == "insert":
-                    oracle.insert_at(pos, 9)
-                else:
-                    oracle.insert_at(pos, oracle.delete_at(len(oracle) - 1))
-                moves.clear()
+        engine = pack_front(self.engine_at(60))
+        assert engine.block_sizes()[:3] == [48, 12, 0]
+        free, width = list(engine._table._free), engine._table._width
+        if op == "insert":
+            run = lambda e: e.insert(5, 9)  # a new symbol
+        else:
+            run = lambda e: e.relocate(len(e) - 1, 5)
+        with monkeypatch.context() as mp:
+            FAULTS[site](mp)
+            before = snapshot(engine)
+            with pytest.raises((MemoryError, ValueError)):
                 run(engine)
-                assert moves == list(range(m - 1, -1, -1))
-                assert engine.to_list() == oracle.to_list() and engine.audit().ok
-        assert undone == 4 * (1 + 2)  # m = 3: n = 4; m = 4: n = 4, 5
+            assert snapshot(engine) == before
+            assert (engine._table._free, engine._table._width) == (free, width)
+        assert engine.audit().ok
+        oracle = NaiveSeq(engine.to_list())
+        if op == "insert":
+            oracle.insert_at(5, 9)
+        else:
+            oracle.insert_at(5, oracle.delete_at(len(oracle) - 1))
+        run(engine)
+        assert engine.reset_events == [("overflow", 60 + (op == "insert"))]
+        assert engine.to_list() == oracle.to_list() and engine.audit().ok
 
 
 class TestAudit:
@@ -1223,8 +1278,9 @@ class TestAudit:
         while engine.block_sizes()[0] < cap:
             engine.insert(0, 7)
         assert engine.audit().ok
-        monkeypatch.setattr(RangeModeEngine, "_rebalance", lambda self, j: None)
-        engine.insert(0, 7)  # into the full block 0, which sheds no overflow
+        # Block 0 takes the insert, full or not: the layout is not rebuilt.
+        monkeypatch.setattr(RangeModeEngine, "_room", lambda self, j, off: (j, off))
+        engine.insert(0, 7)
         assert engine.audit() == AuditReport(False, f"block 0 holds {cap + 1}, outside [0, {cap}]")
 
 
@@ -1393,32 +1449,36 @@ class TestColumnStorage:
         assert set(typecodes(engine)) == {"I"} and engine.reset_events == [("ids", 513)]
         assert engine.sigma_prime == 257 and engine.audit().ok
 
-    @pytest.mark.parametrize("n", [1, 2], ids=["insert", "chain"])
-    def test_a_failed_insert_at_column_256_changes_nothing(self, monkeypatch, n):
-        # Column 256 rebuilds the layout with 'I' blocks, and the next new
-        # symbol claims column 257, which widens the table.  Then the array
-        # insert fails (n = 1), or, into a full block 0, the first boundary
-        # move of its chain (n = 2), and the element comes back out.  The
-        # column goes on the free list, past σ', and the widened table keeps
-        # its zero planes; the next insert of the symbol takes that column.
+    @pytest.mark.parametrize("full", [False, True], ids=["insert", "overflow"])
+    def test_a_failed_insert_at_column_256_changes_nothing(self, monkeypatch, full):
+        # Column 256 rebuilds the layout with 'I' blocks.  The next new
+        # symbol claims column 257, which widens the table, and then its
+        # array insert fails; the column goes on the free list, past σ', and
+        # the widened table keeps its zero planes.  Or it goes into a full
+        # block 0, and the overflow rebuild fails before any column is
+        # claimed.  Either way the next insert of the symbol takes column 257.
         engine = RangeModeEngine(list(range(256)) * 2)
         engine.insert(0, 256)
         assert engine.reset_events == [("ids", 513)] and set(typecodes(engine)) == {"I"}
-        if n == 2:
+        if full:
             assert engine.capacity == 171
             lay_out(engine, [171, 0] + [57] * 6 + [0] * 12)
-        seq = engine._seq
-        before, blocks = snapshot(engine), seq.blocks
-        fail_nth_insert_at(monkeypatch, n)
-        with pytest.raises(MemoryError):
-            engine.insert(7, 1000)
+        seq, table = engine._seq, engine._table
+        before, blocks, width = snapshot(engine), seq.blocks, table._width
+        with monkeypatch.context() as mp:
+            if full:
+                FAULTS["CharSeq.__init__"](mp)
+            else:
+                fail_nth_insert_at(mp, 1)
+            with pytest.raises(MemoryError):
+                engine.insert(7, 1000)
         assert snapshot(engine) == before and engine.audit().ok
-        assert seq.blocks is blocks and engine._table._free == [257]
-        assert engine.sigma_prime == 257 and engine._table._width == 386
-        monkeypatch.undo()
+        assert seq.blocks is blocks and engine.sigma_prime == 257
+        assert (table._free, table._width) == (([], width) if full else ([257], 386))
         engine.insert(7, 1000)
-        assert engine.to_list()[7] == 1000 and len(engine.reset_events) == 1
-        assert seq.column[1000] == 257 and not engine._table._free
+        assert engine.to_list()[7] == 1000
+        assert engine.reset_events[1:] == ([("overflow", 514)] if full else [])
+        assert engine._seq.column[1000] == 257 and not engine._table._free
         assert engine.sigma_prime == 258 and engine.audit().ok
 
     def test_a_halving_under_257_columns_rebuilds_one_byte_ids(self):

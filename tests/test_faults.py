@@ -6,10 +6,11 @@ the op raises nothing, the op runs on a fresh engine: every raise must be
 a :class:`MemoryError` that leaves the engine as it was and sound, and the
 run that raises nothing must agree with :class:`NaiveSeq`.  The allocation
 counts are not pinned; each sweep finds where its op stops raising.  The
-ops are queries, and the inserts and deletes that rebuild the layout,
-which admit, build and log a new layout before installing it; an edit
-that does not rebuild can still be left half done by a failed allocation,
-and is not swept.  The garbage collector is off during a sweep, so no
+ops are queries, and the edits that rebuild the layout, which admit,
+build and log a new layout before installing it: a doubling insert, a
+halving delete, an insert of column 256, and an insert or a relocation
+into a full block.  An edit that does not rebuild can still be left half
+done by a failed allocation, and is not swept.  The garbage collector is off during a sweep, so no
 collection runs inside an op.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import gc
 
 import pytest
-from probe import snapshot
+from probe import pack_front, snapshot
 
 from rangemodes import NaiveSeq, RangeModeEngine
 
@@ -36,6 +37,12 @@ def grown(start, length, symbols=5):
     return engine, NaiveSeq(engine.to_list())
 
 
+def packed(start, length):
+    """:func:`grown`, with the blocks then packed full from block 0 on."""
+    engine, naive = grown(start, length)
+    return pack_front(engine), naive
+
+
 CASES = {
     # n0 = 200 fills 6 slots of 33 or 34 elements: the first range reads
     # the cell of blocks 1..3, the second lies inside block 1.
@@ -45,6 +52,15 @@ CASES = {
     "doubling insert": (lambda: grown(32, 63), lambda s: s.insert_at(20, 3), ["double"]),
     "doubling insert of a new symbol": (
         lambda: grown(32, 63), lambda s: s.insert_at(20, 99), ["double"],
+    ),
+    # Length 100 at n0 = 64, packed to blocks of [48, 48, 4]: the edit goes
+    # into the full block 0, which rebuilds the layout.
+    "overflow insert": (lambda: packed(64, 100), lambda s: s.insert_at(20, 3), ["overflow"]),
+    "overflow insert of a new symbol": (
+        lambda: packed(64, 100), lambda s: s.insert_at(20, 99), ["overflow"],
+    ),
+    "overflow relocation": (
+        lambda: packed(64, 100), lambda s: s.relocate(99, 20), ["overflow"],
     ),
     # Length 33 at n0 = 64: the delete halves the length.
     "halving delete": (lambda: grown(64, 33), lambda s: s.delete_at(10), ["halve"]),
@@ -61,6 +77,7 @@ class Engine:
         self.modes = engine.modes
         self.insert_at = engine.insert
         self.delete_at = engine.delete
+        self.relocate = engine.relocate
 
 
 def faulted(op, engine, n):

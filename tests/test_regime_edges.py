@@ -1,7 +1,7 @@
 """Regression tests for layout corner cases found during design analysis.
 
 Each of these scenarios breaks a more literal reading of the maintenance
-rules (a donor next to the overflowing block, ceil-based halving
+rules (room in the block after a full one, ceil-based halving
 thresholds); the engine must handle all of them with clean audits.
 """
 
@@ -17,18 +17,20 @@ def test_insert_into_fully_packed_layout():
     # n0 = 28 gives 8 slots of capacity 21, and a rebuild fills the first
     # four, the fewest in which two full blocks stay below the doubling at
     # 2·n0.  Grown to 42 and packed to [21, 21, 0, ...], the first two slots
-    # hold exactly their total capacity, so an insert into block 0 has no
-    # donor next to it and must spill past block 1.
-    engine = RangeModeEngine([5] * 28)
-    for _ in range(14):
-        engine.insert(0, 5)
-        assert_within_capacity(engine)
-    assert engine.n0 == 28 and engine.capacity == 21
-    lay_out(engine, [21, 21, 0, 0, 0, 0, 0, 0])
-    engine.insert(3, 7)
-    assert engine.block_sizes() == [21, 21, 1, 0, 0, 0, 0, 0]
-    assert engine.to_list() == [5, 5, 5, 7] + [5] * 39
-    assert engine.audit().ok
+    # hold exactly their total capacity, so an insert into block 0, even at
+    # its end, finds no room in the block after it and rebuilds the layout.
+    for pos in (3, 21):
+        engine = RangeModeEngine([5] * 28)
+        for _ in range(14):
+            engine.insert(0, 5)
+            assert_within_capacity(engine)
+        assert engine.n0 == 28 and engine.capacity == 21 and not engine.reset_events
+        lay_out(engine, [21, 21, 0, 0, 0, 0, 0, 0])
+        engine.insert(pos, 7)
+        assert engine.reset_events == [("overflow", 43)]
+        assert engine.block_sizes() == [11, 11, 11, 10, 0, 0, 0, 0, 0]
+        assert engine.to_list() == [5] * pos + [7] + [5] * (42 - pos)
+        assert engine.audit().ok
 
 
 @pytest.mark.parametrize("n0", [3, 5, 7, 9, 11])

@@ -4,12 +4,12 @@ Each rule edits or queries both and compares them; ``audit()`` runs after
 every rule, so a failure shrinks to a minimal op trace.  One rule runs an
 op with a fault patched in, where an op can fail for lack of memory, and
 checks that an op that raises changes nothing.  The machine also records
-which rare paths it reached (layout resets, boundary moves, a freed summary
-column reused, a table widened for a new symbol, a chunk word appended or
-dropped, an edit that crosses a chunk offset, a relocation inside one
-block, one of those across a chunk boundary, one across blocks, a failed
-doubling or halving, a failed rebalance chain whose two moves or more
-were undone, a failed rebuild at column 256, a failed insert of a new
+which rare paths it reached (layout resets, an insert at the end of a full
+block that the next block took, a freed summary column reused, a table
+widened for a new symbol, a chunk word appended or dropped, an edit that
+crosses a chunk offset, a relocation inside one block, one of those across
+a chunk boundary, one across blocks, a failed doubling or halving, a failed
+overflow rebuild, a failed rebuild at column 256, a failed insert of a new
 column after one, and a new symbol's failed summary add); the test requires
 every one of them, so the fuzzing cannot silently stop exercising them.
 Its blocks hold a few dozen elements at most, so the test shrinks the
@@ -34,7 +34,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 from probe import (
-    FAULTS, WIDEN_FAULTS, fail_first_add, fail_nth_insert_at, lay_out, snapshot, word_count,
+    FAULTS, WIDEN_FAULTS, fail_first_add, fail_nth_insert_at, pack_front, snapshot, word_count,
 )
 
 from rangemodes import Config, NaiveSeq, RangeModeEngine, charseq
@@ -85,8 +85,8 @@ class EngineMachine(RuleBasedStateMachine):
             widened = table._width > width
             self.reach("column reused" if free else "table widened" if widened else "spare column")
         if len(engine.reset_events) == resets:
-            if engine.block_sizes()[j] == size:
-                self.reach("boundary moves")  # block j overflowed and shed an element
+            if engine.block_sizes()[j] == size:  # block j was full
+                self.reach("the next block took an end insert")
             else:
                 self._reach_words(j, off, size + 1, count)
 
@@ -103,14 +103,8 @@ class EngineMachine(RuleBasedStateMachine):
     @rule()
     def pack(self):
         # Boundary moves fill the first blocks to capacity, so that an insert
-        # there sheds its overflow along a chain of boundary moves.
-        engine = self.engine
-        sizes = [0] * len(engine.block_sizes())
-        q, r = divmod(len(engine), engine.capacity)
-        sizes[:q] = [engine.capacity] * q
-        if r:
-            sizes[q] = r
-        lay_out(engine, sizes)
+        # there rebuilds the layout, or, at the end of one, joins the next.
+        pack_front(self.engine)
 
     def _delete(self, pos):
         resets = len(self.engine.reset_events)
@@ -162,7 +156,7 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule(
         op=st.sampled_from(["insert", "delete", "relocate"]),
-        setup=st.sampled_from(["none", "edge", "chain", "wide"]),
+        setup=st.sampled_from(["none", "edge", "full", "wide"]),
         a=POSITIONS,
         b=POSITIONS,
         symbol=SYMBOLS,
@@ -178,20 +172,17 @@ class EngineMachine(RuleBasedStateMachine):
 
         Fault-free edits first set the stage.  With ``setup`` "edge", they
         take the length to where an insert doubles or a delete halves it.
-        With "chain", they grow it until it fills n - 1 blocks for the n-th
-        insert_at, two at least, through doublings where the layout is too
-        small, short of the next one, and boundary moves pack those blocks
-        full from block 0 on; the op then goes to the front.  An insert
-        there, or a relocation from another block, sheds along a chain of
-        as many moves, and the n-th insert_at is its (n-1)-th move: the
-        n - 2 moves before it are undone.  With "wide", they insert fresh
-        symbols until 256 columns are handed out and none is free.  With a
-        rebuild fault the op inserts one more, which would take column 256
-        and so rebuilds the layout with four-byte ids; with any other, that
-        rebuild comes first, fault-free, and the op inserts the next fresh
-        symbol, which claims a column past it.  The stage then deletes them
-        again, which halves the layout back to a narrow column map, so that
-        the audits of the rules after it stay cheap.
+        With "full", they grow it past one block's capacity, short of its
+        doubling, and boundary moves pack the blocks full from block 0 on;
+        the op is then an insert at the front or a relocation there from
+        the last element, and either rebuilds the layout.  With "wide", they
+        insert fresh symbols until 256 columns are handed out and none is
+        free.  With a rebuild fault the op inserts one more, which would take
+        column 256 and so rebuilds the layout with four-byte ids; with any
+        other, that rebuild comes first, fault-free, and the op inserts the
+        next fresh symbol, which claims a column past it.  The stage then
+        deletes them again, which halves the layout back to a narrow column
+        map, so that the audits of the rules after it stay cheap.
         """
         engine, naive = self.engine, self.naive
         wide = None  # what a failure of the op in the "wide" stage shows
@@ -203,12 +194,12 @@ class EngineMachine(RuleBasedStateMachine):
         elif setup == "edge" and op == "delete":
             while len(naive) > engine.n0 // 2 + 1:
                 self._delete(len(naive) - 1)
-        elif setup == "chain":
-            full = max(fault - 1, 2) if fault in range(1, INSERT_AT + 1) else 2
-            while not full * engine.capacity <= len(naive) < 2 * engine.n0 - 1:
+        elif setup == "full":
+            while not engine.capacity < len(naive) < 2 * engine.n0 - 1:
                 self._insert(len(naive), symbol)
             self.pack()
-            a = 0
+            op = "relocate" if op == "delete" else op
+            a, b = 0, len(naive) - 1
         elif setup == "wide":
             fresh = (s for s in count(NARROW) if s not in engine._table._column)
             while len(engine._seq.symbol) < 256 or engine._table._free:
@@ -256,9 +247,7 @@ class EngineMachine(RuleBasedStateMachine):
             if wide and fault not in WIDEN_FAULTS:
                 self.reach(wide)
             elif fault in FAULTS:  # only a rebuild reaches these
-                self.reach("a reset failed")
-            elif setup == "chain" and fault in range(4, INSERT_AT + 1):  # two moves undone or more
-                self.reach("a rebalance chain failed")
+                self.reach("an overflow rebuild failed" if setup == "full" else "a reset failed")
             if fault == ADD and new:
                 self.reach("a new symbol's summary add failed")
         else:
@@ -298,11 +287,12 @@ def test_engine_matches_oracle_in_lockstep(monkeypatch):
         ),
     )
     wanted = {f"alpha={alpha}" for alpha in ALPHAS} | {
-        "double reset", "halve reset", "ids reset", "boundary moves", "column reused",
+        "double reset", "halve reset", "ids reset", "overflow reset",
+        "the next block took an end insert", "column reused",
         "table widened", "chunk word appended or dropped", "edit crosses a chunk offset",
         "relocate within a block", "relocate within a block across a chunk boundary",
         "relocate across blocks",
-        "a reset failed", "a rebalance chain failed", "a rebuild at column 256 failed",
+        "a reset failed", "an overflow rebuild failed", "a rebuild at column 256 failed",
         "an insert of a new column after that rebuild failed", "a new symbol's summary add failed",
     }
     assert wanted <= reached.keys(), wanted - reached.keys()

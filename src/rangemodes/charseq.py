@@ -4,9 +4,9 @@ Symbols are opaque non-negative integers, but a block stores none of them:
 each block slot holds an array of column ids, in order, whatever the
 symbols; empty blocks are allowed anywhere.  Column ``col`` stands for
 symbol ``symbol[col]`` of :attr:`CharSeq.symbol`, and :attr:`CharSeq.column`
-maps each symbol present back to its column; the summary table shares both,
-hands a new symbol its column before the sequence takes it, and frees the
-column when the symbol's last element goes.  Every array has the narrower
+maps each symbol present back to its column; the summary table reads both,
+installs a new map when it hands a new symbol its column, and drops the
+entry of a symbol whose last element goes.  Every array has the narrower
 unsigned type that holds every column handed out (:func:`id_type`): ``'B'``,
 one byte per element, up to 256 columns, and ``'I'``, four bytes, beyond.
 The build picks it from its alphabet and writes the arrays in one pass over
@@ -24,27 +24,29 @@ column ids alone; only :meth:`CharSeq.to_list`,
 The block boundaries are one list, :attr:`CharSeq.ends`, whose entry k is
 one past the last position of block k.  An engine op finds its block and
 offset once, by bisecting it (:meth:`CharSeq.locate`,
-:meth:`CharSeq.insert_place`), and edits there: an array insert or pop, a
-``memmove``, O(C) word adds for the C chunks of the block, and ±1 on the
-ends from block k on, O(L).  A relocation inside one block
-(:meth:`CharSeq.relocate`) keeps every end.  A boundary move adds an end
-element of one block to the near end of its neighbour, then takes it out.
+:meth:`CharSeq.insert_place`).  :meth:`CharSeq.edit` computes the new
+values there, O(C) word adds for the C chunks of each block edited and ±1
+on the ends between two blocks, O(L), on copies; :meth:`CharSeq.store`
+then makes an array insert, which fails with nothing changed, a removal
+and swaps of whole lists, none of which allocates.  A move inside one
+block (:meth:`CharSeq.relocate`) computes its block's words the same way
+before it stores anything, and keeps every end.  A boundary move is the
+edit that takes an end element of one block to its neighbour.
 
 Beside each block sits its chunk index.  Chunk t of a block holds its
 offsets t·S .. (t+1)·S - 1, S = :data:`CHUNK`, so the offsets are implicit.
 The index keeps, at t, the count word of the block's first min(t·S, c)
 elements, c the block length: a Python ``int`` whose 32-bit field ``col``
 counts column ``col`` in them, 0 first and the block's word last, ⌈c/S⌉ + 1
-words in all.  The words follow from the block array alone.  An edit at
-offset ``off`` changes each word whose boundary lies past ``off``, adding
-the element that crosses that boundary and taking away the one that leaves,
-two adds of σ'·4 bytes each: with u(col) = ``1 << 32·col``, an insert adds
-u(col) - u(block[t·S]), a delete u(block[t·S - 1]) - u(col), and the last
-word gains or loses u(col); when the length crosses a multiple of S one
-word is added or dropped.  Nothing splits, merges or is recounted, and a
-boundary move undone by the opposite move leaves every word as it was.  A
-relocation inside one block changes, by the same rule, the words of the
-boundaries between its two ends.  A query counts the whole chunks of a
+words in all.  The words follow from the block array alone.  Every edit
+keeps them by one rule: the word of each boundary t·S in a run (a, b]
+gains one id and loses another, two adds of σ'·4 bytes.  With u(col) =
+``1 << 32·col``, an insert at ``a`` adds u(col) - u(block[t·S - 1]), a
+delete u(block[t·S]) - u(col), up to the length, and a relocation inside
+the block one or the other between its offsets; the last word gains or
+loses u(col), and a length crossing a multiple of S adds or drops a word.
+Nothing splits, merges or is recounted, and a boundary move undone by the
+opposite move leaves every word as it was.  A query counts the whole chunks of a
 margin as one difference of two words, found by arithmetic.  Each end of
 the margin moves to the nearer boundary of the chunk it cuts, so it reads
 at most S/2 column ids straight from the block array: the ids up to an
@@ -164,39 +166,92 @@ class CharSeq:
         k, off = self.locate(pos)
         return self.symbol[self.blocks[k][off]]
 
-    def insert_at(self, k: int, off: int, col: int) -> None:
-        """Insert column id ``col`` at offset ``off`` of block ``k``, count it
-        in its words, and move the ends from block ``k`` on by one.
+    def _crossed(self, k: int, a: int, b: int, unit: int, enters: bool) -> list[int]:
+        """A copy of block ``k``'s words in which the word of each boundary
+        t·S in (a, b] gains one id and loses another: the id of ``unit``, a
+        word counting one, and ``block[t·S - 1]`` with ``enters``, else
+        ``block[t·S]`` and that id."""
+        block, sums = self.blocks[k], self.chunk_sums[k][:]
+        first = a // CHUNK + 1  # the first boundary past a
+        if enters:
+            for t, out in enumerate(block[first * CHUNK - 1 : b : CHUNK], first):
+                sums[t] += unit - (1 << (_FIELD_BITS * out))
+        else:
+            for t, into in enumerate(block[first * CHUNK : b + 1 : CHUNK], first):
+                sums[t] += (1 << (_FIELD_BITS * into)) - unit
+        return sums
 
-        The array insert comes first, so one that fails changes nothing.
-        """
-        block, sums = self.blocks[k], self.chunk_sums[k]
-        block.insert(off, col)
-        if not (len(block) - 1) % CHUNK:  # the last word's boundary becomes a chunk's
-            sums.append(sums[-1])
-        unit = 1 << (_FIELD_BITS * col)
-        first = off // CHUNK + 1  # the first boundary past off; block[t·S] leaves word t
-        for t, out in enumerate(block[first * CHUNK :: CHUNK], first):
-            sums[t] += unit - (1 << (_FIELD_BITS * out))
-        sums[-1] += unit
-        ends = self.ends
-        ends[k:] = [end + 1 for end in ends[k:]]
+    def insert_at(self, k: int, off: int, col: int) -> list[int]:
+        """A copy of block ``k``'s words once column id ``col`` goes in at offset ``off``."""
+        size, unit = len(self.blocks[k]), 1 << (_FIELD_BITS * col)
+        sums = self._crossed(k, off, size, unit, True)
+        if size % CHUNK:
+            sums[-1] += unit
+        else:  # the last word's boundary becomes a chunk's
+            sums.append(self.chunk_sums[k][-1] + unit)
+        return sums
 
-    def delete_at(self, k: int, off: int) -> int:
-        """Remove and uncount the element at offset ``off`` of block ``k``; return its column id."""
-        block, sums = self.blocks[k], self.chunk_sums[k]
-        col = block.pop(off)
-        unit = 1 << (_FIELD_BITS * col)
-        first = off // CHUNK + 1  # the first boundary past off; block[t·S - 1] joins word t
-        for t, into in enumerate(block[first * CHUNK - 1 :: CHUNK], first):
-            sums[t] += (1 << (_FIELD_BITS * into)) - unit
-        if len(block) % CHUNK:
+    def delete_at(self, k: int, off: int) -> list[int]:
+        """A copy of block ``k``'s words once the element at offset ``off`` comes out."""
+        size, unit = len(self.blocks[k]) - 1, 1 << (_FIELD_BITS * self.blocks[k][off])
+        sums = self._crossed(k, off, size, unit, False)
+        if size % CHUNK:
             sums[-1] -= unit
         else:  # the word before the last now ends the block
             sums.pop()
+        return sums
+
+    def relocate(self, k: int, off: int, to: int) -> None:
+        """Move the element at offset ``off`` of block ``k`` to offset ``to``
+        there.  Its new words come first, on a copy; then the array insert,
+        the one store that allocates, which fails with nothing changed."""
+        block = self.blocks[k]
+        col = block[off]
+        a, b = (to, off) if to < off else (off, to)
+        sums = self.chunk_sums[k]
+        if a // CHUNK != b // CHUNK:  # a chunk boundary lies in (a, b]
+            sums = self._crossed(k, a, b, 1 << (_FIELD_BITS * col), to < off)
+        block.insert(to + (to > off), col)
+        del block[off + (to < off)]
+        self.chunk_sums[k] = sums
+
+    def edit(
+        self, js: int | None, offs: int | None, jd: int | None, offd: int | None, col: int
+    ) -> tuple[list[int] | None, list[int] | None, list[int]]:
+        """The new words of blocks ``jd`` and ``js`` and the new ends once
+        the element at offset ``offs`` of block ``js`` comes out and column id
+        ``col`` goes in at offset ``offd`` of block ``jd``, another block; a
+        None block skips its step.  Nothing changes: :meth:`store` stores
+        them.  A move inside one block is :meth:`relocate`."""
+        wd = None if jd is None else self.insert_at(jd, offd, col)
+        ws = None if js is None else self.delete_at(js, offs)
+        # The ends from the lower block up to the higher one move by one; past
+        # the last element, the ends of the empty blocks, all the length, move
+        # as one repeat, with no add each.
         ends = self.ends
-        ends[k:] = [end - 1 for end in ends[k:]]
-        return col
+        gain, loss = len(ends) if jd is None else jd, len(ends) if js is None else js
+        lo, hi, step = (gain, loss, 1) if gain < loss else (loss, gain, -1)
+        if hi < len(ends):
+            return wd, ws, ends[:lo] + [e + step for e in ends[lo:hi]] + ends[hi:]
+        n = ends[-1]
+        hi = max(lo, bisect_left(ends, n))  # the block holding the last element, or lo
+        return wd, ws, ends[:lo] + [e + step for e in ends[lo:hi]] + [n + step] * (len(ends) - hi)
+
+    def store(
+        self, js: int | None, offs: int | None, jd: int | None, offd: int | None, col: int,
+        new: tuple[list[int] | None, list[int] | None, list[int]],
+    ) -> None:
+        """Store ``new``, what :meth:`edit` computed from the same edit.  The
+        array insert, the one store that allocates, comes first and fails
+        with nothing changed."""
+        wd, ws, ends = new
+        if jd is not None:
+            self.blocks[jd].insert(offd, col)
+            self.chunk_sums[jd] = wd
+        if js is not None:
+            del self.blocks[js][offs]
+            self.chunk_sums[js] = ws
+        self.ends = ends
 
     def move_left(self, i: int) -> int:
         """Move block ``i``'s first element to the end of block ``i - 1``; return its column."""
@@ -207,9 +262,7 @@ class CharSeq:
         return self._move(i, i + 1, "move_right")
 
     def _move(self, i: int, k: int, name: str) -> int:
-        """Move the end element of block ``i`` facing its neighbour ``k`` into ``k``.
-
-        The gain comes first, so an array insert that fails changes nothing."""
+        """Move the end element of block ``i`` facing its neighbour ``k`` into ``k``."""
         slots = len(self.blocks)
         if not (0 <= i < slots and 0 <= k < slots):
             raise IndexError(f"{name} source {i} out of range ({slots} slots)")
@@ -217,8 +270,8 @@ class CharSeq:
             raise InvariantError(f"{name} from empty block {i}")
         off = 0 if k < i else len(self.blocks[i]) - 1
         col = self.blocks[i][off]
-        self.insert_at(k, len(self.blocks[k]) if k < i else 0, col)
-        self.delete_at(i, off)
+        to = len(self.blocks[k]) if k < i else 0
+        self.store(i, off, k, to, col, self.edit(i, off, k, to, col))
         return col
 
     def access_range(self, lo: int, hi: int) -> list[int]:
@@ -311,27 +364,3 @@ class CharSeq:
                 if sums[t] - sums[t - 1] != chunk_word(block[lo : lo + CHUNK], counts, zeros):
                     return f"count word of chunk {t - 1} of block {k} disagrees with a recount"
         return None
-
-    def relocate(self, k: int, off: int, to: int) -> None:
-        """Move the element at offset ``off`` of block ``k`` to offset ``to`` there.
-
-        The element goes in at its new offset first and the old copy comes
-        out second, so an array insert that fails changes nothing.  The word
-        at each chunk boundary the move crosses gains the element crossing
-        it the other way and loses the moved one, or the reverse.
-        """
-        if to == off:
-            return
-        block, sums = self.blocks[k], self.chunk_sums[k]
-        col = block[off]
-        unit = 1 << (_FIELD_BITS * col)
-        block.insert(to + (to > off), col)
-        del block[off + (to < off)]
-        if to < off:  # the words of boundaries to+1..off gain it; block[t·S] leaves word t
-            first = to // CHUNK + 1
-            for t, out in enumerate(block[first * CHUNK : off + 1 : CHUNK], first):
-                sums[t] += unit - (1 << (_FIELD_BITS * out))
-        else:  # the words of boundaries off+1..to lose it; block[t·S - 1] joins word t
-            first = off // CHUNK + 1
-            for t, into in enumerate(block[first * CHUNK - 1 : to : CHUNK], first):
-                sums[t] += (1 << (_FIELD_BITS * into)) - unit

@@ -38,7 +38,7 @@ The layout is sized for the reference length ``n0`` of the last rebuild:
 ``ceil(n0^alpha) + ceil((2·n0)^alpha)`` block slots, each holding at most
 ``ceil(3·n0 / ceil(n0^alpha))`` elements.  An op that doubles or halves the
 length rebuilds the whole layout from its renumbered column ids, not by an
-edit, and so does an insert or a relocation into a full block.
+edit, and so does an edit that would leave a block over capacity.
 The rebuild admits the layout from its shape before it builds anything:
 its 32-bit fields must hold ``3·n0``, and its table, chunk words and blocks
 must pass the memory guard.  It installs the layout only once the build
@@ -54,17 +54,21 @@ shortest.  Those slots hold ``3·n0`` elements at capacity, half as many
 again as the sequence reaches before its next doubling, so a sequence
 regrowing evenly from any rebuild fits them.  A block fills only after
 gaining about 2·n0 / ceil(n0^alpha) elements, which pay for the rebuild of
-its overflow.  An insert at the end of a full block joins the front of the
-next block instead while that has room, so a run of appends walks from
-slot to slot and reaches its doubling with no rebuild.
+its overflow.  An element bound for the end of a full block joins the
+front of the next block instead while that has room, so a run of appends
+walks from slot to slot and reaches its doubling with no rebuild.
 
-A relocation moves one element without changing the length: it inserts the
-symbol where ``insert(dst, delete(src))`` would, and only then removes the
-original, so a failure anywhere before that leaves the sequence as it was;
-one into a full block rebuilds the layout from the moved ids instead.
-Every summary cell counts whole blocks, so a relocation inside one block
-edits no cell and no block end, only the block array and the running chunk
-words at the chunk offsets it crosses (:meth:`CharSeq.relocate`).
+Inserts, deletes and relocations are one edit, planned as a rebuild's
+column ids are: the element at ``src`` out, then one in at ``dst``, where
+``insert(dst, delete(src))`` would put it.  Its block comes from the net
+block sizes after the edit, so a relocation that stays in a full block, or
+goes to the end of one from the block after it, moves inside one block.
+Every new value is computed before the first store, the array insert, or
+for a delete that frees a column the free list's append, which fails with
+nothing changed; the stores after it allocate nothing, so an edit that
+raises changes nothing.  A relocation inside one block edits no summary
+cell and no block end, as every cell counts whole blocks; one across
+blocks adds both its point edits to one run of the symbol's plane.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ from operator import countOf
 from typing import Collection, Iterable, Sequence
 
 from .charseq import CharSeq, word_bound
-from .multiset import _FIELD_BITS, MAX_COUNT, MAX_SYMBOL, PairTable, check_table_fits, id_type
+from .multiset import MAX_COUNT, MAX_SYMBOL, PairTable, check_table_fits, id_type
 from .results import ModesResult
 
 _MAX_ALPHA_DENOMINATOR = 64
@@ -179,7 +183,7 @@ class RangeModeEngine:
     operation requires exclusive access (queries mutate scratch state).
     Layout resets are logged in ``reset_events`` as (kind, length) pairs,
     the kind ``"double"`` or ``"halve"`` for a length that doubled or
-    halved, ``"overflow"`` for an insert or a relocation into a full block,
+    halved, ``"overflow"`` for an edit that would leave a block over capacity,
     or ``"ids"`` for a symbol that needed four-byte column ids.
     """
 
@@ -229,18 +233,16 @@ class RangeModeEngine:
         self._seq = seq
 
     def _edited_ids(
-        self, src: int | None, dst: int | None, symbol: int | None = None
+        self, src: int | None, dst: int | None, symbol: int | None, col: int | None
     ) -> tuple[array, list[int]]:
         """Column ids, as a fresh build numbers them, and sorted alphabet of the
-        sequence edited: the element at ``src`` deleted, then ``symbol``
-        inserted at ``dst``, or the deleted element where ``symbol`` is None;
-        a None position skips its step."""
+        sequence edited: the element at ``src``, of column ``col``, deleted,
+        then ``symbol`` inserted at ``dst``, or the deleted element where
+        ``symbol`` is None; a None position skips its step."""
         seq = self._seq
         alphabet = set(seq.column)  # the symbols present
-        if dst is None:
-            gone = seq[src]
-            if sum(seq.block_words()) >> (_FIELD_BITS * seq.column[gone]) & MAX_COUNT == 1:
-                alphabet.remove(gone)  # its last copy
+        if dst is None and self._table.cell(0, self._table.slots - 1)[seq.symbol[col]] == 1:
+            alphabet.remove(seq.symbol[col])  # its last copy
         elif symbol is not None:
             alphabet.add(symbol)
         alphabet = sorted(alphabet)
@@ -295,98 +297,76 @@ class RangeModeEngine:
         """Insert ``symbol`` so that it becomes the element at ``pos``."""
         _check_position(pos)
         _check_symbol(symbol)
-        seq, table = self._seq, self._table
-        place = self._room(*seq.insert_place(pos))
-        doubles = len(seq) + 1 >= 2 * self._n0
-        # The column first, unless the layout is rebuilt: a widening for a new
-        # symbol can fail, with nothing changed yet.  A symbol with no column
-        # that fits the blocks' id type has the layout rebuilt, like a doubling.
-        col = None if doubles or place is None else table.claim_column(symbol)
-        if col is None:
-            kind = "double" if doubles else "overflow" if place is None else "ids"
-            self._rebuild_layout(*self._edited_ids(None, pos, symbol), kind)
-        else:
-            try:
-                self._place(*place, col)
-            except BaseException:
-                table.release(col)  # a column no element counts is freed again
-                raise
-
-    def _room(self, j: int, off: int) -> tuple[int, int] | None:
-        """Where an insert at offset ``off`` of block ``j`` goes: there, or, at
-        the end of a full block, to the front of the next one if it has room;
-        None when the layout must be rebuilt."""
-        blocks, cap = self._seq.blocks, self._capacity
-        if len(blocks[j]) < cap:
-            return j, off
-        if off == cap and j + 1 < len(blocks) and len(blocks[j + 1]) < cap:
-            return j + 1, 0
-        return None
-
-    def _place(self, j: int, off: int, col: int) -> None:
-        """Count column ``col`` into block ``j`` and insert it at offset ``off`` there.
-
-        A summary add that fails changes nothing, and leaves a column the
-        caller claimed for it to release.  An array insert that fails is
-        undone by the opposite summary edit, which frees a column no element
-        counts.
-        """
-        self._table.apply_point(j, col, 1)
-        try:
-            self._seq.insert_at(j, off, col)
-        except BaseException:
-            self._table.apply_point(j, col, -1)
-            raise
-
-    def _take(self, j: int, off: int) -> int:
-        """Remove and uncount the element at offset ``off`` of block ``j``; return its symbol."""
-        col = self._seq.delete_at(j, off)
-        self._table.apply_point(j, col, -1)
-        return self._seq.symbol[col]  # a freed column keeps its last symbol
+        self._edit(None, pos, symbol)
 
     def delete(self, pos: int) -> int:
         """Remove and return the element at ``pos``."""
         _check_position(pos)
-        j, off = self._seq.locate(pos)
-        if len(self._seq) - 1 <= self._n0 // 2:
-            symbol = self._seq.symbol[self._seq.blocks[j][off]]
-            self._rebuild_layout(*self._edited_ids(pos, None), "halve")
-        else:
-            symbol = self._take(j, off)
-        return symbol
+        return self._edit(pos, None)
 
     def relocate(self, src: int, dst: int) -> int:
         """Move the element at ``src`` so that it becomes the element at ``dst``; return it.
 
         The sequence is that of ``insert(dst, delete(src))``, but the length
-        does not change.  The symbol joins the block that the insert would
-        join and leaves its own block; when the two are the same block, no
-        block end and no summary cell changes.  A relocation into another,
-        full block takes the end-of-block rule of :meth:`insert`, or else
-        rebuilds the layout, logged as an ``"overflow"`` reset.
+        does not change.
         """
         _check_position(src)
         _check_position(dst)
-        seq = self._seq
-        n = len(seq)
+        n = self._seq.ends[-1]
         if not (0 <= src < n and 0 <= dst < n):
             raise IndexError(f"relocation {src} -> {dst} out of range (length {n})")
-        js, offs = seq.locate(src)
-        col = seq.blocks[js][offs]
-        symbol = seq.symbol[col]
-        # Insert first, so a failure changes nothing; the position is the
-        # one before the original is removed, and the original then sits at
-        # src + (at <= src).
-        at = dst if dst <= src else dst + 1
-        jd, offd = seq.insert_place(at)
-        if jd == js:  # the block keeps its start, so the element lands at offs + dst - src
-            seq.relocate(js, offs, offs + dst - src)
-        elif (place := self._room(jd, offd)) is None:
-            self._rebuild_layout(*self._edited_ids(src, dst), "overflow")
+        return self._edit(src, dst)
+
+    def _edit(self, src: int | None, dst: int | None, symbol: int | None = None) -> int | None:
+        """Delete the element at ``src``, then insert ``symbol`` at ``dst``, or
+        the deleted element where ``symbol`` is None; a None position skips
+        its step.  Return the deleted symbol, or None.
+
+        The element joins the block an insert at ``dst`` would join, unless
+        that block would end the edit over capacity: then, at its end, the
+        next block's front if that one would not, and otherwise the layout is
+        rebuilt, as for a doubling, a halving or a column past the id type."""
+        seq, table = self._seq, self._table
+        blocks, n = seq.blocks, seq.ends[-1]
+        js = offs = jd = offd = col = gone = claim = None
+        if src is not None:
+            js, offs = seq.locate(src)
+            col = blocks[js][offs]
+            gone = seq.symbol[col]
+        kind = "halve" if dst is None and n - 1 <= self._n0 // 2 else ""
+        if dst is not None:
+            # Placed before the source comes out, so past the source it is one on.
+            jd, offd = seq.insert_place(dst + (src is not None and src < dst))
+            cap = self._capacity
+            if src is None and n + 1 >= 2 * self._n0:
+                kind = "double"
+            elif jd != js and len(blocks[jd]) == cap:  # it would end holding cap + 1
+                nxt = jd + 1
+                if offd == cap and nxt < len(blocks) and len(blocks[nxt]) - (nxt == js) < cap:
+                    jd, offd = nxt, 0
+                else:
+                    kind = "overflow"
+            if jd == js:  # inside one block: no summary cell and no block end changes
+                seq.relocate(js, offs, offd - (offd > offs))
+                return gone
+            if symbol is not None and not kind:
+                col = seq.column.get(symbol)
+                if col is None:  # a new symbol, whose column may need wider ids
+                    col, claim = table.claim_column(symbol)
+                    if col is None:
+                        kind = "ids"
+        if kind:
+            self._rebuild_layout(*self._edited_ids(src, dst, symbol, col), kind)
+            return gone
+        new = seq.edit(js, offs, jd, offd, col)
+        if jd is None:
+            run = table.apply_point(js, col, -1)
+            table.release(col)  # a delete's one store that can allocate, first
         else:
-            self._place(*place, col)  # the gain first, so the column is never freed
-            self._take(*seq.locate(src + (at <= src)))
-        return symbol
+            run = table.apply_point(jd, col, 1, js, claim)
+        seq.store(js, offs, jd, offd, col, new)  # an insert's array insert first
+        table.store(run, claim)
+        return gone
 
     def modes(self, lo: int, hi: int) -> ModesResult:
         """Enumerate all modes of the inclusive range ``[lo, hi]``."""

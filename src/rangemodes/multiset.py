@@ -20,15 +20,18 @@ one slice of the symbol's plane, from cell (0, j) to cell (j, L-1); the
 slice also holds the j(j-1)/2 cells (l, l..j-1) of rows 1..j between them.
 The edit reads the slice as one Python ``int``, adds or subtracts a mask
 with a 1 in every field of the row tails and 0 in those head cells, and
-writes it back: one C-speed pass over (j+1)(L-j) + j(j-1)/2 fields,
-whatever σ'.  The mask depends on j and L alone, so the first edit in block
+builds the new fields (:meth:`PairTable.apply_point`), which :meth:`PairTable.store`
+writes back once the op has built every new value: one C-speed pass over
+(j+1)(L-j) + j(j-1)/2 fields, whatever σ'.  An element moving between two
+blocks adds both edits to one run of its plane, so the cells that cover
+both blocks keep their count.  The mask depends on j and L alone, so the first edit in block
 j builds it and the table keeps it, in a list indexed by j.  The masks of
 all L slots take L(L²+2)/3 fields, more than the table when σ' is under
 about 2L/3, so a mask is kept only while the kept masks stay within the
 table's own L(L+1)/2 · width fields; past that cap it is built on every
 edit.  A widening keeps them, as it moves no field of a plane; a rebuild
-makes a new table, which starts with none.  A boundary shift adds to one
-cell per row above the boundary and a run of ones to one row tail.  A modes
+makes a new table, which starts with none.  A boundary shift is the move
+of one element between neighbouring blocks.  A modes
 query reads one field from each plane, a strided gather of σ' fields, packs
 them into one ``int``, subtracts the row's offset word, adds the count
 word of the whole chunks of each margin, and unpacks the sum once to a
@@ -55,16 +58,17 @@ until the copy ends, unpriced.
 
 The column map is the one :class:`CharSeq` builds, one column per symbol
 of its blocks in increasing order, both ways (``column``, symbol → column,
-and ``symbol``, column → symbol) and shared by both.  After the build the
-table alone hands out columns and frees them: a new symbol gets one
-(:meth:`PairTable.claim_column`) before it is inserted, and
-:meth:`PairTable.release` puts it on a free list once the symbol's count
-over all blocks reads 0, after a delete or an insert that failed, so σ' is
-the number of columns in use.  Edits and shifts name their column, which
-the blocks store.  A reused column keeps the offsets of its last symbol,
-and its cells read 0 as its fields still equal them.  A symbol that finds
-no free column widens the table by half, appending zero planes in one copy
-that stays; the offset words and the chunk words, Python ints, need no
+and ``symbol``, column → symbol), which the table reads from the
+sequence.  After the build the table alone hands out columns and frees
+them: a new symbol's insert claims one (:meth:`PairTable.claim_column`) by
+a new map, free list, fields and width that :meth:`PairTable.store`
+installs, and the delete of a symbol's last copy frees it in place
+(:meth:`PairTable.release`), so σ' is the number of columns in use.
+Edits and shifts name their column, which the blocks store.  A reused
+column keeps the offsets of its last symbol, and its cells read 0 as its
+fields still equal them.  A symbol that finds
+no free column widens the table by half, appending zero planes in one copy;
+the offset words and the chunk words, Python ints, need no
 widening.  The column ids keep the build's type: a column past it is not
 handed out, and the engine rebuilds its layout instead.
 Every decrement first reads the column's count in the source block's own
@@ -242,11 +246,6 @@ def unpack(word: int, width: int) -> list[int]:
     return array("I", word.to_bytes(_FIELD_BYTES * width, "little")).tolist()
 
 
-def _ones(n: int) -> int:
-    """``n`` fields of 1, as an int."""
-    return int.from_bytes(_ONE_FIELD * n, "little")
-
-
 def _zeros(n: int) -> memoryview:
     """A writable view of ``n`` zero 32-bit counts."""
     return memoryview(array("I", bytes(_FIELD_BYTES)) * n)
@@ -288,11 +287,11 @@ class PairTable:
 
     __slots__ = (
         "_slots", "_cells", "_row_base", "_width", "_counts", "_base",
-        "_column", "_symbol", "_free", "_guard", "_masks", "_mask_fields",
+        "_seq", "_free", "_guard", "_masks", "_mask_fields",
     )
 
     def __init__(self, seq: CharSeq, guard: tuple[int, int, str]) -> None:
-        """Build a fresh table over the blocks of ``seq``, sharing its column map;
+        """Build a fresh table over the blocks of ``seq``, whose column map it hands out;
         ``guard`` is the word bound, room and id type the engine admitted it with."""
         slots = self._slots = len(seq.blocks)
         cells = self._cells = slots * (slots + 1) // 2
@@ -302,10 +301,9 @@ class PairTable:
         # as it moves no field of a plane.
         self._masks: list[int | None] = [None] * slots
         self._mask_fields = 0  # fields of the stored masks, at most cells · width
-        self._column = seq.column  # symbol -> column, shared with ``seq``
-        self._symbol = seq.symbol  # column -> symbol, shared; a free column keeps its last one
+        self._seq = seq  # its column map, both ways; a free column keeps its last symbol
         self._free: list[int] = []
-        width = self._width = len(self._symbol)
+        width = self._width = len(seq.symbol)
         self._guard = guard
         # prefix[k]: the count word of blocks 0..k-1.  Row l stores the
         # counts of blocks 0..r for r = l..slots-1, the suffix from l of the
@@ -331,13 +329,13 @@ class PairTable:
     @property
     def sigma_prime(self) -> int:
         """Number of distinct symbols present in the blocks."""
-        return len(self._column)
+        return len(self._seq.column)
 
     def cell(self, l: int, r: int) -> dict[int, int]:
         """Snapshot of the summary multiset for blocks ``l..r`` inclusive:
         each symbol present mapped to its count."""
         start = self._index(l, r)
-        symbol, cells = self._symbol, self._cells
+        symbol, cells = self._seq.symbol, self._cells
         stored = self._counts[start : start + len(symbol) * cells : cells].tolist()
         offsets = unpack(self._base[l], len(symbol))
         return {symbol[k]: c - b for k, (c, b) in enumerate(zip(stored, offsets)) if c != b}
@@ -355,7 +353,7 @@ class PairTable:
         that no word holds, and those outside it that a word holds.  Each id
         is one step on the unpacked counts, and must be a column in use.
         """
-        symbol = self._symbol
+        symbol = self._seq.symbol
         width = len(symbol)
         if l is None:
             word = plus
@@ -389,7 +387,7 @@ class PairTable:
 
     def offset_fault(self) -> str | None:
         """The first offset word with a field past the table's columns, or None."""
-        limit = 1 << (_FIELD_BITS * len(self._symbol))
+        limit = 1 << (_FIELD_BITS * len(self._seq.symbol))
         for l, word in enumerate(self._base):
             if not 0 <= word < limit:
                 return f"offset word of row {l} has a field outside the summary table"
@@ -405,73 +403,51 @@ class PairTable:
     # columns
     # ------------------------------------------------------------------
 
-    def claim_column(self, symbol: int) -> int | None:
-        """The column of ``symbol``, handing it a free one if it has none.
-
-        A new symbol that finds no free column gets the next one, the table
-        widened first if it has no room; when that column does not fit the
-        blocks' id type, it gets None, and nothing changes.  A widening that
-        fails raises before any column is handed out."""
-        col = self._column.get(symbol)
-        if col is None:
-            if self._free:
-                col = self._free.pop()
-                self._symbol[col] = symbol
-            else:
-                col = len(self._symbol)
-                if id_type(col + 1) != self._guard[-1]:
-                    return None
-                if col == self._width:
-                    self._widen()
-                self._symbol.append(symbol)
-            self._column[symbol] = col
-        return col
+    def claim_column(self, symbol: int) -> tuple[int, tuple] | tuple[None, None]:
+        """The column a new ``symbol`` takes and the column state that hands
+        it out, for :meth:`apply_point` and :meth:`store`, or two Nones when
+        that column does not fit the blocks' id type; nothing changes.  It
+        takes a free column, else the next one, the table widened if it has
+        no room.  The state holds copies of the map and lists, as an insert
+        into one can allocate."""
+        seq = self._seq
+        symbols, free, counts, width = seq.symbol[:], self._free, self._counts, self._width
+        if free:
+            col, free = free[-1], free[:-1]
+            symbols[col] = symbol
+        else:
+            col = len(symbols)
+            if id_type(col + 1) != self._guard[-1]:
+                return None, None
+            if col == width:
+                counts, width = self._widen()
+            symbols.append(symbol)
+        column = seq.column.copy()  # clones the table while few keys are deleted; dict() re-inserts
+        column[symbol] = col
+        return col, (counts, symbols, column, free, width)
 
     def release(self, col: int) -> None:
-        """Free column ``col`` if its symbol still holds it and occurs in no block.
+        """Free column ``col`` if a delete takes its last one, 1 in cell (0, L-1),
+        which covers every block and has no row offset: the free list's
+        append, which can allocate, first, then its symbol's map entry, whose
+        removal cannot.  The column keeps its last symbol."""
+        if self._counts[col * self._cells + self._slots - 1] == 1:
+            self._free.append(col)
+            del self._seq.column[self._seq.symbol[col]]
 
-        Cell (0, L-1) covers every block, and row 0 has no offset.  A freed
-        column keeps its last symbol.
-        """
-        if not self._counts[col * self._cells + self._slots - 1]:
-            symbol = self._symbol[col]
-            if self._column.get(symbol) == col:
-                del self._column[symbol]
-                self._free.append(col)
-
-    def _widen(self) -> None:
-        """Give the table half as many columns again; the new planes count 0."""
+    def _widen(self) -> tuple[memoryview, int]:
+        """The fields and width of the table with half as many columns again,
+        the new planes counting 0."""
         old, width = self._counts, self._width
         new_width = width + width // 2 + 1
         check_table_fits(self._slots, new_width, *self._guard)
         counts = _zeros(self._cells * new_width)
         counts[: len(old)] = old
-        self._counts, self._width = counts, new_width
-
-    def _check_source(self, j: int, col: int) -> None:
-        """Raise :class:`InvariantError` unless column ``col`` occurs in block ``j``.
-
-        Every cell an edit decrements covers block ``j``, so a nonzero count
-        in cell (j, j) keeps all of them from borrowing.
-        """
-        if (
-            not 0 <= col < len(self._symbol)
-            or self._counts[col * self._cells + self._row_base[j] + j]
-            == self._base[j] >> (_FIELD_BITS * col) & MAX_COUNT
-        ):
-            raise InvariantError(f"column {col} is absent from block {j}")
+        return counts, new_width
 
     # ------------------------------------------------------------------
     # update routines
     # ------------------------------------------------------------------
-
-    def _add(self, start: int, fields: int, step: int, delta: int) -> None:
-        """Add ``delta`` (±1) times ``step``, an int of ``fields`` fields of
-        0 and 1, to the fields from ``start`` on."""
-        run = self._counts[start : start + fields]
-        value = int.from_bytes(run, "little")
-        total = value + step if delta == 1 else value - step
-        run[:] = memoryview(total.to_bytes(_FIELD_BYTES * fields, "little")).cast("I")
 
     def _mask(self, j: int) -> int:
         """The step of an edit in block ``j``, stored while the stored masks
@@ -488,28 +464,54 @@ class PairTable:
             self._mask_fields += fields
         return step
 
-    def apply_point(self, j: int, col: int, delta: int) -> None:
-        """Adjust every cell (l, r) with l ≤ j ≤ r by ``delta`` for column ``col``.
+    def apply_point(
+        self, j: int, col: int, delta: int, source: int | None = None, claim: tuple | None = None
+    ) -> tuple[memoryview, memoryview]:
+        """The run of column ``col``'s fields that a change by ``delta`` (±1)
+        of its cells (l, r) with l ≤ j ≤ r rewrites, as a view of them and a
+        view of their new values; nothing changes: :meth:`store` stores them.
+        A gain may take its element from block ``source``, whose cells lose it
+        in the same run, and counts into the fields of ``claim``, a new
+        symbol's column state, if given.  A loss needs ``col`` in its block:
+        every cell it decrements covers that block, so a nonzero count in its
+        own cell keeps all of them from borrowing."""
+        if delta not in (1, -1) or delta == -1 and source is not None:
+            raise ValueError("delta must be +1, or -1 with no source")
+        slots, row_base = self._slots, self._row_base
+        lo = hi = j  # the run goes from cell (0, lo) past cell (hi, L-1)
+        if source is not None:
+            lo, hi = min(j, source), max(j, source)
+        if not 0 <= lo <= hi < slots:
+            raise IndexError(f"block {j} or {source} out of range ({slots} slots)")
+        counts, symbols = (self._counts, self._seq.symbol) if claim is None else claim[:2]
+        if not 0 <= col < len(symbols):
+            raise InvariantError(f"column {col} was never handed out")
+        plane, loss = col * self._cells, j if delta == -1 else source
+        if loss is not None and counts[plane + row_base[loss] + loss] == (
+            self._base[loss] >> (_FIELD_BITS * col) & MAX_COUNT
+        ):
+            raise InvariantError(f"column {col} is absent from block {loss}")
+        run = counts[plane + lo : plane + row_base[hi] + slots]
+        total = int.from_bytes(run, "little")
+        # Both steps, each from its block's field of the run, go into one sum,
+        # so a cell covering both blocks keeps its count.  A mask is never 0:
+        # every slot has a row tail.  A shift by 0 would copy the mask.
+        step = self._masks[j] or self._mask(j)
+        if j > lo:
+            step <<= _FIELD_BITS * (j - lo)
+        total = total + step if delta == 1 else total - step
+        if source is not None:
+            step = self._masks[source] or self._mask(source)
+            total -= step << _FIELD_BITS * (source - lo) if source > lo else step
+        return run, memoryview(total.to_bytes(_FIELD_BYTES * len(run), "little")).cast("I")
 
-        A gain needs a column :meth:`claim_column` handed out; a loss hands
-        the column to :meth:`release`, which frees it if the symbol is left
-        nowhere.
-        """
-        slots = self._slots
-        if not 0 <= j < slots:
-            raise IndexError(f"block {j} out of range ({slots} slots)")
-        if delta == 1:
-            if not 0 <= col < len(self._symbol):
-                raise InvariantError(f"column {col} was never handed out")
-        elif delta == -1:
-            self._check_source(j, col)
-        else:
-            raise ValueError("delta must be +1 or -1")
-        plane = col * self._cells
-        # A mask is never 0: every slot has a row tail.
-        self._add(plane + j, mask_fields(slots, j), self._masks[j] or self._mask(j), delta)
-        if delta == -1:
-            self.release(col)
+    def store(self, run: tuple[memoryview, memoryview], claim: tuple | None = None) -> None:
+        """Install ``claim``'s column state, if given, then the run
+        :meth:`apply_point` computed; neither store allocates."""
+        if claim is not None:
+            seq = self._seq
+            self._counts, seq.symbol, seq.column, self._free, self._width = claim
+        run[0][:] = run[1]
 
     def shift_left(self, i: int, col: int) -> None:
         """Record one element of column ``col`` crossing from block ``i`` into block ``i - 1``.
@@ -520,22 +522,11 @@ class PairTable:
         slots = self._slots
         if not 1 <= i < slots:
             raise IndexError(f"shift_left source {i} out of range ({slots} slots)")
-        self._check_source(i, col)
-        self._cross(i, col, 1)
+        self.store(self.apply_point(i - 1, col, 1, i))
 
     def shift_right(self, i: int, col: int) -> None:
         """Record one element of column ``col`` crossing from block ``i`` into block ``i + 1``."""
         slots = self._slots
         if not 0 <= i < slots - 1:
             raise IndexError(f"shift_right source {i} out of range ({slots} slots)")
-        self._check_source(i, col)
-        self._cross(i + 1, col, -1)
-
-    def _cross(self, b: int, col: int, delta: int) -> None:
-        """Add ``delta`` (±1) to column ``col``'s cells that end at block
-        ``b - 1`` and ``-delta`` to those that start at ``b``, row ``b``'s tail."""
-        counts, row_base, slots = self._counts, self._row_base, self._slots
-        plane = col * self._cells
-        for row in row_base[:b]:
-            counts[plane + row + b - 1] += delta
-        self._add(plane + row_base[b] + b, slots - b, _ones(slots - b), -delta)
+        self.store(self.apply_point(i + 1, col, 1, i))

@@ -12,16 +12,16 @@ readers here and not the tests.
 - :func:`add_columns`: the column map grown as the summary table grows it.
 - :func:`held_bytes` and :func:`priced_bytes`: the bytes the sequence's
   parts hold, and the memory guard's price of every part, recomputed.
-- :data:`FAULTS`, :data:`WIDEN_FAULTS`, :func:`fail_nth_insert_at` and
-  :func:`fail_first_add`: the places an op can fail for lack of memory,
-  ready to patch in.
+- :data:`FAULTS`, :data:`WIDEN_FAULTS` and :data:`EDIT_FAULTS`: the places
+  an op can fail for lack of memory, ready to patch in, and
+  :func:`ignore_capacity`, an engine whose edits never rebuild.
 - :func:`lay_out`, :func:`pack_front` and :func:`assert_within_capacity`: block
   sizes set by boundary moves, and checked against the capacity.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import struct
 import sys
 from array import array
@@ -107,14 +107,13 @@ def typecodes(engine):
 
 
 def snapshot(engine):
-    """Everything an op that raises must leave as it was.
-
-    A word shows as its nonzero counts by column, so a column that the op
-    handed out and freed again, which stays past σ' in the column map,
-    does not show.
-    """
+    """Everything an op that raises must leave as it was, the column map
+    both ways and the free list included."""
     seq = engine._seq
     return {
+        "column": dict(seq.column),
+        "symbol": list(seq.symbol),
+        "free": list(engine._table._free),
         "list": engine.to_list(),
         "sizes": engine.block_sizes(),
         "ends": list(seq.ends),
@@ -145,6 +144,13 @@ def stored_layout(engine):
         "n0": engine.n0,
         "capacity": engine.capacity,
     }
+
+
+def edit_seq(seq, *edit):
+    """Make ``edit``, the source block and offset, the target block and
+    offset and the column id, on ``seq`` alone, computed and then stored as
+    the engine makes it."""
+    seq.store(*edit, seq.edit(*edit))
 
 
 def add_columns(seq, symbols):
@@ -230,32 +236,43 @@ WIDEN_FAULTS = {  # where handing a new symbol a column can fail
 }
 
 
-def _fail_nth_call(mp, owner, name, n):
-    """Make the ``n``-th call of method ``name`` of ``owner`` from now on
-    raise :class:`MemoryError`; the calls before and after it run."""
-    method = getattr(owner, name)
-    calls = itertools.count(1)
+def _fail_array_insert(mp):
+    """Make the array insert of the next edit that inserts raise
+    :class:`MemoryError`, as one that runs out of memory does: before it
+    changes anything, as the first store of the edit.  A move inside one
+    block, which makes its own array insert, raises the same way."""
+    store = charseq.CharSeq.store
 
-    def fail_nth(self, *args):
-        if next(calls) == n:
+    def failing(self, js, offs, jd, *rest):
+        if jd is not None:  # the block the edit inserts into
             raise MemoryError("refused")
-        return method(self, *args)
+        store(self, js, offs, jd, *rest)
 
-    mp.setattr(owner, name, fail_nth)
-
-
-def fail_nth_insert_at(mp, n):
-    """Make the ``n``-th call of :meth:`CharSeq.insert_at` from now on raise
-    :class:`MemoryError`, as an array insert that runs out of memory: n = 1
-    is an op's own insert, and each boundary move after it makes one call."""
-    _fail_nth_call(mp, charseq.CharSeq, "insert_at", n)
+    mp.setattr(charseq.CharSeq, "store", failing)
+    mp.setattr(charseq.CharSeq, "relocate", refuse)
 
 
-def fail_first_add(mp):
-    """Make the next call of :meth:`PairTable._add` raise :class:`MemoryError`,
-    as a summary add that runs out of memory: an op's first, which for an
-    insert or a relocation across blocks runs before anything changes."""
-    _fail_nth_call(mp, multiset.PairTable, "_add", 1)
+EDIT_FAULTS = {  # where an edit that does not rebuild can fail
+    "array insert": _fail_array_insert,
+    "slice compute": lambda mp: mp.setattr(multiset.PairTable, "apply_point", refuse),
+    "column claim": lambda mp: mp.setattr(multiset.PairTable, "claim_column", refuse),
+}
+
+
+def ignore_capacity(mp):
+    """Make every edit take the block it targets, full or not, as an engine
+    with no overflow rebuild: each runs with the block capacity lifted."""
+    edit = engine_module.RangeModeEngine._edit
+
+    def careless(self, *args):
+        cap, self._capacity = self._capacity, math.inf
+        try:
+            return edit(self, *args)
+        finally:
+            if self._capacity is math.inf:  # no rebuild set a new one
+                self._capacity = cap
+
+    mp.setattr(engine_module.RangeModeEngine, "_edit", careless)
 
 
 # ----------------------------------------------------------------------

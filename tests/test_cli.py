@@ -3,7 +3,7 @@ import random
 import warnings
 
 import pytest
-from probe import priced_bytes
+from probe import ignore_capacity, priced_bytes
 
 from rangemodes import InvariantError, NaiveSeq, RangeModeEngine, multiset
 from rangemodes.cli import (
@@ -243,7 +243,7 @@ class TestFuzz:
 
     def test_block_over_capacity_is_a_divergence(self, monkeypatch):
         # The block an insert targets takes it, full or not: no overflow rebuild.
-        monkeypatch.setattr(RangeModeEngine, "_room", lambda self, j, off: (j, off))
+        ignore_capacity(monkeypatch)
         trace = generate_trace(seed=4, ops=400, max_len=60, alphabet=3)
         engine = RangeModeEngine()
         ops = {"I": engine.insert, "D": engine.delete, "R": engine.relocate, "Q": engine.modes}

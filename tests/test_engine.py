@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from probe import (
-    FAULTS, WIDEN_FAULTS, assert_within_capacity, ends, fail_first_add, fail_nth_insert_at,
-    held_bytes, lay_out, pack_front, priced_bytes, refuse, set_end, set_words, snapshot,
+    EDIT_FAULTS, FAULTS, WIDEN_FAULTS, assert_within_capacity, ends, held_bytes,
+    ignore_capacity, lay_out, pack_front, priced_bytes, refuse, set_end, set_words, snapshot,
     stored_layout, typecodes, word_count, words,
 )
 
@@ -446,7 +446,7 @@ class TestRelocate:
         js, jd = engine._seq.locate(src)[0], engine._seq.locate(dst)[0]
         symbol = engine.to_list()[src]
         sizes = engine.block_sizes()
-        assert self.check(engine, src, dst) == [(jd, symbol, 1), (js, symbol, -1)]
+        assert self.check(engine, src, dst) == [(jd, symbol, 1, js, None)]
         sizes[js] -= 1
         sizes[jd] += 1
         assert engine.block_sizes() == sizes
@@ -458,7 +458,7 @@ class TestRelocate:
         first = self.starts(engine)[2]
         symbol = engine.to_list()[first]
         # Inserted before position first - 1, it joins the end of block 1.
-        assert self.check(engine, first, first - 1) == [(1, symbol, 1), (2, symbol, -1)]
+        assert self.check(engine, first, first - 1) == [(1, symbol, 1, 2, None)]
 
     def test_to_the_ends(self):
         engine = self.make_engine()
@@ -484,7 +484,7 @@ class TestRelocate:
         assert engine.block_sizes()[2] < engine.capacity
         return engine
 
-    def test_into_a_full_block_rebalances(self):
+    def test_into_a_full_block_rebuilds(self):
         # A relocation into block 1 from block 4 rebuilds the layout, which
         # spreads the elements evenly again.
         engine = self.full_block_1()
@@ -503,8 +503,21 @@ class TestRelocate:
         moves = count_moves(monkeypatch)
         src, dst = self.starts(engine)[4], self.starts(engine)[2]
         symbol = engine.to_list()[src]
-        assert self.check(engine, src, dst) == [(2, symbol, 1), (4, symbol, -1)]
+        assert self.check(engine, src, dst) == [(2, symbol, 1, 4, None)]
         assert moves == [] and engine.block_sizes()[1:3] == [sizes[1], sizes[2] + 1]
+
+    def test_to_the_end_of_a_full_block_from_the_front_of_the_next(self):
+        # At alpha = 1/2 and n0 = 46, 17 slots of capacity 20.  Position 39,
+        # the last of block 1, bound for position 20, the end of the full
+        # block 0, goes to the front of block 1 instead, which it leaves:
+        # a move inside block 1, with no rebuild.
+        engine = RangeModeEngine(range(46), Config(alpha=Fraction(1, 2)))
+        for k in range(46, 80):
+            engine.insert(k, k)
+        assert engine.capacity == 20
+        lay_out(engine, [20] * 4 + [0] * 13)
+        assert self.check(engine, 39, 20) == []
+        assert engine.block_sizes()[:5] == [20] * 4 + [0]
 
     def test_random_relocations_match_the_oracle(self):
         engine = self.make_engine(2000)
@@ -1072,20 +1085,22 @@ class TestFailedOps:
 
     @pytest.mark.parametrize("free", [False, True], ids=["appended", "free"])
     def test_a_failed_summary_add_frees_a_new_symbols_column(self, monkeypatch, free):
-        # The first summary add of a new symbol's insert raises, with the
-        # symbol's column appended past the others, or taken from the free
-        # list, where the delete of the only 4 put column 3.  The op changes
-        # nothing, the column goes back on the free list, and the next
-        # insert of the symbol takes it.
+        # The summary add of a new symbol's insert raises, the symbol due to
+        # take column 3, past the others, which widens the table, or from the
+        # free list, where the delete of the only 4 put it.  The add is
+        # computed before any store, so the op hands out no column: the
+        # column map, both ways, the free list and the width are as they
+        # were, and the next insert of the symbol takes column 3.
         engine = RangeModeEngine([1, 2, 3] * 10 + [4] * free)
         if free:
             engine.delete(30)
-        before = snapshot(engine)
-        fail_first_add(monkeypatch)
+        table, before = engine._table, snapshot(engine)
+        EDIT_FAULTS["slice compute"](monkeypatch)
         with pytest.raises(MemoryError):
             engine.insert(4, 99)
         assert snapshot(engine) == before and engine.audit().ok
-        assert engine._table._free == [3] and engine.sigma_prime == 3
+        assert 99 not in engine._seq.column and engine.sigma_prime == 3
+        assert (table._free, table._width) == (([3], 4) if free else ([], 3))
         monkeypatch.undo()
         engine.insert(4, 99)
         assert engine.to_list()[4] == 99 and engine._seq.column[99] == 3
@@ -1171,7 +1186,8 @@ class TestAudit:
     def test_detects_corrupted_cell(self):
         engine = RangeModeEngine([1, 2, 3, 4, 5])
         table = engine._table
-        table.apply_point(0, table.claim_column(7), 1)  # bypass the engine bookkeeping
+        col, claim = table.claim_column(7)
+        table.store(table.apply_point(0, col, 1, None, claim), claim)  # no element counted in
         report = engine.audit()
         assert not report.ok
         assert "cell" in report.message
@@ -1234,7 +1250,10 @@ class TestAudit:
 
     def test_detects_stale_symbol_column(self):
         engine = RangeModeEngine([1, 2, 3, 4, 5])
-        engine._table.claim_column(9)  # a column no element counts in
+        table = engine._table
+        col, claim = table.claim_column(9)
+        table.store(table.apply_point(0, col, 1, None, claim), claim)
+        table.store(table.apply_point(0, col, -1))  # a column no element counts in
         report = engine.audit()
         assert not report.ok
         assert "distinct symbols" in report.message
@@ -1279,7 +1298,7 @@ class TestAudit:
             engine.insert(0, 7)
         assert engine.audit().ok
         # Block 0 takes the insert, full or not: the layout is not rebuilt.
-        monkeypatch.setattr(RangeModeEngine, "_room", lambda self, j, off: (j, off))
+        ignore_capacity(monkeypatch)
         engine.insert(0, 7)
         assert engine.audit() == AuditReport(False, f"block 0 holds {cap + 1}, outside [0, {cap}]")
 
@@ -1402,10 +1421,9 @@ class TestColumnStorage:
         engine = RangeModeEngine(initial)
         for pos in reversed(range(3, 768, 256)):  # the copies of symbol 21
             engine.delete(pos)
-        free = engine._table._free
-        assert engine.sigma_prime == 255 and free == [21]
+        assert engine.sigma_prime == 255 and engine._table._free == [21]
         engine.insert(100, 1000)
-        assert engine._seq.column[1000] == 21 and not free
+        assert engine._seq.column[1000] == 21 and not engine._table._free
         assert engine.reset_events == [] and set(typecodes(engine)) == {"B"}
         assert engine.audit().ok
 
@@ -1452,11 +1470,11 @@ class TestColumnStorage:
     @pytest.mark.parametrize("full", [False, True], ids=["insert", "overflow"])
     def test_a_failed_insert_at_column_256_changes_nothing(self, monkeypatch, full):
         # Column 256 rebuilds the layout with 'I' blocks.  The next new
-        # symbol claims column 257, which widens the table, and then its
-        # array insert fails; the column goes on the free list, past σ', and
-        # the widened table keeps its zero planes.  Or it goes into a full
-        # block 0, and the overflow rebuild fails before any column is
-        # claimed.  Either way the next insert of the symbol takes column 257.
+        # symbol would claim column 257, which widens the table, and then its
+        # array insert fails, with the column and the widening computed but
+        # neither stored.  Or it goes into a full block 0, and the overflow
+        # rebuild fails before any column is claimed.  Either way the next
+        # insert of the symbol takes column 257.
         engine = RangeModeEngine(list(range(256)) * 2)
         engine.insert(0, 256)
         assert engine.reset_events == [("ids", 513)] and set(typecodes(engine)) == {"I"}
@@ -1469,12 +1487,12 @@ class TestColumnStorage:
             if full:
                 FAULTS["CharSeq.__init__"](mp)
             else:
-                fail_nth_insert_at(mp, 1)
+                EDIT_FAULTS["array insert"](mp)
             with pytest.raises(MemoryError):
                 engine.insert(7, 1000)
         assert snapshot(engine) == before and engine.audit().ok
         assert seq.blocks is blocks and engine.sigma_prime == 257
-        assert (table._free, table._width) == (([], width) if full else ([257], 386))
+        assert (table._free, table._width) == ([], width)
         engine.insert(7, 1000)
         assert engine.to_list()[7] == 1000
         assert engine.reset_events[1:] == ([("overflow", 514)] if full else [])

@@ -6,22 +6,24 @@ the op raises nothing, the op runs on a fresh engine: every raise must be
 a :class:`MemoryError` that leaves the engine as it was and sound, and the
 run that raises nothing must agree with :class:`NaiveSeq`.  The allocation
 counts are not pinned; each sweep finds where its op stops raising.  The
-ops are queries, and the edits that rebuild the layout, which admit,
-build and log a new layout before installing it: a doubling insert, a
-halving delete, an insert of column 256, and an insert or a relocation
-into a full block.  An edit that does not rebuild can still be left half
-done by a failed allocation, and is not swept.  The garbage collector is off during a sweep, so no
-collection runs inside an op.
+ops are queries; the edits that rebuild the layout, which admit, build and
+log a new layout before installing it: a doubling insert, a halving
+delete, an insert of column 256, and an insert or a relocation into a full
+block; and every kind of edit that does not rebuild, which computes every
+new value before its first store, at two sizes and two values of alpha.
+The garbage collector is off during a sweep, so no collection runs inside
+an op.
 """
 
 from __future__ import annotations
 
 import gc
+from fractions import Fraction
 
 import pytest
 from probe import pack_front, snapshot
 
-from rangemodes import NaiveSeq, RangeModeEngine
+from rangemodes import Config, NaiveSeq, RangeModeEngine, charseq
 
 _testcapi = pytest.importorskip("_testcapi")
 
@@ -100,37 +102,40 @@ def no_gc():
 
 
 def check(case, n):
-    """Run ``case`` with allocation ``n`` failing; True when it raised."""
-    build, op, resets = CASES[case]
+    """Run ``case``, a build, an op and the resets it logs, with allocation
+    ``n`` failing; True when it raised."""
+    build, op, resets = case
     engine, naive = build()
     wrapped = Engine(engine)
     before = snapshot(engine)
     try:
         got = faulted(op, wrapped, n)
     except MemoryError:
-        assert snapshot(engine) == before, (case, n)
+        assert snapshot(engine) == before, n
         report = engine.audit()
-        assert report.ok, (case, n, report.message)
+        assert report.ok, (n, report.message)
         return True
-    assert got == op(naive), (case, n)
-    assert engine.to_list() == naive.to_list(), (case, n)
-    assert [kind for kind, _ in engine.reset_events] == resets, (case, n)
-    assert engine.audit().ok, (case, n)
+    assert got == op(naive), n
+    assert engine.to_list() == naive.to_list(), n
+    assert [kind for kind, _ in engine.reset_events] == resets, n
+    assert engine.audit().ok, n
     return False
 
 
-def warm_up(case):
-    build, op, _ = CASES[case]
-    op(Engine(build()[0]))
-
-
-@pytest.mark.parametrize("case", [case for case in CASES if case != '"ids" insert'])
-def test_every_failed_allocation_changes_nothing(no_gc, case):
-    warm_up(case)
+def sweep(case):
+    """Check ``case`` with each allocation failing in turn, up to the first
+    that its op does not reach."""
+    build, op, _ = case
+    op(Engine(build()[0]))  # warm-up: caches filled once do not count
     n = 0
     while check(case, n):
         n += 1
     assert n > 0  # the op allocates, so the first allocation failed
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case != '"ids" insert'])
+def test_every_failed_allocation_changes_nothing(no_gc, case):
+    sweep(CASES[case])
 
 
 def test_every_late_failed_allocation_of_an_ids_insert_changes_nothing(no_gc):
@@ -138,8 +143,9 @@ def test_every_late_failed_allocation_of_an_ids_insert_changes_nothing(no_gc):
     # raising, by doubling and then bisecting, and sweep the last 64 before
     # that in full, where the new layout is logged and installed, and the
     # rest at a stride.
-    case = '"ids" insert'
-    warm_up(case)
+    case = CASES['"ids" insert']
+    build, op, _ = case
+    op(Engine(build()[0]))
     hi = 1
     while check(case, hi):
         hi *= 2
@@ -153,3 +159,68 @@ def test_every_late_failed_allocation_of_an_ids_insert_changes_nothing(no_gc):
             hi = mid
     for n in [*range(0, lo - 64, 97), *range(max(lo - 64, 0), lo)]:
         check(case, n)
+
+
+def built(n, alpha, lone=None):
+    """An engine at ``alpha`` built from ``n`` elements of five symbols, the
+    last one ``lone`` if given, with its :class:`NaiveSeq`."""
+    symbols = [k % 5 for k in range(n)]
+    if lone is not None:
+        symbols[-1] = lone
+    return RangeModeEngine(symbols, Config(alpha=alpha)), NaiveSeq(symbols)
+
+
+def freed(n, alpha):
+    """:func:`built` with a lone 9, then deleted, so that its column is free."""
+    engine, naive = built(n, alpha, 9)
+    assert engine.delete(n - 1) == naive.delete_at(n - 1) == 9
+    return engine, naive
+
+
+# Each edit that does not rebuild: its build from (n, alpha), its op on a
+# length n, and what it changes, from the snapshots before and after, so
+# that each sweep takes the path it names.  A build's block 0 holds at
+# least 10 elements, so a relocation from position 1 to 9 stays inside it,
+# and with S = 4 crosses its chunk offsets 4 and 8.
+EDITS = {
+    "insert of a present symbol": (
+        built, lambda s, n: s.insert_at(n // 2, 3), lambda a, b: a["symbol"] == b["symbol"],
+    ),
+    "insert of a new symbol into a free column": (
+        freed,
+        lambda s, n: s.insert_at(n // 2, 99),
+        lambda a, b: (a["free"], b["free"], b["column"][99]) == ([5], [], 5),
+    ),
+    "insert of a new symbol with a widening": (
+        built,
+        lambda s, n: s.insert_at(n // 2, 99),
+        lambda a, b: (a["free"], b["free"], b["column"][99]) == ([], [], 5),
+    ),
+    "delete of a symbol's last copy": (
+        lambda n, alpha: built(n, alpha, 9),
+        lambda s, n: s.delete_at(n - 1),
+        lambda a, b: (a["free"], b["free"]) == ([], [5]),
+    ),
+    "delete of one copy of many": (
+        built, lambda s, n: s.delete_at(n // 2), lambda a, b: a["column"] == b["column"],
+    ),
+    "relocation inside one block": (
+        built, lambda s, n: s.relocate(1, 9), lambda a, b: a["sizes"] == b["sizes"],
+    ),
+    "relocation across blocks": (
+        built, lambda s, n: s.relocate(1, n - 2), lambda a, b: a["sizes"] != b["sizes"],
+    ),
+}
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1, 2)], ids=str)
+@pytest.mark.parametrize("n", [100, 400])
+@pytest.mark.parametrize("edit", EDITS)
+def test_every_failed_allocation_of_an_edit_changes_nothing(no_gc, monkeypatch, edit, n, alpha):
+    monkeypatch.setattr(charseq, "CHUNK", 4)
+    build, op, changes = EDITS[edit]
+    engine = build(n, alpha)[0]
+    before = snapshot(engine)
+    op(Engine(engine), n)
+    assert changes(before, snapshot(engine)) and not engine.reset_events
+    sweep((lambda: build(n, alpha), lambda s: op(s, n), []))

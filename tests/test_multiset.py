@@ -97,23 +97,31 @@ def build_table(blocks):
 
 
 def point(table, j, symbol, delta):
-    """``apply_point`` for ``symbol``, as the engine makes it: a gain claims
-    the symbol's column first, a loss reads it from the column map."""
-    col = table.claim_column(symbol) if delta == 1 else table._column[symbol]
-    table.apply_point(j, col, delta)
+    """A point edit of ``symbol`` in block ``j``, as the engine makes it: a
+    gain claims a new symbol's column, a loss reads it from the column map
+    and frees it with its last copy, and the run is stored once computed."""
+    col, claim = table._seq.column.get(symbol), None
+    if delta == 1:
+        if col is None:
+            col, claim = table.claim_column(symbol)
+        run = table.apply_point(j, col, 1, None, claim)
+    else:
+        run = table.apply_point(j, col, -1)
+        table.release(col)
+    table.store(run, claim)
 
 
 def shift_left(table, i, symbol):
-    table.shift_left(i, table._column[symbol])
+    table.shift_left(i, table._seq.column[symbol])
 
 
 def shift_right(table, i, symbol):
-    table.shift_right(i, table._column[symbol])
+    table.shift_right(i, table._seq.column[symbol])
 
 
 def cols(table, symbols):
     """The column ids of ``symbols``, as a query's margin passes them."""
-    return [table._column[symbol] for symbol in symbols]
+    return [table._seq.column[symbol] for symbol in symbols]
 
 
 def cell_counts(table, l, r):
@@ -323,7 +331,7 @@ class TestPairTable:
         assert table.sigma_prime == 1
         point(table, 1, C, 1)
         assert table.sigma_prime == 2
-        assert len(table._symbol) == 2  # C took A's column
+        assert len(table._seq.symbol) == 2  # C took A's column
         assert all_cells(table) == recount([[], [B, C]])
 
     def test_modes_adds_margin_counts(self):
@@ -341,7 +349,7 @@ class TestPairTable:
         assert (best, sorted(winners)) == (2, [C])
         # With no cell, the counts are the word plus the loose elements,
         # less the taken ones: here the word of one A and two Bs.
-        word = sum(1 << (multiset._FIELD_BITS * table._column[s]) for s in (A, B, B))
+        word = sum(1 << (multiset._FIELD_BITS * table._seq.column[s]) for s in (A, B, B))
         assert table.modes(None, None, cols(table, [A]), cols(table, [B]), word) == (2, [A])
 
     @pytest.mark.parametrize("l, r", [(-1, 0), (-1, -1), (1, 0), (0, 2)])
@@ -462,13 +470,13 @@ class TestPairTable:
         blocks = [symbols[:85], [], symbols[85:]]
         table = build_table(blocks)
         before = all_cells(table)
-        assert table.claim_column(256) is None
-        assert all_cells(table) == before and len(table._symbol) == table._width == 256
-        assert 256 not in table._column and table._free == []
+        assert table.claim_column(256) == (None, None)
+        assert all_cells(table) == before and len(table._seq.symbol) == table._width == 256
+        assert 256 not in table._seq.column and table._free == []
         point(table, 0, 0, -1)  # symbol 0, in column 0, leaves block 0 and the table
         assert table._free == [0]
         point(table, 1, 256, 1)
-        assert table._column[256] == 0
+        assert table._seq.column[256] == 0
         blocks[0].remove(0)
         blocks[1].append(256)
         assert table._free == [] and all_cells(table) == recount(blocks)
@@ -507,7 +515,7 @@ def moved(before, after):
 
 def offset(table, l, symbol):
     """The offset row ``l`` of ``symbol``'s plane carries."""
-    return table._base[l] >> (32 * table._column[symbol]) & MAX_COUNT
+    return table._base[l] >> (32 * table._seq.column[symbol]) & MAX_COUNT
 
 
 def stored(table, l, r, col):
@@ -619,12 +627,15 @@ class TestSymbolMajorLayout:
 
     def test_reclaimed_column_reads_zero_over_old_offsets(self):
         table = build_table([[A, B], [A, A], [A, B]])
-        col = table._column[A]
+        col = table._seq.column[A]
         for j, copies in ((0, 1), (1, 2), (2, 1)):
             for _ in range(copies):
                 point(table, j, A, -1)
         assert table.sigma_prime == 1 and table._free == [col]
-        assert table.claim_column(C) == col
+        claimed, claim = table.claim_column(C)
+        assert claimed == col
+        table.store(table.apply_point(0, col, 1, None, claim), claim)
+        table.store(table.apply_point(0, col, -1))
         # The fields still hold A's offsets, 1 in row 1 and 3 in row 2...
         assert [stored(table, l, 2, col) for l in range(3)] == [0, 1, 3]
         # ...and every cell of C reads 0.
@@ -658,7 +669,7 @@ class TestSymbolMajorLayout:
         # Cell (1, 2) lies between the row tails an edit in block 3 changes.
         engine = self._engine()
         table = engine._table
-        col = table._column[0]
+        col = table._seq.column[0]
         table._counts[col * table.cell_count() + table._row_base[1] + 2] += 1
         point(table, 3, 0, 1)
         point(table, 3, 0, -1)
@@ -668,7 +679,7 @@ class TestSymbolMajorLayout:
 
     def test_audit_reports_a_corrupted_offset_word(self):
         engine = self._engine()
-        engine._table._base[2] += 1 << (32 * engine._table._column[1])
+        engine._table._base[2] += 1 << (32 * engine._table._seq.column[1])
         report = engine.audit()
         assert not report.ok
         assert report.message == "summary cell (2, 2) disagrees with a recount"

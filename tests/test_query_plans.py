@@ -77,7 +77,7 @@ def two_symbols():
 def word_counts(engine, word):
     """The symbol counts of a count word of ``engine``'s column map."""
     table = engine._table
-    return Counter(dict(zip(table._symbol, unpack(word, len(table._symbol)))))
+    return Counter(dict(zip(table._seq.symbol, unpack(word, len(table._seq.symbol)))))
 
 
 class TestPlans:

@@ -10,7 +10,8 @@ widened for a new symbol, a chunk word appended or dropped, an edit that
 crosses a chunk offset, a relocation inside one block, one of those across
 a chunk boundary, one across blocks, a failed doubling or halving, a failed
 overflow rebuild, a failed rebuild at column 256, a failed insert of a new
-column after one, and a new symbol's failed summary add); the test requires
+column after one, a failed edit that does not rebuild, and a new symbol's
+failed summary add); the test requires
 every one of them, so the fuzzing cannot silently stop exercising them.
 Its blocks hold a few dozen elements at most, so the test shrinks the
 chunk size S from 128 to 2.
@@ -33,9 +34,7 @@ from hypothesis.stateful import (
     rule,
     run_state_machine_as_test,
 )
-from probe import (
-    FAULTS, WIDEN_FAULTS, fail_first_add, fail_nth_insert_at, pack_front, snapshot, word_count,
-)
+from probe import EDIT_FAULTS, FAULTS, WIDEN_FAULTS, pack_front, snapshot, word_count
 
 from rangemodes import Config, NaiveSeq, RangeModeEngine, charseq
 
@@ -43,9 +42,7 @@ ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5))
 NARROW = 12  # the rules draw symbols 0..11; a "wide" stage adds fresh ones from 12 on
 SYMBOLS = st.integers(0, NARROW - 1)
 POSITIONS = st.integers(0, 10**6)  # reduced modulo the current length
-INSERT_AT = 4  # faults at the first 4 calls of CharSeq.insert_at in one op
-ADD = "PairTable._add"  # a fault at the op's first summary add
-FAULT_POINTS = [*range(1, INSERT_AT + 1), *FAULTS, *WIDEN_FAULTS, ADD]
+FAULT_POINTS = [*EDIT_FAULTS, *FAULTS, *WIDEN_FAULTS]
 
 
 class EngineMachine(RuleBasedStateMachine):
@@ -75,7 +72,7 @@ class EngineMachine(RuleBasedStateMachine):
     def _insert(self, pos, symbol):
         engine = self.engine
         table, width, free = engine._table, engine._table._width, len(engine._table._free)
-        new = symbol not in table._column
+        new = symbol not in table._seq.column
         j, off = engine._seq.insert_place(pos)
         size, resets = engine.block_sizes()[j], len(engine.reset_events)
         count = word_count(engine._seq, j)
@@ -163,12 +160,10 @@ class EngineMachine(RuleBasedStateMachine):
         fault=st.sampled_from(FAULT_POINTS),
     )
     def failing_op(self, op, setup, a, b, symbol, fault):
-        """An op with one fault point patched in: the ``fault``-th call of
-        :meth:`CharSeq.insert_at`, or a named place where a rebuild, a new
-        column or the op's first summary add can fail.  An op that raises
-        must change nothing; one that never reaches the fault must match the
-        oracle as usual.  A delete takes its element out before its summary
-        add, so the summary add fault goes to a relocation instead.
+        """An op with one fault point patched in: a named place where an
+        edit that does not rebuild, a rebuild or a new column can fail.  An
+        op that raises must change nothing; one that never reaches the fault
+        must match the oracle as usual.
 
         Fault-free edits first set the stage.  With ``setup`` "edge", they
         take the length to where an insert doubles or a delete halves it.
@@ -186,8 +181,6 @@ class EngineMachine(RuleBasedStateMachine):
         """
         engine, naive = self.engine, self.naive
         wide = None  # what a failure of the op in the "wide" stage shows
-        if fault == ADD and op == "delete":
-            op = "relocate"
         if setup == "edge" and op == "insert":
             while len(naive) < 2 * engine.n0 - 1:
                 self._insert(len(naive), symbol)
@@ -201,7 +194,7 @@ class EngineMachine(RuleBasedStateMachine):
             op = "relocate" if op == "delete" else op
             a, b = 0, len(naive) - 1
         elif setup == "wide":
-            fresh = (s for s in count(NARROW) if s not in engine._table._column)
+            fresh = (s for s in count(NARROW) if s not in engine._table._seq.column)
             while len(engine._seq.symbol) < 256 or engine._table._free:
                 self._insert(len(naive) // 2, next(fresh))
             if len(engine._seq.symbol) == 256 and fault in FAULTS:
@@ -223,17 +216,10 @@ class EngineMachine(RuleBasedStateMachine):
         else:
             src, dst = b % n, a % n
             run, mirror = lambda: engine.relocate(src, dst), lambda: naive.relocate(src, dst)
-        new = op == "insert" and symbol not in engine._table._column
+        new = op == "insert" and symbol not in engine._table._seq.column
         before = snapshot(engine)
         with pytest.MonkeyPatch.context() as mp:
-            if fault in FAULTS:
-                FAULTS[fault](mp)
-            elif fault in WIDEN_FAULTS:
-                WIDEN_FAULTS[fault](mp)
-            elif fault == ADD:
-                fail_first_add(mp)
-            else:
-                fail_nth_insert_at(mp, fault)
+            {**EDIT_FAULTS, **FAULTS, **WIDEN_FAULTS}[fault](mp)
             try:
                 got = run()
             except (MemoryError, ValueError):
@@ -248,7 +234,9 @@ class EngineMachine(RuleBasedStateMachine):
                 self.reach(wide)
             elif fault in FAULTS:  # only a rebuild reaches these
                 self.reach("an overflow rebuild failed" if setup == "full" else "a reset failed")
-            if fault == ADD and new:
+            elif fault in EDIT_FAULTS:  # a rebuild reaches none of these
+                self.reach("a non-rebuilding edit failed")
+            if fault == "slice compute" and new:
                 self.reach("a new symbol's summary add failed")
         else:
             assert got == mirror()
@@ -294,5 +282,6 @@ def test_engine_matches_oracle_in_lockstep(monkeypatch):
         "relocate across blocks",
         "a reset failed", "an overflow rebuild failed", "a rebuild at column 256 failed",
         "an insert of a new column after that rebuild failed", "a new symbol's summary add failed",
+        "a non-rebuilding edit failed",
     }
     assert wanted <= reached.keys(), wanted - reached.keys()

@@ -35,8 +35,8 @@ the summary cells at that block, so the two always agree on where an
 element lives.
 
 The layout is sized for the reference length ``n0`` of the last rebuild:
-``ceil(n0^alpha) + ceil((2·n0)^alpha)`` block slots, each holding at most
-``ceil(3·n0 / ceil(n0^alpha))`` elements.  An op that doubles or halves the
+``f + ceil(3f/4) + 1`` block slots for ``f = ceil(n0^alpha)``, each holding
+at most ``ceil(3·n0 / f)`` elements.  An op that doubles or halves the
 length rebuilds the whole layout from its renumbered column ids, not by an
 edit, and so does an edit that would leave a block over capacity.
 The rebuild admits the layout from its shape before it builds anything:
@@ -56,7 +56,11 @@ regrowing evenly from any rebuild fits them.  A block fills only after
 gaining about 2·n0 / ceil(n0^alpha) elements, which pay for the rebuild of
 its overflow.  An element bound for the end of a full block joins the
 front of the next block instead while that has room, so a run of appends
-walks from slot to slot and reaches its doubling with no rebuild.
+walks from slot to slot and reaches its doubling with no rebuild.  Only
+that rule starts to fill an empty slot past the filled ones, and those
+slots hold at least ``2.25·n0`` elements, so a queue that appends at one
+end and deletes at the other rebuilds at most once per ``2.25·n0``
+appends.
 
 Inserts, deletes and relocations are one edit, planned as a rebuild's
 column ids are: the element at ``src`` out, then one in at ``dst``, where
@@ -166,14 +170,19 @@ class AuditReport:
 def _layout(n0: int, alpha: Fraction) -> tuple[int, int, int]:
     """Slot count, slots a rebuild fills, and block capacity for length ``n0``.
 
-    The capacity is the least at which the ``ceil(n0^alpha)`` filled slots
-    hold ``3·n0`` elements, half as many again as the sequence reaches before
-    its next doubling, so a sequence regrowing evenly from any rebuild fits
-    them without an overflow rebuild.  It is Θ(N^(1-alpha)): at most
-    ``3·ceil((2·n0)^(1-alpha))``.
+    The capacity is the least at which the ``f = ceil(n0^alpha)`` filled
+    slots hold ``3·n0`` elements, half as many again as the sequence reaches
+    before its next doubling, so a sequence regrowing evenly from any
+    rebuild fits them without an overflow rebuild.  It is Θ(N^(1-alpha)): at
+    most ``3·ceil((2·n0)^(1-alpha))``.  Past the filled slots lie
+    ``ceil(3f/4) + 1`` empty ones, holding at least ``2.25·n0`` elements;
+    one starts to fill only when an element bound for the end of the full
+    slot before it joins its front.  Every edit's slice of the summary
+    table spans the empty slots too, so each one fewer makes every edit
+    cheaper.
     """
     filled = _ceil_power(n0, alpha)
-    return filled + _ceil_power(2 * n0, alpha), filled, -(-3 * n0 // filled)
+    return filled + -(-3 * filled // 4) + 1, filled, -(-3 * n0 // filled)
 
 
 class RangeModeEngine:

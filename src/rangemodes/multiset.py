@@ -449,9 +449,10 @@ class PairTable:
     # update routines
     # ------------------------------------------------------------------
 
-    def _mask(self, j: int) -> int:
+    def _mask(self, j: int, width: int) -> int:
         """The step of an edit in block ``j``, stored while the stored masks
-        keep within the table's own field count."""
+        keep within the field count of the table the edit counts into,
+        ``width`` columns wide."""
         slots = self._slots
         # The cells from (0, j) to (j, slots-1) are the j+1 row tails
         # (l, j..slots-1), and between the tails of rows l-1 and l the j-l
@@ -459,7 +460,7 @@ class PairTable:
         gaps = [_ZERO_FIELD * (j - l) for l in range(1, j + 1)]
         step = int.from_bytes((_ONE_FIELD * (slots - j)).join([b"", *gaps, b""]), "little")
         fields = mask_fields(slots, j)
-        if self._mask_fields + fields <= self._cells * self._width:
+        if self._mask_fields + fields <= self._cells * width:
             self._masks[j] = step
             self._mask_fields += fields
         return step
@@ -483,7 +484,7 @@ class PairTable:
             lo, hi = min(j, source), max(j, source)
         if not 0 <= lo <= hi < slots:
             raise IndexError(f"block {j} or {source} out of range ({slots} slots)")
-        counts, symbols = (self._counts, self._seq.symbol) if claim is None else claim[:2]
+        counts, symbols, *_, width = claim or (self._counts, self._seq.symbol, self._width)
         if not 0 <= col < len(symbols):
             raise InvariantError(f"column {col} was never handed out")
         plane, loss = col * self._cells, j if delta == -1 else source
@@ -496,12 +497,12 @@ class PairTable:
         # Both steps, each from its block's field of the run, go into one sum,
         # so a cell covering both blocks keeps its count.  A mask is never 0:
         # every slot has a row tail.  A shift by 0 would copy the mask.
-        step = self._masks[j] or self._mask(j)
+        step = self._masks[j] or self._mask(j, width)
         if j > lo:
             step <<= _FIELD_BITS * (j - lo)
         total = total + step if delta == 1 else total - step
         if source is not None:
-            step = self._masks[source] or self._mask(source)
+            step = self._masks[source] or self._mask(source, width)
             total -= step << _FIELD_BITS * (source - lo) if source > lo else step
         return run, memoryview(total.to_bytes(_FIELD_BYTES * len(run), "little")).cast("I")
 

@@ -16,7 +16,7 @@ readers here and not the tests.
   an op can fail for lack of memory, ready to patch in, and
   :func:`ignore_capacity`, an engine whose edits never rebuild.
 - :func:`lay_out`, :func:`pack_front` and :func:`assert_within_capacity`: block
-  sizes set by boundary moves, and checked against the capacity.
+  sizes set by a build, and checked against the capacity.
 """
 
 from __future__ import annotations
@@ -281,31 +281,30 @@ def ignore_capacity(mp):
 
 
 def lay_out(engine, sizes):
-    """Move block boundaries until the block sizes equal ``sizes``,
-    independent of the rebuild's fill rule."""
-    assert sum(sizes) == len(engine) and len(sizes) == len(engine.block_sizes())
-    want = 0
-    for k in range(len(sizes) - 1):
-        want += sizes[k]
-        while sum(engine.block_sizes()[: k + 1]) > want:
-            engine.move_right(k)
-        while sum(engine.block_sizes()[: k + 1]) < want:
-            # Walk the first element of the next nonempty block left to block k.
-            m = next(i for i, size in enumerate(engine.block_sizes()) if i > k and size)
-            for i in range(m, k, -1):
-                engine.move_left(i)
-    assert engine.block_sizes() == sizes
+    """Lay ``engine``'s elements out in blocks of ``sizes``, the sizes of
+    the leading slots, the rest left empty, independent of the rebuild's
+    fill rule: a :class:`CharSeq` and a :class:`PairTable` built from its
+    column ids, with the engine's own guard, installed in place of its own.
+    The column map both ways, the free columns and the blocks' id type
+    stay as they were."""
+    old = engine._seq
+    slots = len(old.blocks)
+    assert sum(sizes) == len(engine) and len(sizes) <= slots, (sizes, slots)
+    sizes = [*sizes, *[0] * (slots - len(sizes))]
+    ids = array(old.blocks[0].typecode, b"".join(old.blocks))
+    seq = charseq.CharSeq(ids, sizes, range(len(old.symbol)))
+    seq.symbol, seq.column = old.symbol[:], dict(old.column)
+    table = multiset.PairTable(seq, engine._table._guard)
+    table._free = engine._table._free[:]
+    engine._seq, engine._table = seq, table
+    assert engine.block_sizes() == sizes and engine.audit().ok
 
 
 def pack_front(engine):
     """Lay ``engine``'s blocks out full from block 0 on, the rest of the
     elements in the block after them; return ``engine``."""
-    sizes = [0] * len(engine.block_sizes())
     q, r = divmod(len(engine), engine.capacity)
-    sizes[:q] = [engine.capacity] * q
-    if r:
-        sizes[q] = r
-    lay_out(engine, sizes)
+    lay_out(engine, [engine.capacity] * q + ([r] if r else []))
     return engine
 
 

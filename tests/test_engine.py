@@ -50,6 +50,17 @@ def ceil_root(num: int, den: int, p: int, q: int) -> int:
     return lo
 
 
+def spare_slots(filled: int) -> int:
+    """Empty slots a layout keeps beside the ``filled`` ones a rebuild fills
+    (independent of the engine)."""
+    return -(-3 * filled // 4) + 1
+
+
+def slot_count(n0, alpha=Fraction(1, 3)):
+    """Slots of the layout for reference length ``n0``, by the engine's rule."""
+    return engine_module._layout(n0, alpha)[0]
+
+
 def filled_slots(engine):
     """How many slots a rebuild fills at construction and after a halving."""
     alpha = engine.config.alpha
@@ -70,8 +81,7 @@ def count_moves(monkeypatch):
 def packed_first(symbols):
     """An engine holding ``symbols`` all in its first block."""
     engine = RangeModeEngine(symbols)
-    slots = len(engine.block_sizes())
-    lay_out(engine, [len(engine)] + [0] * (slots - 1))
+    lay_out(engine, [len(engine)])
     return engine
 
 
@@ -134,7 +144,7 @@ class TestConstruction:
         engine = RangeModeEngine([4] * 9)
         assert filled_slots(engine) == ceil_root(9, 1, 1, 3) == 3
         assert engine.capacity == 27 // 3 == 9
-        assert engine.block_sizes() == [3, 3, 3] + [0] * ceil_root(18, 1, 1, 3)
+        assert engine.block_sizes() == [3, 3, 3] + [0] * spare_slots(3)
 
     def test_len(self):
         assert len(RangeModeEngine([1, 2])) == 2
@@ -147,7 +157,7 @@ class TestConstruction:
         p, q = alpha.numerator, alpha.denominator
         filled = ceil_root(n0, 1, p, q)
         assert engine.capacity == -(-3 * n0 // filled)
-        slots = filled + ceil_root(2 * n0, 1, p, q)
+        slots = filled + spare_slots(filled)
         assert len(engine.block_sizes()) == slots
         assert engine.audit().ok
 
@@ -165,7 +175,7 @@ class TestConstruction:
         for n0 in range(1, 3001):
             slots, filled, cap = engine_module._layout(n0, alpha)
             assert filled == ceil_root(n0, 1, p, q)
-            assert slots == filled + ceil_root(2 * n0, 1, p, q)
+            assert slots == filled + spare_slots(filled)
             assert filled * cap >= 3 * n0 > filled * (cap - 1)
             assert cap <= 3 * ceil_root(2 * n0, 1, q - p, q)
 
@@ -507,7 +517,7 @@ class TestRelocate:
         assert moves == [] and engine.block_sizes()[1:3] == [sizes[1], sizes[2] + 1]
 
     def test_to_the_end_of_a_full_block_from_the_front_of_the_next(self):
-        # At alpha = 1/2 and n0 = 46, 17 slots of capacity 20.  Position 39,
+        # At alpha = 1/2 and n0 = 46, blocks of capacity 20.  Position 39,
         # the last of block 1, bound for position 20, the end of the full
         # block 0, goes to the front of block 1 instead, which it leaves:
         # a move inside block 1, with no rebuild.
@@ -515,7 +525,7 @@ class TestRelocate:
         for k in range(46, 80):
             engine.insert(k, k)
         assert engine.capacity == 20
-        lay_out(engine, [20] * 4 + [0] * 13)
+        lay_out(engine, [20] * 4)
         assert self.check(engine, 39, 20) == []
         assert engine.block_sizes()[:5] == [20] * 4 + [0]
 
@@ -647,17 +657,19 @@ class TestMoves:
             engine.move_right(slots - 1)
 
 
-class TestDonors:
-    """Which block takes an insert at a full block (alpha = 1/2): at its end,
-    the next block while that has room, and otherwise none, as the layout
-    is rebuilt.
+class TestFullBlockInserts:
+    """Where an insert at a full block goes (alpha = 1/2): at its end, to the
+    front of the next block while that has room, and otherwise nowhere, as
+    the layout is rebuilt.
 
-    At n0 = 46 there are 17 slots, each of capacity 20; a rebuild fills
-    slots 0..6, which hold 140 elements, half as many again as the 91 the
-    sequence reaches before its doubling, so at most four of them are ever
-    full.  The sequence grows past n0 before the blocks are laid out, so
-    that runs of them can be full.
+    At n0 = 46 every block has capacity 20; a rebuild fills slots 0..6,
+    which hold 140 elements, half as many again as the 91 the sequence
+    reaches before its doubling, so at most four of them are ever full.
+    The sequence grows past n0 before the blocks are laid out, so that runs
+    of them can be full.  :data:`SLOTS` is the layout's slot count.
     """
+
+    SLOTS = slot_count(46, Fraction(1, 2))
 
     def laid_out(self, sizes):
         engine = RangeModeEngine(range(46), Config(alpha=Fraction(1, 2)))
@@ -665,8 +677,13 @@ class TestDonors:
             engine.insert(k, k)
             assert_within_capacity(engine)
         assert engine.n0 == 46 and engine.capacity == 20
+        assert len(engine.block_sizes()) == self.SLOTS
         lay_out(engine, sizes)
         return engine
+
+    def padded(self, sizes):
+        """``sizes`` for the leading slots, the rest of the layout empty."""
+        return sizes + [0] * (self.SLOTS - len(sizes))
 
     def assert_rebuilt(self, engine, flat):
         """The last op rebuilt ``engine``, holding ``flat``, as a fresh build."""
@@ -677,10 +694,10 @@ class TestDonors:
         assert engine.audit().ok
 
     def test_the_next_block_takes_an_insert_at_the_end_of_a_full_one(self, monkeypatch):
-        engine = self.laid_out([20, 19, 20, 20, 4] + [0] * 12)
+        engine = self.laid_out([20, 19, 20, 20, 4])
         moves = count_moves(monkeypatch)
         engine.insert(20, 99)  # the end of block 0: block 1 has room
-        assert engine.block_sizes() == [20] * 4 + [4] + [0] * 12
+        assert engine.block_sizes() == self.padded([20] * 4 + [4])
         assert moves == [] and engine.reset_events == [] and engine.audit().ok
         engine.insert(40, 98)  # the end of block 1: block 2 is full too
         self.assert_rebuilt(engine, [*range(20), 99, *range(20, 39), 98, *range(39, 83)])
@@ -689,41 +706,41 @@ class TestDonors:
     def test_tie_goes_to_the_lower_slot(self):
         # The end of one block is the front of the next: an insert there
         # joins the lower slot, and the upper one only when the lower is full.
-        engine = self.laid_out([20, 19, 20, 18, 10] + [0] * 12)
+        engine = self.laid_out([20, 19, 20, 18, 10])
         engine.insert(39, 99)  # the end of block 1, which has room
-        assert engine.block_sizes() == [20, 20, 20, 18, 10] + [0] * 12
+        assert engine.block_sizes() == self.padded([20, 20, 20, 18, 10])
         engine.insert(60, 98)  # the end of block 2, which is full
-        assert engine.block_sizes() == [20, 20, 20, 19, 10] + [0] * 12
+        assert engine.block_sizes() == self.padded([20, 20, 20, 19, 10])
         assert engine.to_list() == [*range(39), 99, *range(39, 59), 98, *range(59, 87)]
         assert engine.reset_events == [] and engine.audit().ok
 
     def test_nearer_next_block_beats_room_in_cur(self):
-        engine = self.laid_out([10, 0, 0] + [20] * 4 + [0] * 10)
+        engine = self.laid_out([10, 0, 0] + [20] * 4)
         engine.insert(90, 99)  # the end of the full block 6: block 7 takes it, not block 1
         assert_within_capacity(engine)
-        assert engine.block_sizes() == [10, 0, 0] + [20] * 4 + [1] + [0] * 9
+        assert engine.block_sizes() == self.padded([10, 0, 0] + [20] * 4 + [1])
         assert engine.to_list() == [*range(90), 99]
         assert engine.audit().ok
 
     def test_saturated_cur_spills_to_the_nearest_next_block(self, monkeypatch):
         # Blocks 3..6 are full.  Appends walk on into block 7; an insert at
         # the end of block 5 would spill only into block 6, which is full.
-        engine = self.laid_out([3, 3, 2] + [20] * 4 + [0] * 10)
+        engine = self.laid_out([3, 3, 2] + [20] * 4)
         moves = count_moves(monkeypatch)
         for symbol in (97, 98):
             engine.insert(len(engine), symbol)
             assert_within_capacity(engine)
-        assert engine.block_sizes() == [3, 3, 2] + [20] * 4 + [2] + [0] * 9
+        assert engine.block_sizes() == self.padded([3, 3, 2] + [20] * 4 + [2])
         assert moves == [] and engine.reset_events == []
         engine.insert(68, 99)
         self.assert_rebuilt(engine, [*range(68), 99, *range(68, 88), 97, 98])
 
     def test_a_full_block_with_no_room_after_it_rebuilds(self):
         # An insert inside a full block, or at the end of the last slot.
-        engine = self.laid_out([3, 3, 2] + [20] * 4 + [0] * 10)
+        engine = self.laid_out([3, 3, 2] + [20] * 4)
         engine.insert(50, 99)
         self.assert_rebuilt(engine, [*range(50), 99, *range(50, 88)])
-        engine = self.laid_out([20, 6] + [0] * 14 + [20])
+        engine = self.laid_out(self.padded([20, 6])[:-1] + [20])
         engine.insert(46, 99)
         self.assert_rebuilt(engine, [*range(46), 99])
 
@@ -752,6 +769,34 @@ class TestDonors:
             assert engine.reset_events == resets
             engine.insert(len(engine), 7)
             assert engine.reset_events == [*resets, ("double", 2 * n0)] and engine.audit().ok
+
+    def test_a_queue_walks_through_the_spare_slots(self):
+        # Appends at the end and deletes at the front keep the length at n
+        # and walk the elements up the slots: the appends fill the last
+        # filled block and then each slot past it, and the append past the
+        # last slot rebuilds the layout.  So a rebuild comes at least as
+        # many appends after the one before as the slots past the filled
+        # ones hold.
+        n = 1 << 12
+        engine = RangeModeEngine([k % 26 for k in range(n)])
+
+        def room():
+            slots, filled, cap = engine_module._layout(engine.n0, engine.config.alpha)
+            return (slots - filled) * cap
+
+        since, least = 0, room()
+        for k in range(8 * n):
+            resets = len(engine.reset_events)
+            engine.insert(n, k % 26)
+            engine.delete(0)
+            since += 1
+            if len(engine.reset_events) > resets:
+                assert since >= least
+                since, least = 0, room()
+        assert {kind for kind, _ in engine.reset_events} == {"overflow"}
+        assert len(engine.reset_events) <= -(-8 * n // least)
+        assert engine.to_list() == [k % 26 for k in range(7 * n, 8 * n)]
+        assert engine.audit().ok
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)], ids=str)
     def test_filled_blocks_take_inserts_up_to_capacity(self, alpha, monkeypatch):
@@ -1264,14 +1309,16 @@ class TestAudit:
         set_end(engine._seq, 0, 3)
         assert engine.audit() == AuditReport(False, "block 0 ends at 3, but blocks 0..0 hold 2")
 
-    @pytest.mark.parametrize("slot", [3, 8, 13], ids=["filled", "empty", "last"])
+    @pytest.mark.parametrize("slot", [3, 7, -1], ids=["filled", "empty", "last"])
     def test_reports_the_first_stale_block_end(self, slot):
-        # Blocks 0..5 hold 5 elements each and 6..13 none.  One end is off
-        # by one and every end after it by two: the audit names the first.
+        # Blocks 0..5 hold 5 elements each and the rest none.  One end is
+        # off by one and every end after it by two: the audit names the first.
         engine = RangeModeEngine(range(30), Config(alpha=Fraction(1, 2)))
         seq = engine._seq
         good = list(ends(seq))
-        assert good == [5, 10, 15, 20, 25] + [30] * 9
+        slots = slot_count(30, Fraction(1, 2))
+        assert good == [5, 10, 15, 20, 25] + [30] * (slots - 5) and 7 < slots - 1
+        slot %= slots
         for k in range(slot, len(good)):
             set_end(seq, k, good[k] + (1 if k == slot else 2))
         end = good[slot]
@@ -1480,7 +1527,7 @@ class TestColumnStorage:
         assert engine.reset_events == [("ids", 513)] and set(typecodes(engine)) == {"I"}
         if full:
             assert engine.capacity == 171
-            lay_out(engine, [171, 0] + [57] * 6 + [0] * 12)
+            lay_out(engine, [171, 0] + [57] * 6)
         seq, table = engine._seq, engine._table
         before, blocks, width = snapshot(engine), seq.blocks, table._width
         with monkeypatch.context() as mp:
@@ -1560,10 +1607,10 @@ class TestMemoryGuard:
         ]
 
     def test_oversized_table_is_refused_before_allocating(self):
-        # RangeModeEngine(range(1 << 17)) would need about 3.5 GB of counts
-        # for its table alone, 115 slots of 2^17 columns, and 2·2^17/128 + 115
-        # chunk words of that width beside it.  The build prices both before
-        # it counts a chunk.
+        # RangeModeEngine(range(1 << 17)) would need gigabytes of counts for
+        # its table alone, L(L+1)/2 cells of 2^17 columns for its L slots,
+        # and 2·2^17/128 + L chunk words of that width beside it.  The build
+        # prices both before it counts a chunk.
         pytest.importorskip("resource")
         code = textwrap.dedent(
             """
@@ -1587,15 +1634,17 @@ class TestMemoryGuard:
         assert child.returncode == 0, child.stderr
         seconds, message = child.stdout.split(" ", 1)
         assert float(seconds) < 1.0
-        # The 115·116/2 cells of 2^17 fields, the 115 offset words and the
-        # 2·2^17/128 + 115 running chunk words, ints of 2^17 fields, and the
-        # edit masks of all 115 slots, 115·(115² + 2)/3 fields, far under the
+        # The L(L+1)/2 cells of 2^17 fields, the L offset words and the
+        # 2·2^17/128 + L running chunk words, ints of 2^17 fields, and the
+        # edit masks of all L slots, L·(L² + 2)/3 fields, far under the
         # table's own count; each of those ints also has a header and a
-        # list slot, and each of the 115 word lists a header, a list slot
-        # and a list slot for the 0 that leads it.  The 115 blocks are 'I'
+        # list slot, and each of the L word lists a header, a list slot
+        # and a list slot for the 0 that leads it.  The L blocks are 'I'
         # arrays, as 2^17 columns are past 256, priced for the 2·2^17
         # column ids they hold before the next rebuild.
-        parts = priced_bytes(115, 1 << 17, 2 * (1 << 17) // 128 + 115, 2 * (1 << 17), "I")
+        slots = slot_count(1 << 17)
+        parts = priced_bytes(slots, 1 << 17, 2 * (1 << 17) // 128 + slots, 2 * (1 << 17), "I")
+        assert parts["table"] > 1 << 30
         assert f"needs {sum(parts.values())} bytes" in message
 
     @pytest.mark.parametrize("refusal", ["fields", "guard"])

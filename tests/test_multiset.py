@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from probe import held_bytes, priced_bytes, word_count, words
 
+import rangemodes.engine as engine_module
 from rangemodes import CharSeq, Config, CountedSet, InvariantError, PairTable, RangeModeEngine
 from rangemodes import multiset
 from rangemodes.charseq import word_bound
@@ -421,14 +422,14 @@ class TestPairTable:
         # its list.  Its digits are priced for a full top field, which holds
         # a count of at most the block's length: at σ' = 26 a word takes 27
         # digits, priced at 28 (+2.9 %).  26 blocks of 630 or 631 hold five
-        # chunks each, and the other 32 slots are empty.
+        # chunks each, and the other slots are empty.
         rng = random.Random(14)
         engine = RangeModeEngine([rng.randrange(26) for _ in range(1 << 14)])
         prefix_list_bytes, array_bytes = multiset.prefix_list_bytes, multiset.array_bytes
         seq, slots = engine._seq, engine._table.slots
         bound, room, _ = engine._table._guard
         slot = struct.calcsize("P")
-        assert len(seq.blocks) == slots == 58
+        assert len(seq.blocks) == slots == engine_module._layout(1 << 14, Fraction(1, 3))[0]
         count = sum(word_count(seq, k) - 1 for k in range(slots))
         held = held_bytes(engine)["words"]  # which checks that each list leads with the shared 0
         assert count == 26 * 5
@@ -582,19 +583,22 @@ class TestSymbolMajorLayout:
             assert stored_masks == [True] * 4 + [False] * 3
 
     def test_masks_past_the_cap_are_built_per_edit(self, monkeypatch):
-        # One symbol at alpha 1/2: 200 elements fill 15 of 35 slots, whose
-        # masks take far more fields than the table's 630.
+        # One symbol at alpha 1/2: 200 elements fill 15 slots, whose masks
+        # take far more fields than the table's one plane of cells.
         built = Counter()
         honest_mask = PairTable._mask
 
-        def counted_mask(table, j):
+        def counted_mask(table, j, width):
             built[j] += 1
-            return honest_mask(table, j)
+            return honest_mask(table, j, width)
 
         monkeypatch.setattr(PairTable, "_mask", counted_mask)
         engine = RangeModeEngine([0] * 200, Config(alpha=Fraction(1, 2)))
         table = engine._table
-        assert (table.slots, table.cell_count(), table._width) == (35, 630, 1)
+        slots = engine_module._layout(200, Fraction(1, 2))[0]
+        cells = slots * (slots + 1) // 2
+        assert (table.slots, table.cell_count(), table._width) == (slots, cells, 1)
+        assert sum(mask_fields(slots, j) for j in range(15)) > 2 * table.cell_count()
         rng = random.Random(3)
         for _ in range(400):
             engine.insert(rng.randint(0, 200), 0)
@@ -607,6 +611,19 @@ class TestSymbolMajorLayout:
         assert again and all(table._masks[j] is None for j in again)
         assert all(built[j] == 1 for j, mask in enumerate(table._masks) if mask is not None)
         assert any(mask is not None for mask in table._masks)
+
+    def test_the_first_insert_into_an_empty_engine_keeps_its_mask(self):
+        # Built empty, the table has no column, and the first insert claims
+        # one, widening the table as it stores the edit: its mask is kept
+        # against the widened table's field count, not the empty one's.
+        engine = RangeModeEngine()
+        table = engine._table
+        assert table._width == 0 and table._masks == [None] * table.slots
+        engine.insert(0, 5)
+        assert engine._table is table and table._width == 1
+        assert table._masks[0] is not None
+        check_masks(table)
+        assert engine.audit().ok
 
     def test_widening_between_two_edits_keeps_the_mask(self):
         blocks = [[A], [A, A], [A]]

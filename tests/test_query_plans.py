@@ -21,11 +21,10 @@ from rangemodes.multiset import unpack
 
 HALF = Config(alpha=Fraction(1, 2))
 
-# 48 elements at alpha = 1/2: 17 slots of capacity 14, of which a rebuild
-# fills slots 0..6.  Everything goes into the slots past those:
-# block 7 = [0, 10), 8 = [10, 20), 9 empty, 10 = [20, 30), 11 = [30, 40),
-# 12 = [40, 48).
-SIZES = [0] * 7 + [10, 10, 0, 10, 10, 8] + [0] * 4
+# 48 elements at alpha = 1/2, in blocks of capacity 14, laid out past an
+# empty block 0: block 1 = [0, 10), 2 = [10, 20), 3 empty, 4 = [20, 30),
+# 5 = [30, 40), 6 = [40, 48), and every later slot empty.
+SIZES = [0, 10, 10, 0, 10, 10, 8]
 
 def laid_out(symbols, sizes=SIZES):
     engine = RangeModeEngine(symbols, HALF)
@@ -91,27 +90,27 @@ class TestPlans:
         assert all(len(loose) == b - a for a, b, _, loose, _ in plan.log["counts"])
 
     def test_left_out(self, plan):
-        # Block 8 starts before the range: the cell leaves it out, and its
+        # Block 2 starts before the range: the cell leaves it out, and its
         # part inside the range is counted.
         engine = laid_out(two_symbols())
-        assert plan(engine, 12, 39) == ((9, 11), [(12, 20)])
+        assert plan(engine, 12, 39) == ((3, 5), [(12, 20)])
 
     def test_right_out(self, plan):
         engine = laid_out(two_symbols())
-        assert plan(engine, 20, 37) == ((10, 10), [(30, 38)])
+        assert plan(engine, 20, 37) == ((4, 4), [(30, 38)])
 
     def test_left_in_over_an_empty_block_right_out(self, plan):
-        # Block 8 starts the range, so the cell keeps it and spans the empty
-        # block 9; block 11 ends after the range and is left out.
+        # Block 2 starts the range, so the cell keeps it and spans the empty
+        # block 3; block 5 ends after the range and is left out.
         engine = laid_out(two_symbols())
-        assert plan(engine, 10, 37) == ((8, 10), [(30, 38)])
+        assert plan(engine, 10, 37) == ((2, 4), [(30, 38)])
 
     def test_both_ends_out_over_an_empty_block(self, plan):
         engine = laid_out(two_symbols())
-        assert plan(engine, 16, 37) == ((9, 10), [(16, 20), (30, 38)])
+        assert plan(engine, 16, 37) == ((3, 4), [(16, 20), (30, 38)])
 
     def test_an_empty_block_between_two_ends_is_not_read(self, plan):
-        # The cell between the two partial end blocks is (9, 9), and block 9
+        # The cell between the two partial end blocks is (3, 3), and block 3
         # is empty, so the query counts its two ends alone.
         engine = laid_out(two_symbols())
         assert plan(engine, 15, 24) == (None, [(15, 20), (20, 25)])
@@ -128,10 +127,10 @@ class TestPlans:
     def test_one_block_reads_its_cell_only_when_covered(self, plan, lo, hi):
         engine = laid_out(two_symbols())
         whole = (lo, hi) == (20, 29)
-        assert plan(engine, lo, hi) == (((10, 10), []) if whole else (None, [(lo, hi + 1)]))
+        assert plan(engine, lo, hi) == (((4, 4), []) if whole else (None, [(lo, hi + 1)]))
 
     def test_adjacent_blocks_fall_back_to_margin_only(self, plan):
-        # Blocks 10 and 11 both lie partly outside the range: both are left
+        # Blocks 4 and 5 both lie partly outside the range: both are left
         # out, which leaves no cell between them.
         engine = laid_out(two_symbols())
         assert plan(engine, 25, 34) == (None, [(25, 30), (30, 35)])
@@ -139,10 +138,10 @@ class TestPlans:
 
     def test_adjacent_blocks_one_side_out(self, plan):
         engine = laid_out(two_symbols())
-        assert plan(engine, 20, 34) == ((10, 10), [(30, 35)])
-        assert plan(engine, 21, 39) == ((11, 11), [(21, 30)])
+        assert plan(engine, 20, 34) == ((4, 4), [(30, 35)])
+        assert plan(engine, 21, 39) == ((5, 5), [(21, 30)])
 
-    @pytest.mark.parametrize("lo, hi, l, r", [(10, 29, 8, 10), (0, 47, 7, 12), (20, 29, 10, 10)])
+    @pytest.mark.parametrize("lo, hi, l, r", [(10, 29, 2, 4), (0, 47, 1, 6), (20, 29, 4, 4)])
     def test_edges_on_block_boundaries_count_nothing(self, plan, lo, hi, l, r):
         engine = laid_out(two_symbols())
         assert plan(engine, lo, hi) == ((l, r), [])
@@ -163,12 +162,12 @@ class TestPlans:
 @pytest.mark.parametrize(
     "lo, hi, cell",
     [
-        (12, 39, (9, 11)),
-        (20, 37, (10, 10)),
-        (16, 37, (9, 10)),
+        (12, 39, (3, 5)),
+        (20, 37, (4, 4)),
+        (16, 37, (3, 4)),
         (31, 38, None),
         (21, 34, None),
-        (0, 47, (7, 12)),
+        (0, 47, (1, 6)),
         (32, 35, None),
         (25, 34, None),
     ],

@@ -14,21 +14,23 @@ from rangemodes import NaiveSeq, RangeModeEngine
 
 
 def test_insert_into_fully_packed_layout():
-    # n0 = 28 gives 8 slots of capacity 21, and a rebuild fills the first
-    # four, the fewest in which two full blocks stay below the doubling at
-    # 2·n0.  Grown to 42 and packed to [21, 21, 0, ...], the first two slots
-    # hold exactly their total capacity, so an insert into block 0, even at
-    # its end, finds no room in the block after it and rebuilds the layout.
+    # n0 = 28 gives blocks of capacity 21, and a rebuild fills the first
+    # four slots, the fewest in which two full blocks stay below the
+    # doubling at 2·n0.  Grown to 42 and packed to [21, 21, 0, ...], the
+    # first two slots hold exactly their total capacity, so an insert into
+    # block 0, even at its end, finds no room in the block after it and
+    # rebuilds the layout.
     for pos in (3, 21):
         engine = RangeModeEngine([5] * 28)
         for _ in range(14):
             engine.insert(0, 5)
             assert_within_capacity(engine)
         assert engine.n0 == 28 and engine.capacity == 21 and not engine.reset_events
-        lay_out(engine, [21, 21, 0, 0, 0, 0, 0, 0])
+        lay_out(engine, [21, 21])
         engine.insert(pos, 7)
         assert engine.reset_events == [("overflow", 43)]
-        assert engine.block_sizes() == [11, 11, 11, 10, 0, 0, 0, 0, 0]
+        sizes = engine.block_sizes()
+        assert sizes[:4] == [11, 11, 11, 10] and not any(sizes[4:])
         assert engine.to_list() == [5] * pos + [7] + [5] * (42 - pos)
         assert engine.audit().ok
 

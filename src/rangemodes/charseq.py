@@ -26,11 +26,11 @@ one past the last position of block k.  An engine op finds its block and
 offset once, by bisecting it (:meth:`CharSeq.locate`,
 :meth:`CharSeq.insert_place`).  :meth:`CharSeq.edit` computes the new
 values there, O(C) word adds for the C chunks of each block edited and ±1
-on the ends between two blocks, O(L), on copies; :meth:`CharSeq.store`
-then makes an array insert, which fails with nothing changed, a removal
-and swaps of whole lists, none of which allocates.  A move inside one
-block (:meth:`CharSeq.relocate`) computes its block's words the same way
-before it stores anything, and keeps every end.  A boundary move is the
+on the ends between two blocks, O(L), on copies, and then stores them: an
+array insert, which fails with nothing changed, then a removal and swaps
+of whole lists, none of which allocates.  A move inside one block
+(:meth:`CharSeq.relocate`) computes its block's words the same way before
+it stores anything, and keeps every end.  A boundary move is the
 edit that takes an end element of one block to its neighbour.
 
 Beside each block sits its chunk index.  Chunk t of a block holds its
@@ -217,12 +217,12 @@ class CharSeq:
 
     def edit(
         self, js: int | None, offs: int | None, jd: int | None, offd: int | None, col: int
-    ) -> tuple[list[int] | None, list[int] | None, list[int]]:
-        """The new words of blocks ``jd`` and ``js`` and the new ends once
-        the element at offset ``offs`` of block ``js`` comes out and column id
-        ``col`` goes in at offset ``offd`` of block ``jd``, another block; a
-        None block skips its step.  Nothing changes: :meth:`store` stores
-        them.  A move inside one block is :meth:`relocate`."""
+    ) -> None:
+        """Take the element at offset ``offs`` of block ``js`` out and put
+        column id ``col`` in at offset ``offd`` of block ``jd``, another block;
+        a None block skips its step.  The new words and ends come first, on
+        copies, then the array insert, the one store that allocates, which
+        fails with nothing changed.  A move inside one block is :meth:`relocate`."""
         wd = None if jd is None else self.insert_at(jd, offd, col)
         ws = None if js is None else self.delete_at(js, offs)
         # The ends from the lower block up to the higher one move by one; past
@@ -232,19 +232,11 @@ class CharSeq:
         gain, loss = len(ends) if jd is None else jd, len(ends) if js is None else js
         lo, hi, step = (gain, loss, 1) if gain < loss else (loss, gain, -1)
         if hi < len(ends):
-            return wd, ws, ends[:lo] + [e + step for e in ends[lo:hi]] + ends[hi:]
-        n = ends[-1]
-        hi = max(lo, bisect_left(ends, n))  # the block holding the last element, or lo
-        return wd, ws, ends[:lo] + [e + step for e in ends[lo:hi]] + [n + step] * (len(ends) - hi)
-
-    def store(
-        self, js: int | None, offs: int | None, jd: int | None, offd: int | None, col: int,
-        new: tuple[list[int] | None, list[int] | None, list[int]],
-    ) -> None:
-        """Store ``new``, what :meth:`edit` computed from the same edit.  The
-        array insert, the one store that allocates, comes first and fails
-        with nothing changed."""
-        wd, ws, ends = new
+            ends = ends[:lo] + [e + step for e in ends[lo:hi]] + ends[hi:]
+        else:
+            n = ends[-1]
+            hi = max(lo, bisect_left(ends, n))  # the block holding the last element, or lo
+            ends = ends[:lo] + [e + step for e in ends[lo:hi]] + [n + step] * (len(ends) - hi)
         if jd is not None:
             self.blocks[jd].insert(offd, col)
             self.chunk_sums[jd] = wd
@@ -271,7 +263,7 @@ class CharSeq:
         off = 0 if k < i else len(self.blocks[i]) - 1
         col = self.blocks[i][off]
         to = len(self.blocks[k]) if k < i else 0
-        self.store(i, off, k, to, col, self.edit(i, off, k, to, col))
+        self.edit(i, off, k, to, col)
         return col
 
     def access_range(self, lo: int, hi: int) -> list[int]:

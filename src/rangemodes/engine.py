@@ -67,12 +67,12 @@ column ids are: the element at ``src`` out, then one in at ``dst``, where
 ``insert(dst, delete(src))`` would put it.  Its block comes from the net
 block sizes after the edit, so a relocation that stays in a full block, or
 goes to the end of one from the block after it, moves inside one block.
-Every new value is computed before the first store, the array insert, or
-for a delete that frees a column the free list's append, which fails with
-nothing changed; the stores after it allocate nothing, so an edit that
-raises changes nothing.  A relocation inside one block edits no summary
-cell and no block end, as every cell counts whole blocks; one across
-blocks adds both its point edits to one run of the symbol's plane.
+Every new value, a freed or claimed column's state among them, is
+computed before the first store, the array insert, the one that can fail,
+which fails with nothing changed; the stores after it allocate nothing, so
+an edit that raises changes nothing.  A relocation inside one block edits
+no summary cell and no block end, as every cell counts whole blocks; one
+across blocks adds both its point edits to one run of the symbol's plane.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ class RangeModeEngine:
         ``symbol`` is None; a None position skips its step."""
         seq = self._seq
         alphabet = set(seq.column)  # the symbols present
-        if dst is None and self._table.cell(0, self._table.slots - 1)[seq.symbol[col]] == 1:
+        if dst is None and self._table.copies(col) == 1:
             alphabet.remove(seq.symbol[col])  # its last copy
         elif symbol is not None:
             alphabet.add(symbol)
@@ -367,14 +367,12 @@ class RangeModeEngine:
         if kind:
             self._rebuild_layout(*self._edited_ids(src, dst, symbol, col), kind)
             return gone
-        new = seq.edit(js, offs, jd, offd, col)
         if jd is None:
             run = table.apply_point(js, col, -1)
-            table.release(col)  # a delete's one store that can allocate, first
         else:
             run = table.apply_point(jd, col, 1, js, claim)
-        seq.store(js, offs, jd, offd, col, new)  # an insert's array insert first
-        table.store(run, claim)
+        seq.edit(js, offs, jd, offd, col)  # the edit's one store that can fail comes first
+        table.store(run)
         return gone
 
     def modes(self, lo: int, hi: int) -> ModesResult:

@@ -60,10 +60,12 @@ The column map is the one :class:`CharSeq` builds, one column per symbol
 of its blocks in increasing order, both ways (``column``, symbol → column,
 and ``symbol``, column → symbol), which the table reads from the
 sequence.  After the build the table alone hands out columns and frees
-them: a new symbol's insert claims one (:meth:`PairTable.claim_column`) by
-a new map, free list, fields and width that :meth:`PairTable.store`
-installs, and the delete of a symbol's last copy frees it in place
-(:meth:`PairTable.release`), so σ' is the number of columns in use.
+them, by a state :meth:`PairTable.store` installs with the run: a new
+symbol's insert claims one (:meth:`PairTable.claim_column`) by a new map,
+free list, fields and width, and the delete of a symbol's last copy
+(:meth:`PairTable.copies`) frees it by a new free list, computed by
+:meth:`PairTable.apply_point`, and the removal of its map entry, so σ' is
+the number of columns in use.
 Edits and shifts name their column, which the blocks store.  A reused
 column keeps the offsets of its last symbol, and its cells read 0 as its
 fields still equal them.  A symbol that finds
@@ -385,6 +387,11 @@ class PairTable:
     def cell_count(self) -> int:
         return self._cells
 
+    def copies(self, col: int) -> int:
+        """Copies of column ``col`` in the blocks: its field of cell (0, L-1),
+        which covers every block and has no row offset."""
+        return self._counts[col * self._cells + self._slots - 1]
+
     def offset_fault(self) -> str | None:
         """The first offset word with a field past the table's columns, or None."""
         limit = 1 << (_FIELD_BITS * len(self._seq.symbol))
@@ -405,7 +412,7 @@ class PairTable:
 
     def claim_column(self, symbol: int) -> tuple[int, tuple] | tuple[None, None]:
         """The column a new ``symbol`` takes and the column state that hands
-        it out, for :meth:`apply_point` and :meth:`store`, or two Nones when
+        it out, for :meth:`apply_point`, or two Nones when
         that column does not fit the blocks' id type; nothing changes.  It
         takes a free column, else the next one, the table widened if it has
         no room.  The state holds copies of the map and lists, as an insert
@@ -425,15 +432,6 @@ class PairTable:
         column = seq.column.copy()  # clones the table while few keys are deleted; dict() re-inserts
         column[symbol] = col
         return col, (counts, symbols, column, free, width)
-
-    def release(self, col: int) -> None:
-        """Free column ``col`` if a delete takes its last one, 1 in cell (0, L-1),
-        which covers every block and has no row offset: the free list's
-        append, which can allocate, first, then its symbol's map entry, whose
-        removal cannot.  The column keeps its last symbol."""
-        if self._counts[col * self._cells + self._slots - 1] == 1:
-            self._free.append(col)
-            del self._seq.column[self._seq.symbol[col]]
 
     def _widen(self) -> tuple[memoryview, int]:
         """The fields and width of the table with half as many columns again,
@@ -467,15 +465,17 @@ class PairTable:
 
     def apply_point(
         self, j: int, col: int, delta: int, source: int | None = None, claim: tuple | None = None
-    ) -> tuple[memoryview, memoryview]:
+    ) -> tuple[memoryview, memoryview, tuple | None, list[int] | None]:
         """The run of column ``col``'s fields that a change by ``delta`` (±1)
         of its cells (l, r) with l ≤ j ≤ r rewrites, as a view of them and a
-        view of their new values; nothing changes: :meth:`store` stores them.
-        A gain may take its element from block ``source``, whose cells lose it
-        in the same run, and counts into the fields of ``claim``, a new
-        symbol's column state, if given.  A loss needs ``col`` in its block:
-        every cell it decrements covers that block, so a nonzero count in its
-        own cell keeps all of them from borrowing."""
+        view of their new values, then ``claim`` and the new free list, if
+        any; nothing changes: :meth:`store` stores them.  A gain may take
+        its element from block ``source``, whose cells lose it in the same
+        run, and counts into the fields of ``claim``, a new symbol's column
+        state, if given.  A loss needs ``col`` in its block: every cell it
+        decrements covers that block, so a nonzero count in its own cell
+        keeps all of them from borrowing; a loss of the last copy
+        (:meth:`copies`) frees the column, appended to the free list."""
         if delta not in (1, -1) or delta == -1 and source is not None:
             raise ValueError("delta must be +1, or -1 with no source")
         slots, row_base = self._slots, self._row_base
@@ -492,6 +492,7 @@ class PairTable:
             self._base[loss] >> (_FIELD_BITS * col) & MAX_COUNT
         ):
             raise InvariantError(f"column {col} is absent from block {loss}")
+        free = self._free + [col] if delta == -1 and self.copies(col) == 1 else None
         run = counts[plane + lo : plane + row_base[hi] + slots]
         total = int.from_bytes(run, "little")
         # Both steps, each from its block's field of the run, go into one sum,
@@ -504,15 +505,21 @@ class PairTable:
         if source is not None:
             step = self._masks[source] or self._mask(source, width)
             total -= step << _FIELD_BITS * (source - lo) if source > lo else step
-        return run, memoryview(total.to_bytes(_FIELD_BYTES * len(run), "little")).cast("I")
+        new = memoryview(total.to_bytes(_FIELD_BYTES * len(run), "little")).cast("I")
+        return run, new, claim, free
 
-    def store(self, run: tuple[memoryview, memoryview], claim: tuple | None = None) -> None:
-        """Install ``claim``'s column state, if given, then the run
-        :meth:`apply_point` computed; neither store allocates."""
+    def store(self, run: tuple[memoryview, memoryview, tuple | None, list[int] | None]) -> None:
+        """Store ``run``, what :meth:`apply_point` computed: its claim's
+        column state, the new fields, then its free list, whose last column
+        keeps its symbol but not the map entry; none of these allocates."""
+        fields, new, claim, free = run
+        seq = self._seq
         if claim is not None:
-            seq = self._seq
             self._counts, seq.symbol, seq.column, self._free, self._width = claim
-        run[0][:] = run[1]
+        fields[:] = new
+        if free is not None:
+            self._free = free
+            del seq.column[seq.symbol[free[-1]]]
 
     def shift_left(self, i: int, col: int) -> None:
         """Record one element of column ``col`` crossing from block ``i`` into block ``i - 1``.

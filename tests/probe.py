@@ -146,13 +146,6 @@ def stored_layout(engine):
     }
 
 
-def edit_seq(seq, *edit):
-    """Make ``edit``, the source block and offset, the target block and
-    offset and the column id, on ``seq`` alone, computed and then stored as
-    the engine makes it."""
-    seq.store(*edit, seq.edit(*edit))
-
-
 def add_columns(seq, symbols):
     """Hand each of ``symbols`` that has no column the next one, as
     :meth:`PairTable.claim_column` does with no free column, and rewrite
@@ -241,14 +234,14 @@ def _fail_array_insert(mp):
     :class:`MemoryError`, as one that runs out of memory does: before it
     changes anything, as the first store of the edit.  A move inside one
     block, which makes its own array insert, raises the same way."""
-    store = charseq.CharSeq.store
+    edit = charseq.CharSeq.edit
 
     def failing(self, js, offs, jd, *rest):
         if jd is not None:  # the block the edit inserts into
             raise MemoryError("refused")
-        store(self, js, offs, jd, *rest)
+        edit(self, js, offs, jd, *rest)
 
-    mp.setattr(charseq.CharSeq, "store", failing)
+    mp.setattr(charseq.CharSeq, "edit", failing)
     mp.setattr(charseq.CharSeq, "relocate", refuse)
 
 

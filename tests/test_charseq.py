@@ -6,7 +6,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from probe import add_columns, edit_seq, ends, word_count, words
+from probe import add_columns, ends, word_count, words
 
 from rangemodes import CharSeq, InvariantError, charseq
 from rangemodes.multiset import id_type, unpack
@@ -58,7 +58,7 @@ def check_mirror(seq, mirror):
 def insert(seq, pos, symbol):
     """Insert ``symbol`` at position ``pos`` as the engine does; return the block joined."""
     k, off = seq.insert_place(pos)
-    edit_seq(seq, None, None, k, off, seq.column[symbol])
+    seq.edit(None, None, k, off, seq.column[symbol])
     return k
 
 
@@ -66,7 +66,7 @@ def delete(seq, pos):
     """Remove and return the element at position ``pos`` as the engine does."""
     k, off = seq.locate(pos)
     col = seq.blocks[k][off]
-    edit_seq(seq, k, off, None, None, col)
+    seq.edit(k, off, None, None, col)
     return seq.symbol[col]
 
 

@@ -1232,7 +1232,7 @@ class TestAudit:
         engine = RangeModeEngine([1, 2, 3, 4, 5])
         table = engine._table
         col, claim = table.claim_column(7)
-        table.store(table.apply_point(0, col, 1, None, claim), claim)  # no element counted in
+        table.store(table.apply_point(0, col, 1, None, claim))  # no element counted in
         report = engine.audit()
         assert not report.ok
         assert "cell" in report.message
@@ -1297,8 +1297,9 @@ class TestAudit:
         engine = RangeModeEngine([1, 2, 3, 4, 5])
         table = engine._table
         col, claim = table.claim_column(9)
-        table.store(table.apply_point(0, col, 1, None, claim), claim)
-        table.store(table.apply_point(0, col, -1))  # a column no element counts in
+        fields, _, *state = table.apply_point(0, col, 1, None, claim)
+        table.store((fields, fields, *state))  # the claim, with a run that adds nothing
+        assert engine._seq.column[9] == col and table.copies(col) == 0
         report = engine.audit()
         assert not report.ok
         assert "distinct symbols" in report.message

@@ -161,18 +161,18 @@ def test_every_late_failed_allocation_of_an_ids_insert_changes_nothing(no_gc):
         check(case, n)
 
 
-def built(n, alpha, lone=None):
+def built(n, alpha, *lone):
     """An engine at ``alpha`` built from ``n`` elements of five symbols, the
-    last one ``lone`` if given, with its :class:`NaiveSeq`."""
+    last ones ``lone``, with its :class:`NaiveSeq`."""
     symbols = [k % 5 for k in range(n)]
-    if lone is not None:
-        symbols[-1] = lone
+    symbols[n - len(lone) :] = lone
     return RangeModeEngine(symbols, Config(alpha=alpha)), NaiveSeq(symbols)
 
 
-def freed(n, alpha):
-    """:func:`built` with a lone 9, then deleted, so that its column is free."""
-    engine, naive = built(n, alpha, 9)
+def freed(n, alpha, *lone):
+    """:func:`built` with the last ones ``lone`` and then a lone 9, which is
+    deleted, so that its column is free."""
+    engine, naive = built(n, alpha, *lone, 9)
     assert engine.delete(n - 1) == naive.delete_at(n - 1) == 9
     return engine, naive
 
@@ -201,6 +201,12 @@ EDITS = {
         lambda s, n: s.delete_at(n - 1),
         lambda a, b: (a["free"], b["free"]) == ([], [5]),
     ),
+    # 8 takes column 5 and 9 column 6, which its delete frees.
+    "delete of a last copy beside a free column": (
+        lambda n, alpha: freed(n, alpha, 8),
+        lambda s, n: s.delete_at(n - 2),
+        lambda a, b: (a["free"], b["free"]) == ([6], [6, 5]),
+    ),
     "delete of one copy of many": (
         built, lambda s, n: s.delete_at(n // 2), lambda a, b: a["column"] == b["column"],
     ),
@@ -209,6 +215,12 @@ EDITS = {
     ),
     "relocation across blocks": (
         built, lambda s, n: s.relocate(1, n - 2), lambda a, b: a["sizes"] != b["sizes"],
+    ),
+    "relocation across blocks of a symbol's only copy": (
+        lambda n, alpha: built(n, alpha, 9),
+        lambda s, n: s.relocate(n - 1, 1),
+        lambda a, b: (a["free"], b["free"], b["column"][9]) == ([], [], 5)
+        and a["column"] == b["column"] and a["sizes"] != b["sizes"],
     ),
 }
 

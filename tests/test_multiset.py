@@ -102,14 +102,9 @@ def point(table, j, symbol, delta):
     gain claims a new symbol's column, a loss reads it from the column map
     and frees it with its last copy, and the run is stored once computed."""
     col, claim = table._seq.column.get(symbol), None
-    if delta == 1:
-        if col is None:
-            col, claim = table.claim_column(symbol)
-        run = table.apply_point(j, col, 1, None, claim)
-    else:
-        run = table.apply_point(j, col, -1)
-        table.release(col)
-    table.store(run, claim)
+    if delta == 1 and col is None:
+        col, claim = table.claim_column(symbol)
+    table.store(table.apply_point(j, col, delta, None, claim))
 
 
 def shift_left(table, i, symbol):
@@ -651,7 +646,7 @@ class TestSymbolMajorLayout:
         assert table.sigma_prime == 1 and table._free == [col]
         claimed, claim = table.claim_column(C)
         assert claimed == col
-        table.store(table.apply_point(0, col, 1, None, claim), claim)
+        table.store(table.apply_point(0, col, 1, None, claim))
         table.store(table.apply_point(0, col, -1))
         # The fields still hold A's offsets, 1 in row 1 and 3 in row 2...
         assert [stored(table, l, 2, col) for l in range(3)] == [0, 1, 3]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import probe
 import pytest
-from probe import add_columns, edit_seq, set_words, words
+from probe import add_columns, set_words, words
 
 from rangemodes import CharSeq, charseq
 
@@ -42,10 +42,10 @@ def random_seq(rng, code):
         roll = rng.random()
         if roll < 0.4 or not size:
             off = rng.randint(0, size)
-            edit_seq(seq, None, None, k, off, seq.column[rng.choice(alphabet)])
+            seq.edit(None, None, k, off, seq.column[rng.choice(alphabet)])
         elif roll < 0.7:
             off = rng.randrange(size)
-            edit_seq(seq, k, off, None, None, seq.blocks[k][off])
+            seq.edit(k, off, None, None, seq.blocks[k][off])
         elif roll < 0.85:
             off, to = rng.randrange(size), rng.randrange(size)  # to: its offset once moved
             seq.relocate(k, off, to)
@@ -88,7 +88,7 @@ def test_a_word_past_the_width_is_refused():
     # a decoding at the two columns left would hide it.
     seq = CharSeq([5, 6], [2], {5, 6})
     add_columns(seq, [7])
-    edit_seq(seq, None, None, 0, 1, seq.column[7])
+    seq.edit(None, None, 0, 1, seq.column[7])
     assert words(seq, 0) == [[0, 0, 0], [1, 1, 1]]
     del seq.column[seq.symbol.pop()]
     with pytest.raises(AssertionError, match="bits past the 2 columns"):

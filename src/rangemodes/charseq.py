@@ -184,7 +184,8 @@ class CharSeq:
     def insert_at(self, k: int, off: int, col: int) -> list[int]:
         """A copy of block ``k``'s words once column id ``col`` goes in at offset ``off``."""
         size, unit = len(self.blocks[k]), 1 << (_FIELD_BITS * col)
-        sums = self._crossed(k, off, size, unit, True)
+        crossed = off // CHUNK < size // CHUNK  # a chunk boundary lies in (off, size]
+        sums = self._crossed(k, off, size, unit, True) if crossed else self.chunk_sums[k][:]
         if size % CHUNK:
             sums[-1] += unit
         else:  # the last word's boundary becomes a chunk's
@@ -194,7 +195,8 @@ class CharSeq:
     def delete_at(self, k: int, off: int) -> list[int]:
         """A copy of block ``k``'s words once the element at offset ``off`` comes out."""
         size, unit = len(self.blocks[k]) - 1, 1 << (_FIELD_BITS * self.blocks[k][off])
-        sums = self._crossed(k, off, size, unit, False)
+        crossed = off // CHUNK < size // CHUNK  # a chunk boundary lies in (off, size]
+        sums = self._crossed(k, off, size, unit, False) if crossed else self.chunk_sums[k][:]
         if size % CHUNK:
             sums[-1] -= unit
         else:  # the word before the last now ends the block
@@ -229,14 +231,16 @@ class CharSeq:
         # the last element, the ends of the empty blocks, all the length, move
         # as one repeat, with no add each.
         ends = self.ends
-        gain, loss = len(ends) if jd is None else jd, len(ends) if js is None else js
+        last = len(ends)
+        gain, loss = last if jd is None else jd, last if js is None else js
         lo, hi, step = (gain, loss, 1) if gain < loss else (loss, gain, -1)
-        if hi < len(ends):
-            ends = ends[:lo] + [e + step for e in ends[lo:hi]] + ends[hi:]
+        if hi < last:
+            tail = ends[hi:]
         else:
             n = ends[-1]
-            hi = max(lo, bisect_left(ends, n))  # the block holding the last element, or lo
-            ends = ends[:lo] + [e + step for e in ends[lo:hi]] + [n + step] * (len(ends) - hi)
+            hi = bisect_left(ends, n, lo)  # the block holding the last element, or lo
+            tail = [n + step] * (last - hi)
+        ends = ends[:lo] + [e + step for e in ends[lo:hi]] + tail
         if jd is not None:
             self.blocks[jd].insert(offd, col)
             self.chunk_sums[jd] = wd

@@ -79,7 +79,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, _count_elements  # Counter's C loop, into any dict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
@@ -106,7 +106,8 @@ def _ceil_power(n: int, exp: Fraction) -> int:
 
 
 def _check_symbol(symbol: object) -> None:
-    """Reject anything but an ``int`` symbol id that fits in one machine word."""
+    """Reject anything but an ``int`` symbol id that fits in one machine word.
+    The ops repeat the test inline and call this only when it fails."""
     if type(symbol) is not int:
         raise TypeError(f"symbol id must be an int, got {type(symbol).__name__}")
     if not 0 <= symbol <= MAX_SYMBOL:
@@ -130,7 +131,8 @@ def _check_symbols(flat: list[object]) -> set[int]:
 
 
 def _check_position(pos: object) -> None:
-    """Reject a sequence position that is not an ``int`` (``bool`` included)."""
+    """Reject a sequence position that is not an ``int`` (``bool`` included).
+    The ops repeat the test inline and call this only when it fails."""
     if type(pos) is not int:
         raise TypeError(f"position must be an int, got {type(pos).__name__}")
 
@@ -188,8 +190,8 @@ def _layout(n0: int, alpha: Fraction) -> tuple[int, int, int]:
 class RangeModeEngine:
     """Dynamic sequence with insert, delete, and mode-enumeration queries.
 
-    Indexing is 0-based; query ranges are inclusive ``[lo, hi]``.  Every
-    operation requires exclusive access (queries mutate scratch state).
+    Indexing is 0-based; query ranges are inclusive ``[lo, hi]``.  No op may
+    overlap an edit, whose stores follow one another; queries write nothing.
     Layout resets are logged in ``reset_events`` as (kind, length) pairs,
     the kind ``"double"`` or ``"halve"`` for a length that doubled or
     halved, ``"overflow"`` for an edit that would leave a block over capacity,
@@ -304,13 +306,15 @@ class RangeModeEngine:
 
     def insert(self, pos: int, symbol: int) -> None:
         """Insert ``symbol`` so that it becomes the element at ``pos``."""
-        _check_position(pos)
-        _check_symbol(symbol)
+        if type(pos) is not int or type(symbol) is not int or not 0 <= symbol <= MAX_SYMBOL:
+            _check_position(pos)
+            _check_symbol(symbol)
         self._edit(None, pos, symbol)
 
     def delete(self, pos: int) -> int:
         """Remove and return the element at ``pos``."""
-        _check_position(pos)
+        if type(pos) is not int:
+            _check_position(pos)
         return self._edit(pos, None)
 
     def relocate(self, src: int, dst: int) -> int:
@@ -319,8 +323,9 @@ class RangeModeEngine:
         The sequence is that of ``insert(dst, delete(src))``, but the length
         does not change.
         """
-        _check_position(src)
-        _check_position(dst)
+        if type(src) is not int or type(dst) is not int:
+            _check_position(src)
+            _check_position(dst)
         n = self._seq.ends[-1]
         if not (0 <= src < n and 0 <= dst < n):
             raise IndexError(f"relocation {src} -> {dst} out of range (length {n})")
@@ -377,8 +382,9 @@ class RangeModeEngine:
 
     def modes(self, lo: int, hi: int) -> ModesResult:
         """Enumerate all modes of the inclusive range ``[lo, hi]``."""
-        _check_position(lo)
-        _check_position(hi)
+        if type(lo) is not int or type(hi) is not int:
+            _check_position(lo)
+            _check_position(hi)
         ends = self._seq.ends  # ends[k]: one past the last position of block k
         n = ends[-1]
         if not (0 <= lo <= hi < n):
@@ -406,7 +412,8 @@ class RangeModeEngine:
         elif plus:
             best, winners = self._table.modes(None, None, loose, taken, plus)
         else:  # every element is loose: count the columns present, not σ' columns
-            margin = Counter(loose)
+            margin: dict[int, int] = {}
+            _count_elements(margin, loose)
             best = max(margin.values())
             symbol = seq.symbol
             winners = [symbol[col] for col, count in margin.items() if count == best]

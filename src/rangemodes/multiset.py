@@ -1,33 +1,34 @@
 """The dense table of block-range summaries and its cell snapshots.
 
 A ``PairTable`` holds the symbol counts of every block range (l, r) with
-l ≤ r as 32-bit fields of one flat ``array("I")``, symbol-major.  Each
-symbol present owns a column, and column ``col`` owns one contiguous plane
-of L(L+1)/2 fields from ``col · cells`` on, in row order: field
-``_row_base[l] + r`` of a plane stands for cell (l, r), so row l is the
-cells (l, l..L-1).  ``width`` ≥ σ' is the column capacity, the number of
-planes.  A row is stored with an offset: field (l, r) of a plane holds the
-symbol's count in blocks l..r plus its count in blocks 0..l-1 when the table
-was built, and that offset is field ``col`` of ``_base[l]``, a count word
-(count ``col`` in bits 32·col up, the layout of :class:`CharSeq`'s chunk
-words).  So the build writes each plane as the L suffixes of the column's
-prefix counts, with no add per cell, and a cell reads as its stored fields
-minus its row's offset word.  Edits, shifts and reused columns never touch
-the offsets.
+l ≤ r as 32-bit fields of one flat ``array("I")``, symbol-major, through a
+byte view whose ``obj`` is the array.  Each symbol present owns a column,
+and column ``col`` owns one contiguous plane of L(L+1)/2 fields from
+``col · cells`` on, in row order: field ``_row_base[l] + r`` of a plane
+stands for cell (l, r), so row l is the cells (l, l..L-1).  ``width`` ≥ σ'
+is the column capacity, the number of planes.  A row is stored with an
+offset: field (l, r) of a plane holds the symbol's count in blocks l..r
+plus its count in blocks 0..l-1 when the table was built, and that offset
+is field ``col`` of ``_base[l]``, a count word (count ``col`` in bits
+32·col up, the layout of :class:`CharSeq`'s chunk words).  So the build
+writes each plane as the L suffixes of the column's prefix counts, with no
+add per cell, and a cell reads as its stored fields minus its row's offset
+word.  Edits, shifts and reused columns never touch the offsets.
 
 The cells a point edit in block j changes, (l, r) with l ≤ j ≤ r, all lie in
 one slice of the symbol's plane, from cell (0, j) to cell (j, L-1); the
 slice also holds the j(j-1)/2 cells (l, l..j-1) of rows 1..j between them.
 The edit reads the slice as one Python ``int``, adds or subtracts a mask
 with a 1 in every field of the row tails and 0 in those head cells, and
-builds the new fields (:meth:`PairTable.apply_point`), which :meth:`PairTable.store`
-writes back once the op has built every new value: one C-speed pass over
-(j+1)(L-j) + j(j-1)/2 fields, whatever σ'.  An element moving between two
-blocks adds both edits to one run of its plane, so the cells that cover
-both blocks keep their count.  The mask depends on j and L alone, so the first edit in block
-j builds it and the table keeps it, in a list indexed by j.  The masks of
-all L slots take L(L²+2)/3 fields, more than the table when σ' is under
-about 2L/3, so a mask is kept only while the kept masks stay within the
+builds the new bytes (:meth:`PairTable.apply_point`), which :meth:`PairTable.store`
+copies into the byte view, with no cast, once the op has built every new
+value: one C-speed pass over (j+1)(L-j) + j(j-1)/2 fields, whatever σ'.
+An element moving between two blocks adds both edits to one run of its
+plane, so the cells that cover both blocks keep their count.  The mask
+depends on j and L alone, so the first edit in block j builds it and the
+table keeps it, in a list indexed by j.  The masks of all L slots take
+L(L²+2)/3 fields, more than the table when σ' is under about 2L/3, so a
+mask is kept only while the kept masks stay within the
 table's own L(L+1)/2 · width fields; past that cap it is built on every
 edit.  A widening keeps them, as it moves no field of a plane; a rebuild
 makes a new table, which starts with none.  A boundary shift is the move
@@ -249,8 +250,8 @@ def unpack(word: int, width: int) -> list[int]:
 
 
 def _zeros(n: int) -> memoryview:
-    """A writable view of ``n`` zero 32-bit counts."""
-    return memoryview(array("I", bytes(_FIELD_BYTES)) * n)
+    """A writable byte view of ``n`` zero 32-bit counts, whose ``obj`` is their array."""
+    return memoryview(array("I", bytes(_FIELD_BYTES)) * n).cast("B")
 
 
 class CountedSet(dict):
@@ -322,7 +323,7 @@ class PairTable:
             plane = bytearray()  # grown row by row, with no list of the rows beside it
             for start in range(0, _FIELD_BYTES * slots, _FIELD_BYTES):
                 plane += run[start:]
-            counts[col * cells : (col + 1) * cells] = memoryview(plane).cast("I")
+            counts[_FIELD_BYTES * col * cells : _FIELD_BYTES * (col + 1) * cells] = plane
 
     @property
     def slots(self) -> int:
@@ -338,7 +339,7 @@ class PairTable:
         each symbol present mapped to its count."""
         start = self._index(l, r)
         symbol, cells = self._seq.symbol, self._cells
-        stored = self._counts[start : start + len(symbol) * cells : cells].tolist()
+        stored = self._counts.obj[start : start + len(symbol) * cells : cells].tolist()
         offsets = unpack(self._base[l], len(symbol))
         return {symbol[k]: c - b for k, (c, b) in enumerate(zip(stored, offsets)) if c != b}
 
@@ -359,15 +360,15 @@ class PairTable:
         width = len(symbol)
         if l is None:
             word = plus
-        else:
-            start = self._index(l, r)
-            cells = self._cells
-            # A strided slice of the array copies faster than one of the view.
+        else:  # :meth:`_index`, :func:`pack` and :func:`unpack` inline: each call cost more
+            if not 0 <= l <= r < self._slots:
+                raise IndexError(f"cell ({l}, {r}) out of range ({self._slots} slots)")
+            start, cells = self._row_base[l] + r, self._cells
             fields = self._counts.obj[start : start + width * cells : cells]
             # No field borrows, as the offset is part of the stored fields,
             # and none overflows, as no count exceeds MAX_COUNT.
-            word = pack(fields) - self._base[l] + plus
-        counts = unpack(word, width)
+            word = int.from_bytes(fields, "little") - self._base[l] + plus
+        counts = array("I", word.to_bytes(_FIELD_BYTES * width, "little")).tolist()
         try:
             for col in loose:
                 counts[col] += 1
@@ -390,7 +391,7 @@ class PairTable:
     def copies(self, col: int) -> int:
         """Copies of column ``col`` in the blocks: its field of cell (0, L-1),
         which covers every block and has no row offset."""
-        return self._counts[col * self._cells + self._slots - 1]
+        return self._counts.obj[col * self._cells + self._slots - 1]
 
     def offset_fault(self) -> str | None:
         """The first offset word with a field past the table's columns, or None."""
@@ -465,10 +466,10 @@ class PairTable:
 
     def apply_point(
         self, j: int, col: int, delta: int, source: int | None = None, claim: tuple | None = None
-    ) -> tuple[memoryview, memoryview, tuple | None, list[int] | None]:
+    ) -> tuple[memoryview, bytes, tuple | None, list[int] | None]:
         """The run of column ``col``'s fields that a change by ``delta`` (±1)
-        of its cells (l, r) with l ≤ j ≤ r rewrites, as a view of them and a
-        view of their new values, then ``claim`` and the new free list, if
+        of its cells (l, r) with l ≤ j ≤ r rewrites, as a byte view of them
+        and their new bytes, then ``claim`` and the new free list, if
         any; nothing changes: :meth:`store` stores them.  A gain may take
         its element from block ``source``, whose cells lose it in the same
         run, and counts into the fields of ``claim``, a new symbol's column
@@ -481,19 +482,24 @@ class PairTable:
         slots, row_base = self._slots, self._row_base
         lo = hi = j  # the run goes from cell (0, lo) past cell (hi, L-1)
         if source is not None:
-            lo, hi = min(j, source), max(j, source)
+            lo, hi = (j, source) if j < source else (source, j)
         if not 0 <= lo <= hi < slots:
             raise IndexError(f"block {j} or {source} out of range ({slots} slots)")
-        counts, symbols, *_, width = claim or (self._counts, self._seq.symbol, self._width)
-        if not 0 <= col < len(symbols):
+        if claim is None:  # the table's own state: no tuple built or unpacked
+            counts, columns, width = self._counts, len(self._seq.symbol), self._width
+        else:
+            counts, symbols, _, _, width = claim
+            columns = len(symbols)
+        if not 0 <= col < columns:
             raise InvariantError(f"column {col} was never handed out")
-        plane, loss = col * self._cells, j if delta == -1 else source
-        if loss is not None and counts[plane + row_base[loss] + loss] == (
+        plane, loss, fields = col * self._cells, j if delta == -1 else source, counts.obj
+        if loss is not None and fields[plane + row_base[loss] + loss] == (
             self._base[loss] >> (_FIELD_BITS * col) & MAX_COUNT
         ):
             raise InvariantError(f"column {col} is absent from block {loss}")
-        free = self._free + [col] if delta == -1 and self.copies(col) == 1 else None
-        run = counts[plane + lo : plane + row_base[hi] + slots]
+        # A loss of the last copy, 1 in the field of cell (0, L-1), frees the column.
+        free = self._free + [col] if delta == -1 and fields[plane + slots - 1] == 1 else None
+        run = counts[_FIELD_BYTES * (plane + lo) : _FIELD_BYTES * (plane + row_base[hi] + slots)]
         total = int.from_bytes(run, "little")
         # Both steps, each from its block's field of the run, go into one sum,
         # so a cell covering both blocks keeps its count.  A mask is never 0:
@@ -505,10 +511,10 @@ class PairTable:
         if source is not None:
             step = self._masks[source] or self._mask(source, width)
             total -= step << _FIELD_BITS * (source - lo) if source > lo else step
-        new = memoryview(total.to_bytes(_FIELD_BYTES * len(run), "little")).cast("I")
+        new = total.to_bytes(len(run), "little")
         return run, new, claim, free
 
-    def store(self, run: tuple[memoryview, memoryview, tuple | None, list[int] | None]) -> None:
+    def store(self, run: tuple[memoryview, bytes, tuple | None, list[int] | None]) -> None:
         """Store ``run``, what :meth:`apply_point` computed: its claim's
         column state, the new fields, then its free list, whose last column
         keeps its symbol but not the map entry; none of these allocates."""

@@ -441,3 +441,34 @@ def test_chunks_follow_edits_and_count_margins(monkeypatch):
             total = {symbol: count for symbol, count in total.items() if count}
             assert total == Counter(flatten(mirror)[lo:stop])
     assert counted > 100 and took > 30
+
+
+def recount(seq, cols):
+    """The running words of the column ids ``cols``, 0 first, each chunk
+    counted afresh by :func:`charseq.chunk_word`."""
+    counts, zeros = {}, array("I", bytes(4 * len(seq.symbol)))
+    sums = [0]
+    for lo in range(0, len(cols), charseq.CHUNK):
+        sums.append(sums[-1] + charseq.chunk_word(cols[lo : lo + charseq.CHUNK], counts, zeros))
+    return sums
+
+
+def test_edited_words_equal_a_recount_at_every_offset(monkeypatch):
+    # S = 3: blocks of 0-14 elements, edited at every offset.  An offset at
+    # or past a block's last chunk boundary has none in (offset, length],
+    # so only the last word changes (or a word is appended or dropped); an
+    # offset before it crosses one boundary or more.  Either way the words
+    # returned are those of the edited block, and nothing is stored.
+    monkeypatch.setattr(charseq, "CHUNK", 3)
+    rng = random.Random(44)
+    for size in range(15):
+        seq = seq_over([[rng.randrange(4) for _ in range(size)], [1, 2]], range(4))
+        cols = list(seq.blocks[0])
+        before = all_words(seq)
+        for off in range(size + 1):
+            for col in range(len(seq.symbol)):
+                got = seq.insert_at(0, off, col)
+                assert got == recount(seq, cols[:off] + [col] + cols[off:]), (size, off, col)
+        for off in range(size):
+            assert seq.delete_at(0, off) == recount(seq, cols[:off] + cols[off + 1 :]), (size, off)
+        assert all_words(seq) == before and seq.chunk_fault() is None

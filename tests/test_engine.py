@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -229,32 +230,50 @@ class TestConstruction:
         monkeypatch.setattr(engine_module, "MAX_COUNT", 9)
         assert RangeModeEngine([5, 5, 5]).audit().ok
 
-    @pytest.mark.parametrize("bad", [1.0, True, "3", None, -1, 1 << 64])
-    def test_rejected_symbol_leaves_engine_unchanged(self, bad):
+    @pytest.mark.parametrize(("bad", "error", "message"), [
+        pytest.param(*case, id=str(case[0])) for case in [
+            (1.0, TypeError, "symbol id must be an int, got float"),
+            (True, TypeError, "symbol id must be an int, got bool"),
+            ("3", TypeError, "symbol id must be an int, got str"),
+            (None, TypeError, "symbol id must be an int, got NoneType"),
+            (-1, ValueError, "symbol id -1 does not fit in one machine word"),
+            (1 << 64, ValueError, f"symbol id {1 << 64} does not fit in one machine word"),
+        ]
+    ])
+    def test_rejected_symbol_leaves_engine_unchanged(self, bad, error, message):
         # Validation runs before the sequence, block sizes or summary cells
-        # change, so a rejected insert leaves nothing half-updated.
+        # change, so a rejected insert leaves nothing half-updated.  The
+        # insert tests its arguments inline and names the fault only when
+        # that test fails, so the message pins what the caller sees.
         engine = RangeModeEngine(range(8))
         before = engine.to_list()
         for pos in (0, 3, 8):
-            with pytest.raises((TypeError, ValueError)):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 engine.insert(pos, bad)
             assert engine.to_list() == before
             assert engine.audit().ok
 
-    @pytest.mark.parametrize("bad", [2.0, "3", None, True])
-    def test_rejected_position_leaves_engine_unchanged(self, bad):
+    @pytest.mark.parametrize(("bad", "name"), [
+        pytest.param(bad, name, id=str(bad))
+        for bad, name in [(2.0, "float"), ("3", "str"), (None, "NoneType"), (True, "bool")]
+    ])
+    def test_rejected_position_leaves_engine_unchanged(self, bad, name):
         # A float position passes the range check; it must be refused before
-        # the summary cells change, not by the sequence halfway through.
+        # the summary cells change, not by the sequence halfway through.  A
+        # bad position is named before a bad symbol.
         engine = RangeModeEngine(range(20))
         before = engine.to_list()
         calls = [
             lambda: engine.insert(bad, 7),
+            lambda: engine.insert(bad, 1.5),
             lambda: engine.delete(bad),
+            lambda: engine.relocate(bad, 5),
+            lambda: engine.relocate(5, bad),
             lambda: engine.modes(bad, 5),
             lambda: engine.modes(0, bad),
         ]
         for call in calls:
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match=f"^position must be an int, got {name}$"):
                 call()
             assert engine.to_list() == before
             assert engine.audit().ok
@@ -544,13 +563,22 @@ class TestRelocate:
         assert engine.to_list() == oracle.to_list() and engine.audit().ok
         assert engine.reset_events == []
 
-    @pytest.mark.parametrize("bad", [True, -1, 300, "3", 2.0])
-    def test_bad_positions_change_nothing(self, bad):
+    @pytest.mark.parametrize(("bad", "error", "message"), [
+        pytest.param(*case, id=str(case[0])) for case in [
+            (True, TypeError, "position must be an int, got bool"),
+            (-1, IndexError, "relocation {src} -> {dst} out of range (length 300)"),
+            (300, IndexError, "relocation {src} -> {dst} out of range (length 300)"),
+            ("3", TypeError, "position must be an int, got str"),
+            (2.0, TypeError, "position must be an int, got float"),
+        ]
+    ])
+    def test_bad_positions_change_nothing(self, bad, error, message):
         engine = self.make_engine()
         table = engine._table
         before = snapshot(engine), bytes(table._counts)
         for src, dst in [(bad, 5), (5, bad)]:
-            with pytest.raises((TypeError, IndexError)):
+            want = re.escape(message.format(src=src, dst=dst))
+            with pytest.raises(error, match=f"^{want}$"):
                 engine.relocate(src, dst)
             assert (snapshot(engine), bytes(table._counts)) == before
         assert engine.audit().ok

@@ -516,7 +516,7 @@ def offset(table, l, symbol):
 
 def stored(table, l, r, col):
     """The stored field of cell (l, r) in plane ``col``: its count plus its offset."""
-    return table._counts[col * table.cell_count() + table._row_base[l] + r]
+    return table._counts.obj[col * table.cell_count() + table._row_base[l] + r]
 
 
 def check_masks(table):
@@ -682,7 +682,7 @@ class TestSymbolMajorLayout:
         engine = self._engine()
         table = engine._table
         col = table._seq.column[0]
-        table._counts[col * table.cell_count() + table._row_base[1] + 2] += 1
+        table._counts.obj[col * table.cell_count() + table._row_base[1] + 2] += 1
         point(table, 3, 0, 1)
         point(table, 3, 0, -1)
         report = engine.audit()

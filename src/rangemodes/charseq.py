@@ -24,14 +24,14 @@ column ids alone; only :meth:`CharSeq.to_list`,
 The block boundaries are one list, :attr:`CharSeq.ends`, whose entry k is
 one past the last position of block k.  An engine op finds its block and
 offset once, by bisecting it (:meth:`CharSeq.locate`,
-:meth:`CharSeq.insert_place`).  :meth:`CharSeq.edit` computes the new
-values there, O(C) word adds for the C chunks of each block edited and ±1
-on the ends between two blocks, O(L), on copies, and then stores them: an
-array insert, which fails with nothing changed, then a removal and swaps
-of whole lists, none of which allocates.  A move inside one block
-(:meth:`CharSeq.relocate`) computes its block's words the same way before
-it stores anything, and keeps every end.  A boundary move is the
-edit that takes an end element of one block to its neighbour.
+:meth:`CharSeq.insert_place`).  :meth:`CharSeq.edit`, the sequence's one
+store, computes the new values there, O(C) word adds for the C chunks of
+each block edited and ±1 on the ends between two blocks, O(L), on copies,
+and then stores them: first an array insert, which fails with nothing
+changed, then a removal and swaps of whole lists, which call no function
+and build no object.  A move inside one block keeps every end.  A
+boundary move is the edit that takes an end element of one block to its
+neighbour.
 
 Beside each block sits its chunk index.  Chunk t of a block holds its
 offsets t·S .. (t+1)·S - 1, S = :data:`CHUNK`, so the offsets are implicit.
@@ -62,7 +62,6 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvariantError
 from .multiset import _FIELD_BITS, _FIELD_BYTES, id_type, pack
 
 CHUNK = 128
@@ -203,28 +202,25 @@ class CharSeq:
             sums.pop()
         return sums
 
-    def relocate(self, k: int, off: int, to: int) -> None:
-        """Move the element at offset ``off`` of block ``k`` to offset ``to``
-        there.  Its new words come first, on a copy; then the array insert,
-        the one store that allocates, which fails with nothing changed."""
-        block = self.blocks[k]
-        col = block[off]
-        a, b = (to, off) if to < off else (off, to)
-        sums = self.chunk_sums[k]
-        if a // CHUNK != b // CHUNK:  # a chunk boundary lies in (a, b]
-            sums = self._crossed(k, a, b, 1 << (_FIELD_BITS * col), to < off)
-        block.insert(to + (to > off), col)
-        del block[off + (to < off)]
-        self.chunk_sums[k] = sums
-
     def edit(
         self, js: int | None, offs: int | None, jd: int | None, offd: int | None, col: int
     ) -> None:
         """Take the element at offset ``offs`` of block ``js`` out and put
-        column id ``col`` in at offset ``offd`` of block ``jd``, another block;
-        a None block skips its step.  The new words and ends come first, on
-        copies, then the array insert, the one store that allocates, which
-        fails with nothing changed.  A move inside one block is :meth:`relocate`."""
+        column id ``col`` in at offset ``offd`` of block ``jd``, counted once
+        the element is out; a None block skips its step.  The new words and
+        ends come first, on copies, then the array insert, the one store
+        that allocates, which fails with nothing changed; past it nothing
+        is called or built.  A move inside one block keeps every end."""
+        if js == jd is not None:
+            up = offs < offd
+            a, b, out = (offs, offd, offs) if up else (offd, offs, offs + 1)
+            sums = self.chunk_sums[js]
+            if a // CHUNK != b // CHUNK:  # a chunk boundary lies in (a, b]
+                sums = self._crossed(js, a, b, 1 << (_FIELD_BITS * col), not up)
+            self.blocks[js].insert(offd + up, col)
+            del self.blocks[js][out]
+            self.chunk_sums[js] = sums
+            return
         wd = None if jd is None else self.insert_at(jd, offd, col)
         ws = None if js is None else self.delete_at(js, offs)
         # The ends from the lower block up to the higher one move by one; past
@@ -248,27 +244,6 @@ class CharSeq:
             del self.blocks[js][offs]
             self.chunk_sums[js] = ws
         self.ends = ends
-
-    def move_left(self, i: int) -> int:
-        """Move block ``i``'s first element to the end of block ``i - 1``; return its column."""
-        return self._move(i, i - 1, "move_left")
-
-    def move_right(self, i: int) -> int:
-        """Move block ``i``'s last element to the front of block ``i + 1``; return its column."""
-        return self._move(i, i + 1, "move_right")
-
-    def _move(self, i: int, k: int, name: str) -> int:
-        """Move the end element of block ``i`` facing its neighbour ``k`` into ``k``."""
-        slots = len(self.blocks)
-        if not (0 <= i < slots and 0 <= k < slots):
-            raise IndexError(f"{name} source {i} out of range ({slots} slots)")
-        if not self.blocks[i]:
-            raise InvariantError(f"{name} from empty block {i}")
-        off = 0 if k < i else len(self.blocks[i]) - 1
-        col = self.blocks[i][off]
-        to = len(self.blocks[k]) if k < i else 0
-        self.edit(i, off, k, to, col)
-        return col
 
     def access_range(self, lo: int, hi: int) -> list[int]:
         """Return the symbols at positions ``lo..hi`` inclusive, in order."""

@@ -67,12 +67,13 @@ column ids are: the element at ``src`` out, then one in at ``dst``, where
 ``insert(dst, delete(src))`` would put it.  Its block comes from the net
 block sizes after the edit, so a relocation that stays in a full block, or
 goes to the end of one from the block after it, moves inside one block.
-Every new value, a freed or claimed column's state among them, is
-computed before the first store, the array insert, the one that can fail,
-which fails with nothing changed; the stores after it allocate nothing, so
-an edit that raises changes nothing.  A relocation inside one block edits
-no summary cell and no block end, as every cell counts whole blocks; one
-across blocks adds both its point edits to one run of the symbol's plane.
+Every new value, a freed or claimed column's state among them, is computed
+before one call, :meth:`PairTable.store`, stores the edit or a boundary
+move: the array insert first, the one store that can fail, which fails
+with nothing changed, then the rest, which calls no function and builds
+no object, so an edit that raises changes nothing.  A move inside one
+block edits no summary cell and no block end, as every cell counts whole
+blocks; one across blocks adds its two point edits to one run of a plane.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ from operator import countOf
 from typing import Collection, Iterable, Sequence
 
 from .charseq import CharSeq, word_bound
+from .errors import InvariantError
 from .multiset import MAX_COUNT, MAX_SYMBOL, PairTable, check_table_fits, id_type
 from .results import ModesResult
 
@@ -360,9 +362,6 @@ class RangeModeEngine:
                     jd, offd = nxt, 0
                 else:
                     kind = "overflow"
-            if jd == js:  # inside one block: no summary cell and no block end changes
-                seq.relocate(js, offs, offd - (offd > offs))
-                return gone
             if symbol is not None and not kind:
                 col = seq.column.get(symbol)
                 if col is None:  # a new symbol, whose column may need wider ids
@@ -372,12 +371,13 @@ class RangeModeEngine:
         if kind:
             self._rebuild_layout(*self._edited_ids(src, dst, symbol, col), kind)
             return gone
-        if jd is None:
+        if jd == js:  # inside one block: no summary cell and no block end changes
+            run, offd = None, offd - (offd > offs)
+        elif jd is None:
             run = table.apply_point(js, col, -1)
         else:
             run = table.apply_point(jd, col, 1, js, claim)
-        seq.edit(js, offs, jd, offd, col)  # the edit's one store that can fail comes first
-        table.store(run)
+        table.store(run, js, offs, jd, offd, col)
         return gone
 
     def modes(self, lo: int, hi: int) -> ModesResult:
@@ -433,14 +433,28 @@ class RangeModeEngine:
         """Move the first element of block ``i`` to the end of block ``i - 1``.
 
         The flattened sequence is unchanged; only the block boundary and the
-        summary cells move.  No op moves a boundary: tests lay blocks out
-        by these moves.
+        summary cells move.  No op moves a boundary, and no capacity is
+        checked.
         """
-        self._table.shift_left(i, self._seq.move_left(i))
+        self._move(i, -1, "move_left")
 
     def move_right(self, i: int) -> None:
         """Move the last element of block ``i`` to the front of block ``i + 1``."""
-        self._table.shift_right(i, self._seq.move_right(i))
+        self._move(i, 1, "move_right")
+
+    def _move(self, i: int, step: int, name: str) -> None:
+        """Move the end element of block ``i`` that faces block ``i + step``
+        into it, checked first and stored by one call, as an edit is."""
+        if type(i) is not int:
+            raise TypeError(f"block slot must be an int, got {type(i).__name__}")
+        blocks, k = self._seq.blocks, i + step
+        if not (0 <= i < len(blocks) and 0 <= k < len(blocks)):
+            raise IndexError(f"{name} source {i} out of range ({len(blocks)} slots)")
+        if not blocks[i]:
+            raise InvariantError(f"{name} from empty block {i}")
+        off, to = (0, len(blocks[k])) if step < 0 else (len(blocks[i]) - 1, 0)
+        col = blocks[i][off]
+        self._table.store(self._table.apply_point(k, col, 1, i), i, off, k, to, col)
 
     # ------------------------------------------------------------------
     # audits

@@ -23,6 +23,8 @@ with a 1 in every field of the row tails and 0 in those head cells, and
 builds the new bytes (:meth:`PairTable.apply_point`), which :meth:`PairTable.store`
 copies into the byte view, with no cast, once the op has built every new
 value: one C-speed pass over (j+1)(L-j) + j(j-1)/2 fields, whatever σ'.
+That one call stores the whole edit, the sequence's array insert first, the
+one store that can fail, and past it calls no function and builds no object.
 An element moving between two blocks adds both edits to one run of its
 plane, so the cells that cover both blocks keep their count.  The mask
 depends on j and L alone, so the first edit in block j builds it and the
@@ -115,6 +117,7 @@ _FIELD_BITS = 32
 _FIELD_BYTES = _FIELD_BITS // 8
 _ONE_FIELD = (1).to_bytes(_FIELD_BYTES, "little")
 _ZERO_FIELD = bytes(_FIELD_BYTES)
+_WHOLE = slice(None)  # built once: a store past the edit's array insert builds nothing
 MAX_COUNT = (1 << _FIELD_BITS) - 1
 _SLOT = struct.calcsize("P")  # a list slot
 _INT_HEAD = int.__basicsize__ + _SLOT  # an int's header and its list slot
@@ -514,15 +517,22 @@ class PairTable:
         new = total.to_bytes(len(run), "little")
         return run, new, claim, free
 
-    def store(self, run: tuple[memoryview, bytes, tuple | None, list[int] | None]) -> None:
-        """Store ``run``, what :meth:`apply_point` computed: its claim's
-        column state, the new fields, then its free list, whose last column
-        keeps its symbol but not the map entry; none of these allocates."""
-        fields, new, claim, free = run
+    def store(
+        self, run, js: int | None, offs: int | None, jd: int | None, offd: int | None, col: int
+    ) -> None:
+        """Store one edit: :meth:`CharSeq.edit` with ``js``, ``offs``, ``jd``,
+        ``offd`` and ``col``, then ``run``, what :meth:`apply_point` computed, if
+        any: its claim's column state, the new fields, then its free list,
+        whose last column keeps its symbol but not the map entry.  The array
+        insert is the one store that can fail; past it nothing is called or built."""
         seq = self._seq
+        seq.edit(js, offs, jd, offd, col)  # explicit arguments: a starred call costs more
+        if run is None:
+            return
+        fields, new, claim, free = run
         if claim is not None:
             self._counts, seq.symbol, seq.column, self._free, self._width = claim
-        fields[:] = new
+        fields[_WHOLE] = new
         if free is not None:
             self._free = free
             del seq.column[seq.symbol[free[-1]]]
@@ -536,11 +546,11 @@ class PairTable:
         slots = self._slots
         if not 1 <= i < slots:
             raise IndexError(f"shift_left source {i} out of range ({slots} slots)")
-        self.store(self.apply_point(i - 1, col, 1, i))
+        self.store(self.apply_point(i - 1, col, 1, i), None, None, None, None, col)
 
     def shift_right(self, i: int, col: int) -> None:
         """Record one element of column ``col`` crossing from block ``i`` into block ``i + 1``."""
         slots = self._slots
         if not 0 <= i < slots - 1:
             raise IndexError(f"shift_right source {i} out of range ({slots} slots)")
-        self.store(self.apply_point(i + 1, col, 1, i))
+        self.store(self.apply_point(i + 1, col, 1, i), None, None, None, None, col)

@@ -232,8 +232,8 @@ WIDEN_FAULTS = {  # where handing a new symbol a column can fail
 def _fail_array_insert(mp):
     """Make the array insert of the next edit that inserts raise
     :class:`MemoryError`, as one that runs out of memory does: before it
-    changes anything, as the first store of the edit.  A move inside one
-    block, which makes its own array insert, raises the same way."""
+    changes anything, as the first store of the edit, a move inside one
+    block included."""
     edit = charseq.CharSeq.edit
 
     def failing(self, js, offs, jd, *rest):
@@ -242,7 +242,6 @@ def _fail_array_insert(mp):
         edit(self, js, offs, jd, *rest)
 
     mp.setattr(charseq.CharSeq, "edit", failing)
-    mp.setattr(charseq.CharSeq, "relocate", refuse)
 
 
 EDIT_FAULTS = {  # where an edit that does not rebuild can fail

@@ -669,20 +669,31 @@ class TestMoves:
         assert engine.block_sizes()[:2] == [3, 0]
         assert engine.to_list() == [10, 11, 12]
 
-    def test_move_from_empty_block(self):
-        engine = self.make_engine()
-        with pytest.raises(InvariantError):
-            engine.move_right(1)
-        with pytest.raises(InvariantError):
-            engine.move_left(2)
+    def test_move_bounds_and_empty_source(self):
+        engine = RangeModeEngine([1, 2])
+        lay_out(engine, [1, 0, 1])
+        slots, before = len(engine.block_sizes()), snapshot(engine)
+        for name, i in (("move_left", 0), ("move_left", slots), ("move_right", slots - 1),
+                        ("move_right", -1)):
+            message = rf"^{name} source {i} out of range \({slots} slots\)$"
+            with pytest.raises(IndexError, match=message):
+                getattr(engine, name)(i)
+        for name in ("move_left", "move_right"):
+            with pytest.raises(InvariantError, match=rf"^{name} from empty block 1$"):
+                getattr(engine, name)(1)
+        assert snapshot(engine) == before and engine.audit().ok
 
-    def test_move_bounds(self):
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", None], ids=repr)
+    @pytest.mark.parametrize("name", ["move_left", "move_right"])
+    def test_move_slot_must_be_an_int(self, name, bad):
+        # True would pass as slot 1: block 1's first element into block 0.
         engine = self.make_engine()
-        slots = len(engine.block_sizes())
-        with pytest.raises(IndexError):
-            engine.move_left(0)
-        with pytest.raises(IndexError):
-            engine.move_right(slots - 1)
+        engine.move_right(0)
+        before = snapshot(engine)
+        message = f"^block slot must be an int, got {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            getattr(engine, name)(bad)
+        assert snapshot(engine) == before and engine.audit().ok
 
 
 class TestFullBlockInserts:
@@ -1260,7 +1271,8 @@ class TestAudit:
         engine = RangeModeEngine([1, 2, 3, 4, 5])
         table = engine._table
         col, claim = table.claim_column(7)
-        table.store(table.apply_point(0, col, 1, None, claim))  # no element counted in
+        # No element counted in: the edit changes no block.
+        table.store(table.apply_point(0, col, 1, None, claim), None, None, None, None, col)
         report = engine.audit()
         assert not report.ok
         assert "cell" in report.message
@@ -1326,7 +1338,8 @@ class TestAudit:
         table = engine._table
         col, claim = table.claim_column(9)
         fields, _, *state = table.apply_point(0, col, 1, None, claim)
-        table.store((fields, fields, *state))  # the claim, with a run that adds nothing
+        # The claim, with a run that adds nothing and an edit that changes no block.
+        table.store((fields, fields, *state), None, None, None, None, col)
         assert engine._seq.column[9] == col and table.copies(col) == 0
         report = engine.audit()
         assert not report.ok

@@ -9,16 +9,23 @@ counts are not pinned; each sweep finds where its op stops raising.  The
 ops are queries; the edits that rebuild the layout, which admit, build and
 log a new layout before installing it: a doubling insert, a halving
 delete, an insert of column 256, and an insert or a relocation into a full
-block; and every kind of edit that does not rebuild, which computes every
-new value before its first store, at two sizes and two values of alpha.
-The garbage collector is off during a sweep, so no collection runs inside
-an op.
+block; and every kind of edit that does not rebuild, boundary moves
+included, which computes every new value before the one call that stores
+it, at two sizes and two values of alpha.  Each edit is also swept in a
+fresh interpreter, where no function of its path has run: on some Python
+versions a function's first calls allocate, and a sweep after warm calls
+misses those allocations.  The garbage collector is off during a sweep, so
+no collection runs inside an op.
 """
 
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from probe import pack_front, snapshot
@@ -80,6 +87,19 @@ class Engine:
         self.insert_at = engine.insert
         self.delete_at = engine.delete
         self.relocate = engine.relocate
+        self.move_left = engine.move_left
+        self.move_right = engine.move_right
+
+
+class Naive(NaiveSeq):
+    """:class:`NaiveSeq` with the engine's boundary moves, which change no element."""
+
+    __slots__ = ()
+
+    def move_left(self, i):
+        return None
+
+    move_right = move_left
 
 
 def faulted(op, engine, n):
@@ -122,11 +142,12 @@ def check(case, n):
     return False
 
 
-def sweep(case):
+def sweep(case, warm=True):
     """Check ``case`` with each allocation failing in turn, up to the first
-    that its op does not reach."""
+    that its op does not reach, after a warm-up run of the op if ``warm``."""
     build, op, _ = case
-    op(Engine(build()[0]))  # warm-up: caches filled once do not count
+    if warm:  # caches filled once do not count
+        op(Engine(build()[0]))
     n = 0
     while check(case, n):
         n += 1
@@ -163,10 +184,10 @@ def test_every_late_failed_allocation_of_an_ids_insert_changes_nothing(no_gc):
 
 def built(n, alpha, *lone):
     """An engine at ``alpha`` built from ``n`` elements of five symbols, the
-    last ones ``lone``, with its :class:`NaiveSeq`."""
+    last ones ``lone``, with its :class:`Naive`."""
     symbols = [k % 5 for k in range(n)]
     symbols[n - len(lone) :] = lone
-    return RangeModeEngine(symbols, Config(alpha=alpha)), NaiveSeq(symbols)
+    return RangeModeEngine(symbols, Config(alpha=alpha)), Naive(symbols)
 
 
 def freed(n, alpha, *lone):
@@ -222,6 +243,18 @@ EDITS = {
         lambda a, b: (a["free"], b["free"], b["column"][9]) == ([], [], 5)
         and a["column"] == b["column"] and a["sizes"] != b["sizes"],
     ),
+    # Block 2's first element to the end of block 1, and block 1's last to
+    # the front of block 2: the block sizes change, the sequence does not.
+    "move_left": (
+        built,
+        lambda s, n: s.move_left(2),
+        lambda a, b: a["list"] == b["list"] and a["sizes"] != b["sizes"],
+    ),
+    "move_right": (
+        built,
+        lambda s, n: s.move_right(1),
+        lambda a, b: a["list"] == b["list"] and a["sizes"] != b["sizes"],
+    ),
 }
 
 
@@ -236,3 +269,29 @@ def test_every_failed_allocation_of_an_edit_changes_nothing(no_gc, monkeypatch, 
     op(Engine(engine), n)
     assert changes(before, snapshot(engine)) and not engine.reset_events
     sweep((lambda: build(n, alpha), lambda s: op(s, n), []))
+
+
+def cold_sweep(edit, n, alpha):
+    """Sweep ``edit`` at ``n`` and ``alpha`` as the test above does, with
+    S = 4, but with no warm-up and no first run of its op; in a fresh
+    interpreter, the sweep then reaches the functions that only the op
+    calls on their first calls."""
+    charseq.CHUNK = 4
+    build, op, _ = EDITS[edit]
+    gc.disable()
+    sweep((lambda: build(n, alpha), lambda s: op(s, n), []), warm=False)
+
+
+@pytest.mark.parametrize(("n", "alpha"), [(100, Fraction(1, 3)), (400, Fraction(1, 2))], ids=str)
+@pytest.mark.parametrize("edit", EDITS)
+def test_every_failed_allocation_of_a_cold_edit_changes_nothing(edit, n, alpha):
+    tests = Path(__file__).resolve().parent
+    path = [str(tests), str(Path(charseq.__file__).resolve().parents[1])]
+    code = "from fractions import Fraction\nimport test_faults\n"
+    code += f"test_faults.cold_sweep({edit!r}, {n}, {alpha!r})"
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+    assert child.returncode == 0, child.stderr

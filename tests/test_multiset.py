@@ -100,11 +100,12 @@ def build_table(blocks):
 def point(table, j, symbol, delta):
     """A point edit of ``symbol`` in block ``j``, as the engine makes it: a
     gain claims a new symbol's column, a loss reads it from the column map
-    and frees it with its last copy, and the run is stored once computed."""
+    and frees it with its last copy, and the run is stored once computed,
+    with an edit that changes no block."""
     col, claim = table._seq.column.get(symbol), None
     if delta == 1 and col is None:
         col, claim = table.claim_column(symbol)
-    table.store(table.apply_point(j, col, delta, None, claim))
+    table.store(table.apply_point(j, col, delta, None, claim), None, None, None, None, col)
 
 
 def shift_left(table, i, symbol):
@@ -646,8 +647,8 @@ class TestSymbolMajorLayout:
         assert table.sigma_prime == 1 and table._free == [col]
         claimed, claim = table.claim_column(C)
         assert claimed == col
-        table.store(table.apply_point(0, col, 1, None, claim))
-        table.store(table.apply_point(0, col, -1))
+        table.store(table.apply_point(0, col, 1, None, claim), None, None, None, None, col)
+        table.store(table.apply_point(0, col, -1), None, None, None, None, col)
         # The fields still hold A's offsets, 1 in row 1 and 3 in row 2...
         assert [stored(table, l, 2, col) for l in range(3)] == [0, 1, 3]
         # ...and every cell of C reads 0.

@@ -48,9 +48,9 @@ def random_seq(rng, code):
             seq.edit(k, off, None, None, seq.blocks[k][off])
         elif roll < 0.85:
             off, to = rng.randrange(size), rng.randrange(size)  # to: its offset once moved
-            seq.relocate(k, off, to)
-        elif k:
-            seq.move_left(k)
+            seq.edit(k, off, k, to, seq.blocks[k][off])
+        elif k:  # block k's first element to the end of block k - 1
+            seq.edit(k, 0, k - 1, len(seq.blocks[k - 1]), seq.blocks[k][0])
     assert {block.typecode for block in seq.blocks} == {code}
     return seq
 

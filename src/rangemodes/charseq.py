@@ -46,12 +46,13 @@ delete u(block[t·S]) - u(col), up to the length, and a relocation inside
 the block one or the other between its offsets; the last word gains or
 loses u(col), and a length crossing a multiple of S adds or drops a word.
 Nothing splits, merges or is recounted, and a boundary move undone by the
-opposite move leaves every word as it was.  A query counts the whole chunks of a
-margin as one difference of two words, found by arithmetic.  Each end of
-the margin moves to the nearer boundary of the chunk it cuts, so it reads
-at most S/2 column ids straight from the block array: the ids up to an
-inner boundary as loose, or, past an outer one, the ids outside the range
-as taken away from the word (:meth:`CharSeq.count`).
+opposite move leaves every word as it was.  A query
+(:meth:`RangeModeEngine.modes`) counts the whole chunks of a margin as one
+difference of two words, found by arithmetic.  Each end of the margin
+moves to the nearer boundary of the chunk it cuts, so it reads at most S/2
+column ids, one slice of the block array: the ids up to an inner boundary,
+added, or, past an outer one, the ids outside the range, taken away from
+the word.
 """
 from __future__ import annotations
 
@@ -270,39 +271,6 @@ class CharSeq:
     # ------------------------------------------------------------------
     # chunk counts
     # ------------------------------------------------------------------
-
-    def count(self, k: int, lo: int, stop: int, loose: list[int], taken: list[int]) -> int:
-        """Count offsets ``lo..stop - 1`` of block ``k``.
-
-        Returns the count word of the whole chunks it takes, appends
-        the column ids inside the range that no word holds to ``loose``, and
-        those outside it that a word holds to ``taken``: the count is
-        word + ``loose`` − ``taken``.  When the part holds a whole chunk,
-        each end goes to the nearer boundary of the chunk it cuts: inwards,
-        reading the elements up to it as loose, or outwards, adding that
-        chunk's word and reading the elements past the range as taken.
-        Each end then reads at most S/2 elements.  Otherwise every element
-        is loose.  Only part of a block is ever asked for, so a one-chunk
-        block has no whole chunk.
-        """
-        block, sums = self.blocks[k], self.chunk_sums[k]
-        i = -(-lo // CHUNK)  # the first boundary at or after lo
-        j = len(sums) - 1 if stop == len(block) else stop // CHUNK  # the last at or before stop
-        if i < j:
-            first, end = i * CHUNK, min(j * CHUNK, stop)
-            if 2 * (first - lo) > CHUNK:
-                i -= 1
-                taken += block[first - CHUNK : lo]
-            else:
-                loose += block[lo:first]
-            if stop > end and min(end + CHUNK, len(block)) - stop < stop - end:
-                j += 1
-                taken += block[stop : end + CHUNK]
-            else:
-                loose += block[end:stop]
-            return sums[j] - sums[i]
-        loose += block[lo:stop]
-        return 0
 
     def block_words(self) -> Iterator[int]:
         """The count word of each block, the last of its words, one at a time."""

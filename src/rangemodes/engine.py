@@ -16,13 +16,13 @@ inside one block reads a cell only when it covers that whole block, and a
 cell whose blocks are all empty is not read.  Of a counted part, the whole
 chunks of :class:`CharSeq` come as one difference of two running count
 words, and each end moves to the nearer boundary of the chunk it cuts,
-reading at most S/2 elements from the block array: inside the range as
-loose elements, or, past an outer boundary whose chunk it counts, outside
-the range as elements to take away.  The cell and the words are one packed
-int sum, unpacked once, and each loose or taken element is then one step on
-the unpacked counts, at the column id the block stores.  A query that reads
-no cell and no word counts its loose elements alone, so its cost follows
-the symbols present, not σ'.
+reading at most S/2 elements as one slice of the block array: inside the
+range, to add, or, past an outer boundary whose chunk it counts, outside
+the range, to take away.  The cell and the words are one packed int sum,
+unpacked once, and each element of the slices is then one step on the
+unpacked counts, at the column id the block stores.  A query that reads
+no cell and no word counts its slices alone, so its cost follows the
+symbols present, not σ'.
 
 The blocks are the column-id arrays of :class:`CharSeq`, each in the
 narrower unsigned type that holds every column handed out (one byte per
@@ -87,6 +87,7 @@ from itertools import accumulate, chain
 from operator import countOf
 from typing import Collection, Iterable, Sequence
 
+from . import charseq
 from .charseq import CharSeq, word_bound
 from .errors import InvariantError
 from .multiset import MAX_COUNT, MAX_SYMBOL, PairTable, check_table_fits, id_type
@@ -385,7 +386,8 @@ class RangeModeEngine:
         if type(lo) is not int or type(hi) is not int:
             _check_position(lo)
             _check_position(hi)
-        ends = self._seq.ends  # ends[k]: one past the last position of block k
+        seq = self._seq
+        ends = seq.ends  # ends[k]: one past the last position of block k
         n = ends[-1]
         if not (0 <= lo <= hi < n):
             raise IndexError(f"range [{lo}, {hi}] out of bounds (length {n})")
@@ -398,27 +400,58 @@ class RangeModeEngine:
         # The cell leaves out each partial end block, whose part inside the
         # range is counted instead; a cell of empty blocks is not read.
         cs, ce = bl + out_l, br - out_r
-        seq = self._seq
-        loose: list[int] = []  # column ids
-        taken: list[int] = []
-        if bl == br:
-            plus = seq.count(bl, lo - start, stop - start, loose, taken) if out_l or out_r else 0
-        else:
-            plus = seq.count(bl, lo - start, ends[bl] - start, loose, taken) if out_l else 0
-            if out_r:
-                plus += seq.count(br, 0, stop - ends[br - 1], loose, taken)
+        # A part counts its whole chunks as one difference of two words, and
+        # each end moves to the nearer boundary of the chunk it cuts: inwards,
+        # its ids up to it added, or outwards, never on a tie, that chunk's
+        # ids past the range taken away.  With no whole chunk, its ids are
+        # added.  Each cut stays a slice of the block array.
+        S = charseq.CHUNK
+        word, add_l, add_r, sub_l, sub_r = 0, (), (), (), ()
+        if out_l or out_r:
+            # Block bl's part from lo, then block br's up to stop: one part
+            # when both ends lie in one block.
+            if out_l:
+                k, a, b = bl, lo - start, (stop if bl == br else ends[bl]) - start
+            else:
+                k, a, b = br, 0, stop - (ends[br - 1] if br else 0)
+            while True:
+                block, sums = seq.blocks[k], seq.chunk_sums[k]
+                i = -(-a // S)  # the first boundary at or after a
+                j = len(sums) - 1 if b == len(block) else b // S  # the last at or before b
+                if i < j:
+                    first, end = i * S, j * S  # end passes b only at the block's end
+                    if 2 * (first - a) > S:
+                        i -= 1
+                        sub_l = block[first - S : a]
+                    elif a < first:
+                        add_l = block[a:first]
+                    if b > end:
+                        if min(end + S, len(block)) - b < b - end:
+                            j += 1
+                            sub_r = block[b : end + S]
+                        else:
+                            add_r = block[end:b]
+                    word += sums[j] - sums[i]
+                elif a:  # the part from lo
+                    add_l = block[a:b]
+                else:  # a part from its block's start, up to stop
+                    add_r = block[:b]
+                if k == br or not out_r:
+                    break
+                k, a, b = br, 0, stop - ends[br - 1]
         if cs <= ce and ends[ce] > (ends[cs - 1] if cs else 0):
-            best, winners = self._table.modes(cs, ce, loose, taken, plus)
-        elif plus:
-            best, winners = self._table.modes(None, None, loose, taken, plus)
-        else:  # every element is loose: count the columns present, not σ' columns
+            best, winners = self._table.modes(cs, ce, word, add_l, add_r, sub_l, sub_r)
+        elif word:
+            best, winners = self._table.modes(None, None, word, add_l, add_r, sub_l, sub_r)
+        else:  # every id is added: count the columns present, not σ' columns
             margin: dict[int, int] = {}
-            _count_elements(margin, loose)
+            _count_elements(margin, add_l)
+            _count_elements(margin, add_r)
             best = max(margin.values())
             symbol = seq.symbol
             winners = [symbol[col] for col, count in margin.items() if count == best]
         winners.sort()
-        return ModesResult(best, tuple(winners))
+        return tuple.__new__(ModesResult, (best, tuple(winners)))
 
     def mode(self, lo: int, hi: int) -> tuple[int, int]:
         """One mode of ``[lo, hi]``: the multiplicity and the smallest mode id."""

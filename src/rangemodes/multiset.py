@@ -38,10 +38,11 @@ of one element between neighbouring blocks.  A modes
 query reads one field from each plane, a strided gather of σ' fields, packs
 them into one ``int``, subtracts the row's offset word, adds the count
 word of the whole chunks of each margin, and unpacks the sum once to a
-list of σ' counts.  It then adds 1 at each loose margin element and takes
-1 away at each element a margin word counts outside the range, one step per
-element at the column id its block stores, with no lookup, and finds the
-top count and its columns at C speed, O(σ') per query.  The table takes
+list of σ' counts.  It then adds 1 at each id of the slices of the block
+arrays that the margins add and takes 1 away at each id of those a margin
+word counts outside the range, one step per element at the column id its
+block stores, with no lookup or copy, and finds the top count and its
+columns at C speed, O(σ') per query.  The table takes
 L(L+1)/2 · width · 4 bytes.  Beside it are ints: L offset words of width
 fields, its kept masks of up to min(L(L²+2)/3, L(L+1)/2 · width) fields,
 and the L prefix lists of chunk count words, ⌈c/S⌉ running words of width
@@ -99,7 +100,7 @@ import struct
 import sys
 from array import array
 from itertools import accumulate, islice
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InvariantError
 
@@ -347,35 +348,46 @@ class PairTable:
         return {symbol[k]: c - b for k, (c, b) in enumerate(zip(stored, offsets)) if c != b}
 
     def modes(
-        self, l: int | None, r: int | None, loose: list[int], taken: list[int], plus: int = 0
+        self,
+        l: int | None,
+        r: int | None,
+        word: int,
+        add_l: Iterable[int],
+        add_r: Iterable[int],
+        sub_l: Iterable[int],
+        sub_r: Iterable[int],
     ) -> tuple[int, list[int]]:
         """Top multiplicity and its symbols, unsorted, over blocks ``l..r``
-        plus the count word ``plus`` and the column ids ``loose``, less the
-        column ids ``taken``; with ``l`` None, of the word and ids alone.
+        plus the count word ``word`` and the column ids of ``add_l`` and
+        ``add_r``, less those of ``sub_l`` and ``sub_r``; with ``l`` None,
+        of the word and ids alone.
 
         The engine leaves each partial end block of a query out of ``l..r``
-        and passes the part inside the range as :meth:`CharSeq.count` gives
-        it: the sum of the count words it takes, the ids inside the range
-        that no word holds, and those outside it that a word holds.  Each id
-        is one step on the unpacked counts, and must be a column in use.
+        and passes the part inside the range: the sum of the count words of
+        its whole chunks, and at each end of the range the block-array
+        slice inside it that no word holds, or the one outside it that a
+        word holds.  Each id is one step on the unpacked counts, and must be
+        a column in use.
         """
         symbol = self._seq.symbol
         width = len(symbol)
-        if l is None:
-            word = plus
-        else:  # :meth:`_index`, :func:`pack` and :func:`unpack` inline: each call cost more
+        if l is not None:  # :meth:`_index`, :func:`pack`, :func:`unpack` inline: calls cost more
             if not 0 <= l <= r < self._slots:
                 raise IndexError(f"cell ({l}, {r}) out of range ({self._slots} slots)")
             start, cells = self._row_base[l] + r, self._cells
             fields = self._counts.obj[start : start + width * cells : cells]
             # No field borrows, as the offset is part of the stored fields,
             # and none overflows, as no count exceeds MAX_COUNT.
-            word = int.from_bytes(fields, "little") - self._base[l] + plus
+            word += int.from_bytes(fields, "little") - self._base[l]
         counts = array("I", word.to_bytes(_FIELD_BYTES * width, "little")).tolist()
         try:
-            for col in loose:
+            for col in add_l:
                 counts[col] += 1
-            for col in taken:
+            for col in add_r:
+                counts[col] += 1
+            for col in sub_l:
+                counts[col] -= 1
+            for col in sub_r:
                 counts[col] -= 1
         except IndexError:
             raise InvariantError(f"a margin column id is past the width {width}") from None

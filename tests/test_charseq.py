@@ -1,14 +1,16 @@
 import random
 from array import array
 from collections import Counter
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from probe import add_columns, ends, word_count, words
+from probe import add_columns, ends, words
 
-from rangemodes import CharSeq, charseq
+import rangemodes.engine as engine_module
+from rangemodes import CharSeq, Config, NaiveSeq, PairTable, RangeModeEngine, charseq
 from rangemodes.multiset import id_type, unpack
 
 
@@ -380,50 +382,75 @@ def word_counts(seq, word):
     return Counter({seq.symbol[col]: count for col, count in enumerate(fields) if count})
 
 
-def test_chunks_follow_edits_and_count_margins(monkeypatch):
-    # S = 3: a few hundred edits append and drop words many times over,
-    # and margins cut chunks at both ends.
-    monkeypatch.setattr(charseq, "CHUNK", 3)
+@pytest.mark.parametrize("chunk", [2, 3, 128])
+def test_chunks_follow_edits_and_count_margins(monkeypatch, chunk):
+    # Blocks of about 20 chunks at S = 2 and 3, and 7 at S = 128: edits
+    # append and drop words many times over, and each is followed by a
+    # query inside one block, whose margin cuts chunks at both ends.  The
+    # margin is captured as the query passes it to PairTable.modes, or, with
+    # no cell and no word, as it counts its slices alone.
+    monkeypatch.setattr(charseq, "CHUNK", chunk)
+    passed, alone = [], []
+    table_modes, count_elements = PairTable.modes, engine_module._count_elements
+
+    def modes(self, l, r, word, add_l, add_r, sub_l, sub_r):
+        passed.append((word, [add_l, add_r], [sub_l, sub_r]))
+        return table_modes(self, l, r, word, add_l, add_r, sub_l, sub_r)
+
+    def count_alone(counts, ids):
+        alone.append(ids)
+        return count_elements(counts, ids)
+
+    monkeypatch.setattr(PairTable, "modes", modes)
+    monkeypatch.setattr(engine_module, "_count_elements", count_alone)
     rng = random.Random(99)
-    mirror = [[rng.randrange(5) for _ in range(size)] for size in (0, 13, 30, 1, 9)]
-    seq = seq_over([list(block) for block in mirror])
-    assert [word_count(seq, k) - 1 for k in range(5)] == [0, 5, 10, 1, 3]
-    counted = took = 0
-    for _ in range(600):
-        n = len(flatten(mirror))
+    symbols = [rng.randrange(5) for _ in range(80 * chunk)]
+    engine, oracle = RangeModeEngine(symbols, Config(alpha=Fraction(1, 4))), NaiveSeq(symbols)
+    counted = took = loose_only = 0
+    for step in range(600):
+        n = len(oracle)
         roll = rng.random()
-        if n == 0 or roll < 0.45:
+        if roll < 0.45:
             pos, sym = rng.randint(0, n), rng.randrange(7)
-            assert insert(seq, pos, sym) == mirror_insert(mirror, pos, sym)
+            engine.insert(pos, sym)
+            oracle.insert_at(pos, sym)
         elif roll < 0.8:
             pos = rng.randrange(n)
-            assert delete(seq, pos) == mirror_delete(mirror, pos)
+            assert engine.delete(pos) == oracle.delete_at(pos)
         else:
-            i = rng.randrange(1, len(mirror))
-            if mirror[i]:
-                mirror[i - 1].append(mirror[i].pop(0))
-                move(seq, "move_left", i)
-        check_mirror(seq, mirror)
-        k = rng.randrange(len(mirror))
-        base = len(flatten(mirror[:k]))
-        if len(mirror[k]) > 1:
-            lo = base + rng.randrange(len(mirror[k]) - 1)
-            stop = rng.randint(lo + 1, base + len(mirror[k]) - (lo == base))
-            loose, taken = [], []
-            word = seq.count(k, lo - base, stop - base, loose, taken)
-            if word:
-                counted += 1
-                took += bool(taken)
-                # Each end reads at most half the chunk it cuts.
-                assert len(loose) + len(taken) <= 2 * (charseq.CHUNK // 2)
-            else:  # no whole chunk: under 2S elements
-                assert not taken and len(loose) < 2 * charseq.CHUNK
-            # subtract, unlike -, keeps a count that falls to 0 or below.
-            total = word_counts(seq, word) + Counter(seq.symbol[col] for col in loose)
-            total.subtract(seq.symbol[col] for col in taken)
-            total = {symbol: count for symbol, count in total.items() if count}
-            assert total == Counter(flatten(mirror)[lo:stop])
-    assert counted > 100 and took > 30
+            src, dst = rng.randrange(n), rng.randrange(n)
+            assert engine.relocate(src, dst) == oracle.relocate(src, dst)
+        assert engine._seq.chunk_fault() is None
+        if step % 50 == 0:
+            assert engine.audit().ok and engine.to_list() == oracle.to_list()
+        sizes = engine.block_sizes()
+        k = rng.choice([k for k, size in enumerate(sizes) if size > 1])
+        base = sum(sizes[:k])
+        lo = base + rng.randrange(sizes[k] - 1)
+        stop = rng.randint(lo + 1, base + sizes[k] - (lo == base))  # never the whole block
+        passed.clear()
+        alone.clear()
+        assert engine.modes(lo, stop - 1) == oracle.modes(lo, stop - 1)
+        word, adds, subs = passed[0] if passed else (0, alone[:], [])
+        if word:
+            counted += 1
+            took += any(subs)
+            # Each end passes at most half the chunk it cuts.
+            assert all(len(add) + len(sub) <= chunk // 2 for add, sub in zip(adds, subs))
+        else:  # no whole chunk: under 2S elements
+            loose_only += 1
+            assert not any(subs) and sum(map(len, adds)) < 2 * chunk
+        seq = engine._seq
+        # subtract, unlike -, keeps a count that falls to 0 or below.
+        total = word_counts(seq, word) + Counter(seq.symbol[col] for ids in adds for col in ids)
+        total.subtract(seq.symbol[col] for ids in subs for col in ids)
+        total = {symbol: count for symbol, count in total.items() if count}
+        assert total == Counter(oracle.to_list()[lo:stop])
+    assert engine.audit().ok
+    assert counted > 100 and loose_only > 10
+    # At S = 2 an end that cuts a chunk lies 1 from each of its boundaries,
+    # a tie, which rounds inwards, so nothing is taken away.
+    assert took > 30 if chunk > 2 else not took
 
 
 def recount(seq, cols):

@@ -117,8 +117,13 @@ def shift_right(table, i, symbol):
 
 
 def cols(table, symbols):
-    """The column ids of ``symbols``, as a query's margin passes them."""
-    return [table._seq.column[symbol] for symbol in symbols]
+    """The column ids of ``symbols`` as a query's margin passes them: an
+    array of the blocks' id type, as a slice of a block is."""
+    return array(table._seq.blocks[0].typecode, [table._seq.column[s] for s in symbols])
+
+
+NO_MARGIN = ((), (), (), ())
+"""The four margin slices of a query that reads its cell alone."""
 
 
 def cell_counts(table, l, r):
@@ -320,7 +325,7 @@ class TestPairTable:
         point(table, 1, MAX_SYMBOL, 1)
         shift_right(table, 0, A)
         assert cell_counts(table, 1, 1) == {MAX_SYMBOL: 2, A: 1}
-        assert table.modes(0, 1, [], []) == (3, [MAX_SYMBOL])
+        assert table.modes(0, 1, 0, *NO_MARGIN) == (3, [MAX_SYMBOL])
 
     def test_freed_column_is_reused(self):
         table = build_table([[A], [B]])
@@ -333,35 +338,41 @@ class TestPairTable:
 
     def test_modes_adds_margin_counts(self):
         table = build_table([[A, A, B], [B, C]])
-        best, winners = table.modes(0, 1, [], [])
+        best, winners = table.modes(0, 1, 0, *NO_MARGIN)
         assert (best, sorted(winners)) == (2, [A, B])
-        assert table.modes(1, 1, cols(table, [C]), []) == (2, [C])
-        best, winners = table.modes(0, 0, cols(table, [B, C, C]), [])
+        assert table.modes(1, 1, 0, cols(table, [C]), (), (), ()) == (2, [C])
+        assert table.modes(1, 1, 0, (), cols(table, [C]), (), ()) == (2, [C])
+        best, winners = table.modes(0, 0, 0, cols(table, [B]), cols(table, [C, C]), (), ())
         assert (best, sorted(winners)) == (2, [A, B, C])
 
     def test_modes_takes_away_taken_counts(self):
         table = build_table([[A, A, B], [B, C]])
-        assert table.modes(0, 1, [], cols(table, [B, C])) == (2, [A])
-        best, winners = table.modes(0, 1, cols(table, [C]), cols(table, [A, B]))
+        assert table.modes(0, 1, 0, (), (), cols(table, [B]), cols(table, [C])) == (2, [A])
+        best, winners = table.modes(0, 1, 0, (), cols(table, [C]), cols(table, [A, B]), ())
         assert (best, sorted(winners)) == (2, [C])
-        # With no cell, the counts are the word plus the loose elements,
-        # less the taken ones: here the word of one A and two Bs.
+        # The word adds to the cell's counts: one more C makes C the mode.
+        word = 1 << (multiset._FIELD_BITS * table._seq.column[C])
+        assert table.modes(1, 1, word, *NO_MARGIN) == (2, [C])
+        # With no cell, the counts are the word plus the added ids, less
+        # the taken ones: here the word of one A and two Bs.
         word = sum(1 << (multiset._FIELD_BITS * table._seq.column[s]) for s in (A, B, B))
-        assert table.modes(None, None, cols(table, [A]), cols(table, [B]), word) == (2, [A])
+        assert table.modes(None, None, word, cols(table, [A]), (), (), cols(table, [B])) == (2, [A])
 
     @pytest.mark.parametrize("l, r", [(-1, 0), (-1, -1), (1, 0), (0, 2)])
     def test_modes_rejects_cells_out_of_range(self, l, r):
         table = build_table([[A, A, B], [B, C]])
         with pytest.raises(IndexError):
-            table.modes(l, r, [], [])
+            table.modes(l, r, 0, *NO_MARGIN)
 
     def test_modes_rejects_margin_symbol_without_column(self):
-        # Two columns are in use; a margin column id of 2 has no symbol.
+        # Two columns are in use; a margin column id of 2 has no symbol, in
+        # whichever of the four slices it comes.
         table = build_table([[A], [B]])
-        with pytest.raises(InvariantError):
-            table.modes(0, 1, [2], [])
-        with pytest.raises(InvariantError):
-            table.modes(0, 1, [], [2])
+        for at in range(4):
+            margin = [()] * 4
+            margin[at] = array("B", [2])
+            with pytest.raises(InvariantError):
+                table.modes(0, 1, 0, *margin)
 
     def test_widening_past_the_memory_limit_changes_nothing(self, monkeypatch):
         blocks = [[A], [B, B]]
@@ -494,7 +505,7 @@ class TestPairTable:
         blocks[0].remove(A)
         blocks[1].append(A)
         assert all_cells(table) == recount(blocks)
-        best, winners = table.modes(0, 2, [], [])
+        best, winners = table.modes(0, 2, 0, *NO_MARGIN)
         assert (best, sorted(winners)) == (3, sorted(100 + k for k in range(6)))
 
 

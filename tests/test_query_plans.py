@@ -5,8 +5,12 @@ counts the part inside the range of each partial end block: the cell is
 (bl + 1, br) when block bl starts before the range and (bl, br - 1) when
 block br ends after it.  A cell whose blocks are all empty is not read.  A
 range inside one block reads a cell only when it covers that whole block.
-These tests fix the block layout by hand, record the cell and the counted
-ranges of each query, and check the answer against :class:`NaiveSeq`.
+These tests fix the block layout by hand and record the cell each query
+reads and the margin it passes, at :meth:`PairTable.modes` or, when it
+reads no cell and no word, where it counts its slices alone.  Each end
+counts the part of the range outside the cell's blocks, so the margin's
+word plus the ids it adds, less those it takes away, must equal that
+part's symbols.  Every answer is checked against :class:`NaiveSeq`.
 """
 
 import random
@@ -16,7 +20,8 @@ from fractions import Fraction
 import pytest
 
 from probe import ends, lay_out
-from rangemodes import CharSeq, Config, NaiveSeq, PairTable, RangeModeEngine, charseq
+import rangemodes.engine as engine_module
+from rangemodes import Config, NaiveSeq, PairTable, RangeModeEngine, charseq
 from rangemodes.multiset import unpack
 
 HALF = Config(alpha=Fraction(1, 2))
@@ -33,38 +38,59 @@ def laid_out(symbols, sizes=SIZES):
     return engine
 
 
+def outside(engine, cell, lo, stop):
+    """The parts of ``[lo, stop)`` outside the blocks of ``cell``, one for
+    each block they meet: what the ends of a query that reads ``cell``
+    count."""
+    bounds = [0, *ends(engine._seq)]
+    parts = []
+    for k in range(len(bounds) - 1):
+        a, b = max(lo, bounds[k]), min(stop, bounds[k + 1])
+        if a < b and not (cell and cell[0] <= k <= cell[1]):
+            parts.append((a, b))
+    return parts
+
+
 @pytest.fixture
 def plan(monkeypatch):
-    """Record the cell read and the ranges counted by each query, with the
-    loose and the taken-away elements of each range."""
-    log = {"cells": [], "counts": []}
-    table_modes, count = PairTable.modes, CharSeq.count
+    """Record the cell each query reads and its margin: the word of its
+    whole chunks, the slices it adds and those it takes away."""
+    log = {"cells": [], "margins": [], "alone": []}
+    table_modes, count_elements = PairTable.modes, engine_module._count_elements
 
-    def modes(self, l, r, loose, taken, plus=0):
+    def modes(self, l, r, word, add_l, add_r, sub_l, sub_r):
         if l is not None:  # a query that reads no cell passes its margin alone
             log["cells"].append((l, r))
-        return table_modes(self, l, r, loose, taken, plus)
+        log["margins"].append((word, [add_l, add_r], [sub_l, sub_r]))
+        return table_modes(self, l, r, word, add_l, add_r, sub_l, sub_r)
 
-    def counted(self, k, lo, stop, loose, taken):
-        before, before_taken = len(loose), len(taken)
-        word = count(self, k, lo, stop, loose, taken)
-        base = ends(self)[k - 1] if k else 0
-        log["counts"].append((base + lo, base + stop, word, loose[before:], taken[before_taken:]))
-        return word
+    def count_alone(counts, ids):  # a query with no cell and no word
+        log["alone"].append(ids)
+        return count_elements(counts, ids)
 
     monkeypatch.setattr(PairTable, "modes", modes)
-    monkeypatch.setattr(CharSeq, "count", counted)
+    monkeypatch.setattr(engine_module, "_count_elements", count_alone)
 
     def query(engine, lo, hi):
         for entries in log.values():
             entries.clear()
         assert engine.modes(lo, hi) == NaiveSeq(engine.to_list()).modes(lo, hi)
-        cells = log["cells"]
-        assert len(cells) <= 1
-        ranges = sorted((a, b) for a, b, *_ in log["counts"])
-        return (cells[0] if cells else None), ranges
+        cells, margins = log["cells"], log["margins"]
+        assert len(cells) <= 1 and len(margins) + bool(log["alone"]) <= 1
+        cell = cells[0] if cells else None
+        ranges = outside(engine, cell, lo, hi + 1)
+        word, adds, subs = margins[0] if margins else (0, log["alone"][:], [])
+        symbol = engine._seq.symbol
+        total = word_counts(engine, word) + Counter(symbol[col] for ids in adds for col in ids)
+        total.subtract(symbol[col] for ids in subs for col in ids)  # keeps counts at 0 or below
+        symbols = engine.to_list()
+        assert {s: c for s, c in total.items() if c} == Counter(
+            s for a, b in ranges for s in symbols[a:b]
+        ), (lo, hi)
+        query.plans.append((ranges, word, adds, subs))
+        return cell, ranges
 
-    query.log = log
+    query.log, query.plans = log, []
     return query
 
 
@@ -86,8 +112,9 @@ class TestPlans:
     @pytest.fixture(autouse=True)
     def no_chunk_words(self, plan):
         yield
-        assert not any(word or taken for _, _, word, _, taken in plan.log["counts"])
-        assert all(len(loose) == b - a for a, b, _, loose, _ in plan.log["counts"])
+        for ranges, word, adds, subs in plan.plans:
+            assert not word and not any(subs)
+            assert sum(map(len, adds)) == sum(b - a for a, b in ranges)
 
     def test_left_out(self, plan):
         # Block 2 starts before the range: the cell leaves it out, and its
@@ -176,20 +203,19 @@ def test_chunk_words_leave_the_plans_unchanged(plan, monkeypatch, lo, hi, cell):
     # S = 2: chunks of 2 elements, so each margin here holds a whole
     # chunk.  The query reads the same cell and counts the same ranges as
     # with one chunk per block, but each inner end of a range reads at most
-    # half the chunk it cuts, S/2 = 1 element: loose inside the range, or
+    # half the chunk it cuts, S/2 = 1 element: added inside the range, or
     # taken away outside it.  A query has two inner ends at most.
     symbols = two_symbols()
     _, ranges = plan(laid_out(symbols), lo, hi)
     monkeypatch.setattr(charseq, "CHUNK", 2)
     engine = laid_out(symbols)
     assert plan(engine, lo, hi) == (cell, ranges)
-    counts = plan.log["counts"]
-    assert sum(len(loose) + len(taken) for *_, loose, taken in counts) <= 2 * 1
-    for a, b, word, loose, taken in counts:
-        assert word, (a, b)
-        total = word_counts(engine, word) + Counter(loose)
-        total.subtract(taken)  # keeps a count that falls to 0 or below
-        assert {s: c for s, c in total.items() if c} == Counter(symbols[a:b]), (a, b)
+    _, word, adds, subs = plan.plans[-1]
+    assert sum(map(len, adds + subs)) <= 2 * 1
+    # Every counted range holds more than 2 elements, so one with no word
+    # would add all of them, past the bound: each takes a word.  The query
+    # checked that the word and the slices hold the ranges' symbols.
+    assert all(b - a > 2 for a, b in ranges) and bool(word) == bool(ranges)
 
 
 @pytest.mark.parametrize(
@@ -209,11 +235,11 @@ def test_every_range_after_random_edits(alpha, chunk, monkeypatch):
     cell_reads, rounded_out = Counter(), Counter()
     table_modes = PairTable.modes
 
-    def modes(self, l, r, loose, taken, plus=0):
+    def modes(self, l, r, word, add_l, add_r, sub_l, sub_r):
         cell_reads[l is not None] += 1
-        if plus:
-            rounded_out[bool(taken)] += 1
-        return table_modes(self, l, r, loose, taken, plus)
+        if word:
+            rounded_out[bool(sub_l or sub_r)] += 1
+        return table_modes(self, l, r, word, add_l, add_r, sub_l, sub_r)
 
     monkeypatch.setattr(PairTable, "modes", modes)
     rng = random.Random(alpha.denominator * 7 + alpha.numerator)

@@ -47,12 +47,13 @@ the block one or the other between its offsets; the last word gains or
 loses u(col), and a length crossing a multiple of S adds or drops a word.
 Nothing splits, merges or is recounted, and a boundary move undone by the
 opposite move leaves every word as it was.  A query
-(:meth:`RangeModeEngine.modes`) counts the whole chunks of a margin as one
-difference of two words, found by arithmetic.  Each end of the margin
-moves to the nearer boundary of the chunk it cuts, so it reads at most S/2
-column ids, one slice of the block array: the ids up to an inner boundary,
-added, or, past an outer one, the ids outside the range, taken away from
-the word.
+(:meth:`RangeModeEngine.modes`) moves each end of its range to the
+nearest boundary of the chunk it cuts, found by arithmetic, so it reads
+at most S/2 column ids, one slice of the block array: the ids up to an
+inner boundary, added, or, past an outer one, the ids outside the range,
+taken away.  The running word at the right moved end, less the one at
+the left, counts the whole chunks between them with the summary cell of
+the blocks from the left end's up to the one before the right end's.
 """
 from __future__ import annotations
 

@@ -8,21 +8,21 @@ lie in one slice of the symbol's plane: one int add of a mask built from
 j+1 row pieces, O(L^2) bytes at C speed whatever σ'.  It also changes the
 running chunk count word of :class:`CharSeq` at each chunk boundary of its
 block past its offset, two O(σ')-byte int adds for each of up to C chunks
-of S elements.  A modes query reads the summary cell of the blocks that lie
-wholly inside its range, a strided gather of one field from each of σ'
-planes, and counts the part inside the range of each partial end block, in
-O(log N + σ' + S + output) time for σ' distinct symbols present; a range
-inside one block reads a cell only when it covers that whole block, and a
-cell whose blocks are all empty is not read.  Of a counted part, the whole
-chunks of :class:`CharSeq` come as one difference of two running count
-words, and each end moves to the nearer boundary of the chunk it cuts,
-reading at most S/2 elements as one slice of the block array: inside the
-range, to add, or, past an outer boundary whose chunk it counts, outside
-the range, to take away.  The cell and the words are one packed int sum,
-unpacked once, and each element of the slices is then one step on the
-unpacked counts, at the column id the block stores.  A query that reads
-no cell and no word counts its slices alone, so its cost follows the
-symbols present, not σ'.
+of S elements.  A modes query finds block bl, holding its first element,
+and block br, holding its last, and moves each end of its range to the
+nearest boundary of the chunk of :class:`CharSeq` it cuts, a block's end
+counting as one and a tie going inwards, so that it reads at most S/2
+elements, one slice of the block array: inside the range, to add, or
+outside it, to take away.  The part between the moved ends is blocks
+bl..br-1, none when bl = br, as their summary cell, a strided gather of
+one field from each of σ' planes, or as block bl's own word when no block
+between bl and br holds an element, plus block br's running chunk word at its moved end,
+less block bl's at its own.  The cell and the words are one packed int
+sum, unpacked once, and each element of the slices is then one step on
+the unpacked counts, at the column id the block stores: O(log N + σ' + S
++ output) time for σ' distinct symbols present.  A range with no whole
+chunk inside counts its ids alone, so its cost follows the symbols
+present, not σ'.
 
 The blocks are the column-id arrays of :class:`CharSeq`, each in the
 narrower unsigned type that holds every column handed out (one byte per
@@ -394,62 +394,41 @@ class RangeModeEngine:
         stop = hi + 1
         bl = bisect_right(ends, lo)  # block holding lo
         br = bisect_left(ends, stop, bl)  # block holding hi
-        start = ends[bl - 1] if bl else 0
-        out_l = lo > start  # block bl starts before the range
-        out_r = ends[br] > stop  # block br ends after it
-        # The cell leaves out each partial end block, whose part inside the
-        # range is counted instead; a cell of empty blocks is not read.
-        cs, ce = bl + out_l, br - out_r
-        # A part counts its whole chunks as one difference of two words, and
-        # each end moves to the nearer boundary of the chunk it cuts: inwards,
-        # its ids up to it added, or outwards, never on a tie, that chunk's
-        # ids past the range taken away.  With no whole chunk, its ids are
-        # added.  Each cut stays a slice of the block array.
+        start_l, start_r = ends[bl - 1] if bl else 0, ends[br - 1] if br else 0
+        left, right = seq.blocks[bl], seq.blocks[br]
+        a, b = lo - start_l, stop - start_r  # the range runs from left[a] to right[b - 1]
+        # p: the first chunk boundary of block bl at or after a; q: the last
+        # of block br at or before b.  A block's end counts as a boundary.
         S = charseq.CHUNK
-        word, add_l, add_r, sub_l, sub_r = 0, (), (), (), ()
-        if out_l or out_r:
-            # Block bl's part from lo, then block br's up to stop: one part
-            # when both ends lie in one block.
-            if out_l:
-                k, a, b = bl, lo - start, (stop if bl == br else ends[bl]) - start
-            else:
-                k, a, b = br, 0, stop - (ends[br - 1] if br else 0)
-            while True:
-                block, sums = seq.blocks[k], seq.chunk_sums[k]
-                i = -(-a // S)  # the first boundary at or after a
-                j = len(sums) - 1 if b == len(block) else b // S  # the last at or before b
-                if i < j:
-                    first, end = i * S, j * S  # end passes b only at the block's end
-                    if 2 * (first - a) > S:
-                        i -= 1
-                        sub_l = block[first - S : a]
-                    elif a < first:
-                        add_l = block[a:first]
-                    if b > end:
-                        if min(end + S, len(block)) - b < b - end:
-                            j += 1
-                            sub_r = block[b : end + S]
-                        else:
-                            add_r = block[end:b]
-                    word += sums[j] - sums[i]
-                elif a:  # the part from lo
-                    add_l = block[a:b]
-                else:  # a part from its block's start, up to stop
-                    add_r = block[:b]
-                if k == br or not out_r:
-                    break
-                k, a, b = br, 0, stop - ends[br - 1]
-        if cs <= ce and ends[ce] > (ends[cs - 1] if cs else 0):
-            best, winners = self._table.modes(cs, ce, word, add_l, add_r, sub_l, sub_r)
-        elif word:
-            best, winners = self._table.modes(None, None, word, add_l, add_r, sub_l, sub_r)
-        else:  # every id is added: count the columns present, not σ' columns
+        p = min(-(-a // S) * S, len(left))
+        q = b if b == len(right) else b - b % S
+        if start_l + p >= start_r + q:  # no whole chunk inside: count the columns present
             margin: dict[int, int] = {}
-            _count_elements(margin, add_l)
-            _count_elements(margin, add_r)
+            _count_elements(margin, left[a:b] if bl == br else left[a:])
+            if bl < br:
+                _count_elements(margin, right[:b])
             best = max(margin.values())
             symbol = seq.symbol
             winners = [symbol[col] for col, count in margin.items() if count == best]
+        else:
+            # Each end moves outwards to the boundary past it only when that
+            # one is strictly nearer, so it steps at most S/2 ids, one slice
+            # of its block array: added inside the range, taken away outside.
+            if a % S < p - a:
+                p = a - a % S
+            nxt = min(q + S, len(right))
+            if nxt - b < b - q:
+                q = nxt
+            word = seq.chunk_sums[br][-(-q // S)] - seq.chunk_sums[bl][-(-p // S)]
+            l = r = None
+            if br > bl:  # blocks bl..br-1 count whole: their cell, or block bl's word
+                if ends[br - 1] > ends[bl]:
+                    l, r = bl, br - 1
+                else:
+                    word += seq.chunk_sums[bl][-1]
+            best, winners = self._table.modes(
+                l, r, word, left[a:p], right[q:b], left[p:a], right[b:q]
+            )
         winners.sort()
         return tuple.__new__(ModesResult, (best, tuple(winners)))
 

@@ -36,13 +36,13 @@ edit.  A widening keeps them, as it moves no field of a plane; a rebuild
 makes a new table, which starts with none.  A boundary shift is the move
 of one element between neighbouring blocks.  A modes
 query reads one field from each plane, a strided gather of σ' fields, packs
-them into one ``int``, subtracts the row's offset word, adds the count
-word of the whole chunks of each margin, and unpacks the sum once to a
-list of σ' counts.  It then adds 1 at each id of the slices of the block
-arrays that the margins add and takes 1 away at each id of those a margin
-word counts outside the range, one step per element at the column id its
-block stores, with no lookup or copy, and finds the top count and its
-columns at C speed, O(σ') per query.  The table takes
+them into one ``int``, subtracts the row's offset word, adds the one count
+word the engine passes, and unpacks the sum once to a list of σ' counts.
+It then adds 1 at each id of the block-array slices inside the range that
+no word counts and takes 1 away at each id of those outside it that a
+word counts, one step per element at the column id its block stores, with
+no lookup or copy, and finds the top count and its columns at C speed,
+O(σ') per query.  The table takes
 L(L+1)/2 · width · 4 bytes.  Beside it are ints: L offset words of width
 fields, its kept masks of up to min(L(L²+2)/3, L(L+1)/2 · width) fields,
 and the L prefix lists of chunk count words, ⌈c/S⌉ running words of width
@@ -362,12 +362,17 @@ class PairTable:
         ``add_r``, less those of ``sub_l`` and ``sub_r``; with ``l`` None,
         of the word and ids alone.
 
-        The engine leaves each partial end block of a query out of ``l..r``
-        and passes the part inside the range: the sum of the count words of
-        its whole chunks, and at each end of the range the block-array
-        slice inside it that no word holds, or the one outside it that a
-        word holds.  Each id is one step on the unpacked counts, and must be
-        a column in use.
+        The engine moves each end of a query's range to the nearest chunk
+        boundary and counts what lies between as the cell of blocks
+        ``bl..br-1``, read only when a block between its end blocks holds
+        an element, plus one word: block ``br``'s running chunk word at
+        the right moved end less block ``bl``'s at the left, plus block
+        ``bl``'s own word when ``br > bl`` and no cell is read.  The word's
+        fields may be negative; the sum's are counts.  At each end of the
+        range it passes the block-array slice inside the range that the sum
+        does not count, or the one outside it that the sum counts, one of
+        each two empty.  Each id is one step on the unpacked counts, and
+        must be a column in use.
         """
         symbol = self._seq.symbol
         width = len(symbol)
@@ -376,8 +381,9 @@ class PairTable:
                 raise IndexError(f"cell ({l}, {r}) out of range ({self._slots} slots)")
             start, cells = self._row_base[l] + r, self._cells
             fields = self._counts.obj[start : start + width * cells : cells]
-            # No field borrows, as the offset is part of the stored fields,
-            # and none overflows, as no count exceeds MAX_COUNT.
+            # No field borrows, as the offset is part of the stored fields
+            # and the word takes away only counts the cell holds, and none
+            # overflows, as no count exceeds MAX_COUNT.
             word += int.from_bytes(fields, "little") - self._base[l]
         counts = array("I", word.to_bytes(_FIELD_BYTES * width, "little")).tolist()
         try:

@@ -36,6 +36,8 @@ class SetFamily:
         universe_size: int,
         config: Config | None = None,
     ) -> None:
+        if type(universe_size) is not int:
+            raise TypeError(f"universe_size must be an int, got {type(universe_size).__name__}")
         if universe_size < 0:
             raise ValueError("universe_size must be non-negative")
         self._universe = universe_size

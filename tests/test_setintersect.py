@@ -49,6 +49,12 @@ class TestBuild:
         with pytest.raises(ValueError):
             SetFamily([[1, 1]], universe_size=2)
 
+    @pytest.mark.parametrize("universe", [True, 2.0, "2", None])
+    def test_universe_size_must_be_an_int(self, universe):
+        # True passed as a universe of 1, and 2.0 failed inside range().
+        with pytest.raises(TypeError, match="universe_size must be an int"):
+            SetFamily([[0]], universe)
+
 
 class TestQueries:
     def test_disjoint_pair(self):

@@ -445,8 +445,8 @@ class RangeModeEngine:
         """Move the first element of block ``i`` to the end of block ``i - 1``.
 
         The flattened sequence is unchanged; only the block boundary and the
-        summary cells move.  No op moves a boundary, and no capacity is
-        checked.
+        summary cells move.  No op moves a boundary.  A move from an empty
+        block or into a full one raises with nothing changed.
         """
         self._move(i, -1, "move_left")
 
@@ -464,6 +464,8 @@ class RangeModeEngine:
             raise IndexError(f"{name} source {i} out of range ({len(blocks)} slots)")
         if not blocks[i]:
             raise InvariantError(f"{name} from empty block {i}")
+        if len(blocks[k]) >= self._capacity:
+            raise InvariantError(f"{name} into full block {k}")
         off, to = (0, len(blocks[k])) if step < 0 else (len(blocks[i]) - 1, 0)
         col = blocks[i][off]
         self._table.store(self._table.apply_point(k, col, 1, i), i, off, k, to, col)

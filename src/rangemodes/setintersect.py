@@ -9,18 +9,27 @@ an element ``x`` occurs ``2(j - i - 1) + [x in S_i] + [x in S_j]`` times.
 The range modes therefore reach multiplicity ``2(j - i)`` exactly when the
 two sets intersect, and the modes are then exactly the intersection.
 
-A member update moves each of the two copies of one element from a
-non-member run to the member run beside it, or back, as one
-:meth:`RangeModeEngine.relocate` each, at most ``u`` positions; a move that
-stays inside one block of the engine edits no summary cell.
+A member update is one rule: it moves each of the two copies of one element
+between a non-member run and the member run beside it, one
+:meth:`RangeModeEngine.relocate` of at most ``u`` positions each, then
+stores the set's new member list, computed first, by a list item store,
+which cannot fail.  Each relocation stores on its own, so only a failure
+inside the second leaves an update half done.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from .engine import Config, RangeModeEngine
+
+
+def _member_id(x: object) -> int:
+    """``x``, checked to be an int before it is compared with anything."""
+    if type(x) is not int:
+        raise TypeError(f"member id must be an int, got {type(x).__name__}")
+    return x
 
 
 class SetFamily:
@@ -43,7 +52,7 @@ class SetFamily:
         self._universe = universe_size
         self._members: list[list[int]] = []
         for idx, raw in enumerate(sets, start=1):
-            members = sorted(raw)
+            members = sorted(map(_member_id, raw))
             for a, b in zip(members, members[1:]):
                 if a == b:
                     raise ValueError(f"set {idx} lists member {a} twice")
@@ -120,54 +129,43 @@ class SetFamily:
         Validates ``k`` and ``x`` before a caller changes anything.
         """
         self._check_set(k)
-        if type(x) is not int:
-            raise TypeError(f"member id must be an int, got {type(x).__name__}")
-        if not 0 <= x < self._universe:
+        if not 0 <= _member_id(x) < self._universe:
             raise IndexError(f"member {x} outside the universe")
         members = self._members[k - 1]
         rank = bisect_left(members, x)
         return members, rank, rank < len(members) and members[rank] == x
 
     def add_member(self, k: int, x: int) -> None:
-        """Add ``x`` to set ``k``: two relocations inside gadget ``k``.
-
-        Each moves one copy of ``x`` from a non-member run to the member run
-        beside it, at most ``u`` positions away.
-        """
-        members, rank_m, present = self._rank(k, x)
-        if present:
-            raise ValueError(f"member {x} already in set {k}")
-        u = self._universe
-        base = 2 * (k - 1) * u
-        size = len(members)
-        comp = u - size
-        rank_c = x - rank_m  # non-members below x
-        engine = self.engine
-        # Head complement copy to the head member copy, then tail complement
-        # copy to the tail member copy.
-        engine.relocate(base + size + rank_c, base + rank_m)
-        engine.relocate(base + u + rank_c, base + u + comp - 1 + rank_m)
-        insort(members, x)
+        """Add ``x`` to set ``k``: two relocations inside gadget ``k``."""
+        self._update(k, x, True)
 
     def remove_member(self, k: int, x: int) -> None:
-        """Remove ``x`` from set ``k`` (mirror of :meth:`add_member`)."""
+        """Remove ``x`` from set ``k``: two relocations inside gadget ``k``."""
+        self._update(k, x, False)
+
+    def _update(self, k: int, x: int, add: bool) -> None:
+        """Add ``x`` to set ``k`` or remove it, from ``x``'s four slots in
+        gadget ``k``: its head and tail member and complement slots."""
         members, rank_m, present = self._rank(k, x)
-        if not present:
-            raise ValueError(f"member {x} not in set {k}")
-        u = self._universe
-        base = 2 * (k - 1) * u
-        size = len(members)
-        comp = u - size
-        rank_c = x - rank_m
-        engine = self.engine
-        engine.relocate(base + rank_m, base + size - 1 + rank_c)
-        engine.relocate(base + u + comp + rank_m, base + u + rank_c)
-        del members[rank_m]
+        if present == add:
+            raise ValueError(f"member {x} {'already' if add else 'not'} in set {k}")
+        u, size, i = self._universe, len(members), k - 1
+        base, rank_c = 2 * i * u, x - rank_m  # rank_c: non-members below x
+        head_m, head_c = base + rank_m, base + size + rank_c
+        tail_c, tail_m = base + u + rank_c, base + 2 * u - size + rank_m
+        new = members.copy()
+        if add:
+            new.insert(rank_m, x)
+            src, dst, src2, dst2 = head_c, head_m, tail_c, tail_m - 1
+        else:
+            del new[rank_m]
+            src, dst, src2, dst2 = head_m, head_c - 1, tail_m, tail_c
+        self.engine.relocate(src, dst)
+        self.engine.relocate(src2, dst2)
+        self._members[i] = new
 
     def gadget_symbols(self, k: int) -> list[int]:
         """Current sequence contents of gadget ``k`` (for audits and tests)."""
         self._check_set(k)
         base = 2 * (k - 1) * self._universe
-        if self._universe == 0:
-            return []
         return self.engine.to_list()[base : base + 2 * self._universe]

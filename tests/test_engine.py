@@ -683,6 +683,25 @@ class TestMoves:
                 getattr(engine, name)(1)
         assert snapshot(engine) == before and engine.audit().ok
 
+    @pytest.mark.parametrize(
+        ("name", "i", "back", "sizes", "after"),
+        [("move_left", 1, "move_right", [60, 40], [59, 41]),
+         ("move_right", 0, "move_left", [40, 60], [41, 59])],
+    )
+    def test_move_into_a_full_block(self, name, i, back, sizes, after):
+        # A move into a block that holds capacity would leave it over
+        # capacity, failing audit(): it raises first, with nothing changed,
+        # and the full block can still give an element back.
+        engine = RangeModeEngine([k % 5 for k in range(100)])
+        lay_out(engine, sizes)
+        assert engine.capacity == 60
+        before, full = snapshot(engine), 1 - i
+        with pytest.raises(InvariantError, match=rf"^{name} into full block {full}$"):
+            getattr(engine, name)(i)
+        assert snapshot(engine) == before and engine.audit().ok
+        getattr(engine, back)(full)
+        assert engine.block_sizes()[:2] == after and engine.audit().ok
+
     @pytest.mark.parametrize("bad", [True, 1.0, "1", None], ids=repr)
     @pytest.mark.parametrize("name", ["move_left", "move_right"])
     def test_move_slot_must_be_an_int(self, name, bad):

@@ -11,10 +11,10 @@ log a new layout before installing it: a doubling insert, a halving
 delete, an insert of column 256, and an insert or a relocation into a full
 block; and every kind of edit that does not rebuild, boundary moves
 included, which computes every new value before the one call that stores
-it, at two sizes and two values of alpha.  Each edit is also swept in a
-fresh interpreter, where no function of its path has run: on some Python
-versions a function's first calls allocate, and a sweep after warm calls
-misses those allocations.  The garbage collector is off during a sweep, so
+it, at two sizes and two values of alpha.  Each edit, and each op but the
+"ids" insert, is also swept in a fresh interpreter, where no function of
+its path has run: on some Python versions a function's first calls
+allocate, and a sweep after warm calls misses those allocations.  The garbage collector is off during a sweep, so
 no collection runs inside an op.
 """
 
@@ -282,16 +282,32 @@ def cold_sweep(edit, n, alpha):
     sweep((lambda: build(n, alpha), lambda s: op(s, n), []), warm=False)
 
 
-@pytest.mark.parametrize(("n", "alpha"), [(100, Fraction(1, 3)), (400, Fraction(1, 2))], ids=str)
-@pytest.mark.parametrize("edit", EDITS)
-def test_every_failed_allocation_of_a_cold_edit_changes_nothing(edit, n, alpha):
+def cold_case_sweep(case):
+    """Sweep ``case`` of :data:`CASES` with no warm-up, as :func:`cold_sweep` does."""
+    gc.disable()
+    sweep(CASES[case], warm=False)
+
+
+def run_fresh(call):
+    """Run ``call``, Python source that calls into this module, in a fresh
+    interpreter; assert that it exits cleanly."""
     tests = Path(__file__).resolve().parent
     path = [str(tests), str(Path(charseq.__file__).resolve().parents[1])]
-    code = "from fractions import Fraction\nimport test_faults\n"
-    code += f"test_faults.cold_sweep({edit!r}, {n}, {alpha!r})"
+    code = f"from fractions import Fraction\nimport test_faults\ntest_faults.{call}"
     child = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
     assert child.returncode == 0, child.stderr
+
+
+@pytest.mark.parametrize(("n", "alpha"), [(100, Fraction(1, 3)), (400, Fraction(1, 2))], ids=str)
+@pytest.mark.parametrize("edit", EDITS)
+def test_every_failed_allocation_of_a_cold_edit_changes_nothing(edit, n, alpha):
+    run_fresh(f"cold_sweep({edit!r}, {n}, {alpha!r})")
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case != '"ids" insert'])
+def test_every_failed_allocation_of_a_cold_op_changes_nothing(case):
+    run_fresh(f"cold_case_sweep({case!r})")

@@ -1,4 +1,7 @@
+import gc
 import random
+import struct
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -34,6 +37,10 @@ class TestBuild:
         family = SetFamily([[0]], universe_size=1)
         assert family.gadget_symbols(1) == [0, 0]
 
+    def test_empty_universe_gadget(self):
+        family = SetFamily([[], []], universe_size=0)
+        assert family.gadget_symbols(2) == [] and family.engine.to_list() == []
+
     def test_every_universe_element_twice_per_gadget(self):
         family = SetFamily([[0, 2], [1], []], universe_size=4)
         for k in range(1, 4):
@@ -48,6 +55,14 @@ class TestBuild:
     def test_duplicate_member_rejected(self):
         with pytest.raises(ValueError):
             SetFamily([[1, 1]], universe_size=2)
+
+    @pytest.mark.parametrize("sets", [[[True]], [[1.0]], [[None]], [[1, None]], [[0], ["1"]]])
+    def test_member_ids_must_be_ints(self, sets):
+        # True and 1.0 passed the family's checks and failed in the engine;
+        # None failed inside a comparison.
+        bad = type(sets[-1][-1]).__name__
+        with pytest.raises(TypeError, match=f"^member id must be an int, got {bad}$"):
+            SetFamily(sets, 2)
 
     @pytest.mark.parametrize("universe", [True, 2.0, "2", None])
     def test_universe_size_must_be_an_int(self, universe):
@@ -182,6 +197,75 @@ class TestUpdates:
             getattr(family, method)(k, bad)
         assert [family.members(s) for s in (1, 2)] == members
         assert [family.gadget_symbols(s) for s in (1, 2)] == gadgets
+        assert family.engine.audit().ok
+
+
+def allocated(items):
+    """How many items the list ``items`` has room for."""
+    return (sys.getsizeof(items) - sys.getsizeof([])) // struct.calcsize("P")
+
+
+class TestUpdateFaults:
+    """An update that fails before its first relocation stores changes
+    nothing, and once its second has stored, it completes whatever fails."""
+
+    @pytest.mark.parametrize(("method", "x"), [("add_member", 11), ("remove_member", 7)])
+    def test_a_failed_first_relocation_changes_nothing(self, monkeypatch, method, x):
+        family = SetFamily([[1, 5, 9], [2, 5, 7, 9]], 16)
+        before = family.members(2), family.gadget_symbols(2), family.engine.to_list()
+
+        def refuse(src, dst):
+            raise MemoryError
+
+        monkeypatch.setattr(family.engine, "relocate", refuse)
+        with pytest.raises(MemoryError):
+            getattr(family, method)(2, x)
+        assert (family.members(2), family.gadget_symbols(2), family.engine.to_list()) == before
+        assert family.engine.audit().ok
+
+    @pytest.mark.parametrize(("method", "x"), [("add_member", 11), ("remove_member", 7)])
+    def test_every_allocation_failing_after_the_second_relocation(self, monkeypatch, method, x):
+        # The member list is first brought to where its own insert must grow
+        # it, or its own delete shrink it, so that an update that edits the
+        # list after the relocations raises here.  When each update stores
+        # a new list, that point may never come, and the ids run out first.
+        _testcapi = pytest.importorskip("_testcapi")
+        u = 32
+        family = SetFamily([[], [y for y in range(20) if y % 3 != 2]], u)  # 7 in, 11 out
+        relocate, armed = family.engine.relocate, [0]
+
+        def relocate_then_fail(src, dst):
+            moved = relocate(src, dst)
+            if armed[0]:
+                armed[0] -= 1
+                if not armed[0]:
+                    _testcapi.set_nomemory(0)  # every allocation from here on fails
+            return moved
+
+        monkeypatch.setattr(family.engine, "relocate", relocate_then_fail)
+        family.add_member(1, 3)  # warm-up of the update's path
+        family.remove_member(1, 3)
+        add = method == "add_member"
+        others = [y for y in range(u) if y != x and (y in family.members(2)) != add]
+
+        def edit_allocates(members):
+            if add:
+                return len(members) == allocated(members)
+            return len(members) - 1 < allocated(members) // 2
+
+        while others and not edit_allocates(family._members[1]):
+            getattr(family, method)(2, others.pop())
+        want = sorted({*family.members(2)} ^ {x})
+        gc.disable()
+        armed[0] = 2
+        try:
+            getattr(family, method)(2, x)
+        finally:
+            _testcapi.remove_mem_hooks()
+            gc.enable()
+        assert armed[0] == 0
+        gadget = family.gadget_symbols(2)
+        assert family.members(2) == want == gadget[: len(want)] == gadget[2 * u - len(want) :]
         assert family.engine.audit().ok
 
 

@@ -7,19 +7,19 @@ through its one list of block ends; :class:`PairTable`, whose cell
 snapshots are plain dicts), a naive oracle for differential testing
 (:class:`NaiveSeq`), and a set-intersection application
 (:class:`SetFamily`).  :class:`BlockSizeIndex` and :class:`CountedSet`
-are exported for the benchmark's tracer alone, which wraps their methods;
-the engine uses neither.  The engine's one parameter is the block exponent of
-its :class:`Config`, and :meth:`RangeModeEngine.audit` is its one checker.
+are stubs of removed code, exported for the benchmark's tracer alone, which
+wraps their methods by name; every method raises (:mod:`.retired`).  The
+engine's one parameter is the block exponent of its :class:`Config`, and :meth:`RangeModeEngine.audit` is its one checker.
 See the ``rangemodes`` CLI for traces, fuzzing, and set intersections.
 """
 
-from .blockindex import BlockSizeIndex
 from .charseq import CharSeq
 from .engine import AuditReport, Config, RangeModeEngine
 from .errors import InvariantError
-from .multiset import CountedSet, PairTable
+from .multiset import PairTable
 from .oracle import NaiveSeq
 from .results import ModesResult
+from .retired import BlockSizeIndex, CountedSet
 from .setintersect import SetFamily
 
 __version__ = "0.1.0"

@@ -17,9 +17,8 @@ is counted once, by :func:`chunk_word`.  The type holds until the next
 build, as the engine rebuilds its layout rather than hand out column 256
 to ``'B'`` arrays.  The build does not price what it writes: the engine
 admits a layout before building it, pricing the chunk words by
-:func:`word_bound`.  Edits, boundary moves and margin counts work on
-column ids alone; only :meth:`CharSeq.to_list`,
-:meth:`CharSeq.access_range` and indexing map them back to symbols.
+:func:`word_bound`.  Edits and margin counts work on column ids alone;
+only :meth:`CharSeq.to_list` and the symbols an op returns map them back.
 
 The block boundaries are one list, :attr:`CharSeq.ends`, whose entry k is
 one past the last position of block k.  An engine op finds its block and
@@ -29,9 +28,7 @@ store, computes the new values there, O(C) word adds for the C chunks of
 each block edited and ±1 on the ends between two blocks, O(L), on copies,
 and then stores them: first an array insert, which fails with nothing
 changed, then a removal and swaps of whole lists, which call no function
-and build no object.  A move inside one block keeps every end.  A
-boundary move is the edit that takes an end element of one block to its
-neighbour.
+and build no object.  A move inside one block keeps every end.
 
 Beside each block sits its chunk index.  Chunk t of a block holds its
 offsets t·S .. (t+1)·S - 1, S = :data:`CHUNK`, so the offsets are implicit.
@@ -45,8 +42,8 @@ gains one id and loses another, two adds of σ'·4 bytes.  With u(col) =
 delete u(block[t·S]) - u(col), up to the length, and a relocation inside
 the block one or the other between its offsets; the last word gains or
 loses u(col), and a length crossing a multiple of S adds or drops a word.
-Nothing splits, merges or is recounted, and a boundary move undone by the
-opposite move leaves every word as it was.  A query
+Nothing splits, merges or is recounted, and an edit undone by the
+opposite edit leaves every word as it was.  A query
 (:meth:`RangeModeEngine.modes`) moves each end of its range to the
 nearest boundary of the chunk it cuts, found by arithmetic, so it reads
 at most S/2 column ids, one slice of the block array: the ids up to an
@@ -65,6 +62,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .multiset import _FIELD_BITS, _FIELD_BYTES, id_type, pack
+from .retired import retired
 
 CHUNK = 128
 """S: chunk t of a block holds its offsets t·S .. (t+1)·S - 1."""
@@ -163,9 +161,7 @@ class CharSeq:
     # public operations
     # ------------------------------------------------------------------
 
-    def __getitem__(self, pos: int) -> int:
-        k, off = self.locate(pos)
-        return self.symbol[self.blocks[k][off]]
+    __getitem__ = access_range = retired
 
     def _crossed(self, k: int, a: int, b: int, unit: int, enters: bool) -> list[int]:
         """A copy of block ``k``'s words in which the word of each boundary
@@ -246,20 +242,6 @@ class CharSeq:
             del self.blocks[js][offs]
             self.chunk_sums[js] = ws
         self.ends = ends
-
-    def access_range(self, lo: int, hi: int) -> list[int]:
-        """Return the symbols at positions ``lo..hi`` inclusive, in order."""
-        n = len(self)
-        if not (0 <= lo <= hi < n):
-            raise IndexError(f"range [{lo}, {hi}] out of bounds (length {n})")
-        want = hi - lo + 1
-        k, off = self.locate(lo)
-        blocks = self.blocks
-        cols = blocks[k][off : off + want]
-        while len(cols) < want:
-            k += 1
-            cols += blocks[k][: want - len(cols)]
-        return list(map(self.symbol.__getitem__, cols))
 
     def to_list(self) -> list[int]:
         """Flatten the whole sequence into a plain list of symbols."""

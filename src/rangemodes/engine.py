@@ -68,12 +68,12 @@ column ids are: the element at ``src`` out, then one in at ``dst``, where
 block sizes after the edit, so a relocation that stays in a full block, or
 goes to the end of one from the block after it, moves inside one block.
 Every new value, a freed or claimed column's state among them, is computed
-before one call, :meth:`PairTable.store`, stores the edit or a boundary
-move: the array insert first, the one store that can fail, which fails
-with nothing changed, then the rest, which calls no function and builds
-no object, so an edit that raises changes nothing.  A move inside one
-block edits no summary cell and no block end, as every cell counts whole
-blocks; one across blocks adds its two point edits to one run of a plane.
+before one call, :meth:`PairTable.store`, stores the edit: the array insert
+first, the one store that can fail, which fails with nothing changed, then
+the rest, which calls no function and builds no object, so an edit that
+raises changes nothing.  A move inside one block edits no summary cell and
+no block end, as every cell counts whole blocks; one across blocks adds its
+two point edits to one run of a plane.
 """
 
 from __future__ import annotations
@@ -89,9 +89,10 @@ from typing import Collection, Iterable, Sequence
 
 from . import charseq
 from .charseq import CharSeq, word_bound
-from .errors import InvariantError
+from .errors import check_int
 from .multiset import MAX_COUNT, MAX_SYMBOL, PairTable, check_table_fits, id_type
 from .results import ModesResult
+from .retired import retired
 
 _MAX_ALPHA_DENOMINATOR = 64
 
@@ -111,8 +112,7 @@ def _ceil_power(n: int, exp: Fraction) -> int:
 def _check_symbol(symbol: object) -> None:
     """Reject anything but an ``int`` symbol id that fits in one machine word.
     The ops repeat the test inline and call this only when it fails."""
-    if type(symbol) is not int:
-        raise TypeError(f"symbol id must be an int, got {type(symbol).__name__}")
+    check_int(symbol, "symbol id")
     if not 0 <= symbol <= MAX_SYMBOL:
         raise ValueError(f"symbol id {symbol} does not fit in one machine word")
 
@@ -131,13 +131,6 @@ def _check_symbols(flat: list[object]) -> set[int]:
     for symbol in flat:
         _check_symbol(symbol)
     raise AssertionError("a symbol failed the bulk check but passes one by one")
-
-
-def _check_position(pos: object) -> None:
-    """Reject a sequence position that is not an ``int`` (``bool`` included).
-    The ops repeat the test inline and call this only when it fails."""
-    if type(pos) is not int:
-        raise TypeError(f"position must be an int, got {type(pos).__name__}")
 
 
 @dataclass(frozen=True)
@@ -190,6 +183,25 @@ def _layout(n0: int, alpha: Fraction) -> tuple[int, int, int]:
     return filled + -(-3 * filled // 4) + 1, filled, -(-3 * n0 // filled)
 
 
+def admit_layout(n: int, width: int, alpha: Fraction) -> tuple[tuple[int, int, int], tuple]:
+    """:func:`_layout` for ``n`` elements over ``width`` distinct symbols, and
+    the guard its table keeps, admitted from their shape before anything is
+    built.  A stored field holds a count, under 2·n0 until the next rebuild,
+    plus its row's offset, at most n0, so 3·n0 must fit one, else
+    :class:`ValueError`; the table, the chunk words and blocks of 2·n0
+    elements must pass :func:`check_table_fits`, else :class:`MemoryError`."""
+    n0 = max(n, 1)
+    if 3 * n0 > MAX_COUNT:
+        raise ValueError(
+            f"length {n} is too long: summary fields up to {3 * n0} exceed {MAX_COUNT}"
+        )
+    layout = _layout(n0, alpha)
+    slots = layout[0]
+    guard = (word_bound(2 * n0, slots), 2 * n0, id_type(width))
+    check_table_fits(slots, width, *guard)
+    return layout, guard
+
+
 class RangeModeEngine:
     """Dynamic sequence with insert, delete, and mode-enumeration queries.
 
@@ -217,24 +229,14 @@ class RangeModeEngine:
         distinct symbols are ``alphabet``, evenly over the first
         ``ceil(n0^alpha)`` slots of a layout sized for its length.
 
-        The layout is admitted here, before anything is built: its fields
-        must hold every count until the next rebuild, and its table, chunk
-        words and blocks must pass :func:`check_table_fits`.  An op that
-        resets the layout passes its ``kind``, which is logged once the new
-        layout is built and before it is installed.
+        The layout is admitted first, by :func:`admit_layout`, before
+        anything is built.  An op that resets the layout passes its
+        ``kind``, which is logged once the new layout is built and before it
+        is installed.
         """
         n = len(flat)
         n0 = max(n, 1)
-        # A stored field is a count, under 2·n0 until the next rebuild, plus
-        # its row's offset, a count at the build and so at most n0.
-        if 3 * n0 > MAX_COUNT:
-            raise ValueError(
-                f"length {n} is too long: summary fields up to {3 * n0} exceed {MAX_COUNT}"
-            )
-        slots, filled, capacity = _layout(n0, self._config.alpha)
-        # The blocks hold at most 2·n0 elements before the next rebuild.
-        guard = (word_bound(2 * n0, slots), 2 * n0, id_type(len(alphabet)))
-        check_table_fits(slots, len(alphabet), *guard)
+        (slots, filled, capacity), guard = admit_layout(n, len(alphabet), self._config.alpha)
         q, extra = divmod(n, filled)
         sizes = [q + (k < extra) for k in range(filled)] + [0] * (slots - filled)
         seq = CharSeq(flat, sizes, alphabet)
@@ -310,14 +312,14 @@ class RangeModeEngine:
     def insert(self, pos: int, symbol: int) -> None:
         """Insert ``symbol`` so that it becomes the element at ``pos``."""
         if type(pos) is not int or type(symbol) is not int or not 0 <= symbol <= MAX_SYMBOL:
-            _check_position(pos)
+            check_int(pos, "position")
             _check_symbol(symbol)
         self._edit(None, pos, symbol)
 
     def delete(self, pos: int) -> int:
         """Remove and return the element at ``pos``."""
         if type(pos) is not int:
-            _check_position(pos)
+            check_int(pos, "position")
         return self._edit(pos, None)
 
     def relocate(self, src: int, dst: int) -> int:
@@ -327,8 +329,8 @@ class RangeModeEngine:
         does not change.
         """
         if type(src) is not int or type(dst) is not int:
-            _check_position(src)
-            _check_position(dst)
+            check_int(src, "position")
+            check_int(dst, "position")
         n = self._seq.ends[-1]
         if not (0 <= src < n and 0 <= dst < n):
             raise IndexError(f"relocation {src} -> {dst} out of range (length {n})")
@@ -384,8 +386,8 @@ class RangeModeEngine:
     def modes(self, lo: int, hi: int) -> ModesResult:
         """Enumerate all modes of the inclusive range ``[lo, hi]``."""
         if type(lo) is not int or type(hi) is not int:
-            _check_position(lo)
-            _check_position(hi)
+            check_int(lo, "position")
+            check_int(hi, "position")
         seq = self._seq
         ends = seq.ends  # ends[k]: one past the last position of block k
         n = ends[-1]
@@ -437,38 +439,7 @@ class RangeModeEngine:
         result = self.modes(lo, hi)
         return result.multiplicity, result.modes[0]
 
-    # ------------------------------------------------------------------
-    # boundary moves
-    # ------------------------------------------------------------------
-
-    def move_left(self, i: int) -> None:
-        """Move the first element of block ``i`` to the end of block ``i - 1``.
-
-        The flattened sequence is unchanged; only the block boundary and the
-        summary cells move.  No op moves a boundary.  A move from an empty
-        block or into a full one raises with nothing changed.
-        """
-        self._move(i, -1, "move_left")
-
-    def move_right(self, i: int) -> None:
-        """Move the last element of block ``i`` to the front of block ``i + 1``."""
-        self._move(i, 1, "move_right")
-
-    def _move(self, i: int, step: int, name: str) -> None:
-        """Move the end element of block ``i`` that faces block ``i + step``
-        into it, checked first and stored by one call, as an edit is."""
-        if type(i) is not int:
-            raise TypeError(f"block slot must be an int, got {type(i).__name__}")
-        blocks, k = self._seq.blocks, i + step
-        if not (0 <= i < len(blocks) and 0 <= k < len(blocks)):
-            raise IndexError(f"{name} source {i} out of range ({len(blocks)} slots)")
-        if not blocks[i]:
-            raise InvariantError(f"{name} from empty block {i}")
-        if len(blocks[k]) >= self._capacity:
-            raise InvariantError(f"{name} into full block {k}")
-        off, to = (0, len(blocks[k])) if step < 0 else (len(blocks[i]) - 1, 0)
-        col = blocks[i][off]
-        self._table.store(self._table.apply_point(k, col, 1, i), i, off, k, to, col)
+    move_left = move_right = retired
 
     # ------------------------------------------------------------------
     # audits

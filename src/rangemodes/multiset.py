@@ -13,7 +13,7 @@ is field ``col`` of ``_base[l]``, a count word (count ``col`` in bits
 32·col up, the layout of :class:`CharSeq`'s chunk words).  So the build
 writes each plane as the L suffixes of the column's prefix counts, with no
 add per cell, and a cell reads as its stored fields minus its row's offset
-word.  Edits, shifts and reused columns never touch the offsets.
+word.  Edits and reused columns never touch the offsets.
 
 The cells a point edit in block j changes, (l, r) with l ≤ j ≤ r, all lie in
 one slice of the symbol's plane, from cell (0, j) to cell (j, L-1); the
@@ -30,14 +30,13 @@ plane, so the cells that cover both blocks keep their count.  The mask
 depends on j and L alone, so the first edit in block j builds it and the
 table keeps it, in a list indexed by j.  The masks of all L slots take
 L(L²+2)/3 fields, more than the table when σ' is under about 2L/3, so a
-mask is kept only while the kept masks stay within the
-table's own L(L+1)/2 · width fields; past that cap it is built on every
-edit.  A widening keeps them, as it moves no field of a plane; a rebuild
-makes a new table, which starts with none.  A boundary shift is the move
-of one element between neighbouring blocks.  A modes
-query reads one field from each plane, a strided gather of σ' fields, packs
-them into one ``int``, subtracts the row's offset word, adds the one count
-word the engine passes, and unpacks the sum once to a list of σ' counts.
+mask is kept only while the kept masks stay within the table's own
+L(L+1)/2 · width fields; past that cap it is built on every edit.  A
+widening keeps them, as it moves no field of a plane; a rebuild makes a
+new table, which starts with none.  A modes query reads one field from
+each plane, a strided gather of σ' fields, packs them into one ``int``,
+subtracts the row's offset word, adds the one count word the engine
+passes, and unpacks the sum once to a list of σ' counts.
 It then adds 1 at each id of the block-array slices inside the range that
 no word counts and takes 1 away at each id of those outside it that a
 word counts, one step per element at the column id its block stores, with
@@ -70,7 +69,7 @@ free list, fields and width, and the delete of a symbol's last copy
 (:meth:`PairTable.copies`) frees it by a new free list, computed by
 :meth:`PairTable.apply_point`, and the removal of its map entry, so σ' is
 the number of columns in use.
-Edits and shifts name their column, which the blocks store.  A reused
+Edits name their column, which the blocks store.  A reused
 column keeps the offsets of its last symbol, and its cells read 0 as its
 fields still equal them.  A symbol that finds
 no free column widens the table by half, appending zero planes in one copy;
@@ -85,8 +84,7 @@ rebuild, and must stay at most ``MAX_COUNT``; the engine refuses a length
 whose fields could pass it before it builds anything.
 
 ``PairTable.cell`` returns a summary cell as a plain ``dict``, a
-symbol→count snapshot that ``audit()`` compares with a recount; no module
-builds a :class:`CountedSet`, which stays for the benchmark's tracer.
+symbol→count snapshot that ``audit()`` compares with a recount.
 Symbol ids must fit in 64 bits; the blocks never store them.  Fields are
 stored in the host's order and read as little-endian words, so the module
 refuses a big-endian host at import.
@@ -100,9 +98,10 @@ import struct
 import sys
 from array import array
 from itertools import accumulate, islice
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvariantError
+from .retired import retired
 
 if TYPE_CHECKING:
     from .charseq import CharSeq
@@ -256,33 +255,6 @@ def unpack(word: int, width: int) -> list[int]:
 def _zeros(n: int) -> memoryview:
     """A writable byte view of ``n`` zero 32-bit counts, whose ``obj`` is their array."""
     return memoryview(array("I", bytes(_FIELD_BYTES)) * n).cast("B")
-
-
-class CountedSet(dict):
-    """Each symbol mapped to its count, with ranked readers; no module of the
-    package builds one, and the benchmark's tracer wraps its methods.
-
-    Ranked order is decreasing ``(count, symbol)`` lexicographic: higher
-    counts first, ties broken toward the higher symbol id.
-    """
-
-    __slots__ = ()
-
-    def count_of(self, symbol: int) -> int:
-        """Multiplicity of ``symbol`` (0 if absent)."""
-        return self.get(symbol, 0)
-
-    def max_entry(self) -> tuple[int, int] | None:
-        """The ranked-first ``(count, symbol)`` pair, or None when empty."""
-        return max(((c, s) for s, c in self.items()), default=None)
-
-    def cursor(self) -> Iterator[tuple[int, int]]:
-        """Iterator over the ``(count, symbol)`` pairs in ranked order."""
-        return iter(sorted(((c, s) for s, c in self.items()), reverse=True))
-
-    def next_entry(self, cursor: Iterator[tuple[int, int]]) -> tuple[int, int] | None:
-        """The next ranked pair of ``cursor``, or None at the end."""
-        return next(cursor, None)
 
 
 class PairTable:
@@ -555,20 +527,4 @@ class PairTable:
             self._free = free
             del seq.column[seq.symbol[free[-1]]]
 
-    def shift_left(self, i: int, col: int) -> None:
-        """Record one element of column ``col`` crossing from block ``i`` into block ``i - 1``.
-
-        Cells ending at i-1 gain the symbol; cells starting at i lose it.
-        Cells spanning both blocks are untouched.
-        """
-        slots = self._slots
-        if not 1 <= i < slots:
-            raise IndexError(f"shift_left source {i} out of range ({slots} slots)")
-        self.store(self.apply_point(i - 1, col, 1, i), None, None, None, None, col)
-
-    def shift_right(self, i: int, col: int) -> None:
-        """Record one element of column ``col`` crossing from block ``i`` into block ``i + 1``."""
-        slots = self._slots
-        if not 0 <= i < slots - 1:
-            raise IndexError(f"shift_right source {i} out of range ({slots} slots)")
-        self.store(self.apply_point(i + 1, col, 1, i), None, None, None, None, col)
+    shift_left = shift_right = retired

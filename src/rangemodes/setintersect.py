@@ -15,21 +15,21 @@ between a non-member run and the member run beside it, one
 stores the set's new member list, computed first, by a list item store,
 which cannot fail.  Each relocation stores on its own, so only a failure
 inside the second leaves an update half done.
+
+The build admits the engine's layout for the ``2·u·m`` positions of ``m``
+gadgets over ``u`` symbols (:func:`admit_layout`) once it has checked the
+members and before it writes a gadget, so a family too large for the
+process is refused before its sequence is built.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import countOf
 from typing import Iterable, Sequence
 
-from .engine import Config, RangeModeEngine
-
-
-def _member_id(x: object) -> int:
-    """``x``, checked to be an int before it is compared with anything."""
-    if type(x) is not int:
-        raise TypeError(f"member id must be an int, got {type(x).__name__}")
-    return x
+from .engine import Config, RangeModeEngine, admit_layout
+from .errors import check_int
 
 
 class SetFamily:
@@ -45,20 +45,27 @@ class SetFamily:
         universe_size: int,
         config: Config | None = None,
     ) -> None:
-        if type(universe_size) is not int:
-            raise TypeError(f"universe_size must be an int, got {type(universe_size).__name__}")
+        check_int(universe_size, "universe_size")
         if universe_size < 0:
             raise ValueError("universe_size must be non-negative")
         self._universe = universe_size
         self._members: list[list[int]] = []
         for idx, raw in enumerate(sets, start=1):
-            members = sorted(map(_member_id, raw))
+            members = list(raw)
+            # Every id an int before any is compared: at C speed while all pass.
+            if countOf(map(type, members), int) != len(members):
+                for x in members:
+                    check_int(x, "member id")
+            members.sort()
             for a, b in zip(members, members[1:]):
                 if a == b:
                     raise ValueError(f"set {idx} lists member {a} twice")
             if members and not (0 <= members[0] and members[-1] < universe_size):
                 raise IndexError(f"set {idx} has members outside the universe")
             self._members.append(members)
+        config = config if config is not None else Config()
+        m = len(self._members)  # each gadget holds the whole universe
+        admit_layout(2 * universe_size * m, universe_size if m else 0, config.alpha)
         symbols: list[int] = []
         for members in self._members:
             symbols.extend(self._gadget(members))
@@ -87,7 +94,7 @@ class SetFamily:
 
     def _check_set(self, k: int) -> None:
         if type(k) is not int:
-            raise TypeError(f"set index must be an int, got {type(k).__name__}")
+            check_int(k, "set index")
         if not 1 <= k <= len(self._members):
             raise IndexError(f"set index {k} out of range (1..{len(self._members)})")
 
@@ -129,7 +136,9 @@ class SetFamily:
         Validates ``k`` and ``x`` before a caller changes anything.
         """
         self._check_set(k)
-        if not 0 <= _member_id(x) < self._universe:
+        if type(x) is not int:
+            check_int(x, "member id")
+        if not 0 <= x < self._universe:
             raise IndexError(f"member {x} outside the universe")
         members = self._members[k - 1]
         rank = bisect_left(members, x)

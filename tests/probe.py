@@ -34,7 +34,15 @@ HIDDEN = (r"chunk_sums", r"\.ends\b")
 """Patterns of the storage's names that no test module but this one may use."""
 OLD_INDEX = (r"\b_sizes\b", r"\.sizes\.", r"prefix_sums")
 """Patterns of the names the block boundaries had in the old size index,
-which no test module but this one and that class's own tests may use."""
+which no test module but this one may use."""
+RETIRED = (
+    r"\b(BlockSizeIndex|CountedSet)\b",
+    r"""(\.|["'])(__getitem__|access_range|shift_left|shift_right|move_left|move_right)\b""",
+)
+"""Patterns of the removed code whose names only raising stubs keep, for the
+benchmark's tracer: its two classes, and its methods as attributes or
+quoted names.  No test module but this one may use them, besides the one
+test that checks that each stub raises."""
 BYTE_HELPERS = ("prefix_list_bytes", "array_bytes", "int_bytes")
 """The guard's byte helpers, used outside this module only by their own tests."""
 

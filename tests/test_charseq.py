@@ -72,11 +72,9 @@ def delete(seq, pos):
     return seq.symbol[col]
 
 
-def move(seq, name, i):
-    """Make the boundary move ``name`` from block ``i`` as the engine does, by
-    one edit that takes the end element facing the neighbour into it;
-    return the symbol moved."""
-    k = i - 1 if name == "move_left" else i + 1
+def move(seq, i, k):
+    """Carry the end element of block ``i`` that faces its neighbour ``k``
+    into it, by one edit across the boundary; return the symbol moved."""
     off = 0 if k < i else len(seq.blocks[i]) - 1
     col = seq.blocks[i][off]
     seq.edit(i, off, k, len(seq.blocks[k]) if k < i else 0, col)
@@ -104,36 +102,6 @@ def mirror_delete(mirror, pos):
             return block.pop(pos)
         pos -= len(block)
     raise AssertionError("position past the end")
-
-
-def test_access_range_basic():
-    seq = seq_of([[10], [], [11, 12], [13]])
-    assert seq.access_range(1, 2) == [11, 12]
-    assert seq.access_range(0, 3) == [10, 11, 12, 13]
-    assert seq.access_range(2, 3) == [12, 13]
-
-
-def test_access_range_singleton():
-    seq = seq_of([[], [7], []])
-    assert seq.access_range(0, 0) == [7]
-
-
-def test_access_range_full():
-    seq = seq_of([[], [1], [], [2, 1], []])
-    assert seq.access_range(0, 2) == [1, 2, 1]
-
-
-def test_access_range_leaves_sequence_unchanged():
-    seq = seq_of([[5], [6, 7]])
-    seq.access_range(0, 2)
-    check_mirror(seq, [[5], [6, 7]])
-
-
-@pytest.mark.parametrize("lo,hi", [(-1, 0), (0, 3), (2, 1), (3, 3)])
-def test_access_range_bounds(lo, hi):
-    seq = seq_of([[1], [], [2, 3], []])
-    with pytest.raises(IndexError):
-        seq.access_range(lo, hi)
 
 
 def test_writes_column_arrays_from_the_symbol_list():
@@ -251,35 +219,130 @@ def test_delete_out_of_range():
     check_mirror(seq, [[1], []])
 
 
-def test_getitem():
-    seq = seq_of([[4], [], [5, 6]])
-    assert [seq[i] for i in range(3)] == [4, 5, 6]
-    for pos in (3, -1):
-        with pytest.raises(IndexError):
-            seq[pos]
-
-
 def test_locate_skips_empty_blocks():
     seq = seq_of([[], [4], [], [5, 6], []])
     assert [seq.locate(pos) for pos in range(3)] == [(1, 0), (3, 0), (3, 1)]
 
 
+@pytest.mark.parametrize("pos", [-1, 3, 4, -4])
+def test_locate_out_of_range(pos):
+    # A negative position is out of range too: locate does not count from
+    # the end, as a list does.
+    seq = seq_of([[1], [], [2, 3], []])
+    with pytest.raises(IndexError, match=rf"^position {pos} out of range \(length 3\)$"):
+        seq.locate(pos)
+    check_mirror(seq, [[1], [], [2, 3], []])
+
+
+def test_locate_at_each_block_end():
+    # A block's last position lies in it, and the position after it at the
+    # front of the next block that holds any.
+    blocks = [[3], [], [1, 4], [], [], [1, 5, 9], [2]]
+    seq = seq_of(blocks)
+    filled = [k for k, block in enumerate(blocks) if block]
+    for k, after in zip(filled, filled[1:]):
+        end = ends(seq)[k]
+        assert seq.locate(end - 1) == (k, len(blocks[k]) - 1)
+        assert seq.locate(end) == (after, 0)
+
+
+def walk_locate(sizes, pos):
+    """Block slot and offset of position ``pos``, by a walk over the block sizes."""
+    for k, size in enumerate(sizes):
+        if pos < size:
+            return k, pos
+        pos -= size
+    raise AssertionError("position past the end")
+
+
+def walk_insert_place(sizes, pos):
+    """Block and offset an insert at ``pos`` takes, by :func:`walk_locate`."""
+    if not sum(sizes):
+        return 0, 0
+    if not pos:
+        return walk_locate(sizes, 0)
+    k, off = walk_locate(sizes, pos - 1)
+    return k, off + 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 5), max_size=6), min_size=1, max_size=12))
+def test_property_locate_and_insert_place_match_a_walk(blocks):
+    seq = seq_of(blocks)
+    sizes, n = list(map(len, blocks)), len(flatten(blocks))
+    assert [seq.locate(pos) for pos in range(n)] == [walk_locate(sizes, p) for p in range(n)]
+    assert [seq.insert_place(pos) for pos in range(n + 1)] == [
+        walk_insert_place(sizes, pos) for pos in range(n + 1)
+    ]
+
+
+def test_ends_and_locate_follow_random_edits():
+    # Inserts, deletes and moves across boundaries over a row with empty
+    # blocks; after each, the block ends are the running sums of the block
+    # sizes, and a position is found where a walk over them finds it.
+    rng = random.Random(99)
+    mirror = [[], [4], [], [], [1, 5], []]
+    seq = seq_over([list(block) for block in mirror])
+    for _ in range(3000):
+        n, roll = len(flatten(mirror)), rng.random()
+        if n == 0 or roll < 0.4:
+            pos, symbol = rng.randint(0, n), rng.randrange(6)
+            assert insert(seq, pos, symbol) == mirror_insert(mirror, pos, symbol)
+        elif roll < 0.7:
+            pos = rng.randrange(n)
+            assert delete(seq, pos) == mirror_delete(mirror, pos)
+        else:
+            i = rng.randrange(len(mirror))
+            k = i + rng.choice((-1, 1))
+            if mirror[i] and 0 <= k < len(mirror):
+                if k < i:
+                    mirror[k].append(mirror[i].pop(0))
+                else:
+                    mirror[k].insert(0, mirror[i].pop())
+                move(seq, i, k)
+        sizes = list(map(len, mirror))
+        assert ends(seq) == list(accumulate(sizes))
+        if sum(sizes):
+            pos = rng.randrange(sum(sizes))
+            assert seq.locate(pos) == walk_locate(sizes, pos)
+    check_mirror(seq, mirror)
+
+
+def test_to_list_skips_empty_blocks():
+    assert seq_of([[10], [], [11, 12], [13]]).to_list() == [10, 11, 12, 13]
+
+
+def test_to_list_of_one_element():
+    assert seq_of([[], [7], []]).to_list() == [7]
+
+
+def test_to_list_of_an_empty_sequence():
+    assert seq_of([[], [], []]).to_list() == []
+
+
+def test_to_list_leaves_sequence_unchanged():
+    seq = seq_of([[5], [6, 7]])
+    assert seq.to_list() == [5, 6, 7]
+    check_mirror(seq, [[5], [6, 7]])
+
+
 def test_moves_carry_one_element_across_a_boundary():
     seq = seq_of([[1, 2], [], [3]])
-    assert move(seq, "move_right", 0) == 2
+    assert move(seq, 0, 1) == 2
     check_mirror(seq, [[1], [2], [3]])
-    assert move(seq, "move_left", 2) == 3
+    assert move(seq, 2, 1) == 3
     check_mirror(seq, [[1], [2, 3], []])
-    assert move(seq, "move_right", 1) == 3
+    assert move(seq, 1, 2) == 3
     check_mirror(seq, [[1], [2], [3]])
-    assert move(seq, "move_left", 1) == 2
+    assert move(seq, 1, 0) == 2
     check_mirror(seq, [[1, 2], [], [3]])
 
 
 def test_opposite_moves_restore_every_word(monkeypatch):
     # S = 2: the words follow from the block arrays alone, so a run of
-    # boundary moves undone by the opposite moves in reverse order gives
-    # back every word list exactly, whichever words it appended or dropped.
+    # moves across boundaries undone by the opposite moves in reverse order
+    # gives back every word list exactly, whichever words it appended or
+    # dropped.
     monkeypatch.setattr(charseq, "CHUNK", 2)
     rng = random.Random(7)
     for _ in range(200):
@@ -290,15 +353,11 @@ def test_opposite_moves_restore_every_word(monkeypatch):
             i, step = rng.randrange(4), rng.choice((-1, 1))
             if not seq.blocks[i] or not 0 <= i + step < 4:
                 continue
-            if step < 0:
-                move(seq, "move_left", i)
-                made.append(("move_right", i - 1))
-            else:
-                move(seq, "move_right", i)
-                made.append(("move_left", i + 1))
+            move(seq, i, i + step)
+            made.append((i + step, i))
             assert seq.chunk_fault() is None
-        for name, i in reversed(made):
-            move(seq, name, i)
+        for i, k in reversed(made):
+            move(seq, i, k)
         assert (symbol_blocks(seq), all_words(seq)) == before
 
 
@@ -306,13 +365,13 @@ def test_distinct_inserts_read_back_in_order():
     seq = seq_over([[] for _ in range(4)])
     for k in range(50):
         insert(seq, len(seq), k)
-    assert seq.access_range(0, 49) == list(range(50))
+    assert seq.to_list() == list(range(50))
     assert ends(seq) == [50, 50, 50, 50]
 
 
 def test_differential_against_list_mirror():
-    # Empty blocks at the front, in the middle and at the end; boundary moves
-    # keep spreading the elements over the row.
+    # Empty blocks at the front, in the middle and at the end; moves of an
+    # end element across a boundary keep spreading the elements over the row.
     rng = random.Random(1234)
     mirror = [[], [], [3, 1], [], [4], [], []]
     seq = seq_over([list(block) for block in mirror])
@@ -330,17 +389,12 @@ def test_differential_against_list_mirror():
             i = rng.randrange(len(mirror))
             if roll < 0.85 and i > 0 and mirror[i]:
                 mirror[i - 1].append(mirror[i].pop(0))
-                assert move(seq, "move_left", i) == mirror[i - 1][-1]
+                assert move(seq, i, i - 1) == mirror[i - 1][-1]
             elif i + 1 < len(mirror) and mirror[i]:
                 mirror[i + 1].insert(0, mirror[i].pop())
-                assert move(seq, "move_right", i) == mirror[i + 1][0]
+                assert move(seq, i, i + 1) == mirror[i + 1][0]
         if step % 500 == 0:
             check_mirror(seq, mirror)
-            flat = flatten(mirror)
-            if flat:
-                lo = rng.randrange(len(flat))
-                hi = rng.randint(lo, len(flat) - 1)
-                assert seq.access_range(lo, hi) == flat[lo : hi + 1]
     check_mirror(seq, mirror)
 
 
@@ -363,16 +417,16 @@ def test_property_matches_list(blocks, ops):
         elif kind == "d":
             pos = raw % n
             assert delete(seq, pos) == mirror_delete(mirror, pos)
-        elif kind == "l":  # a move the engine would refuse is not made
+        elif kind == "l":  # a move from an empty block or past the row is not made
             i = raw % len(mirror)
             if i and mirror[i]:
                 mirror[i - 1].append(mirror[i].pop(0))
-                assert move(seq, "move_left", i) == mirror[i - 1][-1]
+                assert move(seq, i, i - 1) == mirror[i - 1][-1]
         else:
             i = raw % len(mirror)
             if i + 1 < len(mirror) and mirror[i]:
                 mirror[i + 1].insert(0, mirror[i].pop())
-                assert move(seq, "move_right", i) == mirror[i + 1][0]
+                assert move(seq, i, i + 1) == mirror[i + 1][0]
         check_mirror(seq, mirror)
 
 

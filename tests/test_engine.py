@@ -28,7 +28,6 @@ from rangemodes.multiset import MAX_SYMBOL
 from rangemodes import (
     AuditReport,
     Config,
-    InvariantError,
     ModesResult,
     NaiveSeq,
     RangeModeEngine,
@@ -66,17 +65,6 @@ def filled_slots(engine):
     """How many slots a rebuild fills at construction and after a halving."""
     alpha = engine.config.alpha
     return ceil_root(engine.n0, 1, alpha.numerator, alpha.denominator)
-
-
-def count_moves(monkeypatch):
-    """Record the source block of every boundary move from now on."""
-    moves = []
-    for name in ("move_left", "move_right"):
-        move = getattr(RangeModeEngine, name)
-        monkeypatch.setattr(
-            RangeModeEngine, name, lambda self, i, move=move: moves.append(i) or move(self, i)
-        )
-    return moves
 
 
 def packed_first(symbols):
@@ -489,6 +477,43 @@ class TestRelocate:
         # Inserted before position first - 1, it joins the end of block 1.
         assert self.check(engine, first, first - 1) == [(1, symbol, 1, 2, None)]
 
+    def test_from_the_last_element_of_a_block(self):
+        engine = self.make_engine()
+        last = self.starts(engine)[2] - 1
+        assert self.check(engine, last, last - 5) == []  # it stays in block 1
+        last = self.starts(engine)[2] - 1
+        symbol = engine.to_list()[last]
+        # Inserted after the element at position last + 1, it joins block 2.
+        assert self.check(engine, last, last + 1) == [(2, symbol, 1, 1, None)]
+
+    def test_across_blocks_updates_the_cells_of_both(self):
+        # [10, 11] [12]: 10 goes to the end, after 12, into block 1; the
+        # table edit names its column.
+        engine = RangeModeEngine([10, 11, 12])
+        lay_out(engine, [2, 1])
+        assert self.check(engine, 0, 2) == [(1, engine._seq.column[10], 1, 0, None)]
+        table = engine._table
+        assert engine.block_sizes()[:2] == [1, 2]
+        assert (table.cell(0, 0), table.cell(1, 1)) == ({11: 1}, {10: 1, 12: 1})
+        assert table.cell(0, 1) == {10: 1, 11: 1, 12: 1}
+
+    def test_there_and_back_away_from_block_edges_restores_the_layout(self):
+        # Neither end at the first or last position of a block: the way
+        # back takes the element to the block it came from, so every stored
+        # field is as it was, chunk words and row offsets included.
+        engine = self.make_engine()
+        starts = self.starts(engine)
+        edges = {*starts, *(start - 1 for start in starts)}
+        rng = random.Random(4)
+        pairs = [(rng.randrange(300), rng.randrange(300)) for _ in range(300)]
+        pairs = [(src, dst) for src, dst in pairs if not {src, dst} & edges]
+        assert len(pairs) > 200
+        for src, dst in pairs:
+            before = stored_layout(engine)
+            self.check(engine, src, dst)
+            self.check(engine, dst, src)
+            assert stored_layout(engine) == before, (src, dst)
+
     def test_to_the_ends(self):
         engine = self.make_engine()
         n = len(engine)
@@ -524,16 +549,15 @@ class TestRelocate:
         assert stored_layout(engine) == stored_layout(RangeModeEngine(oracle.to_list()))
         assert engine.audit().ok
 
-    def test_to_the_end_of_a_full_block_joins_the_next(self, monkeypatch):
+    def test_to_the_end_of_a_full_block_joins_the_next(self):
         # To the end of block 1, block 2 takes the element at its front,
-        # with no boundary move and no reset.
+        # with no reset.
         engine = self.full_block_1()
         sizes = engine.block_sizes()
-        moves = count_moves(monkeypatch)
         src, dst = self.starts(engine)[4], self.starts(engine)[2]
         symbol = engine.to_list()[src]
         assert self.check(engine, src, dst) == [(2, symbol, 1, 4, None)]
-        assert moves == [] and engine.block_sizes()[1:3] == [sizes[1], sizes[2] + 1]
+        assert engine.block_sizes()[1:3] == [sizes[1], sizes[2] + 1]
 
     def test_to_the_end_of_a_full_block_from_the_front_of_the_next(self):
         # At alpha = 1/2 and n0 = 46, blocks of capacity 20.  Position 39,
@@ -638,83 +662,6 @@ class TestModes:
         assert RangeModeEngine([1, 0]).mode(0, 1) == (1, 0)
 
 
-class TestMoves:
-    def make_engine(self):
-        # n0=3: [10,11,12] all in the first block, the rest empty.
-        engine = packed_first([10, 11, 12])
-        assert engine.block_sizes()[:2] == [3, 0]
-        return engine
-
-    def test_move_right_then_left_is_identity(self):
-        engine = self.make_engine()
-        before = engine.block_sizes()
-        engine.move_right(0)
-        assert engine.block_sizes()[:2] == [2, 1]
-        assert engine.to_list() == [10, 11, 12]
-        engine.move_left(1)
-        assert engine.block_sizes() == before
-        assert engine.audit().ok
-
-    def test_move_updates_summary_cells(self):
-        engine = self.make_engine()
-        engine.move_right(0)
-        table = engine._table
-        assert table.cell(0, 0) == {10: 1, 11: 1}
-        assert table.cell(1, 1) == {12: 1}
-
-    def test_move_left_appends_to_previous(self):
-        engine = self.make_engine()
-        engine.move_right(0)  # blocks [10,11] [12]
-        engine.move_left(1)  # first of right block joins the left
-        assert engine.block_sizes()[:2] == [3, 0]
-        assert engine.to_list() == [10, 11, 12]
-
-    def test_move_bounds_and_empty_source(self):
-        engine = RangeModeEngine([1, 2])
-        lay_out(engine, [1, 0, 1])
-        slots, before = len(engine.block_sizes()), snapshot(engine)
-        for name, i in (("move_left", 0), ("move_left", slots), ("move_right", slots - 1),
-                        ("move_right", -1)):
-            message = rf"^{name} source {i} out of range \({slots} slots\)$"
-            with pytest.raises(IndexError, match=message):
-                getattr(engine, name)(i)
-        for name in ("move_left", "move_right"):
-            with pytest.raises(InvariantError, match=rf"^{name} from empty block 1$"):
-                getattr(engine, name)(1)
-        assert snapshot(engine) == before and engine.audit().ok
-
-    @pytest.mark.parametrize(
-        ("name", "i", "back", "sizes", "after"),
-        [("move_left", 1, "move_right", [60, 40], [59, 41]),
-         ("move_right", 0, "move_left", [40, 60], [41, 59])],
-    )
-    def test_move_into_a_full_block(self, name, i, back, sizes, after):
-        # A move into a block that holds capacity would leave it over
-        # capacity, failing audit(): it raises first, with nothing changed,
-        # and the full block can still give an element back.
-        engine = RangeModeEngine([k % 5 for k in range(100)])
-        lay_out(engine, sizes)
-        assert engine.capacity == 60
-        before, full = snapshot(engine), 1 - i
-        with pytest.raises(InvariantError, match=rf"^{name} into full block {full}$"):
-            getattr(engine, name)(i)
-        assert snapshot(engine) == before and engine.audit().ok
-        getattr(engine, back)(full)
-        assert engine.block_sizes()[:2] == after and engine.audit().ok
-
-    @pytest.mark.parametrize("bad", [True, 1.0, "1", None], ids=repr)
-    @pytest.mark.parametrize("name", ["move_left", "move_right"])
-    def test_move_slot_must_be_an_int(self, name, bad):
-        # True would pass as slot 1: block 1's first element into block 0.
-        engine = self.make_engine()
-        engine.move_right(0)
-        before = snapshot(engine)
-        message = f"^block slot must be an int, got {type(bad).__name__}$"
-        with pytest.raises(TypeError, match=message):
-            getattr(engine, name)(bad)
-        assert snapshot(engine) == before and engine.audit().ok
-
-
 class TestFullBlockInserts:
     """Where an insert at a full block goes (alpha = 1/2): at its end, to the
     front of the next block while that has room, and otherwise nowhere, as
@@ -751,15 +698,13 @@ class TestFullBlockInserts:
         )
         assert engine.audit().ok
 
-    def test_the_next_block_takes_an_insert_at_the_end_of_a_full_one(self, monkeypatch):
+    def test_the_next_block_takes_an_insert_at_the_end_of_a_full_one(self):
         engine = self.laid_out([20, 19, 20, 20, 4])
-        moves = count_moves(monkeypatch)
         engine.insert(20, 99)  # the end of block 0: block 1 has room
         assert engine.block_sizes() == self.padded([20] * 4 + [4])
-        assert moves == [] and engine.reset_events == [] and engine.audit().ok
+        assert engine.reset_events == [] and engine.audit().ok
         engine.insert(40, 98)  # the end of block 1: block 2 is full too
         self.assert_rebuilt(engine, [*range(20), 99, *range(20, 39), 98, *range(39, 83)])
-        assert moves == []
 
     def test_tie_goes_to_the_lower_slot(self):
         # The end of one block is the front of the next: an insert there
@@ -780,16 +725,15 @@ class TestFullBlockInserts:
         assert engine.to_list() == [*range(90), 99]
         assert engine.audit().ok
 
-    def test_saturated_cur_spills_to_the_nearest_next_block(self, monkeypatch):
+    def test_saturated_cur_spills_to_the_nearest_next_block(self):
         # Blocks 3..6 are full.  Appends walk on into block 7; an insert at
         # the end of block 5 would spill only into block 6, which is full.
         engine = self.laid_out([3, 3, 2] + [20] * 4)
-        moves = count_moves(monkeypatch)
         for symbol in (97, 98):
             engine.insert(len(engine), symbol)
             assert_within_capacity(engine)
         assert engine.block_sizes() == self.padded([3, 3, 2] + [20] * 4 + [2])
-        assert moves == [] and engine.reset_events == []
+        assert engine.reset_events == []
         engine.insert(68, 99)
         self.assert_rebuilt(engine, [*range(68), 99, *range(68, 88), 97, 98])
 
@@ -857,16 +801,15 @@ class TestFullBlockInserts:
         assert engine.audit().ok
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)], ids=str)
-    def test_filled_blocks_take_inserts_up_to_capacity(self, alpha, monkeypatch):
+    def test_filled_blocks_take_inserts_up_to_capacity(self, alpha):
         # The filled blocks, each grown to capacity in turn, hold the
-        # sequence until its doubling without a boundary move, and room for
-        # n0 more elements is left over.
+        # sequence until its doubling without a rebuild, and room for n0
+        # more elements is left over.
         engine = RangeModeEngine([0] * 1000, Config(alpha=alpha))
         n0, filled, cap = engine.n0, filled_slots(engine), engine.capacity
         top = 2 * n0 - 1  # the longest sequence before the doubling
         assert top + n0 < filled * cap
         built = engine.block_sizes()
-        moves = count_moves(monkeypatch)
         rng = random.Random(8)
         for k in range(filled):
             while (size := engine.block_sizes()[k]) < cap and len(engine) < top:
@@ -875,7 +818,7 @@ class TestFullBlockInserts:
                 pos = 0 if k == 0 else sum(engine.block_sizes()[:k]) + 1
                 engine.insert(pos, rng.randrange(26))
                 assert engine.block_sizes()[k] == size + 1
-        assert moves == [] and engine.reset_events == [] and len(engine) == top
+        assert engine.reset_events == [] and len(engine) == top
         sizes = engine.block_sizes()
         full = sizes.count(cap)  # the blocks grown to capacity, then one grown part way
         assert 0 < full < filled - 1
@@ -885,7 +828,7 @@ class TestFullBlockInserts:
         # The next insert doubles the length, and the rebuild fills the
         # first filled slots of the new layout.
         engine.insert(1, 99)
-        assert engine.reset_events == [("double", 2 * n0)] and moves == []
+        assert engine.reset_events == [("double", 2 * n0)]
         sizes = engine.block_sizes()
         assert_even(sizes[: filled_slots(engine)])
         assert not any(sizes[filled_slots(engine) :])
@@ -933,21 +876,18 @@ class TestFill:
         assert_even(sizes[:filled])
         assert not any(sizes[filled:])
 
-    def regrow_without_moves(self, engine, rng, monkeypatch):
+    def regrow_without_rebuilds(self, engine, rng):
         """Insert at uniform random positions up to 2·n0 - 1, checking that
-        no insert moves a boundary or overfills a block."""
-        n0 = engine.n0
-        moves = count_moves(monkeypatch)
+        no insert overfills a block or rebuilds the layout."""
+        n0, resets = engine.n0, list(engine.reset_events)
         while len(engine) < 2 * n0 - 1:
             engine.insert(rng.randint(0, len(engine)), rng.randrange(26))
-            assert moves == []
             assert_within_capacity(engine)
-        monkeypatch.undo()
-        assert engine.n0 == n0
+        assert engine.n0 == n0 and engine.reset_events == resets
         report = engine.audit()
         assert report.ok, report.message
 
-    def test_inserts_after_a_doubling_make_no_boundary_move(self, monkeypatch):
+    def test_inserts_after_a_doubling_fit_the_filled_slots(self):
         for alpha in [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)]:
             engine = RangeModeEngine(range(512), Config(alpha=alpha))
             rng = random.Random(7)
@@ -955,9 +895,9 @@ class TestFill:
                 engine.insert(rng.randint(0, len(engine)), rng.randrange(26))
                 assert_within_capacity(engine)
             assert engine.n0 == 1024
-            self.regrow_without_moves(engine, rng, monkeypatch)
+            self.regrow_without_rebuilds(engine, rng)
 
-    def test_inserts_after_a_halving_make_no_boundary_move(self, monkeypatch):
+    def test_inserts_after_a_halving_fit_the_filled_slots(self):
         for alpha in [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)]:
             engine = RangeModeEngine(range(2048), Config(alpha=alpha))
             rng = random.Random(9)
@@ -965,33 +905,31 @@ class TestFill:
                 engine.delete(rng.randrange(len(engine)))
                 assert_within_capacity(engine)
             assert engine.reset_events == [("halve", 1024)]
-            self.regrow_without_moves(engine, rng, monkeypatch)
+            self.regrow_without_rebuilds(engine, rng)
 
 
 class TestRegrowth:
     """A sequence that regrows to just below its doubling fits the filled
-    slots with few boundary moves, after construction and after a halving."""
+    slots with no rebuild, after construction and after a halving."""
 
-    def grow(self, engine, rng, monkeypatch):
-        """Insert at uniform random positions up to 2·n0 − 2; the boundary moves made."""
-        n0 = engine.n0
-        moves = count_moves(monkeypatch)
+    def grow(self, engine, rng):
+        """Insert at uniform random positions up to 2·n0 − 2; the rebuilds made."""
+        n0, resets = engine.n0, len(engine.reset_events)
         while len(engine) < 2 * n0 - 2:
             engine.insert(rng.randint(0, len(engine)), rng.randrange(26))
-        monkeypatch.undo()
         assert engine.n0 == n0 and engine.audit().ok
-        return len(moves)
+        return len(engine.reset_events) - resets
 
-    def test_regrowth_makes_few_boundary_moves(self, monkeypatch):
+    def test_regrowth_rebuilds_nothing(self):
         rng = random.Random(3)
         engine = RangeModeEngine([rng.randrange(26) for _ in range(1024)])
-        assert self.grow(engine, rng, monkeypatch) <= 400
+        assert self.grow(engine, rng) == 0
         while engine.n0 == 1024:  # double to n0 = 2048, then halve back to 1024
             engine.insert(rng.randint(0, len(engine)), rng.randrange(26))
         while engine.n0 != 1024:
             engine.delete(rng.randrange(len(engine)))
         assert [kind for kind, _ in engine.reset_events] == ["double", "halve"]
-        assert self.grow(engine, rng, monkeypatch) <= 400
+        assert self.grow(engine, rng) == 0
 
 
 class TestResets:
@@ -1210,9 +1148,9 @@ class TestFailedOps:
         assert engine.sigma_prime == 4 and engine.audit().ok
 
     def test_no_edit_recounts(self, monkeypatch):
-        # S = 2: inserts, deletes, relocations inside and across blocks and
-        # boundary moves append and drop words all the time, and none of
-        # them counts a chunk afresh.
+        # S = 2: inserts, deletes and relocations inside and across blocks
+        # append and drop words all the time, and none of them counts a
+        # chunk afresh.
         monkeypatch.setattr(charseq, "CHUNK", 2)
         rng = random.Random(8)
         engine = RangeModeEngine([rng.randrange(5) for _ in range(300)])
@@ -1229,13 +1167,9 @@ class TestFailedOps:
             elif roll < 0.6:
                 pos = rng.randrange(n)
                 assert engine.delete(pos) == oracle.delete_at(pos)
-            elif roll < 0.9:
+            else:
                 src, dst = rng.randrange(n), rng.randrange(n)
                 assert engine.relocate(src, dst) == oracle.relocate(src, dst)
-            else:
-                i = rng.randrange(1, len(engine.block_sizes()))
-                if engine.block_sizes()[i] and engine.block_sizes()[i - 1] < engine.capacity:
-                    engine.move_left(i)
         monkeypatch.setattr(charseq, "chunk_word", chunk_word)
         assert engine.to_list() == oracle.to_list() and engine.audit().ok
 

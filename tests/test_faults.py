@@ -9,12 +9,12 @@ counts are not pinned; each sweep finds where its op stops raising.  The
 ops are queries; the edits that rebuild the layout, which admit, build and
 log a new layout before installing it: a doubling insert, a halving
 delete, an insert of column 256, and an insert or a relocation into a full
-block; and every kind of edit that does not rebuild, boundary moves
-included, which computes every new value before the one call that stores
-it, at two sizes and two values of alpha.  Each edit, and each op but the
-"ids" insert, is also swept in a fresh interpreter, where no function of
-its path has run: on some Python versions a function's first calls
-allocate, and a sweep after warm calls misses those allocations.  The garbage collector is off during a sweep, so
+block; and every kind of edit that does not rebuild, which computes every
+new value before the one call that stores it, at two sizes and two values
+of alpha.  Each edit, and each op but the "ids" insert, is also swept in a
+fresh interpreter, where no function of its path has run: on some Python
+versions a function's first calls allocate, and a sweep after warm calls
+misses those allocations.  The garbage collector is off during a sweep, so
 no collection runs inside an op.
 """
 
@@ -87,19 +87,6 @@ class Engine:
         self.insert_at = engine.insert
         self.delete_at = engine.delete
         self.relocate = engine.relocate
-        self.move_left = engine.move_left
-        self.move_right = engine.move_right
-
-
-class Naive(NaiveSeq):
-    """:class:`NaiveSeq` with the engine's boundary moves, which change no element."""
-
-    __slots__ = ()
-
-    def move_left(self, i):
-        return None
-
-    move_right = move_left
 
 
 def faulted(op, engine, n):
@@ -184,10 +171,10 @@ def test_every_late_failed_allocation_of_an_ids_insert_changes_nothing(no_gc):
 
 def built(n, alpha, *lone):
     """An engine at ``alpha`` built from ``n`` elements of five symbols, the
-    last ones ``lone``, with its :class:`Naive`."""
+    last ones ``lone``, with its :class:`NaiveSeq`."""
     symbols = [k % 5 for k in range(n)]
     symbols[n - len(lone) :] = lone
-    return RangeModeEngine(symbols, Config(alpha=alpha)), Naive(symbols)
+    return RangeModeEngine(symbols, Config(alpha=alpha)), NaiveSeq(symbols)
 
 
 def freed(n, alpha, *lone):
@@ -231,6 +218,20 @@ EDITS = {
     "delete of one copy of many": (
         built, lambda s, n: s.delete_at(n // 2), lambda a, b: a["column"] == b["column"],
     ),
+    # The edits at the two ends of the sequence, where the first and the
+    # last filled block take or give an element at their outer ends.
+    "insert at the front": (
+        built, lambda s, n: s.insert_at(0, 3), lambda a, b: b["list"] == [3, *a["list"]],
+    ),
+    "insert at the end": (
+        built, lambda s, n: s.insert_at(n, 3), lambda a, b: b["list"] == [*a["list"], 3],
+    ),
+    "delete at the front": (
+        built, lambda s, n: s.delete_at(0), lambda a, b: b["list"] == a["list"][1:],
+    ),
+    "delete at the end": (
+        built, lambda s, n: s.delete_at(n - 1), lambda a, b: b["list"] == a["list"][:-1],
+    ),
     "relocation inside one block": (
         built, lambda s, n: s.relocate(1, 9), lambda a, b: a["sizes"] == b["sizes"],
     ),
@@ -242,18 +243,6 @@ EDITS = {
         lambda s, n: s.relocate(n - 1, 1),
         lambda a, b: (a["free"], b["free"], b["column"][9]) == ([], [], 5)
         and a["column"] == b["column"] and a["sizes"] != b["sizes"],
-    ),
-    # Block 2's first element to the end of block 1, and block 1's last to
-    # the front of block 2: the block sizes change, the sequence does not.
-    "move_left": (
-        built,
-        lambda s, n: s.move_left(2),
-        lambda a, b: a["list"] == b["list"] and a["sizes"] != b["sizes"],
-    ),
-    "move_right": (
-        built,
-        lambda s, n: s.move_right(1),
-        lambda a, b: a["list"] == b["list"] and a["sizes"] != b["sizes"],
     ),
 }
 

@@ -15,79 +15,12 @@ from hypothesis import strategies as st
 from probe import held_bytes, priced_bytes, word_count, words
 
 import rangemodes.engine as engine_module
-from rangemodes import CharSeq, Config, CountedSet, InvariantError, PairTable, RangeModeEngine
+from rangemodes import CharSeq, Config, InvariantError, PairTable, RangeModeEngine
 from rangemodes import multiset
 from rangemodes.charseq import word_bound
 from rangemodes.multiset import MAX_COUNT, MAX_SYMBOL, id_type, mask_fields, pack
 
 A, B, C = 0, 1, 2
-
-
-def drain(cs):
-    """Full ranked iteration via the cursor protocol."""
-    out = []
-    cur = cs.cursor()
-    while (entry := cs.next_entry(cur)) is not None:
-        out.append(entry)
-    return out
-
-
-def hand_cell(symbols):
-    """The cell snapshot of a hand count of ``symbols``."""
-    return CountedSet(Counter(symbols))
-
-
-class TestCountedSet:
-    def test_increment_hand_count(self):
-        cs = hand_cell((A, A, B))
-        assert cs.count_of(A) == 2
-        assert cs.count_of(B) == 1
-
-    def test_single_increment_max(self):
-        assert hand_cell((A,)).max_entry() == (1, A)
-
-    def test_increment_merges_ranked_entry(self):
-        assert drain(hand_cell((A, A))) == [(2, A)]
-
-    def test_decrement_hand_count_with_tie(self):
-        counts = Counter((A, A, B))
-        counts[A] -= 1
-        cs = CountedSet(counts)
-        # Both at count 1; ties rank the higher id first.
-        assert cs.max_entry() == (1, B)
-        assert drain(cs) == [(1, B), (1, A)]
-
-    def test_count_of_absent(self):
-        assert hand_cell((A, A)).count_of(25) == 0
-
-    def test_max_entry_hand_count(self):
-        assert hand_cell((A, A, B)).max_entry() == (2, A)
-
-    def test_max_entry_empty(self):
-        assert CountedSet().max_entry() is None
-
-    def test_max_entry_tie_prefers_higher_id(self):
-        assert hand_cell((A, B)).max_entry() == (1, B)
-
-    def test_cursor_iteration(self):
-        assert drain(hand_cell((A, A, B))) == [(2, A), (1, B)]
-
-    def test_cursor_singleton(self):
-        assert drain(hand_cell((A,))) == [(1, A)]
-
-    def test_cursor_counts_with_ties(self):
-        cs = hand_cell((A, A, A, B, B, B, C))
-        assert [count for count, _ in drain(cs)] == [3, 3, 1]
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(0, 8), max_size=80))
-    def test_views_stay_mirrored(self, symbols):
-        reference = Counter(symbols)
-        cs = CountedSet(reference)
-        assert cs == dict(reference)
-        assert [cs.count_of(s) for s in range(9)] == [reference[s] for s in range(9)]
-        assert drain(cs) == sorted(((c, s) for s, c in reference.items()), reverse=True)
-        assert cs.max_entry() == (drain(cs) or [None])[0]
 
 
 def build_table(blocks):
@@ -108,12 +41,12 @@ def point(table, j, symbol, delta):
     table.store(table.apply_point(j, col, delta, None, claim), None, None, None, None, col)
 
 
-def shift_left(table, i, symbol):
-    table.shift_left(i, table._seq.column[symbol])
-
-
-def shift_right(table, i, symbol):
-    table.shift_right(i, table._seq.column[symbol])
+def shift(table, i, k, symbol):
+    """One element of ``symbol`` crossing from block ``i`` into its neighbour
+    ``k``, as the engine's edit across blocks counts it, stored with an
+    edit that changes no block."""
+    col = table._seq.column[symbol]
+    table.store(table.apply_point(k, col, 1, i), None, None, None, None, col)
 
 
 def cols(table, symbols):
@@ -204,7 +137,7 @@ class TestPairTable:
         # Moving one C from block 1 to block 0: cells ending at 0 gain,
         # cells starting at 1 lose, spanning cells unchanged.
         table = build_table([[A], [C, B], [B]])
-        shift_left(table, 1, C)
+        shift(table, 1, 0, C)
         assert cell_counts(table, 0, 0) == {A: 1, C: 1}
         assert cell_counts(table, 1, 1) == {B: 1}
         assert cell_counts(table, 1, 2) == {B: 2}
@@ -213,14 +146,14 @@ class TestPairTable:
 
     def test_shift_left_two_blocks(self):
         table = build_table([[], [C]])
-        shift_left(table, 1, C)
+        shift(table, 1, 0, C)
         assert cell_counts(table, 0, 0) == {C: 1}
         assert cell_counts(table, 1, 1) == {}
         assert cell_counts(table, 0, 1) == {C: 1}
 
     def test_shift_right_three_blocks(self):
         table = build_table([[A], [B, C], []])
-        shift_right(table, 1, C)
+        shift(table, 1, 2, C)
         assert cell_counts(table, 0, 1) == {A: 1, B: 1}
         assert cell_counts(table, 1, 1) == {B: 1}
         assert cell_counts(table, 2, 2) == {C: 1}
@@ -228,15 +161,15 @@ class TestPairTable:
 
     def test_shift_right_two_blocks(self):
         table = build_table([[C], []])
-        shift_right(table, 0, C)
+        shift(table, 0, 1, C)
         assert cell_counts(table, 0, 0) == {}
         assert cell_counts(table, 1, 1) == {C: 1}
 
     def test_shift_pair_is_identity(self):
         table = build_table([[A], [B, C], [B]])
         reference = [cell_counts(table, l, r) for l in range(3) for r in range(l, 3)]
-        shift_right(table, 1, C)
-        shift_left(table, 2, C)
+        shift(table, 1, 2, C)
+        shift(table, 2, 1, C)
         assert [
             cell_counts(table, l, r) for l in range(3) for r in range(l, 3)
         ] == reference
@@ -251,10 +184,12 @@ class TestPairTable:
             table.apply_point(0, A, 2)
         with pytest.raises(InvariantError):
             table.apply_point(0, A, 1)  # no column was handed out
+        # A crossing from block 0 to a block before it, and from block 1 to
+        # one past the last.
         with pytest.raises(IndexError):
-            table.shift_left(0, A)
+            table.apply_point(-1, A, 1, 0)
         with pytest.raises(IndexError):
-            table.shift_right(1, A)
+            table.apply_point(2, A, 1, 1)
 
     def test_audit_against_recount_random(self):
         rng = random.Random(5)
@@ -276,10 +211,10 @@ class TestPairTable:
         "edit",
         [
             lambda t: point(t, 1, A, -1),
-            lambda t: shift_left(t, 1, A),
-            lambda t: shift_right(t, 1, A),
+            lambda t: shift(t, 1, 0, A),
+            lambda t: shift(t, 1, 2, A),
         ],
-        ids=["apply_point", "shift_left", "shift_right"],
+        ids=["apply_point", "shift_into_block_0", "shift_into_block_2"],
     )
     def test_absent_source_symbol_changes_nothing(self, edit):
         # A occurs in blocks 0 and 2, so every cell spanning block 1 holds it,
@@ -313,7 +248,7 @@ class TestPairTable:
                     blocks[i].remove(symbol)
             else:
                 dst = i - 1 if kind == "left" else i + 1
-                (shift_left if kind == "left" else shift_right)(table, i, symbol)
+                shift(table, i, dst, symbol)
                 blocks[i].remove(symbol)
                 blocks[dst].append(symbol)
             assert all_cells(table) == recount(blocks), (kind, i, symbol)
@@ -323,7 +258,7 @@ class TestPairTable:
         table = build_table(blocks)
         assert cell_counts(table, 0, 1) == {MAX_SYMBOL: 2, A: 1}
         point(table, 1, MAX_SYMBOL, 1)
-        shift_right(table, 0, A)
+        shift(table, 0, 1, A)
         assert cell_counts(table, 1, 1) == {MAX_SYMBOL: 2, A: 1}
         assert table.modes(0, 1, 0, *NO_MARGIN) == (3, [MAX_SYMBOL])
 
@@ -498,10 +433,10 @@ class TestPairTable:
             point(table, j, symbol, 1)
             blocks[j].append(symbol)
         assert table._width >= table.sigma_prime == 19
-        shift_left(table, 2, 102)
+        shift(table, 2, 1, 102)
         blocks[2].remove(102)
         blocks[1].append(102)
-        shift_right(table, 0, A)
+        shift(table, 0, 1, A)
         blocks[0].remove(A)
         blocks[1].append(A)
         assert all_cells(table) == recount(blocks)
@@ -546,6 +481,59 @@ def check_masks(table):
     assert table._mask_fields == total <= table.cell_count() * table._width
 
 
+class TestCellReads:
+    """What a cell reads: each symbol present with its count, the top count
+    with every symbol that ties for it, and a column's copies over the
+    whole row."""
+
+    def test_cell_by_hand(self):
+        table = build_table([[A, A, B], [C]])
+        assert cell_counts(table, 0, 0) == {A: 2, B: 1}
+        assert cell_counts(table, 0, 1) == {A: 2, B: 1, C: 1}
+
+    def test_cell_leaves_out_a_symbol_whose_last_copy_went(self):
+        table = build_table([[A, B]])
+        point(table, 0, B, -1)
+        assert cell_counts(table, 0, 0) == {A: 1}
+        assert table._seq.column == {A: 0}
+
+    def test_modes_of_a_cell_alone(self):
+        table = build_table([[A, A, B], [C]])
+        assert table.modes(0, 0, 0, *NO_MARGIN) == (2, [A])
+        assert table.modes(1, 1, 0, *NO_MARGIN) == (1, [C])
+
+    def test_modes_return_every_symbol_of_a_tie(self):
+        table = build_table([[A, B], [C]])
+        best, winners = table.modes(0, 1, 0, *NO_MARGIN)
+        assert (best, sorted(winners)) == (1, [A, B, C])
+
+    def test_a_loss_makes_a_tie(self):
+        table = build_table([[A, A, B]])
+        point(table, 0, A, -1)
+        best, winners = table.modes(0, 0, 0, *NO_MARGIN)
+        assert (best, sorted(winners)) == (1, [A, B])
+
+    def test_copies_count_a_column_over_every_block(self):
+        table = build_table([[A, A], [B], [A]])
+        column = table._seq.column
+        assert (table.copies(column[A]), table.copies(column[B])) == (3, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 8), max_size=8), min_size=1, max_size=5))
+    def test_property_reads_match_a_recount(self, blocks):
+        table = build_table(blocks)
+        assert all_cells(table) == recount(blocks)
+        total = Counter(s for block in blocks for s in block)
+        column = table._seq.column
+        assert {s: table.copies(column[s]) for s in total} == total
+        for (l, r), counts in recount(blocks).items():
+            if counts:
+                best, winners = table.modes(l, r, 0, *NO_MARGIN)
+                top = max(counts.values())
+                tied = sorted(s for s, c in counts.items() if c == top)
+                assert (best, sorted(winners)) == (top, tied)
+
+
 class TestSymbolMajorLayout:
     """Each symbol owns one plane of cells in row order, each row offset by
     the symbol's count in the blocks before it at the build."""
@@ -570,12 +558,12 @@ class TestSymbolMajorLayout:
                     assert moved(before, all_cells(table)) == expected, (run, j, delta)
             for i in range(1, slots):
                 before = all_cells(table)
-                shift_left(table, i, A)
+                shift(table, i, i - 1, A)
                 gained = {(l, i - 1): {A: 1} for l in range(i)}
                 lost = {(i, r): {A: -1} for r in range(i, slots)}
                 assert moved(before, all_cells(table)) == {**gained, **lost}, (run, i)
                 before = all_cells(table)
-                shift_right(table, i - 1, A)
+                shift(table, i - 1, i, A)
                 lost = {(l, i - 1): {A: -1} for l in range(i)}
                 gained = {(i, r): {A: 1} for r in range(i, slots)}
                 assert moved(before, all_cells(table)) == {**lost, **gained}, (run, i)
@@ -678,7 +666,7 @@ class TestSymbolMajorLayout:
             blocks[1].append(symbol)
         assert table._width == 8  # widened twice: 3 -> 5 -> 8 columns
         assert all_cells(table) == recount(blocks)
-        shift_right(table, 1, C)
+        shift(table, 1, 2, C)
         blocks[1].remove(C)
         blocks[2].append(C)
         assert all_cells(table) == recount(blocks)

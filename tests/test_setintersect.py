@@ -2,6 +2,7 @@ import gc
 import random
 import struct
 import sys
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -69,6 +70,23 @@ class TestBuild:
         # True passed as a universe of 1, and 2.0 failed inside range().
         with pytest.raises(TypeError, match="universe_size must be an int"):
             SetFamily([[0]], universe)
+
+    @pytest.mark.parametrize(("sets", "universe"), [([[0], [1]], 10**5), ([[0]], 10**6)])
+    def test_a_family_past_the_memory_limit_is_refused_before_its_gadgets(
+        self, monkeypatch, sets, universe
+    ):
+        # With 1 MiB to get, the layout of 2·u·m positions over u symbols is
+        # refused from its shape alone: the build writes no gadget, which
+        # would take many times the limit first.
+        monkeypatch.setattr(multiset, "_memory_limit", lambda: 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="more than the 1048576 bytes"):
+                SetFamily(sets, universe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestQueries:

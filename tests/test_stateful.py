@@ -99,8 +99,9 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule()
     def pack(self):
-        # Boundary moves fill the first blocks to capacity, so that an insert
-        # there rebuilds the layout, or, at the end of one, joins the next.
+        # A layout by hand fills the first blocks to capacity, so that an
+        # insert there rebuilds the layout, or, at the end of one, joins the
+        # next.
         pack_front(self.engine)
 
     def _delete(self, pos):
@@ -168,7 +169,7 @@ class EngineMachine(RuleBasedStateMachine):
         Fault-free edits first set the stage.  With ``setup`` "edge", they
         take the length to where an insert doubles or a delete halves it.
         With "full", they grow it past one block's capacity, short of its
-        doubling, and boundary moves pack the blocks full from block 0 on;
+        doubling, and a layout by hand packs the blocks full from block 0 on;
         the op is then an insert at the front or a relocation there from
         the last element, and either rebuilds the layout.  With "wide", they
         insert fresh symbols until 256 columns are handed out and none is
